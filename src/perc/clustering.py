@@ -10,6 +10,7 @@ likelihood clustering at all.
 
 from __future__ import annotations
 
+import heapq
 import math
 
 from .graph import (Clustering, Pair, UncertainGraph, clustering_log_likelihood,
@@ -39,36 +40,10 @@ def merge_probability(graph: UncertainGraph, block_a, block_b) -> float | None:
     spanning = graph.edges_between(a, b)
     if not spanning:
         return None
-    return _merge_prob_from_edges([p for _, p in spanning])
-
-
-def _merge_prob_from_edges(probs: list[float]) -> float:
-    log_yes = 0.0
-    log_no = 0.0
-    zero_yes = zero_no = 0
-    for p in probs:
-        if p == 0.0:
-            zero_yes += 1
-        else:
-            log_yes += math.log10(p)
-        if p == 1.0:
-            zero_no += 1
-        else:
-            log_no += math.log10(1.0 - p)
-    if zero_yes and zero_no:
-        # certain evidence in both directions, neutral value that never merges
-        return 0.5
-    if zero_yes:
-        return 0.0
-    if zero_no:
-        return 1.0
-    # 1 / (1 + prod(1-p)/prod(p)), guarded against overflow in the exponent
-    diff = log_no - log_yes
-    if diff > 300:
-        return 0.0
-    if diff < -300:
-        return 1.0
-    return 1.0 / (1.0 + 10.0 ** diff)
+    agg = _PairAgg()
+    for _, p in spanning:
+        agg.add_edge(p)
+    return agg.probability()
 
 
 class _PairAgg:
@@ -100,11 +75,13 @@ class _PairAgg:
 
     def probability(self) -> float:
         if self.zero_yes and self.zero_no:
+            # certain evidence in both directions, neutral value that never merges
             return 0.5
         if self.zero_yes:
             return 0.0
         if self.zero_no:
             return 1.0
+        # 1 / (1 + prod(1-p)/prod(p)), guarded against overflow in the exponent
         diff = self.log_no - self.log_yes
         if diff > 300:
             return 0.0
@@ -121,53 +98,60 @@ def scc_cluster(graph: UncertainGraph) -> Clustering:
     Pairs without any spanning edge are never candidates.  Ties go to the
     pair whose (min member, other block's min member) key is
     lexicographically smallest, which pins the merge order.
+
+    Candidates sit in a heap keyed (-probability, order key); entries of a
+    block that has since been merged away are skipped when popped.  Order
+    keys of live blocks are unique, so the pop order is the ranking above.
     """
     blocks: dict[int, tuple[str, ...]] = {i: (r,) for i, r in enumerate(graph.records)}
     owner = {r: i for i, r in enumerate(graph.records)}
     agg: dict[tuple[int, int], _PairAgg] = {}
+    neighbours: dict[int, set[int]] = {i: set() for i in blocks}
     for (a, b), p in graph.edge_items():
         key = (owner[a], owner[b]) if owner[a] < owner[b] else (owner[b], owner[a])
         entry = agg.get(key)
         if entry is None:
             entry = agg[key] = _PairAgg()
+            neighbours[key[0]].add(key[1])
+            neighbours[key[1]].add(key[0])
         entry.add_edge(p)
 
+    def candidate(ia: int, ib: int, entry: _PairAgg):
+        return (-entry.probability(), canonical_pair(blocks[ia][0], blocks[ib][0]), (ia, ib))
+
+    heap = [candidate(ia, ib, entry) for (ia, ib), entry in agg.items()]
+    heapq.heapify(heap)
     next_id = len(blocks)
-    while agg:
-        best_key = None
-        best_prob = -1.0
-        best_order = None
-        for key, entry in agg.items():
-            prob = entry.probability()
-            ia, ib = key
-            order = tuple(sorted((blocks[ia][0], blocks[ib][0])))
-            if prob > best_prob or (prob == best_prob and order < best_order):
-                best_key, best_prob, best_order = key, prob, order
-        if best_prob <= 0.5:
+    while heap:
+        neg_prob, _, (ia, ib) = heapq.heappop(heap)
+        if ia not in blocks or ib not in blocks:
+            continue
+        if -neg_prob <= 0.5:
             break
-        ia, ib = best_key
-        merged = tuple(sorted(blocks[ia] + blocks[ib]))
         mid = next_id
         next_id += 1
-        del blocks[ia], blocks[ib]
-        blocks[mid] = merged
+        blocks[mid] = tuple(sorted(blocks.pop(ia) + blocks.pop(ib)))
+        del agg[(ia, ib)]
 
+        # two entries for one neighbour fold with one commutative float
+        # addition per field, so the merged tallies do not depend on order
         combined: dict[int, _PairAgg] = {}
-        for (x, y), entry in list(agg.items()):
-            if {x, y} == {ia, ib}:
-                del agg[(x, y)]
-                continue
-            if x in (ia, ib) or y in (ia, ib):
-                other = y if x in (ia, ib) else x
-                del agg[(x, y)]
+        for side in (ia, ib):
+            for other in neighbours.pop(side):
+                if other == ia or other == ib:
+                    continue
+                entry = agg.pop((side, other) if side < other else (other, side))
+                neighbours[other].discard(side)
                 bucket = combined.get(other)
                 if bucket is None:
                     combined[other] = entry
                 else:
                     bucket.absorb(entry)
+        neighbours[mid] = set(combined)
         for other, entry in combined.items():
-            key = (other, mid) if other < mid else (mid, other)
-            agg[key] = entry
+            agg[(other, mid)] = entry
+            neighbours[other].add(mid)
+            heapq.heappush(heap, candidate(other, mid, entry))
 
     return Clustering(blocks.values())
 

@@ -37,6 +37,11 @@ def _check_header(row, expected, path, optional_tail=()):
     return extra
 
 
+def _check_min_columns(row, count, path, lineno):
+    if len(row) < count:
+        raise ValueError(f"{path}:{lineno}: expected at least {count} columns, got {len(row)}")
+
+
 def read_records_csv(path) -> list[str]:
     """record_id per row; returns ids in file order."""
     with _open_reader(path) as fh:
@@ -100,6 +105,7 @@ def read_gold_csv(path) -> GoldClustering:
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
+            _check_min_columns(row, 2, path, lineno)
             rid, eid = row[0], row[1]
             if rid in entity:
                 raise ValueError(f"{path}:{lineno}: record {rid!r} listed twice")
@@ -122,9 +128,10 @@ def read_clusters_csv(path) -> Clustering:
     with _open_reader(path) as fh:
         reader = csv.reader(fh)
         _check_header(next(reader, None), CLUSTERS_HEADER, path)
-        for row in reader:
+        for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
+            _check_min_columns(row, 2, path, lineno)
             groups.setdefault(row[1], []).append(row[0])
     if not groups:
         raise ValueError(f"{path}: no cluster assignments listed")

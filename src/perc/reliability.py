@@ -66,9 +66,30 @@ class ReliabilityScore:
 
 def _check_block(clustering: Clustering, block) -> tuple[str, ...]:
     key = tuple(sorted(block))
-    if key not in clustering.blocks:
+    if not key or clustering._owner.get(key[0]) != key:
         raise ValueError(f"block {key} is not part of the clustering")
     return key
+
+
+def spanning_products(graph: UncertainGraph,
+                      clustering: Clustering) -> dict[tuple[tuple[str, ...], tuple[str, ...]], float]:
+    """prod(p) over the edges spanning each block pair, in one edge pass.
+
+    Keys are (block_j, block_k) with block_j < block_k, as
+    Clustering.block_pairs yields them; pairs with no spanning edge have no
+    entry.  Edges are folded in canonical order, the order disconnectivity
+    multiplies them in, so 1 - prod equals its value exactly.
+    """
+    owner = clustering._owner
+    products: dict[tuple[tuple[str, ...], tuple[str, ...]], float] = {}
+    for (a, b), p in graph.edge_items():
+        ba = owner[a]
+        bb = owner[b]
+        if ba is bb:
+            continue
+        key = (ba, bb) if ba < bb else (bb, ba)
+        products[key] = products.get(key, 1.0) * p
+    return products
 
 
 def disconnectivity(graph: UncertainGraph, clustering: Clustering,
@@ -290,8 +311,10 @@ def reliability(graph: UncertainGraph, clustering: Clustering,
         connect_parts.append(est)
         total += log10_clamped(est.value, params.epsilon)
     disconnect_parts = []
-    for bj, bk in clustering.block_pairs():
-        d = disconnectivity(graph, clustering, bj, bk)
+    products = spanning_products(graph, clustering)
+    for key in clustering.block_pairs():
+        prod = products.get(key)
+        d = 0.0 if prod is None else 1.0 - prod
         disconnect_parts.append(d)
         total += log10_clamped(d, params.epsilon)
     return ReliabilityScore(value=total,

@@ -19,10 +19,12 @@ change rebuilds from scratch.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .graph import Clustering, Pair, UncertainGraph
-from .reliability import ReliabilityParams, block_connectivity, disconnectivity
+from .reliability import (ReliabilityParams, block_connectivity, disconnectivity,
+                          spanning_products)
 from .util import canonical_pair, derive_seed, log10_clamped, make_rng
 
 Block = tuple[str, ...]
@@ -163,16 +165,6 @@ def _intra_entries_for_block(graph: UncertainGraph, block: Block,
     return {pair: _intra_gain(graph, block, pair, params, base) for pair in pairs}
 
 
-def _inter_entry_for_pair(graph: UncertainGraph, clustering: Clustering,
-                          bj: Block, bk: Block, params: ReliabilityParams,
-                          allowed: frozenset | None) -> tuple[Pair, float] | None:
-    absent = _absent_spanning_pairs(graph, bj, bk, allowed)
-    if not absent:
-        return None
-    dis = disconnectivity(graph, clustering, bj, bk)
-    return absent[0], _inter_gain(dis, params)
-
-
 def build_state(graph: UncertainGraph, clustering: Clustering,
                 params: ReliabilityParams | None = None, *, round_index: int = 0,
                 allowed: frozenset | None = None,
@@ -186,10 +178,19 @@ def build_state(graph: UncertainGraph, clustering: Clustering,
         intra.update(_intra_entries_for_block(graph, block, params, allowed,
                                               intra_fraction))
     inter: dict[BlockPairKey, tuple[Pair, float]] = {}
-    for bj, bk in clustering.block_pairs():
-        entry = _inter_entry_for_pair(graph, clustering, bj, bk, params, allowed)
-        if entry is not None:
-            inter[(bj, bk)] = entry
+    products = spanning_products(graph, clustering)
+    unspanned_gain = _inter_gain(0.0, params)
+    for key in clustering.block_pairs():
+        bj, bk = key
+        prod = products.get(key)
+        if prod is None and allowed is None:
+            # every spanning pair is absent; the smallest is (min, min)
+            inter[key] = ((bj[0], bk[0]), unspanned_gain)
+            continue
+        absent = _absent_spanning_pairs(graph, bj, bk, allowed)
+        if absent:
+            dis = 0.0 if prod is None else 1.0 - prod
+            inter[key] = (absent[0], _inter_gain(dis, params))
     return PriorityState(graph, clustering, params, intra, inter,
                          round_index=round_index, allowed=allowed,
                          intra_fraction=intra_fraction)
@@ -235,12 +236,12 @@ def refresh_after_answer(state: PriorityState, graph: UncertainGraph,
         intra.update(_intra_entries_for_block(graph, block_a, params,
                                               state.allowed, state.intra_fraction))
     else:
-        bp = tuple(sorted((block_a, block_b)))
-        inter.pop(bp, None)
-        entry = _inter_entry_for_pair(graph, clustering, bp[0], bp[1], params,
-                                      state.allowed)
-        if entry is not None:
-            inter[bp] = entry
+        bj, bk = sorted((block_a, block_b))
+        inter.pop((bj, bk), None)
+        absent = _absent_spanning_pairs(graph, bj, bk, state.allowed)
+        if absent:
+            dis = disconnectivity(graph, clustering, bj, bk)
+            inter[(bj, bk)] = (absent[0], _inter_gain(dis, params))
     out = PriorityState(graph, clustering, params, intra, inter,
                         round_index=rnd, allowed=state.allowed,
                         intra_fraction=state.intra_fraction)
@@ -279,11 +280,13 @@ def select_batch(state: PriorityState, k: int) -> list[Pair]:
     """
     if k < 1:
         raise ValueError(f"batch size must be positive, got {k}")
-    ranked = state.entries()
-    batch = [c.pair for c in ranked[:k]]
+    # (-gain, pair) keys are unique, so the k smallest are entries()[:k]
+    keys = [(-gain, pair) for pair, gain in state.intra.items()]
+    keys.extend((-gain, rep) for rep, gain in state.inter.values())
+    batch = [pair for _, pair in heapq.nsmallest(k, keys)]
     if len(batch) < k:
         taken = set(batch)
-        for cand in ranked:
+        for cand in state.entries():
             if len(batch) >= k:
                 break
             if cand.scope[0] != "inter":

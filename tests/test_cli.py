@@ -109,6 +109,20 @@ class TestEval:
         assert "recall=0.5" in out
         assert "f1=0.4" in out
 
+    @pytest.mark.parametrize("short", ["clusters", "gold"])
+    def test_one_column_row_names_file_and_line(self, tmp_path, capsys, short):
+        files = {"clusters": "record_id,cluster_id\na,a\nb,a\n",
+                 "gold": "record_id,entity_id\na,x\nb,x\n"}
+        files[short] = files[short].replace("b,", "b", 1)
+        for name, text in files.items():
+            (tmp_path / f"{name}.csv").write_text(text)
+        code = main(["eval", "--clusters", str(tmp_path / "clusters.csv"),
+                     "--gold", str(tmp_path / "gold.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {tmp_path / f'{short}.csv'}:3: "
+                       "expected at least 2 columns, got 1\n")
+
 
 class TestRun:
     def world(self, tmp_path):
