@@ -14,8 +14,7 @@ from perc import (
     Clustering,
     ReliabilityParams,
     UncertainGraph,
-    connectivity_exact,
-    connectivity_mc,
+    block_connectivity,
     disconnectivity,
     reliability,
 )
@@ -35,7 +34,7 @@ print(f"p(blocks separate)   = {dis:.4f}")
 
 # The block {A,B,C} holds together only when both path edges are real:
 # 0.9 * 0.8 = 0.72.
-con = connectivity_exact(graph, ("A", "B", "C")).value
+con = block_connectivity(graph, ("A", "B", "C"), ReliabilityParams()).value
 print(f"p(block connected)   = {con:.4f}")
 
 # Reliability adds the two stories in log10; singleton blocks are
@@ -55,13 +54,17 @@ for i in range(len(big)):
 dense = UncertainGraph(big, edges=edges)
 print(f"\nbigger block: {len(big)} records, {len(edges)} intra edges")
 
-exact = connectivity_exact(dense, big, edge_limit=len(edges)).value
+# exact_edge_limit picks the method: the block's edge count forces the exact
+# solver, 0 forces sampling.
+exact = block_connectivity(dense, big, ReliabilityParams(exact_edge_limit=len(edges))).value
 for seed in (0, 1, 2):
-    mc = connectivity_mc(dense, big, ReliabilityParams(mc_samples=4000, seed=seed))
+    mc = block_connectivity(dense, big, ReliabilityParams(mc_samples=4000, seed=seed,
+                                                          exact_edge_limit=0))
     print(f"  sampled (seed {seed})  {mc.value:.4f}   exact {exact:.4f}   "
           f"off by {abs(mc.value - exact):.4f}")
 
 # Same seed, same estimate, every time; that determinism is what makes
 # whole experiment runs reproducible later.
-again = connectivity_mc(dense, big, ReliabilityParams(mc_samples=4000, seed=0))
+again = block_connectivity(dense, big, ReliabilityParams(mc_samples=4000, seed=0,
+                                                       exact_edge_limit=0))
 print("  seed 0 again      ", f"{again.value:.4f}")

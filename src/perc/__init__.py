@@ -8,12 +8,11 @@ and an experiment harness compares that selection policy against the TC
 and DENSE baselines on simulated or replayed crowds.
 """
 
-from .graph import (NO, YES, Clustering, Pair, UncertainGraph, VoteTally, YesNoView,
-                    clustering_log_likelihood, derive_yes_no,
-                    enumerate_partitions, ingest_votes, possible_world_log_prob)
+from .graph import (Clustering, Pair, UncertainGraph, VoteTally,
+                    clustering_log_likelihood, enumerate_partitions, ingest_votes,
+                    possible_world_log_prob)
 from .reliability import (ConnectivityEstimate, ReliabilityParams,
-                          ReliabilityScore, block_connectivity,
-                          connectivity_exact, connectivity_mc, disconnectivity,
+                          ReliabilityScore, block_connectivity, disconnectivity,
                           reliability)
 from .clustering import (merge_probability, mlc_bruteforce, mlc_unchanged,
                          scc_cluster)
@@ -21,33 +20,30 @@ from .selection import (CandidatePriority, PriorityState, build_state,
                         pair_priority, refresh_after_answer, select_batch,
                         select_next)
 from .baselines import (MATCH, NON_MATCH, UNDECIDED, MajorityView, RhoInputs,
-                        dense_batch, dense_next,
-                        rho_inputs, rho_ratio, tc_batch, tc_next)
-from .crowd import (GoldClustering, InteractiveOracle, Oracle, ReplayOracle,
-                    SimulatedOracle, UnrecordedPairError, WorkerModel,
-                    crowd_error_rate, replay_oracle, simulate_votes)
+                        dense_batch, rho_inputs, rho_ratio, tc_batch)
+from .crowd import (GoldClustering, Oracle, ReplayOracle, SimulatedOracle,
+                    UnrecordedPairError, WorkerModel, crowd_error_rate,
+                    simulate_votes)
 from .harness import (ExperimentConfig, MetricsSnapshot, RunResult,
-                      precision_recall_f1, questions_to_reach, report,
-                      run_experiment, synth_world)
+                      precision_recall_f1, questions_to_reach, run_experiment,
+                      synth_world)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "NO", "YES", "Clustering", "Pair", "UncertainGraph", "VoteTally", "YesNoView",
-    "clustering_log_likelihood", "derive_yes_no", "enumerate_partitions",
-    "ingest_votes", "possible_world_log_prob",
+    "Clustering", "Pair", "UncertainGraph", "VoteTally",
+    "clustering_log_likelihood", "enumerate_partitions", "ingest_votes",
+    "possible_world_log_prob",
     "ConnectivityEstimate", "ReliabilityParams", "ReliabilityScore",
-    "block_connectivity", "connectivity_exact", "connectivity_mc",
-    "disconnectivity", "reliability",
+    "block_connectivity", "disconnectivity", "reliability",
     "merge_probability", "mlc_bruteforce", "mlc_unchanged", "scc_cluster",
     "CandidatePriority", "PriorityState", "build_state", "pair_priority",
     "refresh_after_answer", "select_batch", "select_next",
     "MATCH", "NON_MATCH", "UNDECIDED",
-    "MajorityView", "RhoInputs", "dense_batch", "dense_next", "rho_inputs",
-    "rho_ratio", "tc_batch", "tc_next",
-    "GoldClustering", "InteractiveOracle", "Oracle", "ReplayOracle",
-    "SimulatedOracle", "UnrecordedPairError", "WorkerModel",
-    "crowd_error_rate", "replay_oracle", "simulate_votes",
+    "MajorityView", "RhoInputs", "dense_batch", "rho_inputs", "rho_ratio",
+    "tc_batch",
+    "GoldClustering", "Oracle", "ReplayOracle", "SimulatedOracle",
+    "UnrecordedPairError", "WorkerModel", "crowd_error_rate", "simulate_votes",
     "ExperimentConfig", "MetricsSnapshot", "RunResult", "precision_recall_f1",
-    "questions_to_reach", "report", "run_experiment", "synth_world",
+    "questions_to_reach", "run_experiment", "synth_world",
 ]

@@ -69,9 +69,6 @@ class MajorityView:
             return True
         return ((ra, rb) if ra < rb else (rb, ra)) in self._anti
 
-    def same_component(self, a: str, b: str) -> bool:
-        return self._root[a] == self._root[b]
-
 
 def _tc_candidates(graph: UncertainGraph, view: MajorityView,
                    allowed: frozenset | None, exclude: set[Pair]) -> list[Pair]:
@@ -84,14 +81,6 @@ def _tc_candidates(graph: UncertainGraph, view: MajorityView,
         if not view.inferable(*pair):
             out.append(pair)
     return out
-
-
-def tc_next(graph: UncertainGraph, rng: np.random.Generator,
-            allowed: frozenset | None = None) -> Pair | None:
-    """Uniformly random uninferable absent pair, or None when every pair is
-    either crowdsourced or inferable."""
-    batch = tc_batch(graph, rng, 1, allowed=allowed)
-    return batch[0] if batch else None
 
 
 def tc_batch(graph: UncertainGraph, rng: np.random.Generator, k: int,
@@ -203,17 +192,6 @@ def _ranked_block_pairs(graph: UncertainGraph,
         out.append((rho_ratio(graph, clustering, bj, bk), (bj, bk)))
     out.sort(key=lambda t: (-t[0], t[1]))
     return out
-
-
-def dense_next(graph: UncertainGraph, clustering: Clustering,
-               allowed: frozenset | None = None) -> Pair | None:
-    """Smallest absent pair spanning the best-scoring block pair.
-
-    When several block pairs tie at the top score, the winner is the
-    lexicographically smallest absent pair across any of them.
-    """
-    batch = dense_batch(graph, clustering, 1, allowed=allowed)
-    return batch[0] if batch else None
 
 
 def dense_batch(graph: UncertainGraph, clustering: Clustering, k: int,

@@ -2,109 +2,107 @@
 
 Subcommands: run (full crowdsourcing experiment), cluster (one-shot
 clustering of a vote file), next (one selection step), eval (score a
-clustering against gold), synth (generate a synthetic world).  Run options
-can also come from a key-value config file; explicit flags win.
+clustering against gold), synth (generate a synthetic world).  The run
+flags, besides the I/O paths, are the ExperimentConfig fields and next's
+reliability flags are the ReliabilityParams fields, with types and defaults
+taken from the dataclasses.  Run options can also come from a key-value
+config file; explicit flags win.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
 from .clustering import scc_cluster
+from .crowd import ReplayOracle
 from .fileio import (load_graph, read_clusters_csv, read_gold_csv,
                      read_records_csv, read_votes_csv, write_clusters_csv,
-                     write_gold_csv, write_records_csv)
-from .harness import (ExperimentConfig, precision_recall_f1, report,
+                     write_curve_csv, write_gold_csv, write_records_csv,
+                     write_votes_csv)
+from .harness import (STRATEGIES, ExperimentConfig, RunResult, precision_recall_f1,
                       run_experiment, synth_world)
-from .crowd import ReplayOracle
 from .reliability import ReliabilityParams
 from .selection import build_state, pair_priority, select_batch
 
-_RUN_DEFAULTS = {
-    "strategy": "perc",
-    "budget": 100,
-    "batch": 1,
-    "initial": 0,
-    "workers": 5,
-    "error-rate": 0.1,
-    "mc-samples": 1000,
-    "epsilon": 1e-12,
-    "exact-edge-limit": 18,
-    "seed": 0,
-    "eval-every": 1,
-    "intra-sample-fraction": None,
-    "out": "out",
-}
+_IO_KEYS = ("records", "gold", "replay", "out")
 
-_RUN_TYPES = {
-    "records": str, "gold": str, "replay": str, "out": str, "strategy": str,
-    "budget": int, "batch": int, "initial": int, "workers": int,
-    "error-rate": float, "mc-samples": int, "epsilon": float,
-    "exact-edge-limit": int, "seed": int, "eval-every": int,
-    "intra-sample-fraction": float,
-}
+# run flags shorter than the ExperimentConfig field they set
+_SHORT_FLAGS = {"batch_size": "batch", "initial_pairs": "initial",
+                "workers_per_pair": "workers"}
+
+# run flag, which is also its config key -> the ExperimentConfig field it sets
+_FIELD_FLAGS = {_SHORT_FLAGS.get(f.name, f.name.replace("_", "-")): f
+                for f in dataclasses.fields(ExperimentConfig)}
 
 
-def read_config_file(path) -> dict[str, str]:
-    """key = value lines mirroring the run flags; # starts a comment."""
-    values: dict[str, str] = {}
+def read_config_file(path) -> dict:
+    """key = value lines, keys named like the run flags ('_' may stand for
+    '-'); # starts a comment.  Values come back typed, keyed by the
+    ExperimentConfig field or I/O key they set."""
+    values: dict = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        key = key.strip().replace("_", "-")
-        if key not in _RUN_TYPES:
+        key, value = (part.strip() for part in line.split("=", 1))
+        flag = key.replace("_", "-")
+        if flag in _IO_KEYS:
+            values[flag] = value
+            continue
+        if flag not in _FIELD_FLAGS:
             raise ValueError(f"{path}:{lineno}: unknown option {key!r}")
-        values[key] = value.strip()
+        field = _FIELD_FLAGS[flag]
+        kind = type(field.default)
+        try:
+            values[field.name] = kind(value)
+        except ValueError:
+            raise ValueError(
+                f"{path}:{lineno}: {key} expects {kind.__name__}, got {value!r}") from None
     return values
 
 
-def _merged_option(key: str, flag_value, file_values: dict[str, str]):
-    if flag_value is not None:
-        return flag_value
-    if key in file_values:
-        return _RUN_TYPES[key](file_values[key])
-    return _RUN_DEFAULTS.get(key)
+def report(result: RunResult, out_dir) -> str:
+    """Write curve.csv, clusters.csv and votes.csv under out_dir, print the
+    final snapshot, and return the curve.csv path."""
+    out = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"cannot create output directory {out}: {exc}") from exc
+    curve_path = out / "curve.csv"
+    write_curve_csv(curve_path, result.curve)
+    write_clusters_csv(out / "clusters.csv", result.clustering)
+    write_votes_csv(out / "votes.csv", result.vote_log)
+    final = result.curve[-1]
+    err = result.stats.get("crowd_error_rate")
+    print(f"questions={final.questions_asked} precision={final.precision:.4f} "
+          f"recall={final.recall:.4f} f1={final.f1:.4f} "
+          f"reliability={final.reliability:.4f} blocks={final.blocks}")
+    print(f"recluster_fraction={result.stats['recluster_fraction']:.4f} "
+          f"crowd_error_rate={'n/a' if err is None else format(err, '.2f')}")
+    return str(curve_path)
 
 
 def cmd_run(args) -> int:
-    file_values = read_config_file(args.config) if args.config else {}
-
-    def opt(key, flag_value):
-        return _merged_option(key, flag_value, file_values)
-
-    records_path = opt("records", args.records)
-    if records_path is None:
+    options = read_config_file(args.config) if args.config else {}
+    options.update((key, value) for key, value in vars(args).items() if value is not None)
+    if "records" not in options:
         raise ValueError("run needs --records (or a records entry in the config file)")
-    gold_path = opt("gold", args.gold)
-    replay_path = opt("replay", args.replay)
-    if gold_path is None and replay_path is None:
+    if "gold" not in options and "replay" not in options:
         raise ValueError("run needs --gold or --replay to answer questions")
 
-    records = read_records_csv(records_path)
-    gold = read_gold_csv(gold_path) if gold_path else None
-    replay = ReplayOracle(read_votes_csv(replay_path)) if replay_path else None
-    config = ExperimentConfig(
-        strategy=opt("strategy", args.strategy),
-        budget=opt("budget", args.budget),
-        batch_size=opt("batch", args.batch),
-        initial_pairs=opt("initial", args.initial),
-        workers_per_pair=opt("workers", args.workers),
-        error_rate=opt("error-rate", args.error_rate),
-        mc_samples=opt("mc-samples", args.mc_samples),
-        epsilon=opt("epsilon", args.epsilon),
-        exact_edge_limit=opt("exact-edge-limit", args.exact_edge_limit),
-        seed=opt("seed", args.seed),
-        eval_every=opt("eval-every", args.eval_every),
-        intra_sample_fraction=opt("intra-sample-fraction", args.intra_sample_fraction),
-    )
+    records = read_records_csv(options["records"])
+    gold = read_gold_csv(options["gold"]) if "gold" in options else None
+    replay = ReplayOracle(read_votes_csv(options["replay"])) if "replay" in options else None
+    config = ExperimentConfig(**{f.name: options[f.name] for f in _FIELD_FLAGS.values()
+                                 if f.name in options})
     result = run_experiment(config, records, gold=gold, replay=replay)
-    report(result, opt("out", args.out))
+    report(result, options.get("out", "out"))
     return 0
 
 
@@ -124,8 +122,8 @@ def cmd_cluster(args) -> int:
 def cmd_next(args) -> int:
     graph = load_graph(args.records, args.graph)
     clustering = scc_cluster(graph)
-    params = ReliabilityParams(mc_samples=args.mc_samples, epsilon=args.epsilon,
-                               exact_edge_limit=args.exact_edge_limit, seed=args.seed)
+    params = ReliabilityParams(**{f.name: getattr(args, f.name)
+                                  for f in dataclasses.fields(ReliabilityParams)})
     state = build_state(graph, clustering, params)
     batch = select_batch(state, args.batch) if len(state) else []
     if not batch:
@@ -165,19 +163,11 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--records", help="records.csv path")
     run.add_argument("--gold", help="gold.csv path (enables the simulated crowd and metrics)")
     run.add_argument("--replay", help="votes.csv log to replay instead of simulating")
-    run.add_argument("--strategy", choices=["perc", "tc", "dense"])
-    run.add_argument("--budget", type=int)
-    run.add_argument("--batch", type=int)
-    run.add_argument("--initial", type=int)
-    run.add_argument("--workers", type=int)
-    run.add_argument("--error-rate", type=float)
-    run.add_argument("--mc-samples", type=int)
-    run.add_argument("--epsilon", type=float)
-    run.add_argument("--exact-edge-limit", type=int)
-    run.add_argument("--seed", type=int)
-    run.add_argument("--eval-every", type=int)
-    run.add_argument("--intra-sample-fraction", type=float)
-    run.add_argument("--out")
+    run.add_argument("--out", help="output directory (default: out)")
+    for flag, field in _FIELD_FLAGS.items():
+        run.add_argument(f"--{flag}", dest=field.name, type=type(field.default),
+                         choices=STRATEGIES if field.name == "strategy" else None,
+                         help=f"default: {field.default}")
     run.add_argument("--config", help="key = value file mirroring the run flags")
     run.set_defaults(func=cmd_run)
 
@@ -190,11 +180,11 @@ def build_parser() -> argparse.ArgumentParser:
     nxt = sub.add_parser("next", help="print the next question(s) to ask")
     nxt.add_argument("--graph", required=True, help="votes.csv path")
     nxt.add_argument("--records", required=True, help="records.csv path")
-    nxt.add_argument("--batch", type=int, default=1)
-    nxt.add_argument("--mc-samples", type=int, default=1000)
-    nxt.add_argument("--epsilon", type=float, default=1e-12)
-    nxt.add_argument("--exact-edge-limit", type=int, default=18)
-    nxt.add_argument("--seed", type=int, default=0)
+    nxt.add_argument("--batch", type=int, default=ExperimentConfig.batch_size,
+                     help="questions to print")
+    for field in dataclasses.fields(ReliabilityParams):
+        nxt.add_argument("--" + field.name.replace("_", "-"), type=type(field.default),
+                         default=field.default)
     nxt.set_defaults(func=cmd_next)
 
     ev = sub.add_parser("eval", help="score a clustering against gold")
@@ -205,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth = sub.add_parser("synth", help="generate a synthetic world")
     synth.add_argument("--entities", type=int, required=True)
     synth.add_argument("--records", type=int, required=True)
-    synth.add_argument("--seed", type=int, default=0)
+    synth.add_argument("--seed", type=int, default=ExperimentConfig.seed)
     synth.add_argument("--out", default="synth-out")
     synth.set_defaults(func=cmd_synth)
 

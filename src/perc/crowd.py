@@ -1,4 +1,4 @@
-"""Crowd answer sources: simulated workers, replayed logs, a live prompt.
+"""Crowd answer sources: simulated workers and replayed logs.
 
 The simulated crowd draws each worker's answer independently: the truth
 from the gold clustering, flipped with the model's error rate (scaled by
@@ -87,16 +87,12 @@ def simulate_votes(gold: GoldClustering, pair: Pair, model: WorkerModel,
 class Oracle:
     """Answer source interface: ``answer(pair) -> VoteTally``."""
 
-    kind = "abstract"
-
     def answer(self, pair: Pair) -> VoteTally:
         raise NotImplementedError
 
 
 class SimulatedOracle(Oracle):
     """Simulated crowd with order-independent per-pair vote streams."""
-
-    kind = "simulated"
 
     def __init__(self, gold: GoldClustering, model: WorkerModel, seed: int = 0):
         self.gold = gold
@@ -120,8 +116,6 @@ class ReplayOracle(Oracle):
     the original run's seeding phase.
     """
 
-    kind = "replay"
-
     def __init__(self, rows: Iterable[tuple[Pair, VoteTally]]):
         self.rows: list[tuple[Pair, VoteTally]] = []
         self.tallies: dict[Pair, VoteTally] = {}
@@ -143,44 +137,6 @@ class ReplayOracle(Oracle):
         except KeyError:
             raise UnrecordedPairError(
                 f"pair {key} was not crowdsourced in the replayed log") from None
-
-
-def replay_oracle(rows: Iterable[tuple[Pair, VoteTally]]) -> ReplayOracle:
-    """Build a replay oracle from (pair, tally) rows."""
-    return ReplayOracle(rows)
-
-
-class InteractiveOracle(Oracle):
-    """Asks a human on a line-based stream, one worker vote at a time.
-
-    Prompt format: ``PAIR <a> <b>? [y/n] (i of w)``.  Any answer other
-    than y or n (case-insensitive) is re-prompted.
-    """
-
-    kind = "interactive"
-
-    def __init__(self, model: WorkerModel, in_stream, out_stream):
-        self.model = model
-        self.in_stream = in_stream
-        self.out_stream = out_stream
-
-    def answer(self, pair: Pair) -> VoteTally:
-        a, b = canonical_pair(*pair)
-        w = self.model.workers_per_pair
-        yes = 0
-        for i in range(1, w + 1):
-            while True:
-                self.out_stream.write(f"PAIR {a} {b}? [y/n] ({i} of {w})\n")
-                self.out_stream.flush()
-                line = self.in_stream.readline()
-                if not line:
-                    raise EOFError(f"input ended while voting on pair {(a, b)}")
-                vote = line.strip().lower()
-                if vote in ("y", "n"):
-                    break
-            if vote == "y":
-                yes += 1
-        return VoteTally(yes=yes, total=w)
 
 
 def crowd_error_rate(asked: Iterable[tuple[Pair, VoteTally]],

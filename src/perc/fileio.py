@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 
 from .crowd import GoldClustering
-from .graph import Clustering, Pair, VoteTally
+from .graph import Clustering, Pair, UncertainGraph, VoteTally, ingest_votes
 from .harness import MetricsSnapshot
 from .util import canonical_pair
 
@@ -48,9 +48,13 @@ def read_records_csv(path) -> list[str]:
         reader = csv.reader(fh)
         _check_header(next(reader, None), RECORDS_HEADER, path)
         out = []
-        for row in reader:
+        seen = set()
+        for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if row[0] in seen:
+                raise ValueError(f"{path}:{lineno}: record {row[0]!r} listed twice")
+            seen.add(row[0])
             out.append(row[0])
     if not out:
         raise ValueError(f"{path}: no records listed")
@@ -67,7 +71,13 @@ def write_records_csv(path, records) -> None:
 
 def read_votes_csv(path) -> list[tuple[Pair, VoteTally]]:
     """Vote rows in file order, pairs canonicalized."""
-    out = []
+    return [(pair, tally) for _, pair, tally in _vote_rows(path)]
+
+
+def _vote_rows(path):
+    """(line number, canonical pair, tally) per vote row; self-loops and a
+    pair listed twice are rejected with the line."""
+    seen: dict[Pair, int] = {}
     with _open_reader(path) as fh:
         reader = csv.reader(fh)
         _check_header(next(reader, None), VOTES_HEADER, path)
@@ -81,8 +91,15 @@ def read_votes_csv(path) -> list[tuple[Pair, VoteTally]]:
                 tally = VoteTally(yes=int(yes), total=int(total))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad tally for pair ({a}, {b}): {exc}") from exc
-            out.append((canonical_pair(a, b), tally))
-    return out
+            try:
+                pair = canonical_pair(a, b)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if pair in seen:
+                raise ValueError(f"{path}:{lineno}: pair {pair} already listed "
+                                 f"on line {seen[pair]}")
+            seen[pair] = lineno
+            yield lineno, pair, tally
 
 
 def write_votes_csv(path, rows) -> None:
@@ -111,7 +128,13 @@ def read_gold_csv(path) -> GoldClustering:
                 raise ValueError(f"{path}:{lineno}: record {rid!r} listed twice")
             entity[rid] = eid
             if has_difficulty and len(row) > 2 and row[2] != "":
-                difficulty[rid] = float(row[2])
+                try:
+                    difficulty[rid] = float(row[2])
+                    if not difficulty[rid] >= 0:  # also rejects nan
+                        raise ValueError
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: difficulty for {rid!r} must be "
+                                     f"a number >= 0, got {row[2]!r}") from None
     return GoldClustering(entity, difficulty)
 
 
@@ -177,8 +200,16 @@ def read_curve_csv(path) -> list[MetricsSnapshot]:
     return out
 
 
-def load_graph(records_path, votes_path):
-    """Convenience: records.csv plus votes.csv into an UncertainGraph."""
-    from .graph import ingest_votes
+def load_graph(records_path, votes_path) -> UncertainGraph:
+    """records.csv plus votes.csv into an UncertainGraph; a vote naming an
+    undeclared record is rejected with its line."""
     records = read_records_csv(records_path)
-    return ingest_votes(records, read_votes_csv(votes_path))
+    declared = set(records)
+    rows = []
+    for lineno, pair, tally in _vote_rows(votes_path):
+        for r in pair:
+            if r not in declared:
+                raise ValueError(f"{votes_path}:{lineno}: record {r!r} in pair {pair} "
+                                 f"is not declared in {records_path}")
+        rows.append((pair, tally))
+    return ingest_votes(records, rows)

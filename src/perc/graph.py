@@ -195,10 +195,6 @@ class Clustering:
         self._owner = owner
 
     @classmethod
-    def from_blocks(cls, blocks: Iterable[Iterable[str]]) -> "Clustering":
-        return cls(blocks)
-
-    @classmethod
     def singletons(cls, records: Iterable[str]) -> "Clustering":
         return cls([[r] for r in records])
 
@@ -230,39 +226,6 @@ class Clustering:
     def __repr__(self):
         inner = ", ".join("{" + ",".join(b) + "}" for b in self.blocks)
         return f"Clustering({inner})"
-
-
-YES = "YES"
-NO = "NO"
-
-
-class YesNoView:
-    """Per-edge YES/NO relabeling of a graph relative to a clustering.
-
-    Intra-block edges keep their YES probability p; cross-block edges carry
-    the NO probability 1 - p.  For any edge the two role probabilities sum
-    to 1.
-    """
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: dict[Pair, tuple[str, float]]):
-        self.entries = entries
-
-    def label(self, a: str, b: str) -> str:
-        return self.entries[canonical_pair(a, b)][0]
-
-    def probability(self, a: str, b: str) -> float:
-        return self.entries[canonical_pair(a, b)][1]
-
-    def items(self) -> list[tuple[Pair, str, float]]:
-        return [(pair, lab, p) for pair, (lab, p) in sorted(self.entries.items())]
-
-    def __eq__(self, other):
-        return isinstance(other, YesNoView) and self.entries == other.entries
-
-    def __len__(self):
-        return len(self.entries)
 
 
 def ingest_votes(records: Iterable[str], pairs: Iterable[tuple[Pair, VoteTally]]) -> UncertainGraph:
@@ -311,19 +274,6 @@ def clustering_log_likelihood(graph: UncertainGraph, clustering: Clustering) -> 
     for (a, b), p in graph.edge_items():
         total += log10_or_neg_inf(p if clustering.same_block(a, b) else 1.0 - p)
     return total
-
-
-def derive_yes_no(graph: UncertainGraph, clustering: Clustering) -> YesNoView:
-    """Relabel each edge YES (intra-block, prob p) or NO (cross, prob 1 - p)."""
-    if clustering.records != set(graph.records):
-        raise ValueError("clustering does not cover exactly the graph's records")
-    entries = {}
-    for (a, b), p in graph.edge_items():
-        if clustering.same_block(a, b):
-            entries[(a, b)] = (YES, p)
-        else:
-            entries[(a, b)] = (NO, 1.0 - p)
-    return YesNoView(entries)
 
 
 def enumerate_partitions(records: Iterable[str]) -> Iterator[Clustering]:

@@ -9,15 +9,13 @@ distinct pairs ever asked, seeding included.
 
 from __future__ import annotations
 
-import dataclasses
 import logging
-import math
 from dataclasses import dataclass
 
 from .baselines import dense_batch, tc_batch
 from .clustering import mlc_unchanged, scc_cluster
 from .crowd import (GoldClustering, Oracle, ReplayOracle, SimulatedOracle,
-                    UnrecordedPairError, VoteTally, WorkerModel)
+                    UnrecordedPairError, VoteTally, WorkerModel, crowd_error_rate)
 from .graph import Clustering, Pair, UncertainGraph
 from .reliability import ReliabilityParams, reliability
 from .selection import build_state, refresh_after_answer, select_batch
@@ -45,7 +43,6 @@ class ExperimentConfig:
     exact_edge_limit: int = 18
     seed: int = 0
     eval_every: int = 1
-    intra_sample_fraction: float | None = None
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
@@ -62,8 +59,6 @@ class ExperimentConfig:
                 f"batch_size={self.batch_size} exceeds budget={self.budget}")
         if self.eval_every < 1:
             raise ValueError(f"eval_every must be >= 1, got {self.eval_every}")
-        if self.intra_sample_fraction is not None and not 0.0 < self.intra_sample_fraction <= 1.0:
-            raise ValueError("intra_sample_fraction must sit in (0, 1]")
 
     def worker_model(self) -> WorkerModel:
         return WorkerModel(workers_per_pair=self.workers_per_pair,
@@ -161,62 +156,6 @@ def _initial_pairs_simulated(records: tuple[str, ...], count: int, seed: int) ->
     return chosen
 
 
-class _PercState:
-    """Strategy adapter: reliability-gain selection with the cached queue."""
-
-    def __init__(self, config: ExperimentConfig, allowed: frozenset | None):
-        self.config = config
-        self.allowed = allowed
-        self.state = None
-
-    def prime(self, graph, clustering, round_index):
-        self.state = build_state(graph, clustering,
-                                 self.config.reliability_params(round_index),
-                                 round_index=round_index, allowed=self.allowed,
-                                 intra_fraction=self.config.intra_sample_fraction)
-
-    def select(self, graph, clustering, k, round_index):
-        return select_batch(self.state, k)
-
-    def absorb(self, graph, clustering, answered, clustering_changed, round_index):
-        if clustering_changed:
-            self.prime(graph, clustering, round_index)
-            return
-        params = self.config.reliability_params(round_index)
-        for pair, _ in answered:
-            self.state = refresh_after_answer(self.state, graph, clustering, pair,
-                                              False, params, round_index=round_index)
-
-
-class _TcState:
-    def __init__(self, config: ExperimentConfig, allowed: frozenset | None):
-        self.allowed = allowed
-        self.rng = make_rng(derive_seed(config.seed, "tc-stream"))
-
-    def prime(self, graph, clustering, round_index):
-        pass
-
-    def select(self, graph, clustering, k, round_index):
-        return tc_batch(graph, self.rng, k, allowed=self.allowed)
-
-    def absorb(self, graph, clustering, answered, clustering_changed, round_index):
-        pass
-
-
-class _DenseState:
-    def __init__(self, config: ExperimentConfig, allowed: frozenset | None):
-        self.allowed = allowed
-
-    def prime(self, graph, clustering, round_index):
-        pass
-
-    def select(self, graph, clustering, k, round_index):
-        return dense_batch(graph, clustering, k, allowed=self.allowed)
-
-    def absorb(self, graph, clustering, answered, clustering_changed, round_index):
-        pass
-
-
 def _has_unrestricted_candidates(strategy: str, graph: UncertainGraph,
                                  clustering: Clustering) -> bool:
     """Whether the strategy would still propose pairs without a replay
@@ -277,9 +216,11 @@ def run_experiment(config: ExperimentConfig, records, gold: GoldClustering | Non
     # replay mode would shift every draw; it keeps the full universe and
     # relies on the early-termination flag instead.
     strategy_allowed = None if config.strategy == "tc" else allowed
-    strategy = {"perc": _PercState, "tc": _TcState,
-                "dense": _DenseState}[config.strategy](config, strategy_allowed)
-    strategy.prime(graph, clustering, 0)
+    state = None  # perc's cached candidate queue
+    tc_rng = make_rng(derive_seed(config.seed, "tc-stream"))
+    if config.strategy == "perc":
+        state = build_state(graph, clustering, config.reliability_params(0),
+                            round_index=0, allowed=allowed)
 
     mlc_checks = 0
     mlc_failures = 0
@@ -305,7 +246,12 @@ def run_experiment(config: ExperimentConfig, records, gold: GoldClustering | Non
     while not stop and len(vote_log) < config.budget:
         k = min(config.batch_size, config.budget - len(vote_log))
         round_index = rounds + 1
-        batch = strategy.select(graph, clustering, k, round_index)
+        if config.strategy == "perc":
+            batch = select_batch(state, k)
+        elif config.strategy == "tc":
+            batch = tc_batch(graph, tc_rng, k, allowed=strategy_allowed)
+        else:
+            batch = dense_batch(graph, clustering, k, allowed=strategy_allowed)
         if not batch:
             flags["exhausted"] = True
             if strategy_allowed is not None and _has_unrestricted_candidates(
@@ -338,7 +284,15 @@ def run_experiment(config: ExperimentConfig, records, gold: GoldClustering | Non
             clustering_changed = fresh != clustering
             clustering = fresh
         rounds += 1
-        strategy.absorb(graph, clustering, answered, clustering_changed, round_index)
+        if config.strategy == "perc":
+            params = config.reliability_params(round_index)
+            if clustering_changed:
+                state = build_state(graph, clustering, params,
+                                    round_index=round_index, allowed=allowed)
+            else:
+                for pair, _ in answered:
+                    state = refresh_after_answer(state, graph, clustering, pair, False,
+                                                 params, round_index=round_index)
         if rounds % config.eval_every == 0:
             snapshot(round_index)
         log.debug("round %d: asked %d pairs, %d blocks, %d total questions",
@@ -353,39 +307,9 @@ def run_experiment(config: ExperimentConfig, records, gold: GoldClustering | Non
         "recluster_fraction": (mlc_failures / mlc_checks) if mlc_checks else 0.0,
         "reclusterings": reclusterings,
     }
-    if gold is not None:
-        from .crowd import crowd_error_rate
-        stats["crowd_error_rate"] = crowd_error_rate(vote_log, gold)
-    else:
-        stats["crowd_error_rate"] = None
+    stats["crowd_error_rate"] = None if gold is None else crowd_error_rate(vote_log, gold)
     return RunResult(curve=curve, clustering=clustering, vote_log=vote_log,
                      stats=stats, flags=flags)
-
-
-def report(result: RunResult, out_dir) -> str:
-    """Write curve.csv, clusters.csv and votes.csv under out_dir, print the
-    final snapshot, and return the curve.csv path."""
-    from pathlib import Path
-
-    from .fileio import write_clusters_csv, write_curve_csv, write_votes_csv
-
-    out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ValueError(f"cannot create output directory {out}: {exc}") from exc
-    curve_path = out / "curve.csv"
-    write_curve_csv(curve_path, result.curve)
-    write_clusters_csv(out / "clusters.csv", result.clustering)
-    write_votes_csv(out / "votes.csv", result.vote_log)
-    final = result.curve[-1]
-    err = result.stats.get("crowd_error_rate")
-    print(f"questions={final.questions_asked} precision={final.precision:.4f} "
-          f"recall={final.recall:.4f} f1={final.f1:.4f} "
-          f"reliability={final.reliability:.4f} blocks={final.blocks}")
-    print(f"recluster_fraction={result.stats['recluster_fraction']:.4f} "
-          f"crowd_error_rate={'n/a' if err is None else format(err, '.2f')}")
-    return str(curve_path)
 
 
 def synth_world(n_records: int, n_entities: int, seed: int = 0) -> tuple[list[str], GoldClustering]:

@@ -237,38 +237,10 @@ def _sampled_connect_prob(n: int, edges: list[tuple[int, int, float]],
     return hits / samples
 
 
-def connectivity_exact(graph: UncertainGraph, block,
-                       edge_limit: int = 18) -> ConnectivityEstimate:
-    """Exact block connectivity; rejects blocks whose intra edge count
-    exceeds ``edge_limit`` with a pointer at the Monte Carlo path."""
-    members = tuple(sorted(set(block)))
-    if not members:
-        raise ValueError("block is empty")
-    edges = _indexed_intra_edges(graph, members)
-    if len(edges) > edge_limit:
-        raise ValueError(
-            f"block has {len(edges)} intra edges, above the exact limit "
-            f"{edge_limit}; use connectivity_mc for blocks this dense")
-    return ConnectivityEstimate(value=_exact_connect_prob(len(members), edges),
-                                method="exact")
-
-
-def connectivity_mc(graph: UncertainGraph, block,
-                    params: ReliabilityParams) -> ConnectivityEstimate:
-    """Monte Carlo block connectivity, deterministic for a fixed seed.
-
-    The stream seed folds the block members into params.seed, so every
-    evaluation of the same block under the same params reuses one stream
-    (common random numbers across re-evaluations within a round).
-    """
-    members = tuple(sorted(set(block)))
-    if not members:
-        raise ValueError("block is empty")
-    return _mc_estimate(graph, members, params, None)
-
-
 def _mc_estimate(graph: UncertainGraph, members: tuple[str, ...],
                  params: ReliabilityParams, extra_pair: Pair | None) -> ConnectivityEstimate:
+    # the stream seed folds the members into params.seed, so every evaluation
+    # of one block under one params reuses one stream (common random numbers)
     seed = derive_seed(params.seed, "connectivity", members)
     edges = _indexed_intra_edges(graph, members, extra_pair)
     value = _sampled_connect_prob(len(members), edges, params.mc_samples, make_rng(seed))

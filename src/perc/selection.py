@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .graph import Clustering, Pair, UncertainGraph
 from .reliability import (ReliabilityParams, block_connectivity, disconnectivity,
                           spanning_products)
-from .util import canonical_pair, derive_seed, log10_clamped, make_rng
+from .util import canonical_pair, log10_clamped
 
 Block = tuple[str, ...]
 BlockPairKey = tuple[Block, Block]
@@ -47,19 +47,16 @@ class PriorityState:
     block pair with at least one absent spanning pair to its representative
     and shared gain.  round_index is bookkeeping for the harness, allowed
     (when set) restricts candidates to a fixed pair set, used in replay
-    mode, and intra_fraction optionally subsamples intra candidates per
-    block to cut connectivity work on dense blocks.
+    mode, and rebuilt says whether the last answer forced a full rebuild.
     """
 
     __slots__ = ("graph", "clustering", "params", "intra", "inter",
-                 "round_index", "allowed", "intra_fraction",
-                 "last_answered", "rebuilt")
+                 "round_index", "allowed", "rebuilt")
 
     def __init__(self, graph: UncertainGraph, clustering: Clustering,
                  params: ReliabilityParams, intra: dict[Pair, float],
                  inter: dict[BlockPairKey, tuple[Pair, float]],
-                 round_index: int = 0, allowed: frozenset | None = None,
-                 intra_fraction: float | None = None):
+                 round_index: int = 0, allowed: frozenset | None = None):
         self.graph = graph
         self.clustering = clustering
         self.params = params
@@ -67,8 +64,6 @@ class PriorityState:
         self.inter = inter
         self.round_index = round_index
         self.allowed = allowed
-        self.intra_fraction = intra_fraction
-        self.last_answered: Pair | None = None
         self.rebuilt = False
 
     def entries(self) -> list[CandidatePriority]:
@@ -142,23 +137,10 @@ def _absent_spanning_pairs(graph: UncertainGraph, bj: Block, bk: Block,
     return sorted(out)
 
 
-def _sample_intra(pairs: list[Pair], fraction: float | None,
-                  params: ReliabilityParams, block: Block) -> list[Pair]:
-    if fraction is None or len(pairs) <= 1:
-        return pairs
-    keep = max(1, round(fraction * len(pairs)))
-    if keep >= len(pairs):
-        return pairs
-    rng = make_rng(derive_seed(params.seed, "intra-sample", block))
-    picked = rng.choice(len(pairs), size=keep, replace=False)
-    return [pairs[i] for i in sorted(picked)]
-
-
 def _intra_entries_for_block(graph: UncertainGraph, block: Block,
-                             params: ReliabilityParams, allowed: frozenset | None,
-                             fraction: float | None) -> dict[Pair, float]:
-    pairs = _sample_intra(_absent_intra_pairs(graph, block, allowed),
-                          fraction, params, block)
+                             params: ReliabilityParams,
+                             allowed: frozenset | None) -> dict[Pair, float]:
+    pairs = _absent_intra_pairs(graph, block, allowed)
     if not pairs:
         return {}
     base = block_connectivity(graph, block, params).value
@@ -167,16 +149,14 @@ def _intra_entries_for_block(graph: UncertainGraph, block: Block,
 
 def build_state(graph: UncertainGraph, clustering: Clustering,
                 params: ReliabilityParams | None = None, *, round_index: int = 0,
-                allowed: frozenset | None = None,
-                intra_fraction: float | None = None) -> PriorityState:
+                allowed: frozenset | None = None) -> PriorityState:
     """Price every candidate from scratch for the given clustering."""
     params = params or ReliabilityParams()
     if clustering.records != set(graph.records):
         raise ValueError("clustering does not cover exactly the graph's records")
     intra: dict[Pair, float] = {}
     for block in clustering.blocks:
-        intra.update(_intra_entries_for_block(graph, block, params, allowed,
-                                              intra_fraction))
+        intra.update(_intra_entries_for_block(graph, block, params, allowed))
     inter: dict[BlockPairKey, tuple[Pair, float]] = {}
     products = spanning_products(graph, clustering)
     unspanned_gain = _inter_gain(0.0, params)
@@ -192,8 +172,7 @@ def build_state(graph: UncertainGraph, clustering: Clustering,
             dis = 0.0 if prod is None else 1.0 - prod
             inter[key] = (absent[0], _inter_gain(dis, params))
     return PriorityState(graph, clustering, params, intra, inter,
-                         round_index=round_index, allowed=allowed,
-                         intra_fraction=intra_fraction)
+                         round_index=round_index, allowed=allowed)
 
 
 def refresh_after_answer(state: PriorityState, graph: UncertainGraph,
@@ -218,9 +197,7 @@ def refresh_after_answer(state: PriorityState, graph: UncertainGraph,
         raise ValueError(f"answered pair {key} is not in the graph yet")
     if clustering_changed:
         fresh = build_state(graph, clustering, params, round_index=rnd,
-                            allowed=state.allowed,
-                            intra_fraction=state.intra_fraction)
-        fresh.last_answered = key
+                            allowed=state.allowed)
         fresh.rebuilt = True
         return fresh
 
@@ -233,8 +210,7 @@ def refresh_after_answer(state: PriorityState, graph: UncertainGraph,
         for pair in list(intra):
             if pair[0] in block_a and pair[1] in block_a:
                 del intra[pair]
-        intra.update(_intra_entries_for_block(graph, block_a, params,
-                                              state.allowed, state.intra_fraction))
+        intra.update(_intra_entries_for_block(graph, block_a, params, state.allowed))
     else:
         bj, bk = sorted((block_a, block_b))
         inter.pop((bj, bk), None)
@@ -242,12 +218,8 @@ def refresh_after_answer(state: PriorityState, graph: UncertainGraph,
         if absent:
             dis = disconnectivity(graph, clustering, bj, bk)
             inter[(bj, bk)] = (absent[0], _inter_gain(dis, params))
-    out = PriorityState(graph, clustering, params, intra, inter,
-                        round_index=rnd, allowed=state.allowed,
-                        intra_fraction=state.intra_fraction)
-    out.last_answered = key
-    out.rebuilt = False
-    return out
+    return PriorityState(graph, clustering, params, intra, inter,
+                         round_index=rnd, allowed=state.allowed)
 
 
 def select_next(state: PriorityState) -> Pair | None:

@@ -18,10 +18,9 @@ from perc import (
     ReplayOracle,
     SimulatedOracle,
     UncertainGraph,
+    block_connectivity,
     build_state,
     clustering_log_likelihood,
-    connectivity_exact,
-    connectivity_mc,
     disconnectivity,
     merge_probability,
     mlc_bruteforce,
@@ -127,9 +126,10 @@ def test_2_sampled_connectivity_accuracy():
             edges = {pair: float(rng.uniform(0.05, 0.95))
                      for pair in pairs[:count]}
             g = UncertainGraph(members, edges=edges)
-            exact = connectivity_exact(g, members).value
-            sampled = connectivity_mc(
-                g, members, ReliabilityParams(mc_samples=1000, seed=i)).value
+            exact = block_connectivity(g, members, ReliabilityParams()).value
+            sampled = block_connectivity(
+                g, members,
+                ReliabilityParams(mc_samples=1000, seed=i, exact_edge_limit=0)).value
             tolerance = 3.0 * math.sqrt(exact * (1.0 - exact) / 1000.0) + 0.005
             if abs(sampled - exact) <= tolerance:
                 hits += 1

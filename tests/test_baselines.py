@@ -13,11 +13,9 @@ from perc import (
     MajorityView,
     UncertainGraph,
     dense_batch,
-    dense_next,
     rho_inputs,
     rho_ratio,
     tc_batch,
-    tc_next,
 )
 from perc.util import make_rng
 
@@ -35,7 +33,7 @@ class TestMajorityView:
         g = UncertainGraph.from_probabilities(
             "ABC", {("A", "B"): 0.9, ("B", "C"): 0.7})
         view = MajorityView(g)
-        assert view.same_component("A", "C")
+        assert view._root["A"] == view._root["C"]
         assert view.inferable("A", "C")
 
     def test_anti_transitivity(self):
@@ -45,7 +43,7 @@ class TestMajorityView:
         view = MajorityView(g)
         assert view.inferable("A", "C")       # via the component anti-link
         assert not view.inferable("A", "D")   # D is untouched
-        assert not view.same_component("A", "C")
+        assert view._root["A"] != view._root["C"]
 
     def test_undecided_edge_infers_nothing(self):
         g = UncertainGraph.from_probabilities(
@@ -69,8 +67,7 @@ class TestTcSelection:
                         edges[(recs[i], recs[j])] = float(rng_instances.random())
             g = UncertainGraph(recs, edges=edges)
             view = MajorityView(g)
-            pick = tc_next(g, make_rng(0))
-            if pick is not None:
+            for pick in tc_batch(g, make_rng(0), 1):
                 assert not g.has_edge(*pick)
                 assert not view.inferable(*pick)
 
@@ -79,7 +76,7 @@ class TestTcSelection:
         # non-match between the components settles all six pairs.
         g = UncertainGraph.from_probabilities(
             "ABCD", {("A", "B"): 0.9, ("C", "D"): 0.9, ("A", "C"): 0.1})
-        assert tc_next(g, make_rng(0)) is None
+        assert tc_batch(g, make_rng(0), 1) == []
 
     def test_uniform_over_candidates(self):
         # Four records, no edges: six equally likely candidates.
@@ -88,7 +85,7 @@ class TestTcSelection:
         rng = make_rng(123)
         trials = 6000
         for _ in range(trials):
-            pick = tc_next(g, rng)
+            (pick,) = tc_batch(g, rng, 1)
             counts[pick] = counts.get(pick, 0) + 1
         assert set(counts) == set(g.absent_pairs())
         expected = trials / 6
@@ -193,7 +190,7 @@ class TestDenseSelection:
     def test_running_example_tie_resolves_to_smallest_pair(self, running_graph,
                                                            running_clustering):
         # C1 x C2 and C3 x C4 tie exactly; (A, D) < (E, H).
-        assert dense_next(running_graph, running_clustering) == ("A", "D")
+        assert dense_batch(running_graph, running_clustering, 1) == [("A", "D")]
 
     def test_prefers_higher_rho(self, running_clustering):
         # Pull both C3 x C4 cross edges toward one half: flipping either
@@ -212,7 +209,7 @@ class TestDenseSelection:
         r34 = rho_ratio(g, running_clustering, ("E", "F"), ("G", "H"))
         r12 = rho_ratio(g, running_clustering, ("A", "B"), ("C", "D"))
         assert r34 > r12
-        assert dense_next(g, running_clustering) == ("E", "H")
+        assert dense_batch(g, running_clustering, 1) == [("E", "H")]
 
     def test_only_cross_pairs_proposed(self):
         g = UncertainGraph.from_probabilities(
@@ -234,7 +231,7 @@ class TestDenseSelection:
         g = UncertainGraph.from_probabilities(
             "AB", {("A", "B"): 0.2})
         c = Clustering([["A"], ["B"]])
-        assert dense_next(g, c) is None
+        assert dense_batch(g, c, 1) == []
 
     def test_rejects_nonpositive_k(self, running_graph, running_clustering):
         with pytest.raises(ValueError):

@@ -1,9 +1,12 @@
 """The perc command line: every subcommand through main(argv)."""
 
+import dataclasses
+
 import pytest
 
-from perc import VoteTally
-from perc.cli import main, read_config_file
+import perc.cli
+from perc import ExperimentConfig, ReliabilityParams, VoteTally
+from perc.cli import build_parser, main, read_config_file
 from perc.fileio import (
     read_clusters_csv,
     read_curve_csv,
@@ -204,7 +207,7 @@ class TestConfigFile:
         cfg = tmp_path / "c.cfg"
         cfg.write_text("budget = 40  # inline comment\nerror_rate = 0.2\n\n")
         values = read_config_file(cfg)
-        assert values == {"budget": "40", "error-rate": "0.2"}
+        assert values == {"budget": 40, "error_rate": 0.2}
 
     def test_rejects_unknown_key(self, tmp_path):
         cfg = tmp_path / "c.cfg"
@@ -218,6 +221,66 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="c.cfg:1"):
             read_config_file(cfg)
 
+    def test_bad_value_names_file_and_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("records = records.csv\nbudget = abc\n")
+        code = main(["run", "--config", str(cfg)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}:2: budget expects int, got 'abc'\n")
+
+
+def subparser(name):
+    (sub,) = [a for a in build_parser()._actions if a.dest == "command"]
+    return sub.choices[name]
+
+
+class TestOptionsFromDataclasses:
+    # a valid non-default value for every ExperimentConfig field
+    VALUES = {"strategy": "dense", "budget": 14, "batch_size": 3,
+              "initial_pairs": 9, "workers_per_pair": 3, "error_rate": 0.2,
+              "mc_samples": 50, "epsilon": 1e-9, "exact_edge_limit": 4,
+              "seed": 7, "eval_every": 2}
+
+    def test_every_field_is_a_run_flag_and_a_config_key(self, tmp_path, capsys,
+                                                         monkeypatch):
+        assert set(self.VALUES) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+        flags = {a.dest: a.option_strings[0] for a in subparser("run")._actions}
+        seen = []
+        real_run = perc.cli.run_experiment
+
+        def spy(config, *args, **kwargs):
+            seen.append(config)
+            return real_run(config, *args, **kwargs)
+
+        monkeypatch.setattr(perc.cli, "run_experiment", spy)
+        main(["synth", "--entities", "3", "--records", "10", "--seed", "2",
+              "--out", str(tmp_path / "world")])
+        io = {"records": tmp_path / "world" / "records.csv",
+              "gold": tmp_path / "world" / "gold.csv"}
+        argv = ["run", *(f"--{k}={v}" for k, v in io.items()),
+                "--out", str(tmp_path / "flags")]
+        for name, value in self.VALUES.items():
+            argv += [flags[name], str(value)]
+        assert main(argv) == 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in io.items())
+                       + f"out = {tmp_path / 'config'}\n"
+                       + "".join(f"{flags[name][2:].replace('-', '_')} = {value}\n"
+                                 for name, value in self.VALUES.items()))
+        assert main(["run", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        assert seen == [ExperimentConfig(**self.VALUES)] * 2
+        assert (tmp_path / "flags" / "curve.csv").read_bytes() == \
+            (tmp_path / "config" / "curve.csv").read_bytes()
+
+    def test_next_flags_are_reliability_params(self):
+        actions = {a.dest: a for a in subparser("next")._actions}
+        for field in dataclasses.fields(ReliabilityParams):
+            assert actions[field.name].option_strings == \
+                ["--" + field.name.replace("_", "-")]
+            assert actions[field.name].default == field.default
+
 
 class TestErrors:
     def test_missing_file_exits_one(self, tmp_path, capsys):
@@ -225,3 +288,19 @@ class TestErrors:
                      "--records", str(tmp_path / "nope2.csv")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["cluster", "next"])
+    @pytest.mark.parametrize("records, votes, bad", [
+        ("a\nb\nc\n", "a,b,5,5\nb,a,1,5\n", "votes.csv:3"),    # duplicate pair
+        ("a\nb\nc\n", "a,b,5,5\nc,c,1,5\n", "votes.csv:3"),    # self-loop
+        ("a\nb\nc\n", "a,b,5,5\na,z,1,5\n", "votes.csv:3"),    # undeclared record
+        ("a\nb\nc\nb\n", "a,b,5,5\n", "records.csv:5"),       # duplicate record id
+    ], ids=["duplicate-pair", "self-loop", "undeclared-record", "duplicate-record"])
+    def test_bad_row_names_file_and_line(self, tmp_path, capsys, command,
+                                         records, votes, bad):
+        (tmp_path / "records.csv").write_text("record_id\n" + records)
+        (tmp_path / "votes.csv").write_text("record_a,record_b,yes,total\n" + votes)
+        code = main([command, "--graph", str(tmp_path / "votes.csv"),
+                     "--records", str(tmp_path / "records.csv")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {tmp_path / bad}: ")

@@ -1,20 +1,16 @@
-"""Simulated, replayed, and interactive crowd answer sources."""
-
-import io
+"""Simulated and replayed crowd answer sources."""
 
 import numpy as np
 import pytest
 
 from perc import (
     GoldClustering,
-    InteractiveOracle,
     ReplayOracle,
     SimulatedOracle,
     UnrecordedPairError,
     VoteTally,
     WorkerModel,
     crowd_error_rate,
-    replay_oracle,
     simulate_votes,
 )
 from perc.util import make_rng
@@ -118,7 +114,7 @@ class TestSimulatedOracle:
 class TestReplayOracle:
     def test_round_trip(self):
         rows = [(("a", "b"), VoteTally(4, 5)), (("c", "a"), VoteTally(1, 5))]
-        oracle = replay_oracle(rows)
+        oracle = ReplayOracle(rows)
         assert oracle.answer(("b", "a")) == VoteTally(4, 5)
         assert oracle.answer(("a", "c")) == VoteTally(1, 5)
         assert oracle.rows[0] == (("a", "b"), VoteTally(4, 5))
@@ -135,33 +131,6 @@ class TestReplayOracle:
         with pytest.raises(ValueError):
             ReplayOracle([(("a", "b"), VoteTally(4, 5)),
                           (("b", "a"), VoteTally(5, 5))])
-
-
-class TestInteractiveOracle:
-    def test_collects_votes_from_stream(self):
-        out = io.StringIO()
-        oracle = InteractiveOracle(WorkerModel(workers_per_pair=3),
-                                   io.StringIO("y\nn\nY\n"), out)
-        assert oracle.answer(("b", "a")) == VoteTally(2, 3)
-        prompts = out.getvalue().splitlines()
-        assert prompts == [
-            "PAIR a b? [y/n] (1 of 3)",
-            "PAIR a b? [y/n] (2 of 3)",
-            "PAIR a b? [y/n] (3 of 3)",
-        ]
-
-    def test_reprompts_on_invalid_input(self):
-        out = io.StringIO()
-        oracle = InteractiveOracle(WorkerModel(workers_per_pair=2),
-                                   io.StringIO("maybe\n\ny\nn\n"), out)
-        assert oracle.answer(("a", "b")) == VoteTally(1, 2)
-        assert out.getvalue().count("PAIR a b?") == 4
-
-    def test_eof_raises(self):
-        oracle = InteractiveOracle(WorkerModel(workers_per_pair=2),
-                                   io.StringIO("y\n"), io.StringIO())
-        with pytest.raises(EOFError):
-            oracle.answer(("a", "b"))
 
 
 class TestCrowdErrorRate:

@@ -81,6 +81,13 @@ class TestGoldCsv:
         with pytest.raises(ValueError, match="listed twice"):
             read_gold_csv(path)
 
+    @pytest.mark.parametrize("value", ["abc", "-1", "nan"])
+    def test_rejects_bad_difficulty_with_line(self, tmp_path, value):
+        path = tmp_path / "gold.csv"
+        path.write_text(f"record_id,entity_id,difficulty\na,x,1.0\nb,x,{value}\n")
+        with pytest.raises(ValueError, match=rf"gold\.csv:3: difficulty for 'b'"):
+            read_gold_csv(path)
+
     def test_rejects_unknown_extra_column(self, tmp_path):
         path = tmp_path / "gold.csv"
         path.write_text("record_id,entity_id,mystery\na,x,1\n")

@@ -7,13 +7,10 @@ import numpy as np
 import pytest
 
 from perc import (
-    NO,
-    YES,
     Clustering,
     UncertainGraph,
     VoteTally,
     clustering_log_likelihood,
-    derive_yes_no,
     enumerate_partitions,
     ingest_votes,
     possible_world_log_prob,
@@ -259,28 +256,6 @@ class TestClusteringLikelihood:
     def test_rejects_mismatched_records(self, running_graph):
         with pytest.raises(ValueError):
             clustering_log_likelihood(running_graph, Clustering([["A", "B"]]))
-
-
-class TestYesNoView:
-    def test_roles_and_probabilities(self, running_graph, running_clustering):
-        view = derive_yes_no(running_graph, running_clustering)
-        assert view.label("A", "B") == YES
-        assert view.probability("A", "B") == 0.8
-        assert view.label("A", "C") == NO
-        assert view.probability("A", "C") == pytest.approx(0.7)
-        assert len(view) == len(RUNNING_EDGES)
-
-    def test_role_probabilities_sum_to_one(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            g = random_small_graph(rng, n_min=2, n_max=6)
-            c = random_partition(rng, g.records)
-            view = derive_yes_no(g, c)
-            for pair, label, p in view.items():
-                raw = g.probability(*pair)
-                assert label in (YES, NO)
-                assert p == pytest.approx(raw if label == YES else 1.0 - raw)
-                assert label == (YES if c.same_block(*pair) else NO)
 
 
 class TestEnumeratePartitions:

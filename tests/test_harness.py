@@ -14,11 +14,11 @@ from perc import (
     VoteTally,
     precision_recall_f1,
     questions_to_reach,
-    report,
     run_experiment,
     scc_cluster,
     synth_world,
 )
+from perc.cli import report
 from perc.fileio import read_curve_csv
 from perc.harness import _initial_pairs_simulated
 
@@ -129,8 +129,6 @@ class TestExperimentConfig:
             ExperimentConfig(batch_size=0)
         with pytest.raises(ValueError):
             ExperimentConfig(eval_every=0)
-        with pytest.raises(ValueError):
-            ExperimentConfig(intra_sample_fraction=0.0)
 
     def test_round_params_fold_the_round_index(self):
         cfg = ExperimentConfig(seed=7)

@@ -1,5 +1,6 @@
 """Connectivity, disconnectivity, and the combined reliability score."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,8 +11,6 @@ from perc import (
     ReliabilityParams,
     UncertainGraph,
     block_connectivity,
-    connectivity_exact,
-    connectivity_mc,
     disconnectivity,
     reliability,
 )
@@ -69,22 +68,31 @@ class TestDisconnectivity:
                             ("A", "B"), ("A", "B"))
 
 
+EXACT = ReliabilityParams()
+
+
+def sampled_connectivity(graph, block, params):
+    """block_connectivity forced onto the Monte Carlo path."""
+    return block_connectivity(graph, block,
+                              dataclasses.replace(params, exact_edge_limit=0))
+
+
 class TestConnectivityExact:
     def test_singleton_is_certain(self):
         g = UncertainGraph(["A"])
-        assert connectivity_exact(g, ["A"]).value == 1.0
+        assert block_connectivity(g, ["A"], EXACT).value == 1.0
 
     def test_single_edge(self):
         g = UncertainGraph.from_probabilities("AB", {("A", "B"): 0.8})
-        assert connectivity_exact(g, "AB").value == pytest.approx(0.8)
+        assert block_connectivity(g, "AB", EXACT).value == pytest.approx(0.8)
 
     def test_no_edges_means_disconnected(self):
         g = UncertainGraph(["A", "B"])
-        assert connectivity_exact(g, "AB").value == 0.0
+        assert block_connectivity(g, "AB", EXACT).value == 0.0
 
     def test_trio_worked_value(self, trio_graph):
         # Path 0.9 - 0.8, no third edge: 0.9 * 0.8 = 0.72
-        est = connectivity_exact(trio_graph, ("A", "B", "C"))
+        est = block_connectivity(trio_graph, ("A", "B", "C"), EXACT)
         assert est.value == pytest.approx(0.72, abs=1e-12)
         assert est.method == "exact"
 
@@ -92,45 +100,37 @@ class TestConnectivityExact:
         p = {("A", "B"): 0.5, ("B", "C"): 0.5, ("A", "C"): 0.5}
         g = UncertainGraph.from_probabilities("ABC", p)
         # all three pairs of edges + the full triangle: 3 * 0.125 + 0.125
-        assert connectivity_exact(g, "ABC").value == pytest.approx(0.5)
+        assert block_connectivity(g, "ABC", EXACT).value == pytest.approx(0.5)
 
     def test_matches_enumeration_oracle(self):
         rng = np.random.default_rng(17)
         for _ in range(60):
             g, members = random_block_graph(rng)
             expected = connectivity_by_enumeration(members, dict(g.edge_items()))
-            got = connectivity_exact(g, members).value
-            assert got == pytest.approx(expected, abs=1e-10)
+            got = block_connectivity(g, members, EXACT)
+            assert got.method == "exact"
+            assert got.value == pytest.approx(expected, abs=1e-10)
 
     def test_certain_edges_handled(self):
         g = UncertainGraph.from_probabilities(
             "ABC", {("A", "B"): 1.0, ("B", "C"): 0.0, ("A", "C"): 0.6})
         expected = connectivity_by_enumeration(
             ["A", "B", "C"], dict(g.edge_items()))
-        assert connectivity_exact(g, "ABC").value == pytest.approx(expected)
-
-    def test_rejects_over_edge_limit(self):
-        members = [f"m{i}" for i in range(7)]
-        edges = {(a, b): 0.5 for i, a in enumerate(members)
-                 for b in members[i + 1:]}
-        g = UncertainGraph(members, edges=edges)
-        with pytest.raises(ValueError, match="connectivity_mc"):
-            connectivity_exact(g, members, edge_limit=18)
-        assert connectivity_exact(g, members, edge_limit=21).value > 0
+        assert block_connectivity(g, "ABC", EXACT).value == pytest.approx(expected)
 
 
 class TestConnectivityMC:
     def test_deterministic_for_fixed_seed(self, trio_graph):
         params = ReliabilityParams(mc_samples=500, seed=42)
-        a = connectivity_mc(trio_graph, "ABC", params)
-        b = connectivity_mc(trio_graph, "ABC", params)
+        a = sampled_connectivity(trio_graph, "ABC", params)
+        b = sampled_connectivity(trio_graph, "ABC", params)
         assert a == b
         assert a.method == "monte-carlo"
         assert a.samples == 500
 
     def test_different_seed_different_stream(self, trio_graph):
-        a = connectivity_mc(trio_graph, "ABC", ReliabilityParams(mc_samples=200, seed=1))
-        b = connectivity_mc(trio_graph, "ABC", ReliabilityParams(mc_samples=200, seed=2))
+        a = sampled_connectivity(trio_graph, "ABC", ReliabilityParams(mc_samples=200, seed=1))
+        b = sampled_connectivity(trio_graph, "ABC", ReliabilityParams(mc_samples=200, seed=2))
         assert a.seed != b.seed
 
     def test_close_to_exact(self):
@@ -138,18 +138,18 @@ class TestConnectivityMC:
         params = ReliabilityParams(mc_samples=4000, seed=9)
         for _ in range(10):
             g, members = random_block_graph(rng)
-            exact = connectivity_exact(g, members).value
-            sampled = connectivity_mc(g, members, params).value
+            exact = block_connectivity(g, members, EXACT).value
+            sampled = sampled_connectivity(g, members, params).value
             sigma = math.sqrt(max(exact * (1 - exact), 1e-9) / params.mc_samples)
             assert abs(sampled - exact) <= 4 * sigma + 0.01
 
     def test_certain_graph_sampled_exactly(self):
         g = UncertainGraph.from_probabilities(
             "ABC", {("A", "B"): 1.0, ("B", "C"): 1.0})
-        est = connectivity_mc(g, "ABC", ReliabilityParams(mc_samples=50, seed=0))
+        est = sampled_connectivity(g, "ABC", ReliabilityParams(mc_samples=50, seed=0))
         assert est.value == 1.0
         g0 = UncertainGraph.from_probabilities("ABC", {("A", "B"): 1.0})
-        est0 = connectivity_mc(g0, "ABC", ReliabilityParams(mc_samples=50, seed=0))
+        est0 = sampled_connectivity(g0, "ABC", ReliabilityParams(mc_samples=50, seed=0))
         assert est0.value == 0.0
 
 

@@ -122,20 +122,6 @@ class TestBuildState:
                                 allowed=frozenset())
         assert len(none_left) == 0
 
-    def test_intra_fraction_subsamples_deterministically(self):
-        members = [f"m{i}" for i in range(8)]
-        g = UncertainGraph(members, edges={(members[i], members[i + 1]): 0.9
-                                           for i in range(7)})
-        c = Clustering([members])
-        full = build_state(g, c)
-        half_a = build_state(g, c, intra_fraction=0.5)
-        half_b = build_state(g, c, intra_fraction=0.5)
-        assert len(full.intra) == len(list(g.absent_pairs()))
-        assert len(half_a.intra) == max(1, round(0.5 * len(full.intra)))
-        assert half_a.intra == half_b.intra
-        for pair, gain in half_a.intra.items():
-            assert full.intra[pair] == gain
-
 
 class TestSelectNext:
     def test_running_example_first_question(self, running_graph, running_clustering):
