@@ -54,7 +54,7 @@ print("batch of 4:   ", select_batch(state, 4))
 # Suppose the crowd answers E-H with a clear NO.  Only the one block
 # pair's entry needs repricing; everything else still holds.
 answered = graph.with_edge("E", "H", probability=0.1)
-state = refresh_after_answer(state, answered, clustering, ("E", "H"), False)
+refresh_after_answer(state, answered, ("E", "H"))
 print("\nafter a NO on E-H:")
 for entry in state.entries():
     a, b = entry.pair

@@ -20,7 +20,7 @@ from .selection import (CandidatePriority, PriorityState, build_state,
                         pair_priority, refresh_after_answer, select_batch,
                         select_next)
 from .baselines import (MATCH, NON_MATCH, UNDECIDED, MajorityView, RhoInputs,
-                        dense_batch, rho_inputs, rho_ratio, tc_batch)
+                        dense_batch, rho_inputs, tc_batch)
 from .crowd import (GoldClustering, Oracle, ReplayOracle, SimulatedOracle,
                     UnrecordedPairError, WorkerModel, crowd_error_rate,
                     simulate_votes)
@@ -40,8 +40,7 @@ __all__ = [
     "CandidatePriority", "PriorityState", "build_state", "pair_priority",
     "refresh_after_answer", "select_batch", "select_next",
     "MATCH", "NON_MATCH", "UNDECIDED",
-    "MajorityView", "RhoInputs", "dense_batch", "rho_inputs", "rho_ratio",
-    "tc_batch",
+    "MajorityView", "RhoInputs", "dense_batch", "rho_inputs", "tc_batch",
     "GoldClustering", "Oracle", "ReplayOracle", "SimulatedOracle",
     "UnrecordedPairError", "WorkerModel", "crowd_error_rate", "simulate_votes",
     "ExperimentConfig", "MetricsSnapshot", "RunResult", "precision_recall_f1",

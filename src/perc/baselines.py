@@ -14,6 +14,7 @@ pairs.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,26 +175,6 @@ def rho_inputs(graph: UncertainGraph, block_a, block_b) -> RhoInputs:
                      yes=tuple(cross_pos), no=tuple(cross_neg))
 
 
-def rho_ratio(graph: UncertainGraph, clustering: Clustering,
-              block_a, block_b) -> float:
-    """DENSE's score for merging blocks A and B into one dense cluster."""
-    a = tuple(sorted(block_a))
-    b = tuple(sorted(block_b))
-    for blk in (a, b):
-        if blk not in clustering.blocks:
-            raise ValueError(f"block {blk} is not part of the clustering")
-    return rho_inputs(graph, a, b).value
-
-
-def _ranked_block_pairs(graph: UncertainGraph,
-                        clustering: Clustering) -> list[tuple[float, tuple]]:
-    out = []
-    for bj, bk in clustering.block_pairs():
-        out.append((rho_ratio(graph, clustering, bj, bk), (bj, bk)))
-    out.sort(key=lambda t: (-t[0], t[1]))
-    return out
-
-
 def dense_batch(graph: UncertainGraph, clustering: Clustering, k: int,
                 allowed: frozenset | None = None) -> list[Pair]:
     """Up to k absent cross pairs, best block-pair scores first; within one
@@ -201,23 +182,8 @@ def dense_batch(graph: UncertainGraph, clustering: Clustering, k: int,
     if k < 1:
         raise ValueError(f"batch size must be positive, got {k}")
     candidates = []
-    for score, (bj, bk) in _ranked_block_pairs(graph, clustering):
-        for a in bj:
-            for b in bk:
-                key = canonical_pair(a, b)
-                if graph.has_edge(*key):
-                    continue
-                if allowed is not None and key not in allowed:
-                    continue
-                candidates.append((-score, key))
-    candidates.sort()
-    out = []
-    seen = set()
-    for _, pair in candidates:
-        if pair in seen:
-            continue
-        seen.add(pair)
-        out.append(pair)
-        if len(out) >= k:
-            break
-    return out
+    for bj, bk in clustering.block_pairs():
+        score = rho_inputs(graph, bj, bk).value
+        candidates.extend((-score, pair) for pair in graph.absent_pairs_between(bj, bk, allowed))
+    # every cross pair spans exactly one block pair, so the keys are unique
+    return [pair for _, pair in heapq.nsmallest(k, candidates)]

@@ -22,8 +22,8 @@ from .fileio import (load_graph, read_clusters_csv, read_gold_csv,
                      read_records_csv, read_votes_csv, write_clusters_csv,
                      write_curve_csv, write_gold_csv, write_records_csv,
                      write_votes_csv)
-from .harness import (STRATEGIES, ExperimentConfig, RunResult, precision_recall_f1,
-                      run_experiment, synth_world)
+from .harness import (STRATEGIES, ConfigError, ExperimentConfig, RunResult,
+                      precision_recall_f1, run_experiment, synth_world)
 from .reliability import ReliabilityParams
 from .selection import build_state, pair_priority, select_batch
 
@@ -40,9 +40,9 @@ _FIELD_FLAGS = {_SHORT_FLAGS.get(f.name, f.name.replace("_", "-")): f
 
 def read_config_file(path) -> dict:
     """key = value lines, keys named like the run flags ('_' may stand for
-    '-'); # starts a comment.  Values come back typed, keyed by the
-    ExperimentConfig field or I/O key they set."""
-    values: dict = {}
+    '-'); # starts a comment.  Returns (typed value, line number) keyed by
+    the ExperimentConfig field or I/O key each line sets."""
+    entries: dict = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -52,18 +52,18 @@ def read_config_file(path) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         flag = key.replace("_", "-")
         if flag in _IO_KEYS:
-            values[flag] = value
+            entries[flag] = (value, lineno)
             continue
         if flag not in _FIELD_FLAGS:
             raise ValueError(f"{path}:{lineno}: unknown option {key!r}")
         field = _FIELD_FLAGS[flag]
         kind = type(field.default)
         try:
-            values[field.name] = kind(value)
+            entries[field.name] = (kind(value), lineno)
         except ValueError:
             raise ValueError(
                 f"{path}:{lineno}: {key} expects {kind.__name__}, got {value!r}") from None
-    return values
+    return entries
 
 
 def report(result: RunResult, out_dir) -> str:
@@ -89,18 +89,24 @@ def report(result: RunResult, out_dir) -> str:
 
 
 def cmd_run(args) -> int:
-    options = read_config_file(args.config) if args.config else {}
-    options.update((key, value) for key, value in vars(args).items() if value is not None)
+    from_file = read_config_file(args.config) if args.config else {}
+    flags = {key: value for key, value in vars(args).items() if value is not None}
+    options = {key: value for key, (value, _) in from_file.items()} | flags
     if "records" not in options:
         raise ValueError("run needs --records (or a records entry in the config file)")
     if "gold" not in options and "replay" not in options:
         raise ValueError("run needs --gold or --replay to answer questions")
+    try:
+        config = ExperimentConfig(**{f.name: options[f.name] for f in _FIELD_FLAGS.values()
+                                     if f.name in options})
+    except ConfigError as exc:
+        if exc.field in from_file and exc.field not in flags:
+            raise ValueError(f"{args.config}:{from_file[exc.field][1]}: {exc}") from None
+        raise
 
     records = read_records_csv(options["records"])
     gold = read_gold_csv(options["gold"]) if "gold" in options else None
     replay = ReplayOracle(read_votes_csv(options["replay"])) if "replay" in options else None
-    config = ExperimentConfig(**{f.name: options[f.name] for f in _FIELD_FLAGS.values()
-                                 if f.name in options})
     result = run_experiment(config, records, gold=gold, replay=replay)
     report(result, options.get("out", "out"))
     return 0

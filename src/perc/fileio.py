@@ -1,9 +1,9 @@
 """CSV interchange formats.
 
 All files are UTF-8 comma-separated with a header row.  Record ids may not
-contain commas or newlines (enforced at graph construction), so no quoting
-is ever needed.  Floats are written with repr, which round-trips exactly
-and keeps reruns byte-identical.
+contain commas or newlines (enforced by the readers and at graph
+construction), so no quoting is ever needed.  Floats are written with repr,
+which round-trips exactly and keeps reruns byte-identical.
 """
 
 from __future__ import annotations
@@ -11,7 +11,8 @@ from __future__ import annotations
 import csv
 
 from .crowd import GoldClustering
-from .graph import Clustering, Pair, UncertainGraph, VoteTally, ingest_votes
+from .graph import (Clustering, Pair, UncertainGraph, VoteTally, _check_record_id,
+                    ingest_votes)
 from .harness import MetricsSnapshot
 from .util import canonical_pair
 
@@ -42,6 +43,17 @@ def _check_min_columns(row, count, path, lineno):
         raise ValueError(f"{path}:{lineno}: expected at least {count} columns, got {len(row)}")
 
 
+def _record_id(row, path, lineno, seen) -> str:
+    """The row's record id, valid and not listed on an earlier row."""
+    try:
+        rid = _check_record_id(row[0])
+    except ValueError as exc:
+        raise ValueError(f"{path}:{lineno}: {exc}") from None
+    if rid in seen:
+        raise ValueError(f"{path}:{lineno}: record {rid!r} listed twice")
+    return rid
+
+
 def read_records_csv(path) -> list[str]:
     """record_id per row; returns ids in file order."""
     with _open_reader(path) as fh:
@@ -52,10 +64,9 @@ def read_records_csv(path) -> list[str]:
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if row[0] in seen:
-                raise ValueError(f"{path}:{lineno}: record {row[0]!r} listed twice")
-            seen.add(row[0])
-            out.append(row[0])
+            rid = _record_id(row, path, lineno, seen)
+            seen.add(rid)
+            out.append(rid)
     if not out:
         raise ValueError(f"{path}: no records listed")
     return out
@@ -123,10 +134,8 @@ def read_gold_csv(path) -> GoldClustering:
             if not row:
                 continue
             _check_min_columns(row, 2, path, lineno)
-            rid, eid = row[0], row[1]
-            if rid in entity:
-                raise ValueError(f"{path}:{lineno}: record {rid!r} listed twice")
-            entity[rid] = eid
+            rid = _record_id(row, path, lineno, entity)
+            entity[rid] = row[1]
             if has_difficulty and len(row) > 2 and row[2] != "":
                 try:
                     difficulty[rid] = float(row[2])
@@ -135,6 +144,8 @@ def read_gold_csv(path) -> GoldClustering:
                 except ValueError:
                     raise ValueError(f"{path}:{lineno}: difficulty for {rid!r} must be "
                                      f"a number >= 0, got {row[2]!r}") from None
+    if not entity:
+        raise ValueError(f"{path}: no records listed")
     return GoldClustering(entity, difficulty)
 
 
@@ -148,6 +159,7 @@ def write_gold_csv(path, gold: GoldClustering) -> None:
 
 def read_clusters_csv(path) -> Clustering:
     groups: dict[str, list[str]] = {}
+    seen = set()
     with _open_reader(path) as fh:
         reader = csv.reader(fh)
         _check_header(next(reader, None), CLUSTERS_HEADER, path)
@@ -155,7 +167,9 @@ def read_clusters_csv(path) -> Clustering:
             if not row:
                 continue
             _check_min_columns(row, 2, path, lineno)
-            groups.setdefault(row[1], []).append(row[0])
+            rid = _record_id(row, path, lineno, seen)
+            seen.add(rid)
+            groups.setdefault(row[1], []).append(rid)
     if not groups:
         raise ValueError(f"{path}: no cluster assignments listed")
     return Clustering(groups.values())

@@ -14,6 +14,7 @@ present edges are exactly its intra-block edges.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -54,32 +55,25 @@ def _check_record_id(rid) -> str:
 class UncertainGraph:
     """Immutable-by-convention set of records plus probabilistic edges.
 
-    ``edges`` maps canonical pairs to YES fractions; ``tallies`` keeps the
-    raw counts for pairs that came from actual votes (fixtures built from
-    bare probabilities leave it sparse).  Updates go through
+    ``edges`` maps canonical pairs to YES fractions.  Updates go through
     :meth:`with_edge`, which returns a new graph, so harness code can treat
     graphs as values.
     """
 
-    __slots__ = ("records", "_record_set", "edges", "tallies")
+    __slots__ = ("records", "_record_set", "edges")
 
-    def __init__(self, records: Iterable[str], edges: dict[Pair, float] | None = None,
-                 tallies: dict[Pair, VoteTally] | None = None):
+    def __init__(self, records: Iterable[str], edges: dict[Pair, float] | None = None):
         recs = sorted({_check_record_id(r) for r in records})
         if not recs:
             raise ValueError("a graph needs at least one record")
         self.records = tuple(recs)
         self._record_set = frozenset(recs)
         self.edges = {}
-        self.tallies = dict(tallies or {})
         for pair, p in (edges or {}).items():
             key = self._check_pair(pair)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"edge {key} has probability {p} outside [0, 1]")
             self.edges[key] = float(p)
-        for pair in self.tallies:
-            if pair not in self.edges:
-                raise ValueError(f"tally for {pair} without a matching edge")
 
     def _check_pair(self, pair: Pair) -> Pair:
         a, b = pair
@@ -116,10 +110,8 @@ class UncertainGraph:
         if (tally is None) == (probability is None):
             raise ValueError("provide exactly one of tally or probability")
         edges = dict(self.edges)
-        tallies = dict(self.tallies)
         if tally is not None:
             edges[key] = tally.fraction
-            tallies[key] = tally
         else:
             if not 0.0 <= probability <= 1.0:
                 raise ValueError(f"edge {key} has probability {probability} outside [0, 1]")
@@ -128,7 +120,6 @@ class UncertainGraph:
         g.records = self.records
         g._record_set = self._record_set
         g.edges = edges
-        g.tallies = tallies
         return g
 
     def edge_items(self) -> list[tuple[Pair, float]]:
@@ -164,6 +155,18 @@ class UncertainGraph:
                 if p is not None:
                     out.append((key, p))
         return sorted(out)
+
+    def absent_pairs_between(self, left: tuple[str, ...], right: tuple[str, ...],
+                             allowed: frozenset | None = None) -> Iterator[Pair]:
+        """Not-yet-crowdsourced pairs spanning two disjoint sorted blocks,
+        canonical and in lexicographic order, produced lazily; with
+        ``allowed``, only the pairs in it."""
+        edges = self.edges
+        # each record meets the other block's members above it, smallest first
+        for a, other in sorted([(r, right) for r in left] + [(r, left) for r in right]):
+            for b in other[bisect_right(other, a):]:
+                if (a, b) not in edges and (allowed is None or (a, b) in allowed):
+                    yield (a, b)
 
     def __repr__(self):
         return f"UncertainGraph({len(self.records)} records, {len(self.edges)} edges)"
@@ -236,14 +239,12 @@ def ingest_votes(records: Iterable[str], pairs: Iterable[tuple[Pair, VoteTally]]
     """
     graph = UncertainGraph(records)
     edges: dict[Pair, float] = {}
-    tallies: dict[Pair, VoteTally] = {}
     for (a, b), tally in pairs:
         key = graph._check_pair((a, b))
         if key in edges:
             raise ValueError(f"duplicate vote tally for pair {key}")
         edges[key] = tally.fraction
-        tallies[key] = tally
-    return UncertainGraph(graph.records, edges=edges, tallies=tallies)
+    return UncertainGraph(graph.records, edges=edges)
 
 
 def possible_world_log_prob(graph: UncertainGraph, present: Iterable[Pair]) -> float:

@@ -28,6 +28,14 @@ STRATEGIES = ("perc", "tc", "dense")
 NAN = float("nan")
 
 
+class ConfigError(ValueError):
+    """An ExperimentConfig value that fails its check; ``field`` names it."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a run needs beyond the records and the answer source."""
@@ -46,19 +54,20 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}, pick one of {STRATEGIES}")
+            raise ConfigError("strategy", f"unknown strategy {self.strategy!r}, "
+                                          f"pick one of {STRATEGIES}")
         if self.budget < 0:
-            raise ValueError(f"budget must be >= 0, got {self.budget}")
+            raise ConfigError("budget", f"budget must be >= 0, got {self.budget}")
         if not 0 <= self.initial_pairs <= self.budget:
-            raise ValueError(
-                f"initial_pairs={self.initial_pairs} must sit in 0..budget ({self.budget})")
+            raise ConfigError("initial_pairs", f"initial_pairs={self.initial_pairs} "
+                                               f"must sit in 0..budget ({self.budget})")
         if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+            raise ConfigError("batch_size", f"batch_size must be >= 1, got {self.batch_size}")
         if self.budget > 0 and self.batch_size > self.budget:
-            raise ValueError(
-                f"batch_size={self.batch_size} exceeds budget={self.budget}")
+            raise ConfigError("batch_size",
+                              f"batch_size={self.batch_size} exceeds budget={self.budget}")
         if self.eval_every < 1:
-            raise ValueError(f"eval_every must be >= 1, got {self.eval_every}")
+            raise ConfigError("eval_every", f"eval_every must be >= 1, got {self.eval_every}")
 
     def worker_model(self) -> WorkerModel:
         return WorkerModel(workers_per_pair=self.workers_per_pair,
@@ -219,8 +228,7 @@ def run_experiment(config: ExperimentConfig, records, gold: GoldClustering | Non
     state = None  # perc's cached candidate queue
     tc_rng = make_rng(derive_seed(config.seed, "tc-stream"))
     if config.strategy == "perc":
-        state = build_state(graph, clustering, config.reliability_params(0),
-                            round_index=0, allowed=allowed)
+        state = build_state(graph, clustering, config.reliability_params(0), allowed=allowed)
 
     mlc_checks = 0
     mlc_failures = 0
@@ -287,12 +295,10 @@ def run_experiment(config: ExperimentConfig, records, gold: GoldClustering | Non
         if config.strategy == "perc":
             params = config.reliability_params(round_index)
             if clustering_changed:
-                state = build_state(graph, clustering, params,
-                                    round_index=round_index, allowed=allowed)
+                state = build_state(graph, clustering, params, allowed=allowed)
             else:
                 for pair, _ in answered:
-                    state = refresh_after_answer(state, graph, clustering, pair, False,
-                                                 params, round_index=round_index)
+                    refresh_after_answer(state, graph, pair, params)
         if rounds % config.eval_every == 0:
             snapshot(round_index)
         log.debug("round %d: asked %d pairs, %d blocks, %d total questions",

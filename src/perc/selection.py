@@ -12,9 +12,9 @@ gain, so the queue keeps one representative per block pair, the
 lexicographically smallest absent spanning pair.
 
 The state is cached between rounds.  An answer re-triggers work only where
-terms actually moved: an intra answer reprices its own block's candidates,
-a cross answer reprices its block pair's representative, and a clustering
-change rebuilds from scratch.
+terms actually moved: an intra answer reprices its own block's candidates
+and a cross answer reprices its block pair's representative.  A clustering
+change invalidates every term, so the caller builds a fresh state.
 """
 
 from __future__ import annotations
@@ -45,38 +45,31 @@ class PriorityState:
 
     intra maps each absent intra-block pair to its gain; inter maps each
     block pair with at least one absent spanning pair to its representative
-    and shared gain.  round_index is bookkeeping for the harness, allowed
-    (when set) restricts candidates to a fixed pair set, used in replay
-    mode, and rebuilt says whether the last answer forced a full rebuild.
+    and shared gain.  allowed (when set) restricts candidates to a fixed
+    pair set, used in replay mode.
     """
 
-    __slots__ = ("graph", "clustering", "params", "intra", "inter",
-                 "round_index", "allowed", "rebuilt")
+    __slots__ = ("graph", "clustering", "params", "intra", "inter", "allowed")
 
     def __init__(self, graph: UncertainGraph, clustering: Clustering,
                  params: ReliabilityParams, intra: dict[Pair, float],
                  inter: dict[BlockPairKey, tuple[Pair, float]],
-                 round_index: int = 0, allowed: frozenset | None = None):
+                 allowed: frozenset | None = None):
         self.graph = graph
         self.clustering = clustering
         self.params = params
         self.intra = intra
         self.inter = inter
-        self.round_index = round_index
         self.allowed = allowed
-        self.rebuilt = False
 
     def entries(self) -> list[CandidatePriority]:
         """All queue entries, ranked best first."""
-        out = [CandidatePriority(pair, gain, ("intra", self._block_of_pair(pair)))
+        out = [CandidatePriority(pair, gain, ("intra", self.clustering.block_of(pair[0])))
                for pair, gain in self.intra.items()]
         out.extend(CandidatePriority(rep, gain, ("inter", key[0], key[1]))
                    for key, (rep, gain) in self.inter.items())
         out.sort(key=lambda c: (-c.gain, c.pair))
         return out
-
-    def _block_of_pair(self, pair: Pair) -> Block:
-        return self.clustering.block_of(pair[0])
 
     def __len__(self):
         return len(self.intra) + len(self.inter)
@@ -126,17 +119,6 @@ def _absent_intra_pairs(graph: UncertainGraph, block: Block,
     return out
 
 
-def _absent_spanning_pairs(graph: UncertainGraph, bj: Block, bk: Block,
-                           allowed: frozenset | None) -> list[Pair]:
-    out = []
-    for a in bj:
-        for b in bk:
-            key = canonical_pair(a, b)
-            if not graph.has_edge(*key) and (allowed is None or key in allowed):
-                out.append(key)
-    return sorted(out)
-
-
 def _intra_entries_for_block(graph: UncertainGraph, block: Block,
                              params: ReliabilityParams,
                              allowed: frozenset | None) -> dict[Pair, float]:
@@ -147,8 +129,16 @@ def _intra_entries_for_block(graph: UncertainGraph, block: Block,
     return {pair: _intra_gain(graph, block, pair, params, base) for pair in pairs}
 
 
+def _inter_entry(graph: UncertainGraph, bj: Block, bk: Block, dis: float,
+                 params: ReliabilityParams, allowed: frozenset | None) -> tuple[Pair, float] | None:
+    """(representative, gain) for a block pair whose disconnectivity is
+    dis, or None once no absent spanning pair is left to ask."""
+    rep = next(graph.absent_pairs_between(bj, bk, allowed), None)
+    return None if rep is None else (rep, _inter_gain(dis, params))
+
+
 def build_state(graph: UncertainGraph, clustering: Clustering,
-                params: ReliabilityParams | None = None, *, round_index: int = 0,
+                params: ReliabilityParams | None = None, *,
                 allowed: frozenset | None = None) -> PriorityState:
     """Price every candidate from scratch for the given clustering."""
     params = params or ReliabilityParams()
@@ -167,59 +157,45 @@ def build_state(graph: UncertainGraph, clustering: Clustering,
             # every spanning pair is absent; the smallest is (min, min)
             inter[key] = ((bj[0], bk[0]), unspanned_gain)
             continue
-        absent = _absent_spanning_pairs(graph, bj, bk, allowed)
-        if absent:
-            dis = 0.0 if prod is None else 1.0 - prod
-            inter[key] = (absent[0], _inter_gain(dis, params))
-    return PriorityState(graph, clustering, params, intra, inter,
-                         round_index=round_index, allowed=allowed)
+        entry = _inter_entry(graph, bj, bk, 0.0 if prod is None else 1.0 - prod,
+                             params, allowed)
+        if entry is not None:
+            inter[key] = entry
+    return PriorityState(graph, clustering, params, intra, inter, allowed=allowed)
 
 
 def refresh_after_answer(state: PriorityState, graph: UncertainGraph,
-                         clustering: Clustering, answered_pair: Pair,
-                         clustering_changed: bool,
-                         params: ReliabilityParams | None = None, *,
-                         round_index: int | None = None) -> PriorityState:
-    """Fold one crowdsourced answer into the cached state.
+                         answered_pair: Pair, params: ReliabilityParams | None = None) -> None:
+    """Fold one crowdsourced answer into the cached state, in place.
 
-    graph must already contain the answered edge.  When the clustering
-    moved, every term is suspect and the state is rebuilt.  Otherwise only
-    the entries whose reliability term the answer touched are repriced:
-    the answered block's intra candidates, or the answered block pair's
-    representative.  Everything else is carried over unchanged, which is
-    sound because their connectivity and disconnectivity inputs are
-    untouched by this edge.
+    graph must already contain the answered edge and the clustering must
+    still be ``state.clustering`` (after a change, build a fresh state);
+    call once for each pair a graph update added.  Only the entries whose
+    reliability term the answer touched are repriced: the answered block's
+    intra candidates, or the answered block pair's representative.  The
+    rest stand, since this edge leaves their inputs untouched.
     """
-    params = params or state.params
-    rnd = state.round_index if round_index is None else round_index
     key = canonical_pair(*answered_pair)
     if not graph.has_edge(*key):
         raise ValueError(f"answered pair {key} is not in the graph yet")
-    if clustering_changed:
-        fresh = build_state(graph, clustering, params, round_index=rnd,
-                            allowed=state.allowed)
-        fresh.rebuilt = True
-        return fresh
-
-    intra = dict(state.intra)
-    inter = dict(state.inter)
-    a, b = key
-    block_a = clustering.block_of(a)
-    block_b = clustering.block_of(b)
+    params = params or state.params
+    state.graph = graph
+    state.params = params
+    block_a = state.clustering.block_of(key[0])
+    block_b = state.clustering.block_of(key[1])
     if block_a == block_b:
-        for pair in list(intra):
-            if pair[0] in block_a and pair[1] in block_a:
-                del intra[pair]
-        intra.update(_intra_entries_for_block(graph, block_a, params, state.allowed))
+        # the update rewrites every other candidate of the block; a pair
+        # answered in the same graph update leaves at its own call
+        state.intra.pop(key, None)
+        state.intra.update(_intra_entries_for_block(graph, block_a, params, state.allowed))
     else:
         bj, bk = sorted((block_a, block_b))
-        inter.pop((bj, bk), None)
-        absent = _absent_spanning_pairs(graph, bj, bk, state.allowed)
-        if absent:
-            dis = disconnectivity(graph, clustering, bj, bk)
-            inter[(bj, bk)] = (absent[0], _inter_gain(dis, params))
-    return PriorityState(graph, clustering, params, intra, inter,
-                         round_index=rnd, allowed=state.allowed)
+        entry = _inter_entry(graph, bj, bk, disconnectivity(graph, state.clustering, bj, bk),
+                             params, state.allowed)
+        if entry is None:
+            state.inter.pop((bj, bk), None)
+        else:
+            state.inter[(bj, bk)] = entry
 
 
 def select_next(state: PriorityState) -> Pair | None:
@@ -257,17 +233,12 @@ def select_batch(state: PriorityState, k: int) -> list[Pair]:
     keys.extend((-gain, rep) for rep, gain in state.inter.values())
     batch = [pair for _, pair in heapq.nsmallest(k, keys)]
     if len(batch) < k:
-        taken = set(batch)
-        for cand in state.entries():
-            if len(batch) >= k:
-                break
-            if cand.scope[0] != "inter":
-                continue
-            _, bj, bk = cand.scope
-            for pair in _absent_spanning_pairs(state.graph, bj, bk, state.allowed):
-                if pair not in taken:
-                    taken.add(pair)
+        # every representative is in the batch; block pairs go in queue order
+        fill = sorted((-gain, rep, key) for key, (rep, gain) in state.inter.items())
+        for _, rep, (bj, bk) in fill:
+            for pair in state.graph.absent_pairs_between(bj, bk, state.allowed):
+                if pair != rep:
                     batch.append(pair)
-                    if len(batch) >= k:
-                        break
+                    if len(batch) == k:
+                        return batch
     return batch

@@ -239,8 +239,7 @@ def test_5_cache_selection_equivalence():
                     state = build_state(graph, clustering, params)
                 else:
                     for pair, _ in answered:
-                        state = refresh_after_answer(state, graph, clustering,
-                                                     pair, False, params)
+                        refresh_after_answer(state, graph, pair, params)
 
 
 def test_6_strategy_comparison():

@@ -14,7 +14,6 @@ from perc import (
     UncertainGraph,
     dense_batch,
     rho_inputs,
-    rho_ratio,
     tc_batch,
 )
 from perc.util import make_rng
@@ -150,17 +149,15 @@ class TestRhoInputs:
             "ABC", {("A", "B"): 0.6})
         tied = UncertainGraph.from_probabilities(
             "ABC", {("A", "B"): 0.6, ("A", "C"): 0.9})
-        c = Clustering([["A"], ["B"], ["C"]])
-        assert rho_ratio(tied, c, ("A",), ("B",)) < \
-            rho_ratio(base, c, ("A",), ("B",))
-        assert rho_ratio(tied, c, ("A",), ("B",)) == pytest.approx(
+        assert rho_inputs(tied, ("A",), ("B",)).value < \
+            rho_inputs(base, ("A",), ("B",)).value
+        assert rho_inputs(tied, ("A",), ("B",)).value == pytest.approx(
             (0.1 / 0.9) * (0.4 / 0.6))
 
     def test_certain_edges_zero_the_ratio(self):
         g = UncertainGraph.from_probabilities("AB", {("A", "B"): 1.0})
-        c = Clustering([["A"], ["B"]])
         # flipping a certain verdict costs everything: ratio 0
-        assert rho_ratio(g, c, ("A",), ("B",)) == 0.0
+        assert rho_inputs(g, ("A",), ("B",)).value == 0.0
 
     def test_value_bounded_in_unit_interval(self):
         rng = np.random.default_rng(83)
@@ -175,15 +172,12 @@ class TestRhoInputs:
             g = UncertainGraph(recs, edges=edges)
             c = Clustering.singletons(recs)
             for bj, bk in c.block_pairs():
-                value = rho_ratio(g, c, bj, bk)
+                value = rho_inputs(g, bj, bk).value
                 assert 0.0 <= value <= 1.0 + 1e-12
 
-    def test_rejects_overlap_and_foreign_blocks(self, running_graph,
-                                                running_clustering):
+    def test_rejects_overlapping_blocks(self, running_graph):
         with pytest.raises(ValueError):
             rho_inputs(running_graph, ("A", "B"), ("B", "C"))
-        with pytest.raises(ValueError):
-            rho_ratio(running_graph, running_clustering, ("A",), ("C", "D"))
 
 
 class TestDenseSelection:
@@ -206,8 +200,8 @@ class TestDenseSelection:
             ("C", "G"): 0.0, ("C", "H"): 0.0, ("D", "G"): 0.0, ("D", "H"): 0.0,
         }
         g = UncertainGraph.from_probabilities("ABCDEFGH", edges)
-        r34 = rho_ratio(g, running_clustering, ("E", "F"), ("G", "H"))
-        r12 = rho_ratio(g, running_clustering, ("A", "B"), ("C", "D"))
+        r34 = rho_inputs(g, ("E", "F"), ("G", "H")).value
+        r12 = rho_inputs(g, ("A", "B"), ("C", "D")).value
         assert r34 > r12
         assert dense_batch(g, running_clustering, 1) == [("E", "H")]
 

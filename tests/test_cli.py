@@ -1,23 +1,32 @@
 """The perc command line: every subcommand through main(argv)."""
 
+import contextlib
 import dataclasses
+import io
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import perc.cli
-from perc import ExperimentConfig, ReliabilityParams, VoteTally
+from perc import (Clustering, ExperimentConfig, GoldClustering, ReliabilityParams,
+                  UncertainGraph, VoteTally)
 from perc.cli import build_parser, main, read_config_file
 from perc.fileio import (
+    load_graph,
     read_clusters_csv,
     read_curve_csv,
     read_gold_csv,
     read_records_csv,
+    write_clusters_csv,
     write_gold_csv,
     write_records_csv,
     write_votes_csv,
 )
 
-from conftest import running_vote_rows
+from conftest import EIGHT, RUNNING_BLOCKS, running_vote_rows
 
 
 @pytest.fixture
@@ -126,6 +135,25 @@ class TestEval:
         assert err == (f"error: {tmp_path / f'{short}.csv'}:3: "
                        "expected at least 2 columns, got 1\n")
 
+    @pytest.mark.parametrize("short", ["clusters", "gold"])
+    @pytest.mark.parametrize("row, message", [
+        (",a", "record id must be a non-empty string, got ''"),
+        ('"c,d",a', "record id 'c,d' contains a comma or newline"),
+        ("a,a", "record 'a' listed twice"),
+    ], ids=["empty-id", "quoted-comma", "repeated"])
+    def test_bad_record_id_names_file_and_line(self, tmp_path, capsys, short,
+                                               row, message):
+        files = {"clusters": "record_id,cluster_id\na,a\nb,a\n",
+                 "gold": "record_id,entity_id\na,x\nb,x\n"}
+        files[short] += row + "\n"
+        for name, text in files.items():
+            (tmp_path / f"{name}.csv").write_text(text)
+        code = main(["eval", "--clusters", str(tmp_path / "clusters.csv"),
+                     "--gold", str(tmp_path / "gold.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            f"error: {tmp_path / f'{short}.csv'}:4: {message}\n"
+
 
 class TestRun:
     def world(self, tmp_path):
@@ -207,7 +235,7 @@ class TestConfigFile:
         cfg = tmp_path / "c.cfg"
         cfg.write_text("budget = 40  # inline comment\nerror_rate = 0.2\n\n")
         values = read_config_file(cfg)
-        assert values == {"budget": 40, "error_rate": 0.2}
+        assert values == {"budget": (40, 1), "error_rate": (0.2, 2)}
 
     def test_rejects_unknown_key(self, tmp_path):
         cfg = tmp_path / "c.cfg"
@@ -228,6 +256,27 @@ class TestConfigFile:
         assert code == 1
         assert capsys.readouterr().err == (
             f"error: {cfg}:2: budget expects int, got 'abc'\n")
+
+
+    @pytest.mark.parametrize("line, message", [
+        ("budget = -1", "budget must be >= 0, got -1"),
+        ("strategy = x", "unknown strategy 'x', pick one of ('perc', 'tc', 'dense')"),
+        ("initial = 500", "initial_pairs=500 must sit in 0..budget (100)"),
+        ("eval_every = 0", "eval_every must be >= 1, got 0"),
+    ], ids=["budget", "strategy", "initial", "eval-every"])
+    def test_rejected_value_names_file_and_line(self, tmp_path, capsys, line, message):
+        main(["synth", "--entities", "2", "--records", "4", "--out", str(tmp_path)])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"records = {tmp_path / 'records.csv'}\n"
+                       f"gold = {tmp_path / 'gold.csv'}\n"
+                       f"out = {tmp_path / 'out'}\n{line}\n")
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}:4: {message}\n"
+        # a flag for the same option replaces the file's value
+        flag = "--" + line.split(" = ")[0].replace("_", "-")
+        fixed = {"--strategy": "tc", "--eval-every": "1"}.get(flag, "5")
+        assert main(["run", "--config", str(cfg), flag, fixed]) == 0
+        capsys.readouterr()
 
 
 def subparser(name):
@@ -295,7 +344,9 @@ class TestErrors:
         ("a\nb\nc\n", "a,b,5,5\nc,c,1,5\n", "votes.csv:3"),    # self-loop
         ("a\nb\nc\n", "a,b,5,5\na,z,1,5\n", "votes.csv:3"),    # undeclared record
         ("a\nb\nc\nb\n", "a,b,5,5\n", "records.csv:5"),       # duplicate record id
-    ], ids=["duplicate-pair", "self-loop", "undeclared-record", "duplicate-record"])
+        ('a\n"b,c"\nc\n', "a,c,5,5\n", "records.csv:3"),      # comma inside an id
+    ], ids=["duplicate-pair", "self-loop", "undeclared-record", "duplicate-record",
+            "quoted-comma"])
     def test_bad_row_names_file_and_line(self, tmp_path, capsys, command,
                                          records, votes, bad):
         (tmp_path / "records.csv").write_text("record_id\n" + records)
@@ -304,3 +355,58 @@ class TestErrors:
                      "--records", str(tmp_path / "records.csv")])
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {tmp_path / bad}: ")
+
+
+# input file -> what it loads into, given the others intact, and the
+# command line that reads it
+CLUSTER = ["cluster", "--records", "records.csv", "--graph", "votes.csv"]
+EVAL = ["eval", "--clusters", "clusters.csv", "--gold", "gold.csv"]
+CORRUPTIBLE = {
+    "records.csv": (lambda d: UncertainGraph(read_records_csv(d / "records.csv")), CLUSTER),
+    "votes.csv": (lambda d: load_graph(d / "records.csv", d / "votes.csv"), CLUSTER),
+    "gold.csv": (lambda d: read_gold_csv(d / "gold.csv"), EVAL),
+    "clusters.csv": (lambda d: read_clusters_csv(d / "clusters.csv"), EVAL),
+}
+
+# (where as a fraction of the text, characters cut there, text put there)
+EDITS = st.lists(st.tuples(st.floats(0, 1), st.integers(0, 4),
+                           st.text(st.sampled_from(',"\n\r\x00 #-1xAé\ufeff'),
+                                   max_size=3)),
+                 min_size=1, max_size=3)
+
+
+@pytest.fixture(scope="module")
+def corruption_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("corrupt")
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(sorted(CORRUPTIBLE)), edits=EDITS)
+def test_corrupted_file_loads_or_is_named_in_the_error(corruption_dir, name, edits):
+    """A corrupted input file either still loads, or the command exits 1
+    with an error naming that file; it never raises past main."""
+    # a new directory per example, left for pytest to remove: overwriting or
+    # deleting a just-written file can wait on a disk flush
+    d = Path(tempfile.mkdtemp(dir=corruption_dir))
+    write_records_csv(d / "records.csv", EIGHT)
+    write_votes_csv(d / "votes.csv", running_vote_rows())
+    write_gold_csv(d / "gold.csv", GoldClustering(
+        {r: block[0] for block in RUNNING_BLOCKS for r in block}))
+    write_clusters_csv(d / "clusters.csv", Clustering(RUNNING_BLOCKS))
+    load, argv = CORRUPTIBLE[name]
+    path = d / name
+    text = path.read_text(encoding="utf-8")
+    for where, cut, insert in edits:
+        at = int(where * len(text))
+        text = text[:at] + insert + text[at + cut:]
+    path.write_text(text, encoding="utf-8", newline="")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([str(d / arg) if arg.endswith(".csv") else arg for arg in argv])
+    try:
+        load(d)
+    except ValueError:
+        assert code == 1
+        assert err.getvalue().startswith(f"error: {path}:")
+    else:
+        assert code in (0, 1)

@@ -3,8 +3,9 @@
 Random small graphs and clusterings with tie-prone edge fractions (0/1,
 1/2, 3/5, ...) are pushed through the fast paths and through references
 that price each block pair on its own: disconnectivity per pair, a
-linear-scan agglomerative merge and a full sort of the queue.  Values
-must agree bit for bit, since curve bytes depend on them.
+linear-scan agglomerative merge, a full sort of the queue, and a scan of
+all |A|·|B| pairs for the absent cross pairs.  Values must agree bit for
+bit, since curve bytes depend on them.
 """
 
 import itertools
@@ -13,10 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perc import (Clustering, ReliabilityParams, UncertainGraph, build_state,
-                  reliability, scc_cluster, select_batch)
+                  dense_batch, reliability, rho_inputs, scc_cluster, select_batch)
 from perc.clustering import _PairAgg
 from perc.reliability import block_connectivity, disconnectivity, spanning_products
-from perc.selection import _absent_spanning_pairs, _inter_gain
+from perc.selection import _inter_gain
 from perc.util import log10_clamped
 
 FRACTIONS = (0.0, 1.0, 0.5, 0.6, 0.4, 0.2, 0.8)
@@ -45,6 +46,22 @@ def graphs_with_clusterings(draw, max_records=9):
     for record, label in zip(graph.records, labels):
         groups.setdefault(label, []).append(record)
     return graph, Clustering(groups.values())
+
+
+def draw_allowed(data, graph):
+    """None, or a replay log's pair set drawn from all pairs."""
+    if not data.draw(st.booleans(), label="replay"):
+        return None
+    universe = list(itertools.combinations(graph.records, 2))
+    return frozenset(data.draw(st.lists(st.sampled_from(universe)), label="allowed"))
+
+
+def scan_absent_between(graph, left, right, allowed):
+    """Every pair across the two blocks, canonicalized, kept if absent (and
+    allowed), then sorted."""
+    pairs = [tuple(sorted((a, b))) for a in left for b in right]
+    return sorted(p for p in pairs
+                  if p not in graph.edges and (allowed is None or p in allowed))
 
 
 def reference_scc(graph):
@@ -95,8 +112,8 @@ def reference_select_batch(state, k):
             break
         if cand.scope[0] != "inter":
             continue
-        for pair in _absent_spanning_pairs(state.graph, cand.scope[1],
-                                           cand.scope[2], state.allowed):
+        for pair in scan_absent_between(state.graph, cand.scope[1],
+                                        cand.scope[2], state.allowed):
             if len(batch) < k and pair not in taken:
                 taken.add(pair)
                 batch.append(pair)
@@ -106,11 +123,38 @@ def reference_select_batch(state, k):
 def reference_inter(graph, clustering, allowed):
     inter = {}
     for bj, bk in clustering.block_pairs():
-        absent = _absent_spanning_pairs(graph, bj, bk, allowed)
+        absent = scan_absent_between(graph, bj, bk, allowed)
         if absent:
             dis = disconnectivity(graph, clustering, bj, bk)
             inter[(bj, bk)] = (absent[0], _inter_gain(dis, PARAMS))
     return inter
+
+
+def reference_dense_batch(graph, clustering, k, allowed):
+    """DENSE with every block pair ranked, every absent cross pair listed
+    under its pair's score, a full sort, then repeats dropped."""
+    ranked = sorted(((rho_inputs(graph, bj, bk).value, (bj, bk))
+                     for bj, bk in clustering.block_pairs()),
+                    key=lambda t: (-t[0], t[1]))
+    candidates = []
+    for score, (bj, bk) in ranked:
+        for a in bj:
+            for b in bk:
+                key = tuple(sorted((a, b)))
+                if key in graph.edges or (allowed is not None and key not in allowed):
+                    continue
+                candidates.append((-score, key))
+    candidates.sort()
+    out = []
+    seen = set()
+    for _, pair in candidates:
+        if pair in seen:
+            continue
+        seen.add(pair)
+        out.append(pair)
+        if len(out) >= k:
+            break
+    return out
 
 
 @ORACLE
@@ -150,11 +194,7 @@ def test_scc_cluster_equals_linear_scan(graph):
 @given(graphs_with_clusterings(max_records=7), st.data())
 def test_select_batch_equals_sorted_queue(case, data):
     graph, clustering = case
-    allowed = None
-    if data.draw(st.booleans(), label="replay"):
-        universe = list(itertools.combinations(graph.records, 2))
-        allowed = frozenset(data.draw(st.lists(st.sampled_from(universe)),
-                                      label="allowed"))
+    allowed = draw_allowed(data, graph)
     state = build_state(graph, clustering, PARAMS, allowed=allowed)
     assert state.inter == reference_inter(graph, clustering, allowed)
     ranked = [c.pair for c in state.entries()]
@@ -162,3 +202,26 @@ def test_select_batch_equals_sorted_queue(case, data):
         batch = select_batch(state, k)
         assert batch[:len(state)] == ranked[:k]
         assert batch == reference_select_batch(state, k)
+
+
+@ORACLE
+@given(graphs_with_clusterings(), st.data())
+def test_absent_pairs_between_equals_scan(case, data):
+    graph, clustering = case
+    allowed = draw_allowed(data, graph)
+    for bj, bk in clustering.block_pairs():
+        expected = scan_absent_between(graph, bj, bk, allowed)
+        assert list(graph.absent_pairs_between(bj, bk, allowed)) == expected
+        assert list(graph.absent_pairs_between(bk, bj, allowed)) == expected
+
+
+@ORACLE
+@given(graphs_with_clusterings(max_records=7), st.data())
+def test_dense_batch_equals_sort_then_dedupe(case, data):
+    graph, clustering = case
+    allowed = draw_allowed(data, graph)
+    absent = sum(len(scan_absent_between(graph, bj, bk, allowed))
+                 for bj, bk in clustering.block_pairs())
+    for k in range(1, absent + 3):
+        assert dense_batch(graph, clustering, k, allowed) == \
+            reference_dense_batch(graph, clustering, k, allowed)

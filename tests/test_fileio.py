@@ -94,6 +94,12 @@ class TestGoldCsv:
         with pytest.raises(ValueError, match="mystery"):
             read_gold_csv(path)
 
+    def test_rejects_empty_body(self, tmp_path):
+        path = tmp_path / "gold.csv"
+        path.write_text("record_id,entity_id\n")
+        with pytest.raises(ValueError, match="gold.csv: no records"):
+            read_gold_csv(path)
+
 
 class TestClustersCsv:
     def test_round_trip_and_block_ids(self, tmp_path):

@@ -95,7 +95,6 @@ class TestUncertainGraph:
         g2 = g.with_edge("B", "C", tally=VoteTally(yes=7, total=10))
         assert not g.has_edge("B", "C")
         assert g2.probability("B", "C") == 0.7
-        assert g2.tallies[("B", "C")] == VoteTally(yes=7, total=10)
 
     def test_with_edge_rejects_reask(self):
         g = UncertainGraph.from_probabilities("AB", {("A", "B"): 0.8})
@@ -112,6 +111,17 @@ class TestUncertainGraph:
     def test_absent_pairs_running_example(self, running_graph):
         assert list(running_graph.absent_pairs()) == [
             ("A", "D"), ("B", "C"), ("E", "H"), ("F", "G")]
+
+    def test_absent_pairs_between_interleaved_blocks(self):
+        # a < b < c < d: the blocks interleave, so canonical pairs come from
+        # both sides, and the walk must still give lexicographic order
+        g = UncertainGraph.from_probabilities("abcd", {("a", "c"): 0.5})
+        expected = [("a", "b"), ("b", "d"), ("c", "d")]
+        assert list(g.absent_pairs_between(("a", "d"), ("b", "c"))) == expected
+        assert list(g.absent_pairs_between(("b", "c"), ("a", "d"))) == expected
+        allowed = frozenset({("a", "c"), ("b", "d"), ("c", "d")})
+        assert list(g.absent_pairs_between(("a", "d"), ("b", "c"), allowed)) == \
+            [("b", "d"), ("c", "d")]
 
     def test_edges_within_and_between(self, running_graph):
         assert running_graph.edges_within(["A", "B"]) == [(("A", "B"), 0.8)]
@@ -130,7 +140,6 @@ class TestIngestVotes:
                                  (("C", "B"), VoteTally(2, 10))])
         assert g.probability("A", "B") == 0.8
         assert g.probability("B", "C") == 0.2
-        assert g.tallies[("B", "C")].yes == 2
 
     def test_rejects_duplicate_pair(self):
         with pytest.raises(ValueError, match=r"\('A', 'B'\)"):

@@ -1,6 +1,14 @@
-"""The package's public surface."""
+"""The package's public surface, and the names the benchmark patches."""
+
+import importlib
+import runpy
+from pathlib import Path
 
 import perc
+
+# run_path executes the file without importing it as a module, so nothing
+# is cached or written under perfbench/
+TRACER = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"))
 
 
 def test_every_exported_name_resolves():
@@ -10,3 +18,19 @@ def test_every_exported_name_resolves():
 
 def test_no_name_exported_twice():
     assert len(perc.__all__) == len(set(perc.__all__))
+
+
+def test_benchmark_patch_points_exist():
+    missing = []
+    for span, modules in TRACER["PATCHES"].items():
+        attr = span.split(".", 1)[1]
+        missing += [f"{mod}.{attr}" for mod in modules
+                    if not hasattr(importlib.import_module(mod), attr)]
+    missing += [f"UncertainGraph.{attr}" for attr in TRACER["METHODS"].values()
+                if not hasattr(perc.UncertainGraph, attr)]
+    # perfbench/worker.py swaps these perc.harness globals for counting wrappers
+    harness = importlib.import_module("perc.harness")
+    missing += [f"perc.harness.{name}" for name in
+                ("select_batch", "tc_batch", "dense_batch", "SimulatedOracle")
+                if not hasattr(harness, name)]
+    assert missing == []

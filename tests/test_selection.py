@@ -22,7 +22,7 @@ from conftest import random_small_graph
 
 def states_equal(a, b):
     return (a.intra == b.intra and a.inter == b.inter
-            and a.clustering == b.clustering)
+            and a.clustering == b.clustering and a.graph.edges == b.graph.edges)
 
 
 class TestPairPriority:
@@ -208,18 +208,18 @@ class TestRefreshAfterAnswer:
     def test_inter_answer_reprices_only_that_block_pair(self, running_graph,
                                                         running_clustering):
         state = build_state(running_graph, running_clustering)
+        intra, inter = state.intra, state.inter
+        before = dict(inter)
         g2 = running_graph.with_edge("E", "H", probability=0.2)
-        refreshed = refresh_after_answer(state, g2, running_clustering,
-                                         ("E", "H"), clustering_changed=False)
-        rebuilt = build_state(g2, running_clustering)
-        assert states_equal(refreshed, rebuilt)
-        assert not refreshed.rebuilt
+        refresh_after_answer(state, g2, ("E", "H"))
+        assert state.intra is intra and state.inter is inter
+        assert states_equal(state, build_state(g2, running_clustering))
         # the C3 x C4 disconnectivity rose to 1 - 0.3*0.7*0.2, repricing it
-        _, new_gain = refreshed.inter[(("E", "F"), ("G", "H"))]
+        _, new_gain = state.inter[(("E", "F"), ("G", "H"))]
         assert new_gain == pytest.approx(-math.log10(1 - 0.3 * 0.7 * 0.2))
         # the untouched block pair kept its exact entry object value
-        assert refreshed.inter[(("A", "B"), ("C", "D"))] == \
-            state.inter[(("A", "B"), ("C", "D"))]
+        assert state.inter[(("A", "B"), ("C", "D"))] == \
+            before[(("A", "B"), ("C", "D"))]
 
     def test_intra_answer_reprices_only_that_block(self):
         g = UncertainGraph.from_probabilities(
@@ -228,27 +228,13 @@ class TestRefreshAfterAnswer:
         c = Clustering([["A", "B", "C"], ["D", "E"]])
         state = build_state(g, c)
         g2 = g.with_edge("A", "C", probability=0.6)
-        refreshed = refresh_after_answer(state, g2, c, ("A", "C"),
-                                         clustering_changed=False)
-        assert states_equal(refreshed, build_state(g2, c))
-
-    def test_clustering_change_forces_rebuild(self):
-        g = UncertainGraph.from_probabilities(
-            "ABC", {("A", "B"): 0.9, ("B", "C"): 0.8})
-        c_old = Clustering([["A", "B", "C"]])
-        state = build_state(g, c_old)
-        g2 = g.with_edge("A", "C", probability=0.1)
-        c_new = Clustering([["A", "B"], ["C"]])
-        refreshed = refresh_after_answer(state, g2, c_new, ("A", "C"),
-                                         clustering_changed=True)
-        assert refreshed.rebuilt
-        assert states_equal(refreshed, build_state(g2, c_new))
+        refresh_after_answer(state, g2, ("A", "C"))
+        assert states_equal(state, build_state(g2, c))
 
     def test_refresh_requires_edge_in_graph(self, running_graph, running_clustering):
         state = build_state(running_graph, running_clustering)
         with pytest.raises(ValueError):
-            refresh_after_answer(state, running_graph, running_clustering,
-                                 ("E", "H"), clustering_changed=False)
+            refresh_after_answer(state, running_graph, ("E", "H"))
 
     def test_incremental_equals_scratch_over_many_answers(self):
         # Drive a whole instance to exhaustion, alternating intra and inter
@@ -264,7 +250,23 @@ class TestRefreshAfterAnswer:
                 if pair is None:
                     break
                 g = g.with_edge(*pair, probability=float(rng.random()))
-                state = refresh_after_answer(state, g, c, pair,
-                                             clustering_changed=False)
+                refresh_after_answer(state, g, pair)
                 assert states_equal(state, build_state(g, c))
             assert list(g.absent_pairs()) == []
+
+    def test_batched_answers_equal_scratch(self):
+        # One graph update carries a whole batch, then each answered pair is
+        # folded in by its own call, as the experiment loop does.
+        rng = np.random.default_rng(29)
+        for trial in range(8):
+            g = random_small_graph(rng, n_min=5, n_max=8, p_edge=0.4)
+            recs = list(g.records)
+            c = Clustering([recs[::2], recs[1::2]])
+            state = build_state(g, c)
+            while len(state):
+                batch = select_batch(state, 3)
+                for pair in batch:
+                    g = g.with_edge(*pair, probability=float(rng.random()))
+                for pair in batch:
+                    refresh_after_answer(state, g, pair)
+                assert states_equal(state, build_state(g, c))
