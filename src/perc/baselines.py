@@ -30,7 +30,7 @@ UNDECIDED = "undecided"
 class MajorityView:
     """Majority verdict per crowdsourced edge, plus inference helpers."""
 
-    __slots__ = ("verdicts", "_root", "_anti")
+    __slots__ = ("verdicts", "_root", "_settled")
 
     def __init__(self, graph: UncertainGraph):
         self.verdicts: dict[Pair, str] = {}
@@ -53,35 +53,21 @@ class MajorityView:
             else:
                 self.verdicts[(a, b)] = UNDECIDED
         self._root = {r: find(r) for r in graph.records}
-        self._anti: set[tuple[str, str]] = set()
+        # component root -> the roots settled against it: itself, and every
+        # component a non-match edge links it to
+        self._settled: dict[str, set[str]] = {r: {r} for r in self._root.values()}
         for (a, b), verdict in self.verdicts.items():
             if verdict == NON_MATCH:
                 ra, rb = self._root[a], self._root[b]
-                if ra != rb:
-                    self._anti.add((ra, rb) if ra < rb else (rb, ra))
+                self._settled[ra].add(rb)
+                self._settled[rb].add(ra)
 
     def verdict(self, a: str, b: str) -> str:
         return self.verdicts[canonical_pair(a, b)]
 
     def inferable(self, a: str, b: str) -> bool:
         """True when transitivity or anti-transitivity settles the pair."""
-        ra, rb = self._root[a], self._root[b]
-        if ra == rb:
-            return True
-        return ((ra, rb) if ra < rb else (rb, ra)) in self._anti
-
-
-def _tc_candidates(graph: UncertainGraph, view: MajorityView,
-                   allowed: frozenset | None, exclude: set[Pair]) -> list[Pair]:
-    out = []
-    for pair in graph.absent_pairs():
-        if pair in exclude:
-            continue
-        if allowed is not None and pair not in allowed:
-            continue
-        if not view.inferable(*pair):
-            out.append(pair)
-    return out
+        return self._root[b] in self._settled[self._root[a]]
 
 
 def tc_batch(graph: UncertainGraph, rng: np.random.Generator, k: int,
@@ -90,16 +76,30 @@ def tc_batch(graph: UncertainGraph, rng: np.random.Generator, k: int,
     if k < 1:
         raise ValueError(f"batch size must be positive, got {k}")
     view = MajorityView(graph)
-    exclude: set[Pair] = set()
+    root, edges, recs = view._root, graph.edges, graph.records
+    # absent, allowed and not inferable, in lexicographic order
+    candidates = []
+    for i, a in enumerate(recs):
+        settled = view._settled[root[a]]
+        for b in recs[i + 1:]:
+            if root[b] not in settled and (a, b) not in edges and (
+                    allowed is None or (a, b) in allowed):
+                candidates.append((a, b))
     out = []
-    for _ in range(k):
-        candidates = _tc_candidates(graph, view, allowed, exclude)
-        if not candidates:
-            break
-        pick = candidates[int(rng.integers(len(candidates)))]
-        out.append(pick)
-        exclude.add(pick)
+    while candidates and len(out) < k:
+        out.append(candidates.pop(int(rng.integers(len(candidates)))))
     return out
+
+
+def _ratio(values) -> float:
+    """prod(1 - p(a)) / prod(p(a)) over the values in order: how cheaply
+    the evidence can be denied.  p(a) > 0.5 for every classified edge, so
+    the denominator is positive."""
+    flipped = kept = 1.0
+    for pa in values:
+        flipped *= 1.0 - pa
+        kept *= pa
+    return flipped / kept
 
 
 @dataclass(frozen=True)
@@ -119,15 +119,8 @@ class RhoInputs:
     no: tuple[tuple[Pair, float], ...]
 
     @staticmethod
-    def _product(entries, complement: bool) -> float:
-        value = 1.0
-        for _, pa in entries:
-            value *= (1.0 - pa) if complement else pa
-        return value
-
-    def _ratio(self, entries) -> float:
-        # p(a) > 0.5 for every classified edge, so the denominator is positive
-        return self._product(entries, True) / self._product(entries, False)
+    def _ratio(entries) -> float:
+        return _ratio(pa for _, pa in entries)
 
     @property
     def outside_factor(self) -> float:
@@ -175,15 +168,65 @@ def rho_inputs(graph: UncertainGraph, block_a, block_b) -> RhoInputs:
                      yes=tuple(cross_pos), no=tuple(cross_neg))
 
 
+def _dense_scores(graph: UncertainGraph, clustering: Clustering) -> dict:
+    """``rho_inputs(graph, bj, bk).value`` for every block pair (bj, bk),
+    from one pass over the sorted edges.
+
+    Each block keeps its positive cross edges in edge order, tagged with
+    the other endpoint's block.  A pair's y1 is block A's list without the
+    entries tagged B, so every product multiplies the same floats in the
+    same order as :class:`RhoInputs` and the scores agree to the bit.
+    """
+    blocks = clustering.blocks
+    index = {r: i for i, block in enumerate(blocks) for r in block}
+    outside: list[list[tuple[int, float]]] = [[] for _ in blocks]
+    yes: dict[tuple[int, int], list[float]] = {}
+    no: dict[tuple[int, int], list[float]] = {}
+    for (a, b), p in graph.edge_items():
+        i, j = index[a], index[b]
+        if i == j or p == 0.5:
+            continue
+        key = (i, j) if i < j else (j, i)
+        if p > 0.5:
+            yes.setdefault(key, []).append(p)
+            outside[i].append((j, p))
+            outside[j].append((i, p))
+        else:
+            no.setdefault(key, []).append(1.0 - p)
+    # a block with no positive edge to its partner uses its whole list
+    whole = [_ratio(p for _, p in entries) for entries in outside]
+    scores = {}
+    for j in range(len(blocks)):
+        for k in range(j + 1, len(blocks)):
+            cross_yes = yes.get((j, k))
+            cross_no = no.get((j, k))
+            if cross_yes is None:
+                outside_factor = whole[j] * whole[k]
+            else:
+                outside_factor = (_ratio(p for tag, p in outside[j] if tag != k)
+                                  * _ratio(p for tag, p in outside[k] if tag != j))
+            factors = []
+            if cross_no:
+                factors.append(_ratio(cross_no))
+            if cross_yes:
+                factors.append(_ratio(cross_yes))
+            min_factor = min(factors) if factors else 1.0
+            scores[(blocks[j], blocks[k])] = outside_factor * min_factor
+    return scores
+
+
 def dense_batch(graph: UncertainGraph, clustering: Clustering, k: int,
                 allowed: frozenset | None = None) -> list[Pair]:
     """Up to k absent cross pairs, best block-pair scores first; within one
     score level pairs come out in lexicographic order."""
     if k < 1:
         raise ValueError(f"batch size must be positive, got {k}")
+    scores = _dense_scores(graph, clustering)
+    owner = clustering._owner
     candidates = []
-    for bj, bk in clustering.block_pairs():
-        score = rho_inputs(graph, bj, bk).value
-        candidates.extend((-score, pair) for pair in graph.absent_pairs_between(bj, bk, allowed))
-    # every cross pair spans exactly one block pair, so the keys are unique
+    for a, b in graph.absent_pairs():
+        ba, bb = owner[a], owner[b]
+        if ba is not bb and (allowed is None or (a, b) in allowed):
+            candidates.append((-scores[(ba, bb) if ba < bb else (bb, ba)], (a, b)))
+    # every pair comes up once, so the keys are unique
     return [pair for _, pair in heapq.nsmallest(k, candidates)]

@@ -22,10 +22,11 @@ from .fileio import (load_graph, read_clusters_csv, read_gold_csv,
                      read_records_csv, read_votes_csv, write_clusters_csv,
                      write_curve_csv, write_gold_csv, write_records_csv,
                      write_votes_csv)
-from .harness import (STRATEGIES, ConfigError, ExperimentConfig, RunResult,
+from .harness import (STRATEGIES, ExperimentConfig, RunResult,
                       precision_recall_f1, run_experiment, synth_world)
 from .reliability import ReliabilityParams
 from .selection import build_state, pair_priority, select_batch
+from .util import ConfigError
 
 _IO_KEYS = ("records", "gold", "replay", "out")
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .graph import Clustering, Pair, VoteTally
-from .util import canonical_pair, derive_seed, make_rng
+from .util import ConfigError, canonical_pair, derive_seed, make_rng
 
 
 class GoldClustering:
@@ -65,9 +65,10 @@ class WorkerModel:
 
     def __post_init__(self):
         if self.workers_per_pair < 1:
-            raise ValueError(f"need at least one worker, got {self.workers_per_pair}")
+            raise ConfigError("workers_per_pair",
+                              f"need at least one worker, got {self.workers_per_pair}")
         if not 0.0 <= self.error_rate <= 1.0:
-            raise ValueError(f"error rate {self.error_rate} outside [0, 1]")
+            raise ConfigError("error_rate", f"error rate {self.error_rate} outside [0, 1]")
 
 
 def simulate_votes(gold: GoldClustering, pair: Pair, model: WorkerModel,

@@ -27,6 +27,15 @@ def _open_reader(path):
     return open(path, newline="", encoding="utf-8")
 
 
+def _rows(reader):
+    """(line, row) for each non-empty row after the header.  The line is
+    the physical line the row ends on; after a quoted field that spans
+    lines it runs ahead of the row count."""
+    for row in reader:
+        if row:
+            yield reader.line_num, row
+
+
 def _check_header(row, expected, path, optional_tail=()):
     if row is None or row[:len(expected)] != expected:
         raise ValueError(f"{path}: expected header {','.join(expected)}, got "
@@ -61,9 +70,7 @@ def read_records_csv(path) -> list[str]:
         _check_header(next(reader, None), RECORDS_HEADER, path)
         out = []
         seen = set()
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
+        for lineno, row in _rows(reader):
             rid = _record_id(row, path, lineno, seen)
             seen.add(rid)
             out.append(rid)
@@ -92,9 +99,7 @@ def _vote_rows(path):
     with _open_reader(path) as fh:
         reader = csv.reader(fh)
         _check_header(next(reader, None), VOTES_HEADER, path)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
+        for lineno, row in _rows(reader):
             if len(row) != 4:
                 raise ValueError(f"{path}:{lineno}: expected 4 columns, got {len(row)}")
             a, b, yes, total = row
@@ -130,9 +135,7 @@ def read_gold_csv(path) -> GoldClustering:
         extra = _check_header(next(reader, None), GOLD_HEADER, path,
                               optional_tail=("difficulty",))
         has_difficulty = bool(extra)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
+        for lineno, row in _rows(reader):
             _check_min_columns(row, 2, path, lineno)
             rid = _record_id(row, path, lineno, entity)
             entity[rid] = row[1]
@@ -163,9 +166,7 @@ def read_clusters_csv(path) -> Clustering:
     with _open_reader(path) as fh:
         reader = csv.reader(fh)
         _check_header(next(reader, None), CLUSTERS_HEADER, path)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
+        for lineno, row in _rows(reader):
             _check_min_columns(row, 2, path, lineno)
             rid = _record_id(row, path, lineno, seen)
             seen.add(rid)
@@ -204,9 +205,7 @@ def read_curve_csv(path) -> list[MetricsSnapshot]:
     with _open_reader(path) as fh:
         reader = csv.reader(fh)
         _check_header(next(reader, None), CURVE_HEADER, path)
-        for row in reader:
-            if not row:
-                continue
+        for _, row in _rows(reader):
             out.append(MetricsSnapshot(questions_asked=int(row[0]),
                                        precision=float(row[1]), recall=float(row[2]),
                                        f1=float(row[3]), reliability=float(row[4]),

@@ -19,21 +19,13 @@ from .crowd import (GoldClustering, Oracle, ReplayOracle, SimulatedOracle,
 from .graph import Clustering, Pair, UncertainGraph
 from .reliability import ReliabilityParams, reliability
 from .selection import build_state, refresh_after_answer, select_batch
-from .util import canonical_pair, derive_seed, make_rng
+from .util import ConfigError, canonical_pair, derive_seed, make_rng
 
 log = logging.getLogger(__name__)
 
 STRATEGIES = ("perc", "tc", "dense")
 
 NAN = float("nan")
-
-
-class ConfigError(ValueError):
-    """An ExperimentConfig value that fails its check; ``field`` names it."""
-
-    def __init__(self, field: str, message: str):
-        super().__init__(message)
-        self.field = field
 
 
 @dataclass(frozen=True)
@@ -68,6 +60,9 @@ class ExperimentConfig:
                               f"batch_size={self.batch_size} exceeds budget={self.budget}")
         if self.eval_every < 1:
             raise ConfigError("eval_every", f"eval_every must be >= 1, got {self.eval_every}")
+        # the crowd and reliability parameters check their own fields
+        self.worker_model()
+        self.reliability_params()
 
     def worker_model(self) -> WorkerModel:
         return WorkerModel(workers_per_pair=self.workers_per_pair,

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import Clustering, Pair, UncertainGraph
-from .util import canonical_pair, derive_seed, log10_clamped, make_rng
+from .util import ConfigError, canonical_pair, derive_seed, log10_clamped, make_rng
 
 
 @dataclass(frozen=True)
@@ -38,11 +38,12 @@ class ReliabilityParams:
 
     def __post_init__(self):
         if self.mc_samples < 1:
-            raise ValueError(f"mc_samples must be positive, got {self.mc_samples}")
+            raise ConfigError("mc_samples", f"mc_samples must be positive, got {self.mc_samples}")
         if not 0.0 < self.epsilon < 1e-3:
-            raise ValueError(f"epsilon must sit in (0, 1e-3), got {self.epsilon}")
+            raise ConfigError("epsilon", f"epsilon must sit in (0, 1e-3), got {self.epsilon}")
         if self.exact_edge_limit < 0:
-            raise ValueError(f"exact_edge_limit must be >= 0, got {self.exact_edge_limit}")
+            raise ConfigError("exact_edge_limit",
+                              f"exact_edge_limit must be >= 0, got {self.exact_edge_limit}")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
-"""Small shared helpers: canonical pair keys, base-10 logs, seed derivation.
+"""Small shared helpers: the parameter error, canonical pair keys, base-10
+logs, seed derivation.
 
 Every probability-like quantity in this package is kept in log space with
 base 10, so the worked numbers in docstrings and tests read directly as
@@ -13,6 +14,15 @@ import math
 import numpy as np
 
 NEG_INF = float("-inf")
+
+
+class ConfigError(ValueError):
+    """A parameter value that fails its check; ``field`` names the
+    ExperimentConfig field that carries it."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
 
 
 def canonical_pair(a: str, b: str) -> tuple[str, str]:

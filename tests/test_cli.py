@@ -263,7 +263,13 @@ class TestConfigFile:
         ("strategy = x", "unknown strategy 'x', pick one of ('perc', 'tc', 'dense')"),
         ("initial = 500", "initial_pairs=500 must sit in 0..budget (100)"),
         ("eval_every = 0", "eval_every must be >= 1, got 0"),
-    ], ids=["budget", "strategy", "initial", "eval-every"])
+        ("workers = 0", "need at least one worker, got 0"),
+        ("error_rate = 2.0", "error rate 2.0 outside [0, 1]"),
+        ("mc_samples = 0", "mc_samples must be positive, got 0"),
+        ("epsilon = 0.5", "epsilon must sit in (0, 1e-3), got 0.5"),
+        ("exact_edge_limit = -1", "exact_edge_limit must be >= 0, got -1"),
+    ], ids=["budget", "strategy", "initial", "eval-every", "workers", "error-rate",
+            "mc-samples", "epsilon", "exact-edge-limit"])
     def test_rejected_value_names_file_and_line(self, tmp_path, capsys, line, message):
         main(["synth", "--entities", "2", "--records", "4", "--out", str(tmp_path)])
         cfg = tmp_path / "run.cfg"
@@ -274,7 +280,8 @@ class TestConfigFile:
         assert capsys.readouterr().err == f"error: {cfg}:4: {message}\n"
         # a flag for the same option replaces the file's value
         flag = "--" + line.split(" = ")[0].replace("_", "-")
-        fixed = {"--strategy": "tc", "--eval-every": "1"}.get(flag, "5")
+        fixed = {"--strategy": "tc", "--eval-every": "1", "--error-rate": "0.1",
+                 "--epsilon": "1e-9"}.get(flag, "5")
         assert main(["run", "--config", str(cfg), flag, fixed]) == 0
         capsys.readouterr()
 

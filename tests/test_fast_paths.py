@@ -3,43 +3,50 @@
 Random small graphs and clusterings with tie-prone edge fractions (0/1,
 1/2, 3/5, ...) are pushed through the fast paths and through references
 that price each block pair on its own: disconnectivity per pair, a
-linear-scan agglomerative merge, a full sort of the queue, and a scan of
-all |A|·|B| pairs for the absent cross pairs.  Values must agree bit for
+linear-scan agglomerative merge, a full sort of the queue, a scan of all
+|A|·|B| pairs for the absent cross pairs, rho_inputs per block pair and a
+rescan of TC's candidates before each pick.  Values must agree bit for
 bit, since curve bytes depend on them.
 """
 
 import itertools
 
+import numpy as np
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perc import (Clustering, ReliabilityParams, UncertainGraph, build_state,
-                  dense_batch, reliability, rho_inputs, scc_cluster, select_batch)
+                  dense_batch, reliability, rho_inputs, scc_cluster, select_batch,
+                  tc_batch)
+from perc.baselines import _dense_scores
 from perc.clustering import _PairAgg
 from perc.reliability import block_connectivity, disconnectivity, spanning_products
 from perc.selection import _inter_gain
 from perc.util import log10_clamped
 
 FRACTIONS = (0.0, 1.0, 0.5, 0.6, 0.4, 0.2, 0.8)
+# products of these round differently when multiplied in another order
+ROUNDING_FRACTIONS = FRACTIONS + (0.7, 0.9, 2 / 3, 0.3)
 NAMES = "QWERTYUIOP"
 PARAMS = ReliabilityParams(mc_samples=40, exact_edge_limit=8)
 ORACLE = settings(max_examples=150, deadline=None)
 
 
 @st.composite
-def graphs(draw, max_records=9):
+def graphs(draw, max_records=9, fractions=FRACTIONS):
     n = draw(st.integers(2, max_records))
     records = draw(st.permutations(NAMES))[:n]
     pairs = list(itertools.combinations(sorted(records), 2))
-    values = draw(st.lists(st.one_of(st.none(), st.sampled_from(FRACTIONS)),
+    values = draw(st.lists(st.one_of(st.none(), st.sampled_from(fractions)),
                            min_size=len(pairs), max_size=len(pairs)))
     probs = {pair: p for pair, p in zip(pairs, values) if p is not None}
     return UncertainGraph.from_probabilities(records, probs)
 
 
 @st.composite
-def graphs_with_clusterings(draw, max_records=9):
-    graph = draw(graphs(max_records))
+def graphs_with_clusterings(draw, max_records=9, fractions=FRACTIONS):
+    graph = draw(graphs(max_records, fractions))
     labels = draw(st.lists(st.integers(0, len(graph.records) - 1),
                            min_size=len(graph.records), max_size=len(graph.records)))
     groups: dict[int, list[str]] = {}
@@ -157,6 +164,39 @@ def reference_dense_batch(graph, clustering, k, allowed):
     return out
 
 
+def reference_open_pairs(graph, allowed):
+    """Absent (and allowed) pairs that majority verdicts leave open, in
+    lexicographic order: match edges merge components by relabelling, and
+    a non-match edge settles every pair across its two components."""
+    comp = {r: frozenset([r]) for r in graph.records}
+    for (a, b), p in graph.edge_items():
+        if p > 0.5 and comp[a] != comp[b]:
+            merged = comp[a] | comp[b]
+            for r in merged:
+                comp[r] = merged
+    settled = set()
+    for (a, b), p in graph.edge_items():
+        if p < 0.5:
+            settled.update(tuple(sorted(pair)) for pair in itertools.product(comp[a], comp[b]))
+    return [(a, b) for a, b in graph.absent_pairs()
+            if comp[a] != comp[b] and (a, b) not in settled
+            and (allowed is None or (a, b) in allowed)]
+
+
+def reference_tc_batch(graph, seed, k, allowed):
+    """TC rebuilding its candidate list, minus the pairs already drawn,
+    before every pick."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(k):
+        candidates = [pair for pair in reference_open_pairs(graph, allowed)
+                      if pair not in out]
+        if not candidates:
+            break
+        out.append(candidates[int(rng.integers(len(candidates)))])
+    return out
+
+
 @ORACLE
 @given(graphs_with_clusterings())
 def test_spanning_products_equal_disconnectivity(case):
@@ -225,3 +265,22 @@ def test_dense_batch_equals_sort_then_dedupe(case, data):
     for k in range(1, absent + 3):
         assert dense_batch(graph, clustering, k, allowed) == \
             reference_dense_batch(graph, clustering, k, allowed)
+
+
+@settings(max_examples=400, deadline=None)
+@given(graphs_with_clusterings(fractions=ROUNDING_FRACTIONS))
+def test_dense_scores_equal_rho_inputs(case):
+    graph, clustering = case
+    scores = _dense_scores(graph, clustering)
+    assert list(scores) == list(clustering.block_pairs())
+    for (bj, bk), score in scores.items():
+        assert score == rho_inputs(graph, bj, bk).value
+
+
+@ORACLE
+@given(graphs(), st.integers(0, 2**32 - 1), st.data())
+def test_tc_batch_equals_rescan(graph, seed, data):
+    allowed = draw_allowed(data, graph)
+    for k in range(1, len(reference_open_pairs(graph, allowed)) + 3):
+        assert tc_batch(graph, np.random.default_rng(seed), k, allowed) == \
+            reference_tc_batch(graph, seed, k, allowed)

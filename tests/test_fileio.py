@@ -153,3 +153,24 @@ class TestLoadGraph:
                         [(("a", "z"), VoteTally(1, 5))])
         with pytest.raises(ValueError):
             load_graph(tmp_path / "records.csv", tmp_path / "votes.csv")
+
+
+class TestPhysicalLines:
+    """Errors cite the line a row ends on, also after a quoted field that
+    spans two lines (rows 2-3 below)."""
+
+    @pytest.mark.parametrize("reader, text, message", [
+        (read_records_csv, 'record_id\na,"x\ny"\nb\nb\n', "5: record 'b' listed twice"),
+        (read_votes_csv, 'record_a,record_b,yes,total\na,b,"3\n",5\nc,d,1,5\nc,d,1,5\n',
+         "5: pair ('c', 'd') already listed on line 4"),
+        (read_gold_csv, 'record_id,entity_id\na,"x\ny"\nb,x\nb,x\n',
+         "5: record 'b' listed twice"),
+        (read_clusters_csv, 'record_id,cluster_id\na,"x\ny"\nb,x\nb,x\n',
+         "5: record 'b' listed twice"),
+    ], ids=["records", "votes", "gold", "clusters"])
+    def test_error_line_follows_multiline_field(self, tmp_path, reader, text, message):
+        path = tmp_path / "file.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            reader(path)
+        assert str(exc.value) == f"{path}:{message}"
