@@ -15,6 +15,7 @@ import math
 
 from .graph import (Clustering, Pair, UncertainGraph, clustering_log_likelihood,
                     enumerate_partitions)
+from .reliability import _UnionFind
 from .util import canonical_pair
 
 MAX_BRUTEFORCE_RECORDS = 10
@@ -99,25 +100,40 @@ def scc_cluster(graph: UncertainGraph) -> Clustering:
     pair whose (min member, other block's min member) key is
     lexicographically smallest, which pins the merge order.
 
+    A merge probability above one half needs prod(p) > prod(1 - p), so at
+    least one spanning edge with p > 1/2: blocks only ever merge inside a
+    connected component of those edges.  Edges between two components feed
+    aggregates that stay at or below one half, so they are never tallied.
+
     Candidates sit in a heap keyed (-probability, order key); entries of a
     block that has since been merged away are skipped when popped.  Order
     keys of live blocks are unique, so the pop order is the ranking above.
     """
-    blocks: dict[int, tuple[str, ...]] = {i: (r,) for i, r in enumerate(graph.records)}
-    owner = {r: i for i, r in enumerate(graph.records)}
+    records = graph.records
+    owner = {r: i for i, r in enumerate(records)}
+    edges = [(owner[a], owner[b], p) for (a, b), p in graph.edge_items()]
+    components = _UnionFind(len(records))
+    for ia, ib, p in edges:
+        if p > 0.5:
+            components.union(ia, ib)
+
+    blocks: dict[int, tuple[str, ...]] = {i: (r,) for i, r in enumerate(records)}
     agg: dict[tuple[int, int], _PairAgg] = {}
     neighbours: dict[int, set[int]] = {i: set() for i in blocks}
-    for (a, b), p in graph.edge_items():
-        key = (owner[a], owner[b]) if owner[a] < owner[b] else (owner[b], owner[a])
-        entry = agg.get(key)
+    for ia, ib, p in edges:  # ia < ib: records are sorted, edges canonical
+        if components.find(ia) != components.find(ib):
+            continue
+        entry = agg.get((ia, ib))
         if entry is None:
-            entry = agg[key] = _PairAgg()
-            neighbours[key[0]].add(key[1])
-            neighbours[key[1]].add(key[0])
+            entry = agg[(ia, ib)] = _PairAgg()
+            neighbours[ia].add(ib)
+            neighbours[ib].add(ia)
         entry.add_edge(p)
 
     def candidate(ia: int, ib: int, entry: _PairAgg):
-        return (-entry.probability(), canonical_pair(blocks[ia][0], blocks[ib][0]), (ia, ib))
+        # members are sorted, so [0] is a block's min member
+        fa, fb = blocks[ia][0], blocks[ib][0]
+        return (-entry.probability(), (fa, fb) if fa < fb else (fb, fa), (ia, ib))
 
     heap = [candidate(ia, ib, entry) for (ia, ib), entry in agg.items()]
     heapq.heapify(heap)

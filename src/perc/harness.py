@@ -290,7 +290,8 @@ def run_experiment(config: ExperimentConfig, records, gold: GoldClustering | Non
         if config.strategy == "perc":
             params = config.reliability_params(round_index)
             if clustering_changed:
-                state = build_state(graph, clustering, params, allowed=allowed)
+                state = build_state(graph, clustering, params, allowed=allowed,
+                                    previous=state)
             else:
                 for pair, _ in answered:
                     refresh_after_answer(state, graph, pair, params)

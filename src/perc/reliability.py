@@ -72,18 +72,24 @@ def _check_block(clustering: Clustering, block) -> tuple[str, ...]:
     return key
 
 
-def spanning_products(graph: UncertainGraph,
-                      clustering: Clustering) -> dict[tuple[tuple[str, ...], tuple[str, ...]], float]:
+def spanning_products(graph: UncertainGraph, clustering: Clustering,
+                      blocks: set | None = None) -> dict[tuple[tuple[str, ...], tuple[str, ...]], float]:
     """prod(p) over the edges spanning each block pair, in one edge pass.
 
     Keys are (block_j, block_k) with block_j < block_k, as
     Clustering.block_pairs yields them; pairs with no spanning edge have no
-    entry.  Edges are folded in canonical order, the order disconnectivity
+    entry, and with ``blocks`` given, neither do pairs that have no block in
+    it.  Edges are folded in canonical order, the order disconnectivity
     multiplies them in, so 1 - prod equals its value exactly.
     """
     owner = clustering._owner
+    edges = graph.edges.items()
+    if blocks is not None:
+        members = {r for block in blocks for r in block}
+        edges = [(pair, p) for pair, p in edges
+                 if pair[0] in members or pair[1] in members]
     products: dict[tuple[tuple[str, ...], tuple[str, ...]], float] = {}
-    for (a, b), p in graph.edge_items():
+    for (a, b), p in sorted(edges):
         ba = owner[a]
         bb = owner[b]
         if ba is bb:
@@ -115,10 +121,10 @@ def disconnectivity(graph: UncertainGraph, clustering: Clustering,
     return 1.0 - prod_all_no_fail
 
 
-def _indexed_intra_edges(graph: UncertainGraph, block: tuple[str, ...],
+def _indexed_intra_edges(members: tuple[str, ...], within: list[tuple[Pair, float]],
                          extra_pair: Pair | None = None) -> list[tuple[int, int, float]]:
-    index = {r: i for i, r in enumerate(block)}
-    edges = [(index[a], index[b], p) for (a, b), p in graph.edges_within(block)]
+    index = {r: i for i, r in enumerate(members)}
+    edges = [(index[a], index[b], p) for (a, b), p in within]
     if extra_pair is not None:
         a, b = canonical_pair(*extra_pair)
         if a not in index or b not in index:
@@ -196,6 +202,10 @@ def _exact_connect_prob(n: int, edges: list[tuple[int, int, float]]) -> float:
     return solve(_UnionFind(n), 0)
 
 
+# coins drawn from the generator at a time by the Monte Carlo sampler
+_COIN_CHUNK = 4096
+
+
 def _sampled_connect_prob(n: int, edges: list[tuple[int, int, float]],
                           samples: int, rng) -> float:
     """Monte Carlo connectivity: fraction of sampled worlds where a BFS from
@@ -203,7 +213,9 @@ def _sampled_connect_prob(n: int, edges: list[tuple[int, int, float]],
 
     Edges are realized lazily when the BFS frontier first touches them and
     the coin is remembered, so each edge is flipped at most once per world
-    and unreached parts of the graph cost nothing.
+    and unreached parts of the graph cost nothing.  Coins are read in that
+    order from bulk draws of the generator, which yields the same doubles
+    as one ``rng.random()`` call per coin; draws left unread are dropped.
     """
     if n <= 1:
         return 1.0
@@ -213,6 +225,10 @@ def _sampled_connect_prob(n: int, edges: list[tuple[int, int, float]],
         adjacency[v].append((u, eid, p))
     if not adjacency[0] and n > 1:
         return 0.0
+    # no run reads more than one coin per edge and world
+    chunk = min(_COIN_CHUNK, samples * len(edges))
+    coins: list[float] = []
+    used = 0
     hits = 0
     for _ in range(samples):
         decided: dict[int, bool] = {}
@@ -227,7 +243,11 @@ def _sampled_connect_prob(n: int, edges: list[tuple[int, int, float]],
                     continue
                 present = decided.get(eid)
                 if present is None:
-                    present = rng.random() < p
+                    if used == len(coins):
+                        coins = rng.random(chunk).tolist()
+                        used = 0
+                    present = coins[used] < p
+                    used += 1
                     decided[eid] = present
                 if present:
                     visited[other] = True
@@ -238,35 +258,33 @@ def _sampled_connect_prob(n: int, edges: list[tuple[int, int, float]],
     return hits / samples
 
 
-def _mc_estimate(graph: UncertainGraph, members: tuple[str, ...],
-                 params: ReliabilityParams, extra_pair: Pair | None) -> ConnectivityEstimate:
-    # the stream seed folds the members into params.seed, so every evaluation
-    # of one block under one params reuses one stream (common random numbers)
-    seed = derive_seed(params.seed, "connectivity", members)
-    edges = _indexed_intra_edges(graph, members, extra_pair)
-    value = _sampled_connect_prob(len(members), edges, params.mc_samples, make_rng(seed))
-    return ConnectivityEstimate(value=value, method="monte-carlo",
-                                samples=params.mc_samples, seed=seed)
-
-
 def block_connectivity(graph: UncertainGraph, block, params: ReliabilityParams,
-                       extra_pair: Pair | None = None) -> ConnectivityEstimate:
+                       extra_pair: Pair | None = None, *,
+                       gain_base: bool = False) -> ConnectivityEstimate:
     """Connectivity with automatic method choice, optionally with one
     hypothetical certain edge added inside the block.
 
     The method is picked from the edge count including the hypothetical
-    edge, so a with/without comparison for the same block always uses one
-    method (and, in the sampled case, one stream).
+    edge.  A block with exactly exact_edge_limit edges is therefore solved
+    exactly on its own but sampled with any extra pair; gain_base prices it
+    without the pair by the method (and, sampled, the stream) its with-pair
+    values use, so an intra gain never compares an exact value against a
+    sampled one.
     """
     members = tuple(sorted(set(block)))
     if not members:
         raise ValueError("block is empty")
-    count = len(graph.edges_within(members)) + (1 if extra_pair is not None else 0)
-    if count <= params.exact_edge_limit:
-        edges = _indexed_intra_edges(graph, members, extra_pair)
+    within = graph.edges_within(members)
+    edges = _indexed_intra_edges(members, within, extra_pair)
+    if len(within) + (extra_pair is not None or gain_base) <= params.exact_edge_limit:
         return ConnectivityEstimate(value=_exact_connect_prob(len(members), edges),
                                     method="exact")
-    return _mc_estimate(graph, members, params, extra_pair)
+    # the stream seed folds the members into params.seed, so every evaluation
+    # of one block under one params reuses one stream (common random numbers)
+    seed = derive_seed(params.seed, "connectivity", members)
+    value = _sampled_connect_prob(len(members), edges, params.mc_samples, make_rng(seed))
+    return ConnectivityEstimate(value=value, method="monte-carlo",
+                                samples=params.mc_samples, seed=seed)
 
 
 def reliability(graph: UncertainGraph, clustering: Clustering,
@@ -285,11 +303,18 @@ def reliability(graph: UncertainGraph, clustering: Clustering,
         total += log10_clamped(est.value, params.epsilon)
     disconnect_parts = []
     products = spanning_products(graph, clustering)
-    for key in clustering.block_pairs():
-        prod = products.get(key)
-        d = 0.0 if prod is None else 1.0 - prod
-        disconnect_parts.append(d)
-        total += log10_clamped(d, params.epsilon)
+    unspanned = log10_clamped(0.0, params.epsilon)
+    blocks = clustering.blocks
+    for j, bj in enumerate(blocks):
+        for bk in blocks[j + 1:]:
+            prod = products.get((bj, bk))
+            if prod is None:
+                disconnect_parts.append(0.0)
+                total += unspanned
+            else:
+                d = 1.0 - prod
+                disconnect_parts.append(d)
+                total += log10_clamped(d, params.epsilon)
     return ReliabilityScore(value=total,
                             block_connectivity=tuple(connect_parts),
                             pair_disconnectivity=tuple(disconnect_parts))

@@ -13,14 +13,15 @@ lexicographically smallest absent spanning pair.
 
 The state is cached between rounds.  An answer re-triggers work only where
 terms actually moved: an intra answer reprices its own block's candidates
-and a cross answer reprices its block pair's representative.  A clustering
-change invalidates every term, so the caller builds a fresh state.
+and a cross answer reprices its block pair's representative.  After a
+clustering change, build_state(previous=state) carries over the entries of
+the blocks and block pairs that survived it untouched, and prices the rest.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .graph import Clustering, Pair, UncertainGraph
 from .reliability import (ReliabilityParams, block_connectivity, disconnectivity,
@@ -101,7 +102,7 @@ def pair_priority(graph: UncertainGraph, clustering: Clustering, pair: Pair,
     block_a = clustering.block_of(a)
     block_b = clustering.block_of(b)
     if block_a == block_b:
-        base = block_connectivity(graph, block_a, params).value
+        base = block_connectivity(graph, block_a, params, gain_base=True).value
         gain = _intra_gain(graph, block_a, (a, b), params, base)
         return CandidatePriority((a, b), gain, ("intra", block_a))
     bj, bk = sorted((block_a, block_b))
@@ -125,7 +126,7 @@ def _intra_entries_for_block(graph: UncertainGraph, block: Block,
     pairs = _absent_intra_pairs(graph, block, allowed)
     if not pairs:
         return {}
-    base = block_connectivity(graph, block, params).value
+    base = block_connectivity(graph, block, params, gain_base=True).value
     return {pair: _intra_gain(graph, block, pair, params, base) for pair in pairs}
 
 
@@ -137,27 +138,107 @@ def _inter_entry(graph: UncertainGraph, bj: Block, bk: Block, dis: float,
     return None if rep is None else (rep, _inter_gain(dis, params))
 
 
+def _new_edges(previous: PriorityState, graph: UncertainGraph,
+               params: ReliabilityParams, allowed: frozenset | None) -> list[Pair]:
+    """The edges graph adds to previous.graph, once previous is known to
+    have priced the same records with the same params (seed aside) and
+    allowed pairs."""
+    if (previous.graph.records != graph.records
+            or (previous.allowed is not allowed and previous.allowed != allowed)
+            or replace(previous.params, seed=params.seed) != params):
+        raise ValueError("previous state priced other records, params or allowed pairs")
+    old = previous.graph.edges
+    new = [pair for pair in graph.edges if pair not in old]
+    if len(graph.edges) - len(new) != len(old):
+        raise ValueError("previous state's graph has edges this graph lacks")
+    return new
+
+
 def build_state(graph: UncertainGraph, clustering: Clustering,
                 params: ReliabilityParams | None = None, *,
-                allowed: frozenset | None = None) -> PriorityState:
-    """Price every candidate from scratch for the given clustering."""
+                allowed: frozenset | None = None,
+                previous: PriorityState | None = None) -> PriorityState:
+    """Price every candidate for the given clustering.
+
+    ``previous`` is a state of the same records under an earlier clustering,
+    built with the same params (seed aside) and allowed pairs, whose graph
+    this graph extends.  Entries whose inputs did not change are carried
+    over from it instead of repriced:
+
+    - the intra entries of a surviving block with no new intra edge, when
+      its candidates are priced exactly (exact values ignore the seed);
+    - the inter entry of a surviving block pair with no new spanning edge.
+
+    New blocks and every block pair involving one, blocks and block pairs
+    that a new edge touched, and sampled blocks are priced afresh, so the
+    result equals a build without ``previous``.  ``previous`` is consumed
+    and must not be used afterwards.
+    """
     params = params or ReliabilityParams()
     if clustering.records != set(graph.records):
         raise ValueError("clustering does not cover exactly the graph's records")
+    blocks = clustering.blocks
+    owner = clustering._owner
+    survivors: set[Block] = set()
+    touched_blocks: set[Block] = set()
+    touched_pairs: set[BlockPairKey] = set()
+    kept: dict[Block, list[Pair]] = {}  # intra entries of untouched survivors
+    if previous is not None:
+        survivors = set(previous.clustering.blocks).intersection(blocks)
+        for a, b in _new_edges(previous, graph, params, allowed):
+            ba, bb = owner[a], owner[b]
+            if ba is bb:
+                touched_blocks.add(ba)
+            elif ba in survivors and bb in survivors:
+                touched_pairs.add((ba, bb) if ba < bb else (bb, ba))
+        # a surviving block's members had that block before, so its
+        # entries are the ones whose first member it still owns
+        for pair in previous.intra:
+            block = owner[pair[0]]
+            if block in survivors and block not in touched_blocks:
+                kept.setdefault(block, []).append(pair)
+
     intra: dict[Pair, float] = {}
-    for block in clustering.blocks:
-        intra.update(_intra_entries_for_block(graph, block, params, allowed))
+    for block, pairs in kept.items():
+        # m + 1 <= limit: the block and each block + pair are solved exactly
+        if len(graph.edges_within(block)) < params.exact_edge_limit:
+            intra.update((pair, previous.intra[pair]) for pair in pairs)
+        else:
+            intra.update(_intra_entries_for_block(graph, block, params, allowed))
+    for block in blocks:
+        # a surviving untouched block without entries still has no candidates
+        if block not in survivors or block in touched_blocks:
+            intra.update(_intra_entries_for_block(graph, block, params, allowed))
+
     inter: dict[BlockPairKey, tuple[Pair, float]] = {}
-    products = spanning_products(graph, clustering)
+    fresh = [block not in survivors for block in blocks]
+    priced = None
+    if previous is not None:
+        inter = previous.inter
+        old_blocks = previous.clustering.blocks
+        for dead in old_blocks:
+            if dead not in survivors:
+                for other in old_blocks:
+                    if other is not dead:
+                        inter.pop((dead, other) if dead < other else (other, dead), None)
+        for key in touched_pairs:
+            inter.pop(key, None)  # priced again below
+        priced = {block for block, new in zip(blocks, fresh) if new}
+        priced.update(block for key in touched_pairs for block in key)
+    products = spanning_products(graph, clustering, priced)
     unspanned_gain = _inter_gain(0.0, params)
-    for key in clustering.block_pairs():
-        bj, bk = key
+    # each pair with a new block once: blocks are sorted, so j < k orders it
+    keys = [(bj, bk) if j < k else (bk, bj)
+            for j, bj in enumerate(blocks) if fresh[j]
+            for k, bk in enumerate(blocks) if k > j or (k < j and not fresh[k])]
+    keys.extend(touched_pairs)
+    for key in keys:
         prod = products.get(key)
         if prod is None and allowed is None:
             # every spanning pair is absent; the smallest is (min, min)
-            inter[key] = ((bj[0], bk[0]), unspanned_gain)
+            inter[key] = ((key[0][0], key[1][0]), unspanned_gain)
             continue
-        entry = _inter_entry(graph, bj, bk, 0.0 if prod is None else 1.0 - prod,
+        entry = _inter_entry(graph, key[0], key[1], 0.0 if prod is None else 1.0 - prod,
                              params, allowed)
         if entry is not None:
             inter[key] = entry
@@ -169,11 +250,12 @@ def refresh_after_answer(state: PriorityState, graph: UncertainGraph,
     """Fold one crowdsourced answer into the cached state, in place.
 
     graph must already contain the answered edge and the clustering must
-    still be ``state.clustering`` (after a change, build a fresh state);
-    call once for each pair a graph update added.  Only the entries whose
-    reliability term the answer touched are repriced: the answered block's
-    intra candidates, or the answered block pair's representative.  The
-    rest stand, since this edge leaves their inputs untouched.
+    still be ``state.clustering`` (after a change, pass the state to
+    build_state as ``previous`` instead); call once for each pair a graph
+    update added.  Only the entries whose reliability term the answer
+    touched are repriced: the answered block's intra candidates, or the
+    answered block pair's representative.  The rest stand, since this edge
+    leaves their inputs untouched.
     """
     key = canonical_pair(*answered_pair)
     if not graph.has_edge(*key):

@@ -3,17 +3,20 @@
 Random small graphs and clusterings with tie-prone edge fractions (0/1,
 1/2, 3/5, ...) are pushed through the fast paths and through references
 that price each block pair on its own: disconnectivity per pair, a
-linear-scan agglomerative merge, a full sort of the queue, a scan of all
-|A|·|B| pairs for the absent cross pairs, rho_inputs per block pair and a
-rescan of TC's candidates before each pick.  Values must agree bit for
-bit, since curve bytes depend on them.
+linear-scan agglomerative merge over every edge, a full sort of the queue,
+a scan of all |A|·|B| pairs for the absent cross pairs, rho_inputs per
+block pair, a rescan of TC's candidates before each pick, a Monte Carlo
+sampler that draws one coin per call, and a cold build_state after every
+recluster.  Values must agree bit for bit, since curve bytes depend on
+them.
 """
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from perc import (Clustering, ReliabilityParams, UncertainGraph, build_state,
@@ -21,9 +24,10 @@ from perc import (Clustering, ReliabilityParams, UncertainGraph, build_state,
                   tc_batch)
 from perc.baselines import _dense_scores
 from perc.clustering import _PairAgg
-from perc.reliability import block_connectivity, disconnectivity, spanning_products
+from perc.reliability import (_sampled_connect_prob, block_connectivity, disconnectivity,
+                              spanning_products)
 from perc.selection import _inter_gain
-from perc.util import log10_clamped
+from perc.util import log10_clamped, make_rng
 
 FRACTIONS = (0.0, 1.0, 0.5, 0.6, 0.4, 0.2, 0.8)
 # products of these round differently when multiplied in another order
@@ -53,6 +57,32 @@ def graphs_with_clusterings(draw, max_records=9, fractions=FRACTIONS):
     for record, label in zip(graph.records, labels):
         groups.setdefault(label, []).append(record)
     return graph, Clustering(groups.values())
+
+
+@st.composite
+def component_graphs(draw, max_records=10):
+    """Groups of records, each held together by a path of p > 1/2 edges
+    plus random edges inside, with edges at p 0, 1/2 or 0.3 between
+    groups: several components of the p > 1/2 edges that cross evidence
+    joins."""
+    n = draw(st.integers(2, max_records))
+    records = sorted(draw(st.permutations(NAMES))[:n])
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=n - 1)))
+    groups = [records[i:j] for i, j in zip([0] + cuts, cuts + [n])]
+    probs = {}
+    for group in groups:
+        for a, b in zip(group, group[1:]):
+            probs[(a, b)] = draw(st.sampled_from((0.6, 0.7, 0.9, 2 / 3, 1.0)))
+        for a, b in itertools.combinations(group, 2):
+            if (a, b) not in probs and draw(st.booleans()):
+                probs[(a, b)] = draw(st.sampled_from(ROUNDING_FRACTIONS))
+    for left, right in itertools.combinations(groups, 2):
+        for a in left:
+            for b in right:
+                p = draw(st.sampled_from((None, None, 0.0, 0.5, 0.3)))
+                if p is not None:
+                    probs[(a, b)] = p
+    return UncertainGraph.from_probabilities(records, probs)
 
 
 def draw_allowed(data, graph):
@@ -107,6 +137,58 @@ def reference_scc(graph):
         for other, entry in combined.items():
             agg[(other, mid)] = entry
     return Clustering(blocks.values())
+
+
+def reference_sampled_connect_prob(n, edges, samples, rng):
+    """The lazy-BFS Monte Carlo estimate with one rng.random() call per
+    coin, in the order the walk first meets each edge."""
+    if n <= 1:
+        return 1.0
+    adjacency = [[] for _ in range(n)]
+    for eid, (u, v, p) in enumerate(edges):
+        adjacency[u].append((v, eid, p))
+        adjacency[v].append((u, eid, p))
+    if not adjacency[0]:
+        return 0.0
+    hits = 0
+    for _ in range(samples):
+        decided = {}
+        visited = [False] * n
+        visited[0] = True
+        seen = 1
+        stack = [0]
+        while stack and seen < n:
+            for other, eid, p in adjacency[stack.pop()]:
+                if visited[other]:
+                    continue
+                if eid not in decided:
+                    decided[eid] = rng.random() < p
+                if decided[eid]:
+                    visited[other] = True
+                    seen += 1
+                    stack.append(other)
+        hits += seen == n
+    return hits / samples
+
+
+@st.composite
+def next_clusterings(draw, graph, clustering):
+    """What a recluster may leave: scc_cluster's answer, two blocks merged,
+    one block split, or the same blocks."""
+    blocks = [list(block) for block in clustering.blocks]
+    kind = draw(st.sampled_from(("scc", "merge", "split", "same")))
+    if kind == "scc":
+        return scc_cluster(graph)
+    if kind == "merge" and len(blocks) > 1:
+        i, j = sorted(draw(st.lists(st.integers(0, len(blocks) - 1),
+                                    min_size=2, max_size=2, unique=True)))
+        blocks[i] += blocks.pop(j)
+    splittable = [i for i, block in enumerate(blocks) if len(block) > 1]
+    if kind == "split" and splittable:
+        block = blocks.pop(draw(st.sampled_from(splittable)))
+        cut = draw(st.integers(1, len(block) - 1))
+        blocks += [block[:cut], block[cut:]]
+    return Clustering(blocks)
 
 
 def reference_select_batch(state, k):
@@ -224,10 +306,52 @@ def test_reliability_equals_per_pair_sum(case):
     assert reliability(graph, clustering, PARAMS).value == total
 
 
-@ORACLE
-@given(graphs(max_records=10))
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(graphs(max_records=10, fractions=ROUNDING_FRACTIONS),
+                 component_graphs()))
 def test_scc_cluster_equals_linear_scan(graph):
     assert scc_cluster(graph) == reference_scc(graph)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(fractions=ROUNDING_FRACTIONS), st.integers(1, 600),
+       st.integers(0, 2**64 - 1))
+@example(UncertainGraph.from_probabilities(
+    NAMES[:9], {pair: 0.5 for pair in itertools.combinations(NAMES[:9], 2)}), 3000, 5)
+def test_bulk_coins_equal_per_coin_sampler(graph, samples, seed):
+    index = {r: i for i, r in enumerate(graph.records)}
+    edges = [(index[a], index[b], p) for (a, b), p in graph.edge_items()]
+    n = len(graph.records)
+    assert _sampled_connect_prob(n, edges, samples, make_rng(seed)) == \
+        reference_sampled_connect_prob(n, edges, samples, make_rng(seed))
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_records=8, fractions=ROUNDING_FRACTIONS), st.data())
+def test_carried_state_equals_cold_build(graph, data):
+    allowed = draw_allowed(data, graph)
+    clustering = scc_cluster(graph)
+    # one choice puts the largest block exactly at the limit
+    largest = max(len(graph.edges_within(block)) for block in clustering.blocks)
+    limit = data.draw(st.sampled_from((0, 1, 3, 8, largest)), label="limit")
+    params = ReliabilityParams(mc_samples=20, exact_edge_limit=limit)
+    state = build_state(graph, clustering, params, allowed=allowed)
+    for round_index in range(1, 5):
+        absent = list(graph.absent_pairs())
+        if not absent:
+            break
+        batch = data.draw(st.lists(st.sampled_from(absent), min_size=1, max_size=4,
+                                   unique=True), label="batch")
+        for pair in batch:
+            graph = graph.with_edge(*pair, probability=data.draw(
+                st.sampled_from(ROUNDING_FRACTIONS), label="p"))
+        clustering = data.draw(next_clusterings(graph, clustering), label="clustering")
+        # sampled values move with the round seed, exact ones do not
+        params = replace(params, seed=round_index)
+        state = build_state(graph, clustering, params, allowed=allowed, previous=state)
+        cold = build_state(graph, clustering, params, allowed=allowed)
+        assert state.intra == cold.intra
+        assert state.inter == cold.inter
 
 
 @ORACLE

@@ -82,6 +82,35 @@ class TestPairPriority:
         assert checked >= 25
 
 
+    def test_gain_at_exactly_the_edge_limit_compares_sampled_values(self):
+        # A block with exactly exact_edge_limit edges is sampled once a pair
+        # is added, so its base must be sampled from the same stream too: an
+        # exact base against a sampled with-pair value gave gains down to
+        # -10.9, though a certain edge never lowers connectivity.
+        rng = np.random.default_rng(7)
+        limit = 8
+        params = ReliabilityParams(mc_samples=50, exact_edge_limit=limit, seed=3)
+        below = ReliabilityParams(mc_samples=50, exact_edge_limit=limit - 1, seed=3)
+        checked = 0
+        while checked < 20:
+            g = random_small_graph(rng, n_min=7, n_max=7, p_edge=0.4)
+            if len(g.edges) != limit:
+                continue
+            block = g.records
+            c = Clustering([block])
+            base = block_connectivity(g, block, below)  # sampled, same stream
+            assert base.method == "monte-carlo"
+            intra = build_state(g, c, params).intra
+            for pair in g.absent_pairs():
+                with_edge = block_connectivity(g, block, params, extra_pair=pair)
+                assert with_edge.method == "monte-carlo"
+                expected = (math.log10(max(with_edge.value, params.epsilon))
+                            - math.log10(max(base.value, params.epsilon)))
+                assert pair_priority(g, c, pair, params).gain == expected
+                assert intra[pair] == expected
+            checked += 1
+
+
 class TestBuildState:
     def test_running_example_queue(self, running_graph, running_clustering):
         state = build_state(running_graph, running_clustering)
@@ -112,6 +141,26 @@ class TestBuildState:
         state = build_state(g, Clustering([["A", "B"]]))
         assert len(state) == 0
         assert select_next(state) is None
+
+    def test_previous_must_match_params_allowed_and_edges(self, running_graph,
+                                                           running_clustering):
+        params = ReliabilityParams(exact_edge_limit=8)
+        grown = running_graph.with_edge("A", "D", probability=0.4)
+        for other_params, allowed in ((ReliabilityParams(exact_edge_limit=9), None),
+                                      (params, frozenset({("A", "D")}))):
+            previous = build_state(running_graph, running_clustering, params)
+            with pytest.raises(ValueError, match="previous state priced"):
+                build_state(grown, running_clustering, other_params, allowed=allowed,
+                            previous=previous)
+        # the previous graph must be part of the new one
+        previous = build_state(grown, running_clustering, params)
+        with pytest.raises(ValueError, match="edges this graph lacks"):
+            build_state(running_graph, running_clustering, params, previous=previous)
+        # the seed alone may differ
+        previous = build_state(running_graph, running_clustering, params)
+        reseeded = ReliabilityParams(exact_edge_limit=8, seed=5)
+        carried = build_state(grown, running_clustering, reseeded, previous=previous)
+        assert states_equal(carried, build_state(grown, running_clustering, reseeded))
 
     def test_allowed_filter_restricts_candidates(self, running_graph, running_clustering):
         allowed = frozenset({("B", "C"), ("F", "G")})
