@@ -9,6 +9,7 @@ run asks the same questions in any order and reads the same tallies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -29,8 +30,8 @@ class GoldClustering:
         for r, d in (difficulty or {}).items():
             if r not in self.entity:
                 raise ValueError(f"difficulty given for unknown record {r!r}")
-            if d < 0:
-                raise ValueError(f"difficulty for {r!r} must be >= 0, got {d}")
+            if not 0 <= d < math.inf:  # also rejects nan
+                raise ValueError(f"difficulty for {r!r} must be a finite number >= 0, got {d}")
             self.difficulty[r] = float(d)
 
     @property

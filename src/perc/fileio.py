@@ -9,6 +9,7 @@ which round-trips exactly and keeps reruns byte-identical.
 from __future__ import annotations
 
 import csv
+import math
 
 from .crowd import GoldClustering
 from .graph import (Clustering, Pair, UncertainGraph, VoteTally, _check_record_id,
@@ -142,11 +143,11 @@ def read_gold_csv(path) -> GoldClustering:
             if has_difficulty and len(row) > 2 and row[2] != "":
                 try:
                     difficulty[rid] = float(row[2])
-                    if not difficulty[rid] >= 0:  # also rejects nan
+                    if not 0 <= difficulty[rid] < math.inf:  # also rejects nan
                         raise ValueError
                 except ValueError:
                     raise ValueError(f"{path}:{lineno}: difficulty for {rid!r} must be "
-                                     f"a number >= 0, got {row[2]!r}") from None
+                                     f"a finite number >= 0, got {row[2]!r}") from None
     if not entity:
         raise ValueError(f"{path}: no records listed")
     return GoldClustering(entity, difficulty)

@@ -122,6 +122,19 @@ class UncertainGraph:
         g.edges = edges
         return g
 
+    def edges_added_since(self, older: "UncertainGraph") -> list[Pair]:
+        """The edges this graph adds to ``older``, sorted.
+
+        Raises ValueError unless ``older`` has the same records and every
+        one of its edges is in this graph with the same probability.
+        """
+        if older.records != self.records:
+            raise ValueError("the older graph has other records")
+        if not older.edges.items() <= self.edges.items():
+            raise ValueError("the older graph has edges this graph lacks "
+                             "or prices differently")
+        return sorted(self.edges.keys() - older.edges.keys())
+
     def edge_items(self) -> list[tuple[Pair, float]]:
         """Edges in canonical (sorted pair) order, for order-independent math."""
         return sorted(self.edges.items())

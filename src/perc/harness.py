@@ -230,18 +230,21 @@ def run_experiment(config: ExperimentConfig, records, gold: GoldClustering | Non
     reclusterings = 0
     rounds = 0
     curve: list[MetricsSnapshot] = []
+    score = None  # the last snapshot's reliability, carried into the next
 
     def snapshot(round_index: int):
+        nonlocal score
         if curve and curve[-1].questions_asked == len(vote_log):
             return
         if gold is not None:
             precision, recall, f1 = precision_recall_f1(clustering, gold)
         else:
             precision = recall = f1 = NAN
-        rel = reliability(graph, clustering, config.reliability_params(round_index))
+        score = reliability(graph, clustering, config.reliability_params(round_index),
+                            previous=score)
         curve.append(MetricsSnapshot(questions_asked=len(vote_log),
                                      precision=precision, recall=recall, f1=f1,
-                                     reliability=rel.value,
+                                     reliability=score.value,
                                      blocks=len(clustering.blocks)))
 
     snapshot(0)

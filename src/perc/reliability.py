@@ -15,10 +15,14 @@ during a BFS and stops as soon as the block is covered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field, replace
 
 from .graph import Clustering, Pair, UncertainGraph
-from .util import ConfigError, canonical_pair, derive_seed, log10_clamped, make_rng
+from .util import ConfigError, canonical_pair, derive_seed, make_rng
+
+Block = tuple[str, ...]
+BlockPairKey = tuple[Block, Block]
 
 
 @dataclass(frozen=True)
@@ -58,14 +62,31 @@ class ConnectivityEstimate:
 
 @dataclass(frozen=True)
 class ReliabilityScore:
-    """Clustering reliability: summed log10 terms plus the per-part pieces."""
+    """Clustering reliability, its parts, and the inputs it was priced on.
+
+    connectivity_log sums log10 c over the blocks with c >= epsilon and
+    disconnectivity_log sums log10 d over the spanned block pairs with
+    d >= epsilon; clamped counts the blocks and block pairs below epsilon,
+    unspanned pairs (d = 0) included.  block_connectivity follows
+    clustering.blocks; pair_disconnectivity holds the spanned block pairs
+    only, keyed as Clustering.block_pairs yields them, so a pair missing
+    from it has d = 0.
+    """
 
     value: float
+    connectivity_log: float
+    disconnectivity_log: float
+    clamped: int
     block_connectivity: tuple[ConnectivityEstimate, ...]
-    pair_disconnectivity: tuple[float, ...]
+    pair_disconnectivity: dict[BlockPairKey, float]
+    graph: UncertainGraph = field(compare=False, repr=False)
+    clustering: Clustering = field(compare=False, repr=False)
+    params: ReliabilityParams = field(compare=False, repr=False)
+    # log10 d of each spanned pair with d >= epsilon, carried to the next score
+    _pair_logs: dict[BlockPairKey, float] = field(compare=False, repr=False)
 
 
-def _check_block(clustering: Clustering, block) -> tuple[str, ...]:
+def _check_block(clustering: Clustering, block) -> Block:
     key = tuple(sorted(block))
     if not key or clustering._owner.get(key[0]) != key:
         raise ValueError(f"block {key} is not part of the clustering")
@@ -73,7 +94,7 @@ def _check_block(clustering: Clustering, block) -> tuple[str, ...]:
 
 
 def spanning_products(graph: UncertainGraph, clustering: Clustering,
-                      blocks: set | None = None) -> dict[tuple[tuple[str, ...], tuple[str, ...]], float]:
+                      blocks: set | None = None) -> dict[BlockPairKey, float]:
     """prod(p) over the edges spanning each block pair, in one edge pass.
 
     Keys are (block_j, block_k) with block_j < block_k, as
@@ -88,7 +109,7 @@ def spanning_products(graph: UncertainGraph, clustering: Clustering,
         members = {r for block in blocks for r in block}
         edges = [(pair, p) for pair, p in edges
                  if pair[0] in members or pair[1] in members]
-    products: dict[tuple[tuple[str, ...], tuple[str, ...]], float] = {}
+    products: dict[BlockPairKey, float] = {}
     for (a, b), p in sorted(edges):
         ba = owner[a]
         bb = owner[b]
@@ -287,34 +308,115 @@ def block_connectivity(graph: UncertainGraph, block, params: ReliabilityParams,
                                 samples=params.mc_samples, seed=seed)
 
 
+def changes_since(previous_graph: UncertainGraph, previous_clustering: Clustering,
+                  graph: UncertainGraph, clustering: Clustering
+                  ) -> tuple[set[Block], set[Block], set[BlockPairKey]]:
+    """What the edges graph adds to previous_graph touched, for values
+    priced on (previous_graph, previous_clustering) that may carry over.
+
+    Returns the surviving blocks (those both clusterings have), the blocks
+    that gained an intra edge, and the surviving block pairs that gained a
+    spanning edge.  Raises ValueError as UncertainGraph.edges_added_since.
+    """
+    owner = clustering._owner
+    survivors = set(previous_clustering.blocks).intersection(clustering.blocks)
+    touched_blocks: set[Block] = set()
+    touched_pairs: set[BlockPairKey] = set()
+    for a, b in graph.edges_added_since(previous_graph):
+        ba, bb = owner[a], owner[b]
+        if ba is bb:
+            touched_blocks.add(ba)
+        elif ba in survivors and bb in survivors:
+            touched_pairs.add((ba, bb) if ba < bb else (bb, ba))
+    return survivors, touched_blocks, touched_pairs
+
+
 def reliability(graph: UncertainGraph, clustering: Clustering,
-                params: ReliabilityParams | None = None) -> ReliabilityScore:
-    """Clustering reliability: sum of log10 block connectivity over blocks
-    plus log10 pair disconnectivity over block pairs, zeros clamped to
-    params.epsilon."""
+                params: ReliabilityParams | None = None, *,
+                previous: ReliabilityScore | None = None) -> ReliabilityScore:
+    """Clustering reliability: log10 block connectivity summed over blocks
+    plus log10 pair disconnectivity summed over block pairs, zeros clamped
+    to params.epsilon.
+
+    The value is fsum((connectivity_log, disconnectivity_log,
+    clamped * log10(epsilon))), each part an exactly rounded sum, so it does
+    not depend on the order the terms were added in.  ``previous`` is a
+    score of the same records under params equal but for the seed, whose
+    graph this graph extends.  Its terms whose inputs did not change are
+    carried over instead of priced again:
+
+    - the exact connectivity of a surviving block with no new intra edge
+      (exact values ignore the seed; sampled blocks are drawn again);
+    - the disconnectivity of a surviving block pair with no new spanning
+      edge.
+
+    Block pairs with a new block come from one spanning_products pass and
+    touched surviving pairs from disconnectivity, so the result equals a
+    call without ``previous``.
+    """
     params = params or ReliabilityParams()
     if clustering.records != set(graph.records):
         raise ValueError("clustering does not cover exactly the graph's records")
-    connect_parts = []
-    total = 0.0
-    for block in clustering.blocks:
-        est = block_connectivity(graph, block, params)
-        connect_parts.append(est)
-        total += log10_clamped(est.value, params.epsilon)
-    disconnect_parts = []
-    products = spanning_products(graph, clustering)
-    unspanned = log10_clamped(0.0, params.epsilon)
+    epsilon = params.epsilon
     blocks = clustering.blocks
-    for j, bj in enumerate(blocks):
-        for bk in blocks[j + 1:]:
-            prod = products.get((bj, bk))
-            if prod is None:
-                disconnect_parts.append(0.0)
-                total += unspanned
-            else:
-                d = 1.0 - prod
-                disconnect_parts.append(d)
-                total += log10_clamped(d, params.epsilon)
-    return ReliabilityScore(value=total,
-                            block_connectivity=tuple(connect_parts),
-                            pair_disconnectivity=tuple(disconnect_parts))
+    carried: dict[Block, ConnectivityEstimate] = {}
+    touched_blocks: set[Block] = set()
+    if previous is None:
+        pairs: dict[BlockPairKey, float] = {}
+        logs: dict[BlockPairKey, float] = {}
+        priced = {key: 1.0 - prod for key, prod in spanning_products(graph, clustering).items()}
+    else:
+        if replace(previous.params, seed=params.seed) != params:
+            raise ValueError("previous score priced other params")
+        survivors, touched_blocks, touched_pairs = changes_since(
+            previous.graph, previous.clustering, graph, clustering)
+        old_blocks = previous.clustering.blocks
+        carried = dict(zip(old_blocks, previous.block_connectivity))
+        pairs = dict(previous.pair_disconnectivity)
+        logs = dict(previous._pair_logs)
+        if len(survivors) < len(old_blocks):
+            for dead in old_blocks:
+                if dead not in survivors:
+                    for other in old_blocks:
+                        key = (dead, other) if dead < other else (other, dead)
+                        if pairs.pop(key, None) is not None:
+                            logs.pop(key, None)
+        priced = {key: disconnectivity(graph, clustering, *key) for key in touched_pairs}
+        if len(survivors) < len(blocks):
+            fresh = {block for block in blocks if block not in survivors}
+            priced.update((key, 1.0 - prod) for key, prod
+                          in spanning_products(graph, clustering, fresh).items())
+    for key, d in priced.items():
+        pairs[key] = d
+        if d >= epsilon:
+            logs[key] = math.log10(d)
+        else:
+            logs.pop(key, None)
+
+    estimates = []
+    connect_logs = []
+    clamped = 0
+    for block in blocks:
+        # only a surviving block is found in carried
+        est = carried.get(block)
+        if est is None or est.method != "exact" or block in touched_blocks:
+            est = block_connectivity(graph, block, params)
+        estimates.append(est)
+        if est.value >= epsilon:
+            connect_logs.append(math.log10(est.value))
+        else:
+            clamped += 1
+    # spanned pairs below epsilon and every unspanned pair
+    clamped += len(blocks) * (len(blocks) - 1) // 2 - len(logs)
+    connectivity_log = math.fsum(connect_logs)
+    disconnectivity_log = math.fsum(logs.values())
+    return ReliabilityScore(
+        value=math.fsum((connectivity_log, disconnectivity_log,
+                         clamped * math.log10(epsilon))),
+        connectivity_log=connectivity_log,
+        disconnectivity_log=disconnectivity_log,
+        clamped=clamped,
+        block_connectivity=tuple(estimates),
+        pair_disconnectivity=pairs,
+        graph=graph, clustering=clustering, params=params,
+        _pair_logs=logs)

@@ -24,12 +24,9 @@ import heapq
 from dataclasses import dataclass, replace
 
 from .graph import Clustering, Pair, UncertainGraph
-from .reliability import (ReliabilityParams, block_connectivity, disconnectivity,
-                          spanning_products)
+from .reliability import (Block, BlockPairKey, ReliabilityParams, block_connectivity,
+                          changes_since, disconnectivity, spanning_products)
 from .util import canonical_pair, log10_clamped
-
-Block = tuple[str, ...]
-BlockPairKey = tuple[Block, Block]
 
 
 @dataclass(frozen=True)
@@ -138,22 +135,6 @@ def _inter_entry(graph: UncertainGraph, bj: Block, bk: Block, dis: float,
     return None if rep is None else (rep, _inter_gain(dis, params))
 
 
-def _new_edges(previous: PriorityState, graph: UncertainGraph,
-               params: ReliabilityParams, allowed: frozenset | None) -> list[Pair]:
-    """The edges graph adds to previous.graph, once previous is known to
-    have priced the same records with the same params (seed aside) and
-    allowed pairs."""
-    if (previous.graph.records != graph.records
-            or (previous.allowed is not allowed and previous.allowed != allowed)
-            or replace(previous.params, seed=params.seed) != params):
-        raise ValueError("previous state priced other records, params or allowed pairs")
-    old = previous.graph.edges
-    new = [pair for pair in graph.edges if pair not in old]
-    if len(graph.edges) - len(new) != len(old):
-        raise ValueError("previous state's graph has edges this graph lacks")
-    return new
-
-
 def build_state(graph: UncertainGraph, clustering: Clustering,
                 params: ReliabilityParams | None = None, *,
                 allowed: frozenset | None = None,
@@ -184,13 +165,11 @@ def build_state(graph: UncertainGraph, clustering: Clustering,
     touched_pairs: set[BlockPairKey] = set()
     kept: dict[Block, list[Pair]] = {}  # intra entries of untouched survivors
     if previous is not None:
-        survivors = set(previous.clustering.blocks).intersection(blocks)
-        for a, b in _new_edges(previous, graph, params, allowed):
-            ba, bb = owner[a], owner[b]
-            if ba is bb:
-                touched_blocks.add(ba)
-            elif ba in survivors and bb in survivors:
-                touched_pairs.add((ba, bb) if ba < bb else (bb, ba))
+        if ((previous.allowed is not allowed and previous.allowed != allowed)
+                or replace(previous.params, seed=params.seed) != params):
+            raise ValueError("previous state priced other params or allowed pairs")
+        survivors, touched_blocks, touched_pairs = changes_since(
+            previous.graph, previous.clustering, graph, clustering)
         # a surviving block's members had that block before, so its
         # entries are the ones whose first member it still owns
         for pair in previous.intra:

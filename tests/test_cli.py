@@ -154,6 +154,17 @@ class TestEval:
         assert capsys.readouterr().err == \
             f"error: {tmp_path / f'{short}.csv'}:4: {message}\n"
 
+    def test_infinite_difficulty_names_file_and_line(self, tmp_path, capsys):
+        (tmp_path / "clusters.csv").write_text("record_id,cluster_id\na,a\nb,a\n")
+        gold = tmp_path / "gold.csv"
+        gold.write_text("record_id,entity_id,difficulty\na,x,1.0\nb,x,inf\n")
+        code = main(["eval", "--clusters", str(tmp_path / "clusters.csv"),
+                     "--gold", str(gold)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {gold}:3: difficulty for 'b' must be a finite number >= 0, "
+            "got 'inf'\n")
+
 
 class TestRun:
     def world(self, tmp_path):

@@ -1,5 +1,7 @@
 """Simulated and replayed crowd answer sources."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,12 @@ class TestGoldClustering:
             GoldClustering({"a": "e1"}, difficulty={"a": -0.5})
         with pytest.raises(ValueError):
             GoldClustering({})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_difficulty(self, value):
+        # min(1, error_rate * nan) is 1, so every vote would come out wrong
+        with pytest.raises(ValueError, match="difficulty for 'a' must be a finite number"):
+            GoldClustering({"a": "x", "b": "x"}, difficulty={"a": value})
 
 
 class TestWorkerModel:

@@ -6,12 +6,13 @@ that price each block pair on its own: disconnectivity per pair, a
 linear-scan agglomerative merge over every edge, a full sort of the queue,
 a scan of all |A|·|B| pairs for the absent cross pairs, rho_inputs per
 block pair, a rescan of TC's candidates before each pick, a Monte Carlo
-sampler that draws one coin per call, and a cold build_state after every
-recluster.  Values must agree bit for bit, since curve bytes depend on
-them.
+sampler that draws one coin per call, and a cold build_state and a cold
+reliability call after every recluster.  Values must agree bit for bit,
+since curve bytes depend on them.
 """
 
 import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -27,13 +28,15 @@ from perc.clustering import _PairAgg
 from perc.reliability import (_sampled_connect_prob, block_connectivity, disconnectivity,
                               spanning_products)
 from perc.selection import _inter_gain
-from perc.util import log10_clamped, make_rng
+from perc.util import make_rng
 
 FRACTIONS = (0.0, 1.0, 0.5, 0.6, 0.4, 0.2, 0.8)
 # products of these round differently when multiplied in another order
 ROUNDING_FRACTIONS = FRACTIONS + (0.7, 0.9, 2 / 3, 0.3)
 NAMES = "QWERTYUIOP"
 PARAMS = ReliabilityParams(mc_samples=40, exact_edge_limit=8)
+# the default clamp floor, and one that products of a few small fractions reach
+EPSILONS = (1e-12, 1e-3 / 2)
 ORACLE = settings(max_examples=150, deadline=None)
 
 
@@ -293,17 +296,30 @@ def test_spanning_products_equal_disconnectivity(case):
 
 
 @ORACLE
-@given(graphs_with_clusterings())
-def test_reliability_equals_per_pair_sum(case):
+@given(graphs_with_clusterings(fractions=ROUNDING_FRACTIONS), st.randoms(),
+       st.sampled_from(EPSILONS))
+def test_reliability_equals_per_pair_sum(case, rng, epsilon):
     graph, clustering = case
-    total = 0.0
-    for block in clustering.blocks:
-        total += log10_clamped(block_connectivity(graph, block, PARAMS).value,
-                               PARAMS.epsilon)
-    for bj, bk in clustering.block_pairs():
-        total += log10_clamped(disconnectivity(graph, clustering, bj, bk),
-                               PARAMS.epsilon)
-    assert reliability(graph, clustering, PARAMS).value == total
+    params = replace(PARAMS, epsilon=epsilon)
+    connect = [block_connectivity(graph, block, params).value for block in clustering.blocks]
+    spanned = {(bj, bk): disconnectivity(graph, clustering, bj, bk)
+               for bj, bk in clustering.block_pairs() if graph.edges_between(bj, bk)}
+    connect_terms = [math.log10(c) for c in connect if c >= epsilon]
+    disconnect_terms = [math.log10(d) for d in spanned.values() if d >= epsilon]
+    # the sums are exactly rounded, so no order of the terms may matter
+    rng.shuffle(connect_terms)
+    rng.shuffle(disconnect_terms)
+    blocks = len(clustering.blocks)
+    clamped = (blocks - len(connect_terms)
+               + blocks * (blocks - 1) // 2 - len(disconnect_terms))
+    score = reliability(graph, clustering, params)
+    assert score.connectivity_log == math.fsum(connect_terms)
+    assert score.disconnectivity_log == math.fsum(disconnect_terms)
+    assert score.clamped == clamped
+    assert score.value == math.fsum((math.fsum(connect_terms), math.fsum(disconnect_terms),
+                                     clamped * math.log10(epsilon)))
+    assert [est.value for est in score.block_connectivity] == connect
+    assert score.pair_disconnectivity == spanned
 
 
 @settings(max_examples=300, deadline=None)
@@ -352,6 +368,41 @@ def test_carried_state_equals_cold_build(graph, data):
         cold = build_state(graph, clustering, params, allowed=allowed)
         assert state.intra == cold.intra
         assert state.inter == cold.inter
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_records=8, fractions=ROUNDING_FRACTIONS), st.data())
+def test_carried_score_equals_cold_call(graph, data):
+    limit = data.draw(st.sampled_from((0, 1, 3, 8)), label="limit")
+    epsilon = data.draw(st.sampled_from(EPSILONS), label="epsilon")
+    params = ReliabilityParams(mc_samples=20, exact_edge_limit=limit, epsilon=epsilon)
+    clustering = data.draw(next_clusterings(graph, scc_cluster(graph)), label="clustering")
+    score = reliability(graph, clustering, params)
+    for round_index in range(1, 6):
+        absent = list(graph.absent_pairs())
+        if not absent:
+            break
+        batch = data.draw(st.lists(st.sampled_from(absent), min_size=1, max_size=4,
+                                   unique=True), label="batch")
+        for pair in batch:
+            graph = graph.with_edge(*pair, probability=data.draw(
+                st.sampled_from(ROUNDING_FRACTIONS), label="p"))
+        clustering = data.draw(next_clusterings(graph, clustering), label="clustering")
+        # sampled values move with the round seed, exact ones do not
+        params = replace(params, seed=round_index)
+        # eval_every > 1: a round without a snapshot leaves the next one to
+        # carry from further back
+        if not data.draw(st.booleans(), label="snapshot"):
+            continue
+        carried = reliability(graph, clustering, params, previous=score)
+        cold = reliability(graph, clustering, params)
+        assert carried.value == cold.value
+        assert carried.connectivity_log == cold.connectivity_log
+        assert carried.disconnectivity_log == cold.disconnectivity_log
+        assert carried.clamped == cold.clamped
+        assert carried.block_connectivity == cold.block_connectivity
+        assert carried.pair_disconnectivity == cold.pair_disconnectivity
+        score = carried
 
 
 @ORACLE

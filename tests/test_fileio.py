@@ -81,7 +81,7 @@ class TestGoldCsv:
         with pytest.raises(ValueError, match="listed twice"):
             read_gold_csv(path)
 
-    @pytest.mark.parametrize("value", ["abc", "-1", "nan"])
+    @pytest.mark.parametrize("value", ["abc", "-1", "nan", "inf", "-inf"])
     def test_rejects_bad_difficulty_with_line(self, tmp_path, value):
         path = tmp_path / "gold.csv"
         path.write_text(f"record_id,entity_id,difficulty\na,x,1.0\nb,x,{value}\n")

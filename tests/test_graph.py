@@ -18,6 +18,7 @@ from perc import (
 from perc.util import canonical_pair
 
 from conftest import (
+    EIGHT,
     RUNNING_EDGES,
     bell_numbers,
     random_partition,
@@ -127,6 +128,21 @@ class TestUncertainGraph:
         assert running_graph.edges_within(["A", "B"]) == [(("A", "B"), 0.8)]
         spanning = running_graph.edges_between(["A", "B"], ["C", "D"])
         assert spanning == [(("A", "C"), 0.3), (("B", "D"), 0.6)]
+
+    def test_edges_added_since(self, running_graph):
+        grown = running_graph.with_edge("B", "C", probability=0.5).with_edge(
+            "A", "D", probability=0.4)
+        assert grown.edges_added_since(running_graph) == [("A", "D"), ("B", "C")]
+        assert running_graph.edges_added_since(running_graph) == []
+        with pytest.raises(ValueError, match="other records"):
+            UncertainGraph(EIGHT + ["I"], edges=running_graph.edges).edges_added_since(
+                running_graph)
+        with pytest.raises(ValueError, match="edges this graph lacks"):
+            running_graph.edges_added_since(grown)
+        repriced = dict(running_graph.edges)
+        repriced[("A", "B")] = 0.7
+        with pytest.raises(ValueError, match="prices differently"):
+            UncertainGraph(EIGHT, edges=repriced).edges_added_since(running_graph)
 
     def test_edge_items_sorted(self, running_graph):
         items = running_graph.edge_items()

@@ -211,7 +211,11 @@ class TestReliability:
             math.log10(0.72) + math.log10(0.88), abs=1e-12)
         assert [e.value for e in score.block_connectivity] == [
             pytest.approx(0.72), pytest.approx(1.0)]
-        assert list(score.pair_disconnectivity) == [pytest.approx(0.88)]
+        assert score.pair_disconnectivity == {
+            (("A", "B", "C"), ("D",)): pytest.approx(0.88)}
+        assert score.connectivity_log == pytest.approx(math.log10(0.72), abs=1e-15)
+        assert score.disconnectivity_log == pytest.approx(math.log10(0.88), abs=1e-15)
+        assert score.clamped == 0
 
     def test_running_example_value(self, running_graph, running_clustering):
         score = reliability(running_graph, running_clustering)
@@ -225,6 +229,8 @@ class TestReliability:
         # edge separates the blocks (disconnectivity 0): two clamps.
         score = reliability(g, c, ReliabilityParams(epsilon=1e-12))
         assert score.value == pytest.approx(2 * math.log10(1e-12))
+        assert score.clamped == 2
+        assert score.pair_disconnectivity == {}
 
     def test_epsilon_is_configurable(self):
         g = UncertainGraph(["A", "B"])
@@ -253,6 +259,33 @@ class TestReliability:
             if previous is not None:
                 assert value >= previous
             previous = value
+
+    def test_previous_must_match_params_and_edges(self, running_graph,
+                                                  running_clustering):
+        params = ReliabilityParams(exact_edge_limit=8)
+        grown = running_graph.with_edge("A", "D", probability=0.4)
+        previous = reliability(running_graph, running_clustering, params)
+        with pytest.raises(ValueError, match="previous score priced other params"):
+            reliability(grown, running_clustering, ReliabilityParams(exact_edge_limit=9),
+                        previous=previous)
+        # the previous graph must be part of the new one, with its probabilities
+        with pytest.raises(ValueError, match="edges this graph lacks"):
+            reliability(running_graph, running_clustering, params,
+                        previous=reliability(grown, running_clustering, params))
+        repriced = dict(running_graph.edges)
+        repriced[("A", "B")] = 0.7
+        with pytest.raises(ValueError, match="prices differently"):
+            reliability(UncertainGraph(running_graph.records, edges=repriced),
+                        running_clustering, params, previous=previous)
+        wider = UncertainGraph(running_graph.records + ("I",), edges=running_graph.edges)
+        with pytest.raises(ValueError, match="other records"):
+            reliability(wider, Clustering(running_clustering.blocks + (("I",),)), params,
+                        previous=previous)
+        # the seed alone may differ, and previous is left as it was
+        reseeded = ReliabilityParams(exact_edge_limit=8, seed=5)
+        cold = reliability(grown, running_clustering, reseeded)
+        for _ in range(2):
+            assert reliability(grown, running_clustering, reseeded, previous=previous) == cold
 
     def test_rejects_mismatched_records(self, trio_graph):
         with pytest.raises(ValueError):

@@ -162,6 +162,19 @@ class TestBuildState:
         carried = build_state(grown, running_clustering, reseeded, previous=previous)
         assert states_equal(carried, build_state(grown, running_clustering, reseeded))
 
+    def test_previous_graph_must_agree_on_records_and_probabilities(
+            self, running_graph, running_clustering):
+        previous = build_state(running_graph, running_clustering)
+        repriced = dict(running_graph.edges)
+        repriced[("A", "B")] = 0.7
+        with pytest.raises(ValueError, match="prices differently"):
+            build_state(UncertainGraph(running_graph.records, edges=repriced),
+                        running_clustering, previous=previous)
+        wider = UncertainGraph(running_graph.records + ("I",), edges=running_graph.edges)
+        with pytest.raises(ValueError, match="other records"):
+            build_state(wider, Clustering(running_clustering.blocks + (("I",),)),
+                        previous=previous)
+
     def test_allowed_filter_restricts_candidates(self, running_graph, running_clustering):
         allowed = frozenset({("B", "C"), ("F", "G")})
         state = build_state(running_graph, running_clustering, allowed=allowed)
