@@ -43,10 +43,10 @@ score = reliability(graph, clustering)
 print(f"reliability          = {score.value:.5f}")
 print(f"check  log10(0.72) + log10(0.88) = {math.log10(0.72) + math.log10(0.88):.5f}")
 
-# Exact connectivity enumerates edge outcomes with heavy pruning, which
-# stops being fun past a couple dozen intra edges.  Blocks above the
-# configured limit fall back to seeded sampling.
-big = [f"r{i}" for i in range(12)]
+# The exact partition DP grows exponentially with the intra edges, so its
+# limit is capped at 25 edges.  Blocks above the configured limit fall back
+# to seeded sampling.
+big = [f"r{i}" for i in range(10)]
 edges = {}
 for i in range(len(big)):
     for j in range(i + 1, min(i + 4, len(big))):

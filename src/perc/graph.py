@@ -248,16 +248,17 @@ def ingest_votes(records: Iterable[str], pairs: Iterable[tuple[Pair, VoteTally]]
     """Build a graph from declared records and per-pair vote tallies.
 
     Rejects undeclared ids, self-loops and duplicate pairs, naming the
-    offending pair in the error.
+    offending pair in the error.  A tally's fraction lies in [0, 1] by
+    construction, so each checked pair goes straight into the graph.
     """
     graph = UncertainGraph(records)
-    edges: dict[Pair, float] = {}
-    for (a, b), tally in pairs:
-        key = graph._check_pair((a, b))
+    edges = graph.edges
+    for pair, tally in pairs:
+        key = graph._check_pair(pair)
         if key in edges:
             raise ValueError(f"duplicate vote tally for pair {key}")
         edges[key] = tally.fraction
-    return UncertainGraph(graph.records, edges=edges)
+    return graph
 
 
 def possible_world_log_prob(graph: UncertainGraph, present: Iterable[Pair]) -> float:

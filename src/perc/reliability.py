@@ -7,16 +7,22 @@ of both kinds of term, clamping zero components to a small epsilon so one
 hopeless component cannot erase every other signal.
 
 Block connectivity is the all-terminal reliability of the intra-block
-subgraph, which is #P-hard in general.  Small blocks are solved exactly by
-edge factoring (condition on one edge, contract or delete, with pruning);
-larger blocks fall back to Monte Carlo sampling that realizes edges lazily
-during a BFS and stops as soon as the block is covered.
+subgraph, which is #P-hard in general.  Small blocks are solved exactly by a
+partition DP: one pass over the block's edges carries the probability of
+each vertex partition the edges seen so far can leave, merging identical
+states and dropping those the remaining edges cannot bring down to two
+groups.  Its final distribution prices the block and, at once, the block
+with any one certain pair added.  Larger blocks fall back to Monte Carlo
+sampling that realizes edges lazily during a BFS and stops as soon as the
+block is covered.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
+from operator import itemgetter
 
 from .graph import Clustering, Pair, UncertainGraph
 from .util import ConfigError, canonical_pair, derive_seed, make_rng
@@ -24,15 +30,22 @@ from .util import ConfigError, canonical_pair, derive_seed, make_rng
 Block = tuple[str, ...]
 BlockPairKey = tuple[Block, Block]
 
+# the largest exact_edge_limit accepted.  The partition DP's time about
+# doubles with every two edges; on random connected blocks the slowest call
+# this limit allows took a quarter of a second (24 edges, every candidate
+# priced) on a 2-vCPU Xeon VM.  CHANGES.md has the measurements.
+MAX_EXACT_EDGE_LIMIT = 25
+
 
 @dataclass(frozen=True)
 class ReliabilityParams:
     """Knobs for the reliability computations.
 
     exact_edge_limit is the largest intra-block edge count handed to the
-    exact solver; above it the Monte Carlo estimator with mc_samples worlds
-    takes over.  epsilon is the clamp floor for zero-probability components.
-    seed is the master seed that all sampling streams are derived from.
+    exact solver, at most MAX_EXACT_EDGE_LIMIT (25); above it the Monte
+    Carlo estimator with mc_samples worlds takes over.  epsilon is the clamp
+    floor for zero-probability components.  seed is the master seed that all
+    sampling streams are derived from.
     """
 
     mc_samples: int = 1000
@@ -48,6 +61,16 @@ class ReliabilityParams:
         if self.exact_edge_limit < 0:
             raise ConfigError("exact_edge_limit",
                               f"exact_edge_limit must be >= 0, got {self.exact_edge_limit}")
+        if self.exact_edge_limit > MAX_EXACT_EDGE_LIMIT:
+            raise ConfigError("exact_edge_limit",
+                              f"exact_edge_limit must be <= {MAX_EXACT_EDGE_LIMIT}, "
+                              f"got {self.exact_edge_limit}")
+
+
+def solved_exactly(edge_count: int, params: ReliabilityParams) -> bool:
+    """Whether a block with edge_count intra edges, a hypothetical certain
+    pair included, is priced by the exact DP rather than sampled."""
+    return edge_count <= params.exact_edge_limit
 
 
 @dataclass(frozen=True)
@@ -142,16 +165,21 @@ def disconnectivity(graph: UncertainGraph, clustering: Clustering,
     return 1.0 - prod_all_no_fail
 
 
-def _indexed_intra_edges(members: tuple[str, ...], within: list[tuple[Pair, float]],
-                         extra_pair: Pair | None = None) -> list[tuple[int, int, float]]:
+def _indexed_block(graph: UncertainGraph, block) -> tuple[dict[str, int], list]:
+    """Member -> vertex index over the sorted members, and the intra edges
+    as (index, index, p) in canonical order."""
+    members = sorted(set(block))
+    if not members:
+        raise ValueError("block is empty")
     index = {r: i for i, r in enumerate(members)}
-    edges = [(index[a], index[b], p) for (a, b), p in within]
-    if extra_pair is not None:
-        a, b = canonical_pair(*extra_pair)
-        if a not in index or b not in index:
-            raise ValueError(f"extra pair {(a, b)} does not lie inside the block")
-        edges.append((index[a], index[b], 1.0))
-    return edges
+    return index, [(index[a], index[b], p) for (a, b), p in graph.edges_within(members)]
+
+
+def _pair_index(index: dict[str, int], pair: Pair) -> tuple[int, int]:
+    a, b = canonical_pair(*pair)
+    if a not in index or b not in index:
+        raise ValueError(f"extra pair {(a, b)} does not lie inside the block")
+    return index[a], index[b]
 
 
 class _UnionFind:
@@ -177,50 +205,124 @@ class _UnionFind:
         self.groups -= 1
         return True
 
-    def copy(self) -> "_UnionFind":
-        uf = _UnionFind.__new__(_UnionFind)
-        uf.parent = list(self.parent)
-        uf.groups = self.groups
-        return uf
+
+@lru_cache(maxsize=None)
+def _merge_table(lo: int, hi: int) -> bytes:
+    """bytes.translate table folding label hi into lo; the labels above hi
+    close the gap, so first-appearance order still numbers the groups.
+    Blocks the exact_edge_limit admits keep labels below 27, so at most
+    351 tables are cached."""
+    return bytes(lo if x == hi else x - (x > hi) for x in range(256))
 
 
-def _exact_connect_prob(n: int, edges: list[tuple[int, int, float]]) -> float:
-    """All-terminal connection probability by edge factoring.
+def _joined(state: bytes, comps: list, lu: int, lv: int) -> bool:
+    """Whether groups lu and lv of the state become one once its groups are
+    joined through comps, one itemgetter per component of the edges still
+    to come (over its vertices, all of which those edges touch)."""
+    link: dict[int, int] = {}  # group label -> the label it was joined to
+    for members in comps:
+        labels = set(members(state))
+        if len(labels) > 1:
+            roots = set()
+            for label in labels:
+                while label in link:
+                    label = link[label]
+                roots.add(label)
+            root = roots.pop()
+            for other in roots:
+                link[other] = root
+    while lu in link:
+        lu = link[lu]
+    while lv in link:
+        lv = link[lv]
+    return lu == lv
 
-    Conditions on one edge at a time: present with probability p (contract
-    its endpoints) or missing with 1 - p (drop it).  Two prunings keep the
-    recursion far below 2^m in practice: stop at 1 once everything is in a
-    single group, and stop at 0 once the remaining edges cannot join the
-    groups that are left.
+
+def _partition_dp(n: int, edges: list[tuple[int, int, float]],
+                  max_groups: int) -> tuple[float, dict[bytes, float]]:
+    """P(the edges join all n vertices) and the two-group partitions they
+    can leave, with their probabilities.
+
+    A state labels each vertex with its group, numbered in order of first
+    appearance, so equal partitions merge.  An edge between two groups
+    splits each state: present with probability p (the groups merge) or
+    absent with 1 - p.  A state's level is the number of groups it would
+    have if every edge still to come were present: a present edge keeps
+    it, an absent one raises it by one when it bridges that join.  States
+    above max_groups (1 or 2) can never end with so few groups and are
+    dropped, so a tree block keeps the connected state plus one state per
+    absent edge.  Labels are bytes, so n is at most 256.  A block that
+    can end in two groups has at most m + 2 members, so one the
+    exact_edge_limit admits has at most 27.
     """
     if n <= 1:
-        return 1.0
+        return 1.0, {}
+    # roots[i]: component root of each vertex under edges[i:]
+    uf = _UnionFind(n)
+    roots = [list(range(n))]
+    for u, v, _ in reversed(edges):
+        uf.union(u, v)
+        roots.append([uf.find(x) for x in range(n)])
+    roots.reverse()
+    if uf.groups > max_groups:
+        return 0.0, {}
+    # levels[k]: states whose groups, joined by the edges to come, number k
+    levels: list[dict[bytes, float]] = [{} for _ in range(max_groups + 1)]
+    levels[uf.groups][bytes(range(n))] = 1.0
+    for i, (u, v, p) in enumerate(edges):
+        root = roots[i + 1]
+        comps = None
+        if root[u] != root[v]:
+            # the edge bridges two components of the edges to come
+            members: dict[int, list[int]] = {}
+            for x, r in enumerate(root):
+                members.setdefault(r, []).append(x)
+            comps = [itemgetter(*group) for group in members.values() if len(group) > 1]
+        q = 1.0 - p
+        nxt: list[dict[bytes, float]] = [{} for _ in range(max_groups + 1)]
+        for k in range(1, max_groups + 1):
+            same = nxt[k]
+            split = nxt[k + 1] if k < max_groups else None
+            for state, w in levels[k].items():
+                lu, lv = state[u], state[v]
+                if lu == lv:
+                    same[state] = same.get(state, 0.0) + w
+                    continue
+                if p > 0.0:
+                    merged = state.translate(_merge_table(lu, lv) if lu < lv
+                                             else _merge_table(lv, lu))
+                    same[merged] = same.get(merged, 0.0) + w * p
+                if q > 0.0:
+                    if comps is None or _joined(state, comps, lu, lv):
+                        same[state] = same.get(state, 0.0) + w * q
+                    elif split is not None:
+                        split[state] = split.get(state, 0.0) + w * q
+        levels = nxt
+    # after the last edge a state's level is its group count
+    return levels[1].get(bytes(n), 0.0), levels[2] if max_groups > 1 else {}
 
-    def solve(uf: _UnionFind, idx: int) -> float:
-        while idx < len(edges):
-            u, v, p = edges[idx]
-            if uf.find(u) == uf.find(v):
-                idx += 1  # already joined, the edge cannot change anything
-                continue
-            break
-        if uf.groups == 1:
-            return 1.0
-        if idx >= len(edges):
-            return 0.0
-        probe = uf.copy()
-        for u, v, _ in edges[idx:]:
-            probe.union(u, v)
-        if probe.groups > 1:
-            return 0.0
-        u, v, p = edges[idx]
-        with_edge = uf.copy()
-        with_edge.union(u, v)
-        value = p * solve(with_edge, idx + 1)
-        if p < 1.0:
-            value += (1.0 - p) * solve(uf, idx + 1)
-        return value
 
-    return solve(_UnionFind(n), 0)
+def _with_pairs(index: dict[str, int], connected: float, split: dict[bytes, float],
+                pairs) -> list[float]:
+    """c(block + certain ab) = P(1 group) + P(2 groups with a and b apart)
+    for each pair; the second term is an exactly rounded sum."""
+    states = list(split.items())
+    out = []
+    for pair in pairs:
+        ia, ib = _pair_index(index, pair)
+        out.append(connected + math.fsum(w for s, w in states if s[ia] != s[ib]))
+    return out
+
+
+def exact_pair_connectivity(graph: UncertainGraph, block,
+                            pairs) -> tuple[float, list[float]]:
+    """Exact c(block) and c(block + certain pair) for each pair, from one
+    partition DP.  Equal bit for bit to block_connectivity on the exact
+    path, without and with each pair as extra_pair.  The DP is exponential
+    in the edges: callers check solved_exactly first."""
+    index, edges = _indexed_block(graph, block)
+    connected, split = _partition_dp(len(index), edges, 2)
+    return connected, _with_pairs(index, connected, split, pairs)
 
 
 # coins drawn from the generator at a time by the Monte Carlo sampler
@@ -292,18 +394,21 @@ def block_connectivity(graph: UncertainGraph, block, params: ReliabilityParams,
     values use, so an intra gain never compares an exact value against a
     sampled one.
     """
-    members = tuple(sorted(set(block)))
-    if not members:
-        raise ValueError("block is empty")
-    within = graph.edges_within(members)
-    edges = _indexed_intra_edges(members, within, extra_pair)
-    if len(within) + (extra_pair is not None or gain_base) <= params.exact_edge_limit:
-        return ConnectivityEstimate(value=_exact_connect_prob(len(members), edges),
-                                    method="exact")
+    index, edges = _indexed_block(graph, block)
+    n = len(index)
+    if solved_exactly(len(edges) + (extra_pair is not None or gain_base), params):
+        if extra_pair is None:
+            value = _partition_dp(n, edges, 1)[0]
+        else:
+            value = _with_pairs(index, *_partition_dp(n, edges, 2), [extra_pair])[0]
+        return ConnectivityEstimate(value=value, method="exact")
+    if extra_pair is not None:
+        edges.append((*_pair_index(index, extra_pair), 1.0))
+    members = tuple(index)
     # the stream seed folds the members into params.seed, so every evaluation
     # of one block under one params reuses one stream (common random numbers)
     seed = derive_seed(params.seed, "connectivity", members)
-    value = _sampled_connect_prob(len(members), edges, params.mc_samples, make_rng(seed))
+    value = _sampled_connect_prob(n, edges, params.mc_samples, make_rng(seed))
     return ConnectivityEstimate(value=value, method="monte-carlo",
                                 samples=params.mc_samples, seed=seed)
 

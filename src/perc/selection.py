@@ -25,7 +25,8 @@ from dataclasses import dataclass, replace
 
 from .graph import Clustering, Pair, UncertainGraph
 from .reliability import (Block, BlockPairKey, ReliabilityParams, block_connectivity,
-                          changes_since, disconnectivity, spanning_products)
+                          changes_since, disconnectivity, exact_pair_connectivity,
+                          solved_exactly, spanning_products)
 from .util import canonical_pair, log10_clamped
 
 
@@ -73,11 +74,22 @@ class PriorityState:
         return len(self.intra) + len(self.inter)
 
 
-def _intra_gain(graph: UncertainGraph, block: Block, pair: Pair,
-                params: ReliabilityParams, base_value: float) -> float:
-    with_edge = block_connectivity(graph, block, params, extra_pair=pair).value
-    return (log10_clamped(with_edge, params.epsilon)
-            - log10_clamped(base_value, params.epsilon))
+def _intra_gains(graph: UncertainGraph, block: Block, pairs: list[Pair],
+                 params: ReliabilityParams) -> list[float]:
+    """log10 c(block + certain pair) - log10 c(block) for each pair.
+
+    Exact values all come from one partition DP of the block; sampled ones
+    from one block_connectivity call per pair, against a base sampled from
+    the same stream.
+    """
+    if solved_exactly(len(graph.edges_within(block)) + 1, params):
+        base, values = exact_pair_connectivity(graph, block, pairs)
+    else:
+        base = block_connectivity(graph, block, params, gain_base=True).value
+        values = [block_connectivity(graph, block, params, extra_pair=pair).value
+                  for pair in pairs]
+    floor = log10_clamped(base, params.epsilon)
+    return [log10_clamped(value, params.epsilon) - floor for value in values]
 
 
 def _inter_gain(dis: float, params: ReliabilityParams) -> float:
@@ -99,8 +111,7 @@ def pair_priority(graph: UncertainGraph, clustering: Clustering, pair: Pair,
     block_a = clustering.block_of(a)
     block_b = clustering.block_of(b)
     if block_a == block_b:
-        base = block_connectivity(graph, block_a, params, gain_base=True).value
-        gain = _intra_gain(graph, block_a, (a, b), params, base)
+        (gain,) = _intra_gains(graph, block_a, [(a, b)], params)
         return CandidatePriority((a, b), gain, ("intra", block_a))
     bj, bk = sorted((block_a, block_b))
     dis = disconnectivity(graph, clustering, bj, bk)
@@ -123,8 +134,7 @@ def _intra_entries_for_block(graph: UncertainGraph, block: Block,
     pairs = _absent_intra_pairs(graph, block, allowed)
     if not pairs:
         return {}
-    base = block_connectivity(graph, block, params, gain_base=True).value
-    return {pair: _intra_gain(graph, block, pair, params, base) for pair in pairs}
+    return dict(zip(pairs, _intra_gains(graph, block, pairs, params)))
 
 
 def _inter_entry(graph: UncertainGraph, bj: Block, bk: Block, dis: float,
@@ -179,8 +189,8 @@ def build_state(graph: UncertainGraph, clustering: Clustering,
 
     intra: dict[Pair, float] = {}
     for block, pairs in kept.items():
-        # m + 1 <= limit: the block and each block + pair are solved exactly
-        if len(graph.edges_within(block)) < params.exact_edge_limit:
+        # exact entries are carried; sampled ones are drawn with this seed
+        if solved_exactly(len(graph.edges_within(block)) + 1, params):
             intra.update((pair, previous.intra[pair]) for pair in pairs)
         else:
             intra.update(_intra_entries_for_block(graph, block, params, allowed))

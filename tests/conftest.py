@@ -80,7 +80,7 @@ def connectivity_by_enumeration(members: list, edges: dict) -> float:
     """All-terminal connectivity by summing over every edge subset.
 
     Kept deliberately naive (itertools over subsets plus a reachability
-    walk) so it shares nothing with the library's factoring code.
+    walk) so it shares nothing with the library's partition DP.
     """
     items = sorted(edges.items())
     total = 0.0

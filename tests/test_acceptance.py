@@ -37,6 +37,7 @@ from perc import (
 )
 from perc.fileio import write_curve_csv
 from perc.harness import _initial_pairs_simulated
+from perc.reliability import MAX_EXACT_EDGE_LIMIT
 
 from conftest import (
     RUNNING_BLOCKS,
@@ -214,7 +215,8 @@ def test_5_cache_selection_equivalence():
                                                  n - 1, seed):
                 graph = graph.with_edge(*pair, tally=oracle.answer(pair))
             clustering = scc_cluster(graph)
-            params = ReliabilityParams(seed=seed, exact_edge_limit=40)
+            # every block of these worlds is priced exactly (at most 12 edges)
+            params = ReliabilityParams(seed=seed, exact_edge_limit=MAX_EXACT_EDGE_LIMIT)
             state = build_state(graph, clustering, params)
             for _ in range(12):
                 incremental = select_batch(state, 3)

@@ -106,6 +106,15 @@ class TestNext:
         assert code == 1
         assert "no candidate" in capsys.readouterr().err
 
+    def test_edge_limit_above_cap_exits_one(self, running_files, capsys):
+        # the exact solver is exponential in the edges, so the limit is capped
+        records, votes = running_files
+        code = main(["next", "--graph", str(votes), "--records", str(records),
+                     "--exact-edge-limit", "10000"])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            "error: exact_edge_limit must be <= 25, got 10000\n"
+
 
 class TestEval:
     def test_scores_match_worked_example(self, tmp_path, capsys):
@@ -279,8 +288,9 @@ class TestConfigFile:
         ("mc_samples = 0", "mc_samples must be positive, got 0"),
         ("epsilon = 0.5", "epsilon must sit in (0, 1e-3), got 0.5"),
         ("exact_edge_limit = -1", "exact_edge_limit must be >= 0, got -1"),
+        ("exact_edge_limit = 10000", "exact_edge_limit must be <= 25, got 10000"),
     ], ids=["budget", "strategy", "initial", "eval-every", "workers", "error-rate",
-            "mc-samples", "epsilon", "exact-edge-limit"])
+            "mc-samples", "epsilon", "exact-edge-limit", "exact-edge-limit-cap"])
     def test_rejected_value_names_file_and_line(self, tmp_path, capsys, line, message):
         main(["synth", "--entities", "2", "--records", "4", "--out", str(tmp_path)])
         cfg = tmp_path / "run.cfg"

@@ -1,10 +1,13 @@
 """Connectivity, disconnectivity, and the combined reliability score."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from perc import (
     Clustering,
@@ -14,6 +17,9 @@ from perc import (
     disconnectivity,
     reliability,
 )
+from perc.reliability import (MAX_EXACT_EDGE_LIMIT, _partition_dp, exact_pair_connectivity,
+                              solved_exactly)
+from perc.util import ConfigError
 
 from conftest import connectivity_by_enumeration, random_small_graph
 
@@ -117,6 +123,97 @@ class TestConnectivityExact:
         expected = connectivity_by_enumeration(
             ["A", "B", "C"], dict(g.edge_items()))
         assert block_connectivity(g, "ABC", EXACT).value == pytest.approx(expected)
+
+
+@st.composite
+def dp_blocks(draw):
+    """A block of 1 to 6 records with at most 9 edges: random edges, a
+    random tree, or random edges that leave the last member isolated.
+    Probabilities are mostly 0, 1/2 and 1, where ties and certain edges
+    are most likely."""
+    n = draw(st.integers(1, 6))
+    members = [f"m{i}" for i in range(n)]
+    shape = draw(st.sampled_from(("random", "tree", "isolated")))
+    if shape == "tree":
+        pairs = [(members[draw(st.integers(0, i - 1))], members[i]) for i in range(1, n)]
+    else:
+        pool = members[:-1] if shape == "isolated" else members
+        universe = list(itertools.combinations(pool, 2))
+        pairs = draw(st.lists(st.sampled_from(universe), unique=True, max_size=9)) \
+            if universe else []
+    probs = {pair: draw(st.sampled_from((0.0, 0.5, 1.0, 0.3, 0.9))) for pair in pairs}
+    return UncertainGraph(members, edges=probs)
+
+
+def path_edges(n, p):
+    return [(i, i + 1, p) for i in range(n - 1)]
+
+
+class TestPartitionDP:
+    @settings(max_examples=200, deadline=None)
+    @given(dp_blocks())
+    @example(UncertainGraph(["m0"]))
+    @example(UncertainGraph(["m0", "m1"]))
+    @example(UncertainGraph.from_probabilities(["m0", "m1"], {("m0", "m1"): 0.5}))
+    @example(UncertainGraph.from_probabilities(  # m3 isolated
+        ["m0", "m1", "m2", "m3"], {("m0", "m1"): 0.5, ("m1", "m2"): 1.0}))
+    @example(UncertainGraph.from_probabilities(  # three groups even with a pair
+        ["m0", "m1", "m2", "m3"], {("m0", "m1"): 0.5}))
+    def test_matches_enumeration_with_every_certain_pair(self, graph):
+        members = list(graph.records)
+        edges = dict(graph.edge_items())
+        absent = [pair for pair in itertools.combinations(members, 2) if pair not in edges]
+        base, values = exact_pair_connectivity(graph, members, absent)
+        assert abs(base - connectivity_by_enumeration(members, edges)) <= 1e-12
+        assert block_connectivity(graph, members, EXACT).value == base
+        for pair, value in zip(absent, values):
+            expected = connectivity_by_enumeration(members, {**edges, pair: 1.0})
+            assert abs(value - expected) <= 1e-12, pair
+            # the exact path of block_connectivity reads the same DP
+            assert block_connectivity(graph, members, EXACT, extra_pair=pair).value == value
+
+    def test_path_block_keeps_one_state_per_absent_edge(self):
+        # the connected state plus, per edge, the state with only that edge
+        # absent; without pruning at three groups the 18 edges would leave
+        # 2**18 partitions
+        n, p = 19, 0.7
+        connected, split = _partition_dp(n, path_edges(n, p), 2)
+        assert len(split) == n - 1
+        assert connected == pytest.approx(p ** (n - 1), rel=1e-12)
+
+    def test_path_block_candidates_closed_form(self):
+        # a certain pair (a, b) bridges the d path edges between them: any
+        # one of those may be absent
+        n, p = 19, 0.7
+        members = [f"m{i:02d}" for i in range(n)]
+        graph = UncertainGraph.from_probabilities(
+            members, {(members[i], members[j]): q for i, j, q in path_edges(n, p)})
+        absent = [(members[i], members[j]) for i in range(n) for j in range(i + 2, n)]
+        base, values = exact_pair_connectivity(graph, members, absent)
+        assert base == pytest.approx(p ** (n - 1), rel=1e-12)
+        for (a, b), value in zip(absent, values):
+            d = members.index(b) - members.index(a)
+            expected = p ** (n - 1) + d * (1 - p) * p ** (n - 2)
+            assert value == pytest.approx(expected, rel=1e-12)
+
+    def test_one_group_only_run_gives_the_same_connectivity(self):
+        rng = np.random.default_rng(5)
+        for _ in range(30):
+            g, members = random_block_graph(rng, n_max=7, max_edges=14)
+            index = {r: i for i, r in enumerate(members)}
+            edges = [(index[a], index[b], p) for (a, b), p in g.edge_items()]
+            assert _partition_dp(len(members), edges, 1) == (
+                _partition_dp(len(members), edges, 2)[0], {})
+
+    def test_exact_edge_limit_is_capped(self):
+        assert ReliabilityParams(exact_edge_limit=MAX_EXACT_EDGE_LIMIT)
+        with pytest.raises(ConfigError, match=f"must be <= {MAX_EXACT_EDGE_LIMIT}, got 10000"):
+            ReliabilityParams(exact_edge_limit=10000)
+
+    def test_solved_exactly_counts_the_pair(self):
+        params = ReliabilityParams(exact_edge_limit=3)
+        assert solved_exactly(3, params)
+        assert not solved_exactly(4, params)
 
 
 class TestConnectivityMC:

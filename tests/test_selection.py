@@ -15,9 +15,46 @@ from perc import (
     select_batch,
     select_next,
 )
-from perc.reliability import block_connectivity, disconnectivity
+from perc.reliability import MAX_EXACT_EDGE_LIMIT, block_connectivity, disconnectivity
 
-from conftest import random_small_graph
+from conftest import random_partition, random_small_graph
+
+
+def factoring_connectivity(n, edges):
+    """All-terminal connectivity by edge factoring, a reference that shares
+    nothing with the partition DP: condition on one edge at a time,
+    contract it (present, p) or drop it (absent, 1 - p); stop at 1 once
+    one group is left and at 0 once the remaining edges cannot join the
+    groups."""
+    def find(parent, x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def groups(parent, extra):
+        parent = list(parent)
+        for u, v, _ in extra:
+            ru, rv = find(parent, u), find(parent, v)
+            if ru != rv:
+                parent[rv] = ru
+        return len({find(parent, x) for x in range(n)}), parent
+
+    def solve(parent, idx):
+        count, _ = groups(parent, ())
+        if count == 1:
+            return 1.0
+        if groups(parent, edges[idx:])[0] > 1:
+            return 0.0
+        u, v, p = edges[idx]
+        if find(parent, u) == find(parent, v):
+            return solve(parent, idx + 1)
+        _, joined = groups(parent, [edges[idx]])
+        value = p * solve(joined, idx + 1)
+        if p < 1.0:
+            value += (1.0 - p) * solve(parent, idx + 1)
+        return value
+
+    return solve(list(range(n)), 0)
 
 
 def states_equal(a, b):
@@ -109,6 +146,31 @@ class TestPairPriority:
                 assert pair_priority(g, c, pair, params).gain == expected
                 assert intra[pair] == expected
             checked += 1
+
+
+class TestExactGainsAgainstFactoring:
+    def test_build_state_intra_gains_match_per_pair_factoring(self):
+        rng = np.random.default_rng(83)
+        params = ReliabilityParams(exact_edge_limit=MAX_EXACT_EDGE_LIMIT)
+        eps = params.epsilon
+        checked = 0
+        for trial in range(100):
+            g = random_small_graph(rng, n_min=2, n_max=7, p_edge=0.5)
+            # one block half of the time, so some blocks hold every record
+            c = random_partition(rng, g.records) if trial % 2 else Clustering([g.records])
+            state = build_state(g, c, params)
+            for pair, gain in state.intra.items():
+                block = c.block_of(pair[0])
+                index = {r: i for i, r in enumerate(block)}
+                edges = [(index[a], index[b], p) for (a, b), p in g.edges_within(block)]
+                certain = (index[pair[0]], index[pair[1]], 1.0)
+                base = factoring_connectivity(len(block), edges)
+                with_pair = factoring_connectivity(len(block), edges + [certain])
+                expected = math.log10(max(with_pair, eps)) - math.log10(max(base, eps))
+                assert abs(gain - expected) <= 1e-12, (pair, gain, expected)
+                assert pair_priority(g, c, pair, params).gain == gain
+                checked += 1
+        assert checked >= 200
 
 
 class TestBuildState:
