@@ -78,11 +78,9 @@ def simulate_votes(gold: GoldClustering, pair: Pair, model: WorkerModel,
     a, b = canonical_pair(*pair)
     truth = gold.same(a, b)
     flip_prob = min(1.0, model.error_rate * gold.pair_difficulty(a, b))
-    yes = 0
-    for _ in range(model.workers_per_pair):
-        wrong = rng.random() < flip_prob
-        if truth != wrong:
-            yes += 1
+    # one bulk draw yields the same doubles as one rng.random() per worker
+    coins = rng.random(model.workers_per_pair).tolist()
+    yes = sum(truth != (coin < flip_prob) for coin in coins)
     return VoteTally(yes=yes, total=model.workers_per_pair)
 
 

@@ -11,6 +11,14 @@ to log10 1 = 0).  All cross pairs spanning one block pair share a single
 gain, so the queue keeps one representative per block pair, the
 lexicographically smallest absent spanning pair.
 
+A block pair that no edge spans has disconnectivity 0, clamped to epsilon,
+so it carries the top gain, -log10 epsilon, and its representative is
+(min of one block, min of the other).  Such pairs are left unstored: the
+queue keeps the set of spanned block pairs instead, and select_batch walks
+the unspanned ones in block order, which is already their rank order.  An
+answer only ever spans a block pair, so each walk starts where the first
+unstored entry was last found.
+
 The state is cached between rounds.  An answer re-triggers work only where
 terms actually moved: an intra answer reprices its own block's candidates
 and a cross answer reprices its block pair's representative.  After a
@@ -21,7 +29,10 @@ the blocks and block pairs that survived it untouched, and prices the rest.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, replace
+from itertools import islice
+from typing import Iterator
 
 from .graph import Clustering, Pair, UncertainGraph
 from .reliability import (Block, BlockPairKey, ReliabilityParams, block_connectivity,
@@ -42,36 +53,85 @@ class CandidatePriority:
 class PriorityState:
     """Cached candidate gains for one (graph, clustering) snapshot.
 
-    intra maps each absent intra-block pair to its gain; inter maps each
-    block pair with at least one absent spanning pair to its representative
-    and shared gain.  allowed (when set) restricts candidates to a fixed
-    pair set, used in replay mode.
+    intra maps each absent intra-block pair to its gain, and spanned holds
+    every block pair with at least one spanning edge.  An unspanned block
+    pair is left unstored when its (min, min) representative may be asked;
+    inter maps every other block pair with an absent spanning pair to its
+    representative and shared gain.  allowed (when set) restricts
+    candidates to a fixed pair set, used in replay mode.
     """
 
-    __slots__ = ("graph", "clustering", "params", "intra", "inter", "allowed")
+    __slots__ = ("graph", "clustering", "params", "intra", "inter", "spanned", "allowed",
+                 "_cursor")
 
     def __init__(self, graph: UncertainGraph, clustering: Clustering,
                  params: ReliabilityParams, intra: dict[Pair, float],
                  inter: dict[BlockPairKey, tuple[Pair, float]],
-                 allowed: frozenset | None = None):
+                 spanned: set[BlockPairKey], allowed: frozenset | None = None):
         self.graph = graph
         self.clustering = clustering
         self.params = params
         self.intra = intra
         self.inter = inter
+        self.spanned = spanned
         self.allowed = allowed
+        # block indices (j, k) before which no unstored entry is left; valid
+        # because spanned only grows until the clustering changes
+        self._cursor = (0, 1)
+
+    def _unstored(self) -> Iterator[tuple[Pair, BlockPairKey]]:
+        """(representative, block pair) of each unstored entry, in block
+        order, which is representative order; each has the top gain."""
+        blocks = self.clustering.blocks
+        spanned = self.spanned
+        allowed = self.allowed
+        first = True
+        j, start = self._cursor
+        for j in range(j, len(blocks)):
+            bj = blocks[j]
+            for k in range(start, len(blocks)):
+                key = (bj, blocks[k])
+                if key not in spanned:
+                    rep = (bj[0], key[1][0])
+                    if allowed is None or rep in allowed:
+                        if first:
+                            # answers only ever span pairs, so no entry will
+                            # come before this one again
+                            self._cursor = (j, k)
+                            first = False
+                        yield rep, key
+            start = j + 2
+        if first:
+            self._cursor = (len(blocks), len(blocks))
+
+    def gain(self, pair: Pair) -> float:
+        """The gain of asking ``pair``, an absent candidate."""
+        owner = self.clustering._owner
+        block_a, block_b = owner[pair[0]], owner[pair[1]]
+        if block_a is block_b:
+            return self.intra[pair]
+        key = (block_a, block_b) if block_a < block_b else (block_b, block_a)
+        entry = self.inter.get(key)
+        if entry is not None:
+            return entry[1]
+        if key in self.spanned:
+            raise KeyError(f"pair {pair} is not a candidate")
+        return _inter_gain(0.0, self.params)
 
     def entries(self) -> list[CandidatePriority]:
-        """All queue entries, ranked best first."""
+        """All queue entries, unstored ones included, ranked best first."""
         out = [CandidatePriority(pair, gain, ("intra", self.clustering.block_of(pair[0])))
                for pair, gain in self.intra.items()]
         out.extend(CandidatePriority(rep, gain, ("inter", key[0], key[1]))
                    for key, (rep, gain) in self.inter.items())
+        top = _inter_gain(0.0, self.params)
+        out.extend(CandidatePriority(rep, top, ("inter", key[0], key[1]))
+                   for rep, key in self._unstored())
         out.sort(key=lambda c: (-c.gain, c.pair))
         return out
 
     def __len__(self):
-        return len(self.intra) + len(self.inter)
+        return len(self.intra) + len(self.inter) + sum(1 for _ in self._unstored())
 
 
 def _intra_gains(graph: UncertainGraph, block: Block, pairs: list[Pair],
@@ -158,7 +218,8 @@ def build_state(graph: UncertainGraph, clustering: Clustering,
 
     - the intra entries of a surviving block with no new intra edge, when
       its candidates are priced exactly (exact values ignore the seed);
-    - the inter entry of a surviving block pair with no new spanning edge.
+    - the inter entry of a surviving block pair with no new spanning edge,
+      and whether it is spanned.
 
     New blocks and every block pair involving one, blocks and block pairs
     that a new edge touched, and sampled blocks are priced afresh, so the
@@ -200,38 +261,38 @@ def build_state(graph: UncertainGraph, clustering: Clustering,
             intra.update(_intra_entries_for_block(graph, block, params, allowed))
 
     inter: dict[BlockPairKey, tuple[Pair, float]] = {}
-    fresh = [block not in survivors for block in blocks]
+    spanned: set[BlockPairKey] = set()
     priced = None
     if previous is not None:
-        inter = previous.inter
-        old_blocks = previous.clustering.blocks
-        for dead in old_blocks:
-            if dead not in survivors:
-                for other in old_blocks:
-                    if other is not dead:
-                        inter.pop((dead, other) if dead < other else (other, dead), None)
-        for key in touched_pairs:
-            inter.pop(key, None)  # priced again below
-        priced = {block for block, new in zip(blocks, fresh) if new}
+        # drop the block pairs that lost a block; touched ones are priced below
+        inter = {key: entry for key, entry in previous.inter.items()
+                 if key[0] in survivors and key[1] in survivors and key not in touched_pairs}
+        spanned = {key for key in previous.spanned
+                   if key[0] in survivors and key[1] in survivors}
+        priced = {block for block in blocks if block not in survivors}
         priced.update(block for key in touched_pairs for block in key)
     products = spanning_products(graph, clustering, priced)
-    unspanned_gain = _inter_gain(0.0, params)
-    # each pair with a new block once: blocks are sorted, so j < k orders it
-    keys = [(bj, bk) if j < k else (bk, bj)
-            for j, bj in enumerate(blocks) if fresh[j]
-            for k, bk in enumerate(blocks) if k > j or (k < j and not fresh[k])]
+    spanned.update(products)
+    if allowed is None:
+        # unspanned pairs are left unstored, so only spanned ones are listed
+        keys = [key for key in products
+                if key[0] not in survivors or key[1] not in survivors]
+    else:
+        # each pair with a new block once: blocks are sorted, so j < k orders it
+        fresh = [block not in survivors for block in blocks]
+        keys = [(bj, bk) if j < k else (bk, bj)
+                for j, bj in enumerate(blocks) if fresh[j]
+                for k, bk in enumerate(blocks) if k > j or (k < j and not fresh[k])]
     keys.extend(touched_pairs)
     for key in keys:
         prod = products.get(key)
-        if prod is None and allowed is None:
-            # every spanning pair is absent; the smallest is (min, min)
-            inter[key] = ((key[0][0], key[1][0]), unspanned_gain)
-            continue
+        if prod is None and (allowed is None or (key[0][0], key[1][0]) in allowed):
+            continue  # unstored: the (min, min) pair may be asked
         entry = _inter_entry(graph, key[0], key[1], 0.0 if prod is None else 1.0 - prod,
                              params, allowed)
         if entry is not None:
             inter[key] = entry
-    return PriorityState(graph, clustering, params, intra, inter, allowed=allowed)
+    return PriorityState(graph, clustering, params, intra, inter, spanned, allowed=allowed)
 
 
 def refresh_after_answer(state: PriorityState, graph: UncertainGraph,
@@ -243,8 +304,9 @@ def refresh_after_answer(state: PriorityState, graph: UncertainGraph,
     build_state as ``previous`` instead); call once for each pair a graph
     update added.  Only the entries whose reliability term the answer
     touched are repriced: the answered block's intra candidates, or the
-    answered block pair's representative.  The rest stand, since this edge
-    leaves their inputs untouched.
+    answered block pair's representative, stored from then on since the
+    pair is spanned.  The rest stand, since this edge leaves their inputs
+    untouched.
     """
     key = canonical_pair(*answered_pair)
     if not graph.has_edge(*key):
@@ -261,6 +323,7 @@ def refresh_after_answer(state: PriorityState, graph: UncertainGraph,
         state.intra.update(_intra_entries_for_block(graph, block_a, params, state.allowed))
     else:
         bj, bk = sorted((block_a, block_b))
+        state.spanned.add((bj, bk))
         entry = _inter_entry(graph, bj, bk, disconnectivity(graph, state.clustering, bj, bk),
                              params, state.allowed)
         if entry is None:
@@ -275,15 +338,8 @@ def select_next(state: PriorityState) -> Pair | None:
     Ranking is by gain, ties broken lexicographically on the pair, which
     for tied cross candidates lands on the smallest representative.
     """
-    best_pair = None
-    best_gain = 0.0
-    for pair, gain in state.intra.items():
-        if best_pair is None or gain > best_gain or (gain == best_gain and pair < best_pair):
-            best_pair, best_gain = pair, gain
-    for rep, gain in state.inter.values():
-        if best_pair is None or gain > best_gain or (gain == best_gain and rep < best_pair):
-            best_pair, best_gain = rep, gain
-    return best_pair
+    batch = select_batch(state, 1)
+    return batch[0] if batch else None
 
 
 def select_batch(state: PriorityState, k: int) -> list[Pair]:
@@ -299,13 +355,21 @@ def select_batch(state: PriorityState, k: int) -> list[Pair]:
     """
     if k < 1:
         raise ValueError(f"batch size must be positive, got {k}")
-    # (-gain, pair) keys are unique, so the k smallest are entries()[:k]
-    keys = [(-gain, pair) for pair, gain in state.intra.items()]
-    keys.extend((-gain, rep) for rep, gain in state.inter.values())
+    # (-gain, pair) keys are unique, so the k smallest are entries()[:k].
+    # The unstored entries come in rank order at the top gain, so once k of
+    # them are found, only a stored entry at or above that gain can rank.
+    top_gain = _inter_gain(0.0, state.params)
+    unstored = list(islice(state._unstored(), k))
+    floor = top_gain if len(unstored) == k else -math.inf
+    keys = [(-gain, pair) for pair, gain in state.intra.items() if gain >= floor]
+    keys += [(-gain, rep) for rep, gain in state.inter.values() if gain >= floor]
+    keys += [(-top_gain, rep) for rep, _ in unstored]
     batch = [pair for _, pair in heapq.nsmallest(k, keys)]
     if len(batch) < k:
         # every representative is in the batch; block pairs go in queue order
-        fill = sorted((-gain, rep, key) for key, (rep, gain) in state.inter.items())
+        fill = [(-gain, rep, key) for key, (rep, gain) in state.inter.items()]
+        fill += [(-top_gain, rep, key) for rep, key in unstored]
+        fill.sort()
         for _, rep, (bj, bk) in fill:
             for pair in state.graph.absent_pairs_between(bj, bk, state.allowed):
                 if pair != rep:

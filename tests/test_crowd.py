@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perc import (
     GoldClustering,
@@ -71,6 +73,23 @@ class TestWorkerModel:
         rng = make_rng(0)
         assert simulate_votes(GOLD, ("a", "b"), model, rng) == VoteTally(0, 4)
         assert simulate_votes(GOLD, ("c", "a"), model, rng) == VoteTally(4, 4)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 40), st.sampled_from((0.0, 0.1, 0.25, 0.5, 1.0)),
+           st.sampled_from((("a", "b"), ("a", "c"))), st.integers(0, 2**64 - 1))
+    def test_bulk_coins_equal_per_coin_draws(self, workers, error_rate, pair, seed):
+        # the reference draws one rng.random() per worker, in worker order
+        model = WorkerModel(workers_per_pair=workers, error_rate=error_rate)
+        rng = make_rng(seed)
+        truth = GOLD.same(*pair)
+        yes = sum(truth != (rng.random() < error_rate) for _ in range(workers))
+        rng = make_rng(seed)
+        assert simulate_votes(GOLD, pair, model, rng) == VoteTally(yes, workers)
+        # the bulk draw leaves the stream where the per-coin draws would
+        reference = make_rng(seed)
+        for _ in range(workers):
+            reference.random()
+        assert rng.random() == reference.random()
 
     def test_error_rate_scales_with_difficulty(self):
         # Difficulty 3 at base rate 0.2 flips with probability 0.6; check

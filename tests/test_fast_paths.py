@@ -4,10 +4,11 @@ Random small graphs and clusterings with tie-prone edge fractions (0/1,
 1/2, 3/5, ...) are pushed through the fast paths and through references
 that price each block pair on its own: disconnectivity per pair, a
 linear-scan agglomerative merge over every edge, a full sort of the queue,
-a scan of all |A|·|B| pairs for the absent cross pairs, rho_inputs per
-block pair, a rescan of TC's candidates before each pick, a Monte Carlo
-sampler that draws one coin per call, and a cold build_state and a cold
-reliability call after every recluster.  Values must agree bit for bit,
+a scan of all |A|·|B| pairs for the absent cross pairs and for the queue
+entry of every block pair (stored or not), rho_inputs per block pair, a
+rescan of TC's candidates before each pick, a Monte Carlo sampler that
+draws one coin per call, and a cold build_state and a cold reliability call
+after every recluster.  Values must agree bit for bit,
 since curve bytes depend on them.
 """
 
@@ -21,8 +22,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from perc import (Clustering, ReliabilityParams, UncertainGraph, build_state,
-                  dense_batch, reliability, rho_inputs, scc_cluster, select_batch,
-                  tc_batch)
+                  dense_batch, refresh_after_answer, reliability, rho_inputs, scc_cluster,
+                  select_batch, tc_batch)
 from perc.baselines import _dense_scores
 from perc.clustering import _PairAgg
 from perc.reliability import (_sampled_connect_prob, block_connectivity, disconnectivity,
@@ -194,32 +195,55 @@ def next_clusterings(draw, graph, clustering):
     return Clustering(blocks)
 
 
-def reference_select_batch(state, k):
-    """The queue fully sorted, then spare slots filled across block pairs."""
-    ranked = state.entries()
-    batch = [c.pair for c in ranked[:k]]
+def reference_entries(graph, clustering, params, allowed):
+    """Every queue entry as (gain, pair, scope), best first: a cold build's
+    intra entries, and one entry for every block pair with an absent
+    spanning pair, found by reference_inter."""
+    intra = build_state(graph, clustering, params, allowed=allowed).intra
+    out = [(gain, pair, ("intra", clustering.block_of(pair[0])))
+           for pair, gain in intra.items()]
+    out.extend((gain, rep, ("inter", bj, bk))
+               for (bj, bk), (rep, gain) in reference_inter(graph, clustering, params,
+                                                            allowed).items())
+    out.sort(key=lambda e: (-e[0], e[1]))
+    return out
+
+
+def reference_select_batch(graph, ranked, allowed, k):
+    """The ranked queue's first k pairs, then spare slots filled across
+    block pairs."""
+    batch = [pair for _, pair, _ in ranked[:k]]
     taken = set(batch)
-    for cand in ranked:
+    for _, _, scope in ranked:
         if len(batch) >= k:
             break
-        if cand.scope[0] != "inter":
+        if scope[0] != "inter":
             continue
-        for pair in scan_absent_between(state.graph, cand.scope[1],
-                                        cand.scope[2], state.allowed):
+        for pair in scan_absent_between(graph, scope[1], scope[2], allowed):
             if len(batch) < k and pair not in taken:
                 taken.add(pair)
                 batch.append(pair)
     return batch
 
 
-def reference_inter(graph, clustering, allowed):
+def reference_inter(graph, clustering, params, allowed):
     inter = {}
     for bj, bk in clustering.block_pairs():
         absent = scan_absent_between(graph, bj, bk, allowed)
         if absent:
             dis = disconnectivity(graph, clustering, bj, bk)
-            inter[(bj, bk)] = (absent[0], _inter_gain(dis, PARAMS))
+            inter[(bj, bk)] = (absent[0], _inter_gain(dis, params))
     return inter
+
+
+def assert_queue_matches_reference(state):
+    """The full queue view and every batch size against the references."""
+    ranked = reference_entries(state.graph, state.clustering, state.params, state.allowed)
+    assert [(c.gain, c.pair, c.scope) for c in state.entries()] == ranked
+    assert len(state) == len(ranked)
+    for k in range(1, len(ranked) + 4):
+        assert select_batch(state, k) == \
+            reference_select_batch(state.graph, ranked, state.allowed, k)
 
 
 def reference_dense_batch(graph, clustering, k, allowed):
@@ -368,6 +392,7 @@ def test_carried_state_equals_cold_build(graph, data):
         cold = build_state(graph, clustering, params, allowed=allowed)
         assert state.intra == cold.intra
         assert state.inter == cold.inter
+        assert state.spanned == cold.spanned
 
 
 @settings(max_examples=150, deadline=None)
@@ -411,12 +436,41 @@ def test_select_batch_equals_sorted_queue(case, data):
     graph, clustering = case
     allowed = draw_allowed(data, graph)
     state = build_state(graph, clustering, PARAMS, allowed=allowed)
-    assert state.inter == reference_inter(graph, clustering, allowed)
+    inter = {(c.scope[1], c.scope[2]): (c.pair, c.gain)
+             for c in state.entries() if c.scope[0] == "inter"}
+    assert inter == reference_inter(graph, clustering, PARAMS, allowed)
     ranked = [c.pair for c in state.entries()]
     for k in range(1, len(state) + 4):
-        batch = select_batch(state, k)
-        assert batch[:len(state)] == ranked[:k]
-        assert batch == reference_select_batch(state, k)
+        assert select_batch(state, k)[:len(state)] == ranked[:k]
+    assert_queue_matches_reference(state)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_records=8, fractions=ROUNDING_FRACTIONS), st.data())
+def test_queue_with_unstored_pairs_equals_every_block_pair(graph, data):
+    """Unspanned block pairs are left unstored; after a cold build, carried
+    builds and answers folded in, the queue must still list and batch every
+    block pair as a reference that scans them all."""
+    allowed = draw_allowed(data, graph)
+    clustering = data.draw(next_clusterings(graph, scc_cluster(graph)), label="clustering")
+    state = build_state(graph, clustering, PARAMS, allowed=allowed)
+    assert_queue_matches_reference(state)
+    for _ in range(4):
+        absent = list(graph.absent_pairs())
+        if not absent:
+            break
+        batch = data.draw(st.lists(st.sampled_from(absent), min_size=1, max_size=4,
+                                   unique=True), label="batch")
+        for pair in batch:
+            graph = graph.with_edge(*pair, probability=data.draw(
+                st.sampled_from(ROUNDING_FRACTIONS), label="p"))
+        if data.draw(st.booleans(), label="recluster"):
+            clustering = data.draw(next_clusterings(graph, clustering), label="clustering")
+            state = build_state(graph, clustering, PARAMS, allowed=allowed, previous=state)
+        else:
+            for pair in batch:
+                refresh_after_answer(state, graph, pair)
+        assert_queue_matches_reference(state)
 
 
 @ORACLE

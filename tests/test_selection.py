@@ -57,8 +57,15 @@ def factoring_connectivity(n, edges):
     return solve(list(range(n)), 0)
 
 
+def inter_queue(state):
+    """Block pair -> (representative, gain) over the full queue, stored or not."""
+    return {(c.scope[1], c.scope[2]): (c.pair, c.gain)
+            for c in state.entries() if c.scope[0] == "inter"}
+
+
 def states_equal(a, b):
-    return (a.intra == b.intra and a.inter == b.inter
+    return (a.intra == b.intra and a.inter == b.inter and a.spanned == b.spanned
+            and a.entries() == b.entries()
             and a.clustering == b.clustering and a.graph.edges == b.graph.edges)
 
 
@@ -179,10 +186,11 @@ class TestBuildState:
         # No intra candidate exists (every block's single pair was asked),
         # and only two block pairs still have absent spanning pairs.
         assert state.intra == {}
-        assert set(state.inter) == {
+        queue = inter_queue(state)
+        assert set(queue) == {
             (("A", "B"), ("C", "D")), (("E", "F"), ("G", "H"))}
-        rep12, gain12 = state.inter[(("A", "B"), ("C", "D"))]
-        rep34, gain34 = state.inter[(("E", "F"), ("G", "H"))]
+        rep12, gain12 = queue[(("A", "B"), ("C", "D"))]
+        rep34, gain34 = queue[(("E", "F"), ("G", "H"))]
         assert rep12 == ("A", "D")
         assert rep34 == ("E", "H")
         assert gain34 == pytest.approx(-math.log10(0.79))
@@ -194,8 +202,31 @@ class TestBuildState:
             "ABCD", {("A", "B"): 0.9, ("C", "D"): 0.9, ("A", "C"): 0.1})
         c = Clustering([["A", "B"], ["C", "D"]])
         state = build_state(g, c)
-        rep, _ = state.inter[(("A", "B"), ("C", "D"))]
+        rep, _ = inter_queue(state)[(("A", "B"), ("C", "D"))]
         assert rep == ("A", "D")  # (A, C) is taken, (A, D) is next
+
+    def test_unspanned_block_pairs_are_left_unstored(self):
+        records = [f"r{i:03d}" for i in range(200)]
+        g = UncertainGraph(records)
+        state = build_state(g, Clustering.singletons(records))
+        assert state.intra == {} and state.inter == {} and state.spanned == set()
+        assert len(state) == 19900
+        assert len(state.entries()) == 19900
+        pairs = list(g.absent_pairs())
+        for k in (1, 2, 199, 200, 1000):
+            assert select_batch(state, k) == pairs[:k]
+
+    def test_unspanned_pair_whose_min_pair_is_not_allowed_is_stored(self):
+        g = UncertainGraph.from_probabilities("ABCD", {("A", "B"): 0.9})
+        c = Clustering([["A", "B"], ["C", "D"]])
+        state = build_state(g, c, allowed=frozenset({("B", "D")}))
+        top = -math.log10(ReliabilityParams().epsilon)
+        assert state.inter == {(("A", "B"), ("C", "D")): (("B", "D"), top)}
+        assert len(state) == 1
+        unstored = build_state(g, c, allowed=frozenset({("A", "C"), ("B", "D")}))
+        assert unstored.inter == {}
+        assert [(e.pair, e.gain) for e in unstored.entries()] == [(("A", "C"), top)]
+        assert select_batch(unstored, 3) == [("A", "C"), ("B", "D")]
 
     def test_fully_crowdsourced_graph_has_empty_queue(self):
         g = UncertainGraph.from_probabilities(
@@ -240,8 +271,9 @@ class TestBuildState:
     def test_allowed_filter_restricts_candidates(self, running_graph, running_clustering):
         allowed = frozenset({("B", "C"), ("F", "G")})
         state = build_state(running_graph, running_clustering, allowed=allowed)
-        assert state.inter[(("A", "B"), ("C", "D"))][0] == ("B", "C")
-        assert state.inter[(("E", "F"), ("G", "H"))][0] == ("F", "G")
+        queue = inter_queue(state)
+        assert queue[(("A", "B"), ("C", "D"))][0] == ("B", "C")
+        assert queue[(("E", "F"), ("G", "H"))][0] == ("F", "G")
         none_left = build_state(running_graph, running_clustering,
                                 allowed=frozenset())
         assert len(none_left) == 0
@@ -316,6 +348,21 @@ class TestSelectBatch:
         with pytest.raises(ValueError):
             select_batch(state, 0)
 
+    def test_state_gain_equals_pair_priority(self, running_graph, running_clustering):
+        # perc next prints state.gain for each batch pair
+        rng = np.random.default_rng(79)
+        params = ReliabilityParams(exact_edge_limit=3)  # some blocks are sampled
+        for _ in range(20):
+            g = random_small_graph(rng, n_min=5, n_max=8, p_edge=0.3)
+            recs = list(g.records)
+            c = Clustering([recs[:2], recs[2:4], recs[4:]])
+            state = build_state(g, c, params)
+            for pair in select_batch(state, 30):
+                assert state.gain(pair) == pair_priority(g, c, pair, params).gain
+        state = build_state(running_graph, running_clustering)
+        with pytest.raises(KeyError):
+            state.gain(("A", "E"))  # every pair across these blocks was asked
+
     def test_expansion_pairs_share_the_representative_gain(self, running_graph,
                                                            running_clustering):
         state = build_state(running_graph, running_clustering)
@@ -339,7 +386,7 @@ class TestRefreshAfterAnswer:
         assert state.intra is intra and state.inter is inter
         assert states_equal(state, build_state(g2, running_clustering))
         # the C3 x C4 disconnectivity rose to 1 - 0.3*0.7*0.2, repricing it
-        _, new_gain = state.inter[(("E", "F"), ("G", "H"))]
+        _, new_gain = inter_queue(state)[(("E", "F"), ("G", "H"))]
         assert new_gain == pytest.approx(-math.log10(1 - 0.3 * 0.7 * 0.2))
         # the untouched block pair kept its exact entry object value
         assert state.inter[(("A", "B"), ("C", "D"))] == \
