@@ -28,12 +28,18 @@ def _open_reader(path):
     return open(path, newline="", encoding="utf-8")
 
 
-def _rows(reader):
+def _rows(reader, path, width: int, optional: int = 0):
     """(line, row) for each non-empty row after the header.  The line is
     the physical line the row ends on; after a quoted field that spans
-    lines it runs ahead of the row count."""
+    lines it runs ahead of the row count.  A row must have width columns,
+    of which the last ``optional`` may be left off."""
     for row in reader:
         if row:
+            if not width - optional <= len(row) <= width:
+                expected = (f"{width - optional} or {width} columns" if optional
+                            else f"{width} column{'s' * (width > 1)}")
+                raise ValueError(f"{path}:{reader.line_num}: expected {expected}, "
+                                 f"got {len(row)}")
             yield reader.line_num, row
 
 
@@ -43,14 +49,9 @@ def _check_header(row, expected, path, optional_tail=()):
                          f"{','.join(row) if row else 'an empty file'}")
     extra = row[len(expected):]
     for col in extra:
-        if col not in optional_tail:
+        if col not in optional_tail or extra.count(col) > 1:
             raise ValueError(f"{path}: unexpected column {col!r}")
     return extra
-
-
-def _check_min_columns(row, count, path, lineno):
-    if len(row) < count:
-        raise ValueError(f"{path}:{lineno}: expected at least {count} columns, got {len(row)}")
 
 
 def _record_id(row, path, lineno, seen) -> str:
@@ -71,7 +72,7 @@ def read_records_csv(path) -> list[str]:
         _check_header(next(reader, None), RECORDS_HEADER, path)
         out = []
         seen = set()
-        for lineno, row in _rows(reader):
+        for lineno, row in _rows(reader, path, len(RECORDS_HEADER)):
             rid = _record_id(row, path, lineno, seen)
             seen.add(rid)
             out.append(rid)
@@ -100,9 +101,7 @@ def _vote_rows(path):
     with _open_reader(path) as fh:
         reader = csv.reader(fh)
         _check_header(next(reader, None), VOTES_HEADER, path)
-        for lineno, row in _rows(reader):
-            if len(row) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 4 columns, got {len(row)}")
+        for lineno, row in _rows(reader, path, len(VOTES_HEADER)):
             a, b, yes, total = row
             try:
                 tally = VoteTally(yes=int(yes), total=int(total))
@@ -135,12 +134,10 @@ def read_gold_csv(path) -> GoldClustering:
         reader = csv.reader(fh)
         extra = _check_header(next(reader, None), GOLD_HEADER, path,
                               optional_tail=("difficulty",))
-        has_difficulty = bool(extra)
-        for lineno, row in _rows(reader):
-            _check_min_columns(row, 2, path, lineno)
+        for lineno, row in _rows(reader, path, len(GOLD_HEADER) + len(extra), len(extra)):
             rid = _record_id(row, path, lineno, entity)
             entity[rid] = row[1]
-            if has_difficulty and len(row) > 2 and row[2] != "":
+            if len(row) > 2 and row[2] != "":
                 try:
                     difficulty[rid] = float(row[2])
                     if not 0 <= difficulty[rid] < math.inf:  # also rejects nan
@@ -167,8 +164,7 @@ def read_clusters_csv(path) -> Clustering:
     with _open_reader(path) as fh:
         reader = csv.reader(fh)
         _check_header(next(reader, None), CLUSTERS_HEADER, path)
-        for lineno, row in _rows(reader):
-            _check_min_columns(row, 2, path, lineno)
+        for lineno, row in _rows(reader, path, len(CLUSTERS_HEADER)):
             rid = _record_id(row, path, lineno, seen)
             seen.add(rid)
             groups.setdefault(row[1], []).append(rid)
@@ -206,7 +202,7 @@ def read_curve_csv(path) -> list[MetricsSnapshot]:
     with _open_reader(path) as fh:
         reader = csv.reader(fh)
         _check_header(next(reader, None), CURVE_HEADER, path)
-        for _, row in _rows(reader):
+        for _, row in _rows(reader, path, len(CURVE_HEADER)):
             out.append(MetricsSnapshot(questions_asked=int(row[0]),
                                        precision=float(row[1]), recall=float(row[2]),
                                        f1=float(row[3]), reliability=float(row[4]),

@@ -10,6 +10,7 @@ distinct pairs ever asked, seeding included.
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass
 
 from .baselines import dense_batch, tc_batch
@@ -99,27 +100,27 @@ class RunResult:
     flags: dict
 
 
+def _pairs_within(sizes: Counter) -> int:
+    return sum(n * (n - 1) // 2 for n in sizes.values())
+
+
 def precision_recall_f1(predicted: Clustering, gold: GoldClustering) -> tuple[float, float, float]:
     """Pairwise precision, recall and F1 of a clustering against gold.
 
     Precision is 0 when the clustering reports no matching pair, recall is
     0 when gold has none, F1 is 0 when either is 0.
     """
-    if predicted.records != gold.records:
+    entity = gold.entity
+    if predicted.records != entity.keys():
         raise ValueError("clustering and gold cover different record sets")
     reported = 0
     correct = 0
     for block in predicted.blocks:
-        reported += len(block) * (len(block) - 1) // 2
-        for i, a in enumerate(block):
-            for b in block[i + 1:]:
-                if gold.same(a, b):
-                    correct += 1
-    sizes: dict[str, int] = {}
-    for r in gold.records:
-        e = gold.entity_of(r)
-        sizes[e] = sizes.get(e, 0) + 1
-    gold_matching = sum(n * (n - 1) // 2 for n in sizes.values())
+        if len(block) > 1:
+            reported += len(block) * (len(block) - 1) // 2
+            # the block's correct pairs: those inside each gold entity
+            correct += _pairs_within(Counter(entity[r] for r in block))
+    gold_matching = _pairs_within(Counter(entity.values()))
     precision = correct / reported if reported else 0.0
     recall = correct / gold_matching if gold_matching else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0

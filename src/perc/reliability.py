@@ -11,10 +11,16 @@ subgraph, which is #P-hard in general.  Small blocks are solved exactly by a
 partition DP: one pass over the block's edges carries the probability of
 each vertex partition the edges seen so far can leave, merging identical
 states and dropping those the remaining edges cannot bring down to two
-groups.  Its final distribution prices the block and, at once, the block
-with any one certain pair added.  Larger blocks fall back to Monte Carlo
-sampling that realizes edges lazily during a BFS and stops as soon as the
-block is covered.
+groups.  Larger blocks fall back to Monte Carlo sampling that realizes
+edges lazily during a BFS and stops as soon as the block is covered.
+
+Two functions price connectivity.  block_connectivity prices a block as it
+is.  pair_connectivity prices a block and, for each candidate pair, the
+block with that pair added as a certain edge, all by one method: one DP's
+final distribution gives every exact value at once, and sampled values
+share the block's stream.  changes_since tells a caller holding values
+priced on an earlier graph and clustering which of them may carry over,
+and prices the block pairs that may not.
 """
 
 from __future__ import annotations
@@ -178,8 +184,14 @@ def _indexed_block(graph: UncertainGraph, block) -> tuple[dict[str, int], list]:
 def _pair_index(index: dict[str, int], pair: Pair) -> tuple[int, int]:
     a, b = canonical_pair(*pair)
     if a not in index or b not in index:
-        raise ValueError(f"extra pair {(a, b)} does not lie inside the block")
+        raise ValueError(f"pair {(a, b)} does not lie inside the block")
     return index[a], index[b]
+
+
+def _stream_seed(params: ReliabilityParams, index: dict[str, int]) -> int:
+    # the seed folds the members into params.seed, so every evaluation of
+    # one block under one params reuses one stream (common random numbers)
+    return derive_seed(params.seed, "connectivity", tuple(index))
 
 
 class _UnionFind:
@@ -302,29 +314,6 @@ def _partition_dp(n: int, edges: list[tuple[int, int, float]],
     return levels[1].get(bytes(n), 0.0), levels[2] if max_groups > 1 else {}
 
 
-def _with_pairs(index: dict[str, int], connected: float, split: dict[bytes, float],
-                pairs) -> list[float]:
-    """c(block + certain ab) = P(1 group) + P(2 groups with a and b apart)
-    for each pair; the second term is an exactly rounded sum."""
-    states = list(split.items())
-    out = []
-    for pair in pairs:
-        ia, ib = _pair_index(index, pair)
-        out.append(connected + math.fsum(w for s, w in states if s[ia] != s[ib]))
-    return out
-
-
-def exact_pair_connectivity(graph: UncertainGraph, block,
-                            pairs) -> tuple[float, list[float]]:
-    """Exact c(block) and c(block + certain pair) for each pair, from one
-    partition DP.  Equal bit for bit to block_connectivity on the exact
-    path, without and with each pair as extra_pair.  The DP is exponential
-    in the edges: callers check solved_exactly first."""
-    index, edges = _indexed_block(graph, block)
-    connected, split = _partition_dp(len(index), edges, 2)
-    return connected, _with_pairs(index, connected, split, pairs)
-
-
 # coins drawn from the generator at a time by the Monte Carlo sampler
 _COIN_CHUNK = 4096
 
@@ -381,47 +370,63 @@ def _sampled_connect_prob(n: int, edges: list[tuple[int, int, float]],
     return hits / samples
 
 
-def block_connectivity(graph: UncertainGraph, block, params: ReliabilityParams,
-                       extra_pair: Pair | None = None, *,
-                       gain_base: bool = False) -> ConnectivityEstimate:
-    """Connectivity with automatic method choice, optionally with one
-    hypothetical certain edge added inside the block.
-
-    The method is picked from the edge count including the hypothetical
-    edge.  A block with exactly exact_edge_limit edges is therefore solved
-    exactly on its own but sampled with any extra pair; gain_base prices it
-    without the pair by the method (and, sampled, the stream) its with-pair
-    values use, so an intra gain never compares an exact value against a
-    sampled one.
-    """
+def block_connectivity(graph: UncertainGraph, block,
+                       params: ReliabilityParams) -> ConnectivityEstimate:
+    """Connectivity of the block, solved exactly up to exact_edge_limit
+    intra edges and sampled above it."""
     index, edges = _indexed_block(graph, block)
     n = len(index)
-    if solved_exactly(len(edges) + (extra_pair is not None or gain_base), params):
-        if extra_pair is None:
-            value = _partition_dp(n, edges, 1)[0]
-        else:
-            value = _with_pairs(index, *_partition_dp(n, edges, 2), [extra_pair])[0]
-        return ConnectivityEstimate(value=value, method="exact")
-    if extra_pair is not None:
-        edges.append((*_pair_index(index, extra_pair), 1.0))
-    members = tuple(index)
-    # the stream seed folds the members into params.seed, so every evaluation
-    # of one block under one params reuses one stream (common random numbers)
-    seed = derive_seed(params.seed, "connectivity", members)
+    if solved_exactly(len(edges), params):
+        return ConnectivityEstimate(value=_partition_dp(n, edges, 1)[0], method="exact")
+    seed = _stream_seed(params, index)
     value = _sampled_connect_prob(n, edges, params.mc_samples, make_rng(seed))
     return ConnectivityEstimate(value=value, method="monte-carlo",
                                 samples=params.mc_samples, seed=seed)
 
 
+def pair_connectivity(graph: UncertainGraph, block, pairs,
+                      params: ReliabilityParams) -> tuple[float, list[float]]:
+    """c(block) and c(block + certain pair) for each pair, by one method.
+
+    The method is picked once, from the edge count with a pair added.  A
+    block with exactly exact_edge_limit edges is therefore sampled here,
+    though block_connectivity solves it exactly, so a gain never compares
+    an exact value against a sampled one.  Exact values all come from one
+    partition DP: c(block + certain ab) is P(1 group) plus P(2 groups with
+    a and b apart), the second term an exactly rounded sum.  Sampled values
+    all read the block's one stream, the one block_connectivity samples it
+    from: the base on the block's edges and each pair on those plus the
+    pair at probability 1.  Raises ValueError for a pair outside the block.
+    """
+    index, edges = _indexed_block(graph, block)
+    n = len(index)
+    pair_edges = [_pair_index(index, pair) for pair in pairs]
+    if solved_exactly(len(edges) + 1, params):
+        connected, split = _partition_dp(n, edges, 2)
+        states = list(split.items())
+        return connected, [connected + math.fsum(w for s, w in states if s[ia] != s[ib])
+                           for ia, ib in pair_edges]
+    seed = _stream_seed(params, index)
+
+    def sampled(extra: list) -> float:
+        return _sampled_connect_prob(n, edges + extra, params.mc_samples, make_rng(seed))
+
+    return sampled([]), [sampled([(ia, ib, 1.0)]) for ia, ib in pair_edges]
+
+
 def changes_since(previous_graph: UncertainGraph, previous_clustering: Clustering,
                   graph: UncertainGraph, clustering: Clustering
-                  ) -> tuple[set[Block], set[Block], set[BlockPairKey]]:
-    """What the edges graph adds to previous_graph touched, for values
+                  ) -> tuple[set[Block], set[Block], dict[BlockPairKey, float]]:
+    """What the edges graph adds to previous_graph changed, for values
     priced on (previous_graph, previous_clustering) that may carry over.
 
     Returns the surviving blocks (those both clusterings have), the blocks
-    that gained an intra edge, and the surviving block pairs that gained a
-    spanning edge.  Raises ValueError as UncertainGraph.edges_added_since.
+    that gained an intra edge, and the disconnectivity of every block pair
+    whose value must be priced again: each surviving pair that gained a
+    spanning edge, and each spanned pair with a new block.  Any other
+    block pair of two survivors kept its value, and any other pair with a
+    new block is unspanned (d = 0).  Raises ValueError as
+    UncertainGraph.edges_added_since.
     """
     owner = clustering._owner
     survivors = set(previous_clustering.blocks).intersection(clustering.blocks)
@@ -433,7 +438,12 @@ def changes_since(previous_graph: UncertainGraph, previous_clustering: Clusterin
             touched_blocks.add(ba)
         elif ba in survivors and bb in survivors:
             touched_pairs.add((ba, bb) if ba < bb else (bb, ba))
-    return survivors, touched_blocks, touched_pairs
+    priced = {key: disconnectivity(graph, clustering, *key) for key in touched_pairs}
+    if len(survivors) < len(clustering.blocks):
+        fresh = {block for block in clustering.blocks if block not in survivors}
+        priced.update((key, 1.0 - prod) for key, prod
+                      in spanning_products(graph, clustering, fresh).items())
+    return survivors, touched_blocks, priced
 
 
 def reliability(graph: UncertainGraph, clustering: Clustering,
@@ -455,9 +465,8 @@ def reliability(graph: UncertainGraph, clustering: Clustering,
     - the disconnectivity of a surviving block pair with no new spanning
       edge.
 
-    Block pairs with a new block come from one spanning_products pass and
-    touched surviving pairs from disconnectivity, so the result equals a
-    call without ``previous``.
+    The pairs changes_since prices are priced again, so the result equals
+    a call without ``previous``.
     """
     params = params or ReliabilityParams()
     if clustering.records != set(graph.records):
@@ -473,7 +482,7 @@ def reliability(graph: UncertainGraph, clustering: Clustering,
     else:
         if replace(previous.params, seed=params.seed) != params:
             raise ValueError("previous score priced other params")
-        survivors, touched_blocks, touched_pairs = changes_since(
+        survivors, touched_blocks, priced = changes_since(
             previous.graph, previous.clustering, graph, clustering)
         old_blocks = previous.clustering.blocks
         carried = dict(zip(old_blocks, previous.block_connectivity))
@@ -486,11 +495,6 @@ def reliability(graph: UncertainGraph, clustering: Clustering,
                         key = (dead, other) if dead < other else (other, dead)
                         if pairs.pop(key, None) is not None:
                             logs.pop(key, None)
-        priced = {key: disconnectivity(graph, clustering, *key) for key in touched_pairs}
-        if len(survivors) < len(blocks):
-            fresh = {block for block in blocks if block not in survivors}
-            priced.update((key, 1.0 - prod) for key, prod
-                          in spanning_products(graph, clustering, fresh).items())
     for key, d in priced.items():
         pairs[key] = d
         if d >= epsilon:

@@ -35,9 +35,10 @@ from itertools import islice
 from typing import Iterator
 
 from .graph import Clustering, Pair, UncertainGraph
-from .reliability import (Block, BlockPairKey, ReliabilityParams, block_connectivity,
-                          changes_since, disconnectivity, exact_pair_connectivity,
-                          solved_exactly, spanning_products)
+# block_connectivity has no caller here; the benchmark's tracer patches this name
+from .reliability import (Block, BlockPairKey, ReliabilityParams,  # noqa: F401
+                          block_connectivity, changes_since, disconnectivity,
+                          pair_connectivity, solved_exactly, spanning_products)
 from .util import canonical_pair, log10_clamped
 
 
@@ -136,18 +137,8 @@ class PriorityState:
 
 def _intra_gains(graph: UncertainGraph, block: Block, pairs: list[Pair],
                  params: ReliabilityParams) -> list[float]:
-    """log10 c(block + certain pair) - log10 c(block) for each pair.
-
-    Exact values all come from one partition DP of the block; sampled ones
-    from one block_connectivity call per pair, against a base sampled from
-    the same stream.
-    """
-    if solved_exactly(len(graph.edges_within(block)) + 1, params):
-        base, values = exact_pair_connectivity(graph, block, pairs)
-    else:
-        base = block_connectivity(graph, block, params, gain_base=True).value
-        values = [block_connectivity(graph, block, params, extra_pair=pair).value
-                  for pair in pairs]
+    """log10 c(block + certain pair) - log10 c(block) for each pair."""
+    base, values = pair_connectivity(graph, block, pairs, params)
     floor = log10_clamped(base, params.epsilon)
     return [log10_clamped(value, params.epsilon) - floor for value in values]
 
@@ -197,12 +188,16 @@ def _intra_entries_for_block(graph: UncertainGraph, block: Block,
     return dict(zip(pairs, _intra_gains(graph, block, pairs, params)))
 
 
-def _inter_entry(graph: UncertainGraph, bj: Block, bk: Block, dis: float,
-                 params: ReliabilityParams, allowed: frozenset | None) -> tuple[Pair, float] | None:
-    """(representative, gain) for a block pair whose disconnectivity is
-    dis, or None once no absent spanning pair is left to ask."""
-    rep = next(graph.absent_pairs_between(bj, bk, allowed), None)
-    return None if rep is None else (rep, _inter_gain(dis, params))
+def _set_inter(inter: dict[BlockPairKey, tuple[Pair, float]], graph: UncertainGraph,
+               key: BlockPairKey, dis: float, params: ReliabilityParams,
+               allowed: frozenset | None) -> None:
+    """Store (representative, gain) for a block pair whose disconnectivity
+    is dis, or drop its entry once no absent spanning pair is left to ask."""
+    rep = next(graph.absent_pairs_between(*key, allowed), None)
+    if rep is None:
+        inter.pop(key, None)
+    else:
+        inter[key] = (rep, _inter_gain(dis, params))
 
 
 def build_state(graph: UncertainGraph, clustering: Clustering,
@@ -221,10 +216,10 @@ def build_state(graph: UncertainGraph, clustering: Clustering,
     - the inter entry of a surviving block pair with no new spanning edge,
       and whether it is spanned.
 
-    New blocks and every block pair involving one, blocks and block pairs
-    that a new edge touched, and sampled blocks are priced afresh, so the
-    result equals a build without ``previous``.  ``previous`` is consumed
-    and must not be used afterwards.
+    New blocks, blocks that a new edge touched, sampled blocks and the block
+    pairs changes_since prices are priced afresh, so the result equals a
+    build without ``previous``.  ``previous`` is consumed and must not be
+    used afterwards.
     """
     params = params or ReliabilityParams()
     if clustering.records != set(graph.records):
@@ -233,13 +228,16 @@ def build_state(graph: UncertainGraph, clustering: Clustering,
     owner = clustering._owner
     survivors: set[Block] = set()
     touched_blocks: set[Block] = set()
-    touched_pairs: set[BlockPairKey] = set()
     kept: dict[Block, list[Pair]] = {}  # intra entries of untouched survivors
-    if previous is not None:
+    inter: dict[BlockPairKey, tuple[Pair, float]] = {}
+    spanned: set[BlockPairKey] = set()
+    if previous is None:
+        priced = {key: 1.0 - prod for key, prod in spanning_products(graph, clustering).items()}
+    else:
         if ((previous.allowed is not allowed and previous.allowed != allowed)
                 or replace(previous.params, seed=params.seed) != params):
             raise ValueError("previous state priced other params or allowed pairs")
-        survivors, touched_blocks, touched_pairs = changes_since(
+        survivors, touched_blocks, priced = changes_since(
             previous.graph, previous.clustering, graph, clustering)
         # a surviving block's members had that block before, so its
         # entries are the ones whose first member it still owns
@@ -247,6 +245,12 @@ def build_state(graph: UncertainGraph, clustering: Clustering,
             block = owner[pair[0]]
             if block in survivors and block not in touched_blocks:
                 kept.setdefault(block, []).append(pair)
+        # drop the block pairs that lost a block; priced ones are set below
+        inter = {key: entry for key, entry in previous.inter.items()
+                 if key[0] in survivors and key[1] in survivors}
+        spanned = {key for key in previous.spanned
+                   if key[0] in survivors and key[1] in survivors}
+    spanned.update(priced)
 
     intra: dict[Pair, float] = {}
     for block, pairs in kept.items():
@@ -260,38 +264,18 @@ def build_state(graph: UncertainGraph, clustering: Clustering,
         if block not in survivors or block in touched_blocks:
             intra.update(_intra_entries_for_block(graph, block, params, allowed))
 
-    inter: dict[BlockPairKey, tuple[Pair, float]] = {}
-    spanned: set[BlockPairKey] = set()
-    priced = None
-    if previous is not None:
-        # drop the block pairs that lost a block; touched ones are priced below
-        inter = {key: entry for key, entry in previous.inter.items()
-                 if key[0] in survivors and key[1] in survivors and key not in touched_pairs}
-        spanned = {key for key in previous.spanned
-                   if key[0] in survivors and key[1] in survivors}
-        priced = {block for block in blocks if block not in survivors}
-        priced.update(block for key in touched_pairs for block in key)
-    products = spanning_products(graph, clustering, priced)
-    spanned.update(products)
-    if allowed is None:
-        # unspanned pairs are left unstored, so only spanned ones are listed
-        keys = [key for key in products
-                if key[0] not in survivors or key[1] not in survivors]
-    else:
-        # each pair with a new block once: blocks are sorted, so j < k orders it
+    for key, dis in priced.items():
+        _set_inter(inter, graph, key, dis, params, allowed)
+    if allowed is not None:
+        # unspanned pairs are left unstored unless their (min, min) pair may
+        # not be asked; each pair with a new block once: blocks are sorted,
+        # so j < k orders it
         fresh = [block not in survivors for block in blocks]
-        keys = [(bj, bk) if j < k else (bk, bj)
-                for j, bj in enumerate(blocks) if fresh[j]
-                for k, bk in enumerate(blocks) if k > j or (k < j and not fresh[k])]
-    keys.extend(touched_pairs)
-    for key in keys:
-        prod = products.get(key)
-        if prod is None and (allowed is None or (key[0][0], key[1][0]) in allowed):
-            continue  # unstored: the (min, min) pair may be asked
-        entry = _inter_entry(graph, key[0], key[1], 0.0 if prod is None else 1.0 - prod,
-                             params, allowed)
-        if entry is not None:
-            inter[key] = entry
+        for key in ((bj, bk) if j < k else (bk, bj)
+                    for j, bj in enumerate(blocks) if fresh[j]
+                    for k, bk in enumerate(blocks) if k > j or (k < j and not fresh[k])):
+            if key not in spanned and (key[0][0], key[1][0]) not in allowed:
+                _set_inter(inter, graph, key, 0.0, params, allowed)
     return PriorityState(graph, clustering, params, intra, inter, spanned, allowed=allowed)
 
 
@@ -324,12 +308,8 @@ def refresh_after_answer(state: PriorityState, graph: UncertainGraph,
     else:
         bj, bk = sorted((block_a, block_b))
         state.spanned.add((bj, bk))
-        entry = _inter_entry(graph, bj, bk, disconnectivity(graph, state.clustering, bj, bk),
-                             params, state.allowed)
-        if entry is None:
-            state.inter.pop((bj, bk), None)
-        else:
-            state.inter[(bj, bk)] = entry
+        _set_inter(state.inter, graph, (bj, bk),
+                   disconnectivity(graph, state.clustering, bj, bk), params, state.allowed)
 
 
 def select_next(state: PriorityState) -> Pair | None:

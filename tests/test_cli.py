@@ -142,7 +142,7 @@ class TestEval:
         assert code == 1
         err = capsys.readouterr().err
         assert err == (f"error: {tmp_path / f'{short}.csv'}:3: "
-                       "expected at least 2 columns, got 1\n")
+                       "expected 2 columns, got 1\n")
 
     @pytest.mark.parametrize("short", ["clusters", "gold"])
     @pytest.mark.parametrize("row, message", [
@@ -373,8 +373,9 @@ class TestErrors:
         ("a\nb\nc\n", "a,b,5,5\na,z,1,5\n", "votes.csv:3"),    # undeclared record
         ("a\nb\nc\nb\n", "a,b,5,5\n", "records.csv:5"),       # duplicate record id
         ('a\n"b,c"\nc\n', "a,c,5,5\n", "records.csv:3"),      # comma inside an id
+        ("a\nb,c\nc\n", "a,c,5,5\n", "records.csv:3"),        # row wider than the header
     ], ids=["duplicate-pair", "self-loop", "undeclared-record", "duplicate-record",
-            "quoted-comma"])
+            "quoted-comma", "wide-row"])
     def test_bad_row_names_file_and_line(self, tmp_path, capsys, command,
                                          records, votes, bad):
         (tmp_path / "records.csv").write_text("record_id\n" + records)

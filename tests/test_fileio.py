@@ -94,6 +94,23 @@ class TestGoldCsv:
         with pytest.raises(ValueError, match="mystery"):
             read_gold_csv(path)
 
+    @pytest.mark.parametrize("header, row, expected", [
+        ("record_id,entity_id", "b,x,2.0", "expected 2 columns, got 3"),
+        ("record_id,entity_id,difficulty", "b,x,2.0,9", "expected 2 or 3 columns, got 4"),
+        ("record_id,entity_id,difficulty", "b", "expected 2 or 3 columns, got 1"),
+    ])
+    def test_rejects_row_of_wrong_width_with_line(self, tmp_path, header, row, expected):
+        path = tmp_path / "gold.csv"
+        path.write_text(f"{header}\na,x\n{row}\n")
+        with pytest.raises(ValueError, match=rf"gold\.csv:3: {expected}$"):
+            read_gold_csv(path)
+
+    def test_rejects_repeated_difficulty_column(self, tmp_path):
+        path = tmp_path / "gold.csv"
+        path.write_text("record_id,entity_id,difficulty,difficulty\na,x,1,2\n")
+        with pytest.raises(ValueError, match="unexpected column 'difficulty'"):
+            read_gold_csv(path)
+
     def test_rejects_empty_body(self, tmp_path):
         path = tmp_path / "gold.csv"
         path.write_text("record_id,entity_id\n")
@@ -114,6 +131,12 @@ class TestClustersCsv:
         path = tmp_path / "clusters.csv"
         path.write_text("record_id,cluster_id\n")
         with pytest.raises(ValueError, match="no cluster"):
+            read_clusters_csv(path)
+
+    def test_rejects_row_wider_than_header_with_line(self, tmp_path):
+        path = tmp_path / "clusters.csv"
+        path.write_text("record_id,cluster_id\na,a\nb,a,c\n")
+        with pytest.raises(ValueError, match=r"clusters\.csv:3: expected 2 columns, got 3$"):
             read_clusters_csv(path)
 
 
@@ -160,7 +183,7 @@ class TestPhysicalLines:
     spans two lines (rows 2-3 below)."""
 
     @pytest.mark.parametrize("reader, text, message", [
-        (read_records_csv, 'record_id\na,"x\ny"\nb\nb\n', "5: record 'b' listed twice"),
+        (read_records_csv, 'record_id\na,"x\ny"\nb\n', "3: expected 1 column, got 2"),
         (read_votes_csv, 'record_a,record_b,yes,total\na,b,"3\n",5\nc,d,1,5\nc,d,1,5\n',
          "5: pair ('c', 'd') already listed on line 4"),
         (read_gold_csv, 'record_id,entity_id\na,"x\ny"\nb,x\nb,x\n',

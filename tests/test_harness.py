@@ -1,8 +1,11 @@
 """Experiment loop, metrics, seeding, replay, and the synthetic world."""
 
+import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perc import (
     Clustering,
@@ -51,6 +54,25 @@ class TestPrecisionRecallF1:
         gold = GoldClustering({"a": "x", "b": "y"})
         p, r, f1 = precision_recall_f1(Clustering([["a", "b"]]), gold)
         assert (p, r, f1) == (0.0, 0.0, 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1, max_size=14))
+    def test_equals_pair_by_pair_count(self, labels):
+        # record i sits in block labels[i][0] and gold entity labels[i][1]
+        records = [f"r{i:02d}" for i in range(len(labels))]
+        blocks: dict[int, list[str]] = {}
+        for r, (block, _) in zip(records, labels):
+            blocks.setdefault(block, []).append(r)
+        predicted = Clustering(blocks.values())
+        gold = GoldClustering({r: f"e{entity}" for r, (_, entity) in zip(records, labels)})
+        pairs = list(itertools.combinations(range(len(records)), 2))
+        reported = sum(labels[i][0] == labels[j][0] for i, j in pairs)
+        matching = sum(labels[i][1] == labels[j][1] for i, j in pairs)
+        correct = sum(labels[i] == labels[j] for i, j in pairs)
+        precision = correct / reported if reported else 0.0
+        recall = correct / matching if matching else 0.0
+        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+        assert precision_recall_f1(predicted, gold) == (precision, recall, f1)
 
     def test_rejects_mismatched_universe(self):
         gold = GoldClustering({"a": "x", "b": "x"})

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from perc import (
@@ -17,9 +17,9 @@ from perc import (
     disconnectivity,
     reliability,
 )
-from perc.reliability import (MAX_EXACT_EDGE_LIMIT, _partition_dp, exact_pair_connectivity,
-                              solved_exactly)
-from perc.util import ConfigError
+from perc.reliability import (MAX_EXACT_EDGE_LIMIT, _indexed_block, _partition_dp,
+                              _sampled_connect_prob, pair_connectivity, solved_exactly)
+from perc.util import ConfigError, make_rng
 
 from conftest import connectivity_by_enumeration, random_small_graph
 
@@ -163,14 +163,12 @@ class TestPartitionDP:
         members = list(graph.records)
         edges = dict(graph.edge_items())
         absent = [pair for pair in itertools.combinations(members, 2) if pair not in edges]
-        base, values = exact_pair_connectivity(graph, members, absent)
+        base, values = pair_connectivity(graph, members, absent, EXACT)
         assert abs(base - connectivity_by_enumeration(members, edges)) <= 1e-12
         assert block_connectivity(graph, members, EXACT).value == base
         for pair, value in zip(absent, values):
             expected = connectivity_by_enumeration(members, {**edges, pair: 1.0})
             assert abs(value - expected) <= 1e-12, pair
-            # the exact path of block_connectivity reads the same DP
-            assert block_connectivity(graph, members, EXACT, extra_pair=pair).value == value
 
     def test_path_block_keeps_one_state_per_absent_edge(self):
         # the connected state plus, per edge, the state with only that edge
@@ -189,7 +187,8 @@ class TestPartitionDP:
         graph = UncertainGraph.from_probabilities(
             members, {(members[i], members[j]): q for i, j, q in path_edges(n, p)})
         absent = [(members[i], members[j]) for i in range(n) for j in range(i + 2, n)]
-        base, values = exact_pair_connectivity(graph, members, absent)
+        base, values = pair_connectivity(
+            graph, members, absent, ReliabilityParams(exact_edge_limit=n))
         assert base == pytest.approx(p ** (n - 1), rel=1e-12)
         for (a, b), value in zip(absent, values):
             d = members.index(b) - members.index(a)
@@ -261,42 +260,70 @@ class TestBlockConnectivity:
         est = block_connectivity(trio_graph, ("A", "B", "C"), params)
         assert est.method == "monte-carlo"
 
-    def test_extra_pair_acts_as_certain_edge(self):
+
+class TestPairConnectivity:
+    def test_pair_acts_as_certain_edge(self):
         g = UncertainGraph.from_probabilities("ABC", {("A", "B"): 0.9})
-        params = ReliabilityParams()
-        base = block_connectivity(g, "ABC", params)
-        assert base.value == 0.0
-        boosted = block_connectivity(g, "ABC", params, extra_pair=("C", "B"))
-        assert boosted.value == pytest.approx(0.9)
+        base, (boosted,) = pair_connectivity(g, "ABC", [("C", "B")], ReliabilityParams())
+        assert base == 0.0
+        assert boosted == pytest.approx(0.9)
 
-    def test_extra_pair_counts_toward_method_choice(self, trio_graph):
+    def test_method_comes_from_the_edge_count_with_a_pair(self, trio_graph):
+        # at m == exact_edge_limit the block alone is exact, but the base
+        # and every with-pair value are sampled from the block's stream
         params = ReliabilityParams(exact_edge_limit=2, mc_samples=100, seed=0)
-        plain = block_connectivity(trio_graph, "ABC", params)
-        assert plain.method == "exact"
-        extra = block_connectivity(trio_graph, "ABC", params, extra_pair=("A", "C"))
-        assert extra.method == "monte-carlo"
+        assert block_connectivity(trio_graph, "ABC", params).method == "exact"
+        below = ReliabilityParams(exact_edge_limit=1, mc_samples=100, seed=0)
+        sampled = block_connectivity(trio_graph, "ABC", below)
+        assert sampled.method == "monte-carlo"
+        base, (value,) = pair_connectivity(trio_graph, "ABC", [("A", "C")], params)
+        assert base == sampled.value
+        index, edges = _indexed_block(trio_graph, "ABC")
+        assert value == _sampled_connect_prob(3, edges + [(0, 2, 1.0)], 100,
+                                              make_rng(sampled.seed))
 
-    def test_extra_pair_must_be_inside_block(self, running_graph):
-        with pytest.raises(ValueError):
-            block_connectivity(running_graph, ("A", "B"), ReliabilityParams(),
-                               extra_pair=("A", "C"))
+    def test_pair_must_be_inside_block(self, running_graph):
+        with pytest.raises(ValueError, match="does not lie inside the block"):
+            pair_connectivity(running_graph, ("A", "B"), [("A", "C")], ReliabilityParams())
 
-    def test_same_stream_with_and_without_extra_pair(self):
-        # With/without comparisons share one derived seed, so the
-        # hypothetical-edge variant reuses the identical random stream.
+    def test_base_and_pairs_share_one_stream(self):
+        # common random numbers: the base is block_connectivity's sampled
+        # value, and each with-pair value reads the same derived stream
         members = [f"m{i}" for i in range(6)]
         rng = np.random.default_rng(31)
         edges = {}
         for i, a in enumerate(members):
             for b in members[i + 1:]:
                 edges[(a, b)] = float(rng.uniform(0.2, 0.8))
+        del edges[(members[0], members[1])]
         g = UncertainGraph(members, edges=edges)
         params = ReliabilityParams(exact_edge_limit=2, mc_samples=400, seed=77)
-        without = block_connectivity(g, members, params)
-        with_extra = block_connectivity(g, members, params,
-                                        extra_pair=(members[0], members[1]))
-        assert without.method == with_extra.method == "monte-carlo"
-        assert without.seed == with_extra.seed
+        alone = block_connectivity(g, members, params)
+        assert alone.method == "monte-carlo"
+        base, (value,) = pair_connectivity(g, members, [(members[0], members[1])], params)
+        assert base == alone.value
+        _, indexed = _indexed_block(g, members)
+        assert value == _sampled_connect_prob(6, indexed + [(0, 1, 1.0)], 400,
+                                              make_rng(alone.seed))
+
+    @settings(max_examples=100, deadline=None)
+    @given(dp_blocks(), st.integers(0, 2**32 - 1))
+    def test_sampled_values_equal_the_reference(self, graph, seed):
+        members = list(graph.records)
+        edges = dict(graph.edge_items())
+        assume(edges)  # block_connectivity samples no block without edges
+        absent = [pair for pair in itertools.combinations(members, 2) if pair not in edges]
+        params = ReliabilityParams(mc_samples=60, exact_edge_limit=len(edges), seed=seed)
+        below = dataclasses.replace(params, exact_edge_limit=len(edges) - 1)
+        base, values = pair_connectivity(graph, members, absent, params)
+        # reference: the block's own stream, without and with each certain pair
+        stream = block_connectivity(graph, members, below).seed
+        index, indexed = _indexed_block(graph, members)
+        n = len(index)
+        assert base == _sampled_connect_prob(n, indexed, 60, make_rng(stream))
+        for (a, b), value in zip(absent, values):
+            assert value == _sampled_connect_prob(
+                n, indexed + [(index[a], index[b], 1.0)], 60, make_rng(stream))
 
 
 class TestReliability:

@@ -15,7 +15,8 @@ from perc import (
     select_batch,
     select_next,
 )
-from perc.reliability import MAX_EXACT_EDGE_LIMIT, block_connectivity, disconnectivity
+from perc.reliability import (MAX_EXACT_EDGE_LIMIT, block_connectivity, disconnectivity,
+                              pair_connectivity)
 
 from conftest import random_partition, random_small_graph
 
@@ -92,9 +93,8 @@ class TestPairPriority:
         c = Clustering([["A", "B", "C"]])
         params = ReliabilityParams()
         cand = pair_priority(g, c, ("A", "C"), params)
-        base = block_connectivity(g, c.blocks[0], params).value
-        with_edge = block_connectivity(g, c.blocks[0], params,
-                                       extra_pair=("A", "C")).value
+        base, (with_edge,) = pair_connectivity(g, c.blocks[0], [("A", "C")], params)
+        assert base == block_connectivity(g, c.blocks[0], params).value
         assert base == pytest.approx(0.54)
         assert with_edge == pytest.approx(0.9 + 0.6 - 0.54)
         assert cand.gain == pytest.approx(math.log10(with_edge) - math.log10(base))
@@ -145,10 +145,11 @@ class TestPairPriority:
             base = block_connectivity(g, block, below)  # sampled, same stream
             assert base.method == "monte-carlo"
             intra = build_state(g, c, params).intra
-            for pair in g.absent_pairs():
-                with_edge = block_connectivity(g, block, params, extra_pair=pair)
-                assert with_edge.method == "monte-carlo"
-                expected = (math.log10(max(with_edge.value, params.epsilon))
+            pairs = list(g.absent_pairs())
+            pair_base, values = pair_connectivity(g, block, pairs, params)
+            assert pair_base == base.value
+            for pair, with_edge in zip(pairs, values):
+                expected = (math.log10(max(with_edge, params.epsilon))
                             - math.log10(max(base.value, params.epsilon)))
                 assert pair_priority(g, c, pair, params).gain == expected
                 assert intra[pair] == expected
