@@ -108,7 +108,8 @@ def cmd_run(args) -> int:
 
     records = read_records_csv(options["records"])
     gold = read_gold_csv(options["gold"]) if "gold" in options else None
-    replay = ReplayOracle(read_votes_csv(options["replay"])) if "replay" in options else None
+    replay = (ReplayOracle(read_votes_csv(options["replay"], records, options["records"]))
+              if "replay" in options else None)
     result = run_experiment(config, records, gold=gold, replay=replay)
     report(result, options.get("out", "out"))
     return 0

@@ -2,7 +2,11 @@
 
 scc_cluster grows blocks agglomeratively: while some block pair's merge
 probability (product of spanning YES odds against spanning NO odds) exceeds
-one half, merge the best pair.  mlc_bruteforce checks tiny instances by
+one half, merge the best pair.  Merges stay inside the components of the
+p > 1/2 edges, so each component is agglomerated on its own, and a
+clustering scc_cluster returned lets the next call on an extended graph
+agglomerate again only the components a new edge lies inside.
+mlc_bruteforce checks tiny instances by
 scoring every partition.  mlc_unchanged is the cheap screen that tells the
 harness whether a freshly crowdsourced answer can move the maximum
 likelihood clustering at all.
@@ -91,7 +95,7 @@ class _PairAgg:
         return 1.0 / (1.0 + 10.0 ** diff)
 
 
-def scc_cluster(graph: UncertainGraph) -> Clustering:
+def scc_cluster(graph: UncertainGraph, previous: Clustering | None = None) -> Clustering:
     """Agglomerative clustering by spanning-edge likelihood ratio.
 
     Starts from singletons and repeatedly merges the block pair with the
@@ -103,32 +107,89 @@ def scc_cluster(graph: UncertainGraph) -> Clustering:
     A merge probability above one half needs prod(p) > prod(1 - p), so at
     least one spanning edge with p > 1/2: blocks only ever merge inside a
     connected component of those edges.  Edges between two components feed
-    aggregates that stay at or below one half, so they are never tallied.
+    aggregates that stay at or below one half, so they are never tallied,
+    and each component is agglomerated on its own (_agglomerate).  That
+    gives the blocks of one pass over every component at once: order keys
+    are unique, so no other component can change a component's pop order,
+    and its tallies are still summed in sorted edge order.
+
+    ``previous`` is a clustering this function returned for a graph that
+    ``graph`` extends (ValueError otherwise, as
+    UncertainGraph.edges_added_since).  The result carries its graph, each
+    record's component and each component's blocks; a call given it
+    unions the components the new p > 1/2 edges join and agglomerates
+    again only the components a new edge lies inside.  Every other
+    component has the same edges as before and keeps its blocks, so the
+    result equals a call without ``previous``.  A ``previous`` with no
+    carry, such as a hand-built clustering, is clustered from scratch.
+    """
+    carry = None if previous is None else previous._carry
+    if carry is None:
+        # from scratch: every record its own component and every edge new;
+        # a component is keyed by the index of one of its records
+        component = {r: i for i, r in enumerate(graph.records)}
+        blocks_of = {i: [(r,)] for i, r in enumerate(graph.records)}
+        new_edges = graph.edges.items()
+    else:
+        old_graph, old_component, old_blocks = carry
+        new_edges = [(pair, graph.edges[pair]) for pair in graph.edges_added_since(old_graph)]
+        component = dict(old_component)
+        blocks_of = dict(old_blocks)
+
+    components = _UnionFind(len(graph.records))
+    for (a, b), p in new_edges:
+        if p > 0.5:
+            components.union(component[a], component[b])
+    joined = {key: components.find(key)
+              for key, up in enumerate(components.parent) if up != key}
+    dirty: dict[int, list[int]] = {}
+    for (a, b), _ in new_edges:
+        ka, kb = component[a], component[b]
+        key = joined.get(ka, ka)
+        if key == joined.get(kb, kb):
+            dirty[key] = [key]
+    for key, root in joined.items():
+        dirty[root].append(key)  # the new edge that joined it lies inside root's
+
+    members_of = {}
+    for root, keys in dirty.items():
+        members = sorted(r for key in keys for block in blocks_of.pop(key) for r in block)
+        component.update(dict.fromkeys(members, root))
+        members_of[root] = members
+    # one pass over the edges hands each dirty component its own: linear in
+    # the edges, where edges_within would look up every member pair
+    edges_in: dict[int, list[tuple[Pair, float]]] = {root: [] for root in dirty}
+    for (a, b), p in graph.edges.items():
+        key = component[a]
+        if key in edges_in and component[b] == key:
+            edges_in[key].append(((a, b), p))
+    for root, members in members_of.items():
+        blocks_of[root] = _agglomerate(members, sorted(edges_in[root]))
+
+    result = Clustering(block for blocks in blocks_of.values() for block in blocks)
+    result._carry = (graph, component, blocks_of)
+    return result
+
+
+def _agglomerate(members: list[str], edges: list[tuple[Pair, float]]) -> list[tuple[str, ...]]:
+    """The blocks scc_cluster's merges leave in one component, from its
+    sorted members and its edges, sorted.
 
     Candidates sit in a heap keyed (-probability, order key); entries of a
     block that has since been merged away are skipped when popped.  Order
-    keys of live blocks are unique, so the pop order is the ranking above.
+    keys of live blocks are unique, so the pop order is the ranking
+    scc_cluster describes.
     """
-    records = graph.records
-    owner = {r: i for i, r in enumerate(records)}
-    edges = [(owner[a], owner[b], p) for (a, b), p in graph.edge_items()]
-    components = _UnionFind(len(records))
-    for ia, ib, p in edges:
-        if p > 0.5:
-            components.union(ia, ib)
-
-    blocks: dict[int, tuple[str, ...]] = {i: (r,) for i, r in enumerate(records)}
+    index = {r: i for i, r in enumerate(members)}
+    blocks: dict[int, tuple[str, ...]] = {i: (r,) for i, r in enumerate(members)}
     agg: dict[tuple[int, int], _PairAgg] = {}
     neighbours: dict[int, set[int]] = {i: set() for i in blocks}
-    for ia, ib, p in edges:  # ia < ib: records are sorted, edges canonical
-        if components.find(ia) != components.find(ib):
-            continue
-        entry = agg.get((ia, ib))
-        if entry is None:
-            entry = agg[(ia, ib)] = _PairAgg()
-            neighbours[ia].add(ib)
-            neighbours[ib].add(ia)
+    for (a, b), p in edges:  # ia < ib: members are sorted, edges canonical
+        ia, ib = index[a], index[b]
+        entry = agg[(ia, ib)] = _PairAgg()
         entry.add_edge(p)
+        neighbours[ia].add(ib)
+        neighbours[ib].add(ia)
 
     def candidate(ia: int, ib: int, entry: _PairAgg):
         # members are sorted, so [0] is a block's min member
@@ -169,7 +230,7 @@ def scc_cluster(graph: UncertainGraph) -> Clustering:
             neighbours[other].add(mid)
             heapq.heappush(heap, candidate(other, mid, entry))
 
-    return Clustering(blocks.values())
+    return list(blocks.values())
 
 
 def mlc_bruteforce(graph: UncertainGraph) -> tuple[Clustering, float]:

@@ -89,15 +89,13 @@ def write_records_csv(path, records) -> None:
             writer.writerow([r])
 
 
-def read_votes_csv(path) -> list[tuple[Pair, VoteTally]]:
-    """Vote rows in file order, pairs canonicalized."""
-    return [(pair, tally) for _, pair, tally in _vote_rows(path)]
-
-
-def _vote_rows(path):
-    """(line number, canonical pair, tally) per vote row; self-loops and a
-    pair listed twice are rejected with the line."""
+def read_votes_csv(path, records=None, records_path=None) -> list[tuple[Pair, VoteTally]]:
+    """Vote rows in file order, pairs canonicalized; self-loops and a pair
+    listed twice are rejected with the line.  Given ``records``, the ids
+    read from records_path, so is a vote naming any other record."""
+    declared = None if records is None else set(records)
     seen: dict[Pair, int] = {}
+    rows = []
     with _open_reader(path) as fh:
         reader = csv.reader(fh)
         _check_header(next(reader, None), VOTES_HEADER, path)
@@ -115,7 +113,13 @@ def _vote_rows(path):
                 raise ValueError(f"{path}:{lineno}: pair {pair} already listed "
                                  f"on line {seen[pair]}")
             seen[pair] = lineno
-            yield lineno, pair, tally
+            if declared is not None:
+                for r in pair:
+                    if r not in declared:
+                        raise ValueError(f"{path}:{lineno}: record {r!r} in pair {pair} "
+                                         f"is not declared in {records_path}")
+            rows.append((pair, tally))
+    return rows
 
 
 def write_votes_csv(path, rows) -> None:
@@ -214,12 +218,4 @@ def load_graph(records_path, votes_path) -> UncertainGraph:
     """records.csv plus votes.csv into an UncertainGraph; a vote naming an
     undeclared record is rejected with its line."""
     records = read_records_csv(records_path)
-    declared = set(records)
-    rows = []
-    for lineno, pair, tally in _vote_rows(votes_path):
-        for r in pair:
-            if r not in declared:
-                raise ValueError(f"{votes_path}:{lineno}: record {r!r} in pair {pair} "
-                                 f"is not declared in {records_path}")
-        rows.append((pair, tally))
-    return ingest_votes(records, rows)
+    return ingest_votes(records, read_votes_csv(votes_path, records, records_path))

@@ -193,7 +193,9 @@ class Clustering:
     two clusterings built in different orders compare equal.
     """
 
-    __slots__ = ("blocks", "_owner")
+    # _carry: the graph, components and component blocks scc_cluster built
+    # this clustering from, for its next call to start from; None otherwise
+    __slots__ = ("blocks", "_owner", "_carry")
 
     def __init__(self, blocks: Iterable[Iterable[str]]):
         canon = tuple(sorted(tuple(sorted(b)) for b in blocks))
@@ -209,6 +211,7 @@ class Clustering:
                 owner[r] = block
         self.blocks = canon
         self._owner = owner
+        self._carry = None
 
     @classmethod
     def singletons(cls, records: Iterable[str]) -> "Clustering":

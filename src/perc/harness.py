@@ -180,7 +180,8 @@ def run_experiment(config: ExperimentConfig, records, gold: GoldClustering | Non
     without it still produces the curve with NaN quality columns.  In
     replay mode the seeding phase takes the first initial_pairs rows of the
     log in order, and candidate selection is restricted to logged pairs; a
-    selection the log cannot answer ends the run early with a flag.
+    selection the log cannot answer ends the run early with a flag.  A log
+    naming a record outside ``records`` raises ValueError.
     """
     recs = tuple(sorted(set(records)))
     if replay is None and gold is None:
@@ -197,6 +198,9 @@ def run_experiment(config: ExperimentConfig, records, gold: GoldClustering | Non
         oracle = SimulatedOracle(gold, config.worker_model(), seed=config.seed)
 
     graph = UncertainGraph(recs)
+    if replay is not None:
+        for pair, _ in oracle.rows:
+            graph._check_pair(pair)  # a record outside recs raises ValueError
     vote_log: list[tuple[Pair, VoteTally]] = []
     flags: dict = {}
 
@@ -229,6 +233,7 @@ def run_experiment(config: ExperimentConfig, records, gold: GoldClustering | Non
     mlc_checks = 0
     mlc_failures = 0
     reclusterings = 0
+    reclusterings_changed = 0
     rounds = 0
     curve: list[MetricsSnapshot] = []
     score = None  # the last snapshot's reliability, carried into the next
@@ -287,8 +292,9 @@ def run_experiment(config: ExperimentConfig, records, gold: GoldClustering | Non
         clustering_changed = False
         if changed_votes:
             reclusterings += 1
-            fresh = scc_cluster(graph)
+            fresh = scc_cluster(graph, previous=clustering)
             clustering_changed = fresh != clustering
+            reclusterings_changed += clustering_changed
             clustering = fresh
         rounds += 1
         if config.strategy == "perc":
@@ -312,6 +318,7 @@ def run_experiment(config: ExperimentConfig, records, gold: GoldClustering | Non
         "mlc_failures": mlc_failures,
         "recluster_fraction": (mlc_failures / mlc_checks) if mlc_checks else 0.0,
         "reclusterings": reclusterings,
+        "reclusterings_changed": reclusterings_changed,
     }
     stats["crowd_error_rate"] = None if gold is None else crowd_error_rate(vote_log, gold)
     return RunResult(curve=curve, clustering=clustering, vote_log=vote_log,

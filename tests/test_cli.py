@@ -366,7 +366,7 @@ class TestErrors:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["cluster", "next"])
+    @pytest.mark.parametrize("command", ["cluster", "next", "run", "run-seeded"])
     @pytest.mark.parametrize("records, votes, bad", [
         ("a\nb\nc\n", "a,b,5,5\nb,a,1,5\n", "votes.csv:3"),    # duplicate pair
         ("a\nb\nc\n", "a,b,5,5\nc,c,1,5\n", "votes.csv:3"),    # self-loop
@@ -380,8 +380,14 @@ class TestErrors:
                                          records, votes, bad):
         (tmp_path / "records.csv").write_text("record_id\n" + records)
         (tmp_path / "votes.csv").write_text("record_a,record_b,yes,total\n" + votes)
-        code = main([command, "--graph", str(tmp_path / "votes.csv"),
-                     "--records", str(tmp_path / "records.csv")])
+        if command.startswith("run"):
+            # the votes are a replay log; seeding may take its rows, or none
+            argv = ["run", "--replay", str(tmp_path / "votes.csv"),
+                    "--out", str(tmp_path / "out"),
+                    "--initial", "2" if command == "run-seeded" else "0"]
+        else:
+            argv = [command, "--graph", str(tmp_path / "votes.csv")]
+        code = main(argv + ["--records", str(tmp_path / "records.csv")])
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {tmp_path / bad}: ")
 

@@ -1,9 +1,12 @@
 """Agglomerative clustering, brute-force maximum likelihood, stability screen."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perc import (
     Clustering,
@@ -126,6 +129,86 @@ class TestSccCluster:
         for _ in range(30):
             g = random_small_graph(rng, n_min=2, n_max=8)
             assert scc_cluster(g).records == frozenset(g.records)
+
+
+# tie-prone fractions on both sides of one half, and the certain ones
+CARRY_FRACTIONS = (0.0, 0.2, 0.4, 0.5, 0.6, 0.8, 1.0)
+
+
+@st.composite
+def edge_chains(draw):
+    """Records and the answers a run would add one by one: distinct pairs,
+    each with a YES fraction."""
+    n = draw(st.integers(2, 9))
+    records = [f"r{i}" for i in range(n)]
+    pairs = draw(st.permutations(list(itertools.combinations(records, 2))))
+    fractions = draw(st.lists(st.sampled_from(CARRY_FRACTIONS), max_size=len(pairs)))
+    return records, list(zip(pairs, fractions))
+
+
+class TestCarriedSccCluster:
+    """scc_cluster(graph, previous=...) must equal scc_cluster(graph)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(edge_chains(), st.data())
+    def test_carried_equals_cold_along_a_chain(self, chain, data):
+        records, answers = chain
+        graph = UncertainGraph(records)
+        carried = [scc_cluster(graph)]
+        for pair, p in answers:
+            graph = graph.with_edge(*pair, probability=p)
+            if not data.draw(st.booleans(), label="recluster"):
+                continue
+            cold = scc_cluster(graph)
+            # any earlier result may be carried from; it shrinks to the latest
+            previous = data.draw(st.sampled_from(carried[::-1]), label="previous")
+            warm = scc_cluster(graph, previous=previous)
+            assert warm == cold
+            # previous is not consumed: carrying from it again gives the same
+            assert scc_cluster(graph, previous=previous) == cold
+            carried.append(warm)
+
+    def test_a_later_yes_edge_joins_two_components(self):
+        g = UncertainGraph.from_probabilities("ABCDE", {
+            ("A", "B"): 0.8, ("B", "C"): 0.6, ("A", "C"): 0.2,
+            ("D", "E"): 1.0, ("C", "D"): 0.4})
+        first = scc_cluster(g)
+        assert first.blocks == (("A", "B"), ("C",), ("D", "E"))
+        for p in CARRY_FRACTIONS:
+            joined = g.with_edge("B", "D", probability=p)
+            assert scc_cluster(joined, previous=first) == scc_cluster(joined)
+        joined = g.with_edge("C", "E", probability=1.0)
+        assert scc_cluster(joined, previous=first).blocks == \
+            (("A", "B"), ("C", "D", "E"))
+
+    def test_previous_from_a_graph_not_extended_raises(self):
+        g = UncertainGraph.from_probabilities("ABC", {("A", "B"): 0.6})
+        later = g.with_edge("B", "C", probability=0.8)
+        with pytest.raises(ValueError):
+            scc_cluster(g, previous=scc_cluster(later))
+        repriced = UncertainGraph.from_probabilities("ABC", {("A", "B"): 0.4})
+        with pytest.raises(ValueError):
+            scc_cluster(repriced, previous=scc_cluster(g))
+        other_records = UncertainGraph.from_probabilities("ABCD", {("A", "B"): 0.6})
+        with pytest.raises(ValueError):
+            scc_cluster(other_records, previous=scc_cluster(g))
+
+    @settings(max_examples=100, deadline=None)
+    @given(edge_chains(), st.lists(st.integers(0, 8), min_size=9, max_size=9))
+    def test_hand_built_previous_clusters_cold(self, chain, labels):
+        records, answers = chain
+        graph = UncertainGraph(records)
+        for pair, p in answers:
+            graph = graph.with_edge(*pair, probability=p)
+        groups: dict[int, list[str]] = {}
+        for record, label in zip(records, labels):
+            groups.setdefault(label, []).append(record)
+        assert scc_cluster(graph, previous=Clustering(groups.values())) == scc_cluster(graph)
+
+    def test_carry_is_not_compared_or_hashed(self, running_graph):
+        c = scc_cluster(running_graph)
+        plain = Clustering(c.blocks)
+        assert c == plain and hash(c) == hash(plain)
 
 
 class TestMlcBruteforce:

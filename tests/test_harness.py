@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import perc.harness
 from perc import (
     Clustering,
     ExperimentConfig,
@@ -210,8 +211,26 @@ class TestRunExperiment:
                                 replay=ReplayOracle(rows))
         assert result.stats["mlc_checks"] >= 1
         assert result.stats["mlc_failures"] >= 1
-        assert result.stats["reclusterings"] >= 1
+        assert result.stats["reclusterings"] == 1
+        # {a, b, c} splits into {a, b} and {c}
+        assert result.stats["reclusterings_changed"] == 1
         assert 0.0 < result.stats["recluster_fraction"] <= 1.0
+
+    def test_changed_reclusterings_are_the_rebuild_rounds(self, monkeypatch):
+        rebuilds = []
+        build_state = perc.harness.build_state
+
+        def counted(*args, previous=None, **kwargs):
+            rebuilds.append(previous is not None)
+            return build_state(*args, previous=previous, **kwargs)
+
+        monkeypatch.setattr(perc.harness, "build_state", counted)
+        records, gold = synth_world(24, 6, seed=4)
+        config = ExperimentConfig(strategy="perc", budget=120, batch_size=4,
+                                  initial_pairs=23, error_rate=0.25, seed=9)
+        stats = run_experiment(config, records, gold=gold).stats
+        assert 0 < stats["reclusterings_changed"] < stats["reclusterings"]
+        assert sum(rebuilds) == stats["reclusterings_changed"]
 
     def test_stats_crowd_error_rate_zero_when_error_free(self):
         result, _ = self.run_error_free("perc")
@@ -220,6 +239,13 @@ class TestRunExperiment:
     def test_requires_answer_source(self):
         with pytest.raises(ValueError):
             run_experiment(ExperimentConfig(), ["a", "b"])
+
+    @pytest.mark.parametrize("initial", [0, 2])
+    def test_replay_log_must_name_declared_records(self, initial):
+        rows = [(("a", "b"), VoteTally(5, 5)), (("b", "z"), VoteTally(1, 5))]
+        config = ExperimentConfig(budget=2, initial_pairs=initial)
+        with pytest.raises(ValueError, match="'z'"):
+            run_experiment(config, ["a", "b", "c"], replay=ReplayOracle(rows))
 
     def test_gold_must_cover_records(self):
         gold = GoldClustering({"a": "x"})

@@ -1,14 +1,17 @@
 """The package's public surface, and the names the benchmark patches."""
 
 import importlib
+import re
 import runpy
 from pathlib import Path
 
 import perc
 
+ROOT = Path(__file__).resolve().parents[1]
+
 # run_path executes the file without importing it as a module, so nothing
 # is cached or written under perfbench/
-TRACER = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"))
+TRACER = runpy.run_path(str(ROOT / "perfbench" / "tracer.py"))
 
 
 def test_every_exported_name_resolves():
@@ -34,3 +37,17 @@ def test_benchmark_patch_points_exist():
                 ("select_batch", "tc_batch", "dense_batch", "SimulatedOracle")
                 if not hasattr(harness, name)]
     assert missing == []
+
+
+def test_readme_quick_taste_runs_as_shown(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Quick taste", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    namespace: dict = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    blocks = namespace["blocks"]
+    assert blocks == perc.Clustering([["A", "B", "C"], ["D"]])
+    # the comment the README prints next to the call is the clustering's repr
+    shown = re.search(r"blocks = scc_cluster\(graph\)\s+# (.*)", code).group(1)
+    assert shown == repr(blocks)
+    assert capsys.readouterr().out.strip()
