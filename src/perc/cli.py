@@ -41,9 +41,9 @@ _FIELD_FLAGS = {_SHORT_FLAGS.get(f.name, f.name.replace("_", "-")): f
 
 
 def read_config_file(path) -> dict:
-    """key = value lines, keys named like the run flags ('_' may stand for
-    '-'); # starts a comment.  Returns (typed value, line number) keyed by
-    the ExperimentConfig field or I/O key each line sets."""
+    """key = value lines, each key set at most once and named like a run
+    flag ('_' may stand for '-'); # starts a comment.  Returns (typed value,
+    line number) keyed by the ExperimentConfig field or I/O key it sets."""
     entries: dict = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -54,14 +54,16 @@ def read_config_file(path) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         flag = key.replace("_", "-")
         if flag in _IO_KEYS:
-            entries[flag] = (value, lineno)
-            continue
-        if flag not in _FIELD_FLAGS:
+            name, kind = flag, str
+        elif flag in _FIELD_FLAGS:
+            field = _FIELD_FLAGS[flag]
+            name, kind = field.name, type(field.default)
+        else:
             raise ValueError(f"{path}:{lineno}: unknown option {key!r}")
-        field = _FIELD_FLAGS[flag]
-        kind = type(field.default)
+        if name in entries:
+            raise ValueError(f"{path}:{lineno}: {key} already set on line {entries[name][1]}")
         try:
-            entries[field.name] = (kind(value), lineno)
+            entries[name] = (kind(value), lineno)
         except ValueError:
             raise ValueError(
                 f"{path}:{lineno}: {key} expects {kind.__name__}, got {value!r}") from None
@@ -107,7 +109,8 @@ def cmd_run(args) -> int:
         raise
 
     records = read_records_csv(options["records"])
-    gold = read_gold_csv(options["gold"]) if "gold" in options else None
+    gold = (read_gold_csv(options["gold"], records, options["records"])
+            if "gold" in options else None)
     replay = (ReplayOracle(read_votes_csv(options["replay"], records, options["records"]))
               if "replay" in options else None)
     result = run_experiment(config, records, gold=gold, replay=replay)

@@ -130,8 +130,11 @@ def write_votes_csv(path, rows) -> None:
             writer.writerow([a, b, tally.yes, tally.total])
 
 
-def read_gold_csv(path) -> GoldClustering:
-    """record_id,entity_id with an optional difficulty column."""
+def read_gold_csv(path, records=None, records_path=None) -> GoldClustering:
+    """record_id,entity_id with an optional difficulty column.  Given
+    ``records``, the ids read from records_path, the rows must list exactly
+    those records."""
+    declared = None if records is None else set(records)
     entity: dict[str, str] = {}
     difficulty: dict[str, float] = {}
     with _open_reader(path) as fh:
@@ -140,6 +143,9 @@ def read_gold_csv(path) -> GoldClustering:
                               optional_tail=("difficulty",))
         for lineno, row in _rows(reader, path, len(GOLD_HEADER) + len(extra), len(extra)):
             rid = _record_id(row, path, lineno, entity)
+            if declared is not None and rid not in declared:
+                raise ValueError(f"{path}:{lineno}: record {rid!r} is not declared "
+                                 f"in {records_path}")
             entity[rid] = row[1]
             if len(row) > 2 and row[2] != "":
                 try:
@@ -151,6 +157,9 @@ def read_gold_csv(path) -> GoldClustering:
                                      f"a finite number >= 0, got {row[2]!r}") from None
     if not entity:
         raise ValueError(f"{path}: no records listed")
+    for rid in records or ():
+        if rid not in entity:
+            raise ValueError(f"{path}: record {rid!r} of {records_path} has no row")
     return GoldClustering(entity, difficulty)
 
 

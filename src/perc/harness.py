@@ -69,12 +69,11 @@ class ExperimentConfig:
         return WorkerModel(workers_per_pair=self.workers_per_pair,
                            error_rate=self.error_rate)
 
-    def reliability_params(self, round_index: int = 0) -> ReliabilityParams:
-        """Params for work performed during one round; the round index is
-        folded into the seed so sampling inside a round shares streams."""
+    def reliability_params(self) -> ReliabilityParams:
+        """The run's one set of reliability params, the ones ``perc next``
+        takes as flags; every round of the run prices with them."""
         return ReliabilityParams(mc_samples=self.mc_samples, epsilon=self.epsilon,
-                                 exact_edge_limit=self.exact_edge_limit,
-                                 seed=derive_seed(self.seed, "round", round_index))
+                                 exact_edge_limit=self.exact_edge_limit, seed=self.seed)
 
 
 @dataclass(frozen=True)
@@ -227,8 +226,9 @@ def run_experiment(config: ExperimentConfig, records, gold: GoldClustering | Non
     strategy_allowed = None if config.strategy == "tc" else allowed
     state = None  # perc's cached candidate queue
     tc_rng = make_rng(derive_seed(config.seed, "tc-stream"))
+    params = config.reliability_params()
     if config.strategy == "perc":
-        state = build_state(graph, clustering, config.reliability_params(0), allowed=allowed)
+        state = build_state(graph, clustering, params, allowed=allowed)
 
     mlc_checks = 0
     mlc_failures = 0
@@ -238,7 +238,7 @@ def run_experiment(config: ExperimentConfig, records, gold: GoldClustering | Non
     curve: list[MetricsSnapshot] = []
     score = None  # the last snapshot's reliability, carried into the next
 
-    def snapshot(round_index: int):
+    def snapshot():
         nonlocal score
         if curve and curve[-1].questions_asked == len(vote_log):
             return
@@ -246,18 +246,16 @@ def run_experiment(config: ExperimentConfig, records, gold: GoldClustering | Non
             precision, recall, f1 = precision_recall_f1(clustering, gold)
         else:
             precision = recall = f1 = NAN
-        score = reliability(graph, clustering, config.reliability_params(round_index),
-                            previous=score)
+        score = reliability(graph, clustering, params, previous=score)
         curve.append(MetricsSnapshot(questions_asked=len(vote_log),
                                      precision=precision, recall=recall, f1=f1,
                                      reliability=score.value,
                                      blocks=len(clustering.blocks)))
 
-    snapshot(0)
+    snapshot()
     stop = False
     while not stop and len(vote_log) < config.budget:
         k = min(config.batch_size, config.budget - len(vote_log))
-        round_index = rounds + 1
         if config.strategy == "perc":
             batch = select_batch(state, k)
         elif config.strategy == "tc":
@@ -298,19 +296,18 @@ def run_experiment(config: ExperimentConfig, records, gold: GoldClustering | Non
             clustering = fresh
         rounds += 1
         if config.strategy == "perc":
-            params = config.reliability_params(round_index)
             if clustering_changed:
                 state = build_state(graph, clustering, params, allowed=allowed,
                                     previous=state)
             else:
                 for pair, _ in answered:
-                    refresh_after_answer(state, graph, pair, params)
+                    refresh_after_answer(state, graph, pair)
         if rounds % config.eval_every == 0:
-            snapshot(round_index)
+            snapshot()
         log.debug("round %d: asked %d pairs, %d blocks, %d total questions",
-                  round_index, len(answered), len(clustering.blocks), len(vote_log))
+                  rounds, len(answered), len(clustering.blocks), len(vote_log))
 
-    snapshot(rounds)
+    snapshot()
     stats = {
         "questions_asked": len(vote_log),
         "rounds": rounds,

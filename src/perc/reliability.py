@@ -26,7 +26,7 @@ and prices the block pairs that may not.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import itemgetter
 
@@ -456,12 +456,12 @@ def reliability(graph: UncertainGraph, clustering: Clustering,
     The value is fsum((connectivity_log, disconnectivity_log,
     clamped * log10(epsilon))), each part an exactly rounded sum, so it does
     not depend on the order the terms were added in.  ``previous`` is a
-    score of the same records under params equal but for the seed, whose
-    graph this graph extends.  Its terms whose inputs did not change are
-    carried over instead of priced again:
+    score of the same records under the same params, whose graph this graph
+    extends.  Its terms whose inputs did not change are carried over
+    instead of priced again:
 
-    - the exact connectivity of a surviving block with no new intra edge
-      (exact values ignore the seed; sampled blocks are drawn again);
+    - the connectivity of a surviving block with no new intra edge, exact
+      or sampled (a block's stream depends on the seed and its members);
     - the disconnectivity of a surviving block pair with no new spanning
       edge.
 
@@ -480,7 +480,7 @@ def reliability(graph: UncertainGraph, clustering: Clustering,
         logs: dict[BlockPairKey, float] = {}
         priced = {key: 1.0 - prod for key, prod in spanning_products(graph, clustering).items()}
     else:
-        if replace(previous.params, seed=params.seed) != params:
+        if previous.params != params:
             raise ValueError("previous score priced other params")
         survivors, touched_blocks, priced = changes_since(
             previous.graph, previous.clustering, graph, clustering)
@@ -508,7 +508,7 @@ def reliability(graph: UncertainGraph, clustering: Clustering,
     for block in blocks:
         # only a surviving block is found in carried
         est = carried.get(block)
-        if est is None or est.method != "exact" or block in touched_blocks:
+        if est is None or block in touched_blocks:
             est = block_connectivity(graph, block, params)
         estimates.append(est)
         if est.value >= epsilon:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator
 
@@ -38,7 +38,7 @@ from .graph import Clustering, Pair, UncertainGraph
 # block_connectivity has no caller here; the benchmark's tracer patches this name
 from .reliability import (Block, BlockPairKey, ReliabilityParams,  # noqa: F401
                           block_connectivity, changes_since, disconnectivity,
-                          pair_connectivity, solved_exactly, spanning_products)
+                          pair_connectivity, spanning_products)
 from .util import canonical_pair, log10_clamped
 
 
@@ -207,19 +207,18 @@ def build_state(graph: UncertainGraph, clustering: Clustering,
     """Price every candidate for the given clustering.
 
     ``previous`` is a state of the same records under an earlier clustering,
-    built with the same params (seed aside) and allowed pairs, whose graph
-    this graph extends.  Entries whose inputs did not change are carried
-    over from it instead of repriced:
+    built with the same params and allowed pairs, whose graph this graph
+    extends.  Entries whose inputs did not change are carried over from it
+    instead of repriced:
 
-    - the intra entries of a surviving block with no new intra edge, when
-      its candidates are priced exactly (exact values ignore the seed);
+    - the intra entries of a surviving block with no new intra edge;
     - the inter entry of a surviving block pair with no new spanning edge,
       and whether it is spanned.
 
-    New blocks, blocks that a new edge touched, sampled blocks and the block
-    pairs changes_since prices are priced afresh, so the result equals a
-    build without ``previous``.  ``previous`` is consumed and must not be
-    used afterwards.
+    New blocks, blocks that a new edge touched and the block pairs
+    changes_since prices are priced afresh, so the result equals a build
+    without ``previous``.  ``previous`` is consumed and must not be used
+    afterwards.
     """
     params = params or ReliabilityParams()
     if clustering.records != set(graph.records):
@@ -228,23 +227,23 @@ def build_state(graph: UncertainGraph, clustering: Clustering,
     owner = clustering._owner
     survivors: set[Block] = set()
     touched_blocks: set[Block] = set()
-    kept: dict[Block, list[Pair]] = {}  # intra entries of untouched survivors
+    intra: dict[Pair, float] = {}
     inter: dict[BlockPairKey, tuple[Pair, float]] = {}
     spanned: set[BlockPairKey] = set()
     if previous is None:
         priced = {key: 1.0 - prod for key, prod in spanning_products(graph, clustering).items()}
     else:
         if ((previous.allowed is not allowed and previous.allowed != allowed)
-                or replace(previous.params, seed=params.seed) != params):
+                or previous.params != params):
             raise ValueError("previous state priced other params or allowed pairs")
         survivors, touched_blocks, priced = changes_since(
             previous.graph, previous.clustering, graph, clustering)
         # a surviving block's members had that block before, so its
         # entries are the ones whose first member it still owns
-        for pair in previous.intra:
+        for pair, gain in previous.intra.items():
             block = owner[pair[0]]
             if block in survivors and block not in touched_blocks:
-                kept.setdefault(block, []).append(pair)
+                intra[pair] = gain
         # drop the block pairs that lost a block; priced ones are set below
         inter = {key: entry for key, entry in previous.inter.items()
                  if key[0] in survivors and key[1] in survivors}
@@ -252,13 +251,6 @@ def build_state(graph: UncertainGraph, clustering: Clustering,
                    if key[0] in survivors and key[1] in survivors}
     spanned.update(priced)
 
-    intra: dict[Pair, float] = {}
-    for block, pairs in kept.items():
-        # exact entries are carried; sampled ones are drawn with this seed
-        if solved_exactly(len(graph.edges_within(block)) + 1, params):
-            intra.update((pair, previous.intra[pair]) for pair in pairs)
-        else:
-            intra.update(_intra_entries_for_block(graph, block, params, allowed))
     for block in blocks:
         # a surviving untouched block without entries still has no candidates
         if block not in survivors or block in touched_blocks:
@@ -280,7 +272,7 @@ def build_state(graph: UncertainGraph, clustering: Clustering,
 
 
 def refresh_after_answer(state: PriorityState, graph: UncertainGraph,
-                         answered_pair: Pair, params: ReliabilityParams | None = None) -> None:
+                         answered_pair: Pair) -> None:
     """Fold one crowdsourced answer into the cached state, in place.
 
     graph must already contain the answered edge and the clustering must
@@ -295,9 +287,8 @@ def refresh_after_answer(state: PriorityState, graph: UncertainGraph,
     key = canonical_pair(*answered_pair)
     if not graph.has_edge(*key):
         raise ValueError(f"answered pair {key} is not in the graph yet")
-    params = params or state.params
+    params = state.params
     state.graph = graph
-    state.params = params
     block_a = state.clustering.block_of(key[0])
     block_b = state.clustering.block_of(key[1])
     if block_a == block_b:

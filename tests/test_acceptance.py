@@ -241,7 +241,7 @@ def test_5_cache_selection_equivalence():
                     state = build_state(graph, clustering, params)
                 else:
                     for pair, _ in answered:
-                        refresh_after_answer(state, graph, pair, params)
+                        refresh_after_answer(state, graph, pair)
 
 
 def test_6_strategy_comparison():

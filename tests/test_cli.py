@@ -243,6 +243,21 @@ class TestRun:
         assert a[-1].questions_asked == 15
         assert b[-1].questions_asked == 12
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda text: text + "zz,e00\n", "gold.csv:12: record 'zz' is not declared in {}"),
+        (lambda text: text.replace("r08,e00\n", ""), "gold.csv: record 'r08' of {} has no row"),
+    ], ids=["undeclared", "missing"])
+    def test_gold_must_match_records(self, tmp_path, capsys, edit, message):
+        world = self.world(tmp_path)
+        gold = world / "gold.csv"
+        gold.write_text(edit(gold.read_text()))
+        records = world / "records.csv"
+        code = main(["run", "--records", str(records), "--gold", str(gold),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            f"error: {world / message.format(records)}\n"
+
     def test_missing_answer_source_fails(self, tmp_path, capsys):
         world = self.world(tmp_path)
         code = main(["run", "--records", str(world / "records.csv")])
@@ -268,6 +283,18 @@ class TestConfigFile:
         cfg.write_text("just a line\n")
         with pytest.raises(ValueError, match="c.cfg:1"):
             read_config_file(cfg)
+
+    @pytest.mark.parametrize("lines, message", [
+        ("budget = 10\nbudget = 30\n", "2: budget already set on line 1"),
+        ("error-rate = 0.1\nseed = 4\nerror_rate = 0.2\n",
+         "3: error_rate already set on line 1"),
+        ("out = a\n\nout = b\n", "3: out already set on line 1"),
+    ], ids=["field", "spelled-otherwise", "io-key"])
+    def test_key_set_twice_names_both_lines(self, tmp_path, capsys, lines, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(lines)
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}:{message}\n"
 
     def test_bad_value_names_file_and_line(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

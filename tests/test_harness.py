@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -22,8 +23,8 @@ from perc import (
     scc_cluster,
     synth_world,
 )
-from perc.cli import report
-from perc.fileio import read_curve_csv
+from perc.cli import main, report
+from perc.fileio import read_curve_csv, write_gold_csv, write_records_csv, write_votes_csv
 from perc.harness import _initial_pairs_simulated
 
 from conftest import running_vote_rows
@@ -153,10 +154,27 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(eval_every=0)
 
-    def test_round_params_fold_the_round_index(self):
-        cfg = ExperimentConfig(seed=7)
-        assert cfg.reliability_params(1).seed != cfg.reliability_params(2).seed
-        assert cfg.reliability_params(1) == cfg.reliability_params(1)
+    def test_perc_next_asks_what_the_run_asks_next(self, tmp_path, capsys):
+        # a run prices every round with the params perc next takes as flags,
+        # so next on the run's votes prints the batch a longer run asks next
+        for limit, seed, batch in itertools.product((0, 3, 18), range(4), (1, 2, 4)):
+            records, gold = synth_world(14, 2, seed=seed)
+            config = ExperimentConfig(strategy="perc", budget=13 + 3 * batch,
+                                      batch_size=batch, initial_pairs=13, error_rate=0.2,
+                                      mc_samples=50, exact_edge_limit=limit, seed=seed)
+            write_records_csv(tmp_path / "records.csv", records)
+            write_votes_csv(tmp_path / "votes.csv",
+                            run_experiment(config, records, gold=gold).vote_log)
+            assert main(["next", "--records", str(tmp_path / "records.csv"),
+                         "--graph", str(tmp_path / "votes.csv"), "--batch", str(batch),
+                         "--seed", str(seed), "--mc-samples", "50",
+                         "--exact-edge-limit", str(limit)]) == 0
+            printed = [tuple(line.split(",")[:2])
+                       for line in capsys.readouterr().out.splitlines()]
+            longer = run_experiment(replace(config, budget=config.budget + batch),
+                                    records, gold=gold)
+            assert printed == [pair for pair, _ in longer.vote_log[config.budget:]], \
+                (limit, seed, batch)
 
 
 class TestRunExperiment:
@@ -267,6 +285,25 @@ class TestReplay:
             assert replayed.curve == live.curve
             assert replayed.vote_log == live.vote_log
             assert replayed.clustering == live.clustering
+
+    def test_sampled_run_reruns_and_replays_byte_for_byte(self, tmp_path, capsys):
+        # acceptance 7's world with every block sampled: a sampled value
+        # carries across rounds, so it must equal the one priced cold
+        records, gold = synth_world(20, 5, seed=99)
+        write_records_csv(tmp_path / "records.csv", records)
+        write_gold_csv(tmp_path / "gold.csv", gold)
+        base = ["run", "--records", str(tmp_path / "records.csv"),
+                "--gold", str(tmp_path / "gold.csv"), "--strategy", "perc",
+                "--budget", "80", "--batch", "5", "--initial", "19", "--seed", "123",
+                "--exact-edge-limit", "0", "--mc-samples", "50"]
+        for name in ("first", "second"):
+            assert main([*base, "--out", str(tmp_path / name)]) == 0
+        assert main([*base, "--replay", str(tmp_path / "first" / "votes.csv"),
+                     "--out", str(tmp_path / "replayed")]) == 0
+        capsys.readouterr()
+        first = (tmp_path / "first" / "curve.csv").read_bytes()
+        assert (tmp_path / "second" / "curve.csv").read_bytes() == first
+        assert (tmp_path / "replayed" / "curve.csv").read_bytes() == first
 
     def test_replay_without_gold_gives_nan_quality(self):
         records, gold = synth_world(8, 2, seed=13)

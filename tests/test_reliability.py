@@ -405,11 +405,26 @@ class TestReliability:
         with pytest.raises(ValueError, match="other records"):
             reliability(wider, Clustering(running_clustering.blocks + (("I",),)), params,
                         previous=previous)
-        # the seed alone may differ, and previous is left as it was
-        reseeded = ReliabilityParams(exact_edge_limit=8, seed=5)
-        cold = reliability(grown, running_clustering, reseeded)
+        # the seed is a param like any other
+        with pytest.raises(ValueError, match="previous score priced other params"):
+            reliability(grown, running_clustering, ReliabilityParams(exact_edge_limit=8, seed=5),
+                        previous=previous)
+        # previous is left as it was
+        cold = reliability(grown, running_clustering, params)
         for _ in range(2):
-            assert reliability(grown, running_clustering, reseeded, previous=previous) == cold
+            assert reliability(grown, running_clustering, params, previous=previous) == cold
+
+    def test_sampled_connectivity_carries(self, running_graph, running_clustering):
+        # at limit 0 every block is sampled; an edge across two blocks
+        # leaves each block's inputs as they were
+        params = ReliabilityParams(mc_samples=50, exact_edge_limit=0)
+        previous = reliability(running_graph, running_clustering, params)
+        grown = running_graph.with_edge("A", "D", probability=0.4)
+        carried = reliability(grown, running_clustering, params, previous=previous)
+        for old, new in zip(previous.block_connectivity, carried.block_connectivity):
+            assert new.method == "monte-carlo"
+            assert new is old
+        assert carried == reliability(grown, running_clustering, params)
 
     def test_rejects_mismatched_records(self, trio_graph):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import perc.selection
 from perc import (
     Clustering,
     ReliabilityParams,
@@ -12,6 +13,7 @@ from perc import (
     build_state,
     pair_priority,
     refresh_after_answer,
+    scc_cluster,
     select_batch,
     select_next,
 )
@@ -250,11 +252,33 @@ class TestBuildState:
         previous = build_state(grown, running_clustering, params)
         with pytest.raises(ValueError, match="edges this graph lacks"):
             build_state(running_graph, running_clustering, params, previous=previous)
-        # the seed alone may differ
+        # the seed is a param like any other
         previous = build_state(running_graph, running_clustering, params)
-        reseeded = ReliabilityParams(exact_edge_limit=8, seed=5)
-        carried = build_state(grown, running_clustering, reseeded, previous=previous)
-        assert states_equal(carried, build_state(grown, running_clustering, reseeded))
+        with pytest.raises(ValueError, match="previous state priced"):
+            build_state(grown, running_clustering, ReliabilityParams(exact_edge_limit=8, seed=5),
+                        previous=previous)
+
+    def test_carry_prices_no_kept_sampled_block(self, monkeypatch):
+        # {A,B,C} survives untouched while E-F merges {D,E} with {F}; at
+        # limit 0 both are sampled, and only the new block is priced
+        params = ReliabilityParams(mc_samples=50, exact_edge_limit=0)
+        graph = UncertainGraph.from_probabilities(
+            "ABCDEF", {("A", "B"): 0.9, ("B", "C"): 0.8, ("D", "E"): 0.9})
+        previous = build_state(graph, scc_cluster(graph), params)
+        grown = graph.with_edge("E", "F", probability=0.9)
+        clustering = scc_cluster(grown)
+        assert clustering.blocks == (("A", "B", "C"), ("D", "E", "F"))
+        priced = []
+
+        def counted(graph, block, pairs, params):
+            priced.append(tuple(block))
+            return pair_connectivity(graph, block, pairs, params)
+        monkeypatch.setattr(perc.selection, "pair_connectivity", counted)
+        carried_gain = previous.intra[("A", "C")]
+        state = build_state(grown, clustering, params, previous=previous)
+        assert priced == [("D", "E", "F")]
+        assert state.intra[("A", "C")] == carried_gain
+        assert states_equal(state, build_state(grown, clustering, params))
 
     def test_previous_graph_must_agree_on_records_and_probabilities(
             self, running_graph, running_clustering):
