@@ -51,10 +51,11 @@ print("\nnext question:", select_next(state))
 # four questions cover both uncertain block pairs twice over.
 print("batch of 4:   ", select_batch(state, 4))
 
-# Suppose the crowd answers E-H with a clear NO.  Only the one block
-# pair's entry needs repricing; everything else still holds.
+# Suppose the crowd answers E-H with a clear NO, and the blocks stay as
+# they are.  Folding the round in reprices only the one block pair's
+# entry; everything else still holds.
 answered = graph.with_edge("E", "H", probability=0.1)
-refresh_after_answer(state, answered, ("E", "H"))
+refresh_after_answer(state, answered, clustering)
 print("\nafter a NO on E-H:")
 for entry in state.entries():
     a, b = entry.pair

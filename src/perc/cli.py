@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .clustering import scc_cluster
 from .crowd import ReplayOracle
-from .fileio import (load_graph, read_clusters_csv, read_gold_csv,
+from .fileio import (load_graph, read_clusters_csv, read_gold_csv, read_text,
                      read_records_csv, read_votes_csv, write_clusters_csv,
                      write_curve_csv, write_gold_csv, write_records_csv,
                      write_votes_csv)
@@ -45,7 +45,7 @@ def read_config_file(path) -> dict:
     flag ('_' may stand for '-'); # starts a comment.  Returns (typed value,
     line number) keyed by the ExperimentConfig field or I/O key it sets."""
     entries: dict = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -150,7 +150,7 @@ def cmd_next(args) -> int:
 
 def cmd_eval(args) -> int:
     clustering = read_clusters_csv(args.clusters)
-    gold = read_gold_csv(args.gold)
+    gold = read_gold_csv(args.gold, sorted(clustering.records), args.clusters)
     precision, recall, f1 = precision_recall_f1(clustering, gold)
     sys.stdout.write(f"precision={precision!r}\nrecall={recall!r}\nf1={f1!r}\n")
     return 0

@@ -9,7 +9,9 @@ which round-trips exactly and keeps reruns byte-identical.
 from __future__ import annotations
 
 import csv
+import io
 import math
+from pathlib import Path
 
 from .crowd import GoldClustering
 from .graph import (Clustering, Pair, UncertainGraph, VoteTally, _check_record_id,
@@ -24,8 +26,19 @@ GOLD_HEADER = ["record_id", "entity_id"]
 CURVE_HEADER = ["questions_asked", "precision", "recall", "f1", "reliability", "blocks"]
 
 
+def read_text(path) -> str:
+    """The file as UTF-8 text; a byte that is not UTF-8 is reported with
+    the physical line it is on."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{line}: not UTF-8 text") from None
+
+
 def _open_reader(path):
-    return open(path, newline="", encoding="utf-8")
+    return io.StringIO(read_text(path), newline="")
 
 
 def _rows(reader, path, width: int, optional: int = 0):

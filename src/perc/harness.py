@@ -287,21 +287,14 @@ def run_experiment(config: ExperimentConfig, records, gold: GoldClustering | Non
             if not mlc_unchanged(clustering, pair, tally.fraction):
                 changed_votes += 1
         mlc_failures += changed_votes
-        clustering_changed = False
         if changed_votes:
             reclusterings += 1
             fresh = scc_cluster(graph, previous=clustering)
-            clustering_changed = fresh != clustering
-            reclusterings_changed += clustering_changed
+            reclusterings_changed += fresh != clustering
             clustering = fresh
         rounds += 1
         if config.strategy == "perc":
-            if clustering_changed:
-                state = build_state(graph, clustering, params, allowed=allowed,
-                                    previous=state)
-            else:
-                for pair, _ in answered:
-                    refresh_after_answer(state, graph, pair)
+            refresh_after_answer(state, graph, clustering)
         if rounds % config.eval_every == 0:
             snapshot()
         log.debug("round %d: asked %d pairs, %d blocks, %d total questions",

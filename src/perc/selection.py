@@ -19,11 +19,12 @@ the unspanned ones in block order, which is already their rank order.  An
 answer only ever spans a block pair, so each walk starts where the first
 unstored entry was last found.
 
-The state is cached between rounds.  An answer re-triggers work only where
-terms actually moved: an intra answer reprices its own block's candidates
-and a cross answer reprices its block pair's representative.  After a
-clustering change, build_state(previous=state) carries over the entries of
-the blocks and block pairs that survived it untouched, and prices the rest.
+build_state prices a state from scratch once; after that,
+refresh_after_answer folds each round in, whether or not it changed the
+clustering.  A round re-triggers work only where terms actually moved: it
+reprices each new block and each block with a new intra edge once, and
+each block pair with a new spanning edge or a new block; the entries of
+blocks and block pairs that survived it untouched carry over.
 """
 
 from __future__ import annotations
@@ -66,16 +67,14 @@ class PriorityState:
                  "_cursor")
 
     def __init__(self, graph: UncertainGraph, clustering: Clustering,
-                 params: ReliabilityParams, intra: dict[Pair, float],
-                 inter: dict[BlockPairKey, tuple[Pair, float]],
-                 spanned: set[BlockPairKey], allowed: frozenset | None = None):
+                 params: ReliabilityParams, allowed: frozenset | None = None):
         self.graph = graph
         self.clustering = clustering
         self.params = params
-        self.intra = intra
-        self.inter = inter
-        self.spanned = spanned
         self.allowed = allowed
+        self.intra: dict[Pair, float] = {}
+        self.inter: dict[BlockPairKey, tuple[Pair, float]] = {}
+        self.spanned: set[BlockPairKey] = set()
         # block indices (j, k) before which no unstored entry is left; valid
         # because spanned only grows until the clustering changes
         self._cursor = (0, 1)
@@ -200,62 +199,19 @@ def _set_inter(inter: dict[BlockPairKey, tuple[Pair, float]], graph: UncertainGr
         inter[key] = (rep, _inter_gain(dis, params))
 
 
-def build_state(graph: UncertainGraph, clustering: Clustering,
-                params: ReliabilityParams | None = None, *,
-                allowed: frozenset | None = None,
-                previous: PriorityState | None = None) -> PriorityState:
-    """Price every candidate for the given clustering.
-
-    ``previous`` is a state of the same records under an earlier clustering,
-    built with the same params and allowed pairs, whose graph this graph
-    extends.  Entries whose inputs did not change are carried over from it
-    instead of repriced:
-
-    - the intra entries of a surviving block with no new intra edge;
-    - the inter entry of a surviving block pair with no new spanning edge,
-      and whether it is spanned.
-
-    New blocks, blocks that a new edge touched and the block pairs
-    changes_since prices are priced afresh, so the result equals a build
-    without ``previous``.  ``previous`` is consumed and must not be used
-    afterwards.
-    """
-    params = params or ReliabilityParams()
-    if clustering.records != set(graph.records):
-        raise ValueError("clustering does not cover exactly the graph's records")
-    blocks = clustering.blocks
-    owner = clustering._owner
-    survivors: set[Block] = set()
-    touched_blocks: set[Block] = set()
-    intra: dict[Pair, float] = {}
-    inter: dict[BlockPairKey, tuple[Pair, float]] = {}
-    spanned: set[BlockPairKey] = set()
-    if previous is None:
-        priced = {key: 1.0 - prod for key, prod in spanning_products(graph, clustering).items()}
-    else:
-        if ((previous.allowed is not allowed and previous.allowed != allowed)
-                or previous.params != params):
-            raise ValueError("previous state priced other params or allowed pairs")
-        survivors, touched_blocks, priced = changes_since(
-            previous.graph, previous.clustering, graph, clustering)
-        # a surviving block's members had that block before, so its
-        # entries are the ones whose first member it still owns
-        for pair, gain in previous.intra.items():
-            block = owner[pair[0]]
-            if block in survivors and block not in touched_blocks:
-                intra[pair] = gain
-        # drop the block pairs that lost a block; priced ones are set below
-        inter = {key: entry for key, entry in previous.inter.items()
-                 if key[0] in survivors and key[1] in survivors}
-        spanned = {key for key in previous.spanned
-                   if key[0] in survivors and key[1] in survivors}
-    spanned.update(priced)
-
+def _price(state: PriorityState, survivors: set[Block], touched_blocks: set[Block],
+           priced: dict[BlockPairKey, float]) -> None:
+    """Price what the state's carried entries lack for its clustering: the
+    candidates of each new or touched block, the block pairs in priced
+    (with their disconnectivity), and the unspanned pairs with a new block
+    whose (min, min) pair may not be asked."""
+    graph, params, allowed = state.graph, state.params, state.allowed
+    blocks, intra, inter = state.clustering.blocks, state.intra, state.inter
+    state.spanned.update(priced)
     for block in blocks:
         # a surviving untouched block without entries still has no candidates
         if block not in survivors or block in touched_blocks:
             intra.update(_intra_entries_for_block(graph, block, params, allowed))
-
     for key, dis in priced.items():
         _set_inter(inter, graph, key, dis, params, allowed)
     if allowed is not None:
@@ -266,41 +222,65 @@ def build_state(graph: UncertainGraph, clustering: Clustering,
         for key in ((bj, bk) if j < k else (bk, bj)
                     for j, bj in enumerate(blocks) if fresh[j]
                     for k, bk in enumerate(blocks) if k > j or (k < j and not fresh[k])):
-            if key not in spanned and (key[0][0], key[1][0]) not in allowed:
+            if key not in state.spanned and (key[0][0], key[1][0]) not in allowed:
                 _set_inter(inter, graph, key, 0.0, params, allowed)
-    return PriorityState(graph, clustering, params, intra, inter, spanned, allowed=allowed)
+
+
+def _check_covers(graph: UncertainGraph, clustering: Clustering) -> None:
+    if clustering.records != set(graph.records):
+        raise ValueError("clustering does not cover exactly the graph's records")
+
+
+def build_state(graph: UncertainGraph, clustering: Clustering,
+                params: ReliabilityParams | None = None, *,
+                allowed: frozenset | None = None) -> PriorityState:
+    """Price every candidate for the given clustering, from scratch;
+    refresh_after_answer carries the state from round to round."""
+    _check_covers(graph, clustering)
+    state = PriorityState(graph, clustering, params or ReliabilityParams(), allowed)
+    priced = {key: 1.0 - prod for key, prod in spanning_products(graph, clustering).items()}
+    _price(state, set(), set(), priced)
+    return state
 
 
 def refresh_after_answer(state: PriorityState, graph: UncertainGraph,
-                         answered_pair: Pair) -> None:
-    """Fold one crowdsourced answer into the cached state, in place.
+                         clustering: Clustering) -> None:
+    """Fold one round into the state, in place.
 
-    graph must already contain the answered edge and the clustering must
-    still be ``state.clustering`` (after a change, pass the state to
-    build_state as ``previous`` instead); call once for each pair a graph
-    update added.  Only the entries whose reliability term the answer
-    touched are repriced: the answered block's intra candidates, or the
-    answered block pair's representative, stored from then on since the
-    pair is spanned.  The rest stand, since this edge leaves their inputs
-    untouched.
+    ``graph`` extends ``state.graph`` with the round's answers, and
+    ``clustering`` is the clustering after the round, changed or not.
+    Entries whose inputs did not change are carried over instead of
+    repriced:
+
+    - the intra entries of a surviving block with no new intra edge;
+    - the inter entry of a surviving block pair with no new spanning edge,
+      and whether it is spanned.
+
+    New blocks, blocks that a new edge touched (each once, however many
+    answers it got) and the block pairs changes_since prices are priced
+    afresh, so the state equals a build_state on (graph, clustering).
+    Raises ValueError as changes_since.
     """
-    key = canonical_pair(*answered_pair)
-    if not graph.has_edge(*key):
-        raise ValueError(f"answered pair {key} is not in the graph yet")
-    params = state.params
-    state.graph = graph
-    block_a = state.clustering.block_of(key[0])
-    block_b = state.clustering.block_of(key[1])
-    if block_a == block_b:
-        # the update rewrites every other candidate of the block; a pair
-        # answered in the same graph update leaves at its own call
-        state.intra.pop(key, None)
-        state.intra.update(_intra_entries_for_block(graph, block_a, params, state.allowed))
-    else:
-        bj, bk = sorted((block_a, block_b))
-        state.spanned.add((bj, bk))
-        _set_inter(state.inter, graph, (bj, bk),
-                   disconnectivity(graph, state.clustering, bj, bk), params, state.allowed)
+    _check_covers(graph, clustering)
+    survivors, touched_blocks, priced = changes_since(
+        state.graph, state.clustering, graph, clustering)
+    gone = len(survivors) < len(clustering.blocks)
+    if touched_blocks or gone:
+        # a surviving block's members had that block before, so its
+        # entries are the ones whose first member it still owns
+        owner = clustering._owner
+        state.intra = {pair: gain for pair, gain in state.intra.items()
+                       if owner[pair[0]] in survivors and owner[pair[0]] not in touched_blocks}
+    if gone:
+        # drop the block pairs that lost a block; priced ones are set below.
+        # Block indices moved, so the unstored walk starts over.
+        state.inter = {key: entry for key, entry in state.inter.items()
+                       if key[0] in survivors and key[1] in survivors}
+        state.spanned = {key for key in state.spanned
+                         if key[0] in survivors and key[1] in survivors}
+        state._cursor = (0, 1)
+    state.graph, state.clustering = graph, clustering
+    _price(state, survivors, touched_blocks, priced)
 
 
 def select_next(state: PriorityState) -> Pair | None:

@@ -240,8 +240,7 @@ def test_5_cache_selection_equivalence():
                 if changed:
                     state = build_state(graph, clustering, params)
                 else:
-                    for pair, _ in answered:
-                        refresh_after_answer(state, graph, pair)
+                    refresh_after_answer(state, graph, clustering)
 
 
 def test_6_strategy_comparison():

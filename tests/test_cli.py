@@ -163,6 +163,21 @@ class TestEval:
         assert capsys.readouterr().err == \
             f"error: {tmp_path / f'{short}.csv'}:4: {message}\n"
 
+    @pytest.mark.parametrize("clustered, listed, message", [
+        (range(2), range(10), "{gold}:4: record 'r02' is not declared in {clusters}"),
+        (range(4), range(1, 4), "{gold}: record 'r00' of {clusters} has no row"),
+    ], ids=["gold-lists-more", "gold-lists-fewer"])
+    def test_clusters_and_gold_must_list_the_same_records(self, tmp_path, capsys,
+                                                          clustered, listed, message):
+        clusters, gold = tmp_path / "c.csv", tmp_path / "gold.csv"
+        clusters.write_text("record_id,cluster_id\n"
+                            + "".join(f"r{i:02d},a\n" for i in clustered))
+        gold.write_text("record_id,entity_id\n"
+                        + "".join(f"r{i:02d},e{i % 3}\n" for i in listed))
+        assert main(["eval", "--clusters", str(clusters), "--gold", str(gold)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {message.format(gold=gold, clusters=clusters)}\n"
+
     def test_infinite_difficulty_names_file_and_line(self, tmp_path, capsys):
         (tmp_path / "clusters.csv").write_text("record_id,cluster_id\na,a\nb,a\n")
         gold = tmp_path / "gold.csv"
@@ -295,6 +310,12 @@ class TestConfigFile:
         cfg.write_text(lines)
         assert main(["run", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err == f"error: {cfg}:{message}\n"
+
+    def test_bad_byte_names_file_and_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"budget = 10\n# caf\xff\nseed = 4\n")
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}:2: not UTF-8 text\n"
 
     def test_bad_value_names_file_and_line(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

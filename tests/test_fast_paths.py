@@ -386,7 +386,7 @@ def test_carried_state_equals_cold_build(graph, data):
             graph = graph.with_edge(*pair, probability=data.draw(
                 st.sampled_from(ROUNDING_FRACTIONS), label="p"))
         clustering = data.draw(next_clusterings(graph, clustering), label="clustering")
-        state = build_state(graph, clustering, params, allowed=allowed, previous=state)
+        refresh_after_answer(state, graph, clustering)
         cold = build_state(graph, clustering, params, allowed=allowed)
         assert state.intra == cold.intra
         assert state.inter == cold.inter
@@ -462,10 +462,7 @@ def test_queue_with_unstored_pairs_equals_every_block_pair(graph, data):
                 st.sampled_from(ROUNDING_FRACTIONS), label="p"))
         if data.draw(st.booleans(), label="recluster"):
             clustering = data.draw(next_clusterings(graph, clustering), label="clustering")
-            state = build_state(graph, clustering, PARAMS, allowed=allowed, previous=state)
-        else:
-            for pair in batch:
-                refresh_after_answer(state, graph, pair)
+        refresh_after_answer(state, graph, clustering)
         assert_queue_matches_reference(state)
 
 

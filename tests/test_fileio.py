@@ -197,3 +197,23 @@ class TestPhysicalLines:
         with pytest.raises(ValueError) as exc:
             reader(path)
         assert str(exc.value) == f"{path}:{message}"
+
+
+class TestNotUtf8:
+    """A byte that is not UTF-8 is named with the physical line it is on,
+    which runs ahead of the row count after a field that spans lines."""
+
+    @pytest.mark.parametrize("reader, data, line", [
+        (read_records_csv, b"record_id\na\nb\xe9\n", 3),
+        (read_votes_csv, b'record_a,record_b,yes,total\na,"b\nc",1,5\nc,d\xe9,1,5\n', 4),
+        (read_gold_csv, b"record_id,entity_id\na,x\nb,\xe9\n", 3),
+        (read_clusters_csv, b"record_id,cluster_id\r\na,a\r\n\xffb,a\r\n", 3),
+        (read_curve_csv, b"questions_asked,precision,recall,f1,reliability,blocks\n"
+                         b"0,0.0,0.0,0.0,-1.0,2\n\xe9", 3),
+    ], ids=["records", "votes", "gold", "clusters", "curve"])
+    def test_bad_byte_names_file_and_line(self, tmp_path, reader, data, line):
+        path = tmp_path / "file.csv"
+        path.write_bytes(data)
+        with pytest.raises(ValueError) as exc:
+            reader(path)
+        assert str(exc.value) == f"{path}:{line}: not UTF-8 text"

@@ -235,20 +235,25 @@ class TestRunExperiment:
         assert 0.0 < result.stats["recluster_fraction"] <= 1.0
 
     def test_changed_reclusterings_are_the_rebuild_rounds(self, monkeypatch):
-        rebuilds = []
-        build_state = perc.harness.build_state
+        """reclusterings_changed counts the reclusters that returned another
+        clustering than the one they were given."""
+        changed = []
+        scc_cluster = perc.harness.scc_cluster
 
-        def counted(*args, previous=None, **kwargs):
-            rebuilds.append(previous is not None)
-            return build_state(*args, previous=previous, **kwargs)
+        def counted(graph, previous=None):
+            fresh = scc_cluster(graph, previous=previous)
+            if previous is not None:
+                changed.append(fresh != previous)
+            return fresh
 
-        monkeypatch.setattr(perc.harness, "build_state", counted)
+        monkeypatch.setattr(perc.harness, "scc_cluster", counted)
         records, gold = synth_world(24, 6, seed=4)
         config = ExperimentConfig(strategy="perc", budget=120, batch_size=4,
                                   initial_pairs=23, error_rate=0.25, seed=9)
         stats = run_experiment(config, records, gold=gold).stats
         assert 0 < stats["reclusterings_changed"] < stats["reclusterings"]
-        assert sum(rebuilds) == stats["reclusterings_changed"]
+        assert len(changed) == stats["reclusterings"]
+        assert sum(changed) == stats["reclusterings_changed"]
 
     def test_stats_crowd_error_rate_zero_when_error_free(self):
         result, _ = self.run_error_free("perc")

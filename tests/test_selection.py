@@ -242,21 +242,10 @@ class TestBuildState:
                                                            running_clustering):
         params = ReliabilityParams(exact_edge_limit=8)
         grown = running_graph.with_edge("A", "D", probability=0.4)
-        for other_params, allowed in ((ReliabilityParams(exact_edge_limit=9), None),
-                                      (params, frozenset({("A", "D")}))):
-            previous = build_state(running_graph, running_clustering, params)
-            with pytest.raises(ValueError, match="previous state priced"):
-                build_state(grown, running_clustering, other_params, allowed=allowed,
-                            previous=previous)
         # the previous graph must be part of the new one
         previous = build_state(grown, running_clustering, params)
         with pytest.raises(ValueError, match="edges this graph lacks"):
-            build_state(running_graph, running_clustering, params, previous=previous)
-        # the seed is a param like any other
-        previous = build_state(running_graph, running_clustering, params)
-        with pytest.raises(ValueError, match="previous state priced"):
-            build_state(grown, running_clustering, ReliabilityParams(exact_edge_limit=8, seed=5),
-                        previous=previous)
+            refresh_after_answer(previous, running_graph, running_clustering)
 
     def test_carry_prices_no_kept_sampled_block(self, monkeypatch):
         # {A,B,C} survives untouched while E-F merges {D,E} with {F}; at
@@ -264,7 +253,7 @@ class TestBuildState:
         params = ReliabilityParams(mc_samples=50, exact_edge_limit=0)
         graph = UncertainGraph.from_probabilities(
             "ABCDEF", {("A", "B"): 0.9, ("B", "C"): 0.8, ("D", "E"): 0.9})
-        previous = build_state(graph, scc_cluster(graph), params)
+        state = build_state(graph, scc_cluster(graph), params)
         grown = graph.with_edge("E", "F", probability=0.9)
         clustering = scc_cluster(grown)
         assert clustering.blocks == (("A", "B", "C"), ("D", "E", "F"))
@@ -274,8 +263,8 @@ class TestBuildState:
             priced.append(tuple(block))
             return pair_connectivity(graph, block, pairs, params)
         monkeypatch.setattr(perc.selection, "pair_connectivity", counted)
-        carried_gain = previous.intra[("A", "C")]
-        state = build_state(grown, clustering, params, previous=previous)
+        carried_gain = state.intra[("A", "C")]
+        refresh_after_answer(state, grown, clustering)
         assert priced == [("D", "E", "F")]
         assert state.intra[("A", "C")] == carried_gain
         assert states_equal(state, build_state(grown, clustering, params))
@@ -286,12 +275,12 @@ class TestBuildState:
         repriced = dict(running_graph.edges)
         repriced[("A", "B")] = 0.7
         with pytest.raises(ValueError, match="prices differently"):
-            build_state(UncertainGraph(running_graph.records, edges=repriced),
-                        running_clustering, previous=previous)
+            refresh_after_answer(previous, UncertainGraph(running_graph.records, edges=repriced),
+                                 running_clustering)
         wider = UncertainGraph(running_graph.records + ("I",), edges=running_graph.edges)
         with pytest.raises(ValueError, match="other records"):
-            build_state(wider, Clustering(running_clustering.blocks + (("I",),)),
-                        previous=previous)
+            refresh_after_answer(previous, wider,
+                                 Clustering(running_clustering.blocks + (("I",),)))
 
     def test_allowed_filter_restricts_candidates(self, running_graph, running_clustering):
         allowed = frozenset({("B", "C"), ("F", "G")})
@@ -404,11 +393,9 @@ class TestRefreshAfterAnswer:
     def test_inter_answer_reprices_only_that_block_pair(self, running_graph,
                                                         running_clustering):
         state = build_state(running_graph, running_clustering)
-        intra, inter = state.intra, state.inter
-        before = dict(inter)
+        before = dict(state.inter)
         g2 = running_graph.with_edge("E", "H", probability=0.2)
-        refresh_after_answer(state, g2, ("E", "H"))
-        assert state.intra is intra and state.inter is inter
+        refresh_after_answer(state, g2, running_clustering)
         assert states_equal(state, build_state(g2, running_clustering))
         # the C3 x C4 disconnectivity rose to 1 - 0.3*0.7*0.2, repricing it
         _, new_gain = inter_queue(state)[(("E", "F"), ("G", "H"))]
@@ -424,13 +411,35 @@ class TestRefreshAfterAnswer:
         c = Clustering([["A", "B", "C"], ["D", "E"]])
         state = build_state(g, c)
         g2 = g.with_edge("A", "C", probability=0.6)
-        refresh_after_answer(state, g2, ("A", "C"))
+        refresh_after_answer(state, g2, c)
         assert states_equal(state, build_state(g2, c))
 
+    def test_round_prices_each_touched_block_once(self, monkeypatch):
+        # three answers inside {A..E} in one graph update; folding them in
+        # one at a time priced the block three times
+        g = UncertainGraph.from_probabilities(
+            "ABCDEFG", {("A", "B"): 0.9, ("B", "C"): 0.8, ("C", "D"): 0.9,
+                        ("D", "E"): 0.7, ("E", "F"): 0.1, ("F", "G"): 0.9})
+        c = Clustering([["A", "B", "C", "D", "E"], ["F", "G"]])
+        state = build_state(g, c)
+        grown = g
+        for pair, p in ((("A", "C"), 0.6), (("A", "E"), 0.8), (("B", "D"), 0.3)):
+            grown = grown.with_edge(*pair, probability=p)
+        priced = []
+
+        def counted(graph, block, pairs, params):
+            priced.append(tuple(block))
+            return pair_connectivity(graph, block, pairs, params)
+        monkeypatch.setattr(perc.selection, "pair_connectivity", counted)
+        refresh_after_answer(state, grown, c)
+        assert priced == [("A", "B", "C", "D", "E")]
+        assert states_equal(state, build_state(grown, c))
+
     def test_refresh_requires_edge_in_graph(self, running_graph, running_clustering):
-        state = build_state(running_graph, running_clustering)
+        grown = running_graph.with_edge("E", "H", probability=0.2)
+        state = build_state(grown, running_clustering)
         with pytest.raises(ValueError):
-            refresh_after_answer(state, running_graph, ("E", "H"))
+            refresh_after_answer(state, running_graph, running_clustering)
 
     def test_incremental_equals_scratch_over_many_answers(self):
         # Drive a whole instance to exhaustion, alternating intra and inter
@@ -446,13 +455,13 @@ class TestRefreshAfterAnswer:
                 if pair is None:
                     break
                 g = g.with_edge(*pair, probability=float(rng.random()))
-                refresh_after_answer(state, g, pair)
+                refresh_after_answer(state, g, c)
                 assert states_equal(state, build_state(g, c))
             assert list(g.absent_pairs()) == []
 
     def test_batched_answers_equal_scratch(self):
-        # One graph update carries a whole batch, then each answered pair is
-        # folded in by its own call, as the experiment loop does.
+        # One graph update carries a whole batch, then one call folds the
+        # round in, as the experiment loop does.
         rng = np.random.default_rng(29)
         for trial in range(8):
             g = random_small_graph(rng, n_min=5, n_max=8, p_edge=0.4)
@@ -463,6 +472,5 @@ class TestRefreshAfterAnswer:
                 batch = select_batch(state, 3)
                 for pair in batch:
                     g = g.with_edge(*pair, probability=float(rng.random()))
-                for pair in batch:
-                    refresh_after_answer(state, g, pair)
+                refresh_after_answer(state, g, c)
                 assert states_equal(state, build_state(g, c))
