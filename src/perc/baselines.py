@@ -9,17 +9,23 @@ inferable.  Undecided edges (p exactly one half) carry no verdict.
 DENSE scores block pairs by a ratio that compares how well the evidence
 supports "A and B are one dense cluster" against the current split, and
 asks inside the best-scoring pair.  It only ever proposes cross-block
-pairs.
+pairs.  Its state is carried the way PERC's queue is: build_dense_state
+scores every block pair once, and refresh_dense_state folds each round
+in, rescoring only the block pairs whose evidence a new answer or a new
+block changed.  A batch walks the absent pairs in lexicographic order and
+stops once k of them belong to block pairs at the top score.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import insort
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import Clustering, Pair, UncertainGraph
+from .reliability import Block, BlockPairKey
 from .util import canonical_pair
 
 MATCH = "match"
@@ -168,65 +174,195 @@ def rho_inputs(graph: UncertainGraph, block_a, block_b) -> RhoInputs:
                      yes=tuple(cross_pos), no=tuple(cross_neg))
 
 
+class DenseState:
+    """DENSE's evidence and block-pair scores for one (graph, clustering)
+    snapshot.
+
+    Every list is in edge (sorted pair) order, the order :class:`RhoInputs`
+    multiplies in, so every score equals ``rho_inputs(graph, bj,
+    bk).value`` to the bit:
+
+    - adjacent: each record's edges as (pair, p);
+    - outside: each block's positive edges to other blocks as (pair, other
+      record, p), tagged with the record so that a surviving block's tags
+      stay valid across a recluster; whole: the ratio of that list;
+    - yes and no: each spanned block pair's positive and negative cross
+      edges as (pair, p(a)); spanning: its count of cross edges, undecided
+      ones included;
+    - scores: every block pair's score; live: the scores of the block
+      pairs that still have an absent spanning pair.
+
+    allowed (when set) restricts the batch to a fixed pair set, used in
+    replay mode; live ignores it.
+    """
+
+    __slots__ = ("graph", "clustering", "allowed", "adjacent", "outside", "whole",
+                 "yes", "no", "spanning", "scores", "live")
+
+    def __init__(self, graph: UncertainGraph, clustering: Clustering,
+                 allowed: frozenset | None = None):
+        self.graph = graph
+        self.clustering = clustering
+        self.allowed = allowed
+        self.adjacent: dict[str, list[tuple[Pair, float]]] = {r: [] for r in graph.records}
+        self.outside: dict[Block, list[tuple[Pair, str, float]]] = {}
+        self.whole: dict[Block, float] = {}
+        self.yes: dict[BlockPairKey, list[tuple[Pair, float]]] = {}
+        self.no: dict[BlockPairKey, list[tuple[Pair, float]]] = {}
+        self.spanning: dict[BlockPairKey, int] = {}
+        self.scores: dict[BlockPairKey, float] = {}
+        self.live: dict[BlockPairKey, float] = {}
+
+
+def _add_cross(state: DenseState, key: BlockPairKey, pair: Pair, p: float) -> None:
+    """Count one cross edge of a block pair and list it by its verdict."""
+    state.spanning[key] = state.spanning.get(key, 0) + 1
+    if p > 0.5:
+        insort(state.yes.setdefault(key, []), (pair, p))
+    elif p < 0.5:
+        insort(state.no.setdefault(key, []), (pair, 1.0 - p))
+
+
+def _rescore(state: DenseState, key: BlockPairKey) -> None:
+    """Score one block pair from its lists, as RhoInputs.value does."""
+    bj, bk = key
+    cross_yes, cross_no = state.yes.get(key), state.no.get(key)
+    if cross_yes:
+        # each block's outside evidence without its edges to the partner
+        owner, outside = state.clustering._owner, state.outside
+        outside_factor = (_ratio(p for _, other, p in outside[bj] if owner[other] is not bk)
+                          * _ratio(p for _, other, p in outside[bk] if owner[other] is not bj))
+    else:
+        outside_factor = state.whole[bj] * state.whole[bk]
+    factors = [_ratio(p for _, p in entries) for entries in (cross_no, cross_yes) if entries]
+    score = outside_factor * (min(factors) if factors else 1.0)
+    state.scores[key] = score
+    if state.spanning.get(key, 0) < len(bj) * len(bk):
+        state.live[key] = score
+    else:
+        state.live.pop(key, None)
+
+
+def _fold(state: DenseState, added: list[Pair], fresh: set[Block]) -> None:
+    """Fold the edges in ``added`` into the lists of the surviving blocks
+    and block pairs, build the lists of each block in ``fresh`` from the
+    adjacency, and rescore every block pair whose inputs changed."""
+    graph, clustering = state.graph, state.clustering
+    owner, adjacent, outside = clustering._owner, state.adjacent, state.outside
+    dirty = set(fresh)  # blocks whose outside list changed
+    keys = set()  # further block pairs whose cross edges changed
+    for pair in added:
+        p = graph.edges[pair]
+        a, b = pair
+        insort(adjacent[a], (pair, p))
+        insort(adjacent[b], (pair, p))
+        ba, bb = owner[a], owner[b]
+        if ba is bb:
+            continue  # an intra edge moves no score
+        if p > 0.5:
+            for block, other in ((ba, b), (bb, a)):
+                if block not in fresh:
+                    insort(outside[block], (pair, other, p))
+                    dirty.add(block)
+        if ba not in fresh and bb not in fresh:
+            key = (ba, bb) if ba < bb else (bb, ba)
+            _add_cross(state, key, pair, p)
+            keys.add(key)
+    for block in fresh:
+        entries = []
+        for member in block:
+            for pair, p in adjacent[member]:
+                other = pair[1] if pair[0] == member else pair[0]
+                if owner[other] is not block:
+                    entries.append((pair, other, p))
+        entries.sort()
+        outside[block] = [entry for entry in entries if entry[2] > 0.5]
+        for pair, other, p in entries:
+            partner = owner[other]
+            # the first of two new blocks lists their cross edges
+            if partner not in fresh or block < partner:
+                _add_cross(state, (block, partner) if block < partner else (partner, block),
+                           pair, p)
+    for block in dirty:
+        state.whole[block] = _ratio(p for _, _, p in outside[block])
+        keys.update((block, other) if block < other else (other, block)
+                    for other in clustering.blocks if other is not block)
+    for key in keys:
+        _rescore(state, key)
+
+
+def build_dense_state(graph: UncertainGraph, clustering: Clustering,
+                      allowed: frozenset | None = None) -> DenseState:
+    """Score every block pair from scratch: one pass over the sorted edges
+    fills the adjacency, and every block is built from it as a new one;
+    refresh_dense_state carries the state from round to round."""
+    state = DenseState(graph, clustering, allowed)
+    for pair, p in graph.edge_items():
+        state.adjacent[pair[0]].append((pair, p))
+        state.adjacent[pair[1]].append((pair, p))
+    _fold(state, [], set(clustering.blocks))
+    return state
+
+
+def refresh_dense_state(state: DenseState, graph: UncertainGraph,
+                        clustering: Clustering) -> None:
+    """Fold one round into the state, in place.
+
+    ``graph`` extends ``state.graph`` with the round's answers, and
+    ``clustering`` is the clustering after the round, changed or not.  A
+    new negative edge rescores its own block pair, a new positive edge
+    every pair with either of its blocks, and a recluster every pair with
+    a new block.  The lists of surviving blocks and block pairs and every
+    other score carry over, so the state equals a build_dense_state on
+    (graph, clustering).  Raises ValueError as ``graph.edges_added_since``.
+    """
+    added = graph.edges_added_since(state.graph)
+    fresh: set[Block] = set()
+    if clustering != state.clustering:
+        fresh = set(clustering.blocks).difference(state.clustering.blocks)
+        tables = (state.yes, state.no, state.spanning, state.scores, state.live)
+        for block in set(state.clustering.blocks).difference(clustering.blocks):
+            del state.outside[block], state.whole[block]
+            for other in state.clustering.blocks:
+                key = (block, other) if block < other else (other, block)
+                for table in tables:
+                    table.pop(key, None)
+    state.graph, state.clustering = graph, clustering
+    _fold(state, added, fresh)
+
+
 def _dense_scores(graph: UncertainGraph, clustering: Clustering) -> dict:
     """``rho_inputs(graph, bj, bk).value`` for every block pair (bj, bk),
-    from one pass over the sorted edges.
-
-    Each block keeps its positive cross edges in edge order, tagged with
-    the other endpoint's block.  A pair's y1 is block A's list without the
-    entries tagged B, so every product multiplies the same floats in the
-    same order as :class:`RhoInputs` and the scores agree to the bit.
-    """
-    blocks = clustering.blocks
-    index = {r: i for i, block in enumerate(blocks) for r in block}
-    outside: list[list[tuple[int, float]]] = [[] for _ in blocks]
-    yes: dict[tuple[int, int], list[float]] = {}
-    no: dict[tuple[int, int], list[float]] = {}
-    for (a, b), p in graph.edge_items():
-        i, j = index[a], index[b]
-        if i == j or p == 0.5:
-            continue
-        key = (i, j) if i < j else (j, i)
-        if p > 0.5:
-            yes.setdefault(key, []).append(p)
-            outside[i].append((j, p))
-            outside[j].append((i, p))
-        else:
-            no.setdefault(key, []).append(1.0 - p)
-    # a block with no positive edge to its partner uses its whole list
-    whole = [_ratio(p for _, p in entries) for entries in outside]
-    scores = {}
-    for j in range(len(blocks)):
-        for k in range(j + 1, len(blocks)):
-            cross_yes = yes.get((j, k))
-            cross_no = no.get((j, k))
-            if cross_yes is None:
-                outside_factor = whole[j] * whole[k]
-            else:
-                outside_factor = (_ratio(p for tag, p in outside[j] if tag != k)
-                                  * _ratio(p for tag, p in outside[k] if tag != j))
-            factors = []
-            if cross_no:
-                factors.append(_ratio(cross_no))
-            if cross_yes:
-                factors.append(_ratio(cross_yes))
-            min_factor = min(factors) if factors else 1.0
-            scores[(blocks[j], blocks[k])] = outside_factor * min_factor
-    return scores
+    in block pair order, from a cold build_dense_state."""
+    scores = build_dense_state(graph, clustering).scores
+    return {key: scores[key] for key in clustering.block_pairs()}
 
 
-def dense_batch(graph: UncertainGraph, clustering: Clustering, k: int,
-                allowed: frozenset | None = None) -> list[Pair]:
+def dense_batch(state: DenseState, k: int) -> list[Pair]:
     """Up to k absent cross pairs, best block-pair scores first; within one
-    score level pairs come out in lexicographic order."""
+    score level pairs come out in lexicographic order.
+
+    The walk over the absent pairs stops at the k-th pair whose block pair
+    has the top live score, since no pair ranks above those.  With
+    ``allowed`` that top is only a bound: if fewer than k allowed pairs
+    reach it, the walk runs to the end and ranks every pair it met.
+    """
     if k < 1:
         raise ValueError(f"batch size must be positive, got {k}")
-    scores = _dense_scores(graph, clustering)
-    owner = clustering._owner
+    if not state.live:
+        return []
+    top = max(state.live.values())
+    owner, scores, allowed = state.clustering._owner, state.scores, state.allowed
+    best: list[Pair] = []
     candidates = []
-    for a, b in graph.absent_pairs():
+    for a, b in state.graph.absent_pairs():
         ba, bb = owner[a], owner[b]
         if ba is not bb and (allowed is None or (a, b) in allowed):
-            candidates.append((-scores[(ba, bb) if ba < bb else (bb, ba)], (a, b)))
+            score = scores[(ba, bb) if ba < bb else (bb, ba)]
+            if score == top:
+                best.append((a, b))
+                if len(best) == k:
+                    return best
+            candidates.append((-score, (a, b)))
     # every pair comes up once, so the keys are unique
     return [pair for _, pair in heapq.nsmallest(k, candidates)]

@@ -13,13 +13,14 @@ import logging
 from collections import Counter
 from dataclasses import dataclass
 
-from .baselines import dense_batch, tc_batch
+from .baselines import (DenseState, build_dense_state, dense_batch, refresh_dense_state,
+                        tc_batch)
 from .clustering import mlc_unchanged, scc_cluster
 from .crowd import (GoldClustering, Oracle, ReplayOracle, SimulatedOracle,
                     UnrecordedPairError, VoteTally, WorkerModel, crowd_error_rate)
 from .graph import Clustering, Pair, UncertainGraph
 from .reliability import ReliabilityParams, reliability
-from .selection import build_state, refresh_after_answer, select_batch
+from .selection import PriorityState, build_state, refresh_after_answer, select_batch
 from .util import ConfigError, canonical_pair, derive_seed, make_rng
 
 log = logging.getLogger(__name__)
@@ -161,12 +162,12 @@ def _initial_pairs_simulated(records: tuple[str, ...], count: int, seed: int) ->
 
 
 def _has_unrestricted_candidates(strategy: str, graph: UncertainGraph,
-                                 clustering: Clustering) -> bool:
+                                 state: PriorityState | DenseState | None) -> bool:
     """Whether the strategy would still propose pairs without a replay
     restriction: any absent pair, except DENSE which only asks across
-    blocks."""
+    blocks, so any block pair its state keeps live."""
     if strategy == "dense":
-        return any(not clustering.same_block(a, b) for a, b in graph.absent_pairs())
+        return bool(state.live)
     return next(graph.absent_pairs(), None) is not None
 
 
@@ -224,11 +225,13 @@ def run_experiment(config: ExperimentConfig, records, gold: GoldClustering | Non
     # replay mode would shift every draw; it keeps the full universe and
     # relies on the early-termination flag instead.
     strategy_allowed = None if config.strategy == "tc" else allowed
-    state = None  # perc's cached candidate queue
+    state = None  # perc's cached candidate queue, or DENSE's block-pair scores
     tc_rng = make_rng(derive_seed(config.seed, "tc-stream"))
     params = config.reliability_params()
     if config.strategy == "perc":
         state = build_state(graph, clustering, params, allowed=allowed)
+    elif config.strategy == "dense":
+        state = build_dense_state(graph, clustering, allowed=allowed)
 
     mlc_checks = 0
     mlc_failures = 0
@@ -261,11 +264,11 @@ def run_experiment(config: ExperimentConfig, records, gold: GoldClustering | Non
         elif config.strategy == "tc":
             batch = tc_batch(graph, tc_rng, k, allowed=strategy_allowed)
         else:
-            batch = dense_batch(graph, clustering, k, allowed=strategy_allowed)
+            batch = dense_batch(state, k)
         if not batch:
             flags["exhausted"] = True
             if strategy_allowed is not None and _has_unrestricted_candidates(
-                    config.strategy, graph, clustering):
+                    config.strategy, graph, state):
                 # the strategy still had wishes; only the log ran out
                 flags["replay_exhausted"] = True
             break
@@ -295,6 +298,8 @@ def run_experiment(config: ExperimentConfig, records, gold: GoldClustering | Non
         rounds += 1
         if config.strategy == "perc":
             refresh_after_answer(state, graph, clustering)
+        elif config.strategy == "dense":
+            refresh_dense_state(state, graph, clustering)
         if rounds % config.eval_every == 0:
             snapshot()
         log.debug("round %d: asked %d pairs, %d blocks, %d total questions",

@@ -12,6 +12,7 @@ from perc import (
     Clustering,
     MajorityView,
     UncertainGraph,
+    build_dense_state,
     dense_batch,
     rho_inputs,
     tc_batch,
@@ -184,7 +185,8 @@ class TestDenseSelection:
     def test_running_example_tie_resolves_to_smallest_pair(self, running_graph,
                                                            running_clustering):
         # C1 x C2 and C3 x C4 tie exactly; (A, D) < (E, H).
-        assert dense_batch(running_graph, running_clustering, 1) == [("A", "D")]
+        assert dense_batch(build_dense_state(running_graph, running_clustering), 1) == \
+            [("A", "D")]
 
     def test_prefers_higher_rho(self, running_clustering):
         # Pull both C3 x C4 cross edges toward one half: flipping either
@@ -203,30 +205,31 @@ class TestDenseSelection:
         r34 = rho_inputs(g, ("E", "F"), ("G", "H")).value
         r12 = rho_inputs(g, ("A", "B"), ("C", "D")).value
         assert r34 > r12
-        assert dense_batch(g, running_clustering, 1) == [("E", "H")]
+        assert dense_batch(build_dense_state(g, running_clustering), 1) == [("E", "H")]
 
     def test_only_cross_pairs_proposed(self):
         g = UncertainGraph.from_probabilities(
             "ABCD", {("A", "B"): 0.9, ("C", "D"): 0.2})
         c = Clustering([["A", "B", "C"], ["D"]])
-        batch = dense_batch(g, c, 10)
+        batch = dense_batch(build_dense_state(g, c), 10)
         for a, b in batch:
             assert not c.same_block(a, b)
         assert ("A", "C") not in batch  # intra pair, never a candidate
 
     def test_batch_order_and_allowed(self, running_graph, running_clustering):
-        batch = dense_batch(running_graph, running_clustering, 4)
+        batch = dense_batch(build_dense_state(running_graph, running_clustering), 4)
         assert batch == [("A", "D"), ("B", "C"), ("E", "H"), ("F", "G")]
-        restricted = dense_batch(running_graph, running_clustering, 4,
-                                 allowed=frozenset({("B", "C"), ("F", "G")}))
+        restricted = dense_batch(build_dense_state(
+            running_graph, running_clustering,
+            allowed=frozenset({("B", "C"), ("F", "G")})), 4)
         assert restricted == [("B", "C"), ("F", "G")]
 
     def test_exhaustion_returns_none(self):
         g = UncertainGraph.from_probabilities(
             "AB", {("A", "B"): 0.2})
         c = Clustering([["A"], ["B"]])
-        assert dense_batch(g, c, 1) == []
+        assert dense_batch(build_dense_state(g, c), 1) == []
 
     def test_rejects_nonpositive_k(self, running_graph, running_clustering):
         with pytest.raises(ValueError):
-            dense_batch(running_graph, running_clustering, 0)
+            dense_batch(build_dense_state(running_graph, running_clustering), 0)

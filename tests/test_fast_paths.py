@@ -7,9 +7,9 @@ linear-scan agglomerative merge over every edge, a full sort of the queue,
 a scan of all |A|·|B| pairs for the absent cross pairs and for the queue
 entry of every block pair (stored or not), rho_inputs per block pair, a
 rescan of TC's candidates before each pick, a Monte Carlo sampler that
-draws one coin per call, and a cold build_state and a cold reliability call
-after every recluster.  Values must agree bit for bit,
-since curve bytes depend on them.
+draws one coin per call, and a cold build_state, a cold reliability call
+and a cold DENSE scoring after every round.  Values must agree bit for
+bit, since curve bytes depend on them.
 """
 
 import itertools
@@ -21,9 +21,9 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from perc import (Clustering, ReliabilityParams, UncertainGraph, build_state,
-                  dense_batch, refresh_after_answer, reliability, rho_inputs, scc_cluster,
-                  select_batch, tc_batch)
+from perc import (Clustering, ReliabilityParams, UncertainGraph, build_dense_state,
+                  build_state, dense_batch, refresh_after_answer, refresh_dense_state,
+                  reliability, rho_inputs, scc_cluster, select_batch, tc_batch)
 from perc.baselines import _dense_scores
 from perc.clustering import _PairAgg
 from perc.reliability import (_sampled_connect_prob, block_connectivity, disconnectivity,
@@ -35,6 +35,7 @@ FRACTIONS = (0.0, 1.0, 0.5, 0.6, 0.4, 0.2, 0.8)
 # products of these round differently when multiplied in another order
 ROUNDING_FRACTIONS = FRACTIONS + (0.7, 0.9, 2 / 3, 0.3)
 NAMES = "QWERTYUIOP"
+NAME_PAIRS = list(itertools.combinations(sorted(NAMES), 2))
 PARAMS = ReliabilityParams(mc_samples=40, exact_edge_limit=8)
 # the default clamp floor, and one that products of a few small fractions reach
 EPSILONS = (1e-12, 1e-3 / 2)
@@ -482,11 +483,52 @@ def test_absent_pairs_between_equals_scan(case, data):
 def test_dense_batch_equals_sort_then_dedupe(case, data):
     graph, clustering = case
     allowed = draw_allowed(data, graph)
+    state = build_dense_state(graph, clustering, allowed)
     absent = sum(len(scan_absent_between(graph, bj, bk, allowed))
                  for bj, bk in clustering.block_pairs())
     for k in range(1, absent + 3):
-        assert dense_batch(graph, clustering, k, allowed) == \
+        assert dense_batch(state, k) == \
             reference_dense_batch(graph, clustering, k, allowed)
+
+
+def assert_dense_matches_reference(state):
+    """Scores, live block pairs and every batch size against a cold
+    scoring, a scan of each block pair and the sort-then-dedupe DENSE."""
+    graph, clustering, allowed = state.graph, state.clustering, state.allowed
+    assert state.scores == _dense_scores(graph, clustering)
+    assert set(state.live) == {(bj, bk) for bj, bk in clustering.block_pairs()
+                               if scan_absent_between(graph, bj, bk, None)}
+    absent = sum(len(scan_absent_between(graph, bj, bk, allowed))
+                 for bj, bk in clustering.block_pairs())
+    for k in range(1, absent + 3):
+        assert dense_batch(state, k) == \
+            reference_dense_batch(graph, clustering, k, allowed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_records=8, fractions=ROUNDING_FRACTIONS),
+       st.one_of(st.none(), st.frozensets(st.sampled_from(NAME_PAIRS))), st.data())
+# the top-scoring block pairs' absent pairs, (E, T), (Q, T) and (R, T), may
+# not be asked, so the walk cannot stop early; an explicit example has no
+# data to draw rounds from and checks the cold build only
+@example(UncertainGraph.from_probabilities("EQRT", {("E", "Q"): 0.8, ("E", "R"): 0.2}),
+         frozenset({("Q", "R")}), None)
+def test_carried_dense_state_equals_cold_build(graph, allowed, data):
+    clustering = scc_cluster(graph)
+    state = build_dense_state(graph, clustering, allowed)
+    assert_dense_matches_reference(state)
+    for _ in range(4 if data else 0):
+        absent = list(graph.absent_pairs())
+        if not absent:
+            break
+        batch = data.draw(st.lists(st.sampled_from(absent), min_size=1, max_size=4,
+                                   unique=True), label="batch")
+        for pair in batch:
+            graph = graph.with_edge(*pair, probability=data.draw(
+                st.sampled_from(ROUNDING_FRACTIONS), label="p"))
+        clustering = data.draw(next_clusterings(graph, clustering), label="clustering")
+        refresh_dense_state(state, graph, clustering)
+        assert_dense_matches_reference(state)
 
 
 @settings(max_examples=400, deadline=None)

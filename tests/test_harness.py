@@ -339,6 +339,22 @@ class TestReplay:
         assert result.clustering.blocks == (
             ("A", "B"), ("C", "D"), ("E", "F"), ("G", "H"))
 
+    def test_dense_flags_replay_exhaustion_only_while_cross_pairs_remain(self):
+        # DENSE asks every cross pair of an error-free world and stops; a
+        # replay of that log stops at the same point, while a replay of a
+        # cut log stops with cross pairs left that the log cannot answer
+        records, gold = synth_world(9, 3, seed=2)
+        config = ExperimentConfig(strategy="dense", budget=total_pairs(9),
+                                  batch_size=3, initial_pairs=8,
+                                  workers_per_pair=3, error_rate=0.0, seed=11)
+        live = run_experiment(config, records, gold=gold)
+        assert live.flags == {"exhausted": True}
+        full = run_experiment(config, records, replay=ReplayOracle(live.vote_log))
+        assert full.flags == {"exhausted": True}
+        assert full.vote_log == live.vote_log
+        cut = run_experiment(config, records, replay=ReplayOracle(live.vote_log[:14]))
+        assert cut.flags == {"exhausted": True, "replay_exhausted": True}
+
 
 class TestReport:
     def test_writes_all_files_and_returns_curve_path(self, tmp_path, capsys):
