@@ -60,7 +60,9 @@ class UncertainGraph:
     graphs as values.
     """
 
-    __slots__ = ("records", "_record_set", "edges")
+    # _lineage: the pairs with_edge added along a chain of graphs, one list
+    # shared by the chain; _n: how many of them this graph has
+    __slots__ = ("records", "_record_set", "edges", "_lineage", "_n")
 
     def __init__(self, records: Iterable[str], edges: dict[Pair, float] | None = None):
         recs = sorted({_check_record_id(r) for r in records})
@@ -74,6 +76,8 @@ class UncertainGraph:
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"edge {key} has probability {p} outside [0, 1]")
             self.edges[key] = float(p)
+        self._lineage: list[Pair] = []
+        self._n = 0
 
     def _check_pair(self, pair: Pair) -> Pair:
         a, b = pair
@@ -120,14 +124,30 @@ class UncertainGraph:
         g.records = self.records
         g._record_set = self._record_set
         g.edges = edges
+        if self._n == len(self._lineage):
+            # the chain's newest graph: the new one extends its lineage
+            g._lineage, g._n = self._lineage, self._n + 1
+            self._lineage.append(key)
+        else:
+            # a sibling of a graph the chain already has starts its own
+            g._lineage, g._n = [key], 1
         return g
 
     def edges_added_since(self, older: "UncertainGraph") -> list[Pair]:
         """The edges this graph adds to ``older``, sorted.
 
         Raises ValueError unless ``older`` has the same records and every
-        one of its edges is in this graph with the same probability.
+        one of its edges is in this graph with the same probability.  When
+        ``older`` is an ancestor in this graph's with_edge chain, the answer
+        is read off their shared lineage in time linear in the added edges;
+        any other pair of graphs, such as a sibling, a graph built with
+        UncertainGraph(...) or ingest_votes, or one that prices an edge
+        differently, is checked edge by edge.
         """
+        if older._lineage is self._lineage and older._n <= self._n:
+            # a chain has one graph per lineage length, each made from the
+            # one before it, so older is this graph's ancestor
+            return sorted(self._lineage[older._n:self._n])
         if older.records != self.records:
             raise ValueError("the older graph has other records")
         if not older.edges.items() <= self.edges.items():

@@ -19,7 +19,7 @@ from .clustering import mlc_unchanged, scc_cluster
 from .crowd import (GoldClustering, Oracle, ReplayOracle, SimulatedOracle,
                     UnrecordedPairError, VoteTally, WorkerModel, crowd_error_rate)
 from .graph import Clustering, Pair, UncertainGraph
-from .reliability import ReliabilityParams, reliability
+from .reliability import ReliabilityParams, changes_since, reliability
 from .selection import PriorityState, build_state, refresh_after_answer, select_batch
 from .util import ConfigError, canonical_pair, derive_seed, make_rng
 
@@ -241,7 +241,7 @@ def run_experiment(config: ExperimentConfig, records, gold: GoldClustering | Non
     curve: list[MetricsSnapshot] = []
     score = None  # the last snapshot's reliability, carried into the next
 
-    def snapshot():
+    def snapshot(changes=None):
         nonlocal score
         if curve and curve[-1].questions_asked == len(vote_log):
             return
@@ -249,7 +249,7 @@ def run_experiment(config: ExperimentConfig, records, gold: GoldClustering | Non
             precision, recall, f1 = precision_recall_f1(clustering, gold)
         else:
             precision = recall = f1 = NAN
-        score = reliability(graph, clustering, params, previous=score)
+        score = reliability(graph, clustering, params, previous=score, changes=changes)
         curve.append(MetricsSnapshot(questions_asked=len(vote_log),
                                      precision=precision, recall=recall, f1=f1,
                                      reliability=score.value,
@@ -296,12 +296,19 @@ def run_experiment(config: ExperimentConfig, records, gold: GoldClustering | Non
             reclusterings_changed += fresh != clustering
             clustering = fresh
         rounds += 1
+        shared = None
         if config.strategy == "perc":
-            refresh_after_answer(state, graph, clustering)
+            # the round's change, found once: the queue reads it, and so does
+            # the snapshot when its last score was priced where the queue was
+            # (every round with eval_every 1)
+            changes = changes_since(state.graph, state.clustering, graph, clustering)
+            if score.graph is state.graph and score.clustering is state.clustering:
+                shared = changes
+            refresh_after_answer(state, graph, clustering, changes)
         elif config.strategy == "dense":
             refresh_dense_state(state, graph, clustering)
         if rounds % config.eval_every == 0:
-            snapshot()
+            snapshot(shared)
         log.debug("round %d: asked %d pairs, %d blocks, %d total questions",
                   rounds, len(answered), len(clustering.blocks), len(vote_log))
 

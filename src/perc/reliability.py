@@ -35,6 +35,8 @@ from .util import ConfigError, canonical_pair, derive_seed, make_rng
 
 Block = tuple[str, ...]
 BlockPairKey = tuple[Block, Block]
+# changes_since's result: surviving blocks, touched blocks, repriced pairs
+Changes = tuple[set[Block], set[Block], dict[BlockPairKey, float]]
 
 # the largest exact_edge_limit accepted.  The partition DP's time about
 # doubles with every two edges; on random connected blocks the slowest call
@@ -415,8 +417,7 @@ def pair_connectivity(graph: UncertainGraph, block, pairs,
 
 
 def changes_since(previous_graph: UncertainGraph, previous_clustering: Clustering,
-                  graph: UncertainGraph, clustering: Clustering
-                  ) -> tuple[set[Block], set[Block], dict[BlockPairKey, float]]:
+                  graph: UncertainGraph, clustering: Clustering) -> Changes:
     """What the edges graph adds to previous_graph changed, for values
     priced on (previous_graph, previous_clustering) that may carry over.
 
@@ -427,6 +428,12 @@ def changes_since(previous_graph: UncertainGraph, previous_clustering: Clusterin
     block pair of two survivors kept its value, and any other pair with a
     new block is unspanned (d = 0).  Raises ValueError as
     UncertainGraph.edges_added_since.
+
+    The result is only read, never changed, by the callers it is handed
+    to, so one call serves every holder of values priced on the same
+    (previous_graph, previous_clustering): run_experiment finds each
+    round's change once and hands it to both refresh_after_answer and the
+    snapshot's reliability.
     """
     owner = clustering._owner
     survivors = set(previous_clustering.blocks).intersection(clustering.blocks)
@@ -448,7 +455,8 @@ def changes_since(previous_graph: UncertainGraph, previous_clustering: Clusterin
 
 def reliability(graph: UncertainGraph, clustering: Clustering,
                 params: ReliabilityParams | None = None, *,
-                previous: ReliabilityScore | None = None) -> ReliabilityScore:
+                previous: ReliabilityScore | None = None,
+                changes: Changes | None = None) -> ReliabilityScore:
     """Clustering reliability: log10 block connectivity summed over blocks
     plus log10 pair disconnectivity summed over block pairs, zeros clamped
     to params.epsilon.
@@ -466,7 +474,10 @@ def reliability(graph: UncertainGraph, clustering: Clustering,
       edge.
 
     The pairs changes_since prices are priced again, so the result equals
-    a call without ``previous``.
+    a call without ``previous``.  ``changes`` is what
+    changes_since(previous.graph, previous.clustering, graph, clustering)
+    returned, when the caller has already found it for another holder of
+    values priced on the same pair; without it, this call finds it.
     """
     params = params or ReliabilityParams()
     if clustering.records != set(graph.records):
@@ -482,8 +493,9 @@ def reliability(graph: UncertainGraph, clustering: Clustering,
     else:
         if previous.params != params:
             raise ValueError("previous score priced other params")
-        survivors, touched_blocks, priced = changes_since(
-            previous.graph, previous.clustering, graph, clustering)
+        if changes is None:
+            changes = changes_since(previous.graph, previous.clustering, graph, clustering)
+        survivors, touched_blocks, priced = changes
         old_blocks = previous.clustering.blocks
         carried = dict(zip(old_blocks, previous.block_connectivity))
         pairs = dict(previous.pair_disconnectivity)

@@ -37,7 +37,7 @@ from typing import Iterator
 
 from .graph import Clustering, Pair, UncertainGraph
 # block_connectivity has no caller here; the benchmark's tracer patches this name
-from .reliability import (Block, BlockPairKey, ReliabilityParams,  # noqa: F401
+from .reliability import (Block, BlockPairKey, Changes, ReliabilityParams,  # noqa: F401
                           block_connectivity, changes_since, disconnectivity,
                           pair_connectivity, spanning_products)
 from .util import canonical_pair, log10_clamped
@@ -244,7 +244,7 @@ def build_state(graph: UncertainGraph, clustering: Clustering,
 
 
 def refresh_after_answer(state: PriorityState, graph: UncertainGraph,
-                         clustering: Clustering) -> None:
+                         clustering: Clustering, changes: Changes | None = None) -> None:
     """Fold one round into the state, in place.
 
     ``graph`` extends ``state.graph`` with the round's answers, and
@@ -256,28 +256,35 @@ def refresh_after_answer(state: PriorityState, graph: UncertainGraph,
     - the inter entry of a surviving block pair with no new spanning edge,
       and whether it is spanned.
 
-    New blocks, blocks that a new edge touched (each once, however many
+    The entries of gone blocks and touched blocks are dropped by key.  New
+    blocks, blocks that a new edge touched (each once, however many
     answers it got) and the block pairs changes_since prices are priced
     afresh, so the state equals a build_state on (graph, clustering).
-    Raises ValueError as changes_since.
+    ``changes`` is what changes_since(state.graph, state.clustering, graph,
+    clustering) returned, when the caller has already found it for the
+    round's reliability snapshot; without it, this call finds it.  Raises
+    ValueError as changes_since.
     """
     _check_covers(graph, clustering)
-    survivors, touched_blocks, priced = changes_since(
-        state.graph, state.clustering, graph, clustering)
-    gone = len(survivors) < len(clustering.blocks)
-    if touched_blocks or gone:
-        # a surviving block's members had that block before, so its
-        # entries are the ones whose first member it still owns
-        owner = clustering._owner
-        state.intra = {pair: gain for pair, gain in state.intra.items()
-                       if owner[pair[0]] in survivors and owner[pair[0]] not in touched_blocks}
+    if changes is None:
+        changes = changes_since(state.graph, state.clustering, graph, clustering)
+    survivors, touched_blocks, priced = changes
+    old_blocks = state.clustering.blocks
+    gone = [block for block in old_blocks if block not in survivors]
+    intra = state.intra
+    for block in gone + list(touched_blocks):
+        for i, a in enumerate(block):
+            for b in block[i + 1:]:
+                intra.pop((a, b), None)
     if gone:
         # drop the block pairs that lost a block; priced ones are set below.
         # Block indices moved, so the unstored walk starts over.
-        state.inter = {key: entry for key, entry in state.inter.items()
-                       if key[0] in survivors and key[1] in survivors}
-        state.spanned = {key for key in state.spanned
-                         if key[0] in survivors and key[1] in survivors}
+        inter, spanned = state.inter, state.spanned
+        for dead in gone:
+            for other in old_blocks:
+                key = (dead, other) if dead < other else (other, dead)
+                inter.pop(key, None)
+                spanned.discard(key)
         state._cursor = (0, 1)
     state.graph, state.clustering = graph, clustering
     _price(state, survivors, touched_blocks, priced)

@@ -17,7 +17,7 @@ import math
 from dataclasses import replace
 
 import numpy as np
-
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -345,6 +345,44 @@ def test_reliability_equals_per_pair_sum(case, rng, epsilon):
                                      clamped * math.log10(epsilon)))
     assert [est.value for est in score.block_connectivity] == connect
     assert score.pair_disconnectivity == spanned
+
+
+@ORACLE
+@given(graphs(max_records=7), st.data())
+def test_edges_added_since_equals_key_difference(root, data):
+    """A with_edge chain that branches, plus hand-built graphs with the
+    edges of its last graph, each against every other: an ancestor's
+    added edges come off the shared lineage, and every other pair (a
+    sibling, a reversed pair, a hand-built graph) goes through the full
+    check, with its ValueError where an older edge is missing or priced
+    differently."""
+    made, children = [root], [0]
+    for _ in range(data.draw(st.integers(0, 8), label="steps")):
+        i = data.draw(st.integers(0, len(made) - 1), label="parent")
+        absent = list(made[i].absent_pairs())
+        if not absent:
+            continue
+        pair = data.draw(st.sampled_from(absent), label="pair")
+        child = made[i].with_edge(*pair, probability=data.draw(st.sampled_from(FRACTIONS)))
+        # only a parent's first child extends the parent's lineage
+        assert (child._lineage is made[i]._lineage) == (children[i] == 0)
+        children[i] += 1
+        made.append(child)
+        children.append(0)
+    last = made[-1]
+    made.append(UncertainGraph(last.records, edges=last.edges))
+    if last.edges:
+        repriced = dict(last.edges)
+        pair = data.draw(st.sampled_from(sorted(repriced)), label="repriced")
+        repriced[pair] = 1.0 - repriced[pair] if repriced[pair] != 0.5 else 0.2
+        made.append(UncertainGraph(last.records, edges=repriced))
+    for older, newer in itertools.product(made, repeat=2):
+        if older.edges.items() <= newer.edges.items():
+            assert newer.edges_added_since(older) == \
+                sorted(newer.edges.keys() - older.edges.keys())
+        else:
+            with pytest.raises(ValueError, match="edges this graph lacks or prices differently"):
+                newer.edges_added_since(older)
 
 
 @settings(max_examples=300, deadline=None)

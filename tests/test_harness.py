@@ -3,6 +3,7 @@
 import itertools
 import math
 from dataclasses import replace
+from importlib import import_module
 
 import pytest
 from hypothesis import given, settings
@@ -254,6 +255,51 @@ class TestRunExperiment:
         assert 0 < stats["reclusterings_changed"] < stats["reclusterings"]
         assert len(changed) == stats["reclusterings"]
         assert sum(changed) == stats["reclusterings_changed"]
+
+    def test_each_round_finds_its_change_once(self, monkeypatch):
+        """With a snapshot every round, changes_since runs once per round,
+        wherever it is looked up, and every edges_added_since compares a
+        graph with an ancestor on its lineage."""
+        calls = []
+        # perc.reliability is the function the package exports, not the module
+        modules = [import_module(f"perc.{name}")
+                   for name in ("harness", "selection", "reliability")]
+        changes_since = modules[-1].changes_since
+
+        def counted(*args):
+            calls.append(args)
+            return changes_since(*args)
+
+        for module in modules:
+            monkeypatch.setattr(module, "changes_since", counted)
+        edges_added_since = UncertainGraph.edges_added_since
+
+        def on_lineage(self, older):
+            assert older._lineage is self._lineage and older._n <= self._n
+            return edges_added_since(self, older)
+
+        monkeypatch.setattr(UncertainGraph, "edges_added_since", on_lineage)
+        records, gold = synth_world(24, 6, seed=4)
+        config = ExperimentConfig(strategy="perc", budget=120, batch_size=4,
+                                  initial_pairs=23, error_rate=0.25, seed=9)
+        stats = run_experiment(config, records, gold=gold).stats
+        assert stats["reclusterings"] > 0
+        assert len(calls) == stats["rounds"] > 0
+
+    def test_sparse_snapshots_equal_every_round_snapshots(self):
+        """A snapshot every third round prices its score from the last one
+        and gets the row an every-round run has at the same question count,
+        bit for bit, sampled connectivity included."""
+        records, gold = synth_world(30, 6, seed=5)
+        config = ExperimentConfig(strategy="perc", budget=150, batch_size=5,
+                                  initial_pairs=29, error_rate=0.2, mc_samples=50,
+                                  exact_edge_limit=4, seed=3)
+        every = run_experiment(config, records, gold=gold)
+        sparse = run_experiment(replace(config, eval_every=3), records, gold=gold)
+        assert sparse.vote_log == every.vote_log
+        rows = {row.questions_asked: row for row in every.curve}
+        assert len(every.curve) > len(sparse.curve) > 2
+        assert all(row == rows[row.questions_asked] for row in sparse.curve)
 
     def test_stats_crowd_error_rate_zero_when_error_free(self):
         result, _ = self.run_error_free("perc")
