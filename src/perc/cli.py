@@ -6,7 +6,8 @@ clustering against gold), synth (generate a synthetic world).  The run
 flags, besides the I/O paths, are the ExperimentConfig fields and next's
 reliability flags are the ReliabilityParams fields, with types and defaults
 taken from the dataclasses.  Run options can also come from a key-value
-config file; explicit flags win.
+config file; explicit flags win.  The argument parser is built once, when
+this module is imported, and every ``main`` call in the process reuses it.
 """
 
 from __future__ import annotations
@@ -214,8 +215,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process; parsing leaves it unchanged, so every call shares it
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

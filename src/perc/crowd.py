@@ -16,6 +16,9 @@ from typing import Iterable
 from .graph import Clustering, Pair, VoteTally
 from .util import ConfigError, canonical_pair, derive_seed, make_rng
 
+# each answer draws one coin per worker, so the worker count sizes its array
+MAX_WORKERS_PER_PAIR = 1000
+
 
 class GoldClustering:
     """Ground-truth entity per record, with optional difficulty weights."""
@@ -59,7 +62,8 @@ class GoldClustering:
 
 @dataclass(frozen=True)
 class WorkerModel:
-    """workers_per_pair independent workers, each wrong with error_rate."""
+    """workers_per_pair independent workers, at most MAX_WORKERS_PER_PAIR
+    (1000), each wrong with error_rate."""
 
     workers_per_pair: int = 5
     error_rate: float = 0.1
@@ -68,6 +72,10 @@ class WorkerModel:
         if self.workers_per_pair < 1:
             raise ConfigError("workers_per_pair",
                               f"need at least one worker, got {self.workers_per_pair}")
+        if self.workers_per_pair > MAX_WORKERS_PER_PAIR:
+            raise ConfigError("workers_per_pair",
+                              f"workers_per_pair must be <= {MAX_WORKERS_PER_PAIR}, "
+                              f"got {self.workers_per_pair}")
         if not 0.0 <= self.error_rate <= 1.0:
             raise ConfigError("error_rate", f"error rate {self.error_rate} outside [0, 1]")
 

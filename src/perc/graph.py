@@ -14,7 +14,6 @@ present edges are exactly its intra-block edges.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -195,9 +194,17 @@ class UncertainGraph:
         canonical and in lexicographic order, produced lazily; with
         ``allowed``, only the pairs in it."""
         edges = self.edges
-        # each record meets the other block's members above it, smallest first
-        for a, other in sorted([(r, right) for r in left] + [(r, left) for r in right]):
-            for b in other[bisect_right(other, a):]:
+        # a merge walk over both blocks: each record meets the other block's
+        # members above it, which are the ones the walk has not passed yet
+        i = j = 0
+        while i < len(left) and j < len(right):
+            if left[i] < right[j]:
+                a, above = left[i], right[j:]
+                i += 1
+            else:
+                a, above = right[j], left[i:]
+                j += 1
+            for b in above:
                 if (a, b) not in edges and (allowed is None or (a, b) in allowed):
                     yield (a, b)
 

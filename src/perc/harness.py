@@ -38,12 +38,14 @@ class ExperimentConfig:
     budget: int = 100
     batch_size: int = 1
     initial_pairs: int = 0
-    workers_per_pair: int = 5
-    error_rate: float = 0.1
-    mc_samples: int = 1000
-    epsilon: float = 1e-12
-    exact_edge_limit: int = 18
-    seed: int = 0
+    # the crowd and reliability fields take their defaults from the
+    # dataclasses that check them
+    workers_per_pair: int = WorkerModel.workers_per_pair
+    error_rate: float = WorkerModel.error_rate
+    mc_samples: int = ReliabilityParams.mc_samples
+    epsilon: float = ReliabilityParams.epsilon
+    exact_edge_limit: int = ReliabilityParams.exact_edge_limit
+    seed: int = ReliabilityParams.seed
     eval_every: int = 1
 
     def __post_init__(self):

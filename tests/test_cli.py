@@ -116,6 +116,39 @@ class TestNext:
             "error: exact_edge_limit must be <= 25, got 10000\n"
 
 
+class TestParserReuse:
+    """main parses with one parser built at import; no call may leave a
+    trace in it for the next."""
+
+    def next_argv(self, running_files, *flags):
+        records, votes = running_files
+        return ["next", "--graph", str(votes), "--records", str(records), *flags]
+
+    def test_batch_flag_does_not_outlive_its_call(self, running_files, capsys):
+        assert main(self.next_argv(running_files, "--batch", "3")) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 3
+        assert main(self.next_argv(running_files)) == 0
+        assert len(capsys.readouterr().out.splitlines()) == ExperimentConfig.batch_size
+
+    def test_rejected_flag_leaves_the_next_call_unchanged(self, running_files, capsys):
+        assert main(self.next_argv(running_files, "--batch", "2")) == 0
+        alone = capsys.readouterr()
+        with pytest.raises(SystemExit) as info:
+            main(self.next_argv(running_files, "--no-such-flag"))
+        assert info.value.code == 2
+        assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+        assert main(self.next_argv(running_files, "--batch", "2")) == 0
+        assert capsys.readouterr() == alone
+
+    def test_main_does_not_rebuild_the_parser(self, running_files, capsys, monkeypatch):
+        def no_rebuild():
+            raise AssertionError("main rebuilt the parser")
+
+        monkeypatch.setattr(perc.cli, "build_parser", no_rebuild)
+        assert main(self.next_argv(running_files)) == 0
+        assert capsys.readouterr().out.split(",")[:2] == ["E", "H"]
+
+
 class TestEval:
     def test_scores_match_worked_example(self, tmp_path, capsys):
         clusters = tmp_path / "clusters.csv"
@@ -273,6 +306,18 @@ class TestRun:
         assert capsys.readouterr().err == \
             f"error: {world / message.format(records)}\n"
 
+    def test_oversized_worker_flag_exits_one(self, tmp_path, capsys):
+        # one coin per worker per answer: the count is checked before any draw
+        world = self.world(tmp_path)
+        capsys.readouterr()
+        code = main(["run", "--records", str(world / "records.csv"),
+                     "--gold", str(world / "gold.csv"), "--workers", "100000000000",
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", "error: workers_per_pair must be <= 1000, got 100000000000\n")
+        assert not (tmp_path / "out").exists()
+
     def test_missing_answer_source_fails(self, tmp_path, capsys):
         world = self.world(tmp_path)
         code = main(["run", "--records", str(world / "records.csv")])
@@ -332,13 +377,15 @@ class TestConfigFile:
         ("initial = 500", "initial_pairs=500 must sit in 0..budget (100)"),
         ("eval_every = 0", "eval_every must be >= 1, got 0"),
         ("workers = 0", "need at least one worker, got 0"),
+        ("workers = 100000000000", "workers_per_pair must be <= 1000, got 100000000000"),
         ("error_rate = 2.0", "error rate 2.0 outside [0, 1]"),
         ("mc_samples = 0", "mc_samples must be positive, got 0"),
         ("epsilon = 0.5", "epsilon must sit in (0, 1e-3), got 0.5"),
         ("exact_edge_limit = -1", "exact_edge_limit must be >= 0, got -1"),
         ("exact_edge_limit = 10000", "exact_edge_limit must be <= 25, got 10000"),
-    ], ids=["budget", "strategy", "initial", "eval-every", "workers", "error-rate",
-            "mc-samples", "epsilon", "exact-edge-limit", "exact-edge-limit-cap"])
+    ], ids=["budget", "strategy", "initial", "eval-every", "workers", "workers-cap",
+            "error-rate", "mc-samples", "epsilon", "exact-edge-limit",
+            "exact-edge-limit-cap"])
     def test_rejected_value_names_file_and_line(self, tmp_path, capsys, line, message):
         main(["synth", "--entities", "2", "--records", "4", "--out", str(tmp_path)])
         cfg = tmp_path / "run.cfg"

@@ -17,6 +17,7 @@ from perc import (
     crowd_error_rate,
     simulate_votes,
 )
+from perc.crowd import MAX_WORKERS_PER_PAIR
 from perc.util import make_rng
 
 GOLD = GoldClustering({"a": "e1", "b": "e1", "c": "e2", "d": "e2"})
@@ -61,6 +62,9 @@ class TestWorkerModel:
             WorkerModel(workers_per_pair=0)
         with pytest.raises(ValueError):
             WorkerModel(error_rate=1.5)
+        WorkerModel(workers_per_pair=MAX_WORKERS_PER_PAIR)
+        with pytest.raises(ValueError):
+            WorkerModel(workers_per_pair=MAX_WORKERS_PER_PAIR + 1)
 
     def test_error_free_votes_match_gold(self):
         model = WorkerModel(workers_per_pair=7, error_rate=0.0)

@@ -15,9 +15,11 @@ from perc import (
     ExperimentConfig,
     GoldClustering,
     MetricsSnapshot,
+    ReliabilityParams,
     ReplayOracle,
     UncertainGraph,
     VoteTally,
+    WorkerModel,
     precision_recall_f1,
     questions_to_reach,
     run_experiment,
@@ -154,6 +156,11 @@ class TestExperimentConfig:
             ExperimentConfig(batch_size=0)
         with pytest.raises(ValueError):
             ExperimentConfig(eval_every=0)
+
+    def test_defaults_are_the_checking_dataclasses_defaults(self):
+        # each crowd and reliability option declares its default once
+        assert ExperimentConfig().reliability_params() == ReliabilityParams()
+        assert ExperimentConfig().worker_model() == WorkerModel()
 
     def test_perc_next_asks_what_the_run_asks_next(self, tmp_path, capsys):
         # a run prices every round with the params perc next takes as flags,
