@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Clustering, Pair, UncertainGraph
-from .reliability import Block, BlockPairKey
+from .reliability import Block, BlockPairKey, Changes
 from .util import canonical_pair
 
 MATCH = "match"
@@ -305,37 +305,30 @@ def build_dense_state(graph: UncertainGraph, clustering: Clustering,
 
 
 def refresh_dense_state(state: DenseState, graph: UncertainGraph,
-                        clustering: Clustering) -> None:
+                        clustering: Clustering, changes: Changes) -> None:
     """Fold one round into the state, in place.
 
     ``graph`` extends ``state.graph`` with the round's answers, and
-    ``clustering`` is the clustering after the round, changed or not.  A
-    new negative edge rescores its own block pair, a new positive edge
-    every pair with either of its blocks, and a recluster every pair with
-    a new block.  The lists of surviving blocks and block pairs and every
-    other score carry over, so the state equals a build_dense_state on
-    (graph, clustering).  Raises ValueError as ``graph.edges_added_since``.
+    ``changes`` is changes_since(state.graph, state.clustering, graph,
+    clustering).  A new negative edge rescores its own block pair, a new
+    positive edge every pair with either of its blocks, and a recluster
+    every pair with a new block.  The lists of gone blocks and of the
+    block pairs in ``changes.dropped`` go by key; every other list and
+    score carries over, so the state equals a build_dense_state on (graph,
+    clustering).
     """
-    added = graph.edges_added_since(state.graph)
+    survivors = changes.survivors
     fresh: set[Block] = set()
-    if clustering != state.clustering:
-        fresh = set(clustering.blocks).difference(state.clustering.blocks)
-        tables = (state.yes, state.no, state.spanning, state.scores, state.live)
-        for block in set(state.clustering.blocks).difference(clustering.blocks):
-            del state.outside[block], state.whole[block]
-            for other in state.clustering.blocks:
-                key = (block, other) if block < other else (other, block)
-                for table in tables:
-                    table.pop(key, None)
+    if len(survivors) < len(clustering.blocks):
+        fresh = {block for block in clustering.blocks if block not in survivors}
+        for block in state.clustering.blocks:
+            if block not in survivors:
+                del state.outside[block], state.whole[block]
+        for key in changes.dropped:
+            for table in (state.yes, state.no, state.spanning, state.scores, state.live):
+                table.pop(key, None)
     state.graph, state.clustering = graph, clustering
-    _fold(state, added, fresh)
-
-
-def _dense_scores(graph: UncertainGraph, clustering: Clustering) -> dict:
-    """``rho_inputs(graph, bj, bk).value`` for every block pair (bj, bk),
-    in block pair order, from a cold build_dense_state."""
-    scores = build_dense_state(graph, clustering).scores
-    return {key: scores[key] for key in clustering.block_pairs()}
+    _fold(state, changes.added, fresh)
 
 
 def dense_batch(state: DenseState, k: int) -> list[Pair]:

@@ -232,8 +232,10 @@ def run_experiment(config: ExperimentConfig, records, gold: GoldClustering | Non
     params = config.reliability_params()
     if config.strategy == "perc":
         state = build_state(graph, clustering, params, allowed=allowed)
+        refresh = refresh_after_answer
     elif config.strategy == "dense":
         state = build_dense_state(graph, clustering, allowed=allowed)
+        refresh = refresh_dense_state
 
     mlc_checks = 0
     mlc_failures = 0
@@ -299,16 +301,14 @@ def run_experiment(config: ExperimentConfig, records, gold: GoldClustering | Non
             clustering = fresh
         rounds += 1
         shared = None
-        if config.strategy == "perc":
-            # the round's change, found once: the queue reads it, and so does
-            # the snapshot when its last score was priced where the queue was
-            # (every round with eval_every 1)
+        if state is not None:
+            # the round's change, found once: the carried state reads it, and
+            # so does the snapshot when its last score was priced where the
+            # state was (every round with eval_every 1)
             changes = changes_since(state.graph, state.clustering, graph, clustering)
             if score.graph is state.graph and score.clustering is state.clustering:
                 shared = changes
-            refresh_after_answer(state, graph, clustering, changes)
-        elif config.strategy == "dense":
-            refresh_dense_state(state, graph, clustering)
+            refresh(state, graph, clustering, changes)
         if rounds % config.eval_every == 0:
             snapshot(shared)
         log.debug("round %d: asked %d pairs, %d blocks, %d total questions",

@@ -29,14 +29,13 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import itemgetter
+from typing import NamedTuple
 
 from .graph import Clustering, Pair, UncertainGraph
 from .util import ConfigError, canonical_pair, derive_seed, make_rng
 
 Block = tuple[str, ...]
 BlockPairKey = tuple[Block, Block]
-# changes_since's result: surviving blocks, touched blocks, repriced pairs
-Changes = tuple[set[Block], set[Block], dict[BlockPairKey, float]]
 
 # the largest exact_edge_limit accepted.  The partition DP's time about
 # doubles with every two edges; on random connected blocks the slowest call
@@ -416,41 +415,58 @@ def pair_connectivity(graph: UncertainGraph, block, pairs,
     return sampled([]), [sampled([(ia, ib, 1.0)]) for ia, ib in pair_edges]
 
 
+class Changes(NamedTuple):
+    """What one round changed, as changes_since finds it: the new edges,
+    sorted; the blocks both clusterings have; those with a new intra edge;
+    each old block pair that lost a block, once; the pairs to price, priced."""
+
+    added: list[Pair]
+    survivors: set[Block]
+    touched: set[Block]
+    dropped: list[BlockPairKey]
+    priced: dict[BlockPairKey, float]
+
+
 def changes_since(previous_graph: UncertainGraph, previous_clustering: Clustering,
                   graph: UncertainGraph, clustering: Clustering) -> Changes:
     """What the edges graph adds to previous_graph changed, for values
     priced on (previous_graph, previous_clustering) that may carry over.
 
-    Returns the surviving blocks (those both clusterings have), the blocks
-    that gained an intra edge, and the disconnectivity of every block pair
-    whose value must be priced again: each surviving pair that gained a
-    spanning edge, and each spanned pair with a new block.  Any other
-    block pair of two survivors kept its value, and any other pair with a
-    new block is unspanned (d = 0).  Raises ValueError as
+    This is the one place a round's change is worked out (see Changes).
+    priced holds each surviving block pair that gained a spanning edge and
+    each spanned pair with a new block.  Any other block pair of two
+    survivors kept its value, and any other pair with a new block is
+    unspanned (d = 0).  Raises ValueError as
     UncertainGraph.edges_added_since.
 
     The result is only read, never changed, by the callers it is handed
-    to, so one call serves every holder of values priced on the same
-    (previous_graph, previous_clustering): run_experiment finds each
-    round's change once and hands it to both refresh_after_answer and the
-    snapshot's reliability.
+    to, so run_experiment finds each round's change once and hands it to
+    the strategy's carried state (refresh_after_answer or
+    refresh_dense_state) and to the snapshot's reliability.
     """
     owner = clustering._owner
-    survivors = set(previous_clustering.blocks).intersection(clustering.blocks)
+    added = graph.edges_added_since(previous_graph)
+    old_blocks = previous_clustering.blocks
+    survivors = set(old_blocks).intersection(clustering.blocks)
     touched_blocks: set[Block] = set()
     touched_pairs: set[BlockPairKey] = set()
-    for a, b in graph.edges_added_since(previous_graph):
+    for a, b in added:
         ba, bb = owner[a], owner[b]
         if ba is bb:
             touched_blocks.add(ba)
         elif ba in survivors and bb in survivors:
             touched_pairs.add((ba, bb) if ba < bb else (bb, ba))
     priced = {key: disconnectivity(graph, clustering, *key) for key in touched_pairs}
-    if len(survivors) < len(clustering.blocks):
+    dropped: list[BlockPairKey] = []
+    if len(survivors) < len(old_blocks):  # then some block is new as well
+        # a pair of two gone blocks is listed from its first block only
+        dropped = [(dead, other) if dead < other else (other, dead)
+                   for dead in old_blocks if dead not in survivors
+                   for other in old_blocks if other in survivors or other > dead]
         fresh = {block for block in clustering.blocks if block not in survivors}
         priced.update((key, 1.0 - prod) for key, prod
                       in spanning_products(graph, clustering, fresh).items())
-    return survivors, touched_blocks, priced
+    return Changes(added, survivors, touched_blocks, dropped, priced)
 
 
 def reliability(graph: UncertainGraph, clustering: Clustering,
@@ -495,18 +511,13 @@ def reliability(graph: UncertainGraph, clustering: Clustering,
             raise ValueError("previous score priced other params")
         if changes is None:
             changes = changes_since(previous.graph, previous.clustering, graph, clustering)
-        survivors, touched_blocks, priced = changes
-        old_blocks = previous.clustering.blocks
-        carried = dict(zip(old_blocks, previous.block_connectivity))
+        touched_blocks, priced = changes.touched, changes.priced
+        carried = dict(zip(previous.clustering.blocks, previous.block_connectivity))
         pairs = dict(previous.pair_disconnectivity)
         logs = dict(previous._pair_logs)
-        if len(survivors) < len(old_blocks):
-            for dead in old_blocks:
-                if dead not in survivors:
-                    for other in old_blocks:
-                        key = (dead, other) if dead < other else (other, dead)
-                        if pairs.pop(key, None) is not None:
-                            logs.pop(key, None)
+        for key in changes.dropped:
+            if pairs.pop(key, None) is not None:
+                logs.pop(key, None)
     for key, d in priced.items():
         pairs[key] = d
         if d >= epsilon:

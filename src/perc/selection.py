@@ -256,38 +256,34 @@ def refresh_after_answer(state: PriorityState, graph: UncertainGraph,
     - the inter entry of a surviving block pair with no new spanning edge,
       and whether it is spanned.
 
-    The entries of gone blocks and touched blocks are dropped by key.  New
-    blocks, blocks that a new edge touched (each once, however many
-    answers it got) and the block pairs changes_since prices are priced
-    afresh, so the state equals a build_state on (graph, clustering).
-    ``changes`` is what changes_since(state.graph, state.clustering, graph,
-    clustering) returned, when the caller has already found it for the
-    round's reliability snapshot; without it, this call finds it.  Raises
-    ValueError as changes_since.
+    The entries of gone and touched blocks and of the block pairs in
+    ``changes.dropped`` are dropped by key.  New blocks, blocks that a new
+    edge touched (each once, however many answers it got) and the block
+    pairs changes_since prices are priced afresh, so the state equals a
+    build_state on (graph, clustering).  ``changes`` is changes_since(
+    state.graph, state.clustering, graph, clustering), which the caller
+    may share with every holder of the round's change; without it, this
+    call finds it.  Raises ValueError as changes_since.
     """
     _check_covers(graph, clustering)
     if changes is None:
         changes = changes_since(state.graph, state.clustering, graph, clustering)
-    survivors, touched_blocks, priced = changes
-    old_blocks = state.clustering.blocks
-    gone = [block for block in old_blocks if block not in survivors]
-    intra = state.intra
-    for block in gone + list(touched_blocks):
+    survivors = changes.survivors
+    emptied = list(changes.touched)  # the blocks whose intra entries go
+    if len(survivors) < len(state.clustering.blocks):
+        # priced pairs are set below.  Block indices moved, so the unstored
+        # walk starts over, even when no old block pair was dropped
+        emptied += [block for block in state.clustering.blocks if block not in survivors]
+        for key in changes.dropped:
+            state.inter.pop(key, None)
+            state.spanned.discard(key)
+        state._cursor = (0, 1)
+    for block in emptied:
         for i, a in enumerate(block):
             for b in block[i + 1:]:
-                intra.pop((a, b), None)
-    if gone:
-        # drop the block pairs that lost a block; priced ones are set below.
-        # Block indices moved, so the unstored walk starts over.
-        inter, spanned = state.inter, state.spanned
-        for dead in gone:
-            for other in old_blocks:
-                key = (dead, other) if dead < other else (other, dead)
-                inter.pop(key, None)
-                spanned.discard(key)
-        state._cursor = (0, 1)
+                state.intra.pop((a, b), None)
     state.graph, state.clustering = graph, clustering
-    _price(state, survivors, touched_blocks, priced)
+    _price(state, survivors, changes.touched, changes.priced)
 
 
 def select_next(state: PriorityState) -> Pair | None:

@@ -24,10 +24,9 @@ from hypothesis import strategies as st
 from perc import (Clustering, ReliabilityParams, UncertainGraph, build_dense_state,
                   build_state, dense_batch, refresh_after_answer, refresh_dense_state,
                   reliability, rho_inputs, scc_cluster, select_batch, tc_batch)
-from perc.baselines import _dense_scores
 from perc.clustering import _PairAgg
-from perc.reliability import (_sampled_connect_prob, block_connectivity, disconnectivity,
-                              spanning_products)
+from perc.reliability import (_sampled_connect_prob, block_connectivity, changes_since,
+                              disconnectivity, spanning_products)
 from perc.selection import _inter_gain
 from perc.util import make_rng
 
@@ -529,11 +528,18 @@ def test_dense_batch_equals_sort_then_dedupe(case, data):
             reference_dense_batch(graph, clustering, k, allowed)
 
 
+def dense_scores(graph, clustering):
+    """``rho_inputs(graph, bj, bk).value`` for every block pair (bj, bk),
+    in block pair order, from a cold build_dense_state."""
+    scores = build_dense_state(graph, clustering).scores
+    return {key: scores[key] for key in clustering.block_pairs()}
+
+
 def assert_dense_matches_reference(state):
     """Scores, live block pairs and every batch size against a cold
     scoring, a scan of each block pair and the sort-then-dedupe DENSE."""
     graph, clustering, allowed = state.graph, state.clustering, state.allowed
-    assert state.scores == _dense_scores(graph, clustering)
+    assert state.scores == dense_scores(graph, clustering)
     assert set(state.live) == {(bj, bk) for bj, bk in clustering.block_pairs()
                                if scan_absent_between(graph, bj, bk, None)}
     absent = sum(len(scan_absent_between(graph, bj, bk, allowed))
@@ -565,7 +571,8 @@ def test_carried_dense_state_equals_cold_build(graph, allowed, data):
             graph = graph.with_edge(*pair, probability=data.draw(
                 st.sampled_from(ROUNDING_FRACTIONS), label="p"))
         clustering = data.draw(next_clusterings(graph, clustering), label="clustering")
-        refresh_dense_state(state, graph, clustering)
+        refresh_dense_state(state, graph, clustering,
+                            changes_since(state.graph, state.clustering, graph, clustering))
         assert_dense_matches_reference(state)
 
 
@@ -573,7 +580,7 @@ def test_carried_dense_state_equals_cold_build(graph, allowed, data):
 @given(graphs_with_clusterings(fractions=ROUNDING_FRACTIONS))
 def test_dense_scores_equal_rho_inputs(case):
     graph, clustering = case
-    scores = _dense_scores(graph, clustering)
+    scores = dense_scores(graph, clustering)
     assert list(scores) == list(clustering.block_pairs())
     for (bj, bk), score in scores.items():
         assert score == rho_inputs(graph, bj, bk).value

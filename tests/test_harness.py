@@ -264,9 +264,10 @@ class TestRunExperiment:
         assert sum(changed) == stats["reclusterings_changed"]
 
     def test_each_round_finds_its_change_once(self, monkeypatch):
-        """With a snapshot every round, changes_since runs once per round,
-        wherever it is looked up, and every edges_added_since compares a
-        graph with an ancestor on its lineage."""
+        """With a snapshot every round, PERC and DENSE each run
+        changes_since once per round, wherever it is looked up, and compare
+        graphs once per round plus once per recluster, each time with an
+        ancestor on the newer graph's lineage."""
         calls = []
         # perc.reliability is the function the package exports, not the module
         modules = [import_module(f"perc.{name}")
@@ -279,19 +280,70 @@ class TestRunExperiment:
 
         for module in modules:
             monkeypatch.setattr(module, "changes_since", counted)
+        compared = []
         edges_added_since = UncertainGraph.edges_added_since
 
         def on_lineage(self, older):
             assert older._lineage is self._lineage and older._n <= self._n
+            compared.append(older)
             return edges_added_since(self, older)
 
         monkeypatch.setattr(UncertainGraph, "edges_added_since", on_lineage)
         records, gold = synth_world(24, 6, seed=4)
-        config = ExperimentConfig(strategy="perc", budget=120, batch_size=4,
-                                  initial_pairs=23, error_rate=0.25, seed=9)
-        stats = run_experiment(config, records, gold=gold).stats
-        assert stats["reclusterings"] > 0
-        assert len(calls) == stats["rounds"] > 0
+        for strategy in ("perc", "dense"):
+            calls.clear()
+            compared.clear()
+            config = ExperimentConfig(strategy=strategy, budget=120, batch_size=4,
+                                      initial_pairs=23, error_rate=0.25, seed=9)
+            stats = run_experiment(config, records, gold=gold).stats
+            assert stats["reclusterings"] > 0
+            assert len(calls) == stats["rounds"] > 0
+            assert len(compared) == stats["rounds"] + stats["reclusterings"]
+
+    @pytest.mark.parametrize("strategy", ["perc", "dense"])
+    @pytest.mark.parametrize("batch_size", [1, 7])
+    @pytest.mark.parametrize("eval_every", [1, 3])
+    def test_carried_run_equals_cold_run(self, monkeypatch, strategy, batch_size,
+                                         eval_every):
+        """Everything the loop carries from round to round (the clustering,
+        the snapshot's score, the strategy's state) gives the vote log and
+        curve of a run that prices every round from scratch, bit for bit,
+        and so does a replay of a cut log."""
+        records, gold = synth_world(24, 5, seed=batch_size + eval_every)
+        config = ExperimentConfig(strategy=strategy, budget=90, batch_size=batch_size,
+                                  initial_pairs=12, error_rate=0.3, mc_samples=30,
+                                  exact_edge_limit=6, seed=eval_every, eval_every=eval_every)
+        carried = run_experiment(config, records, gold=gold)
+        cut = ReplayOracle(carried.vote_log[:60])
+        carried_replay = run_experiment(config, records, gold=gold, replay=cut)
+
+        harness = perc.harness
+        scc_cluster = harness.scc_cluster
+        reliability = harness.reliability
+        build_state, build_dense_state = harness.build_state, harness.build_dense_state
+
+        def cold_refresh(state, graph, clustering, changes=None):
+            if strategy == "perc":
+                fresh = build_state(graph, clustering, state.params, allowed=state.allowed)
+            else:
+                fresh = build_dense_state(graph, clustering, allowed=state.allowed)
+            for name in type(state).__slots__:
+                setattr(state, name, getattr(fresh, name))
+
+        monkeypatch.setattr(harness, "scc_cluster", lambda graph, previous=None:
+                            scc_cluster(graph))
+        monkeypatch.setattr(harness, "reliability", lambda graph, clustering, params=None,
+                            previous=None, changes=None: reliability(graph, clustering, params))
+        monkeypatch.setattr(harness, "refresh_after_answer", cold_refresh)
+        monkeypatch.setattr(harness, "refresh_dense_state", cold_refresh)
+        cold = run_experiment(config, records, gold=gold)
+        cold_replay = run_experiment(config, records, gold=gold, replay=cut)
+        assert carried.stats["reclusterings_changed"] > 0
+        assert carried.vote_log == cold.vote_log
+        assert carried.curve == cold.curve
+        assert carried_replay.vote_log == cold_replay.vote_log
+        assert carried_replay.curve == cold_replay.curve
+        assert carried_replay.flags == cold_replay.flags
 
     def test_sparse_snapshots_equal_every_round_snapshots(self):
         """A snapshot every third round prices its score from the last one
