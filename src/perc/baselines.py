@@ -26,69 +26,35 @@ import numpy as np
 
 from .graph import Clustering, Pair, UncertainGraph
 from .reliability import Block, BlockPairKey, Changes
-from .util import canonical_pair
-
-MATCH = "match"
-NON_MATCH = "non-match"
-UNDECIDED = "undecided"
-
-
-class MajorityView:
-    """Majority verdict per crowdsourced edge, plus inference helpers."""
-
-    __slots__ = ("verdicts", "_root", "_settled")
-
-    def __init__(self, graph: UncertainGraph):
-        self.verdicts: dict[Pair, str] = {}
-        parent: dict[str, str] = {r: r for r in graph.records}
-
-        def find(x: str) -> str:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for (a, b), p in graph.edge_items():
-            if p > 0.5:
-                self.verdicts[(a, b)] = MATCH
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[rb] = ra
-            elif p < 0.5:
-                self.verdicts[(a, b)] = NON_MATCH
-            else:
-                self.verdicts[(a, b)] = UNDECIDED
-        self._root = {r: find(r) for r in graph.records}
-        # component root -> the roots settled against it: itself, and every
-        # component a non-match edge links it to
-        self._settled: dict[str, set[str]] = {r: {r} for r in self._root.values()}
-        for (a, b), verdict in self.verdicts.items():
-            if verdict == NON_MATCH:
-                ra, rb = self._root[a], self._root[b]
-                self._settled[ra].add(rb)
-                self._settled[rb].add(ra)
-
-    def verdict(self, a: str, b: str) -> str:
-        return self.verdicts[canonical_pair(a, b)]
-
-    def inferable(self, a: str, b: str) -> bool:
-        """True when transitivity or anti-transitivity settles the pair."""
-        return self._root[b] in self._settled[self._root[a]]
+from .util import UnionFind
 
 
 def tc_batch(graph: UncertainGraph, rng: np.random.Generator, k: int,
              allowed: frozenset | None = None) -> list[Pair]:
-    """Up to k distinct uninferable pairs drawn without replacement."""
+    """Up to k distinct pairs drawn without replacement, each uniformly from
+    the absent, allowed, uninferable pairs left, in lexicographic order."""
     if k < 1:
         raise ValueError(f"batch size must be positive, got {k}")
-    view = MajorityView(graph)
-    root, edges, recs = view._root, graph.edges, graph.records
-    # absent, allowed and not inferable, in lexicographic order
+    recs, edges = graph.records, graph.edges
+    index = {r: i for i, r in enumerate(recs)}
+    components = UnionFind(len(recs))
+    for (a, b), p in edges.items():
+        if p > 0.5:
+            components.union(index[a], index[b])
+    root = [components.find(i) for i in range(len(recs))]
+    # component root -> the roots settled against it: itself, and every
+    # component a non-match edge links it to
+    settled = {r: {r} for r in root}
+    for (a, b), p in edges.items():
+        if p < 0.5:
+            ra, rb = root[index[a]], root[index[b]]
+            settled[ra].add(rb)
+            settled[rb].add(ra)
     candidates = []
     for i, a in enumerate(recs):
-        settled = view._settled[root[a]]
-        for b in recs[i + 1:]:
-            if root[b] not in settled and (a, b) not in edges and (
+        mine = settled[root[i]]
+        for j, b in enumerate(recs[i + 1:], i + 1):
+            if root[j] not in mine and (a, b) not in edges and (
                     allowed is None or (a, b) in allowed):
                 candidates.append((a, b))
     out = []
@@ -317,18 +283,13 @@ def refresh_dense_state(state: DenseState, graph: UncertainGraph,
     score carries over, so the state equals a build_dense_state on (graph,
     clustering).
     """
-    survivors = changes.survivors
-    fresh: set[Block] = set()
-    if len(survivors) < len(clustering.blocks):
-        fresh = {block for block in clustering.blocks if block not in survivors}
-        for block in state.clustering.blocks:
-            if block not in survivors:
-                del state.outside[block], state.whole[block]
-        for key in changes.dropped:
-            for table in (state.yes, state.no, state.spanning, state.scores, state.live):
-                table.pop(key, None)
+    for block in changes.gone:
+        del state.outside[block], state.whole[block]
+    for key in changes.dropped:
+        for table in (state.yes, state.no, state.spanning, state.scores, state.live):
+            table.pop(key, None)
     state.graph, state.clustering = graph, clustering
-    _fold(state, changes.added, fresh)
+    _fold(state, changes.added, set(changes.fresh))
 
 
 def dense_batch(state: DenseState, k: int) -> list[Pair]:

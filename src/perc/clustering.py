@@ -19,8 +19,7 @@ import math
 
 from .graph import (Clustering, Pair, UncertainGraph, clustering_log_likelihood,
                     enumerate_partitions)
-from .reliability import _UnionFind
-from .util import canonical_pair
+from .util import UnionFind, canonical_pair
 
 MAX_BRUTEFORCE_RECORDS = 10
 
@@ -136,7 +135,7 @@ def scc_cluster(graph: UncertainGraph, previous: Clustering | None = None) -> Cl
         component = dict(old_component)
         blocks_of = dict(old_blocks)
 
-    components = _UnionFind(len(graph.records))
+    components = UnionFind(len(graph.records))
     for (a, b), p in new_edges:
         if p > 0.5:
             components.union(component[a], component[b])

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from pathlib import Path
 
 from .crowd import GoldClustering
@@ -24,6 +25,9 @@ RECORDS_HEADER = ["record_id"]
 CLUSTERS_HEADER = ["record_id", "cluster_id"]
 GOLD_HEADER = ["record_id", "entity_id"]
 CURVE_HEADER = ["questions_asked", "precision", "recall", "f1", "reliability", "blocks"]
+
+# a number >= 0 in ASCII digits, with an optional fraction and exponent
+_PLAIN_NUMBER = re.compile(r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?")
 
 
 def read_text(path) -> str:
@@ -115,6 +119,9 @@ def read_votes_csv(path, records=None, records_path=None) -> list[tuple[Pair, Vo
         for lineno, row in _rows(reader, path, len(VOTES_HEADER)):
             a, b, yes, total = row
             try:
+                if not (yes.isdigit() and total.isdigit() and yes.isascii() and total.isascii()):
+                    raise ValueError(f"yes and total must be ASCII digits, "
+                                     f"got {yes!r} and {total!r}")
                 tally = VoteTally(yes=int(yes), total=int(total))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad tally for pair ({a}, {b}): {exc}") from exc
@@ -161,13 +168,11 @@ def read_gold_csv(path, records=None, records_path=None) -> GoldClustering:
                                  f"in {records_path}")
             entity[rid] = row[1]
             if len(row) > 2 and row[2] != "":
-                try:
-                    difficulty[rid] = float(row[2])
-                    if not 0 <= difficulty[rid] < math.inf:  # also rejects nan
-                        raise ValueError
-                except ValueError:
+                # float() would also take signs, spaces, "_", nan and non-ASCII digits
+                if not _PLAIN_NUMBER.fullmatch(row[2]) or float(row[2]) == math.inf:
                     raise ValueError(f"{path}:{lineno}: difficulty for {rid!r} must be "
-                                     f"a finite number >= 0, got {row[2]!r}") from None
+                                     f"a finite number >= 0, got {row[2]!r}")
+                difficulty[rid] = float(row[2])
     if not entity:
         raise ValueError(f"{path}: no records listed")
     for rid in records or ():

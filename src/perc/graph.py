@@ -310,11 +310,16 @@ def possible_world_log_prob(graph: UncertainGraph, present: Iterable[Pair]) -> f
     return total
 
 
+def check_covers(graph: UncertainGraph, clustering: Clustering) -> None:
+    """Raise ValueError unless clustering partitions exactly the graph's records."""
+    if clustering._owner.keys() != graph._record_set:
+        raise ValueError("clustering does not cover exactly the graph's records")
+
+
 def clustering_log_likelihood(graph: UncertainGraph, clustering: Clustering) -> float:
     """log10 likelihood of a clustering: the probability of the one world
     whose present edges are exactly the clustering's intra-block edges."""
-    if clustering.records != set(graph.records):
-        raise ValueError("clustering does not cover exactly the graph's records")
+    check_covers(graph, clustering)
     total = 0.0
     for (a, b), p in graph.edge_items():
         total += log10_or_neg_inf(p if clustering.same_block(a, b) else 1.0 - p)

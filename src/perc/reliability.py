@@ -19,20 +19,20 @@ is.  pair_connectivity prices a block and, for each candidate pair, the
 block with that pair added as a certain edge, all by one method: one DP's
 final distribution gives every exact value at once, and sampled values
 share the block's stream.  changes_since tells a caller holding values
-priced on an earlier graph and clustering which of them may carry over,
-and prices the block pairs that may not.
+priced on an earlier graph and clustering which blocks the round removed
+and created and which of the values may carry over, and prices the block
+pairs that may not when they are first read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import itemgetter
-from typing import NamedTuple
 
-from .graph import Clustering, Pair, UncertainGraph
-from .util import ConfigError, canonical_pair, derive_seed, make_rng
+from .graph import Clustering, Pair, UncertainGraph, check_covers
+from .util import ConfigError, UnionFind, canonical_pair, derive_seed, make_rng
 
 Block = tuple[str, ...]
 BlockPairKey = tuple[Block, Block]
@@ -195,30 +195,6 @@ def _stream_seed(params: ReliabilityParams, index: dict[str, int]) -> int:
     return derive_seed(params.seed, "connectivity", tuple(index))
 
 
-class _UnionFind:
-    __slots__ = ("parent", "groups")
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.groups = n
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        self.groups -= 1
-        return True
-
-
 @lru_cache(maxsize=None)
 def _merge_table(lo: int, hi: int) -> bytes:
     """bytes.translate table folding label hi into lo; the labels above hi
@@ -271,7 +247,7 @@ def _partition_dp(n: int, edges: list[tuple[int, int, float]],
     if n <= 1:
         return 1.0, {}
     # roots[i]: component root of each vertex under edges[i:]
-    uf = _UnionFind(n)
+    uf = UnionFind(n)
     roots = [list(range(n))]
     for u, v, _ in reversed(edges):
         uf.union(u, v)
@@ -415,16 +391,41 @@ def pair_connectivity(graph: UncertainGraph, block, pairs,
     return sampled([]), [sampled([(ia, ib, 1.0)]) for ia, ib in pair_edges]
 
 
-class Changes(NamedTuple):
+@dataclass(frozen=True)
+class Changes:
     """What one round changed, as changes_since finds it: the new edges,
-    sorted; the blocks both clusterings have; those with a new intra edge;
-    each old block pair that lost a block, once; the pairs to price, priced."""
+    sorted; the old blocks the new clustering lacks (gone) and the new
+    clustering's blocks the old one lacks (fresh), each in its own block
+    order; the blocks a new edge lies inside; each old block pair that
+    lost a block, once; and, priced on first read, the block pairs to price."""
 
     added: list[Pair]
-    survivors: set[Block]
+    gone: list[Block]
+    fresh: list[Block]
     touched: set[Block]
     dropped: list[BlockPairKey]
-    priced: dict[BlockPairKey, float]
+    graph: UncertainGraph = field(repr=False)
+    clustering: Clustering = field(repr=False)
+
+    @cached_property
+    def priced(self) -> dict[BlockPairKey, float]:
+        """Each block pair of two old blocks that gained a spanning edge,
+        and each spanned pair with a new block, with its disconnectivity.
+        Any other block pair of two old blocks kept its value, and any other
+        pair with a new block is unspanned (d = 0)."""
+        graph, clustering, fresh = self.graph, self.clustering, set(self.fresh)
+        owner = clustering._owner
+        priced: dict[BlockPairKey, float] = {}
+        for a, b in self.added:
+            ba, bb = owner[a], owner[b]
+            if ba is not bb and ba not in fresh and bb not in fresh:
+                key = (ba, bb) if ba < bb else (bb, ba)
+                if key not in priced:
+                    priced[key] = disconnectivity(graph, clustering, *key)
+        if fresh:
+            priced.update((key, 1.0 - prod) for key, prod
+                          in spanning_products(graph, clustering, fresh).items())
+        return priced
 
 
 def changes_since(previous_graph: UncertainGraph, previous_clustering: Clustering,
@@ -432,12 +433,9 @@ def changes_since(previous_graph: UncertainGraph, previous_clustering: Clusterin
     """What the edges graph adds to previous_graph changed, for values
     priced on (previous_graph, previous_clustering) that may carry over.
 
-    This is the one place a round's change is worked out (see Changes).
-    priced holds each surviving block pair that gained a spanning edge and
-    each spanned pair with a new block.  Any other block pair of two
-    survivors kept its value, and any other pair with a new block is
-    unspanned (d = 0).  Raises ValueError as
-    UncertainGraph.edges_added_since.
+    This is the one place a round's change is worked out (see Changes);
+    an unchanged clustering object lost and made no block.  Raises
+    ValueError as UncertainGraph.edges_added_since.
 
     The result is only read, never changed, by the callers it is handed
     to, so run_experiment finds each round's change once and hands it to
@@ -446,27 +444,18 @@ def changes_since(previous_graph: UncertainGraph, previous_clustering: Clusterin
     """
     owner = clustering._owner
     added = graph.edges_added_since(previous_graph)
+    touched = {owner[a] for a, b in added if owner[a] is owner[b]}
+    if clustering is previous_clustering:
+        return Changes(added, [], [], touched, [], graph, clustering)
     old_blocks = previous_clustering.blocks
     survivors = set(old_blocks).intersection(clustering.blocks)
-    touched_blocks: set[Block] = set()
-    touched_pairs: set[BlockPairKey] = set()
-    for a, b in added:
-        ba, bb = owner[a], owner[b]
-        if ba is bb:
-            touched_blocks.add(ba)
-        elif ba in survivors and bb in survivors:
-            touched_pairs.add((ba, bb) if ba < bb else (bb, ba))
-    priced = {key: disconnectivity(graph, clustering, *key) for key in touched_pairs}
-    dropped: list[BlockPairKey] = []
-    if len(survivors) < len(old_blocks):  # then some block is new as well
-        # a pair of two gone blocks is listed from its first block only
-        dropped = [(dead, other) if dead < other else (other, dead)
-                   for dead in old_blocks if dead not in survivors
-                   for other in old_blocks if other in survivors or other > dead]
-        fresh = {block for block in clustering.blocks if block not in survivors}
-        priced.update((key, 1.0 - prod) for key, prod
-                      in spanning_products(graph, clustering, fresh).items())
-    return Changes(added, survivors, touched_blocks, dropped, priced)
+    gone = [block for block in old_blocks if block not in survivors]
+    fresh = [block for block in clustering.blocks if block not in survivors]
+    # a pair of two gone blocks is listed from its first block only
+    dropped = [(dead, other) if dead < other else (other, dead)
+               for dead in gone
+               for other in old_blocks if other in survivors or other > dead]
+    return Changes(added, gone, fresh, touched, dropped, graph, clustering)
 
 
 def reliability(graph: UncertainGraph, clustering: Clustering,
@@ -496,8 +485,7 @@ def reliability(graph: UncertainGraph, clustering: Clustering,
     values priced on the same pair; without it, this call finds it.
     """
     params = params or ReliabilityParams()
-    if clustering.records != set(graph.records):
-        raise ValueError("clustering does not cover exactly the graph's records")
+    check_covers(graph, clustering)
     epsilon = params.epsilon
     blocks = clustering.blocks
     carried: dict[Block, ConnectivityEstimate] = {}

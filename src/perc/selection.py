@@ -33,9 +33,9 @@ import heapq
 import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator
+from typing import Iterator, Sequence
 
-from .graph import Clustering, Pair, UncertainGraph
+from .graph import Clustering, Pair, UncertainGraph, check_covers
 # block_connectivity has no caller here; the benchmark's tracer patches this name
 from .reliability import (Block, BlockPairKey, Changes, ReliabilityParams,  # noqa: F401
                           block_connectivity, changes_since, disconnectivity,
@@ -199,36 +199,30 @@ def _set_inter(inter: dict[BlockPairKey, tuple[Pair, float]], graph: UncertainGr
         inter[key] = (rep, _inter_gain(dis, params))
 
 
-def _price(state: PriorityState, survivors: set[Block], touched_blocks: set[Block],
+def _price(state: PriorityState, fresh: Sequence[Block], touched_blocks: set[Block],
            priced: dict[BlockPairKey, float]) -> None:
     """Price what the state's carried entries lack for its clustering: the
     candidates of each new or touched block, the block pairs in priced
     (with their disconnectivity), and the unspanned pairs with a new block
     whose (min, min) pair may not be asked."""
     graph, params, allowed = state.graph, state.params, state.allowed
-    blocks, intra, inter = state.clustering.blocks, state.intra, state.inter
+    intra, inter = state.intra, state.inter
     state.spanned.update(priced)
-    for block in blocks:
-        # a surviving untouched block without entries still has no candidates
-        if block not in survivors or block in touched_blocks:
-            intra.update(_intra_entries_for_block(graph, block, params, allowed))
+    for block in touched_blocks.union(fresh):
+        intra.update(_intra_entries_for_block(graph, block, params, allowed))
     for key, dis in priced.items():
         _set_inter(inter, graph, key, dis, params, allowed)
     if allowed is not None:
         # unspanned pairs are left unstored unless their (min, min) pair may
         # not be asked; each pair with a new block once: blocks are sorted,
         # so j < k orders it
-        fresh = [block not in survivors for block in blocks]
+        blocks, new = state.clustering.blocks, set(fresh)
+        is_new = [block in new for block in blocks]
         for key in ((bj, bk) if j < k else (bk, bj)
-                    for j, bj in enumerate(blocks) if fresh[j]
-                    for k, bk in enumerate(blocks) if k > j or (k < j and not fresh[k])):
+                    for j, bj in enumerate(blocks) if is_new[j]
+                    for k, bk in enumerate(blocks) if k > j or (k < j and not is_new[k])):
             if key not in state.spanned and (key[0][0], key[1][0]) not in allowed:
                 _set_inter(inter, graph, key, 0.0, params, allowed)
-
-
-def _check_covers(graph: UncertainGraph, clustering: Clustering) -> None:
-    if clustering.records != set(graph.records):
-        raise ValueError("clustering does not cover exactly the graph's records")
 
 
 def build_state(graph: UncertainGraph, clustering: Clustering,
@@ -236,10 +230,10 @@ def build_state(graph: UncertainGraph, clustering: Clustering,
                 allowed: frozenset | None = None) -> PriorityState:
     """Price every candidate for the given clustering, from scratch;
     refresh_after_answer carries the state from round to round."""
-    _check_covers(graph, clustering)
+    check_covers(graph, clustering)
     state = PriorityState(graph, clustering, params or ReliabilityParams(), allowed)
     priced = {key: 1.0 - prod for key, prod in spanning_products(graph, clustering).items()}
-    _price(state, set(), set(), priced)
+    _price(state, clustering.blocks, set(), priced)
     return state
 
 
@@ -265,15 +259,14 @@ def refresh_after_answer(state: PriorityState, graph: UncertainGraph,
     may share with every holder of the round's change; without it, this
     call finds it.  Raises ValueError as changes_since.
     """
-    _check_covers(graph, clustering)
+    check_covers(graph, clustering)
     if changes is None:
         changes = changes_since(state.graph, state.clustering, graph, clustering)
-    survivors = changes.survivors
     emptied = list(changes.touched)  # the blocks whose intra entries go
-    if len(survivors) < len(state.clustering.blocks):
+    if changes.gone:
         # priced pairs are set below.  Block indices moved, so the unstored
         # walk starts over, even when no old block pair was dropped
-        emptied += [block for block in state.clustering.blocks if block not in survivors]
+        emptied += changes.gone
         for key in changes.dropped:
             state.inter.pop(key, None)
             state.spanned.discard(key)
@@ -283,7 +276,7 @@ def refresh_after_answer(state: PriorityState, graph: UncertainGraph,
             for b in block[i + 1:]:
                 state.intra.pop((a, b), None)
     state.graph, state.clustering = graph, clustering
-    _price(state, survivors, changes.touched, changes.priced)
+    _price(state, changes.fresh, changes.touched, changes.priced)
 
 
 def select_next(state: PriorityState) -> Pair | None:

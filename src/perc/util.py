@@ -1,5 +1,5 @@
 """Small shared helpers: the parameter error, canonical pair keys, base-10
-logs, seed derivation.
+logs, seed derivation, a union-find.
 
 Every probability-like quantity in this package is kept in log space with
 base 10, so the worked numbers in docstrings and tests read directly as
@@ -30,6 +30,30 @@ def canonical_pair(a: str, b: str) -> tuple[str, str]:
     if a == b:
         raise ValueError(f"pair ({a!r}, {b!r}) is a self-loop, records must differ")
     return (a, b) if a < b else (b, a)
+
+
+class UnionFind:
+    """Disjoint sets over the integers 0..n-1; groups counts the sets."""
+
+    __slots__ = ("parent", "groups")
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+        self.groups = n
+
+    def find(self, x: int) -> int:
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a: int, b: int) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[rb] = ra
+            self.groups -= 1
 
 
 def log10_or_neg_inf(x: float) -> float:

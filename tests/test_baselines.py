@@ -6,11 +6,7 @@ import numpy as np
 import pytest
 
 from perc import (
-    MATCH,
-    NON_MATCH,
-    UNDECIDED,
     Clustering,
-    MajorityView,
     UncertainGraph,
     build_dense_state,
     dense_batch,
@@ -18,43 +14,23 @@ from perc import (
     tc_batch,
 )
 from perc.util import make_rng
-
-
-class TestMajorityView:
-    def test_verdicts(self):
-        g = UncertainGraph.from_probabilities(
-            "ABCD", {("A", "B"): 0.8, ("B", "C"): 0.2, ("C", "D"): 0.5})
-        view = MajorityView(g)
-        assert view.verdict("A", "B") == MATCH
-        assert view.verdict("C", "B") == NON_MATCH
-        assert view.verdict("C", "D") == UNDECIDED
-
-    def test_transitive_closure(self):
-        g = UncertainGraph.from_probabilities(
-            "ABC", {("A", "B"): 0.9, ("B", "C"): 0.7})
-        view = MajorityView(g)
-        assert view._root["A"] == view._root["C"]
-        assert view.inferable("A", "C")
-
-    def test_anti_transitivity(self):
-        # A~B matched, B-C non-matched: A-C and A-D are inferred differently.
-        g = UncertainGraph.from_probabilities(
-            "ABCD", {("A", "B"): 0.9, ("B", "C"): 0.1})
-        view = MajorityView(g)
-        assert view.inferable("A", "C")       # via the component anti-link
-        assert not view.inferable("A", "D")   # D is untouched
-        assert view._root["A"] != view._root["C"]
-
-    def test_undecided_edge_infers_nothing(self):
-        g = UncertainGraph.from_probabilities(
-            "ABC", {("A", "B"): 0.5, ("B", "C"): 0.9})
-        view = MajorityView(g)
-        assert not view.inferable("A", "B")
-        assert not view.inferable("A", "C")
-        assert view.inferable("B", "C")
+from test_fast_paths import reference_open_pairs
 
 
 class TestTcSelection:
+    @pytest.mark.parametrize("records, edges, open_pairs", [
+        # A~B~C closes transitively, so A-C is settled; D stays open
+        ("ABCD", {("A", "B"): 0.9, ("B", "C"): 0.7}, [("A", "D"), ("B", "D"), ("C", "D")]),
+        # A~B matched, B-C non-matched: A-C is settled through the
+        # component's anti-link, while D is untouched
+        ("ABCD", {("A", "B"): 0.9, ("B", "C"): 0.1}, [("A", "D"), ("B", "D"), ("C", "D")]),
+        # p = 1/2 settles nothing: A-C is neither closed nor anti-linked
+        ("ABC", {("A", "B"): 0.5, ("B", "C"): 0.9}, [("A", "C")]),
+    ], ids=["closure", "anti-link", "undecided"])
+    def test_exhausting_batch_is_the_open_pairs(self, records, edges, open_pairs):
+        g = UncertainGraph.from_probabilities(records, edges)
+        assert sorted(tc_batch(g, make_rng(0), 10)) == open_pairs
+
     def test_never_returns_inferable_or_crowdsourced(self):
         rng_instances = np.random.default_rng(79)
         for _ in range(30):
@@ -66,10 +42,9 @@ class TestTcSelection:
                     if rng_instances.random() < 0.5:
                         edges[(recs[i], recs[j])] = float(rng_instances.random())
             g = UncertainGraph(recs, edges=edges)
-            view = MajorityView(g)
-            for pick in tc_batch(g, make_rng(0), 1):
-                assert not g.has_edge(*pick)
-                assert not view.inferable(*pick)
+            open_pairs = reference_open_pairs(g, None)
+            for pick in tc_batch(g, make_rng(0), 3):
+                assert pick in open_pairs
 
     def test_exhaustion_returns_none(self):
         # Everything crowdsourced or inferable: two matched pairs plus one

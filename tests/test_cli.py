@@ -3,6 +3,9 @@
 import contextlib
 import dataclasses
 import io
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -256,6 +259,31 @@ class TestRun:
         assert (tmp_path / "live" / "curve.csv").read_bytes() == \
             (tmp_path / "replayed" / "curve.csv").read_bytes()
 
+    def test_output_bytes_do_not_depend_on_the_hash_seed(self, tmp_path):
+        # str hashes, and with them set iteration order, differ between
+        # processes; none of it may reach a file.  The low edge limit makes
+        # the larger blocks sample
+        main(["synth", "--entities", "3", "--records", "15", "--seed", "4",
+              "--out", str(tmp_path / "world")])
+        env = {**os.environ, "PYTHONPATH": str(Path(perc.cli.__file__).parents[1])}
+        for strategy in ("perc", "tc", "dense"):
+            outputs = []
+            for hash_seed in ("1", "2"):
+                out = tmp_path / f"{strategy}-{hash_seed}"
+                subprocess.run(
+                    [sys.executable, "-c", "import sys; from perc.cli import main; "
+                     "sys.exit(main(sys.argv[1:]))", "run",
+                     "--records", str(tmp_path / "world" / "records.csv"),
+                     "--gold", str(tmp_path / "world" / "gold.csv"),
+                     "--strategy", strategy, "--budget", "60", "--batch", "5",
+                     "--initial", "10", "--seed", "3", "--exact-edge-limit", "4",
+                     "--mc-samples", "60", "--out", str(out)],
+                    env={**env, "PYTHONHASHSEED": hash_seed}, check=True,
+                    capture_output=True)
+                outputs.append([(out / name).read_bytes()
+                                for name in ("votes.csv", "curve.csv", "clusters.csv")])
+            assert outputs[0] == outputs[1], strategy
+
     def test_config_file_supplies_options(self, tmp_path, capsys):
         world = self.world(tmp_path)
         cfg = tmp_path / "run.cfg"
@@ -485,6 +513,27 @@ class TestErrors:
         code = main(argv + ["--records", str(tmp_path / "records.csv")])
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {tmp_path / bad}: ")
+
+    @pytest.mark.parametrize("form", ["1_0", "+3", " 5", "\uff15"],
+                             ids=["underscore", "plus-sign", "space", "full-width"])
+    @pytest.mark.parametrize("column", ["total", "difficulty"])
+    def test_number_not_in_ascii_digits_names_file_and_line(self, tmp_path, capsys,
+                                                           column, form):
+        # int() and float() read each form as a number
+        if column == "total":
+            (tmp_path / "records.csv").write_text("record_id\na\nb\nc\n")
+            bad = tmp_path / "votes.csv"
+            bad.write_text(f"record_a,record_b,yes,total\na,b,5,5\na,c,1,{form}\n",
+                           encoding="utf-8")
+            argv = ["next", "--graph", str(bad), "--records", str(tmp_path / "records.csv")]
+        else:
+            (tmp_path / "clusters.csv").write_text("record_id,cluster_id\na,a\nb,a\n")
+            bad = tmp_path / "gold.csv"
+            bad.write_text(f"record_id,entity_id,difficulty\na,x,1.0\nb,x,{form}\n",
+                           encoding="utf-8")
+            argv = ["eval", "--clusters", str(tmp_path / "clusters.csv"), "--gold", str(bad)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}:3: ")
 
 
 # input file -> what it loads into, given the others intact, and the
