@@ -209,7 +209,7 @@ def _rescore(state: DenseState, key: BlockPairKey) -> None:
         state.live.pop(key, None)
 
 
-def _fold(state: DenseState, added: list[Pair], fresh: set[Block]) -> None:
+def _fold(state: DenseState, added: list[Pair], fresh: frozenset[Block]) -> None:
     """Fold the edges in ``added`` into the lists of the surviving blocks
     and block pairs, build the lists of each block in ``fresh`` from the
     adjacency, and rescore every block pair whose inputs changed."""
@@ -266,7 +266,7 @@ def build_dense_state(graph: UncertainGraph, clustering: Clustering,
     for pair, p in graph.edge_items():
         state.adjacent[pair[0]].append((pair, p))
         state.adjacent[pair[1]].append((pair, p))
-    _fold(state, [], set(clustering.blocks))
+    _fold(state, [], frozenset(clustering.blocks))
     return state
 
 
@@ -289,7 +289,7 @@ def refresh_dense_state(state: DenseState, graph: UncertainGraph,
         for table in (state.yes, state.no, state.spanning, state.scores, state.live):
             table.pop(key, None)
     state.graph, state.clustering = graph, clustering
-    _fold(state, changes.added, set(changes.fresh))
+    _fold(state, changes.added, changes.fresh)
 
 
 def dense_batch(state: DenseState, k: int) -> list[Pair]:

@@ -395,13 +395,13 @@ def pair_connectivity(graph: UncertainGraph, block, pairs,
 class Changes:
     """What one round changed, as changes_since finds it: the new edges,
     sorted; the old blocks the new clustering lacks (gone) and the new
-    clustering's blocks the old one lacks (fresh), each in its own block
-    order; the blocks a new edge lies inside; each old block pair that
-    lost a block, once; and, priced on first read, the block pairs to price."""
+    clustering's blocks the old one lacks (fresh); the blocks a new edge
+    lies inside; each old block pair that lost a block, once; and, priced
+    on first read, the block pairs to price."""
 
     added: list[Pair]
-    gone: list[Block]
-    fresh: list[Block]
+    gone: frozenset[Block]
+    fresh: frozenset[Block]
     touched: set[Block]
     dropped: list[BlockPairKey]
     graph: UncertainGraph = field(repr=False)
@@ -413,7 +413,7 @@ class Changes:
         and each spanned pair with a new block, with its disconnectivity.
         Any other block pair of two old blocks kept its value, and any other
         pair with a new block is unspanned (d = 0)."""
-        graph, clustering, fresh = self.graph, self.clustering, set(self.fresh)
+        graph, clustering, fresh = self.graph, self.clustering, self.fresh
         owner = clustering._owner
         priced: dict[BlockPairKey, float] = {}
         for a, b in self.added:
@@ -446,15 +446,14 @@ def changes_since(previous_graph: UncertainGraph, previous_clustering: Clusterin
     added = graph.edges_added_since(previous_graph)
     touched = {owner[a] for a, b in added if owner[a] is owner[b]}
     if clustering is previous_clustering:
-        return Changes(added, [], [], touched, [], graph, clustering)
+        return Changes(added, frozenset(), frozenset(), touched, [], graph, clustering)
     old_blocks = previous_clustering.blocks
-    survivors = set(old_blocks).intersection(clustering.blocks)
-    gone = [block for block in old_blocks if block not in survivors]
-    fresh = [block for block in clustering.blocks if block not in survivors]
+    old, new = frozenset(old_blocks), frozenset(clustering.blocks)
+    gone, fresh = old - new, new - old
     # a pair of two gone blocks is listed from its first block only
     dropped = [(dead, other) if dead < other else (other, dead)
                for dead in gone
-               for other in old_blocks if other in survivors or other > dead]
+               for other in old_blocks if other not in gone or other > dead]
     return Changes(added, gone, fresh, touched, dropped, graph, clustering)
 
 

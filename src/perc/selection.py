@@ -33,7 +33,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .graph import Clustering, Pair, UncertainGraph, check_covers
 # block_connectivity has no caller here; the benchmark's tracer patches this name
@@ -199,7 +199,7 @@ def _set_inter(inter: dict[BlockPairKey, tuple[Pair, float]], graph: UncertainGr
         inter[key] = (rep, _inter_gain(dis, params))
 
 
-def _price(state: PriorityState, fresh: Sequence[Block], touched_blocks: set[Block],
+def _price(state: PriorityState, fresh: frozenset[Block], touched_blocks: set[Block],
            priced: dict[BlockPairKey, float]) -> None:
     """Price what the state's carried entries lack for its clustering: the
     candidates of each new or touched block, the block pairs in priced
@@ -208,7 +208,7 @@ def _price(state: PriorityState, fresh: Sequence[Block], touched_blocks: set[Blo
     graph, params, allowed = state.graph, state.params, state.allowed
     intra, inter = state.intra, state.inter
     state.spanned.update(priced)
-    for block in touched_blocks.union(fresh):
+    for block in touched_blocks | fresh:
         intra.update(_intra_entries_for_block(graph, block, params, allowed))
     for key, dis in priced.items():
         _set_inter(inter, graph, key, dis, params, allowed)
@@ -216,8 +216,8 @@ def _price(state: PriorityState, fresh: Sequence[Block], touched_blocks: set[Blo
         # unspanned pairs are left unstored unless their (min, min) pair may
         # not be asked; each pair with a new block once: blocks are sorted,
         # so j < k orders it
-        blocks, new = state.clustering.blocks, set(fresh)
-        is_new = [block in new for block in blocks]
+        blocks = state.clustering.blocks
+        is_new = [block in fresh for block in blocks]
         for key in ((bj, bk) if j < k else (bk, bj)
                     for j, bj in enumerate(blocks) if is_new[j]
                     for k, bk in enumerate(blocks) if k > j or (k < j and not is_new[k])):
@@ -233,7 +233,7 @@ def build_state(graph: UncertainGraph, clustering: Clustering,
     check_covers(graph, clustering)
     state = PriorityState(graph, clustering, params or ReliabilityParams(), allowed)
     priced = {key: 1.0 - prod for key, prod in spanning_products(graph, clustering).items()}
-    _price(state, clustering.blocks, set(), priced)
+    _price(state, frozenset(clustering.blocks), set(), priced)
     return state
 
 

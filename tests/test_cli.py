@@ -514,12 +514,15 @@ class TestErrors:
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {tmp_path / bad}: ")
 
-    @pytest.mark.parametrize("form", ["1_0", "+3", " 5", "\uff15"],
-                             ids=["underscore", "plus-sign", "space", "full-width"])
+    @pytest.mark.parametrize("form, line", [("1_0", 3), ("+3", 3), (" 5", 3),
+                                            ("\uff15", 3), ('"5\n"', 4)],
+                             ids=["underscore", "plus-sign", "space", "full-width",
+                                  "spans-lines"])
     @pytest.mark.parametrize("column", ["total", "difficulty"])
     def test_number_not_in_ascii_digits_names_file_and_line(self, tmp_path, capsys,
-                                                           column, form):
-        # int() and float() read each form as a number
+                                                           column, form, line):
+        # int() and float() read each form as a number; a row is named by
+        # the line it ends on
         if column == "total":
             (tmp_path / "records.csv").write_text("record_id\na\nb\nc\n")
             bad = tmp_path / "votes.csv"
@@ -533,7 +536,7 @@ class TestErrors:
                            encoding="utf-8")
             argv = ["eval", "--clusters", str(tmp_path / "clusters.csv"), "--gold", str(bad)]
         assert main(argv) == 1
-        assert capsys.readouterr().err.startswith(f"error: {bad}:3: ")
+        assert capsys.readouterr().err.startswith(f"error: {bad}:{line}: ")
 
 
 # input file -> what it loads into, given the others intact, and the

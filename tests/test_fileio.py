@@ -184,10 +184,8 @@ class TestPhysicalLines:
 
     @pytest.mark.parametrize("reader, text, message", [
         (read_records_csv, 'record_id\na,"x\ny"\nb\n', "3: expected 1 column, got 2"),
-        # a count that spans lines is itself rejected: only ASCII digits
-        (read_votes_csv, 'record_a,record_b,yes,total\na,b,"3\n",5\nc,d,1,5\n',
-         "3: bad tally for pair (a, b): yes and total must be ASCII digits, "
-         "got '3\\n' and '5'"),
+        (read_votes_csv, 'record_a,record_b,yes,total\na,"b\nx",3,5\nc,d,1,5\nc,d,1,5\n',
+         "5: pair ('c', 'd') already listed on line 4"),
         (read_gold_csv, 'record_id,entity_id\na,"x\ny"\nb,x\nb,x\n',
          "5: record 'b' listed twice"),
         (read_clusters_csv, 'record_id,cluster_id\na,"x\ny"\nb,x\nb,x\n',
