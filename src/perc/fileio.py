@@ -15,8 +15,7 @@ import re
 from pathlib import Path
 
 from .crowd import GoldClustering
-from .graph import (Clustering, Pair, UncertainGraph, VoteTally, _check_record_id,
-                    ingest_votes)
+from .graph import Clustering, Pair, UncertainGraph, VoteTally, _check_record_id
 from .harness import MetricsSnapshot
 from .util import canonical_pair
 
@@ -106,13 +105,11 @@ def write_records_csv(path, records) -> None:
             writer.writerow([r])
 
 
-def read_votes_csv(path, records=None, records_path=None) -> list[tuple[Pair, VoteTally]]:
-    """Vote rows in file order, pairs canonicalized; self-loops and a pair
-    listed twice are rejected with the line.  Given ``records``, the ids
-    read from records_path, so is a vote naming any other record."""
-    declared = None if records is None else set(records)
+def _vote_rows(path, declared, records_path):
+    """(pair, yes, total) per vote row in file order, the pair canonical,
+    once the row passes read_votes_csv's checks, given the ``declared`` ids
+    read from records_path or None."""
     seen: dict[Pair, int] = {}
-    rows = []
     with _open_reader(path) as fh:
         reader = csv.reader(fh)
         _check_header(next(reader, None), VOTES_HEADER, path)
@@ -122,7 +119,9 @@ def read_votes_csv(path, records=None, records_path=None) -> list[tuple[Pair, Vo
                 if not (yes.isdigit() and total.isdigit() and yes.isascii() and total.isascii()):
                     raise ValueError(f"yes and total must be ASCII digits, "
                                      f"got {yes!r} and {total!r}")
-                tally = VoteTally(yes=int(yes), total=int(total))
+                yes, total = int(yes), int(total)
+                if not 0 <= yes <= total or total < 1:
+                    VoteTally(yes=yes, total=total)  # raises with the bound it breaks
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad tally for pair ({a}, {b}): {exc}") from exc
             try:
@@ -138,8 +137,17 @@ def read_votes_csv(path, records=None, records_path=None) -> list[tuple[Pair, Vo
                     if r not in declared:
                         raise ValueError(f"{path}:{lineno}: record {r!r} in pair {pair} "
                                          f"is not declared in {records_path}")
-            rows.append((pair, tally))
-    return rows
+            yield pair, yes, total
+
+
+def read_votes_csv(path, records=None, records_path=None) -> list[tuple[Pair, VoteTally]]:
+    """Vote rows in file order, pairs canonicalized, for replay; self-loops
+    and a pair listed twice are rejected with the line.  Given ``records``,
+    the ids read from records_path, so is a vote naming any other record.
+    load_graph reads the rows through the same checks."""
+    declared = None if records is None else set(records)
+    return [(pair, VoteTally(yes=yes, total=total))
+            for pair, yes, total in _vote_rows(path, declared, records_path)]
 
 
 def write_votes_csv(path, rows) -> None:
@@ -242,7 +250,11 @@ def read_curve_csv(path) -> list[MetricsSnapshot]:
 
 
 def load_graph(records_path, votes_path) -> UncertainGraph:
-    """records.csv plus votes.csv into an UncertainGraph; a vote naming an
-    undeclared record is rejected with its line."""
-    records = read_records_csv(records_path)
-    return ingest_votes(records, read_votes_csv(votes_path, records, records_path))
+    """records.csv plus votes.csv into an UncertainGraph in one checked
+    pass: each vote row's YES fraction goes straight into the edges, in
+    file order.  A bad row, or a vote naming an undeclared record, is
+    rejected with its line as read_votes_csv rejects it."""
+    graph = UncertainGraph(read_records_csv(records_path))
+    for pair, yes, total in _vote_rows(votes_path, graph._record_set, records_path):
+        graph.edges[pair] = yes / total
+    return graph

@@ -46,7 +46,7 @@ class VoteTally:
 def _check_record_id(rid) -> str:
     if not isinstance(rid, str) or not rid:
         raise ValueError(f"record id must be a non-empty string, got {rid!r}")
-    if any(c in rid for c in ",\n\r"):
+    if "," in rid or "\n" in rid or "\r" in rid:
         raise ValueError(f"record id {rid!r} contains a comma or newline")
     return rid
 

@@ -7,12 +7,14 @@ of both kinds of term, clamping zero components to a small epsilon so one
 hopeless component cannot erase every other signal.
 
 Block connectivity is the all-terminal reliability of the intra-block
-subgraph, which is #P-hard in general.  Small blocks are solved exactly by a
-partition DP: one pass over the block's edges carries the probability of
-each vertex partition the edges seen so far can leave, merging identical
-states and dropping those the remaining edges cannot bring down to two
-groups.  Larger blocks fall back to Monte Carlo sampling that realizes
-edges lazily during a BFS and stops as soon as the block is covered.
+subgraph, which is #P-hard in general.  A block's certain edges are first
+contracted (Satyanarayana & Wood, SIAM J. Computing 1985).  Blocks with few
+uncertain edges left are solved exactly by a partition DP: one pass over
+the edges carries the probability of each vertex partition the edges seen
+so far can leave, merging identical states and dropping those the
+remaining edges cannot bring down to two groups.  Larger blocks fall back
+to Monte Carlo sampling that realizes edges lazily during a BFS and stops
+as soon as the block is covered.
 
 Two functions price connectivity.  block_connectivity prices a block as it
 is.  pair_connectivity prices a block and, for each candidate pair, the
@@ -37,10 +39,11 @@ from .util import ConfigError, UnionFind, canonical_pair, derive_seed, make_rng
 Block = tuple[str, ...]
 BlockPairKey = tuple[Block, Block]
 
-# the largest exact_edge_limit accepted.  The partition DP's time about
-# doubles with every two edges; on random connected blocks the slowest call
-# this limit allows took a quarter of a second (24 edges, every candidate
-# priced) on a 2-vCPU Xeon VM.  CHANGES.md has the measurements.
+# the largest exact_edge_limit accepted, which counts the uncertain edges
+# left after contraction.  The partition DP's time about doubles with every
+# two of them; on random connected blocks the slowest call this limit
+# allows took a quarter of a second (24 edges, every candidate priced) on a
+# 2-vCPU Xeon VM.  CHANGES.md has the measurements.
 MAX_EXACT_EDGE_LIMIT = 25
 
 
@@ -48,7 +51,8 @@ MAX_EXACT_EDGE_LIMIT = 25
 class ReliabilityParams:
     """Knobs for the reliability computations.
 
-    exact_edge_limit is the largest intra-block edge count handed to the
+    exact_edge_limit is the largest count of uncertain intra-block edges
+    (0 < p < 1, left once the certain edges are contracted) handed to the
     exact solver, at most MAX_EXACT_EDGE_LIMIT (25); above it the Monte
     Carlo estimator with mc_samples worlds takes over.  epsilon is the clamp
     floor for zero-probability components.  seed is the master seed that all
@@ -75,8 +79,9 @@ class ReliabilityParams:
 
 
 def solved_exactly(edge_count: int, params: ReliabilityParams) -> bool:
-    """Whether a block with edge_count intra edges, a hypothetical certain
-    pair included, is priced by the exact DP rather than sampled."""
+    """Whether a block with edge_count uncertain intra edges after
+    contraction, a hypothetical certain pair included, is priced by the
+    exact DP rather than sampled."""
     return edge_count <= params.exact_edge_limit
 
 
@@ -172,14 +177,26 @@ def disconnectivity(graph: UncertainGraph, clustering: Clustering,
     return 1.0 - prod_all_no_fail
 
 
-def _indexed_block(graph: UncertainGraph, block) -> tuple[dict[str, int], list]:
-    """Member -> vertex index over the sorted members, and the intra edges
-    as (index, index, p) in canonical order."""
+def _reduced_block(graph: UncertainGraph, block) -> tuple[dict[str, int], int, list]:
+    """The block with its certain edges contracted: sorted member ->
+    super-vertex, the super-vertex count, and the edges left as
+    (vertex, vertex, p) in canonical order.  The p = 1 edges join members
+    into super-vertices, numbered in order of their smallest member; the
+    p = 0 edges and any edge inside a super-vertex change no member's
+    connection and are dropped, so every edge left has 0 < p < 1."""
     members = sorted(set(block))
     if not members:
         raise ValueError("block is empty")
-    index = {r: i for i, r in enumerate(members)}
-    return index, [(index[a], index[b], p) for (a, b), p in graph.edges_within(members)]
+    position = {r: i for i, r in enumerate(members)}
+    intra = graph.edges_within(members)
+    uf = UnionFind(len(members))
+    for (a, b), p in intra:
+        if p == 1.0:
+            uf.union(position[a], position[b])
+    label: dict[int, int] = {}
+    index = {r: label.setdefault(uf.find(i), len(label)) for r, i in position.items()}
+    return index, len(label), [(index[a], index[b], p) for (a, b), p in intra
+                               if p > 0.0 and index[a] != index[b]]
 
 
 def _pair_index(index: dict[str, int], pair: Pair) -> tuple[int, int]:
@@ -240,9 +257,10 @@ def _partition_dp(n: int, edges: list[tuple[int, int, float]],
     it, an absent one raises it by one when it bridges that join.  States
     above max_groups (1 or 2) can never end with so few groups and are
     dropped, so a tree block keeps the connected state plus one state per
-    absent edge.  Labels are bytes, so n is at most 256.  A block that
-    can end in two groups has at most m + 2 members, so one the
-    exact_edge_limit admits has at most 27.
+    absent edge.  Callers pass the uncertain edges of a contracted block
+    (_reduced_block), so every edge splits.  Labels are bytes, so n is at
+    most 256.  A block that can end in two groups has at most m + 2
+    vertices, so one the exact_edge_limit admits has at most 27.
     """
     if n <= 1:
         return 1.0, {}
@@ -277,15 +295,13 @@ def _partition_dp(n: int, edges: list[tuple[int, int, float]],
                 if lu == lv:
                     same[state] = same.get(state, 0.0) + w
                     continue
-                if p > 0.0:
-                    merged = state.translate(_merge_table(lu, lv) if lu < lv
-                                             else _merge_table(lv, lu))
-                    same[merged] = same.get(merged, 0.0) + w * p
-                if q > 0.0:
-                    if comps is None or _joined(state, comps, lu, lv):
-                        same[state] = same.get(state, 0.0) + w * q
-                    elif split is not None:
-                        split[state] = split.get(state, 0.0) + w * q
+                merged = state.translate(_merge_table(lu, lv) if lu < lv
+                                         else _merge_table(lv, lu))
+                same[merged] = same.get(merged, 0.0) + w * p
+                if comps is None or _joined(state, comps, lu, lv):
+                    same[state] = same.get(state, 0.0) + w * q
+                elif split is not None:
+                    split[state] = split.get(state, 0.0) + w * q
         levels = nxt
     # after the last edge a state's level is its group count
     return levels[1].get(bytes(n), 0.0), levels[2] if max_groups > 1 else {}
@@ -350,9 +366,8 @@ def _sampled_connect_prob(n: int, edges: list[tuple[int, int, float]],
 def block_connectivity(graph: UncertainGraph, block,
                        params: ReliabilityParams) -> ConnectivityEstimate:
     """Connectivity of the block, solved exactly up to exact_edge_limit
-    intra edges and sampled above it."""
-    index, edges = _indexed_block(graph, block)
-    n = len(index)
+    uncertain edges after contraction and sampled above it."""
+    index, n, edges = _reduced_block(graph, block)
     if solved_exactly(len(edges), params):
         return ConnectivityEstimate(value=_partition_dp(n, edges, 1)[0], method="exact")
     seed = _stream_seed(params, index)
@@ -365,18 +380,19 @@ def pair_connectivity(graph: UncertainGraph, block, pairs,
                       params: ReliabilityParams) -> tuple[float, list[float]]:
     """c(block) and c(block + certain pair) for each pair, by one method.
 
-    The method is picked once, from the edge count with a pair added.  A
-    block with exactly exact_edge_limit edges is therefore sampled here,
-    though block_connectivity solves it exactly, so a gain never compares
-    an exact value against a sampled one.  Exact values all come from one
-    partition DP: c(block + certain ab) is P(1 group) plus P(2 groups with
-    a and b apart), the second term an exactly rounded sum.  Sampled values
-    all read the block's one stream, the one block_connectivity samples it
-    from: the base on the block's edges and each pair on those plus the
-    pair at probability 1.  Raises ValueError for a pair outside the block.
+    The method is picked once, from the uncertain edge count after
+    contraction with a pair added.  A block with exactly exact_edge_limit
+    of them is therefore sampled here, though block_connectivity solves it
+    exactly, so a gain never compares an exact value against a sampled one.
+    Exact values all come from one partition DP: c(block + certain ab) is
+    P(1 group) plus P(2 groups with a and b apart), the second term an
+    exactly rounded sum.  Sampled values all read the block's one stream,
+    the one block_connectivity samples it from: the base on the block's
+    edges and each pair on those plus the pair at probability 1.  A pair
+    inside one super-vertex gets exactly the base.  Raises ValueError for
+    a pair outside the block.
     """
-    index, edges = _indexed_block(graph, block)
-    n = len(index)
+    index, n, edges = _reduced_block(graph, block)
     pair_edges = [_pair_index(index, pair) for pair in pairs]
     if solved_exactly(len(edges) + 1, params):
         connected, split = _partition_dp(n, edges, 2)
@@ -388,7 +404,8 @@ def pair_connectivity(graph: UncertainGraph, block, pairs,
     def sampled(extra: list) -> float:
         return _sampled_connect_prob(n, edges + extra, params.mc_samples, make_rng(seed))
 
-    return sampled([]), [sampled([(ia, ib, 1.0)]) for ia, ib in pair_edges]
+    base = sampled([])
+    return base, [base if ia == ib else sampled([(ia, ib, 1.0)]) for ia, ib in pair_edges]
 
 
 @dataclass(frozen=True)

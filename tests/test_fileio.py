@@ -1,8 +1,11 @@
 """CSV readers and writers: round trips and error reporting."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from perc import Clustering, GoldClustering, MetricsSnapshot, VoteTally
+from perc import Clustering, GoldClustering, MetricsSnapshot, VoteTally, ingest_votes
+from perc.cli import main
 from perc.fileio import (
     load_graph,
     read_clusters_csv,
@@ -176,6 +179,83 @@ class TestLoadGraph:
                         [(("a", "z"), VoteTally(1, 5))])
         with pytest.raises(ValueError):
             load_graph(tmp_path / "records.csv", tmp_path / "votes.csv")
+
+
+# rows over ten records in either order, each with a tally of up to 7 votes
+VOTE_FILES = st.lists(
+    st.tuples(st.integers(0, 9), st.integers(0, 9), st.integers(1, 7), st.integers(0, 7)),
+    max_size=40)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=VOTE_FILES)
+def test_load_graph_equals_ingesting_read_votes(tmp_path_factory, rows):
+    """load_graph's one pass builds the edges dict ingest_votes builds from
+    read_votes_csv: the same keys in the same order, bit-equal fractions."""
+    d = tmp_path_factory.mktemp("votes")
+    records = [f"r{i}" for i in range(10)]
+    votes, seen = [], set()
+    for i, j, total, yes in rows:
+        pair = (records[i], records[j])
+        if i != j and frozenset(pair) not in seen:
+            seen.add(frozenset(pair))
+            votes.append((pair, VoteTally(min(yes, total), total)))
+    write_records_csv(d / "records.csv", records[::-1])
+    # rows as written, not canonicalized, so the readers canonicalize them
+    (d / "votes.csv").write_text("record_a,record_b,yes,total\n" + "".join(
+        f"{a},{b},{t.yes},{t.total}\n" for (a, b), t in votes))
+    loaded = load_graph(d / "records.csv", d / "votes.csv")
+    ingested = ingest_votes(records, read_votes_csv(d / "votes.csv", records))
+    assert loaded.records == ingested.records
+    assert [(pair, p.hex()) for pair, p in loaded.edges.items()] == \
+        [(pair, p.hex()) for pair, p in ingested.edges.items()]
+
+
+class TestLoadGraphErrors:
+    """Each malformed row the readers' tests use is rejected by load_graph
+    and by perc next and perc cluster, with the reader's text, exit 1."""
+
+    @pytest.mark.parametrize("records, votes, message", [
+        (b"record_id\na\nb\nc\nd\n", b"a,b,9,5\n",
+         "{votes}:2: bad tally for pair (a, b): yes=9 outside 0..5"),
+        (b"record_id\na\nb\nc\nd\n", b"a,b,0,0\n",
+         "{votes}:2: bad tally for pair (a, b): vote tally needs at least one vote, "
+         "got total=0"),
+        (b"record_id\na\nb\nc\nd\n", b"a,b,1\n", "{votes}:2: expected 4 columns, got 3"),
+        (b"record_id\na\nb\nc\nd\n", b"c,d,1,5\nc,d,1,5\n",
+         "{votes}:3: pair ('c', 'd') already listed on line 2"),
+        (b"record_id\na\nb\nc\nd\n", b'a,"b\nx",3,5\nc,d,1,5\nc,d,1,5\n',
+         "{votes}:3: record 'b\\nx' in pair ('a', 'b\\nx') is not declared in {records}"),
+        (b"record_id\na\nb\nc\nd\n", b"c,c,1,5\n",
+         "{votes}:2: pair ('c', 'c') is a self-loop, records must differ"),
+        (b"record_id\na\nb\nc\nd\n", b"a,z,1,5\n",
+         "{votes}:2: record 'z' in pair ('a', 'z') is not declared in {records}"),
+        (b"record_id\na\nb\nc\nd\n", b'a,"b\nc",1,5\nc,d\xe9,1,5\n',
+         "{votes}:4: not UTF-8 text"),
+        (b"wrong\nx\n", b"", "{records}: expected header record_id, got wrong"),
+        (b"record_id\n", b"", "{records}: no records listed"),
+        (b'record_id\na,"x\ny"\nb\n', b"", "{records}:3: expected 1 column, got 2"),
+        (b"record_id\na\nb\xe9\n", b"", "{records}:3: not UTF-8 text"),
+    ], ids=["tally-above-total", "no-votes", "short-row", "duplicate-pair",
+            "multiline-undeclared", "self-loop", "undeclared-record", "votes-not-utf8",
+            "records-header", "records-empty", "records-multiline", "records-not-utf8"])
+    def test_rejected_with_the_readers_text(self, tmp_path, capsys, records, votes,
+                                            message):
+        records_path, votes_path = tmp_path / "records.csv", tmp_path / "votes.csv"
+        records_path.write_bytes(records)
+        votes_path.write_bytes(b"record_a,record_b,yes,total\n" + votes)
+        expected = message.format(records=records_path, votes=votes_path)
+        with pytest.raises(ValueError) as exc:
+            load_graph(records_path, votes_path)
+        assert str(exc.value) == expected
+        if message.startswith("{votes}"):
+            with pytest.raises(ValueError) as exc:
+                read_votes_csv(votes_path, read_records_csv(records_path), records_path)
+            assert str(exc.value) == expected
+        for command in ("next", "cluster"):
+            code = main([command, "--graph", str(votes_path), "--records", str(records_path)])
+            assert code == 1
+            assert capsys.readouterr() == ("", f"error: {expected}\n")
 
 
 class TestPhysicalLines:

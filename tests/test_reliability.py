@@ -17,7 +17,7 @@ from perc import (
     disconnectivity,
     reliability,
 )
-from perc.reliability import (MAX_EXACT_EDGE_LIMIT, _indexed_block, _partition_dp,
+from perc.reliability import (MAX_EXACT_EDGE_LIMIT, _partition_dp, _reduced_block,
                               _sampled_connect_prob, pair_connectivity, solved_exactly)
 from perc.util import ConfigError, make_rng
 
@@ -278,7 +278,7 @@ class TestPairConnectivity:
         assert sampled.method == "monte-carlo"
         base, (value,) = pair_connectivity(trio_graph, "ABC", [("A", "C")], params)
         assert base == sampled.value
-        index, edges = _indexed_block(trio_graph, "ABC")
+        index, n, edges = _reduced_block(trio_graph, "ABC")
         assert value == _sampled_connect_prob(3, edges + [(0, 2, 1.0)], 100,
                                               make_rng(sampled.seed))
 
@@ -302,7 +302,7 @@ class TestPairConnectivity:
         assert alone.method == "monte-carlo"
         base, (value,) = pair_connectivity(g, members, [(members[0], members[1])], params)
         assert base == alone.value
-        _, indexed = _indexed_block(g, members)
+        _, _, indexed = _reduced_block(g, members)
         assert value == _sampled_connect_prob(6, indexed + [(0, 1, 1.0)], 400,
                                               make_rng(alone.seed))
 
@@ -311,19 +311,67 @@ class TestPairConnectivity:
     def test_sampled_values_equal_the_reference(self, graph, seed):
         members = list(graph.records)
         edges = dict(graph.edge_items())
-        assume(edges)  # block_connectivity samples no block without edges
+        index, n, reduced = _reduced_block(graph, members)
+        assume(reduced)  # block_connectivity samples no block without uncertain edges
         absent = [pair for pair in itertools.combinations(members, 2) if pair not in edges]
-        params = ReliabilityParams(mc_samples=60, exact_edge_limit=len(edges), seed=seed)
-        below = dataclasses.replace(params, exact_edge_limit=len(edges) - 1)
+        params = ReliabilityParams(mc_samples=60, exact_edge_limit=len(reduced), seed=seed)
+        below = dataclasses.replace(params, exact_edge_limit=len(reduced) - 1)
         base, values = pair_connectivity(graph, members, absent, params)
         # reference: the block's own stream, without and with each certain pair
         stream = block_connectivity(graph, members, below).seed
-        index, indexed = _indexed_block(graph, members)
-        n = len(index)
-        assert base == _sampled_connect_prob(n, indexed, 60, make_rng(stream))
+        assert base == _sampled_connect_prob(n, reduced, 60, make_rng(stream))
         for (a, b), value in zip(absent, values):
             assert value == _sampled_connect_prob(
-                n, indexed + [(index[a], index[b], 1.0)], 60, make_rng(stream))
+                n, reduced + [(index[a], index[b], 1.0)], 60, make_rng(stream))
+
+
+class TestContraction:
+    def test_certain_edges_join_super_vertices(self):
+        # A-C certain: {A, C} is vertex 0, numbered by its smallest member;
+        # D-E (p = 0) is dropped and the rest keep canonical order
+        g = UncertainGraph.from_probabilities("ABCDE", {
+            ("A", "C"): 1.0, ("B", "C"): 0.5, ("D", "E"): 0.0,
+            ("B", "D"): 0.3, ("C", "E"): 0.7, ("A", "B"): 0.4})
+        index, n, edges = _reduced_block(g, "EDCBA")
+        assert index == {"A": 0, "B": 1, "C": 0, "D": 2, "E": 3}
+        assert n == 4
+        assert edges == [(0, 1, 0.4), (1, 0, 0.5), (1, 2, 0.3), (0, 3, 0.7)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(dp_blocks())
+    @example(UncertainGraph.from_probabilities(  # B-C certain, A-C absent
+        ["A", "B", "C", "D"], {("A", "B"): 0.5, ("B", "C"): 1.0, ("C", "D"): 1.0,
+                               ("A", "D"): 0.0, ("B", "D"): 0.5}))
+    def test_contracted_block_priced_exactly_under_the_raw_count(self, graph):
+        # the raw intra edge count is above exact_edge_limit and the
+        # contracted count with a pair is not: both functions solve exactly
+        members = list(graph.records)
+        edges = dict(graph.edge_items())
+        index, _, reduced = _reduced_block(graph, members)
+        assume(len(edges) > len(reduced) + 1)
+        params = ReliabilityParams(exact_edge_limit=len(reduced) + 1, mc_samples=10)
+        alone = block_connectivity(graph, members, params)
+        assert alone.method == "exact"
+        assert abs(alone.value - connectivity_by_enumeration(members, edges)) <= 1e-12
+        absent = [pair for pair in itertools.combinations(members, 2) if pair not in edges]
+        base, values = pair_connectivity(graph, members, absent, params)
+        assert base == alone.value
+        for (a, b), value in zip(absent, values):
+            if index[a] == index[b]:
+                assert value == base, (a, b)
+            else:
+                expected = connectivity_by_enumeration(members, {**edges, (a, b): 1.0})
+                assert abs(value - expected) <= 1e-12, (a, b)
+
+    def test_sampled_pair_inside_a_super_vertex_is_the_base(self):
+        g = UncertainGraph.from_probabilities("ABCD", {
+            ("A", "B"): 1.0, ("B", "C"): 1.0, ("C", "D"): 0.5, ("A", "D"): 0.5})
+        params = ReliabilityParams(exact_edge_limit=1, mc_samples=50, seed=3)
+        alone = block_connectivity(g, "ABCD", params)
+        assert alone.method == "monte-carlo"
+        base, (inside, across) = pair_connectivity(g, "ABCD", [("A", "C"), ("B", "D")], params)
+        assert inside == base == alone.value
+        assert across == 1.0
 
 
 class TestReliability:
