@@ -5,11 +5,11 @@ probability (product of spanning YES odds against spanning NO odds) exceeds
 one half, merge the best pair.  Merges stay inside the components of the
 p > 1/2 edges, so each component is agglomerated on its own, and a
 clustering scc_cluster returned lets the next call on an extended graph
-agglomerate again only the components a new edge lies inside.
-mlc_bruteforce checks tiny instances by
-scoring every partition.  mlc_unchanged is the cheap screen that tells the
-harness whether a freshly crowdsourced answer can move the maximum
-likelihood clustering at all.
+agglomerate again only the components a new edge lies inside.  A component
+whose edges all have p > 1/2 is one block, with no merge heap.
+mlc_bruteforce checks tiny instances by scoring every partition.
+mlc_unchanged is the cheap screen that tells the harness whether a freshly
+crowdsourced answer can move the maximum likelihood clustering at all.
 """
 
 from __future__ import annotations
@@ -178,7 +178,16 @@ def _agglomerate(members: list[str], edges: list[tuple[Pair, float]]) -> list[tu
     block that has since been merged away are skipped when popped.  Order
     keys of live blocks are unique, so the pop order is the ranking
     scc_cluster describes.
+
+    A component whose edges all have p > 1/2 is returned as one block with
+    no heap: each aggregate's two log10 sums fold log10(p) > log10(1 - p)
+    by the same additions, and monotone rounding keeps log_yes >= log_no
+    (strictly: every fold order of up to 48 edges at p = nextafter(1/2, 1)
+    keeps a margin), so merging goes on until the connected component is
+    one block.
     """
+    if all(p > 0.5 for _, p in edges):
+        return [tuple(members)]
     index = {r: i for i, r in enumerate(members)}
     blocks: dict[int, tuple[str, ...]] = {i: (r,) for i, r in enumerate(members)}
     agg: dict[tuple[int, int], _PairAgg] = {}

@@ -302,6 +302,8 @@ def select_batch(state: PriorityState, k: int) -> list[Pair]:
     """
     if k < 1:
         raise ValueError(f"batch size must be positive, got {k}")
+    n = len(state.graph.records)
+    k = min(k, n * (n - 1) // 2)  # no batch exceeds the pairs; islice needs k <= sys.maxsize
     # (-gain, pair) keys are unique, so the k smallest are entries()[:k].
     # The unstored entries come in rank order at the top gain, so once k of
     # them are found, only a stored entry at or above that gain can rank.

@@ -101,6 +101,14 @@ class TestNext:
         out = capsys.readouterr().out.splitlines()
         assert [line.split(",")[:2] for line in out] == [["E", "H"], ["A", "D"]]
 
+    def test_batch_above_sys_maxsize_prints_every_candidate(self, running_files, capsys):
+        records, votes = running_files
+        argv = ["next", "--graph", str(votes), "--records", str(records), "--batch"]
+        assert main([*argv, "28"]) == 0  # 8 records: 28 pairs
+        every = capsys.readouterr().out
+        assert main([*argv, str(10**20)]) == 0
+        assert capsys.readouterr().out == every
+
     def test_exhausted_graph_exits_nonzero(self, tmp_path, capsys):
         write_records_csv(tmp_path / "records.csv", ["a", "b"])
         write_votes_csv(tmp_path / "votes.csv", [(("a", "b"), VoteTally(5, 5))])
@@ -244,6 +252,19 @@ class TestRun:
         curve = read_curve_csv(tmp_path / "out" / "curve.csv")
         assert curve[-1].questions_asked <= 20
         read_clusters_csv(tmp_path / "out" / "clusters.csv")
+
+    def test_batch_above_sys_maxsize_asks_every_pair(self, tmp_path, capsys):
+        main(["synth", "--entities", "3", "--records", "8", "--seed", "2",
+              "--out", str(tmp_path / "world")])
+        for strategy in ("perc", "tc", "dense"):
+            out = tmp_path / strategy
+            code = main(["run", "--records", str(tmp_path / "world" / "records.csv"),
+                         "--gold", str(tmp_path / "world" / "gold.csv"),
+                         "--strategy", strategy, "--budget", str(10**20),
+                         "--batch", str(10**20), "--out", str(out)])
+            assert code == 0, capsys.readouterr().err
+            assert "questions=28 " in capsys.readouterr().out
+            assert len((out / "votes.csv").read_text().splitlines()) == 1 + 28
 
     def test_replay_reproduces_curve(self, tmp_path, capsys):
         world = self.world(tmp_path)

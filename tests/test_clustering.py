@@ -18,6 +18,7 @@ from perc import (
     mlc_unchanged,
     scc_cluster,
 )
+from perc import clustering
 
 from conftest import random_small_graph
 
@@ -113,6 +114,32 @@ class TestSccCluster:
             "ABC", {("A", "B"): 0.9, ("A", "C"): 0.7, ("B", "C"): 0.1})
         c = scc_cluster(g)
         assert c.blocks == (("A", "B"), ("C",))
+
+    def test_agreeing_component_is_one_block_without_tallies(self, monkeypatch):
+        made = []
+
+        class CountingAgg(clustering._PairAgg):
+            def __init__(self):
+                made.append(self)
+                super().__init__()
+
+        monkeypatch.setattr(clustering, "_PairAgg", CountingAgg)
+        g = UncertainGraph.from_probabilities("ABCDE", {
+            ("A", "B"): math.nextafter(0.5, 1), ("B", "C"): 0.51, ("A", "C"): 1.0,
+            ("C", "D"): 0.6, ("D", "E"): 0.9})
+        assert scc_cluster(g).blocks == (("A", "B", "C", "D", "E"),)
+        assert made == []
+        # one dissenting edge sends the component through the heap, where
+        # B-D at 0.1 outvotes B's two weak YES edges
+        assert scc_cluster(g.with_edge("B", "D", probability=0.1)).blocks == \
+            (("A", "C", "D", "E"), ("B",))
+        assert made
+
+    def test_one_dissenting_edge_keeps_a_yes_triangle_apart(self):
+        # a union of the YES edges would give {A, B, C}
+        g = UncertainGraph.from_probabilities(
+            "ABC", {("A", "B"): 1.0, ("B", "C"): 1.0, ("A", "C"): 0.0})
+        assert scc_cluster(g).blocks == (("A", "B"), ("C",))
 
     def test_deterministic_under_relabeling(self):
         # Same structure with shuffled record names clusters isomorphically.

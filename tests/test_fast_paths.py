@@ -89,6 +89,41 @@ def component_graphs(draw, max_records=10):
     return UncertainGraph.from_probabilities(records, probs)
 
 
+# p just above one half, where log10(p) and log10(1 - p) lie a few ulps apart
+AGREEING_FRACTIONS = (math.nextafter(0.5, 1), 0.5 + 2**-50, 0.51, 0.6, 2 / 3, 1.0)
+DISSENTING_FRACTIONS = (0.5, math.nextafter(0.5, 0), 0.3, 0.0)
+
+
+@st.composite
+def agreeing_component_graphs(draw, max_records=10):
+    """Groups whose inner edges all have p > 1/2, down to nextafter(1/2, 1),
+    each joined by a path of them, next to groups that hold one dissenting
+    edge (p <= 1/2), with edges at p 0, 1/2 or 0.3 between groups; then
+    the edges in a drawn order, as a run would add them."""
+    n = draw(st.integers(2, max_records))
+    records = sorted(draw(st.permutations(NAMES))[:n])
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=n - 1)))
+    groups = [records[i:j] for i, j in zip([0] + cuts, cuts + [n])]
+    probs = {}
+    for group in groups:
+        fractions = draw(st.lists(st.sampled_from(AGREEING_FRACTIONS), min_size=1, max_size=3))
+        inner = list(zip(group, group[1:]))
+        inner += [pair for pair in itertools.combinations(group, 2)
+                  if pair not in inner and draw(st.booleans())]
+        for pair in inner:
+            probs[pair] = draw(st.sampled_from(fractions))
+        if inner and draw(st.booleans()):
+            probs[draw(st.sampled_from(inner))] = draw(st.sampled_from(DISSENTING_FRACTIONS))
+    for left, right in itertools.combinations(groups, 2):
+        for a in left:
+            for b in right:
+                p = draw(st.sampled_from((None, None, 0.0, 0.5, 0.3)))
+                if p is not None:
+                    probs[(a, b)] = p
+    order = draw(st.permutations(sorted(probs)))
+    return records, [(pair, probs[pair]) for pair in order]
+
+
 def draw_allowed(data, graph):
     """None, or a replay log's pair set drawn from all pairs."""
     if not data.draw(st.booleans(), label="replay"):
@@ -389,6 +424,25 @@ def test_edges_added_since_equals_key_difference(root, data):
                  component_graphs()))
 def test_scc_cluster_equals_linear_scan(graph):
     assert scc_cluster(graph) == reference_scc(graph)
+
+
+@settings(max_examples=300, deadline=None)
+@given(agreeing_component_graphs(), st.data())
+def test_scc_cluster_at_the_float_boundary_equals_linear_scan(drawn, data):
+    """Components whose edges all agree skip the merge heap; the reference
+    still merges them pair by pair.  Cold calls on the whole graph, and
+    calls carried along the answers in their drawn order."""
+    records, answers = drawn
+    graph = UncertainGraph.from_probabilities(records, dict(answers))
+    assert scc_cluster(graph) == reference_scc(graph)
+    graph = UncertainGraph(records)
+    carried = scc_cluster(graph)
+    for pair, p in answers:
+        graph = graph.with_edge(*pair, probability=p)
+        if data.draw(st.booleans(), label="recluster"):
+            carried = scc_cluster(graph, previous=carried)
+            assert carried == reference_scc(graph)
+    assert scc_cluster(graph, previous=carried) == reference_scc(graph)
 
 
 @settings(max_examples=200, deadline=None)

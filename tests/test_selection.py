@@ -345,6 +345,19 @@ class TestSelectBatch:
         assert select_batch(state, 10) == [
             ("E", "H"), ("A", "D"), ("F", "G"), ("B", "C")]
 
+    def test_batch_above_sys_maxsize_returns_every_candidate(self, running_graph,
+                                                             running_clustering):
+        rng = np.random.default_rng(73)
+        graphs = [(running_graph, running_clustering)]
+        for _ in range(10):
+            g = random_small_graph(rng, n_min=2, n_max=7, p_edge=0.4)
+            graphs.append((g, scc_cluster(g)))
+        for g, c in graphs:
+            state = build_state(g, c)
+            n_pairs = len(g.records) * (len(g.records) - 1) // 2
+            assert select_batch(state, 10**20) == select_batch(state, n_pairs)
+            assert len(select_batch(state, 10**20)) == n_pairs - len(g.edges)
+
     def test_batch_returns_distinct_pairs(self):
         rng = np.random.default_rng(71)
         for _ in range(20):
