@@ -1,9 +1,12 @@
 """CSV interchange formats.
 
-All files are UTF-8 comma-separated with a header row.  Record ids may not
-contain commas or newlines (enforced by the readers and at graph
-construction), so no quoting is ever needed.  Floats are written with repr,
-which round-trips exactly and keeps reruns byte-identical.
+All files are UTF-8 comma-separated with a header row and no NUL byte.
+Record ids may not contain commas or newlines (enforced by the readers, and
+by UncertainGraph for ids given in code), so no quoting is ever needed.
+Floats are written with repr, which round-trips exactly and keeps reruns
+byte-identical.  A records.csv or votes.csv of plain rows only is split at
+its newlines and checked a column at a time; any other file goes to the
+csv.reader path, the only one that words errors, so each reads the same.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import csv
 import io
 import math
 import re
+from operator import eq, le
 from pathlib import Path
 
 from .crowd import GoldClustering
@@ -28,16 +32,40 @@ CURVE_HEADER = ["questions_asked", "precision", "recall", "f1", "reliability", "
 # a number >= 0 in ASCII digits, with an optional fraction and exponent
 _PLAIN_NUMBER = re.compile(r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?")
 
+# plain rows, which csv.reader reads as they stand: ids with no quote, comma,
+# line break or NUL within its field limit, counts of at most 18 digits (so
+# int() takes them), each row ended by \n or \r\n
+_PLAIN_ID = rf'[^,"\r\n\x00]{{1,{csv.field_size_limit()}}}'
+_PLAIN_COUNT = r"[0-9]{1,18}"
+_PLAIN_RECORDS = re.compile(rf"{','.join(RECORDS_HEADER)}\r?\n(?:{_PLAIN_ID}\r?\n)*")
+_PLAIN_VOTES = re.compile(rf"{','.join(VOTES_HEADER)}\r?\n"
+                          rf"(?:{_PLAIN_ID},{_PLAIN_ID},{_PLAIN_COUNT},{_PLAIN_COUNT}\r?\n)*")
+
 
 def read_text(path) -> str:
-    """The file as UTF-8 text; a byte that is not UTF-8 is reported with
-    the physical line it is on."""
+    """The file as UTF-8 text; a byte that is not UTF-8, or a NUL byte, is
+    reported with the physical line it is on."""
     data = Path(path).read_bytes()
     try:
-        return data.decode("utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise ValueError(f"{path}:{line}: not UTF-8 text") from None
+        at, problem = exc.start, "not UTF-8 text"
+    else:
+        at, problem = data.find(b"\0"), "NUL byte"
+        if at < 0:
+            return text
+    line = data.count(b"\n", 0, at) + 1
+    raise ValueError(f"{path}:{line}: {problem}") from None
+
+
+def _plain_columns(pattern, text: str, width: int) -> list[list[str]] | None:
+    """Each column's cells below the header, if pattern matches all of text."""
+    if pattern.fullmatch(text) is None:
+        return None
+    # not splitlines, which also ends a line at \x0b, \x1c or U+2028
+    lines = text.replace("\r\n", "\n").split("\n")
+    cells = ",".join(lines[1:-1]).split(",") if len(lines) > 2 else []
+    return [cells[i::width] for i in range(width)]
 
 
 def _open_reader(path):
@@ -82,8 +110,12 @@ def _record_id(row, path, lineno, seen) -> str:
 
 
 def read_records_csv(path) -> list[str]:
-    """record_id per row; returns ids in file order."""
-    with _open_reader(path) as fh:
+    """record_id per row; returns ids in file order, each checked once."""
+    text = read_text(path)
+    plain = _plain_columns(_PLAIN_RECORDS, text, 1)
+    if plain is not None and plain[0] and len(set(plain[0])) == len(plain[0]):
+        return plain[0]
+    with io.StringIO(text, newline="") as fh:
         reader = csv.reader(fh)
         _check_header(next(reader, None), RECORDS_HEADER, path)
         out = []
@@ -105,12 +137,24 @@ def write_records_csv(path, records) -> None:
             writer.writerow([r])
 
 
-def _vote_rows(path, declared, records_path):
+def _vote_rows(path, declared, records_path) -> list[tuple[Pair, int, int]]:
     """(pair, yes, total) per vote row in file order, the pair canonical,
-    once the row passes read_votes_csv's checks, given the ``declared`` ids
-    read from records_path or None."""
+    once every row passes read_votes_csv's checks, given the ``declared``
+    ids read from records_path or None."""
+    text = read_text(path)
+    plain = _plain_columns(_PLAIN_VOTES, text, len(VOTES_HEADER))
+    if plain is not None:
+        firsts, seconds, yes, total = plain
+        yes, total = list(map(int, yes)), list(map(int, total))
+        pairs = [(a, b) if a < b else (b, a) for a, b in zip(firsts, seconds)]
+        if (all(map(le, yes, total)) and min(total, default=1) >= 1
+                and not any(map(eq, firsts, seconds)) and len(set(pairs)) == len(pairs)
+                and (declared is None or declared.issuperset(firsts + seconds))):
+            return list(zip(pairs, yes, total))
+    # the checked path: row by row, naming the line of the first bad row
+    rows = []
     seen: dict[Pair, int] = {}
-    with _open_reader(path) as fh:
+    with io.StringIO(text, newline="") as fh:
         reader = csv.reader(fh)
         _check_header(next(reader, None), VOTES_HEADER, path)
         for lineno, row in _rows(reader, path, len(VOTES_HEADER)):
@@ -137,7 +181,8 @@ def _vote_rows(path, declared, records_path):
                     if r not in declared:
                         raise ValueError(f"{path}:{lineno}: record {r!r} in pair {pair} "
                                          f"is not declared in {records_path}")
-            yield pair, yes, total
+            rows.append((pair, yes, total))
+    return rows
 
 
 def read_votes_csv(path, records=None, records_path=None) -> list[tuple[Pair, VoteTally]]:
@@ -250,11 +295,11 @@ def read_curve_csv(path) -> list[MetricsSnapshot]:
 
 
 def load_graph(records_path, votes_path) -> UncertainGraph:
-    """records.csv plus votes.csv into an UncertainGraph in one checked
-    pass: each vote row's YES fraction goes straight into the edges, in
+    """records.csv plus votes.csv into an UncertainGraph, each file read
+    once: each vote row's YES fraction goes straight into the edges, in
     file order.  A bad row, or a vote naming an undeclared record, is
-    rejected with its line as read_votes_csv rejects it."""
-    graph = UncertainGraph(read_records_csv(records_path))
-    for pair, yes, total in _vote_rows(votes_path, graph._record_set, records_path):
-        graph.edges[pair] = yes / total
-    return graph
+    rejected with its line as read_votes_csv rejects it.  Record ids are
+    checked once, by read_records_csv."""
+    records = read_records_csv(records_path)
+    rows = _vote_rows(votes_path, frozenset(records), records_path)
+    return UncertainGraph._from_checked(records, {pair: yes / total for pair, yes, total in rows})

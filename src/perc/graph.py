@@ -78,6 +78,14 @@ class UncertainGraph:
         self._lineage: list[Pair] = []
         self._n = 0
 
+    @classmethod
+    def _from_checked(cls, records: list[str], edges: dict[Pair, float]) -> "UncertainGraph":
+        """The graph over distinct valid ids and edges as __init__ checks them."""
+        g = cls.__new__(cls)
+        g.records, g.edges, g._lineage, g._n = tuple(sorted(records)), edges, [], 0
+        g._record_set = frozenset(g.records)
+        return g
+
     def _check_pair(self, pair: Pair) -> Pair:
         a, b = pair
         key = canonical_pair(a, b)

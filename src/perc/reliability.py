@@ -129,14 +129,16 @@ def _check_block(clustering: Clustering, block) -> Block:
 
 
 def spanning_products(graph: UncertainGraph, clustering: Clustering,
-                      blocks: set | None = None) -> dict[BlockPairKey, float]:
+                      blocks: set | None = None,
+                      within: dict | None = None) -> dict[BlockPairKey, float]:
     """prod(p) over the edges spanning each block pair, in one edge pass.
 
     Keys are (block_j, block_k) with block_j < block_k, as
     Clustering.block_pairs yields them; pairs with no spanning edge have no
     entry, and with ``blocks`` given, neither do pairs that have no block in
     it.  Edges are folded in canonical order, the order disconnectivity
-    multiplies them in, so 1 - prod equals its value exactly.
+    multiplies them in, so 1 - prod equals its value exactly.  ``within``
+    gets each block's edges_within, as a list, from the same pass.
     """
     owner = clustering._owner
     edges = graph.edges.items()
@@ -149,6 +151,8 @@ def spanning_products(graph: UncertainGraph, clustering: Clustering,
         ba = owner[a]
         bb = owner[b]
         if ba is bb:
+            if within is not None:
+                within.setdefault(ba, []).append(((a, b), p))
             continue
         key = (ba, bb) if ba < bb else (bb, ba)
         products[key] = products.get(key, 1.0) * p
@@ -177,7 +181,8 @@ def disconnectivity(graph: UncertainGraph, clustering: Clustering,
     return 1.0 - prod_all_no_fail
 
 
-def _reduced_block(graph: UncertainGraph, block) -> tuple[dict[str, int], int, list]:
+def _reduced_block(graph: UncertainGraph, block,
+                   intra: list | None = None) -> tuple[dict[str, int], int, list]:
     """The block with its certain edges contracted: sorted member ->
     super-vertex, the super-vertex count, and the edges left as
     (vertex, vertex, p) in canonical order.  The p = 1 edges join members
@@ -188,7 +193,8 @@ def _reduced_block(graph: UncertainGraph, block) -> tuple[dict[str, int], int, l
     if not members:
         raise ValueError("block is empty")
     position = {r: i for i, r in enumerate(members)}
-    intra = graph.edges_within(members)
+    if intra is None:
+        intra = graph.edges_within(members)
     uf = UnionFind(len(members))
     for (a, b), p in intra:
         if p == 1.0:
@@ -376,8 +382,8 @@ def block_connectivity(graph: UncertainGraph, block,
                                 samples=params.mc_samples, seed=seed)
 
 
-def pair_connectivity(graph: UncertainGraph, block, pairs,
-                      params: ReliabilityParams) -> tuple[float, list[float]]:
+def pair_connectivity(graph: UncertainGraph, block, pairs, params: ReliabilityParams,
+                      intra: list | None = None) -> tuple[float, list[float]]:
     """c(block) and c(block + certain pair) for each pair, by one method.
 
     The method is picked once, from the uncertain edge count after
@@ -390,9 +396,9 @@ def pair_connectivity(graph: UncertainGraph, block, pairs,
     the one block_connectivity samples it from: the base on the block's
     edges and each pair on those plus the pair at probability 1.  A pair
     inside one super-vertex gets exactly the base.  Raises ValueError for
-    a pair outside the block.
+    a pair outside the block.  intra is graph.edges_within(block), if known.
     """
-    index, n, edges = _reduced_block(graph, block)
+    index, n, edges = _reduced_block(graph, block, intra)
     pair_edges = [_pair_index(index, pair) for pair in pairs]
     if solved_exactly(len(edges) + 1, params):
         connected, split = _partition_dp(n, edges, 2)

@@ -135,9 +135,10 @@ class PriorityState:
 
 
 def _intra_gains(graph: UncertainGraph, block: Block, pairs: list[Pair],
-                 params: ReliabilityParams) -> list[float]:
-    """log10 c(block + certain pair) - log10 c(block) for each pair."""
-    base, values = pair_connectivity(graph, block, pairs, params)
+                 params: ReliabilityParams, intra: list | None = None) -> list[float]:
+    """log10 c(block + certain pair) - log10 c(block) for each pair; intra
+    as pair_connectivity takes it."""
+    base, values = pair_connectivity(graph, block, pairs, params, intra)
     floor = log10_clamped(base, params.epsilon)
     return [log10_clamped(value, params.epsilon) - floor for value in values]
 
@@ -170,21 +171,12 @@ def pair_priority(graph: UncertainGraph, clustering: Clustering, pair: Pair,
 
 def _absent_intra_pairs(graph: UncertainGraph, block: Block,
                         allowed: frozenset | None) -> list[Pair]:
-    out = []
-    for i, a in enumerate(block):
-        for b in block[i + 1:]:
-            if not graph.has_edge(a, b) and (allowed is None or (a, b) in allowed):
-                out.append((a, b))
-    return out
-
-
-def _intra_entries_for_block(graph: UncertainGraph, block: Block,
-                             params: ReliabilityParams,
-                             allowed: frozenset | None) -> dict[Pair, float]:
-    pairs = _absent_intra_pairs(graph, block, allowed)
-    if not pairs:
-        return {}
-    return dict(zip(pairs, _intra_gains(graph, block, pairs, params)))
+    if len(block) < 2:
+        return []
+    # the block is sorted, so each (a, b) is canonical
+    edges = graph.edges
+    return [(a, b) for i, a in enumerate(block) for b in block[i + 1:]
+            if (a, b) not in edges and (allowed is None or (a, b) in allowed)]
 
 
 def _set_inter(inter: dict[BlockPairKey, tuple[Pair, float]], graph: UncertainGraph,
@@ -192,7 +184,10 @@ def _set_inter(inter: dict[BlockPairKey, tuple[Pair, float]], graph: UncertainGr
                allowed: frozenset | None) -> None:
     """Store (representative, gain) for a block pair whose disconnectivity
     is dis, or drop its entry once no absent spanning pair is left to ask."""
-    rep = next(graph.absent_pairs_between(*key, allowed), None)
+    # (min, min) is the first pair absent_pairs_between would try
+    rep = (key[0][0], key[1][0])
+    if rep in graph.edges or allowed is not None and rep not in allowed:
+        rep = next(graph.absent_pairs_between(*key, allowed), None)
     if rep is None:
         inter.pop(key, None)
     else:
@@ -200,16 +195,20 @@ def _set_inter(inter: dict[BlockPairKey, tuple[Pair, float]], graph: UncertainGr
 
 
 def _price(state: PriorityState, fresh: frozenset[Block], touched_blocks: set[Block],
-           priced: dict[BlockPairKey, float]) -> None:
+           priced: dict[BlockPairKey, float], within: dict | None = None) -> None:
     """Price what the state's carried entries lack for its clustering: the
     candidates of each new or touched block, the block pairs in priced
     (with their disconnectivity), and the unspanned pairs with a new block
-    whose (min, min) pair may not be asked."""
+    whose (min, min) pair may not be asked.  within, when given, lists
+    each block's intra edges as spanning_products(within=) does."""
     graph, params, allowed = state.graph, state.params, state.allowed
     intra, inter = state.intra, state.inter
     state.spanned.update(priced)
     for block in touched_blocks | fresh:
-        intra.update(_intra_entries_for_block(graph, block, params, allowed))
+        pairs = _absent_intra_pairs(graph, block, allowed)
+        if pairs:
+            edges = None if within is None else within.get(block, [])
+            intra.update(zip(pairs, _intra_gains(graph, block, pairs, params, edges)))
     for key, dis in priced.items():
         _set_inter(inter, graph, key, dis, params, allowed)
     if allowed is not None:
@@ -232,8 +231,10 @@ def build_state(graph: UncertainGraph, clustering: Clustering,
     refresh_after_answer carries the state from round to round."""
     check_covers(graph, clustering)
     state = PriorityState(graph, clustering, params or ReliabilityParams(), allowed)
-    priced = {key: 1.0 - prod for key, prod in spanning_products(graph, clustering).items()}
-    _price(state, frozenset(clustering.blocks), set(), priced)
+    within: dict[Block, list] = {}
+    priced = {key: 1.0 - prod for key, prod
+              in spanning_products(graph, clustering, within=within).items()}
+    _price(state, frozenset(clustering.blocks), set(), priced, within)
     return state
 
 

@@ -1,10 +1,13 @@
 """CSV readers and writers: round trips and error reporting."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perc import Clustering, GoldClustering, MetricsSnapshot, VoteTally, ingest_votes
+import perc.fileio
 from perc.cli import main
 from perc.fileio import (
     load_graph,
@@ -297,3 +300,104 @@ class TestNotUtf8:
         with pytest.raises(ValueError) as exc:
             reader(path)
         assert str(exc.value) == f"{path}:{line}: not UTF-8 text"
+
+
+PLAIN_IDS = ["r0", "r1", "r2", "r3"]
+# ids no file declares, or that csv.reader reads apart from str.splitlines
+# (\x0b, \x1c, U+2028), quoted, empty or with a BOM
+ODD_IDS = st.sampled_from(["r9", "r1\x0br2", "r2\x1c", "r3\u2028", '"r1"', '"r,2"', "",
+                           "\ufeffr0"])
+# (yes, total) out of bounds, zero-padded, of 5,000 digits, or that int()
+# reads though they are not ASCII digits
+ODD_TALLIES = st.sampled_from([("6", "5"), ("0", "0"), ("3", "007"), ("0" * 4999 + "3", "5"),
+                               ("9" * 5000, "9" * 5000), ("+3", "5"), (" 4", "5"), ("", "5")])
+ROW_ENDS = st.sampled_from(["\n", "\r\n"])
+
+
+def mostly(plain, odd):
+    """plain about four times in five, odd otherwise."""
+    return st.sampled_from([plain] * 4 + [odd]).flatmap(lambda chosen: chosen)
+
+
+ANY_ID = st.sampled_from(PLAIN_IDS) | ODD_IDS
+VOTE_ROWS = st.tuples(
+    # two declared records in either order, or any two ids
+    mostly(st.permutations(PLAIN_IDS).map(lambda ids: ids[:2]), st.tuples(ANY_ID, ANY_ID)),
+    # yes and total within bounds, or any two counts
+    mostly(st.integers(1, 7).flatmap(lambda t: st.tuples(st.integers(0, t), st.just(t)))
+           .map(lambda tally: tuple(map(str, tally))),
+           ODD_TALLIES),
+).map(lambda row: [*row[0], *row[1]])
+
+
+def csv_text(header, rows, ends, blank_at, final_end, bom):
+    """The header and rows, each line ended by its entry in ends, with a
+    blank line after row blank_at (if not None), the last line end only if
+    final_end, and a BOM first if bom."""
+    lines = [",".join(row) + end for row, end in zip([header, *rows], ends)]
+    if blank_at is not None:
+        lines.insert(blank_at + 1, ends[0])
+    text = ("\ufeff" if bom else "") + "".join(lines)
+    return text if final_end else text.rstrip("\r\n")
+
+
+def csv_file(header, rows):
+    """Files of the header and rows: mixed line ends, and now and then a
+    blank line, no final line end, or a BOM."""
+    return st.builds(csv_text, st.just(header), st.just(rows),
+                     st.lists(ROW_ENDS, min_size=len(rows) + 1, max_size=len(rows) + 1),
+                     mostly(st.none(), st.integers(0, len(rows))),
+                     mostly(st.just(True), st.just(False)), mostly(st.just(False), st.just(True)))
+
+
+# (records text, votes text): the declared records or any list of ids, and
+# vote rows on distinct pairs or on any pairs
+CSV_FILES = st.tuples(
+    mostly(st.permutations(PLAIN_IDS), st.lists(ANY_ID, min_size=1, max_size=6))
+    .flatmap(lambda ids: csv_file(["record_id"], [[r] for r in ids])),
+    mostly(st.lists(VOTE_ROWS, max_size=6, unique_by=lambda row: frozenset(row[:2])),
+           st.lists(VOTE_ROWS, max_size=6))
+    .flatmap(lambda rows: csv_file(["record_a", "record_b", "yes", "total"], rows)))
+
+
+def outcomes(records_path, votes_path):
+    """What each reader makes of the two files: the graph with exact float
+    bits and key order, the rows, or the error text."""
+    out = []
+    for read in (lambda: read_records_csv(records_path),
+                 lambda: read_votes_csv(votes_path),
+                 lambda: read_votes_csv(votes_path, read_records_csv(records_path),
+                                        records_path),
+                 lambda: [(pair, p.hex()) for pair, p
+                          in load_graph(records_path, votes_path).edges.items()],
+                 lambda: load_graph(records_path, votes_path).records):
+        try:
+            out.append(read())
+        except ValueError as exc:
+            out.append(f"error: {exc}")
+    return out
+
+
+@settings(max_examples=400, deadline=None)
+@given(files=CSV_FILES)
+def test_plain_path_agrees_with_the_checked_reader(tmp_path_factory, files):
+    """Every records and votes file gives the same ids, rows and graph, or
+    the same error text, whether or not the plain-row path may take it."""
+    d = tmp_path_factory.mktemp("plain")
+    records_path, votes_path = d / "records.csv", d / "votes.csv"
+    records_path.write_text(files[0], encoding="utf-8", newline="")
+    votes_path.write_text(files[1], encoding="utf-8", newline="")
+    with mock.patch.object(perc.fileio, "_plain_columns", lambda *args: None):
+        checked = outcomes(records_path, votes_path)
+    assert outcomes(records_path, votes_path) == checked
+
+
+def test_written_files_take_the_plain_path(tmp_path):
+    """The files perc writes, CRLF line ends and all, never reach csv.reader."""
+    write_records_csv(tmp_path / "records.csv", ["b", "a", "c"])
+    write_votes_csv(tmp_path / "votes.csv", [(("c", "a"), VoteTally(0, 3)),
+                                             (("a", "b"), VoteTally(3, 3))])
+    with mock.patch.object(perc.fileio.csv, "reader", None):
+        graph = load_graph(tmp_path / "records.csv", tmp_path / "votes.csv")
+    assert graph.records == ("a", "b", "c")
+    assert list(graph.edges.items()) == [(("a", "c"), 0.0), (("a", "b"), 1.0)]

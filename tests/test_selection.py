@@ -259,9 +259,9 @@ class TestBuildState:
         assert clustering.blocks == (("A", "B", "C"), ("D", "E", "F"))
         priced = []
 
-        def counted(graph, block, pairs, params):
+        def counted(graph, block, pairs, params, *intra):
             priced.append(tuple(block))
-            return pair_connectivity(graph, block, pairs, params)
+            return pair_connectivity(graph, block, pairs, params, *intra)
         monkeypatch.setattr(perc.selection, "pair_connectivity", counted)
         carried_gain = state.intra[("A", "C")]
         refresh_after_answer(state, grown, clustering)
@@ -440,9 +440,9 @@ class TestRefreshAfterAnswer:
             grown = grown.with_edge(*pair, probability=p)
         priced = []
 
-        def counted(graph, block, pairs, params):
+        def counted(graph, block, pairs, params, *intra):
             priced.append(tuple(block))
-            return pair_connectivity(graph, block, pairs, params)
+            return pair_connectivity(graph, block, pairs, params, *intra)
         monkeypatch.setattr(perc.selection, "pair_connectivity", counted)
         refresh_after_answer(state, grown, c)
         assert priced == [("A", "B", "C", "D", "E")]
