@@ -46,7 +46,10 @@ def read_config_file(path) -> dict:
     flag ('_' may stand for '-'); # starts a comment.  Returns (typed value,
     line number) keyed by the ExperimentConfig field or I/O key it sets."""
     entries: dict = {}
-    for lineno, raw in enumerate(read_text(path).splitlines(), 1):
+    # lines end at \n alone, as read_text's line numbers count them;
+    # splitlines would also end one at \x0c, \x85, U+2028 or a lone \r
+    for lineno, raw in enumerate(read_text(path).split("\n"), 1):
+        raw = raw.removesuffix("\r")
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -72,22 +72,36 @@ def _open_reader(path):
     return io.StringIO(read_text(path), newline="")
 
 
+def _csv_error(reader, path, exc: csv.Error) -> ValueError:
+    # csv.reader's own error, such as a field over csv.field_size_limit()
+    return ValueError(f"{path}:{reader.line_num}: {exc}")
+
+
 def _rows(reader, path, width: int, optional: int = 0):
     """(line, row) for each non-empty row after the header.  The line is
     the physical line the row ends on; after a quoted field that spans
     lines it runs ahead of the row count.  A row must have width columns,
     of which the last ``optional`` may be left off."""
-    for row in reader:
-        if row:
-            if not width - optional <= len(row) <= width:
-                expected = (f"{width - optional} or {width} columns" if optional
-                            else f"{width} column{'s' * (width > 1)}")
-                raise ValueError(f"{path}:{reader.line_num}: expected {expected}, "
-                                 f"got {len(row)}")
-            yield reader.line_num, row
+    try:
+        for row in reader:
+            if row:
+                if not width - optional <= len(row) <= width:
+                    expected = (f"{width - optional} or {width} columns" if optional
+                                else f"{width} column{'s' * (width > 1)}")
+                    raise ValueError(f"{path}:{reader.line_num}: expected {expected}, "
+                                     f"got {len(row)}")
+                yield reader.line_num, row
+    except csv.Error as exc:
+        raise _csv_error(reader, path, exc) from None
 
 
-def _check_header(row, expected, path, optional_tail=()):
+def _check_header(reader, expected, path, optional_tail=()):
+    """The header row's columns after the expected ones, each one of
+    optional_tail, listed once."""
+    try:
+        row = next(reader, None)
+    except csv.Error as exc:
+        raise _csv_error(reader, path, exc) from None
     if row is None or row[:len(expected)] != expected:
         raise ValueError(f"{path}: expected header {','.join(expected)}, got "
                          f"{','.join(row) if row else 'an empty file'}")
@@ -117,7 +131,7 @@ def read_records_csv(path) -> list[str]:
         return plain[0]
     with io.StringIO(text, newline="") as fh:
         reader = csv.reader(fh)
-        _check_header(next(reader, None), RECORDS_HEADER, path)
+        _check_header(reader, RECORDS_HEADER, path)
         out = []
         seen = set()
         for lineno, row in _rows(reader, path, len(RECORDS_HEADER)):
@@ -156,7 +170,7 @@ def _vote_rows(path, declared, records_path) -> list[tuple[Pair, int, int]]:
     seen: dict[Pair, int] = {}
     with io.StringIO(text, newline="") as fh:
         reader = csv.reader(fh)
-        _check_header(next(reader, None), VOTES_HEADER, path)
+        _check_header(reader, VOTES_HEADER, path)
         for lineno, row in _rows(reader, path, len(VOTES_HEADER)):
             a, b, yes, total = row
             try:
@@ -212,7 +226,7 @@ def read_gold_csv(path, records=None, records_path=None) -> GoldClustering:
     difficulty: dict[str, float] = {}
     with _open_reader(path) as fh:
         reader = csv.reader(fh)
-        extra = _check_header(next(reader, None), GOLD_HEADER, path,
+        extra = _check_header(reader, GOLD_HEADER, path,
                               optional_tail=("difficulty",))
         for lineno, row in _rows(reader, path, len(GOLD_HEADER) + len(extra), len(extra)):
             rid = _record_id(row, path, lineno, entity)
@@ -247,7 +261,7 @@ def read_clusters_csv(path) -> Clustering:
     seen = set()
     with _open_reader(path) as fh:
         reader = csv.reader(fh)
-        _check_header(next(reader, None), CLUSTERS_HEADER, path)
+        _check_header(reader, CLUSTERS_HEADER, path)
         for lineno, row in _rows(reader, path, len(CLUSTERS_HEADER)):
             rid = _record_id(row, path, lineno, seen)
             seen.add(rid)
@@ -285,7 +299,7 @@ def read_curve_csv(path) -> list[MetricsSnapshot]:
     out = []
     with _open_reader(path) as fh:
         reader = csv.reader(fh)
-        _check_header(next(reader, None), CURVE_HEADER, path)
+        _check_header(reader, CURVE_HEADER, path)
         for _, row in _rows(reader, path, len(CURVE_HEADER)):
             out.append(MetricsSnapshot(questions_asked=int(row[0]),
                                        precision=float(row[1]), recall=float(row[2]),

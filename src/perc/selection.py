@@ -19,12 +19,24 @@ the unspanned ones in block order, which is already their rank order.  An
 answer only ever spans a block pair, so each walk starts where the first
 unstored entry was last found.
 
-build_state prices a state from scratch once; after that,
+build_state starts a state from scratch once; after that,
 refresh_after_answer folds each round in, whether or not it changed the
-clustering.  A round re-triggers work only where terms actually moved: it
-reprices each new block and each block with a new intra edge once, and
-each block pair with a new spanning edge or a new block; the entries of
-blocks and block pairs that survived it untouched carry over.
+clustering.  A round re-triggers work only where terms actually moved:
+each new block and each block with a new intra edge, and each block pair
+with a new spanning edge or a new block, is marked to price again; the
+entries of blocks and block pairs that survived it untouched carry over.
+
+Marked entries are priced when first read, not when marked.  No gain
+exceeds the top gain, so once select_batch has found k unstored entries,
+the k-th of them, r, bounds the batch: an entry ranks above r only at
+the top gain and with a smaller pair.  It prices a marked block only if
+its smallest pair (b[0], b[1]) sorts before r, and a marked block pair
+only if it has the top gain and its (min, min) pair sorts before r;
+with fewer than k unstored entries it prices everything marked.  gain()
+prices the one entry it reads; intra, inter, entries() and len() price
+everything marked first.  A value does not depend on when it is priced:
+a block's sampling stream is seeded from its members, and a round marks
+again whatever it changes.
 """
 
 from __future__ import annotations
@@ -53,18 +65,21 @@ class CandidatePriority:
 
 
 class PriorityState:
-    """Cached candidate gains for one (graph, clustering) snapshot.
+    """Candidate gains for one (graph, clustering) snapshot, priced on
+    first read.
 
     intra maps each absent intra-block pair to its gain, and spanned holds
     every block pair with at least one spanning edge.  An unspanned block
     pair is left unstored when its (min, min) representative may be asked;
     inter maps every other block pair with an absent spanning pair to its
     representative and shared gain.  allowed (when set) restricts
-    candidates to a fixed pair set, used in replay mode.
+    candidates to a fixed pair set, used in replay mode.  Reading intra,
+    inter, entries() or len() prices every marked entry first (see the
+    module docstring).
     """
 
-    __slots__ = ("graph", "clustering", "params", "intra", "inter", "spanned", "allowed",
-                 "_cursor")
+    __slots__ = ("graph", "clustering", "params", "spanned", "allowed", "_intra", "_inter",
+                 "_cursor", "_blocks", "_pairs", "_top")
 
     def __init__(self, graph: UncertainGraph, clustering: Clustering,
                  params: ReliabilityParams, allowed: frozenset | None = None):
@@ -72,12 +87,55 @@ class PriorityState:
         self.clustering = clustering
         self.params = params
         self.allowed = allowed
-        self.intra: dict[Pair, float] = {}
-        self.inter: dict[BlockPairKey, tuple[Pair, float]] = {}
+        self._intra: dict[Pair, float] = {}
+        self._inter: dict[BlockPairKey, tuple[Pair, float]] = {}
         self.spanned: set[BlockPairKey] = set()
         # block indices (j, k) before which no unstored entry is left; valid
         # because spanned only grows until the clustering changes
         self._cursor = (0, 1)
+        # marked, not yet priced: each block of two or more members, with
+        # its intra edges when known; each block pair, with its gain; and
+        # the marked block pairs at the top gain, the only ones that can tie
+        # an unstored entry
+        self._blocks: dict[Block, list | None] = {}
+        self._pairs: dict[BlockPairKey, float] = {}
+        self._top: set[BlockPairKey] = set()
+
+    @property
+    def intra(self) -> dict[Pair, float]:
+        self._price_all()
+        return self._intra
+
+    @property
+    def inter(self) -> dict[BlockPairKey, tuple[Pair, float]]:
+        self._price_all()
+        return self._inter
+
+    def _price_block(self, block: Block) -> None:
+        edges = self._blocks.pop(block)
+        pairs = _absent_intra_pairs(self.graph, block, self.allowed)
+        if pairs:
+            self._intra.update(zip(pairs, _intra_gains(self.graph, block, pairs,
+                                                       self.params, edges)))
+
+    def _price_pair(self, key: BlockPairKey) -> None:
+        self._top.discard(key)
+        _set_inter(self._inter, self.graph, key, self._pairs.pop(key), self.allowed)
+
+    def _price_all(self) -> None:
+        for block in list(self._blocks):
+            self._price_block(block)
+        for key in list(self._pairs):
+            self._price_pair(key)
+
+    def _price_below(self, bound: Pair) -> None:
+        """Price each marked entry that could rank before ``bound``, the
+        k-th unstored entry: each block whose smallest pair sorts before
+        it, and each top-gain block pair whose (min, min) pair does."""
+        for block in [block for block in self._blocks if (block[0], block[1]) < bound]:
+            self._price_block(block)
+        for key in [key for key in self._top if (key[0][0], key[1][0]) < bound]:
+            self._price_pair(key)
 
     def _unstored(self) -> Iterator[tuple[Pair, BlockPairKey]]:
         """(representative, block pair) of each unstored entry, in block
@@ -109,9 +167,13 @@ class PriorityState:
         owner = self.clustering._owner
         block_a, block_b = owner[pair[0]], owner[pair[1]]
         if block_a is block_b:
-            return self.intra[pair]
+            if block_a in self._blocks:
+                self._price_block(block_a)
+            return self._intra[pair]
         key = (block_a, block_b) if block_a < block_b else (block_b, block_a)
-        entry = self.inter.get(key)
+        if key in self._pairs:
+            self._price_pair(key)
+        entry = self._inter.get(key)
         if entry is not None:
             return entry[1]
         if key in self.spanned:
@@ -180,10 +242,9 @@ def _absent_intra_pairs(graph: UncertainGraph, block: Block,
 
 
 def _set_inter(inter: dict[BlockPairKey, tuple[Pair, float]], graph: UncertainGraph,
-               key: BlockPairKey, dis: float, params: ReliabilityParams,
-               allowed: frozenset | None) -> None:
-    """Store (representative, gain) for a block pair whose disconnectivity
-    is dis, or drop its entry once no absent spanning pair is left to ask."""
+               key: BlockPairKey, gain: float, allowed: frozenset | None) -> None:
+    """Store (representative, gain) for a block pair, or drop its entry
+    once no absent spanning pair is left to ask."""
     # (min, min) is the first pair absent_pairs_between would try
     rep = (key[0][0], key[1][0])
     if rep in graph.edges or allowed is not None and rep not in allowed:
@@ -191,26 +252,24 @@ def _set_inter(inter: dict[BlockPairKey, tuple[Pair, float]], graph: UncertainGr
     if rep is None:
         inter.pop(key, None)
     else:
-        inter[key] = (rep, _inter_gain(dis, params))
+        inter[key] = (rep, gain)
 
 
-def _price(state: PriorityState, fresh: frozenset[Block], touched_blocks: set[Block],
-           priced: dict[BlockPairKey, float], within: dict | None = None) -> None:
-    """Price what the state's carried entries lack for its clustering: the
-    candidates of each new or touched block, the block pairs in priced
-    (with their disconnectivity), and the unspanned pairs with a new block
-    whose (min, min) pair may not be asked.  within, when given, lists
-    each block's intra edges as spanning_products(within=) does."""
-    graph, params, allowed = state.graph, state.params, state.allowed
-    intra, inter = state.intra, state.inter
-    state.spanned.update(priced)
+def _mark(state: PriorityState, fresh: frozenset[Block], touched_blocks: set[Block],
+          priced: dict[BlockPairKey, float], within: dict | None = None) -> None:
+    """Mark for pricing what the state's carried entries lack for its
+    clustering: the candidates of each new or touched block, the block
+    pairs in priced (with their disconnectivity), and the unspanned pairs
+    with a new block whose (min, min) pair may not be asked.  within, when
+    given, lists each block's intra edges as spanning_products(within=)
+    does."""
+    params, allowed, spanned = state.params, state.allowed, state.spanned
+    spanned.update(priced)
     for block in touched_blocks | fresh:
-        pairs = _absent_intra_pairs(graph, block, allowed)
-        if pairs:
-            edges = None if within is None else within.get(block, [])
-            intra.update(zip(pairs, _intra_gains(graph, block, pairs, params, edges)))
-    for key, dis in priced.items():
-        _set_inter(inter, graph, key, dis, params, allowed)
+        if len(block) > 1:
+            state._blocks[block] = None if within is None else within.get(block, [])
+    top = _inter_gain(0.0, params)
+    marked = {key: _inter_gain(dis, params) for key, dis in priced.items()}
     if allowed is not None:
         # unspanned pairs are left unstored unless their (min, min) pair may
         # not be asked; each pair with a new block once: blocks are sorted,
@@ -220,21 +279,29 @@ def _price(state: PriorityState, fresh: frozenset[Block], touched_blocks: set[Bl
         for key in ((bj, bk) if j < k else (bk, bj)
                     for j, bj in enumerate(blocks) if is_new[j]
                     for k, bk in enumerate(blocks) if k > j or (k < j and not is_new[k])):
-            if key not in state.spanned and (key[0][0], key[1][0]) not in allowed:
-                _set_inter(inter, graph, key, 0.0, params, allowed)
+            if key not in spanned and (key[0][0], key[1][0]) not in allowed:
+                marked[key] = top
+    for key, gain in marked.items():
+        state._inter.pop(key, None)  # so that no read meets the old gain
+        state._pairs[key] = gain
+        if gain == top:
+            state._top.add(key)
+        else:
+            state._top.discard(key)
 
 
 def build_state(graph: UncertainGraph, clustering: Clustering,
                 params: ReliabilityParams | None = None, *,
                 allowed: frozenset | None = None) -> PriorityState:
-    """Price every candidate for the given clustering, from scratch;
-    refresh_after_answer carries the state from round to round."""
+    """A state for the given clustering, from scratch, with every
+    candidate marked for pricing; refresh_after_answer carries the state
+    from round to round."""
     check_covers(graph, clustering)
     state = PriorityState(graph, clustering, params or ReliabilityParams(), allowed)
     within: dict[Block, list] = {}
     priced = {key: 1.0 - prod for key, prod
               in spanning_products(graph, clustering, within=within).items()}
-    _price(state, frozenset(clustering.blocks), set(), priced, within)
+    _mark(state, frozenset(clustering.blocks), set(), priced, within)
     return state
 
 
@@ -244,8 +311,8 @@ def refresh_after_answer(state: PriorityState, graph: UncertainGraph,
 
     ``graph`` extends ``state.graph`` with the round's answers, and
     ``clustering`` is the clustering after the round, changed or not.
-    Entries whose inputs did not change are carried over instead of
-    repriced:
+    Entries whose inputs did not change are carried over, priced or
+    still marked:
 
     - the intra entries of a surviving block with no new intra edge;
     - the inter entry of a surviving block pair with no new spanning edge,
@@ -254,7 +321,7 @@ def refresh_after_answer(state: PriorityState, graph: UncertainGraph,
     The entries of gone and touched blocks and of the block pairs in
     ``changes.dropped`` are dropped by key.  New blocks, blocks that a new
     edge touched (each once, however many answers it got) and the block
-    pairs changes_since prices are priced afresh, so the state equals a
+    pairs changes_since prices are marked afresh, so the state equals a
     build_state on (graph, clustering).  ``changes`` is changes_since(
     state.graph, state.clustering, graph, clustering), which the caller
     may share with every holder of the round's change; without it, this
@@ -265,19 +332,24 @@ def refresh_after_answer(state: PriorityState, graph: UncertainGraph,
         changes = changes_since(state.graph, state.clustering, graph, clustering)
     emptied = list(changes.touched)  # the blocks whose intra entries go
     if changes.gone:
-        # priced pairs are set below.  Block indices moved, so the unstored
-        # walk starts over, even when no old block pair was dropped
+        # priced pairs are marked below.  Block indices moved, so the
+        # unstored walk starts over, even when no old block pair was dropped
         emptied += changes.gone
         for key in changes.dropped:
-            state.inter.pop(key, None)
+            state._inter.pop(key, None)
+            state._pairs.pop(key, None)
+            state._top.discard(key)
             state.spanned.discard(key)
         state._cursor = (0, 1)
     for block in emptied:
+        if block in state._blocks:
+            del state._blocks[block]  # never priced, so it has no entries
+            continue
         for i, a in enumerate(block):
             for b in block[i + 1:]:
-                state.intra.pop((a, b), None)
+                state._intra.pop((a, b), None)
     state.graph, state.clustering = graph, clustering
-    _price(state, changes.fresh, changes.touched, changes.priced)
+    _mark(state, changes.fresh, changes.touched, changes.priced)
 
 
 def select_next(state: PriorityState) -> Pair | None:
@@ -306,18 +378,24 @@ def select_batch(state: PriorityState, k: int) -> list[Pair]:
     n = len(state.graph.records)
     k = min(k, n * (n - 1) // 2)  # no batch exceeds the pairs; islice needs k <= sys.maxsize
     # (-gain, pair) keys are unique, so the k smallest are entries()[:k].
-    # The unstored entries come in rank order at the top gain, so once k of
-    # them are found, only a stored entry at or above that gain can rank.
+    # The unstored entries come in rank order at the top gain, which no
+    # gain exceeds, so once k of them are found, only an entry at that gain
+    # and before the k-th of them can rank, and only such may need pricing.
     top_gain = _inter_gain(0.0, state.params)
     unstored = list(islice(state._unstored(), k))
-    floor = top_gain if len(unstored) == k else -math.inf
-    keys = [(-gain, pair) for pair, gain in state.intra.items() if gain >= floor]
-    keys += [(-gain, rep) for rep, gain in state.inter.values() if gain >= floor]
+    if len(unstored) == k:
+        state._price_below(unstored[-1][0])
+        floor = top_gain
+    else:
+        state._price_all()
+        floor = -math.inf
+    keys = [(-gain, pair) for pair, gain in state._intra.items() if gain >= floor]
+    keys += [(-gain, rep) for rep, gain in state._inter.values() if gain >= floor]
     keys += [(-top_gain, rep) for rep, _ in unstored]
     batch = [pair for _, pair in heapq.nsmallest(k, keys)]
     if len(batch) < k:
         # every representative is in the batch; block pairs go in queue order
-        fill = [(-gain, rep, key) for key, (rep, gain) in state.inter.items()]
+        fill = [(-gain, rep, key) for key, (rep, gain) in state._inter.items()]
         fill += [(-top_gain, rep, key) for rep, key in unstored]
         fill.sort()
         for _, rep, (bj, bk) in fill:

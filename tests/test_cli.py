@@ -1,6 +1,7 @@
 """The perc command line: every subcommand through main(argv)."""
 
 import contextlib
+import csv
 import dataclasses
 import io
 import os
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import perc.cli
+import perc.selection
 from perc import (Clustering, ExperimentConfig, GoldClustering, ReliabilityParams,
                   UncertainGraph, VoteTally)
 from perc.cli import build_parser, main, read_config_file
@@ -28,6 +30,7 @@ from perc.fileio import (
     write_records_csv,
     write_votes_csv,
 )
+from perc.reliability import pair_connectivity
 
 from conftest import EIGHT, RUNNING_BLOCKS, running_vote_rows
 
@@ -108,6 +111,25 @@ class TestNext:
         every = capsys.readouterr().out
         assert main([*argv, str(10**20)]) == 0
         assert capsys.readouterr().out == every
+
+    def test_prices_only_blocks_below_the_bound(self, tmp_path, capsys, monkeypatch):
+        # four blocks of three that no edge spans: the batch of two is
+        # (A, D) and (A, G), and no pair of a block after (A, G) can rank
+        blocks = ["ABC", "DEF", "GHI", "JKL"]
+        write_records_csv(tmp_path / "records.csv", [r for block in blocks for r in block])
+        write_votes_csv(tmp_path / "votes.csv", [((a, b), VoteTally(4, 5)) for x, y, z in blocks
+                                                 for a, b in ((x, y), (y, z))])
+        priced = []
+
+        def counted(graph, block, pairs, params, *intra):
+            priced.append(tuple(block))
+            return pair_connectivity(graph, block, pairs, params, *intra)
+        monkeypatch.setattr(perc.selection, "pair_connectivity", counted)
+        code = main(["next", "--graph", str(tmp_path / "votes.csv"),
+                     "--records", str(tmp_path / "records.csv"), "--batch", "2"])
+        assert code == 0
+        assert capsys.readouterr().out == "A,D,12.0\nA,G,12.0\n"
+        assert priced == [("A", "B", "C")]
 
     def test_exhausted_graph_exits_nonzero(self, tmp_path, capsys):
         write_records_csv(tmp_path / "records.csv", ["a", "b"])
@@ -419,6 +441,30 @@ class TestConfigFile:
         assert capsys.readouterr().err == (
             f"error: {cfg}:2: budget expects int, got 'abc'\n")
 
+    # characters at which str.splitlines, but not a file's line count, ends a line
+    LINE_BREAKS = ["\x0c", "\x0b", "\x1c", "\x1e", "\x85", "\u2028", "\u2029", "\r"]
+
+    @pytest.mark.parametrize("brk", LINE_BREAKS)
+    def test_only_a_newline_ends_a_line(self, tmp_path, brk):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(f"# note{brk}more\nbatch = 3\r\n".encode())
+        assert read_config_file(cfg) == {"batch_size": (3, 2)}
+
+    def test_crlf_line_is_quoted_without_its_cr(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"budget = 10\r\njust a line\r\n")
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {cfg}:2: expected 'key = value', got 'just a line'\n"
+
+    @pytest.mark.parametrize("brk", LINE_BREAKS)
+    def test_bad_value_after_a_line_break_names_its_physical_line(self, tmp_path, capsys,
+                                                                   brk):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(f"# one{brk}# two\nbatch = x\n".encode())
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}:2: batch expects int, got 'x'\n"
+
 
     @pytest.mark.parametrize("line, message", [
         ("budget = -1", "budget must be >= 0, got -1"),
@@ -626,6 +672,39 @@ NUL_READERS = {
     "clusters.csv": EVAL,
     "run.cfg": ["run", "--config", "run.cfg"],
 }
+
+
+# input file -> the command lines that read it, files named as for NUL_READERS
+FIELD_LIMIT_READERS = [
+    ("records.csv", CLUSTER), ("records.csv", NUL_READERS["records.csv"]),
+    ("votes.csv", CLUSTER), ("votes.csv", NUL_READERS["records.csv"]),
+    ("replay.csv", NUL_READERS["replay.csv"]),
+    ("gold.csv", EVAL), ("clusters.csv", EVAL),
+]
+
+
+class TestFieldLimit:
+    """A field longer than csv.field_size_limit() makes csv.reader raise
+    csv.Error, which is no ValueError; it exits 1 naming the file and the
+    line, in a header row as in any other."""
+
+    @pytest.mark.parametrize("line", [1, 3], ids=["header", "row"])
+    @pytest.mark.parametrize("name, argv", FIELD_LIMIT_READERS,
+                             ids=[f"{name}-{argv[0]}" for name, argv in FIELD_LIMIT_READERS])
+    def test_names_file_and_line(self, tmp_path, capsys, name, argv, line):
+        write_records_csv(tmp_path / "records.csv", EIGHT)
+        write_votes_csv(tmp_path / "votes.csv", running_vote_rows())
+        write_votes_csv(tmp_path / "replay.csv", running_vote_rows())
+        write_gold_csv(tmp_path / "gold.csv", GoldClustering(
+            {r: block[0] for block in RUNNING_BLOCKS for r in block}))
+        write_clusters_csv(tmp_path / "clusters.csv", Clustering(RUNNING_BLOCKS))
+        path = tmp_path / name
+        lines = path.read_text().split("\n")
+        lines[line - 1] = "x" * (csv.field_size_limit() + 1) + lines[line - 1]
+        path.write_text("\n".join(lines))
+        assert main([str(tmp_path / arg) if "." in arg else arg for arg in argv]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {path}:{line}: field larger than field limit ({csv.field_size_limit()})\n"
 
 
 class TestNulByte:

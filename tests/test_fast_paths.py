@@ -558,6 +558,61 @@ def test_queue_with_unstored_pairs_equals_every_block_pair(graph, data):
         assert_queue_matches_reference(state)
 
 
+@st.composite
+def sparse_graphs_with_clusterings(draw):
+    """About one pair in four answered, under a random clustering: many
+    block pairs that no edge spans, blocks with no inner edge and block
+    pairs spanned only at p = 1, all of which carry the top gain."""
+    graph, clustering = draw(graphs_with_clusterings(max_records=8))
+    kept = {pair: p for pair, p in graph.edges.items() if draw(st.booleans())}
+    return UncertainGraph.from_probabilities(graph.records, kept), clustering
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_graphs_with_clusterings(), st.data())
+def test_select_batch_on_a_marked_state_equals_a_priced_one(case, data):
+    """select_batch prices only the marked entries that can still rank.
+    On a state fresh from a cold build, or from a carried one that a
+    batch was drawn from and a round was folded into, it must return what
+    the same state fully priced ranks, for every batch size, and gain()
+    must read each returned pair's full price."""
+    graph, clustering = case
+    allowed = draw_allowed(data, graph)
+    limit = data.draw(st.sampled_from((0, 3, 8)), label="limit")
+    params = ReliabilityParams(mc_samples=20, exact_edge_limit=limit)
+
+    def marked_state(graph, clustering, previous):
+        """A cold build, or a build on the previous graph and clustering
+        that a batch was drawn from, carried to these."""
+        if previous is None:
+            return build_state(graph, clustering, params, allowed=allowed)
+        *before, drawn_k = previous
+        state = build_state(*before, params, allowed=allowed)
+        select_batch(state, drawn_k)
+        refresh_after_answer(state, graph, clustering)
+        return state
+    previous = None
+    for round_index in range(3):
+        priced = marked_state(graph, clustering, previous)
+        state = marked_state(graph, clustering, previous)
+        for entry in priced.entries():
+            assert state.gain(entry.pair) == entry.gain
+        absent = list(graph.absent_pairs())
+        for k in range(1, len(absent) + 3):
+            state = marked_state(graph, clustering, previous)
+            batch = select_batch(state, k)
+            assert batch == select_batch(priced, k)
+            assert [state.gain(pair) for pair in batch] == [priced.gain(pair) for pair in batch]
+        if not absent:
+            break
+        previous = (graph, clustering, data.draw(st.integers(1, 6), label="previous batch"))
+        for pair in data.draw(st.lists(st.sampled_from(absent), min_size=1, max_size=4,
+                                       unique=True), label="batch"):
+            graph = graph.with_edge(*pair, probability=data.draw(
+                st.sampled_from(FRACTIONS), label="p"))
+        clustering = data.draw(next_clusterings(graph, clustering), label="clustering")
+
+
 @ORACLE
 @given(graphs_with_clusterings(), st.data())
 def test_absent_pairs_between_equals_scan(case, data):

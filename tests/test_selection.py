@@ -257,16 +257,16 @@ class TestBuildState:
         grown = graph.with_edge("E", "F", probability=0.9)
         clustering = scc_cluster(grown)
         assert clustering.blocks == (("A", "B", "C"), ("D", "E", "F"))
+        carried_gain = state.intra[("A", "C")]
         priced = []
 
         def counted(graph, block, pairs, params, *intra):
             priced.append(tuple(block))
             return pair_connectivity(graph, block, pairs, params, *intra)
         monkeypatch.setattr(perc.selection, "pair_connectivity", counted)
-        carried_gain = state.intra[("A", "C")]
         refresh_after_answer(state, grown, clustering)
-        assert priced == [("D", "E", "F")]
         assert state.intra[("A", "C")] == carried_gain
+        assert priced == [("D", "E", "F")]
         assert states_equal(state, build_state(grown, clustering, params))
 
     def test_previous_graph_must_agree_on_records_and_probabilities(
@@ -326,6 +326,16 @@ class TestSelectBatch:
         state = build_state(running_graph, running_clustering)
         assert select_batch(state, 4) == [
             ("E", "H"), ("A", "D"), ("F", "G"), ("B", "C")]
+
+    def test_a_block_before_the_bound_is_priced_whole(self):
+        # A joins {B, F} through either absent pair, which the certain B-F
+        # edge makes certain, so both carry the top gain.  The batch of two
+        # stops at the unstored (A, D), after (A, B) but before (A, F)
+        g = UncertainGraph.from_probabilities("ABCDEF", {("B", "F"): 1.0})
+        c = Clustering([["A", "B", "F"], ["C"], ["D"], ["E"]])
+        assert select_batch(build_state(g, c), 2) == [("A", "B"), ("A", "C")]
+        assert select_batch(build_state(g, c), 5) == [
+            ("A", "B"), ("A", "C"), ("A", "D"), ("A", "E"), ("A", "F")]
 
     def test_batch_one_equals_select_next(self):
         rng = np.random.default_rng(67)
@@ -445,8 +455,23 @@ class TestRefreshAfterAnswer:
             return pair_connectivity(graph, block, pairs, params, *intra)
         monkeypatch.setattr(perc.selection, "pair_connectivity", counted)
         refresh_after_answer(state, grown, c)
+        state.intra
         assert priced == [("A", "B", "C", "D", "E")]
         assert states_equal(state, build_state(grown, c))
+
+    def test_a_marked_block_pair_loses_its_old_gain(self):
+        # A-C at p = 1 spans {A, B} x {C, D} with no NO chance, so the pair
+        # has the top gain and its representative (A, D) comes first.  Once
+        # (A, D) is answered at 1/2 the pair is marked at a lower gain, and
+        # its old entry must not outrank the unstored (A, E)
+        g = UncertainGraph.from_probabilities(
+            "ABCDEF", {("A", "B"): 0.9, ("C", "D"): 0.9, ("A", "C"): 1.0})
+        c = Clustering([["A", "B"], ["C", "D"], ["E"], ["F"]])
+        state = build_state(g, c)
+        assert select_batch(state, 1) == [("A", "D")]
+        grown = g.with_edge("A", "D", probability=0.5)
+        refresh_after_answer(state, grown, c)
+        assert select_batch(state, 1) == [("A", "E")]
 
     def test_refresh_requires_edge_in_graph(self, running_graph, running_clustering):
         grown = running_graph.with_edge("E", "H", probability=0.2)
