@@ -55,11 +55,11 @@ class UncertainGraph:
     """Immutable-by-convention set of records plus probabilistic edges.
 
     ``edges`` maps canonical pairs to YES fractions.  Updates go through
-    :meth:`with_edge`, which returns a new graph, so harness code can treat
-    graphs as values.
+    :meth:`with_edge` or :meth:`with_edges`, which return a new graph, so
+    harness code can treat graphs as values.
     """
 
-    # _lineage: the pairs with_edge added along a chain of graphs, one list
+    # _lineage: the pairs with_edge(s) added along a chain of graphs, one list
     # shared by the chain; _n: how many of them this graph has
     __slots__ = ("records", "_record_set", "edges", "_lineage", "_n")
 
@@ -115,29 +115,40 @@ class UncertainGraph:
         Re-asking a pair is rejected: the question budget counts distinct
         pairs and no pair is ever crowdsourced twice.
         """
-        key = self._check_pair((a, b))
-        if key in self.edges:
-            raise ValueError(f"pair {key} was already crowdsourced")
-        if (tally is None) == (probability is None):
-            raise ValueError("provide exactly one of tally or probability")
-        edges = dict(self.edges)
-        if tally is not None:
-            edges[key] = tally.fraction
-        else:
-            if not 0.0 <= probability <= 1.0:
-                raise ValueError(f"edge {key} has probability {probability} outside [0, 1]")
-            edges[key] = float(probability)
+        return self._extended([((a, b), tally, probability)])
+
+    def with_edges(self, answers: Iterable[tuple[Pair, VoteTally]]) -> "UncertainGraph":
+        """New graph with each (pair, tally) of ``answers`` crowdsourced, from
+        one copy of the edges; a pair is checked as with_edge checks it."""
+        return self._extended([(pair, tally, None) for pair, tally in answers])
+
+    def _extended(self, answers: list) -> "UncertainGraph":
+        """The graph with each (pair, tally, probability) answer checked and
+        added, on this graph's lineage when it is the chain's newest."""
+        new: dict[Pair, float] = {}
+        for pair, tally, probability in answers:
+            key = self._check_pair(pair)
+            if key in self.edges or key in new:
+                raise ValueError(f"pair {key} was already crowdsourced")
+            if (tally is None) == (probability is None):
+                raise ValueError("provide exactly one of tally or probability")
+            if tally is not None:
+                new[key] = tally.fraction
+            else:
+                if not 0.0 <= probability <= 1.0:
+                    raise ValueError(f"edge {key} has probability {probability} outside [0, 1]")
+                new[key] = float(probability)
         g = UncertainGraph.__new__(UncertainGraph)
         g.records = self.records
         g._record_set = self._record_set
-        g.edges = edges
+        g.edges = {**self.edges, **new}
         if self._n == len(self._lineage):
             # the chain's newest graph: the new one extends its lineage
-            g._lineage, g._n = self._lineage, self._n + 1
-            self._lineage.append(key)
+            g._lineage, g._n = self._lineage, self._n + len(new)
+            self._lineage.extend(new)
         else:
             # a sibling of a graph the chain already has starts its own
-            g._lineage, g._n = [key], 1
+            g._lineage, g._n = list(new), len(new)
         return g
 
     def edges_added_since(self, older: "UncertainGraph") -> list[Pair]:
@@ -145,15 +156,15 @@ class UncertainGraph:
 
         Raises ValueError unless ``older`` has the same records and every
         one of its edges is in this graph with the same probability.  When
-        ``older`` is an ancestor in this graph's with_edge chain, the answer
+        ``older`` is an ancestor in this graph's with_edge(s) chain, the answer
         is read off their shared lineage in time linear in the added edges;
         any other pair of graphs, such as a sibling, a graph built with
         UncertainGraph(...) or ingest_votes, or one that prices an edge
         differently, is checked edge by edge.
         """
         if older._lineage is self._lineage and older._n <= self._n:
-            # a chain has one graph per lineage length, each made from the
-            # one before it, so older is this graph's ancestor
+            # each graph on a lineage has the edges its chain started from
+            # plus the lineage's first _n pairs, so older is an ancestor
             return sorted(self._lineage[older._n:self._n])
         if older.records != self.records:
             raise ValueError("the older graph has other records")

@@ -106,23 +106,35 @@ def _pairs_within(sizes: Counter) -> int:
     return sum(n * (n - 1) // 2 for n in sizes.values())
 
 
-def precision_recall_f1(predicted: Clustering, gold: GoldClustering) -> tuple[float, float, float]:
+def precision_recall_f1(predicted: Clustering, gold: GoldClustering,
+                        terms: dict | None = None) -> tuple[float, float, float]:
     """Pairwise precision, recall and F1 of a clustering against gold.
 
     Precision is 0 when the clustering reports no matching pair, recall is
-    0 when gold has none, F1 is 0 when either is 0.
+    0 when gold has none, F1 is 0 when either is 0.  ``terms`` is a dict a
+    run keeps across snapshots of one gold, holding gold's matching-pair
+    count (key None) and the current blocks' exact (reported, correct) pair
+    counts, so a call counts only the blocks it has not seen.
     """
     entity = gold.entity
-    if predicted.records != entity.keys():
+    if predicted._owner.keys() != entity.keys():
         raise ValueError("clustering and gold cover different record sets")
-    reported = 0
-    correct = 0
+    terms = {} if terms is None else terms
+    gold_matching = terms.get(None)
+    if gold_matching is None:
+        gold_matching = _pairs_within(Counter(entity.values()))
+    kept: dict = {None: gold_matching}
+    reported = correct = 0
     for block in predicted.blocks:
         if len(block) > 1:
-            reported += len(block) * (len(block) - 1) // 2
-            # the block's correct pairs: those inside each gold entity
-            correct += _pairs_within(Counter(entity[r] for r in block))
-    gold_matching = _pairs_within(Counter(entity.values()))
+            # the block's pairs, and its correct ones: those inside each gold entity
+            counts = kept[block] = terms.get(block) or (
+                len(block) * (len(block) - 1) // 2,
+                _pairs_within(Counter(entity[r] for r in block)))
+            reported += counts[0]
+            correct += counts[1]
+    terms.clear()
+    terms.update(kept)
     precision = correct / reported if reported else 0.0
     recall = correct / gold_matching if gold_matching else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
@@ -207,9 +219,8 @@ def run_experiment(config: ExperimentConfig, records, gold: GoldClustering | Non
     flags: dict = {}
 
     def ask(pair: Pair) -> VoteTally:
-        nonlocal graph
+        # the seeding's or a round's answers go into the graph together
         tally = oracle.answer(pair)
-        graph = graph.with_edge(*pair, tally=tally)
         vote_log.append((pair, tally))
         return tally
 
@@ -221,6 +232,7 @@ def run_experiment(config: ExperimentConfig, records, gold: GoldClustering | Non
         seed_pairs = _initial_pairs_simulated(recs, seed_count, config.seed)
     for pair in seed_pairs:
         ask(pair)
+    graph = graph.with_edges(vote_log)
 
     clustering = scc_cluster(graph)
     # TC draws uniformly from its candidate list, so restricting the list in
@@ -244,13 +256,14 @@ def run_experiment(config: ExperimentConfig, records, gold: GoldClustering | Non
     rounds = 0
     curve: list[MetricsSnapshot] = []
     score = None  # the last snapshot's reliability, carried into the next
+    f1_terms: dict = {}  # the snapshots' per-block F1 counts
 
     def snapshot(changes=None):
         nonlocal score
         if curve and curve[-1].questions_asked == len(vote_log):
             return
         if gold is not None:
-            precision, recall, f1 = precision_recall_f1(clustering, gold)
+            precision, recall, f1 = precision_recall_f1(clustering, gold, f1_terms)
         else:
             precision = recall = f1 = NAN
         score = reliability(graph, clustering, params, previous=score, changes=changes)
@@ -288,6 +301,7 @@ def run_experiment(config: ExperimentConfig, records, gold: GoldClustering | Non
             answered.append((pair, tally))
         if not answered:
             break
+        graph = graph.with_edges(answered)
         changed_votes = 0
         for pair, tally in answered:
             mlc_checks += 1

@@ -172,12 +172,25 @@ def disconnectivity(graph: UncertainGraph, clustering: Clustering,
     bk = _check_block(clustering, block_k)
     if bj == bk:
         raise ValueError(f"need two distinct blocks, got {bj} twice")
-    spanning = graph.edges_between(bj, bk)
-    if not spanning:
-        return 0.0
+    return _disconnectivity(graph.edges, bj, bk)
+
+
+def _disconnectivity(edges: dict[Pair, float], left: Block, right: Block) -> float:
+    """disconnectivity of two distinct sorted blocks, its spanning pairs met
+    in canonical order by absent_pairs_between's merge walk."""
     prod_all_no_fail = 1.0
-    for _, p in spanning:
-        prod_all_no_fail *= p  # 1 - p_no
+    i = j = 0
+    while i < len(left) and j < len(right):
+        if left[i] < right[j]:
+            a, above = left[i], right[j:]
+            i += 1
+        else:
+            a, above = right[j], left[i:]
+            j += 1
+        for b in above:
+            p = edges.get((a, b))
+            if p is not None:
+                prod_all_no_fail *= p  # 1 - p_no
     return 1.0 - prod_all_no_fail
 
 
@@ -444,7 +457,7 @@ class Changes:
             if ba is not bb and ba not in fresh and bb not in fresh:
                 key = (ba, bb) if ba < bb else (bb, ba)
                 if key not in priced:
-                    priced[key] = disconnectivity(graph, clustering, *key)
+                    priced[key] = _disconnectivity(graph.edges, *key)
         if fresh:
             priced.update((key, 1.0 - prod) for key, prod
                           in spanning_products(graph, clustering, fresh).items())

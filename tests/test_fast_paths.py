@@ -21,9 +21,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from perc import (Clustering, ReliabilityParams, UncertainGraph, build_dense_state,
-                  build_state, dense_batch, refresh_after_answer, refresh_dense_state,
-                  reliability, rho_inputs, scc_cluster, select_batch, tc_batch)
+from perc import (Clustering, ReliabilityParams, UncertainGraph, VoteTally,
+                  build_dense_state, build_state, dense_batch, refresh_after_answer,
+                  refresh_dense_state, reliability, rho_inputs, scc_cluster, select_batch,
+                  tc_batch)
 from perc.clustering import _PairAgg
 from perc.reliability import (_sampled_connect_prob, block_connectivity, changes_since,
                               disconnectivity, spanning_products)
@@ -31,6 +32,9 @@ from perc.selection import _inter_gain
 from perc.util import make_rng
 
 FRACTIONS = (0.0, 1.0, 0.5, 0.6, 0.4, 0.2, 0.8)
+# tallies whose fractions are FRACTIONS
+TALLIES = tuple(VoteTally(yes, total) for yes, total in
+                ((0, 1), (1, 1), (1, 2), (3, 5), (2, 5), (1, 5), (4, 5)))
 # products of these round differently when multiplied in another order
 ROUNDING_FRACTIONS = FRACTIONS + (0.7, 0.9, 2 / 3, 0.3)
 NAMES = "QWERTYUIOP"
@@ -342,15 +346,19 @@ def reference_tc_batch(graph, seed, k, allowed):
 
 
 @ORACLE
-@given(graphs_with_clusterings())
+@given(graphs_with_clusterings(fractions=ROUNDING_FRACTIONS))
 def test_spanning_products_equal_disconnectivity(case):
+    """Both multiply each block pair's spanning edges in canonical order,
+    the order of edges_between."""
     graph, clustering = case
     products = spanning_products(graph, clustering)
     assert set(products) <= set(clustering.block_pairs())
     for bj, bk in clustering.block_pairs():
         prod = products.get((bj, bk))
-        assert (prod is None) == (not graph.edges_between(bj, bk))
+        spanning = graph.edges_between(bj, bk)
+        assert (prod is None) == (not spanning)
         d = 0.0 if prod is None else 1.0 - prod
+        assert d == 1.0 - math.prod(p for _, p in spanning)
         assert d == disconnectivity(graph, clustering, bj, bk)
 
 
@@ -384,24 +392,34 @@ def test_reliability_equals_per_pair_sum(case, rng, epsilon):
 @ORACLE
 @given(graphs(max_records=7), st.data())
 def test_edges_added_since_equals_key_difference(root, data):
-    """A with_edge chain that branches, plus hand-built graphs with the
-    edges of its last graph, each against every other: an ancestor's
-    added edges come off the shared lineage, and every other pair (a
-    sibling, a reversed pair, a hand-built graph) goes through the full
-    check, with its ValueError where an older edge is missing or priced
-    differently."""
-    made, children = [root], [0]
+    """A chain of with_edge and multi-pair with_edges steps that branches,
+    plus hand-built graphs with the edges of its last graph, each against
+    every other: an ancestor's added edges come off the shared lineage
+    exactly when every step down to the newer graph made a first child,
+    and every other pair (a sibling, a reversed pair, a hand-built graph)
+    goes through the full check, with its ValueError where an older edge
+    is missing or priced differently."""
+    # made[i] came from made[parent[i]], as that graph's first child or not
+    made, children, parent, first = [root], [0], [None], [False]
     for _ in range(data.draw(st.integers(0, 8), label="steps")):
         i = data.draw(st.integers(0, len(made) - 1), label="parent")
         absent = list(made[i].absent_pairs())
         if not absent:
             continue
-        pair = data.draw(st.sampled_from(absent), label="pair")
-        child = made[i].with_edge(*pair, probability=data.draw(st.sampled_from(FRACTIONS)))
+        if data.draw(st.booleans(), label="batch"):
+            pairs = data.draw(st.lists(st.sampled_from(absent), min_size=1, max_size=3,
+                                       unique=True), label="pairs")
+            child = made[i].with_edges([(pair, data.draw(st.sampled_from(TALLIES)))
+                                        for pair in pairs])
+        else:
+            pair = data.draw(st.sampled_from(absent), label="pair")
+            child = made[i].with_edge(*pair, probability=data.draw(st.sampled_from(FRACTIONS)))
         # only a parent's first child extends the parent's lineage
         assert (child._lineage is made[i]._lineage) == (children[i] == 0)
-        children[i] += 1
         made.append(child)
+        parent.append(i)
+        first.append(children[i] == 0)
+        children[i] += 1
         children.append(0)
     last = made[-1]
     made.append(UncertainGraph(last.records, edges=last.edges))
@@ -410,7 +428,18 @@ def test_edges_added_since_equals_key_difference(root, data):
         pair = data.draw(st.sampled_from(sorted(repriced)), label="repriced")
         repriced[pair] = 1.0 - repriced[pair] if repriced[pair] != 0.5 else 0.2
         made.append(UncertainGraph(last.records, edges=repriced))
-    for older, newer in itertools.product(made, repeat=2):
+    parent += [None] * (len(made) - len(parent))
+
+    def first_child_descent(older, newer):
+        while newer != older:
+            if parent[newer] is None or not first[newer]:
+                return False
+            newer = parent[newer]
+        return True
+
+    for (i, older), (j, newer) in itertools.product(enumerate(made), repeat=2):
+        on_lineage = older._lineage is newer._lineage and older._n <= newer._n
+        assert on_lineage == first_child_descent(i, j)
         if older.edges.items() <= newer.edges.items():
             assert newer.edges_added_since(older) == \
                 sorted(newer.edges.keys() - older.edges.keys())

@@ -109,6 +109,36 @@ class TestUncertainGraph:
         with pytest.raises(ValueError):
             g.with_edge("A", "B", tally=VoteTally(1, 2), probability=0.5)
 
+    def test_with_edges_adds_every_answer_from_one_parent(self):
+        g = UncertainGraph.from_probabilities("ABCD", {("A", "B"): 0.8})
+        answers = [(("C", "B"), VoteTally(7, 10)), (("A", "D"), VoteTally(0, 3))]
+        g2 = g.with_edges(answers)
+        assert g.edges == {("A", "B"): 0.8}
+        assert g2.edges == {("A", "B"): 0.8, ("B", "C"): 0.7, ("A", "D"): 0.0}
+        assert g2.edges_added_since(g) == [("A", "D"), ("B", "C")]
+
+    @pytest.mark.parametrize("answers", [
+        [(("C", "D"), VoteTally(1, 2)), (("B", "A"), VoteTally(1, 2))],
+        [(("C", "D"), VoteTally(1, 2)), (("D", "C"), VoteTally(2, 2))],
+    ], ids=["already-asked", "repeated-in-batch"])
+    def test_with_edges_rejects_reask_as_with_edge_does(self, answers):
+        g = UncertainGraph.from_probabilities("ABCD", {("A", "B"): 0.8})
+        with pytest.raises(ValueError, match="was already crowdsourced") as batch:
+            g.with_edges(answers)
+        # the failed call left the parent as it was
+        assert g.edges == {("A", "B"): 0.8} and g._n == len(g._lineage) == 0
+        asked = g.with_edges(answers[:-1])
+        assert asked._lineage is g._lineage
+        with pytest.raises(ValueError) as single:
+            asked.with_edge(*answers[-1][0], tally=answers[-1][1])
+        assert str(batch.value) == str(single.value)
+
+    def test_with_edges_rejects_undeclared_record(self):
+        g = UncertainGraph(["A", "B"])
+        with pytest.raises(ValueError, match="'Z' in pair .* is not declared"):
+            g.with_edges([(("A", "B"), VoteTally(1, 1)), (("A", "Z"), VoteTally(1, 1))])
+        assert g.edges == {} and g._lineage == []
+
     def test_absent_pairs_running_example(self, running_graph):
         assert list(running_graph.absent_pairs()) == [
             ("A", "D"), ("B", "C"), ("E", "H"), ("F", "G")]

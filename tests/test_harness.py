@@ -79,6 +79,28 @@ class TestPrecisionRecallF1:
         f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
         assert precision_recall_f1(predicted, gold) == (precision, recall, f1)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=10),
+           st.lists(st.tuples(st.integers(0, 9), st.integers(0, 3)), max_size=12))
+    def test_carried_counts_equal_fresh_calls(self, labels, moves):
+        """One terms dict carried over clusterings of one gold, each moving
+        a record of the one before to another block (so blocks split and
+        re-form), scores each as a call without it does and keeps only the
+        current blocks' counts."""
+        records = [f"r{i:02d}" for i in range(len(labels))]
+        gold = GoldClustering({r: f"e{entity}" for r, (_, entity) in zip(records, labels)})
+        block_of = [block for block, _ in labels]
+        terms: dict = {}
+        for i, block in [(0, block_of[0])] + moves:
+            block_of[i % len(records)] = block
+            groups: dict[int, list[str]] = {}
+            for r, label in zip(records, block_of):
+                groups.setdefault(label, []).append(r)
+            predicted = Clustering(groups.values())
+            assert precision_recall_f1(predicted, gold, terms) == \
+                precision_recall_f1(predicted, gold)
+            assert terms.keys() == {None} | {b for b in predicted.blocks if len(b) > 1}
+
     def test_rejects_mismatched_universe(self):
         gold = GoldClustering({"a": "x", "b": "x"})
         with pytest.raises(ValueError):
@@ -300,15 +322,43 @@ class TestRunExperiment:
             assert len(calls) == stats["rounds"] > 0
             assert len(compared) == stats["rounds"] + stats["reclusterings"]
 
+    def test_graph_is_built_once_per_round(self, monkeypatch):
+        """The loop folds answers into the graph a round at a time: a perc
+        run, a dense run and a TC replay of a cut log (whose last round is
+        cut short by a pair the log lacks) build it once for the seeding
+        and once per round, never once per answer, and every answer in the
+        vote log goes in."""
+        built = []
+        extended = UncertainGraph._extended
+
+        def counted(self, answers):
+            built.append(len(answers))
+            return extended(self, answers)
+
+        monkeypatch.setattr(UncertainGraph, "_extended", counted)
+        records, gold = synth_world(24, 6, seed=4)
+        config = ExperimentConfig(strategy="perc", budget=120, batch_size=4,
+                                  initial_pairs=23, error_rate=0.25, seed=9)
+        runs = [(config, None), (replace(config, strategy="dense"), None)]
+        tc = replace(config, strategy="tc")
+        runs.append((tc, ReplayOracle(run_experiment(tc, records, gold=gold).vote_log[:62])))
+        for config, replay in runs:
+            built.clear()
+            result = run_experiment(config, records, gold=gold, replay=replay)
+            assert len(built) == 1 + result.stats["rounds"]
+            assert built[0] == 23 and sum(built) == len(result.vote_log)
+            assert max(built[1:]) == 4
+        assert "unanswered_selection" in result.flags and 0 < built[-1] < 4
+
     @pytest.mark.parametrize("strategy", ["perc", "dense"])
     @pytest.mark.parametrize("batch_size", [1, 7])
     @pytest.mark.parametrize("eval_every", [1, 3])
     def test_carried_run_equals_cold_run(self, monkeypatch, strategy, batch_size,
                                          eval_every):
         """Everything the loop carries from round to round (the clustering,
-        the snapshot's score, the strategy's state) gives the vote log and
-        curve of a run that prices every round from scratch, bit for bit,
-        and so does a replay of a cut log."""
+        the snapshot's score and F1 counts, the strategy's state) gives the
+        vote log and curve of a run that prices every round from scratch,
+        bit for bit, and so does a replay of a cut log."""
         records, gold = synth_world(24, 5, seed=batch_size + eval_every)
         config = ExperimentConfig(strategy=strategy, budget=90, batch_size=batch_size,
                                   initial_pairs=12, error_rate=0.3, mc_samples=30,
@@ -320,6 +370,7 @@ class TestRunExperiment:
         harness = perc.harness
         scc_cluster = harness.scc_cluster
         reliability = harness.reliability
+        precision_recall_f1 = harness.precision_recall_f1
         build_state, build_dense_state = harness.build_state, harness.build_dense_state
 
         def cold_refresh(state, graph, clustering, changes=None):
@@ -334,6 +385,8 @@ class TestRunExperiment:
                             scc_cluster(graph))
         monkeypatch.setattr(harness, "reliability", lambda graph, clustering, params=None,
                             previous=None, changes=None: reliability(graph, clustering, params))
+        monkeypatch.setattr(harness, "precision_recall_f1", lambda predicted, gold, terms=None:
+                            precision_recall_f1(predicted, gold))
         monkeypatch.setattr(harness, "refresh_after_answer", cold_refresh)
         monkeypatch.setattr(harness, "refresh_dense_state", cold_refresh)
         cold = run_experiment(config, records, gold=gold)
