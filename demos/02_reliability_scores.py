@@ -16,8 +16,8 @@ from perc import (
     UncertainGraph,
     block_connectivity,
     disconnectivity,
-    reliability,
 )
+from perc.reliability import reliability
 
 # Four records; the candidate clustering is {A,B,C} + {D}.  Inside the big
 # block two edges form a path, and two edges cross over to D.

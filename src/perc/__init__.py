@@ -11,9 +11,8 @@ and DENSE baselines on simulated or replayed crowds.
 from .graph import (Clustering, Pair, UncertainGraph, VoteTally,
                     clustering_log_likelihood, enumerate_partitions, ingest_votes,
                     possible_world_log_prob)
-from .reliability import (ConnectivityEstimate, ReliabilityParams,
-                          ReliabilityScore, block_connectivity, disconnectivity,
-                          reliability)
+from .reliability import (ConnectivityEstimate, ReliabilityParams, ReliabilityScore,
+                          block_connectivity, disconnectivity)
 from .clustering import (merge_probability, mlc_bruteforce, mlc_unchanged,
                          scc_cluster)
 from .selection import (CandidatePriority, PriorityState, build_state,
@@ -35,7 +34,7 @@ __all__ = [
     "clustering_log_likelihood", "enumerate_partitions", "ingest_votes",
     "possible_world_log_prob",
     "ConnectivityEstimate", "ReliabilityParams", "ReliabilityScore",
-    "block_connectivity", "disconnectivity", "reliability",
+    "block_connectivity", "disconnectivity",
     "merge_probability", "mlc_bruteforce", "mlc_unchanged", "scc_cluster",
     "CandidatePriority", "PriorityState", "build_state", "pair_priority",
     "refresh_after_answer", "select_batch", "select_next",

@@ -15,9 +15,7 @@ A block pair that no edge spans has disconnectivity 0, clamped to epsilon,
 so it carries the top gain, -log10 epsilon, and its representative is
 (min of one block, min of the other).  Such pairs are left unstored: the
 queue keeps the set of spanned block pairs instead, and select_batch walks
-the unspanned ones in block order, which is already their rank order.  An
-answer only ever spans a block pair, so each walk starts where the first
-unstored entry was last found.
+the unspanned ones in block order, which is already their rank order.
 
 build_state starts a state from scratch once; after that,
 refresh_after_answer folds each round in, whether or not it changed the
@@ -26,17 +24,16 @@ each new block and each block with a new intra edge, and each block pair
 with a new spanning edge or a new block, is marked to price again; the
 entries of blocks and block pairs that survived it untouched carry over.
 
-Marked entries are priced when first read, not when marked.  No gain
-exceeds the top gain, so once select_batch has found k unstored entries,
-the k-th of them, r, bounds the batch: an entry ranks above r only at
-the top gain and with a smaller pair.  It prices a marked block only if
-its smallest pair (b[0], b[1]) sorts before r, and a marked block pair
-only if it has the top gain and its (min, min) pair sorts before r;
-with fewer than k unstored entries it prices everything marked.  gain()
-prices the one entry it reads; intra, inter, entries() and len() price
-everything marked first.  A value does not depend on when it is priced:
-a block's sampling stream is seeded from its members, and a round marks
-again whatever it changes.
+Marked entries are priced when first read, not when marked.  select_batch
+ranks through one heap of (-gain, pair) keys, where each marked entry sits
+under a key that none of its priced keys beats: a block under the top gain
+(no gain exceeds it) and its smallest pair (b[0], b[1]), a block pair under
+its gain, known from its disconnectivity, and its (min, min) pair.  A
+marked entry is priced only when its key reaches the top, and its priced
+keys go back in.  gain() prices the one entry it reads; intra, inter,
+entries() and len() price everything marked first.  A value does not
+depend on when it is priced: a block's sampling stream is seeded from its
+members, and a round marks again whatever it changes.
 """
 
 from __future__ import annotations
@@ -79,7 +76,7 @@ class PriorityState:
     """
 
     __slots__ = ("graph", "clustering", "params", "spanned", "allowed", "_intra", "_inter",
-                 "_cursor", "_blocks", "_pairs", "_top")
+                 "_blocks", "_pairs")
 
     def __init__(self, graph: UncertainGraph, clustering: Clustering,
                  params: ReliabilityParams, allowed: frozenset | None = None):
@@ -90,16 +87,10 @@ class PriorityState:
         self._intra: dict[Pair, float] = {}
         self._inter: dict[BlockPairKey, tuple[Pair, float]] = {}
         self.spanned: set[BlockPairKey] = set()
-        # block indices (j, k) before which no unstored entry is left; valid
-        # because spanned only grows until the clustering changes
-        self._cursor = (0, 1)
         # marked, not yet priced: each block of two or more members, with
-        # its intra edges when known; each block pair, with its gain; and
-        # the marked block pairs at the top gain, the only ones that can tie
-        # an unstored entry
+        # its intra edges when known, and each block pair, with its gain
         self._blocks: dict[Block, list | None] = {}
         self._pairs: dict[BlockPairKey, float] = {}
-        self._top: set[BlockPairKey] = set()
 
     @property
     def intra(self) -> dict[Pair, float]:
@@ -111,16 +102,19 @@ class PriorityState:
         self._price_all()
         return self._inter
 
-    def _price_block(self, block: Block) -> None:
+    def _price_block(self, block: Block) -> list[tuple[Pair, float]]:
+        """Price a marked block; returns its (pair, gain) entries."""
         edges = self._blocks.pop(block)
         pairs = _absent_intra_pairs(self.graph, block, self.allowed)
-        if pairs:
-            self._intra.update(zip(pairs, _intra_gains(self.graph, block, pairs,
-                                                       self.params, edges)))
+        if not pairs:
+            return []
+        priced = list(zip(pairs, _intra_gains(self.graph, block, pairs, self.params, edges)))
+        self._intra.update(priced)
+        return priced
 
-    def _price_pair(self, key: BlockPairKey) -> None:
-        self._top.discard(key)
-        _set_inter(self._inter, self.graph, key, self._pairs.pop(key), self.allowed)
+    def _price_pair(self, key: BlockPairKey) -> tuple[Pair, float] | None:
+        """Price a marked block pair; returns its entry, as _set_inter."""
+        return _set_inter(self._inter, self.graph, key, self._pairs.pop(key), self.allowed)
 
     def _price_all(self) -> None:
         for block in list(self._blocks):
@@ -128,39 +122,17 @@ class PriorityState:
         for key in list(self._pairs):
             self._price_pair(key)
 
-    def _price_below(self, bound: Pair) -> None:
-        """Price each marked entry that could rank before ``bound``, the
-        k-th unstored entry: each block whose smallest pair sorts before
-        it, and each top-gain block pair whose (min, min) pair does."""
-        for block in [block for block in self._blocks if (block[0], block[1]) < bound]:
-            self._price_block(block)
-        for key in [key for key in self._top if (key[0][0], key[1][0]) < bound]:
-            self._price_pair(key)
-
     def _unstored(self) -> Iterator[tuple[Pair, BlockPairKey]]:
         """(representative, block pair) of each unstored entry, in block
         order, which is representative order; each has the top gain."""
-        blocks = self.clustering.blocks
-        spanned = self.spanned
-        allowed = self.allowed
-        first = True
-        j, start = self._cursor
-        for j in range(j, len(blocks)):
-            bj = blocks[j]
-            for k in range(start, len(blocks)):
+        blocks, spanned, allowed = self.clustering.blocks, self.spanned, self.allowed
+        for j, bj in enumerate(blocks):
+            for k in range(j + 1, len(blocks)):
                 key = (bj, blocks[k])
                 if key not in spanned:
                     rep = (bj[0], key[1][0])
                     if allowed is None or rep in allowed:
-                        if first:
-                            # answers only ever span pairs, so no entry will
-                            # come before this one again
-                            self._cursor = (j, k)
-                            first = False
                         yield rep, key
-            start = j + 2
-        if first:
-            self._cursor = (len(blocks), len(blocks))
 
     def gain(self, pair: Pair) -> float:
         """The gain of asking ``pair``, an absent candidate."""
@@ -242,17 +214,19 @@ def _absent_intra_pairs(graph: UncertainGraph, block: Block,
 
 
 def _set_inter(inter: dict[BlockPairKey, tuple[Pair, float]], graph: UncertainGraph,
-               key: BlockPairKey, gain: float, allowed: frozenset | None) -> None:
-    """Store (representative, gain) for a block pair, or drop its entry
-    once no absent spanning pair is left to ask."""
+               key: BlockPairKey, gain: float,
+               allowed: frozenset | None) -> tuple[Pair, float] | None:
+    """Store and return (representative, gain) for a block pair, or drop
+    its entry once no absent spanning pair is left to ask."""
     # (min, min) is the first pair absent_pairs_between would try
     rep = (key[0][0], key[1][0])
     if rep in graph.edges or allowed is not None and rep not in allowed:
         rep = next(graph.absent_pairs_between(*key, allowed), None)
     if rep is None:
         inter.pop(key, None)
-    else:
-        inter[key] = (rep, gain)
+        return None
+    inter[key] = entry = (rep, gain)
+    return entry
 
 
 def _mark(state: PriorityState, fresh: frozenset[Block], touched_blocks: set[Block],
@@ -281,13 +255,9 @@ def _mark(state: PriorityState, fresh: frozenset[Block], touched_blocks: set[Blo
                     for k, bk in enumerate(blocks) if k > j or (k < j and not is_new[k])):
             if key not in spanned and (key[0][0], key[1][0]) not in allowed:
                 marked[key] = top
-    for key, gain in marked.items():
+    for key in marked:
         state._inter.pop(key, None)  # so that no read meets the old gain
-        state._pairs[key] = gain
-        if gain == top:
-            state._top.add(key)
-        else:
-            state._top.discard(key)
+    state._pairs.update(marked)
 
 
 def build_state(graph: UncertainGraph, clustering: Clustering,
@@ -332,15 +302,11 @@ def refresh_after_answer(state: PriorityState, graph: UncertainGraph,
         changes = changes_since(state.graph, state.clustering, graph, clustering)
     emptied = list(changes.touched)  # the blocks whose intra entries go
     if changes.gone:
-        # priced pairs are marked below.  Block indices moved, so the
-        # unstored walk starts over, even when no old block pair was dropped
-        emptied += changes.gone
+        emptied += changes.gone  # priced pairs are marked below
         for key in changes.dropped:
             state._inter.pop(key, None)
             state._pairs.pop(key, None)
-            state._top.discard(key)
             state.spanned.discard(key)
-        state._cursor = (0, 1)
     for block in emptied:
         if block in state._blocks:
             del state._blocks[block]  # never priced, so it has no entries
@@ -377,28 +343,40 @@ def select_batch(state: PriorityState, k: int) -> list[Pair]:
         raise ValueError(f"batch size must be positive, got {k}")
     n = len(state.graph.records)
     k = min(k, n * (n - 1) // 2)  # no batch exceeds the pairs; islice needs k <= sys.maxsize
-    # (-gain, pair) keys are unique, so the k smallest are entries()[:k].
-    # The unstored entries come in rank order at the top gain, which no
-    # gain exceeds, so once k of them are found, only an entry at that gain
-    # and before the k-th of them can rank, and only such may need pricing.
-    top_gain = _inter_gain(0.0, state.params)
+    # The batch is the k smallest (-gain, pair) keys; they are unique, so no
+    # two heap items compare past their pair.  An item's third field is None
+    # (intra entry), the block pair of an inter entry, or a marked block or
+    # block pair, priced when popped.  Unstored entries come in rank order
+    # at the top gain, so once k are found only a top-gain entry can rank.
+    top = _inter_gain(0.0, state.params)
     unstored = list(islice(state._unstored(), k))
-    if len(unstored) == k:
-        state._price_below(unstored[-1][0])
-        floor = top_gain
-    else:
-        state._price_all()
-        floor = -math.inf
-    keys = [(-gain, pair) for pair, gain in state._intra.items() if gain >= floor]
-    keys += [(-gain, rep) for rep, gain in state._inter.values() if gain >= floor]
-    keys += [(-top_gain, rep) for rep, _ in unstored]
-    batch = [pair for _, pair in heapq.nsmallest(k, keys)]
+    floor = top if len(unstored) == k else -math.inf
+    heap = [(-top, rep, key) for rep, key in unstored]
+    heap += [(-gain, pair, None) for pair, gain in state._intra.items() if gain >= floor]
+    heap += [(-gain, rep, key) for key, (rep, gain) in state._inter.items() if gain >= floor]
+    heap += [(-top, block[:2], block) for block in state._blocks]
+    heap += [(-gain, (key[0][0], key[1][0]), key) for key, gain in state._pairs.items()
+             if gain >= floor]
+    heapq.heapify(heap)
+    batch: list[Pair] = []
+    fill: list[tuple[Pair, BlockPairKey]] = []  # the inter entries taken, in rank order
+    while heap and len(batch) < k:
+        _, pair, key = heapq.heappop(heap)
+        if key in state._blocks:
+            for pair, gain in state._price_block(key):
+                if gain >= floor:
+                    heapq.heappush(heap, (-gain, pair, None))
+        elif key in state._pairs:
+            entry = state._price_pair(key)
+            if entry is not None:
+                heapq.heappush(heap, (-entry[1], entry[0], key))
+        else:
+            batch.append(pair)
+            if key is not None:
+                fill.append((pair, key))
     if len(batch) < k:
-        # every representative is in the batch; block pairs go in queue order
-        fill = [(-gain, rep, key) for key, (rep, gain) in state._inter.items()]
-        fill += [(-top_gain, rep, key) for rep, key in unstored]
-        fill.sort()
-        for _, rep, (bj, bk) in fill:
+        # every entry is in the batch; block pairs go in queue order
+        for rep, (bj, bk) in fill:
             for pair in state.graph.absent_pairs_between(bj, bk, state.allowed):
                 if pair != rep:
                     batch.append(pair)

@@ -28,7 +28,6 @@ from perc import (
     pair_priority,
     questions_to_reach,
     refresh_after_answer,
-    reliability,
     run_experiment,
     scc_cluster,
     select_batch,
@@ -37,7 +36,7 @@ from perc import (
 )
 from perc.fileio import write_curve_csv
 from perc.harness import _initial_pairs_simulated
-from perc.reliability import MAX_EXACT_EDGE_LIMIT
+from perc.reliability import MAX_EXACT_EDGE_LIMIT, reliability
 
 from conftest import (
     RUNNING_BLOCKS,

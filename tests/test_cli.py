@@ -139,6 +139,15 @@ class TestNext:
         assert code == 1
         assert "no candidate" in capsys.readouterr().err
 
+    def test_one_record_world_exits_one(self, tmp_path, capsys):
+        # a single record has no pair to ask
+        write_records_csv(tmp_path / "records.csv", ["a"])
+        write_votes_csv(tmp_path / "votes.csv", [])
+        code = main(["next", "--graph", str(tmp_path / "votes.csv"),
+                     "--records", str(tmp_path / "records.csv"), "--batch", "3"])
+        assert code == 1
+        assert capsys.readouterr().err == "no candidate pairs remain\n"
+
     def test_edge_limit_above_cap_exits_one(self, running_files, capsys):
         # the exact solver is exponential in the edges, so the limit is capped
         records, votes = running_files

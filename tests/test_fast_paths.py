@@ -23,11 +23,10 @@ from hypothesis import strategies as st
 
 from perc import (Clustering, ReliabilityParams, UncertainGraph, VoteTally,
                   build_dense_state, build_state, dense_batch, refresh_after_answer,
-                  refresh_dense_state, reliability, rho_inputs, scc_cluster, select_batch,
-                  tc_batch)
+                  refresh_dense_state, rho_inputs, scc_cluster, select_batch, tc_batch)
 from perc.clustering import _PairAgg
 from perc.reliability import (_sampled_connect_prob, block_connectivity, changes_since,
-                              disconnectivity, spanning_products)
+                              disconnectivity, reliability, spanning_products)
 from perc.selection import _inter_gain
 from perc.util import make_rng
 

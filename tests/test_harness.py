@@ -236,6 +236,14 @@ class TestRunExperiment:
         assert result.flags.get("exhausted")
         assert result.stats["questions_asked"] < total_pairs(9)
 
+    @pytest.mark.parametrize("strategy", ["perc", "tc", "dense"])
+    def test_one_record_world_is_exhausted_at_once(self, strategy):
+        config = ExperimentConfig(strategy=strategy, budget=5, batch_size=3, initial_pairs=0)
+        result = run_experiment(config, ["a"], gold=GoldClustering({"a": "e"}))
+        assert result.flags == {"exhausted": True}
+        assert result.vote_log == []
+        assert result.clustering == Clustering([["a"]])
+
     def test_curve_question_counts_strictly_increase(self):
         result, _ = self.run_error_free("perc", eval_every=2)
         counts = [snap.questions_asked for snap in result.curve]
@@ -291,7 +299,6 @@ class TestRunExperiment:
         graphs once per round plus once per recluster, each time with an
         ancestor on the newer graph's lineage."""
         calls = []
-        # perc.reliability is the function the package exports, not the module
         modules = [import_module(f"perc.{name}")
                    for name in ("harness", "selection", "reliability")]
         changes_since = modules[-1].changes_since

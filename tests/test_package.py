@@ -1,6 +1,7 @@
 """The package's public surface, and the names the benchmark patches."""
 
 import importlib
+import pkgutil
 import re
 import runpy
 from pathlib import Path
@@ -21,6 +22,17 @@ def test_every_exported_name_resolves():
 
 def test_no_name_exported_twice():
     assert len(perc.__all__) == len(set(perc.__all__))
+
+
+def test_no_attribute_shadows_a_submodule():
+    # import perc.reliability as R must give the module, not a function
+    # the package re-exports under the same name
+    shadowed = []
+    for info in pkgutil.iter_modules(perc.__path__):
+        module = importlib.import_module(f"perc.{info.name}")
+        if getattr(perc, info.name) is not module:
+            shadowed.append(info.name)
+    assert shadowed == []
 
 
 def test_benchmark_patch_points_exist():

@@ -15,10 +15,10 @@ from perc import (
     UncertainGraph,
     block_connectivity,
     disconnectivity,
-    reliability,
 )
 from perc.reliability import (MAX_EXACT_EDGE_LIMIT, _partition_dp, _reduced_block,
-                              _sampled_connect_prob, pair_connectivity, solved_exactly)
+                              _sampled_connect_prob, pair_connectivity, reliability,
+                              solved_exactly)
 from perc.util import ConfigError, make_rng
 
 from conftest import connectivity_by_enumeration, random_small_graph

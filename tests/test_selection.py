@@ -337,6 +337,42 @@ class TestSelectBatch:
         assert select_batch(build_state(g, c), 5) == [
             ("A", "B"), ("A", "C"), ("A", "D"), ("A", "E"), ("A", "F")]
 
+    def test_fewer_unstored_than_k_prices_only_pairs_that_can_rank(
+            self, running_graph, running_clustering, monkeypatch):
+        # a marked block pair's key is at least (-gain, (min, min)), its
+        # lower key; only one at or before the batch's k-th key can rank
+        priced = []
+        set_inter = perc.selection._set_inter
+
+        def counted(inter, graph, key, *rest):
+            priced.append(key)
+            return set_inter(inter, graph, key, *rest)
+        monkeypatch.setattr(perc.selection, "_set_inter", counted)
+        rng = np.random.default_rng(83)
+        cases = [(running_graph, running_clustering, 2)]
+        for _ in range(40):
+            g = random_small_graph(rng, n_min=5, n_max=9, p_edge=0.5)
+            cases.append((g, scc_cluster(g), int(rng.integers(1, 8))))
+        checked = 0
+        for g, c, k in cases:
+            ranked = build_state(g, c).entries()
+            state = build_state(g, c)
+            if len(list(state._unstored())) >= k:
+                continue
+            kth = (-ranked[k - 1].gain, ranked[k - 1].pair) if len(ranked) >= k else (math.inf,)
+            expected = [key for key, gain in state._pairs.items()
+                        if (-gain, (key[0][0], key[1][0])) <= kth]
+            priced.clear()
+            select_batch(state, k)
+            assert sorted(priced) == sorted(expected)
+            checked += 1
+        assert checked > 20
+        # in the running example every block pair is spanned; the two that
+        # rank are priced, the four all-NO ones are not
+        priced.clear()
+        select_batch(build_state(running_graph, running_clustering), 2)
+        assert sorted(priced) == [(("A", "B"), ("C", "D")), (("E", "F"), ("G", "H"))]
+
     def test_batch_one_equals_select_next(self):
         rng = np.random.default_rng(67)
         for _ in range(25):
