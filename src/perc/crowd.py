@@ -2,22 +2,30 @@
 
 The simulated crowd draws each worker's answer independently: the truth
 from the gold clustering, flipped with the model's error rate (scaled by
-the optional per-record difficulty, averaged over the pair).  Vote
-randomness is seeded from (master seed, pair), never from ask order, so a
-run asks the same questions in any order and reads the same tallies.
+the optional per-record difficulty, averaged over the pair).  Worker i's
+coin comes from a counter-based stream keyed by (master seed, pair) alone
+(``vote_coins``): word i mod 8 of a BLAKE2b digest of the key salted with
+i // 8.  So a pair's tally never depends on the ask order, the process or
+PYTHONHASHSEED, and coin i does not depend on the worker count.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
+import struct
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .graph import Clustering, Pair, VoteTally
-from .util import ConfigError, canonical_pair, derive_seed, make_rng
+from .util import ConfigError, canonical_pair
 
-# each answer draws one coin per worker, so the worker count sizes its array
+# each answer hashes one 64-byte digest per 8 workers, so the worker count
+# sizes the digests it makes
 MAX_WORKERS_PER_PAIR = 1000
+
+# a BLAKE2b digest read as eight little-endian 64-bit words
+_DIGEST_WORDS = struct.Struct("<8Q")
 
 
 class GoldClustering:
@@ -80,14 +88,31 @@ class WorkerModel:
             raise ConfigError("error_rate", f"error rate {self.error_rate} outside [0, 1]")
 
 
+def vote_coins(seed: int, a: str, b: str, count: int) -> list[float]:
+    """The first ``count`` coins, uniform in [0, 1), of canonical pair
+    (a, b)'s vote stream under master ``seed``.
+
+    Coin i is word i mod 8 of ``blake2b(repr((seed, "votes", a, b)))``
+    salted with i // 8 (16 little-endian bytes), cut to its top 53 bits: a
+    counter-based stream (Salmon et al., SC 2011) with no generator state.
+    """
+    key = repr((seed, "votes", a, b)).encode("utf-8")
+    words: list[int] = []
+    for block in range(-(-count // 8)):
+        digest = hashlib.blake2b(key, salt=block.to_bytes(16, "little")).digest()
+        words += _DIGEST_WORDS.unpack(digest)
+    return [(w >> 11) * 2**-53 for w in words[:count]]
+
+
 def simulate_votes(gold: GoldClustering, pair: Pair, model: WorkerModel,
-                   rng) -> VoteTally:
-    """Draw one tally for ``pair`` from the worker model."""
+                   coins: Sequence[float]) -> VoteTally:
+    """One tally for ``pair``: worker i flips the truth when coins[i] falls
+    below the pair's flip probability."""
+    if len(coins) != model.workers_per_pair:
+        raise ValueError(f"need {model.workers_per_pair} coins, got {len(coins)}")
     a, b = canonical_pair(*pair)
     truth = gold.same(a, b)
     flip_prob = min(1.0, model.error_rate * gold.pair_difficulty(a, b))
-    # one bulk draw yields the same doubles as one rng.random() per worker
-    coins = rng.random(model.workers_per_pair).tolist()
     yes = sum(truth != (coin < flip_prob) for coin in coins)
     return VoteTally(yes=yes, total=model.workers_per_pair)
 
@@ -100,7 +125,8 @@ class Oracle:
 
 
 class SimulatedOracle(Oracle):
-    """Simulated crowd with order-independent per-pair vote streams."""
+    """Simulated crowd with order-independent per-pair vote streams
+    (``vote_coins``)."""
 
     def __init__(self, gold: GoldClustering, model: WorkerModel, seed: int = 0):
         self.gold = gold
@@ -109,8 +135,8 @@ class SimulatedOracle(Oracle):
 
     def answer(self, pair: Pair) -> VoteTally:
         a, b = canonical_pair(*pair)
-        rng = make_rng(derive_seed(self.seed, "votes", a, b))
-        return simulate_votes(self.gold, (a, b), self.model, rng)
+        coins = vote_coins(self.seed, a, b, self.model.workers_per_pair)
+        return simulate_votes(self.gold, (a, b), self.model, coins)
 
 
 class UnrecordedPairError(KeyError):

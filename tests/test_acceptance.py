@@ -255,19 +255,17 @@ def test_6_strategy_comparison():
             q = questions_to_reach(result.curve, 0.9)
             return math.inf if q is None else q
 
-        beats_tc = 0
-        matches_dense = 0
-        for master in range(10):
-            q_perc = crossing("perc", master)
-            q_tc = crossing("tc", master)
-            q_dense = crossing("dense", master)
-            if q_perc < q_tc:
-                beats_tc += 1
-            if q_perc < math.inf and q_perc <= q_dense:
-                matches_dense += 1
-        assert beats_tc >= 9, f"fewer questions than tc in only {beats_tc}/10 seeds"
+        # (seed, perc, tc, dense) questions to F1 0.9
+        table = [(master, crossing("perc", master), crossing("tc", master),
+                  crossing("dense", master)) for master in range(10)]
+        beats_tc = sum(q_perc < q_tc for _, q_perc, q_tc, _ in table)
+        matches_dense = sum(q_perc < math.inf and q_perc <= q_dense
+                            for _, q_perc, _, q_dense in table)
+        listing = f"(seed, perc, tc, dense): {table}"
+        assert beats_tc >= 9, \
+            f"fewer questions than tc in only {beats_tc}/10 seeds; {listing}"
         assert matches_dense >= 7, \
-            f"within dense's question count in only {matches_dense}/10 seeds"
+            f"within dense's question count in only {matches_dense}/10 seeds; {listing}"
         elapsed = time.perf_counter() - started
         assert elapsed < 300.0, f"comparison took {elapsed:.1f}s, limit 5min"
 

@@ -1,12 +1,11 @@
 """Simulated and replayed crowd answer sources."""
 
+import hashlib
 import math
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+import perc.crowd
 from perc import (
     GoldClustering,
     ReplayOracle,
@@ -17,8 +16,7 @@ from perc import (
     crowd_error_rate,
     simulate_votes,
 )
-from perc.crowd import MAX_WORKERS_PER_PAIR
-from perc.util import make_rng
+from perc.crowd import MAX_WORKERS_PER_PAIR, vote_coins
 
 GOLD = GoldClustering({"a": "e1", "b": "e1", "c": "e2", "d": "e2"})
 
@@ -68,32 +66,17 @@ class TestWorkerModel:
 
     def test_error_free_votes_match_gold(self):
         model = WorkerModel(workers_per_pair=7, error_rate=0.0)
-        rng = make_rng(0)
-        assert simulate_votes(GOLD, ("a", "b"), model, rng) == VoteTally(7, 7)
-        assert simulate_votes(GOLD, ("a", "c"), model, rng) == VoteTally(0, 7)
+        assert simulate_votes(GOLD, ("a", "b"), model,
+                              vote_coins(0, "a", "b", 7)) == VoteTally(7, 7)
+        assert simulate_votes(GOLD, ("a", "c"), model,
+                              vote_coins(0, "a", "c", 7)) == VoteTally(0, 7)
 
     def test_always_wrong_votes_invert_gold(self):
         model = WorkerModel(workers_per_pair=4, error_rate=1.0)
-        rng = make_rng(0)
-        assert simulate_votes(GOLD, ("a", "b"), model, rng) == VoteTally(0, 4)
-        assert simulate_votes(GOLD, ("c", "a"), model, rng) == VoteTally(4, 4)
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 40), st.sampled_from((0.0, 0.1, 0.25, 0.5, 1.0)),
-           st.sampled_from((("a", "b"), ("a", "c"))), st.integers(0, 2**64 - 1))
-    def test_bulk_coins_equal_per_coin_draws(self, workers, error_rate, pair, seed):
-        # the reference draws one rng.random() per worker, in worker order
-        model = WorkerModel(workers_per_pair=workers, error_rate=error_rate)
-        rng = make_rng(seed)
-        truth = GOLD.same(*pair)
-        yes = sum(truth != (rng.random() < error_rate) for _ in range(workers))
-        rng = make_rng(seed)
-        assert simulate_votes(GOLD, pair, model, rng) == VoteTally(yes, workers)
-        # the bulk draw leaves the stream where the per-coin draws would
-        reference = make_rng(seed)
-        for _ in range(workers):
-            reference.random()
-        assert rng.random() == reference.random()
+        assert simulate_votes(GOLD, ("a", "b"), model,
+                              vote_coins(0, "a", "b", 4)) == VoteTally(0, 4)
+        assert simulate_votes(GOLD, ("c", "a"), model,
+                              vote_coins(0, "a", "c", 4)) == VoteTally(4, 4)
 
     def test_error_rate_scales_with_difficulty(self):
         # Difficulty 3 at base rate 0.2 flips with probability 0.6; check
@@ -101,16 +84,55 @@ class TestWorkerModel:
         gold = GoldClustering({"a": "e1", "b": "e1"},
                               difficulty={"a": 3.0, "b": 3.0})
         model = WorkerModel(workers_per_pair=1, error_rate=0.2)
-        rng = make_rng(101)
-        flips = sum(simulate_votes(gold, ("a", "b"), model, rng).yes == 0
-                    for _ in range(4000))
+        flips = sum(simulate_votes(gold, ("a", "b"), model, [coin]).yes == 0
+                    for coin in vote_coins(101, "a", "b", 4000))
         assert flips / 4000 == pytest.approx(0.6, abs=0.03)
 
     def test_difficulty_caps_flip_probability_at_one(self):
         gold = GoldClustering({"a": "e1", "b": "e1"},
                               difficulty={"a": 50.0, "b": 50.0})
         model = WorkerModel(workers_per_pair=6, error_rate=0.9)
-        assert simulate_votes(gold, ("a", "b"), model, make_rng(5)) == VoteTally(0, 6)
+        assert simulate_votes(gold, ("a", "b"), model,
+                              vote_coins(5, "a", "b", 6)) == VoteTally(0, 6)
+
+    @pytest.mark.parametrize("count", [4, 6])
+    def test_one_coin_per_worker(self, count):
+        model = WorkerModel(workers_per_pair=5, error_rate=0.1)
+        with pytest.raises(ValueError, match=f"need 5 coins, got {count}"):
+            simulate_votes(GOLD, ("a", "b"), model, [0.5] * count)
+
+
+class TestVoteCoins:
+    def test_known_answer(self):
+        # pins the stream: a change here moves every simulated tally
+        assert vote_coins(42, "a", "b", 10) == [
+            0.031115698112431645, 0.19744103144096614, 0.28841541090556433,
+            0.7789623669085282, 0.551062205939987, 0.8547866979803442,
+            0.729036169633587, 0.7250339488330988, 0.9358750756481377,
+            0.4578959211111985,
+        ]
+        # coins 0 to 2 fall below 0.3, so three of five workers flip YES
+        oracle = SimulatedOracle(GOLD, WorkerModel(5, 0.3), seed=42)
+        assert oracle.answer(("b", "a")) == VoteTally(2, 5)
+
+    def test_coin_i_does_not_depend_on_worker_count(self, monkeypatch):
+        seen = []
+
+        def recording(gold, pair, model, coins):
+            seen.append(list(coins))
+            return VoteTally(0, model.workers_per_pair)
+
+        monkeypatch.setattr(perc.crowd, "simulate_votes", recording)
+        for workers in (5, 20):
+            SimulatedOracle(GOLD, WorkerModel(workers, 0.1), seed=7).answer(("c", "a"))
+        assert len(seen[0]) == 5 and len(seen[1]) == 20
+        assert seen[1][:5] == seen[0]
+
+    def test_coins_8_to_15_come_from_the_digest_salted_with_1(self):
+        digest = hashlib.blake2b(repr((42, "votes", "a", "b")).encode("utf-8"),
+                                 salt=(1).to_bytes(16, "little")).digest()
+        words = [int.from_bytes(digest[8 * j:8 * j + 8], "little") for j in range(8)]
+        assert vote_coins(42, "a", "b", 16)[8:] == [(w >> 11) / 2**53 for w in words]
 
 
 class TestSimulatedOracle:
