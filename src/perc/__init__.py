@@ -18,8 +18,8 @@ from .clustering import (merge_probability, mlc_bruteforce, mlc_unchanged,
 from .selection import (CandidatePriority, PriorityState, build_state,
                         pair_priority, refresh_after_answer, select_batch,
                         select_next)
-from .baselines import (DenseState, RhoInputs, build_dense_state, dense_batch,
-                        refresh_dense_state, rho_inputs, tc_batch)
+from .baselines import (DenseState, RhoInputs, TcState, build_dense_state, build_tc_state,
+                        dense_batch, refresh_dense_state, refresh_tc_state, rho_inputs, tc_batch)
 from .crowd import (GoldClustering, Oracle, ReplayOracle, SimulatedOracle,
                     UnrecordedPairError, WorkerModel, crowd_error_rate,
                     simulate_votes)
@@ -38,8 +38,8 @@ __all__ = [
     "merge_probability", "mlc_bruteforce", "mlc_unchanged", "scc_cluster",
     "CandidatePriority", "PriorityState", "build_state", "pair_priority",
     "refresh_after_answer", "select_batch", "select_next",
-    "DenseState", "RhoInputs", "build_dense_state", "dense_batch", "refresh_dense_state",
-    "rho_inputs", "tc_batch",
+    "DenseState", "RhoInputs", "TcState", "build_dense_state", "build_tc_state", "dense_batch",
+    "refresh_dense_state", "refresh_tc_state", "rho_inputs", "tc_batch",
     "GoldClustering", "Oracle", "ReplayOracle", "SimulatedOracle",
     "UnrecordedPairError", "WorkerModel", "crowd_error_rate", "simulate_votes",
     "ExperimentConfig", "MetricsSnapshot", "RunResult", "precision_recall_f1",

@@ -25,17 +25,39 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Clustering, Pair, UncertainGraph
-from .reliability import Block, BlockPairKey, Changes
-from .util import UnionFind
+from .reliability import Block, BlockPairKey, Changes, ReliabilityParams
+from .util import UnionFind, derive_seed, make_rng
 
 
-def tc_batch(graph: UncertainGraph, rng: np.random.Generator, k: int,
-             allowed: frozenset | None = None) -> list[Pair]:
+@dataclass
+class TcState:
+    """TC carries only the graph and clustering it last saw and its draw stream."""
+
+    graph: UncertainGraph
+    clustering: Clustering
+    rng: np.random.Generator
+
+
+def build_tc_state(graph: UncertainGraph, clustering: Clustering,
+                   params: ReliabilityParams, *, allowed: frozenset | None = None) -> TcState:
+    """A state drawing from params.seed's TC stream.  ``allowed`` is
+    ignored: TC draws uniformly from its candidate list, so restricting the
+    list in replay mode would shift every draw."""
+    return TcState(graph, clustering, make_rng(derive_seed(params.seed, "tc-stream")))
+
+
+def refresh_tc_state(state: TcState, graph: UncertainGraph, clustering: Clustering,
+                     changes: Changes) -> None:
+    """Point the state at the round's graph and clustering."""
+    state.graph, state.clustering = graph, clustering
+
+
+def tc_batch(state: TcState, k: int) -> list[Pair]:
     """Up to k distinct pairs drawn without replacement, each uniformly from
-    the absent, allowed, uninferable pairs left, in lexicographic order."""
+    the absent, uninferable pairs left, in lexicographic order."""
     if k < 1:
         raise ValueError(f"batch size must be positive, got {k}")
-    recs, edges = graph.records, graph.edges
+    recs, edges = state.graph.records, state.graph.edges
     index = {r: i for i, r in enumerate(recs)}
     components = UnionFind(len(recs))
     for (a, b), p in edges.items():
@@ -54,12 +76,11 @@ def tc_batch(graph: UncertainGraph, rng: np.random.Generator, k: int,
     for i, a in enumerate(recs):
         mine = settled[root[i]]
         for j, b in enumerate(recs[i + 1:], i + 1):
-            if root[j] not in mine and (a, b) not in edges and (
-                    allowed is None or (a, b) in allowed):
+            if root[j] not in mine and (a, b) not in edges:
                 candidates.append((a, b))
     out = []
     while candidates and len(out) < k:
-        out.append(candidates.pop(int(rng.integers(len(candidates)))))
+        out.append(candidates.pop(int(state.rng.integers(len(candidates)))))
     return out
 
 
@@ -258,10 +279,12 @@ def _fold(state: DenseState, added: list[Pair], fresh: frozenset[Block]) -> None
 
 
 def build_dense_state(graph: UncertainGraph, clustering: Clustering,
+                      params: ReliabilityParams | None = None, *,
                       allowed: frozenset | None = None) -> DenseState:
     """Score every block pair from scratch: one pass over the sorted edges
     fills the adjacency, and every block is built from it as a new one;
-    refresh_dense_state carries the state from round to round."""
+    refresh_dense_state carries the state from round to round.  DENSE
+    samples nothing, so ``params`` is unused."""
     state = DenseState(graph, clustering, allowed)
     for pair, p in graph.edge_items():
         state.adjacent[pair[0]].append((pair, p))

@@ -5,6 +5,10 @@ round after round pick a batch with the configured strategy, collect crowd
 answers, fold them in, re-cluster when an answer disagrees with the
 current clustering, and snapshot quality metrics.  The budget counts
 distinct pairs ever asked, seeding included.
+
+Each strategy is a build / refresh / batch protocol that _strategy reads
+from this module's globals once per run, not at import, so a wrapper
+installed here after import (the benchmark's counters) sees every call.
 """
 
 from __future__ import annotations
@@ -13,19 +17,22 @@ import logging
 from collections import Counter
 from dataclasses import dataclass
 
-from .baselines import (DenseState, build_dense_state, dense_batch, refresh_dense_state,
-                        tc_batch)
+from .baselines import (build_dense_state, build_tc_state, dense_batch, refresh_dense_state,
+                        refresh_tc_state, tc_batch)
 from .clustering import mlc_unchanged, scc_cluster
 from .crowd import (GoldClustering, Oracle, ReplayOracle, SimulatedOracle,
                     UnrecordedPairError, VoteTally, WorkerModel, crowd_error_rate)
 from .graph import Clustering, Pair, UncertainGraph
 from .reliability import ReliabilityParams, changes_since, reliability
-from .selection import PriorityState, build_state, refresh_after_answer, select_batch
+from .selection import build_state, refresh_after_answer, select_batch
 from .util import ConfigError, canonical_pair, derive_seed, make_rng
 
 log = logging.getLogger(__name__)
 
 STRATEGIES = ("perc", "tc", "dense")
+
+# the most records synth_world makes: 5e9 pairs, already past any run's reach
+MAX_SYNTH_RECORDS = 100_000
 
 NAN = float("nan")
 
@@ -150,7 +157,7 @@ def questions_to_reach(curve: list[MetricsSnapshot], target_f1: float) -> int | 
 
 
 def _initial_pairs_simulated(records: tuple[str, ...], count: int, seed: int) -> list[Pair]:
-    """Seeding questions: a random spanning path first, then uniform pairs.
+    """Up to count seeding questions: a random spanning path, then uniform pairs.
 
     The spanning structure guarantees early rounds see every record at
     least once; the remainder is a uniform sample of the leftover pairs.
@@ -175,14 +182,17 @@ def _initial_pairs_simulated(records: tuple[str, ...], count: int, seed: int) ->
     return chosen
 
 
-def _has_unrestricted_candidates(strategy: str, graph: UncertainGraph,
-                                 state: PriorityState | DenseState | None) -> bool:
-    """Whether the strategy would still propose pairs without a replay
-    restriction: any absent pair, except DENSE which only asks across
-    blocks, so any block pair its state keeps live."""
-    if strategy == "dense":
-        return bool(state.live)
-    return next(graph.absent_pairs(), None) is not None
+def _strategy(name: str) -> tuple:
+    """The strategy's build, refresh and batch functions, and whether its
+    state would propose pairs the replay restriction hid: PERC if any pair
+    is absent, DENSE if a block pair is live, TC never (it ignores it)."""
+    return {
+        "perc": (build_state, refresh_after_answer, select_batch,
+                 lambda state: next(state.graph.absent_pairs(), None) is not None),
+        "tc": (build_tc_state, refresh_tc_state, tc_batch, lambda state: False),
+        "dense": (build_dense_state, refresh_dense_state, dense_batch,
+                  lambda state: bool(state.live)),
+    }[name]
 
 
 def run_experiment(config: ExperimentConfig, records, gold: GoldClustering | None = None,
@@ -203,18 +213,18 @@ def run_experiment(config: ExperimentConfig, records, gold: GoldClustering | Non
     if gold is not None and gold.records != set(recs):
         raise ValueError("gold clustering does not cover exactly the given records")
 
+    graph = UncertainGraph(recs)
     oracle: Oracle
     allowed: frozenset | None = None
     if replay is not None:
         oracle = replay if isinstance(replay, ReplayOracle) else ReplayOracle(replay)
         allowed = oracle.pairs
-    else:
-        oracle = SimulatedOracle(gold, config.worker_model(), seed=config.seed)
-
-    graph = UncertainGraph(recs)
-    if replay is not None:
         for pair, _ in oracle.rows:
             graph._check_pair(pair)  # a record outside recs raises ValueError
+        seed_pairs = [pair for pair, _ in oracle.rows[:config.initial_pairs]]
+    else:
+        oracle = SimulatedOracle(gold, config.worker_model(), seed=config.seed)
+        seed_pairs = _initial_pairs_simulated(recs, config.initial_pairs, config.seed)
     vote_log: list[tuple[Pair, VoteTally]] = []
     flags: dict = {}
 
@@ -224,30 +234,14 @@ def run_experiment(config: ExperimentConfig, records, gold: GoldClustering | Non
         vote_log.append((pair, tally))
         return tally
 
-    total_pairs = len(recs) * (len(recs) - 1) // 2
-    seed_count = min(config.initial_pairs, total_pairs)
-    if isinstance(oracle, ReplayOracle):
-        seed_pairs = [pair for pair, _ in oracle.rows[:seed_count]]
-    else:
-        seed_pairs = _initial_pairs_simulated(recs, seed_count, config.seed)
     for pair in seed_pairs:
         ask(pair)
     graph = graph.with_edges(vote_log)
 
     clustering = scc_cluster(graph)
-    # TC draws uniformly from its candidate list, so restricting the list in
-    # replay mode would shift every draw; it keeps the full universe and
-    # relies on the early-termination flag instead.
-    strategy_allowed = None if config.strategy == "tc" else allowed
-    state = None  # perc's cached candidate queue, or DENSE's block-pair scores
-    tc_rng = make_rng(derive_seed(config.seed, "tc-stream"))
+    build, refresh, select, wishes = _strategy(config.strategy)
     params = config.reliability_params()
-    if config.strategy == "perc":
-        state = build_state(graph, clustering, params, allowed=allowed)
-        refresh = refresh_after_answer
-    elif config.strategy == "dense":
-        state = build_dense_state(graph, clustering, allowed=allowed)
-        refresh = refresh_dense_state
+    state = build(graph, clustering, params, allowed=allowed)
 
     mlc_checks = 0
     mlc_failures = 0
@@ -273,40 +267,28 @@ def run_experiment(config: ExperimentConfig, records, gold: GoldClustering | Non
                                      blocks=len(clustering.blocks)))
 
     snapshot()
-    stop = False
-    while not stop and len(vote_log) < config.budget:
+    while "unanswered_selection" not in flags and len(vote_log) < config.budget:
         k = min(config.batch_size, config.budget - len(vote_log))
-        if config.strategy == "perc":
-            batch = select_batch(state, k)
-        elif config.strategy == "tc":
-            batch = tc_batch(graph, tc_rng, k, allowed=strategy_allowed)
-        else:
-            batch = dense_batch(state, k)
+        batch = select(state, k)
         if not batch:
             flags["exhausted"] = True
-            if strategy_allowed is not None and _has_unrestricted_candidates(
-                    config.strategy, graph, state):
-                # the strategy still had wishes; only the log ran out
+            if allowed is not None and wishes(state):
                 flags["replay_exhausted"] = True
             break
         answered: list[tuple[Pair, VoteTally]] = []
         for pair in batch:
             try:
-                tally = ask(pair)
+                answered.append((pair, ask(pair)))
             except UnrecordedPairError:
                 flags["replay_exhausted"] = True
                 flags["unanswered_selection"] = pair
-                stop = True
                 break
-            answered.append((pair, tally))
         if not answered:
             break
         graph = graph.with_edges(answered)
-        changed_votes = 0
-        for pair, tally in answered:
-            mlc_checks += 1
-            if not mlc_unchanged(clustering, pair, tally.fraction):
-                changed_votes += 1
+        mlc_checks += len(answered)
+        changed_votes = sum(not mlc_unchanged(clustering, pair, tally.fraction)
+                            for pair, tally in answered)
         mlc_failures += changed_votes
         if changed_votes:
             reclusterings += 1
@@ -314,17 +296,12 @@ def run_experiment(config: ExperimentConfig, records, gold: GoldClustering | Non
             reclusterings_changed += fresh != clustering
             clustering = fresh
         rounds += 1
-        shared = None
-        if state is not None:
-            # the round's change, found once: the carried state reads it, and
-            # so does the snapshot when its last score was priced where the
-            # state was (every round with eval_every 1)
-            changes = changes_since(state.graph, state.clustering, graph, clustering)
-            if score.graph is state.graph and score.clustering is state.clustering:
-                shared = changes
-            refresh(state, graph, clustering, changes)
+        # the round's change, found once for the state and, with eval_every 1,
+        # for the snapshot, whose last score was then priced where the state was
+        changes = changes_since(state.graph, state.clustering, graph, clustering)
+        refresh(state, graph, clustering, changes)
         if rounds % config.eval_every == 0:
-            snapshot(shared)
+            snapshot(changes if config.eval_every == 1 else None)
         log.debug("round %d: asked %d pairs, %d blocks, %d total questions",
                   rounds, len(answered), len(clustering.blocks), len(vote_log))
 
@@ -349,8 +326,8 @@ def synth_world(n_records: int, n_entities: int, seed: int = 0) -> tuple[list[st
     Every entity gets at least one record; the rest are assigned uniformly,
     so entity sizes vary around n_records / n_entities.
     """
-    if n_records < 1:
-        raise ValueError(f"need at least one record, got {n_records}")
+    if not 1 <= n_records <= MAX_SYNTH_RECORDS:
+        raise ValueError(f"record count {n_records} must sit in 1..{MAX_SYNTH_RECORDS}")
     if not 1 <= n_entities <= n_records:
         raise ValueError(
             f"entity count {n_entities} must sit in 1..{n_records}")

@@ -475,8 +475,8 @@ def changes_since(previous_graph: UncertainGraph, previous_clustering: Clusterin
 
     The result is only read, never changed, by the callers it is handed
     to, so run_experiment finds each round's change once and hands it to
-    the strategy's carried state (refresh_after_answer or
-    refresh_dense_state) and to the snapshot's reliability.
+    the strategy's refresh (refresh_after_answer, refresh_dense_state or
+    refresh_tc_state) and to the snapshot's reliability.
     """
     owner = clustering._owner
     added = graph.edges_added_since(previous_graph)

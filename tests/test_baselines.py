@@ -7,14 +7,23 @@ import pytest
 
 from perc import (
     Clustering,
+    ReliabilityParams,
+    TcState,
     UncertainGraph,
     build_dense_state,
+    build_tc_state,
     dense_batch,
     rho_inputs,
+    scc_cluster,
     tc_batch,
 )
 from perc.util import make_rng
 from test_fast_paths import reference_open_pairs
+
+
+def tc_state(graph, seed):
+    """A TC state on ``graph`` drawing from make_rng(seed)."""
+    return TcState(graph, scc_cluster(graph), make_rng(seed))
 
 
 class TestTcSelection:
@@ -29,7 +38,7 @@ class TestTcSelection:
     ], ids=["closure", "anti-link", "undecided"])
     def test_exhausting_batch_is_the_open_pairs(self, records, edges, open_pairs):
         g = UncertainGraph.from_probabilities(records, edges)
-        assert sorted(tc_batch(g, make_rng(0), 10)) == open_pairs
+        assert sorted(tc_batch(tc_state(g, 0), 10)) == open_pairs
 
     def test_never_returns_inferable_or_crowdsourced(self):
         rng_instances = np.random.default_rng(79)
@@ -43,7 +52,7 @@ class TestTcSelection:
                         edges[(recs[i], recs[j])] = float(rng_instances.random())
             g = UncertainGraph(recs, edges=edges)
             open_pairs = reference_open_pairs(g, None)
-            for pick in tc_batch(g, make_rng(0), 3):
+            for pick in tc_batch(tc_state(g, 0), 3):
                 assert pick in open_pairs
 
     def test_exhaustion_returns_none(self):
@@ -51,16 +60,16 @@ class TestTcSelection:
         # non-match between the components settles all six pairs.
         g = UncertainGraph.from_probabilities(
             "ABCD", {("A", "B"): 0.9, ("C", "D"): 0.9, ("A", "C"): 0.1})
-        assert tc_batch(g, make_rng(0), 1) == []
+        assert tc_batch(tc_state(g, 0), 1) == []
 
     def test_uniform_over_candidates(self):
         # Four records, no edges: six equally likely candidates.
         g = UncertainGraph(["A", "B", "C", "D"])
         counts = {}
-        rng = make_rng(123)
+        state = tc_state(g, 123)
         trials = 6000
         for _ in range(trials):
-            (pick,) = tc_batch(g, rng, 1)
+            (pick,) = tc_batch(state, 1)
             counts[pick] = counts.get(pick, 0) + 1
         assert set(counts) == set(g.absent_pairs())
         expected = trials / 6
@@ -70,23 +79,28 @@ class TestTcSelection:
 
     def test_batch_distinct_without_replacement(self):
         g = UncertainGraph(["A", "B", "C", "D"])
-        batch = tc_batch(g, make_rng(7), 6)
+        batch = tc_batch(tc_state(g, 7), 6)
         assert len(batch) == 6
         assert len(set(batch)) == 6
-        assert tc_batch(g, make_rng(7), 10) == batch + []  # only 6 exist
+        assert tc_batch(tc_state(g, 7), 10) == batch + []  # only 6 exist
 
-    def test_batch_respects_allowed(self):
-        g = UncertainGraph(["A", "B", "C"])
-        allowed = frozenset({("A", "C")})
-        assert tc_batch(g, make_rng(3), 5, allowed=allowed) == [("A", "C")]
+    def test_build_ignores_allowed(self):
+        # restricting TC's list would shift every draw, so a replay run's
+        # pair set leaves the stream and the list as they are
+        g = UncertainGraph(["A", "B", "C", "D"])
+        params = ReliabilityParams(seed=3)
+        full = tc_batch(build_tc_state(g, scc_cluster(g), params), 6)
+        assert len(full) == 6
+        assert tc_batch(build_tc_state(g, scc_cluster(g), params,
+                                       allowed=frozenset({("A", "C")})), 6) == full
 
     def test_deterministic_given_rng_state(self):
         g = UncertainGraph(["A", "B", "C", "D", "E"])
-        assert tc_batch(g, make_rng(11), 4) == tc_batch(g, make_rng(11), 4)
+        assert tc_batch(tc_state(g, 11), 4) == tc_batch(tc_state(g, 11), 4)
 
     def test_rejects_nonpositive_k(self):
         with pytest.raises(ValueError):
-            tc_batch(UncertainGraph(["A", "B"]), make_rng(0), 0)
+            tc_batch(tc_state(UncertainGraph(["A", "B"]), 0), 0)
 
 
 class TestRhoInputs:

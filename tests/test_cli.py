@@ -57,6 +57,20 @@ class TestSynth:
         assert len(records) == 12
         assert len({gold.entity_of(r) for r in records}) == 3
 
+    @pytest.mark.parametrize("entities, records, message", [
+        ("5", "99999999999", "record count 99999999999 must sit in 1..100000"),
+        ("99999999999", "99999999999", "record count 99999999999 must sit in 1..100000"),
+        ("99999999999", "10", "entity count 99999999999 must sit in 1..10"),
+    ], ids=["records", "both", "entities"])
+    def test_oversized_count_exits_one(self, tmp_path, capsys, entities, records, message):
+        # checked before any record name is made, so this returns at once
+        out = tmp_path / "world"
+        code = main(["synth", "--entities", entities, "--records", records,
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
     def test_deterministic(self, tmp_path):
         for name in ("w1", "w2"):
             main(["synth", "--entities", "2", "--records", "8",

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from perc import (Clustering, ReliabilityParams, UncertainGraph, VoteTally,
+from perc import (Clustering, ReliabilityParams, TcState, UncertainGraph, VoteTally,
                   build_dense_state, build_state, dense_batch, refresh_after_answer,
                   refresh_dense_state, rho_inputs, scc_cluster, select_batch, tc_batch)
 from perc.clustering import _PairAgg
@@ -657,7 +657,7 @@ def test_absent_pairs_between_equals_scan(case, data):
 def test_dense_batch_equals_sort_then_dedupe(case, data):
     graph, clustering = case
     allowed = draw_allowed(data, graph)
-    state = build_dense_state(graph, clustering, allowed)
+    state = build_dense_state(graph, clustering, allowed=allowed)
     absent = sum(len(scan_absent_between(graph, bj, bk, allowed))
                  for bj, bk in clustering.block_pairs())
     for k in range(1, absent + 3):
@@ -696,7 +696,7 @@ def assert_dense_matches_reference(state):
          frozenset({("Q", "R")}), None)
 def test_carried_dense_state_equals_cold_build(graph, allowed, data):
     clustering = scc_cluster(graph)
-    state = build_dense_state(graph, clustering, allowed)
+    state = build_dense_state(graph, clustering, allowed=allowed)
     assert_dense_matches_reference(state)
     for _ in range(4 if data else 0):
         absent = list(graph.absent_pairs())
@@ -724,9 +724,9 @@ def test_dense_scores_equal_rho_inputs(case):
 
 
 @ORACLE
-@given(graphs(), st.integers(0, 2**32 - 1), st.data())
-def test_tc_batch_equals_rescan(graph, seed, data):
-    allowed = draw_allowed(data, graph)
-    for k in range(1, len(reference_open_pairs(graph, allowed)) + 3):
-        assert tc_batch(graph, np.random.default_rng(seed), k, allowed) == \
-            reference_tc_batch(graph, seed, k, allowed)
+@given(graphs(), st.integers(0, 2**32 - 1))
+def test_tc_batch_equals_rescan(graph, seed):
+    clustering = scc_cluster(graph)
+    for k in range(1, len(reference_open_pairs(graph, None)) + 3):
+        state = TcState(graph, clustering, np.random.default_rng(seed))
+        assert tc_batch(state, k) == reference_tc_batch(graph, seed, k, None)

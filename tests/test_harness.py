@@ -378,13 +378,11 @@ class TestRunExperiment:
         scc_cluster = harness.scc_cluster
         reliability = harness.reliability
         precision_recall_f1 = harness.precision_recall_f1
-        build_state, build_dense_state = harness.build_state, harness.build_dense_state
+        build = harness._strategy(strategy)[0]
 
         def cold_refresh(state, graph, clustering, changes=None):
-            if strategy == "perc":
-                fresh = build_state(graph, clustering, state.params, allowed=state.allowed)
-            else:
-                fresh = build_dense_state(graph, clustering, allowed=state.allowed)
+            fresh = build(graph, clustering, config.reliability_params(),
+                          allowed=state.allowed)
             for name in type(state).__slots__:
                 setattr(state, name, getattr(fresh, name))
 

@@ -4,6 +4,7 @@ import importlib
 import pkgutil
 import re
 import runpy
+from collections import Counter
 from pathlib import Path
 
 import perc
@@ -49,6 +50,33 @@ def test_benchmark_patch_points_exist():
                 ("select_batch", "tc_batch", "dense_batch", "SimulatedOracle")
                 if not hasattr(harness, name)]
     assert missing == []
+
+
+def test_benchmark_hooks_see_every_round(monkeypatch):
+    """Wrappers swapped into perc.harness after import, as perfbench/worker.py
+    and the tracer install theirs, see each run's build, every batch and
+    every refresh: run_experiment looks its strategy up per run."""
+    harness = importlib.import_module("perc.harness")
+    calls = Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in ("select_batch", "tc_batch", "dense_batch", "build_state",
+                 "refresh_after_answer"):
+        monkeypatch.setattr(harness, name, counting(name, getattr(harness, name)))
+    records, gold = perc.synth_world(20, 4, seed=1)
+    for strategy, expected in (("perc", ("build_state", "select_batch", "refresh_after_answer")),
+                               ("tc", ("tc_batch",)), ("dense", ("dense_batch",))):
+        calls.clear()
+        result = perc.run_experiment(perc.ExperimentConfig(strategy=strategy, budget=30,
+                                                           batch_size=3), records, gold=gold)
+        rounds = result.stats["rounds"]
+        assert rounds == 10 and not result.flags
+        assert calls == {name: 1 if name == "build_state" else rounds for name in expected}
 
 
 def test_readme_quick_taste_runs_as_shown(capsys):
