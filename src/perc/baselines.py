@@ -12,14 +12,15 @@ asks inside the best-scoring pair.  It only ever proposes cross-block
 pairs.  Its state is carried the way PERC's queue is: build_dense_state
 scores every block pair once, and refresh_dense_state folds each round
 in, rescoring only the block pairs whose evidence a new answer or a new
-block changed.  A batch walks the absent pairs in lexicographic order and
-stops once k of them belong to block pairs at the top score.
+block changed.  Both read each changed block pair's spanning edges from
+the round's Changes, so DENSE keeps no copy of the edges.  A batch walks
+the absent pairs in lexicographic order and stops once k of them belong
+to block pairs at the top score.
 """
 
 from __future__ import annotations
 
 import heapq
-from bisect import insort
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,51 +170,42 @@ class DenseState:
     multiplies in, so every score equals ``rho_inputs(graph, bj,
     bk).value`` to the bit:
 
-    - adjacent: each record's edges as (pair, p);
     - outside: each block's positive edges to other blocks as (pair, other
       record, p), tagged with the record so that a surviving block's tags
       stay valid across a recluster; whole: the ratio of that list;
-    - yes and no: each spanned block pair's positive and negative cross
-      edges as (pair, p(a)); spanning: its count of cross edges, undecided
-      ones included;
+    - spans: each spanned block pair's cross edges as (pair, p), undecided
+      ones included, as Changes.spans lists them;
     - scores: every block pair's score; live: the scores of the block
       pairs that still have an absent spanning pair.
 
-    allowed (when set) restricts the batch to a fixed pair set, used in
-    replay mode; live ignores it.
+    The state keeps no edges of its own beyond these lists: each round's
+    Changes hands it the spans of every block pair it rescores.  allowed
+    (when set) restricts the batch to a fixed pair set, used in replay
+    mode; live ignores it.
     """
 
-    __slots__ = ("graph", "clustering", "allowed", "adjacent", "outside", "whole",
-                 "yes", "no", "spanning", "scores", "live")
+    __slots__ = ("graph", "clustering", "allowed", "outside", "whole", "spans", "scores",
+                 "live")
 
     def __init__(self, graph: UncertainGraph, clustering: Clustering,
                  allowed: frozenset | None = None):
         self.graph = graph
         self.clustering = clustering
         self.allowed = allowed
-        self.adjacent: dict[str, list[tuple[Pair, float]]] = {r: [] for r in graph.records}
         self.outside: dict[Block, list[tuple[Pair, str, float]]] = {}
         self.whole: dict[Block, float] = {}
-        self.yes: dict[BlockPairKey, list[tuple[Pair, float]]] = {}
-        self.no: dict[BlockPairKey, list[tuple[Pair, float]]] = {}
-        self.spanning: dict[BlockPairKey, int] = {}
+        self.spans: dict[BlockPairKey, list[tuple[Pair, float]]] = {}
         self.scores: dict[BlockPairKey, float] = {}
         self.live: dict[BlockPairKey, float] = {}
 
 
-def _add_cross(state: DenseState, key: BlockPairKey, pair: Pair, p: float) -> None:
-    """Count one cross edge of a block pair and list it by its verdict."""
-    state.spanning[key] = state.spanning.get(key, 0) + 1
-    if p > 0.5:
-        insort(state.yes.setdefault(key, []), (pair, p))
-    elif p < 0.5:
-        insort(state.no.setdefault(key, []), (pair, 1.0 - p))
-
-
 def _rescore(state: DenseState, key: BlockPairKey) -> None:
-    """Score one block pair from its lists, as RhoInputs.value does."""
+    """Score one block pair from its span and outside lists, as
+    RhoInputs.value does."""
     bj, bk = key
-    cross_yes, cross_no = state.yes.get(key), state.no.get(key)
+    span = state.spans.get(key, ())
+    cross_yes = [p for _, p in span if p > 0.5]
+    cross_no = [1.0 - p for _, p in span if p < 0.5]
     if cross_yes:
         # each block's outside evidence without its edges to the partner
         owner, outside = state.clustering._owner, state.outside
@@ -221,59 +213,35 @@ def _rescore(state: DenseState, key: BlockPairKey) -> None:
                           * _ratio(p for _, other, p in outside[bk] if owner[other] is not bj))
     else:
         outside_factor = state.whole[bj] * state.whole[bk]
-    factors = [_ratio(p for _, p in entries) for entries in (cross_no, cross_yes) if entries]
+    factors = [_ratio(values) for values in (cross_no, cross_yes) if values]
     score = outside_factor * (min(factors) if factors else 1.0)
     state.scores[key] = score
-    if state.spanning.get(key, 0) < len(bj) * len(bk):
+    if len(span) < len(bj) * len(bk):
         state.live[key] = score
     else:
         state.live.pop(key, None)
 
 
-def _fold(state: DenseState, added: list[Pair], fresh: frozenset[Block]) -> None:
-    """Fold the edges in ``added`` into the lists of the surviving blocks
-    and block pairs, build the lists of each block in ``fresh`` from the
-    adjacency, and rescore every block pair whose inputs changed."""
-    graph, clustering = state.graph, state.clustering
-    owner, adjacent, outside = clustering._owner, state.adjacent, state.outside
-    dirty = set(fresh)  # blocks whose outside list changed
-    keys = set()  # further block pairs whose cross edges changed
-    for pair in added:
-        p = graph.edges[pair]
-        a, b = pair
-        insort(adjacent[a], (pair, p))
-        insort(adjacent[b], (pair, p))
-        ba, bb = owner[a], owner[b]
-        if ba is bb:
-            continue  # an intra edge moves no score
-        if p > 0.5:
-            for block, other in ((ba, b), (bb, a)):
-                if block not in fresh:
-                    insort(outside[block], (pair, other, p))
-                    dirty.add(block)
-        if ba not in fresh and bb not in fresh:
-            key = (ba, bb) if ba < bb else (bb, ba)
-            _add_cross(state, key, pair, p)
-            keys.add(key)
-    for block in fresh:
-        entries = []
-        for member in block:
-            for pair, p in adjacent[member]:
-                other = pair[1] if pair[0] == member else pair[0]
-                if owner[other] is not block:
-                    entries.append((pair, other, p))
-        entries.sort()
-        outside[block] = [entry for entry in entries if entry[2] > 0.5]
-        for pair, other, p in entries:
-            partner = owner[other]
-            # the first of two new blocks lists their cross edges
-            if partner not in fresh or block < partner:
-                _add_cross(state, (block, partner) if block < partner else (partner, block),
-                           pair, p)
+def _fold(state: DenseState, changes: Changes) -> None:
+    """Take the spans of ``changes``, build the outside list of each block
+    it changed (a new block, or one end of a new positive cross edge) from
+    its spans, and rescore every block pair whose inputs changed."""
+    clustering, edges, spans = state.clustering, state.graph.edges, state.spans
+    owner = clustering._owner
+    spans.update(changes.spans)
+    dirty = set(changes.fresh)
+    for a, b in changes.added:
+        if owner[a] is not owner[b] and edges[(a, b)] > 0.5:
+            dirty.update((owner[a], owner[b]))
+    keys = set(changes.spans)  # the block pairs whose cross edges changed
     for block in dirty:
-        state.whole[block] = _ratio(p for _, _, p in outside[block])
-        keys.update((block, other) if block < other else (other, block)
-                    for other in clustering.blocks if other is not block)
+        pairs = [(block, other) if block < other else (other, block)
+                 for other in clustering.blocks if other is not block]
+        state.outside[block] = entries = sorted(
+            ((a, b), b if owner[a] is block else a, p)
+            for key in pairs for (a, b), p in spans.get(key, ()) if p > 0.5)
+        state.whole[block] = _ratio(p for _, _, p in entries)
+        keys.update(pairs)
     for key in keys:
         _rescore(state, key)
 
@@ -281,15 +249,11 @@ def _fold(state: DenseState, added: list[Pair], fresh: frozenset[Block]) -> None
 def build_dense_state(graph: UncertainGraph, clustering: Clustering,
                       params: ReliabilityParams | None = None, *,
                       allowed: frozenset | None = None) -> DenseState:
-    """Score every block pair from scratch: one pass over the sorted edges
-    fills the adjacency, and every block is built from it as a new one;
-    refresh_dense_state carries the state from round to round.  DENSE
-    samples nothing, so ``params`` is unused."""
+    """Score every block pair from scratch, folding a Changes in which
+    every block is new; refresh_dense_state carries the state from round
+    to round.  DENSE samples nothing, so ``params`` is unused."""
     state = DenseState(graph, clustering, allowed)
-    for pair, p in graph.edge_items():
-        state.adjacent[pair[0]].append((pair, p))
-        state.adjacent[pair[1]].append((pair, p))
-    _fold(state, [], frozenset(clustering.blocks))
+    _fold(state, Changes.from_scratch(graph, clustering))
     return state
 
 
@@ -302,17 +266,18 @@ def refresh_dense_state(state: DenseState, graph: UncertainGraph,
     clustering).  A new negative edge rescores its own block pair, a new
     positive edge every pair with either of its blocks, and a recluster
     every pair with a new block.  The lists of gone blocks and of the
-    block pairs in ``changes.dropped`` go by key; every other list and
+    block pairs in ``changes.dropped`` go by key, the spans of
+    changes.spans replace their block pairs', and every other list and
     score carries over, so the state equals a build_dense_state on (graph,
     clustering).
     """
     for block in changes.gone:
         del state.outside[block], state.whole[block]
     for key in changes.dropped:
-        for table in (state.yes, state.no, state.spanning, state.scores, state.live):
+        for table in (state.spans, state.scores, state.live):
             table.pop(key, None)
     state.graph, state.clustering = graph, clustering
-    _fold(state, changes.added, changes.fresh)
+    _fold(state, changes)
 
 
 def dense_batch(state: DenseState, k: int) -> list[Pair]:

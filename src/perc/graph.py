@@ -51,6 +51,22 @@ def _check_record_id(rid) -> str:
     return rid
 
 
+def _merge_walk(left: tuple[str, ...], right: tuple[str, ...]
+                ) -> Iterator[tuple[str, tuple[str, ...]]]:
+    """Each member of two disjoint sorted blocks, in order, with the other
+    block's members above it, the ones the walk has not passed yet: the
+    pairs (a, b) for b above a are the block pair's canonical pairs, met in
+    lexicographic order."""
+    i = j = 0
+    while i < len(left) and j < len(right):
+        if left[i] < right[j]:
+            yield left[i], right[j:]
+            i += 1
+        else:
+            yield right[j], left[i:]
+            j += 1
+
+
 class UncertainGraph:
     """Immutable-by-convention set of records plus probabilistic edges.
 
@@ -213,16 +229,7 @@ class UncertainGraph:
         canonical and in lexicographic order, produced lazily; with
         ``allowed``, only the pairs in it."""
         edges = self.edges
-        # a merge walk over both blocks: each record meets the other block's
-        # members above it, which are the ones the walk has not passed yet
-        i = j = 0
-        while i < len(left) and j < len(right):
-            if left[i] < right[j]:
-                a, above = left[i], right[j:]
-                i += 1
-            else:
-                a, above = right[j], left[i:]
-                j += 1
+        for a, above in _merge_walk(left, right):
             for b in above:
                 if (a, b) not in edges and (allowed is None or (a, b) in allowed):
                     yield (a, b)

@@ -22,8 +22,11 @@ block with that pair added as a certain edge, all by one method: one DP's
 final distribution gives every exact value at once, and sampled values
 share the block's stream.  changes_since tells a caller holding values
 priced on an earlier graph and clustering which blocks the round removed
-and created and which of the values may carry over, and prices the block
-pairs that may not when they are first read.
+and created and which of the values may carry over.  On first read it
+walks the edges once to list the spanning edges of each block pair whose
+values may not, and prices each pair from its list; PERC's queue, DENSE's
+scores and the score here all read those lists, and a build from scratch
+folds a Changes in which every block is new.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from operator import itemgetter
 
-from .graph import Clustering, Pair, UncertainGraph, check_covers
+from .graph import Clustering, Pair, UncertainGraph, _merge_walk, check_covers
 from .util import ConfigError, UnionFind, canonical_pair, derive_seed, make_rng
 
 Block = tuple[str, ...]
@@ -128,35 +131,58 @@ def _check_block(clustering: Clustering, block) -> Block:
     return key
 
 
-def spanning_products(graph: UncertainGraph, clustering: Clustering,
-                      blocks: set | None = None,
-                      within: dict | None = None) -> dict[BlockPairKey, float]:
-    """prod(p) over the edges spanning each block pair, in one edge pass.
-
-    Keys are (block_j, block_k) with block_j < block_k, as
-    Clustering.block_pairs yields them; pairs with no spanning edge have no
-    entry, and with ``blocks`` given, neither do pairs that have no block in
-    it.  Edges are folded in canonical order, the order disconnectivity
-    multiplies them in, so 1 - prod equals its value exactly.  ``within``
-    gets each block's edges_within, as a list, from the same pass.
-    """
+def spanning_edges(graph: UncertainGraph, clustering: Clustering,
+                   blocks: frozenset[Block]) -> tuple[dict[BlockPairKey, list], dict[Block, list]]:
+    """In one pass over the sorted edges, the edges spanning each block
+    pair with a block in ``blocks``, keyed (block_j, block_k) with block_j
+    < block_k as Clustering.block_pairs yields them, and the intra edges
+    of each of those blocks of two or more members.  Each list holds
+    (pair, p) in canonical order, as edges_between and edges_within
+    return them; an unspanned pair has no entry.  With every block in
+    ``blocks``, the pass reads the edges unfiltered."""
     owner = clustering._owner
     edges = graph.edges.items()
-    if blocks is not None:
+    if len(blocks) < len(clustering.blocks):
         members = {r for block in blocks for r in block}
         edges = [(pair, p) for pair, p in edges
                  if pair[0] in members or pair[1] in members]
-    products: dict[BlockPairKey, float] = {}
-    for (a, b), p in sorted(edges):
+    spans: dict[BlockPairKey, list] = {}
+    within: dict[Block, list] = {block: [] for block in blocks if len(block) > 1}
+    for edge in sorted(edges):
+        a, b = edge[0]
         ba = owner[a]
         bb = owner[b]
         if ba is bb:
-            if within is not None:
-                within.setdefault(ba, []).append(((a, b), p))
+            within[ba].append(edge)
             continue
         key = (ba, bb) if ba < bb else (bb, ba)
-        products[key] = products.get(key, 1.0) * p
-    return products
+        span = spans.get(key)
+        if span is None:
+            spans[key] = [edge]
+        else:
+            span.append(edge)
+    return spans, within
+
+
+def _pair_span(edges: dict[Pair, float], left: Block, right: Block) -> list[tuple[Pair, float]]:
+    """The edges spanning two distinct sorted blocks as (pair, p), in
+    canonical order."""
+    span = []
+    for a, above in _merge_walk(left, right):
+        for b in above:
+            p = edges.get((a, b))
+            if p is not None:
+                span.append(((a, b), p))
+    return span
+
+
+def _disconnected(span: list[tuple[Pair, float]]) -> float:
+    """1 - prod(p) over a span's edges, multiplied in list order: the
+    probability that at least one of them is realized as a NO."""
+    prod_all_no_fail = 1.0
+    for _, p in span:
+        prod_all_no_fail *= p  # 1 - p_no
+    return 1.0 - prod_all_no_fail
 
 
 def disconnectivity(graph: UncertainGraph, clustering: Clustering,
@@ -172,26 +198,7 @@ def disconnectivity(graph: UncertainGraph, clustering: Clustering,
     bk = _check_block(clustering, block_k)
     if bj == bk:
         raise ValueError(f"need two distinct blocks, got {bj} twice")
-    return _disconnectivity(graph.edges, bj, bk)
-
-
-def _disconnectivity(edges: dict[Pair, float], left: Block, right: Block) -> float:
-    """disconnectivity of two distinct sorted blocks, its spanning pairs met
-    in canonical order by absent_pairs_between's merge walk."""
-    prod_all_no_fail = 1.0
-    i = j = 0
-    while i < len(left) and j < len(right):
-        if left[i] < right[j]:
-            a, above = left[i], right[j:]
-            i += 1
-        else:
-            a, above = right[j], left[i:]
-            j += 1
-        for b in above:
-            p = edges.get((a, b))
-            if p is not None:
-                prod_all_no_fail *= p  # 1 - p_no
-    return 1.0 - prod_all_no_fail
+    return _disconnected(_pair_span(graph.edges, bj, bk))
 
 
 def _reduced_block(graph: UncertainGraph, block,
@@ -385,7 +392,10 @@ def _sampled_connect_prob(n: int, edges: list[tuple[int, int, float]],
 def block_connectivity(graph: UncertainGraph, block,
                        params: ReliabilityParams) -> ConnectivityEstimate:
     """Connectivity of the block, solved exactly up to exact_edge_limit
-    uncertain edges after contraction and sampled above it."""
+    uncertain edges after contraction and sampled above it.  A one-record
+    block is connected for certain."""
+    if len(block) == 1:
+        return ConnectivityEstimate(value=1.0, method="exact")
     index, n, edges = _reduced_block(graph, block)
     if solved_exactly(len(edges), params):
         return ConnectivityEstimate(value=_partition_dp(n, edges, 1)[0], method="exact")
@@ -432,8 +442,9 @@ class Changes:
     """What one round changed, as changes_since finds it: the new edges,
     sorted; the old blocks the new clustering lacks (gone) and the new
     clustering's blocks the old one lacks (fresh); the blocks a new edge
-    lies inside; each old block pair that lost a block, once; and, priced
-    on first read, the block pairs to price."""
+    lies inside; each old block pair that lost a block, once; and, found
+    on first read, the block pairs to price again with their spanning
+    edges (spans) and the intra edges of each new block (within)."""
 
     added: list[Pair]
     gone: frozenset[Block]
@@ -443,25 +454,46 @@ class Changes:
     graph: UncertainGraph = field(repr=False)
     clustering: Clustering = field(repr=False)
 
+    @classmethod
+    def from_scratch(cls, graph: UncertainGraph, clustering: Clustering) -> "Changes":
+        """A build from scratch: every block new, no edge added, no block gone."""
+        return cls([], frozenset(), frozenset(clustering.blocks), set(), [], graph, clustering)
+
     @cached_property
-    def priced(self) -> dict[BlockPairKey, float]:
-        """Each block pair of two old blocks that gained a spanning edge,
-        and each spanned pair with a new block, with its disconnectivity.
-        Any other block pair of two old blocks kept its value, and any other
-        pair with a new block is unspanned (d = 0)."""
-        graph, clustering, fresh = self.graph, self.clustering, self.fresh
-        owner = clustering._owner
-        priced: dict[BlockPairKey, float] = {}
+    def _walk(self) -> tuple[dict[BlockPairKey, list], dict[Block, list]]:
+        # spans and within, from one walk on first read
+        edges, owner, fresh = self.graph.edges, self.clustering._owner, self.fresh
+        spans: dict[BlockPairKey, list] = {}
         for a, b in self.added:
             ba, bb = owner[a], owner[b]
             if ba is not bb and ba not in fresh and bb not in fresh:
                 key = (ba, bb) if ba < bb else (bb, ba)
-                if key not in priced:
-                    priced[key] = _disconnectivity(graph.edges, *key)
-        if fresh:
-            priced.update((key, 1.0 - prod) for key, prod
-                          in spanning_products(graph, clustering, fresh).items())
-        return priced
+                if key not in spans:
+                    spans[key] = _pair_span(edges, *key)
+        if not fresh:
+            return spans, {}
+        new_spans, within = spanning_edges(self.graph, self.clustering, fresh)
+        spans.update(new_spans)
+        return spans, within
+
+    @property
+    def spans(self) -> dict[BlockPairKey, list[tuple[Pair, float]]]:
+        """Each block pair of two old blocks that gained a spanning edge,
+        and each spanned pair with a new block, with its spanning edges as
+        spanning_edges lists them.  Any other block pair of two old blocks
+        kept its edges, and any other pair with a new block has none."""
+        return self._walk[0]
+
+    @property
+    def within(self) -> dict[Block, list[tuple[Pair, float]]]:
+        """Each new block of two or more members with its intra edges, as
+        spanning_edges lists them, from the walk that finds spans."""
+        return self._walk[1]
+
+    @cached_property
+    def priced(self) -> dict[BlockPairKey, float]:
+        """Each block pair in spans with its disconnectivity."""
+        return {key: _disconnected(span) for key, span in self.spans.items()}
 
 
 def changes_since(previous_graph: UncertainGraph, previous_clustering: Clustering,
@@ -514,7 +546,8 @@ def reliability(graph: UncertainGraph, clustering: Clustering,
       edge.
 
     The pairs changes_since prices are priced again, so the result equals
-    a call without ``previous``.  ``changes`` is what
+    a call without ``previous``, which prices Changes.from_scratch's pairs
+    and every block.  ``changes`` is what
     changes_since(previous.graph, previous.clustering, graph, clustering)
     returned, when the caller has already found it for another holder of
     values priced on the same pair; without it, this call finds it.
@@ -524,24 +557,22 @@ def reliability(graph: UncertainGraph, clustering: Clustering,
     epsilon = params.epsilon
     blocks = clustering.blocks
     carried: dict[Block, ConnectivityEstimate] = {}
-    touched_blocks: set[Block] = set()
+    pairs: dict[BlockPairKey, float] = {}
+    logs: dict[BlockPairKey, float] = {}
     if previous is None:
-        pairs: dict[BlockPairKey, float] = {}
-        logs: dict[BlockPairKey, float] = {}
-        priced = {key: 1.0 - prod for key, prod in spanning_products(graph, clustering).items()}
+        changes = Changes.from_scratch(graph, clustering)
     else:
         if previous.params != params:
             raise ValueError("previous score priced other params")
         if changes is None:
             changes = changes_since(previous.graph, previous.clustering, graph, clustering)
-        touched_blocks, priced = changes.touched, changes.priced
         carried = dict(zip(previous.clustering.blocks, previous.block_connectivity))
         pairs = dict(previous.pair_disconnectivity)
         logs = dict(previous._pair_logs)
         for key in changes.dropped:
             if pairs.pop(key, None) is not None:
                 logs.pop(key, None)
-    for key, d in priced.items():
+    for key, d in changes.priced.items():
         pairs[key] = d
         if d >= epsilon:
             logs[key] = math.log10(d)
@@ -554,7 +585,7 @@ def reliability(graph: UncertainGraph, clustering: Clustering,
     for block in blocks:
         # only a surviving block is found in carried
         est = carried.get(block)
-        if est is None or block in touched_blocks:
+        if est is None or block in changes.touched:
             est = block_connectivity(graph, block, params)
         estimates.append(est)
         if est.value >= epsilon:

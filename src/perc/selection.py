@@ -48,7 +48,7 @@ from .graph import Clustering, Pair, UncertainGraph, check_covers
 # block_connectivity has no caller here; the benchmark's tracer patches this name
 from .reliability import (Block, BlockPairKey, Changes, ReliabilityParams,  # noqa: F401
                           block_connectivity, changes_since, disconnectivity,
-                          pair_connectivity, spanning_products)
+                          pair_connectivity)
 from .util import canonical_pair, log10_clamped
 
 
@@ -229,19 +229,18 @@ def _set_inter(inter: dict[BlockPairKey, tuple[Pair, float]], graph: UncertainGr
     return entry
 
 
-def _mark(state: PriorityState, fresh: frozenset[Block], touched_blocks: set[Block],
-          priced: dict[BlockPairKey, float], within: dict | None = None) -> None:
+def _mark(state: PriorityState, changes: Changes) -> None:
     """Mark for pricing what the state's carried entries lack for its
-    clustering: the candidates of each new or touched block, the block
-    pairs in priced (with their disconnectivity), and the unspanned pairs
-    with a new block whose (min, min) pair may not be asked.  within, when
-    given, lists each block's intra edges as spanning_products(within=)
-    does."""
+    clustering: the candidates of each new or touched block (with a new
+    block's intra edges from changes.within), the block pairs in
+    changes.priced (with their disconnectivity), and the unspanned pairs
+    with a new block whose (min, min) pair may not be asked."""
     params, allowed, spanned = state.params, state.allowed, state.spanned
+    fresh, priced, within = changes.fresh, changes.priced, changes.within
     spanned.update(priced)
-    for block in touched_blocks | fresh:
+    for block in changes.touched | fresh:
         if len(block) > 1:
-            state._blocks[block] = None if within is None else within.get(block, [])
+            state._blocks[block] = within.get(block)
     top = _inter_gain(0.0, params)
     marked = {key: _inter_gain(dis, params) for key, dis in priced.items()}
     if allowed is not None:
@@ -268,10 +267,7 @@ def build_state(graph: UncertainGraph, clustering: Clustering,
     from round to round."""
     check_covers(graph, clustering)
     state = PriorityState(graph, clustering, params or ReliabilityParams(), allowed)
-    within: dict[Block, list] = {}
-    priced = {key: 1.0 - prod for key, prod
-              in spanning_products(graph, clustering, within=within).items()}
-    _mark(state, frozenset(clustering.blocks), set(), priced, within)
+    _mark(state, Changes.from_scratch(graph, clustering))
     return state
 
 
@@ -315,7 +311,7 @@ def refresh_after_answer(state: PriorityState, graph: UncertainGraph,
             for b in block[i + 1:]:
                 state._intra.pop((a, b), None)
     state.graph, state.clustering = graph, clustering
-    _mark(state, changes.fresh, changes.touched, changes.priced)
+    _mark(state, changes)
 
 
 def select_next(state: PriorityState) -> Pair | None:

@@ -2,14 +2,14 @@
 
 Random small graphs and clusterings with tie-prone edge fractions (0/1,
 1/2, 3/5, ...) are pushed through the fast paths and through references
-that price each block pair on its own: disconnectivity per pair, a
-linear-scan agglomerative merge over every edge, a full sort of the queue,
-a scan of all |A|·|B| pairs for the absent cross pairs and for the queue
-entry of every block pair (stored or not), rho_inputs per block pair, a
-rescan of TC's candidates before each pick, a Monte Carlo sampler that
-draws one coin per call, and a cold build_state, a cold reliability call
-and a cold DENSE scoring after every round.  Values must agree bit for
-bit, since curve bytes depend on them.
+that price each block pair on its own: edges_between and disconnectivity
+per pair, a linear-scan agglomerative merge over every edge, a full sort
+of the queue, a scan of all |A|·|B| pairs for the absent cross pairs and
+for the queue entry of every block pair (stored or not), rho_inputs per
+block pair, a rescan of TC's candidates before each pick, a Monte Carlo
+sampler that draws one coin per call, and a cold build_state, a cold
+reliability call and a cold DENSE state after every round.  Values must
+agree bit for bit, since curve bytes depend on them.
 """
 
 import itertools
@@ -25,8 +25,8 @@ from perc import (Clustering, ReliabilityParams, TcState, UncertainGraph, VoteTa
                   build_dense_state, build_state, dense_batch, refresh_after_answer,
                   refresh_dense_state, rho_inputs, scc_cluster, select_batch, tc_batch)
 from perc.clustering import _PairAgg
-from perc.reliability import (_sampled_connect_prob, block_connectivity, changes_since,
-                              disconnectivity, reliability, spanning_products)
+from perc.reliability import (Changes, _sampled_connect_prob, block_connectivity,
+                              changes_since, disconnectivity, reliability, spanning_edges)
 from perc.selection import _inter_gain
 from perc.util import make_rng
 
@@ -345,20 +345,68 @@ def reference_tc_batch(graph, seed, k, allowed):
 
 
 @ORACLE
-@given(graphs_with_clusterings(fractions=ROUNDING_FRACTIONS))
-def test_spanning_products_equal_disconnectivity(case):
-    """Both multiply each block pair's spanning edges in canonical order,
-    the order of edges_between."""
+@given(graphs_with_clusterings(fractions=ROUNDING_FRACTIONS), st.data())
+def test_spanning_edges_equal_disconnectivity(case, data):
+    """The one edge pass lists each block pair's spanning edges and each
+    block's intra edges in canonical order, the order of edges_between
+    and edges_within, and disconnectivity multiplies them in that order."""
     graph, clustering = case
-    products = spanning_products(graph, clustering)
-    assert set(products) <= set(clustering.block_pairs())
+    blocks = data.draw(st.sets(st.sampled_from(clustering.blocks), min_size=1), label="blocks")
+    spans, within = spanning_edges(graph, clustering, frozenset(blocks))
+    assert set(spans) <= {(bj, bk) for bj, bk in clustering.block_pairs()
+                          if bj in blocks or bk in blocks}
     for bj, bk in clustering.block_pairs():
-        prod = products.get((bj, bk))
+        if bj not in blocks and bk not in blocks:
+            continue
+        span = spans.get((bj, bk))
         spanning = graph.edges_between(bj, bk)
-        assert (prod is None) == (not spanning)
-        d = 0.0 if prod is None else 1.0 - prod
+        assert (span is None) == (not spanning)
+        d = 0.0 if span is None else 1.0 - math.prod(p for _, p in span)
         assert d == 1.0 - math.prod(p for _, p in spanning)
         assert d == disconnectivity(graph, clustering, bj, bk)
+        assert span is None or span == spanning
+    assert within == {block: graph.edges_within(block) for block in blocks if len(block) > 1}
+
+
+def assert_changes_match_reference(changes, old_graph, old_blocks):
+    """changes.spans and changes.priced hold exactly the block pairs of two
+    old blocks whose spanning edges changed and the spanned pairs with a
+    new block; each span is edges_between's list, priced at
+    disconnectivity's value, and within lists each new block's edges."""
+    graph, clustering = changes.graph, changes.clustering
+    fresh = set(clustering.blocks) - set(old_blocks)
+    expected = {(bj, bk) for bj, bk in clustering.block_pairs()
+                if graph.edges_between(bj, bk) != (
+                    [] if bj in fresh or bk in fresh else old_graph.edges_between(bj, bk))}
+    assert set(changes.spans) == expected
+    assert set(changes.priced) == expected
+    for (bj, bk), span in changes.spans.items():
+        assert span == graph.edges_between(bj, bk)
+        assert changes.priced[(bj, bk)] == disconnectivity(graph, clustering, bj, bk)
+    assert changes.within == {block: graph.edges_within(block)
+                              for block in fresh if len(block) > 1}
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_records=8, fractions=ROUNDING_FRACTIONS), st.data())
+def test_changes_spans_equal_edges_between(graph, data):
+    """A build from scratch, then drawn rounds of answers and reclusters."""
+    clustering = data.draw(next_clusterings(graph, scc_cluster(graph)), label="clustering")
+    assert_changes_match_reference(Changes.from_scratch(graph, clustering), graph, ())
+    for _ in range(4):
+        absent = list(graph.absent_pairs())
+        if not absent:
+            break
+        batch = data.draw(st.lists(st.sampled_from(absent), min_size=1, max_size=4,
+                                   unique=True), label="batch")
+        new_graph = graph
+        for pair in batch:
+            new_graph = new_graph.with_edge(*pair, probability=data.draw(
+                st.sampled_from(ROUNDING_FRACTIONS), label="p"))
+        new_clustering = data.draw(next_clusterings(new_graph, clustering), label="clustering")
+        changes = changes_since(graph, clustering, new_graph, new_clustering)
+        assert_changes_match_reference(changes, graph, clustering.blocks)
+        graph, clustering = new_graph, new_clustering
 
 
 @ORACLE
@@ -674,9 +722,14 @@ def dense_scores(graph, clustering):
 
 def assert_dense_matches_reference(state):
     """Scores, live block pairs and every batch size against a cold
-    scoring, a scan of each block pair and the sort-then-dedupe DENSE."""
+    scoring, a scan of each block pair and the sort-then-dedupe DENSE,
+    and the carried lists against a cold build's."""
     graph, clustering, allowed = state.graph, state.clustering, state.allowed
     assert state.scores == dense_scores(graph, clustering)
+    cold = build_dense_state(graph, clustering)
+    assert state.spans == cold.spans
+    assert state.outside == cold.outside
+    assert state.whole == cold.whole
     assert set(state.live) == {(bj, bk) for bj, bk in clustering.block_pairs()
                                if scan_absent_between(graph, bj, bk, None)}
     absent = sum(len(scan_absent_between(graph, bj, bk, allowed))

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from perc import (
     Clustering,
+    ConnectivityEstimate,
     ReliabilityParams,
     UncertainGraph,
     block_connectivity,
@@ -87,6 +88,10 @@ class TestConnectivityExact:
     def test_singleton_is_certain(self):
         g = UncertainGraph(["A"])
         assert block_connectivity(g, ["A"], EXACT).value == 1.0
+        # exact whatever the limit and the edges leaving the block
+        g = UncertainGraph.from_probabilities("AB", {("A", "B"): 0.3})
+        for params in (EXACT, ReliabilityParams(exact_edge_limit=0)):
+            assert block_connectivity(g, "A", params) == ConnectivityEstimate(1.0, "exact")
 
     def test_single_edge(self):
         g = UncertainGraph.from_probabilities("AB", {("A", "B"): 0.8})
