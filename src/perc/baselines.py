@@ -10,12 +10,13 @@ DENSE scores block pairs by a ratio that compares how well the evidence
 supports "A and B are one dense cluster" against the current split, and
 asks inside the best-scoring pair.  It only ever proposes cross-block
 pairs.  Its state is carried the way PERC's queue is: build_dense_state
-scores every block pair once, and refresh_dense_state folds each round
-in, rescoring only the block pairs whose evidence a new answer or a new
-block changed.  Both read each changed block pair's spanning edges from
-the round's Changes, so DENSE keeps no copy of the edges.  A batch walks
-the absent pairs in lexicographic order and stops once k of them belong
-to block pairs at the top score.
+scores every block pair with a pair left to ask once, and
+refresh_dense_state folds each round in, rescoring only the block pairs
+whose evidence a new answer or a new block changed.  Both read each
+changed block pair's spanning edges from the round's Changes, so DENSE
+keeps no copy of the edges.  A batch walks the absent pairs in
+lexicographic order and stops once k of them belong to block pairs at
+the top score.
 """
 
 from __future__ import annotations
@@ -163,8 +164,8 @@ def rho_inputs(graph: UncertainGraph, block_a, block_b) -> RhoInputs:
 
 
 class DenseState:
-    """DENSE's evidence and block-pair scores for one (graph, clustering)
-    snapshot.
+    """DENSE's evidence and live block-pair scores for one (graph,
+    clustering) snapshot.
 
     Every list is in edge (sorted pair) order, the order :class:`RhoInputs`
     multiplies in, so every score equals ``rho_inputs(graph, bj,
@@ -175,8 +176,9 @@ class DenseState:
       stay valid across a recluster; whole: the ratio of that list;
     - spans: each spanned block pair's cross edges as (pair, p), undecided
       ones included, as Changes.spans lists them;
-    - scores: every block pair's score; live: the scores of the block
-      pairs that still have an absent spanning pair.
+    - live: the score of each block pair that still has an absent
+      spanning pair, the only block pairs a batch can ask across; no
+      other block pair is scored.
 
     The state keeps no edges of its own beyond these lists: each round's
     Changes hands it the spans of every block pair it rescores.  allowed
@@ -184,8 +186,7 @@ class DenseState:
     mode; live ignores it.
     """
 
-    __slots__ = ("graph", "clustering", "allowed", "outside", "whole", "spans", "scores",
-                 "live")
+    __slots__ = ("graph", "clustering", "allowed", "outside", "whole", "spans", "live")
 
     def __init__(self, graph: UncertainGraph, clustering: Clustering,
                  allowed: frozenset | None = None):
@@ -195,15 +196,18 @@ class DenseState:
         self.outside: dict[Block, list[tuple[Pair, str, float]]] = {}
         self.whole: dict[Block, float] = {}
         self.spans: dict[BlockPairKey, list[tuple[Pair, float]]] = {}
-        self.scores: dict[BlockPairKey, float] = {}
         self.live: dict[BlockPairKey, float] = {}
 
 
 def _rescore(state: DenseState, key: BlockPairKey) -> None:
     """Score one block pair from its span and outside lists, as
-    RhoInputs.value does."""
+    RhoInputs.value does, into live; a block pair whose every spanning
+    pair was asked leaves live unscored."""
     bj, bk = key
     span = state.spans.get(key, ())
+    if len(span) == len(bj) * len(bk):
+        state.live.pop(key, None)
+        return
     cross_yes = [p for _, p in span if p > 0.5]
     cross_no = [1.0 - p for _, p in span if p < 0.5]
     if cross_yes:
@@ -214,12 +218,7 @@ def _rescore(state: DenseState, key: BlockPairKey) -> None:
     else:
         outside_factor = state.whole[bj] * state.whole[bk]
     factors = [_ratio(values) for values in (cross_no, cross_yes) if values]
-    score = outside_factor * (min(factors) if factors else 1.0)
-    state.scores[key] = score
-    if len(span) < len(bj) * len(bk):
-        state.live[key] = score
-    else:
-        state.live.pop(key, None)
+    state.live[key] = outside_factor * (min(factors) if factors else 1.0)
 
 
 def _fold(state: DenseState, changes: Changes) -> None:
@@ -274,7 +273,7 @@ def refresh_dense_state(state: DenseState, graph: UncertainGraph,
     for block in changes.gone:
         del state.outside[block], state.whole[block]
     for key in changes.dropped:
-        for table in (state.spans, state.scores, state.live):
+        for table in (state.spans, state.live):
             table.pop(key, None)
     state.graph, state.clustering = graph, clustering
     _fold(state, changes)
@@ -294,13 +293,14 @@ def dense_batch(state: DenseState, k: int) -> list[Pair]:
     if not state.live:
         return []
     top = max(state.live.values())
-    owner, scores, allowed = state.clustering._owner, state.scores, state.allowed
+    # every absent cross pair's block pair is live
+    owner, live, allowed = state.clustering._owner, state.live, state.allowed
     best: list[Pair] = []
     candidates = []
     for a, b in state.graph.absent_pairs():
         ba, bb = owner[a], owner[b]
         if ba is not bb and (allowed is None or (a, b) in allowed):
-            score = scores[(ba, bb) if ba < bb else (bb, ba)]
+            score = live[(ba, bb) if ba < bb else (bb, ba)]
             if score == top:
                 best.append((a, b))
                 if len(best) == k:

@@ -56,7 +56,10 @@ class GoldClustering:
             raise KeyError(f"record {record!r} is not in the gold clustering") from None
 
     def same(self, a: str, b: str) -> bool:
-        return self.entity_of(a) == self.entity_of(b)
+        try:
+            return self.entity[a] == self.entity[b]
+        except KeyError:
+            return self.entity_of(a) == self.entity_of(b)  # raises entity_of's error
 
     def pair_difficulty(self, a: str, b: str) -> float:
         return 0.5 * (self.difficulty[a] + self.difficulty[b])
@@ -106,11 +109,13 @@ def vote_coins(seed: int, a: str, b: str, count: int) -> list[float]:
 
 def simulate_votes(gold: GoldClustering, pair: Pair, model: WorkerModel,
                    coins: Sequence[float]) -> VoteTally:
-    """One tally for ``pair``: worker i flips the truth when coins[i] falls
-    below the pair's flip probability."""
+    """One tally for ``pair``, in either order: worker i flips the truth
+    when coins[i] falls below the pair's flip probability."""
     if len(coins) != model.workers_per_pair:
         raise ValueError(f"need {model.workers_per_pair} coins, got {len(coins)}")
-    a, b = canonical_pair(*pair)
+    a, b = pair
+    if a == b:
+        canonical_pair(a, b)  # raises the self-loop error
     truth = gold.same(a, b)
     flip_prob = min(1.0, model.error_rate * gold.pair_difficulty(a, b))
     yes = sum(truth != (coin < flip_prob) for coin in coins)

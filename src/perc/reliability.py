@@ -24,9 +24,9 @@ share the block's stream.  changes_since tells a caller holding values
 priced on an earlier graph and clustering which blocks the round removed
 and created and which of the values may carry over.  On first read it
 walks the edges once to list the spanning edges of each block pair whose
-values may not, and prices each pair from its list; PERC's queue, DENSE's
-scores and the score here all read those lists, and a build from scratch
-folds a Changes in which every block is new.
+values may not, and prices each pair from its list, taking its log once;
+PERC's queue, DENSE's scores and the score here all read them, and a
+build from scratch folds a Changes in which every block is new.
 """
 
 from __future__ import annotations
@@ -444,7 +444,9 @@ class Changes:
     clustering's blocks the old one lacks (fresh); the blocks a new edge
     lies inside; each old block pair that lost a block, once; and, found
     on first read, the block pairs to price again with their spanning
-    edges (spans) and the intra edges of each new block (within)."""
+    edges (spans), with their disconnectivities and logs (priced), and
+    the intra edges of each new block (within).  Every carried table is
+    keyed by block or block pair as these are, so it changes by key."""
 
     added: list[Pair]
     gone: frozenset[Block]
@@ -491,9 +493,14 @@ class Changes:
         return self._walk[1]
 
     @cached_property
-    def priced(self) -> dict[BlockPairKey, float]:
-        """Each block pair in spans with its disconnectivity."""
-        return {key: _disconnected(span) for key, span in self.spans.items()}
+    def priced(self) -> dict[BlockPairKey, tuple[float, float]]:
+        """Each block pair in spans with its disconnectivity d and log10 d
+        (-inf at d = 0), the log taken once for every holder."""
+        priced = {}
+        for key, span in self.spans.items():
+            d = _disconnected(span)
+            priced[key] = d, math.log10(d) if d > 0.0 else -math.inf
+        return priced
 
 
 def changes_since(previous_graph: UncertainGraph, previous_clustering: Clustering,
@@ -572,10 +579,10 @@ def reliability(graph: UncertainGraph, clustering: Clustering,
         for key in changes.dropped:
             if pairs.pop(key, None) is not None:
                 logs.pop(key, None)
-    for key, d in changes.priced.items():
+    for key, (d, log) in changes.priced.items():
         pairs[key] = d
         if d >= epsilon:
-            logs[key] = math.log10(d)
+            logs[key] = log
         else:
             logs.pop(key, None)
 

@@ -69,7 +69,10 @@ class PriorityState:
     every block pair with at least one spanning edge.  An unspanned block
     pair is left unstored when its (min, min) representative may be asked;
     inter maps every other block pair with an absent spanning pair to its
-    representative and shared gain.  allowed (when set) restricts
+    representative and shared gain.  The state keeps them by the keys
+    Changes names a round's change by: _intra maps each priced block with
+    an absent pair to its {pair: gain}, as _inter maps block pairs, so a
+    changed block goes with one pop.  allowed (when set) restricts
     candidates to a fixed pair set, used in replay mode.  Reading intra,
     inter, entries() or len() prices every marked entry first (see the
     module docstring).
@@ -84,7 +87,7 @@ class PriorityState:
         self.clustering = clustering
         self.params = params
         self.allowed = allowed
-        self._intra: dict[Pair, float] = {}
+        self._intra: dict[Block, dict[Pair, float]] = {}
         self._inter: dict[BlockPairKey, tuple[Pair, float]] = {}
         self.spanned: set[BlockPairKey] = set()
         # marked, not yet priced: each block of two or more members, with
@@ -95,26 +98,40 @@ class PriorityState:
     @property
     def intra(self) -> dict[Pair, float]:
         self._price_all()
-        return self._intra
+        return {pair: gain for entries in self._intra.values() for pair, gain in entries.items()}
 
     @property
     def inter(self) -> dict[BlockPairKey, tuple[Pair, float]]:
         self._price_all()
         return self._inter
 
-    def _price_block(self, block: Block) -> list[tuple[Pair, float]]:
-        """Price a marked block; returns its (pair, gain) entries."""
+    def _price_block(self, block: Block) -> dict[Pair, float]:
+        """Price a marked block; stores and returns its {pair: gain}, and
+        stores nothing once no absent pair is left to ask."""
         edges = self._blocks.pop(block)
-        pairs = _absent_intra_pairs(self.graph, block, self.allowed)
+        # the block is sorted, so each (a, b) is canonical
+        asked, allowed = self.graph.edges, self.allowed
+        pairs = [(a, b) for i, a in enumerate(block) for b in block[i + 1:]
+                 if (a, b) not in asked and (allowed is None or (a, b) in allowed)]
         if not pairs:
-            return []
-        priced = list(zip(pairs, _intra_gains(self.graph, block, pairs, self.params, edges)))
-        self._intra.update(priced)
+            return {}
+        self._intra[block] = priced = dict(
+            zip(pairs, _intra_gains(self.graph, block, pairs, self.params, edges)))
         return priced
 
     def _price_pair(self, key: BlockPairKey) -> tuple[Pair, float] | None:
-        """Price a marked block pair; returns its entry, as _set_inter."""
-        return _set_inter(self._inter, self.graph, key, self._pairs.pop(key), self.allowed)
+        """Price a marked block pair; stores and returns (representative,
+        gain), and stores nothing once no absent spanning pair is left to
+        ask."""
+        gain = self._pairs.pop(key)
+        # (min, min) is the first pair absent_pairs_between would try
+        rep = (key[0][0], key[1][0])
+        if rep in self.graph.edges or self.allowed is not None and rep not in self.allowed:
+            rep = next(self.graph.absent_pairs_between(*key, self.allowed), None)
+            if rep is None:
+                return None
+        self._inter[key] = entry = (rep, gain)
+        return entry
 
     def _price_all(self) -> None:
         for block in list(self._blocks):
@@ -141,7 +158,7 @@ class PriorityState:
         if block_a is block_b:
             if block_a in self._blocks:
                 self._price_block(block_a)
-            return self._intra[pair]
+            return self._intra.get(block_a, {})[pair]
         key = (block_a, block_b) if block_a < block_b else (block_b, block_a)
         if key in self._pairs:
             self._price_pair(key)
@@ -203,46 +220,21 @@ def pair_priority(graph: UncertainGraph, clustering: Clustering, pair: Pair,
     return CandidatePriority((a, b), _inter_gain(dis, params), ("inter", bj, bk))
 
 
-def _absent_intra_pairs(graph: UncertainGraph, block: Block,
-                        allowed: frozenset | None) -> list[Pair]:
-    if len(block) < 2:
-        return []
-    # the block is sorted, so each (a, b) is canonical
-    edges = graph.edges
-    return [(a, b) for i, a in enumerate(block) for b in block[i + 1:]
-            if (a, b) not in edges and (allowed is None or (a, b) in allowed)]
-
-
-def _set_inter(inter: dict[BlockPairKey, tuple[Pair, float]], graph: UncertainGraph,
-               key: BlockPairKey, gain: float,
-               allowed: frozenset | None) -> tuple[Pair, float] | None:
-    """Store and return (representative, gain) for a block pair, or drop
-    its entry once no absent spanning pair is left to ask."""
-    # (min, min) is the first pair absent_pairs_between would try
-    rep = (key[0][0], key[1][0])
-    if rep in graph.edges or allowed is not None and rep not in allowed:
-        rep = next(graph.absent_pairs_between(*key, allowed), None)
-    if rep is None:
-        inter.pop(key, None)
-        return None
-    inter[key] = entry = (rep, gain)
-    return entry
-
-
 def _mark(state: PriorityState, changes: Changes) -> None:
     """Mark for pricing what the state's carried entries lack for its
     clustering: the candidates of each new or touched block (with a new
     block's intra edges from changes.within), the block pairs in
-    changes.priced (with their disconnectivity), and the unspanned pairs
-    with a new block whose (min, min) pair may not be asked."""
-    params, allowed, spanned = state.params, state.allowed, state.spanned
+    changes.priced (with the gain their log gives), and the unspanned
+    pairs with a new block whose (min, min) pair may not be asked."""
+    allowed, spanned, epsilon = state.allowed, state.spanned, state.params.epsilon
     fresh, priced, within = changes.fresh, changes.priced, changes.within
     spanned.update(priced)
     for block in changes.touched | fresh:
         if len(block) > 1:
             state._blocks[block] = within.get(block)
-    top = _inter_gain(0.0, params)
-    marked = {key: _inter_gain(dis, params) for key, dis in priced.items()}
+    top = _inter_gain(0.0, state.params)
+    # _inter_gain(d) is -log10 d from d = epsilon up
+    marked = {key: -log if d >= epsilon else top for key, (d, log) in priced.items()}
     if allowed is not None:
         # unspanned pairs are left unstored unless their (min, min) pair may
         # not be asked; each pair with a new block once: blocks are sorted,
@@ -296,20 +288,13 @@ def refresh_after_answer(state: PriorityState, graph: UncertainGraph,
     check_covers(graph, clustering)
     if changes is None:
         changes = changes_since(state.graph, state.clustering, graph, clustering)
-    emptied = list(changes.touched)  # the blocks whose intra entries go
-    if changes.gone:
-        emptied += changes.gone  # priced pairs are marked below
-        for key in changes.dropped:
-            state._inter.pop(key, None)
-            state._pairs.pop(key, None)
-            state.spanned.discard(key)
-    for block in emptied:
-        if block in state._blocks:
-            del state._blocks[block]  # never priced, so it has no entries
-            continue
-        for i, a in enumerate(block):
-            for b in block[i + 1:]:
-                state._intra.pop((a, b), None)
+    for block in (*changes.touched, *changes.gone):
+        state._intra.pop(block, None)
+        state._blocks.pop(block, None)
+    for key in changes.dropped:
+        state._inter.pop(key, None)
+        state._pairs.pop(key, None)
+        state.spanned.discard(key)
     state.graph, state.clustering = graph, clustering
     _mark(state, changes)
 
@@ -348,7 +333,8 @@ def select_batch(state: PriorityState, k: int) -> list[Pair]:
     unstored = list(islice(state._unstored(), k))
     floor = top if len(unstored) == k else -math.inf
     heap = [(-top, rep, key) for rep, key in unstored]
-    heap += [(-gain, pair, None) for pair, gain in state._intra.items() if gain >= floor]
+    heap += [(-gain, pair, None) for entries in state._intra.values()
+             for pair, gain in entries.items() if gain >= floor]
     heap += [(-gain, rep, key) for key, (rep, gain) in state._inter.items() if gain >= floor]
     heap += [(-top, block[:2], block) for block in state._blocks]
     heap += [(-gain, (key[0][0], key[1][0]), key) for key, gain in state._pairs.items()
@@ -359,7 +345,7 @@ def select_batch(state: PriorityState, k: int) -> list[Pair]:
     while heap and len(batch) < k:
         _, pair, key = heapq.heappop(heap)
         if key in state._blocks:
-            for pair, gain in state._price_block(key):
+            for pair, gain in state._price_block(key).items():
                 if gain >= floor:
                     heapq.heappush(heap, (-gain, pair, None))
         elif key in state._pairs:

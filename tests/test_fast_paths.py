@@ -372,7 +372,8 @@ def assert_changes_match_reference(changes, old_graph, old_blocks):
     """changes.spans and changes.priced hold exactly the block pairs of two
     old blocks whose spanning edges changed and the spanned pairs with a
     new block; each span is edges_between's list, priced at
-    disconnectivity's value, and within lists each new block's edges."""
+    disconnectivity's value and its math.log10, and within lists each new
+    block's edges."""
     graph, clustering = changes.graph, changes.clustering
     fresh = set(clustering.blocks) - set(old_blocks)
     expected = {(bj, bk) for bj, bk in clustering.block_pairs()
@@ -382,7 +383,9 @@ def assert_changes_match_reference(changes, old_graph, old_blocks):
     assert set(changes.priced) == expected
     for (bj, bk), span in changes.spans.items():
         assert span == graph.edges_between(bj, bk)
-        assert changes.priced[(bj, bk)] == disconnectivity(graph, clustering, bj, bk)
+        d, log = changes.priced[(bj, bk)]
+        assert d == disconnectivity(graph, clustering, bj, bk)
+        assert log == (math.log10(d) if d > 0.0 else -math.inf)
     assert changes.within == {block: graph.edges_within(block)
                               for block in fresh if len(block) > 1}
 
@@ -714,24 +717,26 @@ def test_dense_batch_equals_sort_then_dedupe(case, data):
 
 
 def dense_scores(graph, clustering):
-    """``rho_inputs(graph, bj, bk).value`` for every block pair (bj, bk),
-    in block pair order, from a cold build_dense_state."""
-    scores = build_dense_state(graph, clustering).scores
-    return {key: scores[key] for key in clustering.block_pairs()}
+    """The live scores of a cold build_dense_state, in block pair order,
+    after checking that they are exactly the block pairs (bj, bk) with an
+    absent spanning pair."""
+    live = build_dense_state(graph, clustering).live
+    keys = [(bj, bk) for bj, bk in clustering.block_pairs()
+            if scan_absent_between(graph, bj, bk, None)]
+    assert set(live) == set(keys)
+    return {key: live[key] for key in keys}
 
 
 def assert_dense_matches_reference(state):
-    """Scores, live block pairs and every batch size against a cold
-    scoring, a scan of each block pair and the sort-then-dedupe DENSE,
-    and the carried lists against a cold build's."""
+    """Live scores and every batch size against a cold scoring of the
+    block pairs a scan finds an absent pair in and the sort-then-dedupe
+    DENSE, and the carried lists against a cold build's."""
     graph, clustering, allowed = state.graph, state.clustering, state.allowed
-    assert state.scores == dense_scores(graph, clustering)
+    assert state.live == dense_scores(graph, clustering)
     cold = build_dense_state(graph, clustering)
     assert state.spans == cold.spans
     assert state.outside == cold.outside
     assert state.whole == cold.whole
-    assert set(state.live) == {(bj, bk) for bj, bk in clustering.block_pairs()
-                               if scan_absent_between(graph, bj, bk, None)}
     absent = sum(len(scan_absent_between(graph, bj, bk, allowed))
                  for bj, bk in clustering.block_pairs())
     for k in range(1, absent + 3):
@@ -770,9 +775,7 @@ def test_carried_dense_state_equals_cold_build(graph, allowed, data):
 @given(graphs_with_clusterings(fractions=ROUNDING_FRACTIONS))
 def test_dense_scores_equal_rho_inputs(case):
     graph, clustering = case
-    scores = dense_scores(graph, clustering)
-    assert list(scores) == list(clustering.block_pairs())
-    for (bj, bk), score in scores.items():
+    for (bj, bk), score in dense_scores(graph, clustering).items():
         assert score == rho_inputs(graph, bj, bk).value
 
 

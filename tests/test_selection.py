@@ -8,6 +8,7 @@ import pytest
 import perc.selection
 from perc import (
     Clustering,
+    PriorityState,
     ReliabilityParams,
     UncertainGraph,
     build_state,
@@ -342,12 +343,12 @@ class TestSelectBatch:
         # a marked block pair's key is at least (-gain, (min, min)), its
         # lower key; only one at or before the batch's k-th key can rank
         priced = []
-        set_inter = perc.selection._set_inter
+        price_pair = PriorityState._price_pair
 
-        def counted(inter, graph, key, *rest):
+        def counted(state, key):
             priced.append(key)
-            return set_inter(inter, graph, key, *rest)
-        monkeypatch.setattr(perc.selection, "_set_inter", counted)
+            return price_pair(state, key)
+        monkeypatch.setattr(PriorityState, "_price_pair", counted)
         rng = np.random.default_rng(83)
         cases = [(running_graph, running_clustering, 2)]
         for _ in range(40):
@@ -435,6 +436,16 @@ class TestSelectBatch:
         state = build_state(running_graph, running_clustering)
         with pytest.raises(KeyError):
             state.gain(("A", "E"))  # every pair across these blocks was asked
+        # an asked pair in a block with absent pairs left, and a pair in a
+        # block with none left, which has no per-block entry
+        g = UncertainGraph.from_probabilities(
+            "ABCDE", {("A", "B"): 0.9, ("B", "C"): 0.8, ("D", "E"): 0.7})
+        state = build_state(g, Clustering([["A", "B", "C"], ["D", "E"]]))
+        with pytest.raises(KeyError):
+            state.gain(("A", "B"))
+        with pytest.raises(KeyError):
+            state.gain(("D", "E"))
+        assert ("D", "E") not in state._intra and ("A", "B", "C") in state._intra
 
     def test_expansion_pairs_share_the_representative_gain(self, running_graph,
                                                            running_clustering):
