@@ -23,12 +23,14 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .graph import Clustering, Pair, UncertainGraph
 from .reliability import Block, BlockPairKey, Changes, ReliabilityParams
 from .util import UnionFind, derive_seed, make_rng
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass

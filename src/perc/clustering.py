@@ -5,8 +5,8 @@ probability (product of spanning YES odds against spanning NO odds) exceeds
 one half, merge the best pair.  Merges stay inside the components of the
 p > 1/2 edges, so each component is agglomerated on its own, and a
 clustering scc_cluster returned lets the next call on an extended graph
-agglomerate again only the components a new edge lies inside.  A component
-whose edges all have p > 1/2 is one block, with no merge heap.
+visit each new edge once and agglomerate again only the components those
+join or lie in.  A component whose edges all have p > 1/2 is one block.
 mlc_bruteforce checks tiny instances by scoring every partition.
 mlc_unchanged is the cheap screen that tells the harness whether a freshly
 crowdsourced answer can move the maximum likelihood clustering at all.
@@ -19,7 +19,7 @@ import math
 
 from .graph import (Clustering, Pair, UncertainGraph, clustering_log_likelihood,
                     enumerate_partitions)
-from .util import UnionFind, canonical_pair
+from .util import canonical_pair
 
 MAX_BRUTEFORCE_RECORDS = 10
 
@@ -115,16 +115,15 @@ def scc_cluster(graph: UncertainGraph, previous: Clustering | None = None) -> Cl
     ``previous`` is a clustering this function returned for a graph that
     ``graph`` extends (ValueError otherwise, as
     UncertainGraph.edges_added_since).  The result carries its graph, each
-    record's component and each component's blocks; a call given it
-    unions the components the new p > 1/2 edges join and agglomerates
-    again only the components a new edge lies inside.  Every other
-    component has the same edges as before and keeps its blocks, so the
-    result equals a call without ``previous``.  A ``previous`` with no
-    carry, such as a hand-built clustering, is clustered from scratch.
+    record's component and each component's blocks.  A call visits each
+    edge new since that carry once (with no carry, as for a hand-built
+    ``previous``, every record starts alone and every edge is new): one
+    inside a component marks it, one with p > 1/2 across two joins them,
+    and only joined and marked components agglomerate again.  Every other
+    keeps its edges and blocks, so the result equals a call without it.
     """
     carry = None if previous is None else previous._carry
     if carry is None:
-        # from scratch: every record its own component and every edge new;
         # a component is keyed by the index of one of its records
         component = {r: i for i, r in enumerate(graph.records)}
         blocks_of = {i: [(r,)] for i, r in enumerate(graph.records)}
@@ -135,26 +134,36 @@ def scc_cluster(graph: UncertainGraph, previous: Clustering | None = None) -> Cl
         component = dict(old_component)
         blocks_of = dict(old_blocks)
 
-    components = UnionFind(len(graph.records))
+    # a union-find over only the keys joins touch: up maps a joined key to
+    # its parent, size a root to its key count (smaller tree under larger)
+    marked = set()
+    up: dict[int, int] = {}
+    size: dict[int, int] = {}
     for (a, b), p in new_edges:
-        if p > 0.5:
-            components.union(component[a], component[b])
-    joined = {key: components.find(key)
-              for key, up in enumerate(components.parent) if up != key}
-    dirty: dict[int, list[int]] = {}
-    for (a, b), _ in new_edges:
         ka, kb = component[a], component[b]
-        key = joined.get(ka, ka)
-        if key == joined.get(kb, kb):
-            dirty[key] = [key]
-    for key, root in joined.items():
-        dirty[root].append(key)  # the new edge that joined it lies inside root's
-
-    members_of = {}
-    for root, keys in dirty.items():
-        members = sorted(r for key in keys for block in blocks_of.pop(key) for r in block)
+        if ka == kb:
+            marked.add(ka)
+        elif p > 0.5:
+            while ka in up:
+                ka = up[ka]
+            while kb in up:
+                kb = up[kb]
+            if ka != kb:
+                if size.get(ka, 1) < size.get(kb, 1):
+                    ka, kb = kb, ka
+                up[kb] = ka
+                size[ka] = size.get(ka, 1) + size.pop(kb, 1)
+    # each marked or joined key once, under its root: no block gathered twice
+    dirty: dict[int, list[int]] = {}
+    for key in marked.union(up, size):
+        root = key
+        while root in up:
+            root = up[root]
+        dirty.setdefault(root, []).append(key)
+    members_of = {root: sorted([r for key in keys for block in blocks_of.pop(key) for r in block])
+                  for root, keys in dirty.items()}
+    for root, members in members_of.items():
         component.update(dict.fromkeys(members, root))
-        members_of[root] = members
     # one pass over the edges hands each dirty component its own: linear in
     # the edges, where edges_within would look up every member pair
     edges_in: dict[int, list[tuple[Pair, float]]] = {root: [] for root in dirty}
@@ -163,7 +172,7 @@ def scc_cluster(graph: UncertainGraph, previous: Clustering | None = None) -> Cl
         if key in edges_in and component[b] == key:
             edges_in[key].append(((a, b), p))
     for root, members in members_of.items():
-        blocks_of[root] = _agglomerate(members, sorted(edges_in[root]))
+        blocks_of[root] = _agglomerate(members, edges_in[root])
 
     result = Clustering(block for blocks in blocks_of.values() for block in blocks)
     result._carry = (graph, component, blocks_of)
@@ -172,7 +181,7 @@ def scc_cluster(graph: UncertainGraph, previous: Clustering | None = None) -> Cl
 
 def _agglomerate(members: list[str], edges: list[tuple[Pair, float]]) -> list[tuple[str, ...]]:
     """The blocks scc_cluster's merges leave in one component, from its
-    sorted members and its edges, sorted.
+    sorted members and its edges, which it sorts only to build the heap.
 
     Candidates sit in a heap keyed (-probability, order key); entries of a
     block that has since been merged away are skipped when popped.  Order
@@ -188,6 +197,7 @@ def _agglomerate(members: list[str], edges: list[tuple[Pair, float]]) -> list[tu
     """
     if all(p > 0.5 for _, p in edges):
         return [tuple(members)]
+    edges.sort()
     index = {r: i for i, r in enumerate(members)}
     blocks: dict[int, tuple[str, ...]] = {i: (r,) for i, r in enumerate(members)}
     agg: dict[tuple[int, int], _PairAgg] = {}

@@ -99,7 +99,8 @@ def vote_coins(seed: int, a: str, b: str, count: int) -> list[float]:
     salted with i // 8 (16 little-endian bytes), cut to its top 53 bits: a
     counter-based stream (Salmon et al., SC 2011) with no generator state.
     """
-    key = repr((seed, "votes", a, b)).encode("utf-8")
+    # a tuple's repr joins its items' reprs with ", ", as this f-string does
+    key = f"({seed!r}, 'votes', {a!r}, {b!r})".encode("utf-8")
     words: list[int] = []
     for block in range(-(-count // 8)):
         digest = hashlib.blake2b(key, salt=block.to_bytes(16, "little")).digest()
@@ -118,8 +119,8 @@ def simulate_votes(gold: GoldClustering, pair: Pair, model: WorkerModel,
         canonical_pair(a, b)  # raises the self-loop error
     truth = gold.same(a, b)
     flip_prob = min(1.0, model.error_rate * gold.pair_difficulty(a, b))
-    yes = sum(truth != (coin < flip_prob) for coin in coins)
-    return VoteTally(yes=yes, total=model.workers_per_pair)
+    flips = [coin < flip_prob for coin in coins].count(True)
+    return VoteTally(len(coins) - flips if truth else flips, len(coins))
 
 
 class Oracle:

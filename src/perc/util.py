@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import hashlib
 import math
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 NEG_INF = float("-inf")
 
@@ -90,5 +92,8 @@ def derive_seed(seed: int, *parts) -> int:
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    """Generator for a derived seed; one construction point for the package."""
+    """Generator for a derived seed; one construction point for the package.
+    numpy is imported here, on the first stream drawn, so a run that draws
+    none, such as a ``perc next`` that samples no block, never loads it."""
+    import numpy as np
     return np.random.Generator(np.random.PCG64(int(seed) & (2**64 - 1)))

@@ -145,6 +145,19 @@ class TestNext:
         assert capsys.readouterr().out == "A,D,12.0\nA,G,12.0\n"
         assert priced == [("A", "B", "C")]
 
+    def test_leaves_numpy_unloaded(self, running_files):
+        # numpy is imported only to draw a stream, and a next call that
+        # samples no block draws none; a fresh process shows what it loads
+        records, votes = running_files
+        script = ("import sys, perc, perc.cli; code = perc.cli.main(sys.argv[1:]); "
+                  "sys.exit('numpy was loaded' if 'numpy' in sys.modules else code)")
+        env = {**os.environ, "PYTHONPATH": str(Path(perc.cli.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", script, "next", "--graph", str(votes),
+                               "--records", str(records)],
+                              env=env, capture_output=True, text=True)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.split(",")[:2] == ["E", "H"]
+
     def test_exhausted_graph_exits_nonzero(self, tmp_path, capsys):
         write_records_csv(tmp_path / "records.csv", ["a", "b"])
         write_votes_csv(tmp_path / "votes.csv", [(("a", "b"), VoteTally(5, 5))])

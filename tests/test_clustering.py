@@ -21,6 +21,7 @@ from perc import (
 from perc import clustering
 
 from conftest import random_small_graph
+from test_fast_paths import reference_scc
 
 
 class TestMergeProbability:
@@ -207,6 +208,13 @@ class TestCarriedSccCluster:
         joined = g.with_edge("C", "E", probability=1.0)
         assert scc_cluster(joined, previous=first).blocks == \
             (("A", "B"), ("C", "D", "E"))
+        # one call whose new edges both join two components and lie inside
+        # one of them: C's component is marked and joined, and gathered once
+        g = UncertainGraph.from_probabilities("ABCDE", {("C", "D"): 0.8, ("D", "E"): 0.8})
+        both = g.with_edge("A", "C", probability=0.8).with_edge("C", "E", probability=0.4)
+        carried = scc_cluster(both, previous=scc_cluster(g))
+        assert carried == scc_cluster(both) == reference_scc(both)
+        assert carried.blocks == (("A", "C", "D", "E"), ("B",))
 
     def test_previous_from_a_graph_not_extended_raises(self):
         g = UncertainGraph.from_probabilities("ABC", {("A", "B"): 0.6})
