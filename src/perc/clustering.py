@@ -121,6 +121,8 @@ def scc_cluster(graph: UncertainGraph, previous: Clustering | None = None) -> Cl
     inside a component marks it, one with p > 1/2 across two joins them,
     and only joined and marked components agglomerate again.  Every other
     keeps its edges and blocks, so the result equals a call without it.
+    Its blocks are disjoint sorted tuples, so the result is built from
+    them as they stand (Clustering._from_sorted), only their list sorted.
     """
     carry = None if previous is None else previous._carry
     if carry is None:
@@ -174,7 +176,7 @@ def scc_cluster(graph: UncertainGraph, previous: Clustering | None = None) -> Cl
     for root, members in members_of.items():
         blocks_of[root] = _agglomerate(members, edges_in[root])
 
-    result = Clustering(block for blocks in blocks_of.values() for block in blocks)
+    result = Clustering._from_sorted(block for blocks in blocks_of.values() for block in blocks)
     result._carry = (graph, component, blocks_of)
     return result
 

@@ -16,7 +16,6 @@ import io
 import math
 import re
 from operator import eq, le
-from pathlib import Path
 
 from .crowd import GoldClustering
 from .graph import Clustering, Pair, UncertainGraph, VoteTally, _check_record_id
@@ -44,8 +43,10 @@ _PLAIN_VOTES = re.compile(rf"{','.join(VOTES_HEADER)}\r?\n"
 
 def read_text(path) -> str:
     """The file as UTF-8 text; a byte that is not UTF-8, or a NUL byte, is
-    reported with the physical line it is on."""
-    data = Path(path).read_bytes()
+    reported with the physical line it is on.  A path that cannot be read
+    raises open()'s OSError, worded alike for a str and a Path."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -159,7 +160,9 @@ def _vote_rows(path, declared, records_path) -> list[tuple[Pair, int, int]]:
     plain = _plain_columns(_PLAIN_VOTES, text, len(VOTES_HEADER))
     if plain is not None:
         firsts, seconds, yes, total = plain
-        yes, total = list(map(int, yes)), list(map(int, total))
+        # a file holds a handful of distinct counts: convert each once
+        count = {s: int(s) for s in {*yes, *total}}
+        yes, total = list(map(count.__getitem__, yes)), list(map(count.__getitem__, total))
         pairs = [(a, b) if a < b else (b, a) for a, b in zip(firsts, seconds)]
         if (all(map(le, yes, total)) and min(total, default=1) >= 1
                 and not any(map(eq, firsts, seconds)) and len(set(pairs)) == len(pairs)

@@ -267,6 +267,16 @@ class Clustering:
         self._carry = None
 
     @classmethod
+    def _from_sorted(cls, blocks: Iterable[tuple[str, ...]]) -> "Clustering":
+        """The clustering of disjoint blocks, each a non-empty sorted tuple,
+        as __init__ checks them: only the block list is sorted."""
+        c = cls.__new__(cls)
+        c.blocks = tuple(sorted(blocks))
+        c._owner = {r: block for block in c.blocks for r in block}
+        c._carry = None
+        return c
+
+    @classmethod
     def singletons(cls, records: Iterable[str]) -> "Clustering":
         return cls([[r] for r in records])
 

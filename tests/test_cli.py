@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import perc.cli
+import perc.fileio
 import perc.selection
 from perc import (Clustering, ExperimentConfig, GoldClustering, ReliabilityParams,
                   UncertainGraph, VoteTally)
@@ -363,6 +364,32 @@ class TestRun:
                                 for name in ("votes.csv", "curve.csv", "clusters.csv")])
             assert outputs[0] == outputs[1], strategy
 
+    def test_next_output_does_not_depend_on_the_hash_seed(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # the plain-row reader converts each distinct count once, through a
+        # table built from a set; 5 and 05 are one number to both readers
+        write_records_csv(tmp_path / "records.csv", list("abcdefg"))
+        (tmp_path / "votes.csv").write_text(
+            "record_a,record_b,yes,total\n"
+            "a,b,05,5\nb,c,4,05\nc,a,1,5\nd,e,4,005\ne,f,1,5\n"
+            "f,d,3,5\nc,d,2,05\ng,a,0,5\ne,g,0005,5\n")
+        argv = ["next", "--graph", str(tmp_path / "votes.csv"),
+                "--records", str(tmp_path / "records.csv"), "--batch", "6"]
+        env = {**os.environ, "PYTHONPATH": str(Path(perc.cli.__file__).parents[1])}
+        outputs = [subprocess.run(
+            [sys.executable, "-c", "import sys; from perc.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", *argv],
+            env={**env, "PYTHONHASHSEED": hash_seed}, check=True,
+            capture_output=True).stdout for hash_seed in ("1", "2")]
+        assert outputs[0] == outputs[1]
+        with monkeypatch.context() as patched:
+            patched.setattr(perc.fileio.csv, "reader", None)  # plain rows only
+            assert main(argv) == 0
+        assert capsys.readouterr().out.encode() == outputs[0]
+        monkeypatch.setattr(perc.fileio, "_plain_columns", lambda *args: None)
+        assert main(argv) == 0
+        assert capsys.readouterr().out.encode() == outputs[0]
+
     def test_config_file_supplies_options(self, tmp_path, capsys):
         world = self.world(tmp_path)
         cfg = tmp_path / "run.cfg"
@@ -591,6 +618,17 @@ class TestErrors:
                      "--records", str(tmp_path / "nope2.csv")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["cluster", "next"])
+    def test_unreadable_path_is_named_without_a_traceback(self, running_files, tmp_path,
+                                                          capsys, command):
+        records, votes = running_files
+        missing = tmp_path / "missing.csv"
+        assert main([command, "--graph", str(missing), "--records", str(records)]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: [Errno 2] No such file or directory: '{missing}'\n")
+        assert main([command, "--graph", str(votes), "--records", str(tmp_path)]) == 1
+        assert capsys.readouterr() == ("", f"error: [Errno 21] Is a directory: '{tmp_path}'\n")
 
     @pytest.mark.parametrize("command", ["cluster", "next", "run", "run-seeded"])
     @pytest.mark.parametrize("records, votes, bad", [

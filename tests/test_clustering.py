@@ -194,6 +194,12 @@ class TestCarriedSccCluster:
             assert warm == cold
             # previous is not consumed: carrying from it again gives the same
             assert scc_cluster(graph, previous=previous) == cold
+            # each result is canonical, its owner map holding its own blocks
+            for result in (cold, warm):
+                plain = Clustering(result.blocks)
+                assert result == plain and hash(result) == hash(plain)
+                assert result._owner == plain._owner
+                assert all(result._owner[r] is block for block in result.blocks for r in block)
             carried.append(warm)
 
     def test_a_later_yes_edge_joins_two_components(self):
