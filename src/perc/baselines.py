@@ -266,16 +266,17 @@ def refresh_dense_state(state: DenseState, graph: UncertainGraph,
     ``changes`` is changes_since(state.graph, state.clustering, graph,
     clustering).  A new negative edge rescores its own block pair, a new
     positive edge every pair with either of its blocks, and a recluster
-    every pair with a new block.  The lists of gone blocks and of the
-    block pairs in ``changes.dropped`` go by key, the spans of
+    every pair with a new block.  The lists of gone blocks go by key, as
+    do the spans of the spanned block pairs in ``changes.lost`` and the
+    scores of every block pair in ``changes.dropped``; the spans of
     changes.spans replace their block pairs', and every other list and
     score carries over, so the state equals a build_dense_state on (graph,
     clustering).
     """
     for block in changes.gone:
         del state.outside[block], state.whole[block]
-    for key in changes.dropped:
-        for table in (state.spans, state.live):
+    for keys, table in ((changes.lost, state.spans), (changes.dropped, state.live)):
+        for key in keys:
             table.pop(key, None)
     state.graph, state.clustering = graph, clustering
     _fold(state, changes)

@@ -133,35 +133,15 @@ def _check_block(clustering: Clustering, block) -> Block:
 
 def spanning_edges(graph: UncertainGraph, clustering: Clustering,
                    blocks: frozenset[Block]) -> tuple[dict[BlockPairKey, list], dict[Block, list]]:
-    """In one pass over the sorted edges, the edges spanning each block
-    pair with a block in ``blocks``, keyed (block_j, block_k) with block_j
-    < block_k as Clustering.block_pairs yields them, and the intra edges
-    of each of those blocks of two or more members.  Each list holds
-    (pair, p) in canonical order, as edges_between and edges_within
-    return them; an unspanned pair has no entry.  With every block in
-    ``blocks``, the pass reads the edges unfiltered."""
-    owner = clustering._owner
-    edges = graph.edges.items()
-    if len(blocks) < len(clustering.blocks):
-        members = {r for block in blocks for r in block}
-        edges = [(pair, p) for pair, p in edges
-                 if pair[0] in members or pair[1] in members]
-    spans: dict[BlockPairKey, list] = {}
-    within: dict[Block, list] = {block: [] for block in blocks if len(block) > 1}
-    for edge in sorted(edges):
-        a, b = edge[0]
-        ba = owner[a]
-        bb = owner[b]
-        if ba is bb:
-            within[ba].append(edge)
-            continue
-        key = (ba, bb) if ba < bb else (bb, ba)
-        span = spans.get(key)
-        if span is None:
-            spans[key] = [edge]
-        else:
-            span.append(edge)
-    return spans, within
+    """In one pass over the edges, the edges spanning each block pair
+    with a block in ``blocks``, keyed (block_j, block_k) with block_j <
+    block_k as Clustering.block_pairs yields them, and the intra edges of
+    each of those blocks of two or more members, as Changes walks them
+    for its new blocks.  Each list is sorted once filled, so it holds
+    (pair, p) in canonical order, as edges_between and edges_within return
+    them; an unspanned pair has no entry."""
+    changes = Changes([], frozenset(), blocks, set(), graph, clustering)
+    return changes.spans, changes.within
 
 
 def _pair_span(edges: dict[Pair, float], left: Block, right: Block) -> list[tuple[Pair, float]]:
@@ -442,28 +422,30 @@ class Changes:
     """What one round changed, as changes_since finds it: the new edges,
     sorted; the old blocks the new clustering lacks (gone) and the new
     clustering's blocks the old one lacks (fresh); the blocks a new edge
-    lies inside; each old block pair that lost a block, once; and, found
-    on first read, the block pairs to price again with their spanning
-    edges (spans), with their disconnectivities and logs (priced), and
-    the intra edges of each new block (within).  Every carried table is
-    keyed by block or block pair as these are, so it changes by key."""
+    lies inside; and, found on first read, the block pairs to price again
+    with their spanning edges (spans), with their disconnectivities and
+    logs (priced), the intra edges of each new block (within), and the
+    old block pairs with a gone block (dropped), of which an edge spans
+    those in lost.  Every carried table is keyed by block or block pair as
+    these are, so it changes by key; one of spanned pairs only drops lost.
+    previous, the old clustering, is read only once a block is gone."""
 
     added: list[Pair]
     gone: frozenset[Block]
     fresh: frozenset[Block]
     touched: set[Block]
-    dropped: list[BlockPairKey]
     graph: UncertainGraph = field(repr=False)
     clustering: Clustering = field(repr=False)
+    previous: Clustering | None = field(default=None, repr=False)
 
     @classmethod
     def from_scratch(cls, graph: UncertainGraph, clustering: Clustering) -> "Changes":
         """A build from scratch: every block new, no edge added, no block gone."""
-        return cls([], frozenset(), frozenset(clustering.blocks), set(), [], graph, clustering)
+        return cls([], frozenset(), frozenset(clustering.blocks), set(), graph, clustering)
 
     @cached_property
-    def _walk(self) -> tuple[dict[BlockPairKey, list], dict[Block, list]]:
-        # spans and within, from one walk on first read
+    def _walk(self) -> tuple[dict[BlockPairKey, list], dict[Block, list], set[BlockPairKey]]:
+        # spans, within and lost, from one walk on first read
         edges, owner, fresh = self.graph.edges, self.clustering._owner, self.fresh
         spans: dict[BlockPairKey, list] = {}
         for a, b in self.added:
@@ -472,25 +454,61 @@ class Changes:
                 key = (ba, bb) if ba < bb else (bb, ba)
                 if key not in spans:
                     spans[key] = _pair_span(edges, *key)
+        lost: set[BlockPairKey] = set()
         if not fresh:
-            return spans, {}
-        new_spans, within = spanning_edges(self.graph, self.clustering, fresh)
-        spans.update(new_spans)
-        return spans, within
+            return spans, {}, lost
+        items = edges.items()
+        if len(fresh) < len(self.clustering.blocks):
+            # the fresh blocks hold the gone blocks' records, so every lost pair is met
+            members = {r for block in fresh for r in block}
+            items = [(pair, p) for pair, p in items if pair[0] in members or pair[1] in members]
+        within: dict[Block, list] = {block: [] for block in fresh if len(block) > 1}
+        old = self.previous._owner if self.gone else None
+        for edge in items:
+            a, b = edge[0]
+            if old is not None and old[a] is not old[b]:
+                lost.add((old[a], old[b]) if old[a] < old[b] else (old[b], old[a]))
+            ba = owner[a]
+            bb = owner[b]
+            if ba is bb:
+                within[ba].append(edge)
+                continue
+            key = (ba, bb) if ba < bb else (bb, ba)
+            span = spans.get(key)
+            if span is None:
+                spans[key] = [edge]
+            else:
+                span.append(edge)
+        for span in (*spans.values(), *within.values()):
+            span.sort()
+        return spans, within, lost
 
     @property
     def spans(self) -> dict[BlockPairKey, list[tuple[Pair, float]]]:
         """Each block pair of two old blocks that gained a spanning edge,
-        and each spanned pair with a new block, with its spanning edges as
-        spanning_edges lists them.  Any other block pair of two old blocks
-        kept its edges, and any other pair with a new block has none."""
+        and each spanned pair with a new block, with its spanning edges in
+        canonical order, as edges_between lists them.  Any other block pair
+        of two old blocks kept its edges, and one with a new block has none."""
         return self._walk[0]
 
     @property
     def within(self) -> dict[Block, list[tuple[Pair, float]]]:
-        """Each new block of two or more members with its intra edges, as
-        spanning_edges lists them, from the walk that finds spans."""
+        """Each new block of two or more members with its intra edges in
+        canonical order, as edges_within, from the walk that finds spans."""
         return self._walk[1]
+
+    @property
+    def lost(self) -> set[BlockPairKey]:
+        """Each old block pair with a gone block that an edge spans."""
+        return self._walk[2]
+
+    @cached_property
+    def dropped(self) -> list[BlockPairKey]:
+        """Each old block pair with a gone block, spanned or not, once: a
+        pair of two gone blocks is listed from its first block only."""
+        gone = self.gone
+        return [(dead, other) if dead < other else (other, dead) for dead in gone
+                for other in self.previous.blocks if other not in gone or other > dead]
 
     @cached_property
     def priced(self) -> dict[BlockPairKey, tuple[float, float]]:
@@ -509,8 +527,9 @@ def changes_since(previous_graph: UncertainGraph, previous_clustering: Clusterin
     priced on (previous_graph, previous_clustering) that may carry over.
 
     This is the one place a round's change is worked out (see Changes);
-    an unchanged clustering object lost and made no block.  Raises
-    ValueError as UncertainGraph.edges_added_since.
+    an unchanged clustering object lost and made no block.  Only the edges
+    and the block sets are compared here; every block-pair set is found
+    when first read.  Raises ValueError as UncertainGraph.edges_added_since.
 
     The result is only read, never changed, by the callers it is handed
     to, so run_experiment finds each round's change once and hands it to
@@ -521,15 +540,9 @@ def changes_since(previous_graph: UncertainGraph, previous_clustering: Clusterin
     added = graph.edges_added_since(previous_graph)
     touched = {owner[a] for a, b in added if owner[a] is owner[b]}
     if clustering is previous_clustering:
-        return Changes(added, frozenset(), frozenset(), touched, [], graph, clustering)
-    old_blocks = previous_clustering.blocks
-    old, new = frozenset(old_blocks), frozenset(clustering.blocks)
-    gone, fresh = old - new, new - old
-    # a pair of two gone blocks is listed from its first block only
-    dropped = [(dead, other) if dead < other else (other, dead)
-               for dead in gone
-               for other in old_blocks if other not in gone or other > dead]
-    return Changes(added, gone, fresh, touched, dropped, graph, clustering)
+        return Changes(added, frozenset(), frozenset(), touched, graph, clustering)
+    old, new = frozenset(previous_clustering.blocks), frozenset(clustering.blocks)
+    return Changes(added, old - new, new - old, touched, graph, clustering, previous_clustering)
 
 
 def reliability(graph: UncertainGraph, clustering: Clustering,
@@ -576,7 +589,7 @@ def reliability(graph: UncertainGraph, clustering: Clustering,
         carried = dict(zip(previous.clustering.blocks, previous.block_connectivity))
         pairs = dict(previous.pair_disconnectivity)
         logs = dict(previous._pair_logs)
-        for key in changes.dropped:
+        for key in changes.lost:
             if pairs.pop(key, None) is not None:
                 logs.pop(key, None)
     for key, (d, log) in changes.priced.items():

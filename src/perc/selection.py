@@ -277,7 +277,8 @@ def refresh_after_answer(state: PriorityState, graph: UncertainGraph,
       and whether it is spanned.
 
     The entries of gone and touched blocks and of the block pairs in
-    ``changes.dropped`` are dropped by key.  New blocks, blocks that a new
+    ``changes.lost`` (``changes.dropped`` in replay mode, where unspanned
+    pairs can hold marks) are dropped by key.  New blocks, blocks that a new
     edge touched (each once, however many answers it got) and the block
     pairs changes_since prices are marked afresh, so the state equals a
     build_state on (graph, clustering).  ``changes`` is changes_since(
@@ -291,7 +292,7 @@ def refresh_after_answer(state: PriorityState, graph: UncertainGraph,
     for block in (*changes.touched, *changes.gone):
         state._intra.pop(block, None)
         state._blocks.pop(block, None)
-    for key in changes.dropped:
+    for key in changes.lost if state.allowed is None else changes.dropped:
         state._inter.pop(key, None)
         state._pairs.pop(key, None)
         state.spanned.discard(key)

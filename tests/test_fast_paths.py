@@ -368,14 +368,22 @@ def test_spanning_edges_equal_disconnectivity(case, data):
     assert within == {block: graph.edges_within(block) for block in blocks if len(block) > 1}
 
 
-def assert_changes_match_reference(changes, old_graph, old_blocks):
+def assert_changes_match_reference(changes, old_graph, old):
     """changes.spans and changes.priced hold exactly the block pairs of two
     old blocks whose spanning edges changed and the spanned pairs with a
     new block; each span is edges_between's list, priced at
     disconnectivity's value and its math.log10, and within lists each new
-    block's edges."""
+    block's edges.  Of the old clustering's block pairs with a gone block
+    (none from scratch, where old is None), dropped lists each once and
+    lost holds those an edge of the new graph spans."""
     graph, clustering = changes.graph, changes.clustering
+    old_blocks = () if old is None else old.blocks
     fresh = set(clustering.blocks) - set(old_blocks)
+    gone = set(old_blocks) - set(clustering.blocks)
+    old_pairs = [] if old is None else [(bj, bk) for bj, bk in old.block_pairs()
+                                        if bj in gone or bk in gone]
+    assert sorted(changes.dropped) == old_pairs
+    assert changes.lost == {(bj, bk) for bj, bk in old_pairs if graph.edges_between(bj, bk)}
     expected = {(bj, bk) for bj, bk in clustering.block_pairs()
                 if graph.edges_between(bj, bk) != (
                     [] if bj in fresh or bk in fresh else old_graph.edges_between(bj, bk))}
@@ -395,7 +403,7 @@ def assert_changes_match_reference(changes, old_graph, old_blocks):
 def test_changes_spans_equal_edges_between(graph, data):
     """A build from scratch, then drawn rounds of answers and reclusters."""
     clustering = data.draw(next_clusterings(graph, scc_cluster(graph)), label="clustering")
-    assert_changes_match_reference(Changes.from_scratch(graph, clustering), graph, ())
+    assert_changes_match_reference(Changes.from_scratch(graph, clustering), graph, None)
     for _ in range(4):
         absent = list(graph.absent_pairs())
         if not absent:
@@ -408,7 +416,7 @@ def test_changes_spans_equal_edges_between(graph, data):
                 st.sampled_from(ROUNDING_FRACTIONS), label="p"))
         new_clustering = data.draw(next_clusterings(new_graph, clustering), label="clustering")
         changes = changes_since(graph, clustering, new_graph, new_clustering)
-        assert_changes_match_reference(changes, graph, clustering.blocks)
+        assert_changes_match_reference(changes, graph, clustering)
         graph, clustering = new_graph, new_clustering
 
 

@@ -467,6 +467,20 @@ class TestReliability:
         for _ in range(2):
             assert reliability(grown, running_clustering, params, previous=previous) == cold
 
+    def test_previous_is_left_as_it_was_across_a_recluster(self, running_graph,
+                                                           running_clustering):
+        # splitting {C,D} removes a block that A-C and B-D span
+        params = ReliabilityParams(exact_edge_limit=8)
+        previous = reliability(running_graph, running_clustering, params)
+        before = dict(previous.pair_disconnectivity)
+        assert (("A", "B"), ("C", "D")) in before
+        grown = running_graph.with_edge("A", "D", probability=0.4)
+        split = Clustering((("A", "B"), ("C",), ("D",), ("E", "F"), ("G", "H")))
+        cold = reliability(grown, split, params)
+        for _ in range(2):
+            assert reliability(grown, split, params, previous=previous) == cold
+            assert previous.pair_disconnectivity == before
+
     def test_sampled_connectivity_carries(self, running_graph, running_clustering):
         # at limit 0 every block is sampled; an edge across two blocks
         # leaves each block's inputs as they were

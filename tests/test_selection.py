@@ -232,6 +232,19 @@ class TestBuildState:
         assert [(e.pair, e.gain) for e in unstored.entries()] == [(("A", "C"), top)]
         assert select_batch(unstored, 3) == [("A", "C"), ("B", "D")]
 
+    def test_stored_unspanned_pair_goes_when_its_block_is_reclustered_away(self):
+        # no edge spans {A,B} x {C,D}, but (A, C) may not be asked, so the
+        # pair holds an entry; the next round splits {C,D}, and that entry
+        # must go although the pair is in no lost set
+        g = UncertainGraph.from_probabilities("ABCD", {("A", "B"): 0.9})
+        allowed = frozenset({("B", "D"), ("B", "C")})
+        state = build_state(g, Clustering([["A", "B"], ["C", "D"]]), allowed=allowed)
+        assert set(state.inter) == {(("A", "B"), ("C", "D"))}
+        grown = g.with_edge("C", "D", probability=0.2)
+        split = Clustering([["A", "B"], ["C"], ["D"]])
+        refresh_after_answer(state, grown, split)
+        assert states_equal(state, build_state(grown, split, allowed=allowed))
+
     def test_fully_crowdsourced_graph_has_empty_queue(self):
         g = UncertainGraph.from_probabilities(
             "AB", {("A", "B"): 0.9})
