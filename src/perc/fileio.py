@@ -4,9 +4,10 @@ All files are UTF-8 comma-separated with a header row and no NUL byte.
 Record ids may not contain commas or newlines (enforced by the readers, and
 by UncertainGraph for ids given in code), so no quoting is ever needed.
 Floats are written with repr, which round-trips exactly and keeps reruns
-byte-identical.  A records.csv or votes.csv of plain rows only is split at
-its newlines and checked a column at a time; any other file goes to the
-csv.reader path, the only one that words errors, so each reads the same.
+byte-identical.  A records.csv or votes.csv of plain rows only is split
+into columns in one pass and checked a column at a time; any other file
+goes to the csv.reader path, the only one that words errors, so each reads
+the same.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import csv
 import io
 import math
 import re
-from operator import eq, le
+from operator import eq, truediv
 
 from .crowd import GoldClustering
 from .graph import Clustering, Pair, UncertainGraph, VoteTally, _check_record_id
@@ -31,21 +32,12 @@ CURVE_HEADER = ["questions_asked", "precision", "recall", "f1", "reliability", "
 # a number >= 0 in ASCII digits, with an optional fraction and exponent
 _PLAIN_NUMBER = re.compile(r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?")
 
-# plain rows, which csv.reader reads as they stand: ids with no quote, comma,
-# line break or NUL within its field limit, counts of at most 18 digits (so
-# int() takes them), each row ended by \n or \r\n
-_PLAIN_ID = rf'[^,"\r\n\x00]{{1,{csv.field_size_limit()}}}'
-_PLAIN_COUNT = r"[0-9]{1,18}"
-_PLAIN_RECORDS = re.compile(rf"{','.join(RECORDS_HEADER)}\r?\n(?:{_PLAIN_ID}\r?\n)*")
-_PLAIN_VOTES = re.compile(rf"{','.join(VOTES_HEADER)}\r?\n"
-                          rf"(?:{_PLAIN_ID},{_PLAIN_ID},{_PLAIN_COUNT},{_PLAIN_COUNT}\r?\n)*")
-
 
 def read_text(path) -> str:
     """The file as UTF-8 text; a byte that is not UTF-8, or a NUL byte, is
     reported with the physical line it is on.  A path that cannot be read
     raises open()'s OSError, worded alike for a str and a Path."""
-    with open(path, "rb") as fh:
+    with open(path, "rb", buffering=0) as fh:  # one read: no buffer to fill
         data = fh.read()
     try:
         text = data.decode("utf-8")
@@ -59,23 +51,21 @@ def read_text(path) -> str:
     raise ValueError(f"{path}:{line}: {problem}") from None
 
 
-def _plain_columns(pattern, text: str, width: int) -> list[list[str]] | None:
-    """Each column's cells below the header, if pattern matches all of text."""
-    if pattern.fullmatch(text) is None:
+def _plain_split(text: str, header: list[str]) -> list[list[str]] | None:
+    """Each column's cells below the header, if text is the header and then
+    rows of its width, each ended by LF or CRLF, that csv.reader reads as
+    they stand: no quote, stray CR or field over csv.field_size_limit()."""
+    text = text.replace("\r\n", "\n")
+    head, stride = ",".join(header) + "\n", len(header) + 1
+    if not text.startswith(head) or not text.endswith("\n") or '"' in text or "\r" in text:
         return None
-    # not splitlines, which also ends a line at \x0b, \x1c or U+2028
-    lines = text.replace("\r\n", "\n").split("\n")
-    cells = ",".join(lines[1:-1]).split(",") if len(lines) > 2 else []
-    return [cells[i::width] for i in range(width)]
-
-
-def _open_reader(path):
-    return io.StringIO(read_text(path), newline="")
-
-
-def _csv_error(reader, path, exc: csv.Error) -> ValueError:
-    # csv.reader's own error, such as a field over csv.field_size_limit()
-    return ValueError(f"{path}:{reader.line_num}: {exc}")
+    # each line end becomes a cell of its own: every stride-th cell, unless a row is ragged
+    rows, cells = text.count("\n") - 1, text[len(head):].replace("\n", ",\n,").split(",")
+    limit = csv.field_size_limit()
+    if (len(cells) != rows * stride + 1 or cells[stride - 1::stride].count("\n") != rows
+            or len(text) > limit and max(map(len, cells)) > limit):
+        return None
+    return [cells[i:-1:stride] for i in range(stride - 1)]
 
 
 def _rows(reader, path, width: int, optional: int = 0):
@@ -93,7 +83,8 @@ def _rows(reader, path, width: int, optional: int = 0):
                                      f"got {len(row)}")
                 yield reader.line_num, row
     except csv.Error as exc:
-        raise _csv_error(reader, path, exc) from None
+        # csv.reader's own error, such as a field over csv.field_size_limit()
+        raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def _check_header(reader, expected, path, optional_tail=()):
@@ -102,7 +93,7 @@ def _check_header(reader, expected, path, optional_tail=()):
     try:
         row = next(reader, None)
     except csv.Error as exc:
-        raise _csv_error(reader, path, exc) from None
+        raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     if row is None or row[:len(expected)] != expected:
         raise ValueError(f"{path}: expected header {','.join(expected)}, got "
                          f"{','.join(row) if row else 'an empty file'}")
@@ -127,21 +118,18 @@ def _record_id(row, path, lineno, seen) -> str:
 def read_records_csv(path) -> list[str]:
     """record_id per row; returns ids in file order, each checked once."""
     text = read_text(path)
-    plain = _plain_columns(_PLAIN_RECORDS, text, 1)
-    if plain is not None and plain[0] and len(set(plain[0])) == len(plain[0]):
-        return plain[0]
+    (ids,) = _plain_split(text, RECORDS_HEADER) or [[]]
+    if ids and "" not in ids and len(set(ids)) == len(ids):
+        return ids
     with io.StringIO(text, newline="") as fh:
         reader = csv.reader(fh)
         _check_header(reader, RECORDS_HEADER, path)
-        out = []
-        seen = set()
+        seen: dict[str, None] = {}  # in file order
         for lineno, row in _rows(reader, path, len(RECORDS_HEADER)):
-            rid = _record_id(row, path, lineno, seen)
-            seen.add(rid)
-            out.append(rid)
-    if not out:
+            seen[_record_id(row, path, lineno, seen)] = None
+    if not seen:
         raise ValueError(f"{path}: no records listed")
-    return out
+    return list(seen)
 
 
 def write_records_csv(path, records) -> None:
@@ -152,24 +140,44 @@ def write_records_csv(path, records) -> None:
             writer.writerow([r])
 
 
-def _vote_rows(path, declared, records_path) -> list[tuple[Pair, int, int]]:
-    """(pair, yes, total) per vote row in file order, the pair canonical,
-    once every row passes read_votes_csv's checks, given the ``declared``
-    ids read from records_path or None."""
-    text = read_text(path)
-    plain = _plain_columns(_PLAIN_VOTES, text, len(VOTES_HEADER))
+class _Tallies(dict):
+    """tally(yes, total) by a vote row's (yes, total) cells, made on the first
+    lookup of each; ValueError unless both are ASCII digits, total >= 1 and yes <= total."""
+
+    def __init__(self, tally):
+        self.tally = tally
+
+    def __missing__(self, key):
+        yes, total = key
+        if not (yes.isdigit() and total.isdigit() and yes.isascii() and total.isascii()):
+            raise ValueError(f"yes and total must be ASCII digits, got {yes!r} and {total!r}")
+        yes, total = int(yes), int(total)
+        if not 0 <= yes <= total or total < 1:
+            VoteTally(yes=yes, total=total)  # raises with the bound it breaks
+        value = self[key] = self.tally(yes, total)
+        return value
+
+
+def _vote_edges(path, records, records_path, tally) -> dict:
+    """Each vote row's canonical pair with tally(yes, total), in file order,
+    once every row passes the checks read_votes_csv makes given records."""
+    text, tallies = read_text(path), _Tallies(tally)
+    declared = None if records is None else set(records)
+    plain = _plain_split(text, VOTES_HEADER)
     if plain is not None:
         firsts, seconds, yes, total = plain
-        # a file holds a handful of distinct counts: convert each once
-        count = {s: int(s) for s in {*yes, *total}}
-        yes, total = list(map(count.__getitem__, yes)), list(map(count.__getitem__, total))
-        pairs = [(a, b) if a < b else (b, a) for a, b in zip(firsts, seconds)]
-        if (all(map(le, yes, total)) and min(total, default=1) >= 1
-                and not any(map(eq, firsts, seconds)) and len(set(pairs)) == len(pairs)
-                and (declared is None or declared.issuperset(firsts + seconds))):
-            return list(zip(pairs, yes, total))
+        try:
+            values = list(map(tallies.__getitem__, zip(yes, total)))
+        except ValueError:
+            values = None
+        if (values is not None and not any(map(eq, firsts, seconds)) and (
+                declared is None or declared.issuperset(firsts) and declared.issuperset(seconds))):
+            pairs = [(a, b) if a < b else (b, a) for a, b in zip(firsts, seconds)]
+            edges = dict(zip(pairs, values))
+            if len(edges) == len(pairs):
+                return edges
     # the checked path: row by row, naming the line of the first bad row
-    rows = []
+    edges = {}
     seen: dict[Pair, int] = {}
     with io.StringIO(text, newline="") as fh:
         reader = csv.reader(fh)
@@ -177,12 +185,7 @@ def _vote_rows(path, declared, records_path) -> list[tuple[Pair, int, int]]:
         for lineno, row in _rows(reader, path, len(VOTES_HEADER)):
             a, b, yes, total = row
             try:
-                if not (yes.isdigit() and total.isdigit() and yes.isascii() and total.isascii()):
-                    raise ValueError(f"yes and total must be ASCII digits, "
-                                     f"got {yes!r} and {total!r}")
-                yes, total = int(yes), int(total)
-                if not 0 <= yes <= total or total < 1:
-                    VoteTally(yes=yes, total=total)  # raises with the bound it breaks
+                value = tallies[yes, total]
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad tally for pair ({a}, {b}): {exc}") from exc
             try:
@@ -193,13 +196,12 @@ def _vote_rows(path, declared, records_path) -> list[tuple[Pair, int, int]]:
                 raise ValueError(f"{path}:{lineno}: pair {pair} already listed "
                                  f"on line {seen[pair]}")
             seen[pair] = lineno
-            if declared is not None:
-                for r in pair:
-                    if r not in declared:
-                        raise ValueError(f"{path}:{lineno}: record {r!r} in pair {pair} "
-                                         f"is not declared in {records_path}")
-            rows.append((pair, yes, total))
-    return rows
+            for r in () if declared is None else pair:
+                if r not in declared:
+                    raise ValueError(f"{path}:{lineno}: record {r!r} in pair {pair} "
+                                     f"is not declared in {records_path}")
+            edges[pair] = value
+    return edges
 
 
 def read_votes_csv(path, records=None, records_path=None) -> list[tuple[Pair, VoteTally]]:
@@ -207,9 +209,7 @@ def read_votes_csv(path, records=None, records_path=None) -> list[tuple[Pair, Vo
     and a pair listed twice are rejected with the line.  Given ``records``,
     the ids read from records_path, so is a vote naming any other record.
     load_graph reads the rows through the same checks."""
-    declared = None if records is None else set(records)
-    return [(pair, VoteTally(yes=yes, total=total))
-            for pair, yes, total in _vote_rows(path, declared, records_path)]
+    return list(_vote_edges(path, records, records_path, VoteTally).items())
 
 
 def write_votes_csv(path, rows) -> None:
@@ -227,7 +227,7 @@ def read_gold_csv(path, records=None, records_path=None) -> GoldClustering:
     declared = None if records is None else set(records)
     entity: dict[str, str] = {}
     difficulty: dict[str, float] = {}
-    with _open_reader(path) as fh:
+    with io.StringIO(read_text(path), newline="") as fh:
         reader = csv.reader(fh)
         extra = _check_header(reader, GOLD_HEADER, path,
                               optional_tail=("difficulty",))
@@ -262,7 +262,7 @@ def write_gold_csv(path, gold: GoldClustering) -> None:
 def read_clusters_csv(path) -> Clustering:
     groups: dict[str, list[str]] = {}
     seen = set()
-    with _open_reader(path) as fh:
+    with io.StringIO(read_text(path), newline="") as fh:
         reader = csv.reader(fh)
         _check_header(reader, CLUSTERS_HEADER, path)
         for lineno, row in _rows(reader, path, len(CLUSTERS_HEADER)):
@@ -300,7 +300,7 @@ def write_curve_csv(path, curve: list[MetricsSnapshot]) -> None:
 
 def read_curve_csv(path) -> list[MetricsSnapshot]:
     out = []
-    with _open_reader(path) as fh:
+    with io.StringIO(read_text(path), newline="") as fh:
         reader = csv.reader(fh)
         _check_header(reader, CURVE_HEADER, path)
         for _, row in _rows(reader, path, len(CURVE_HEADER)):
@@ -313,10 +313,10 @@ def read_curve_csv(path) -> list[MetricsSnapshot]:
 
 def load_graph(records_path, votes_path) -> UncertainGraph:
     """records.csv plus votes.csv into an UncertainGraph, each file read
-    once: each vote row's YES fraction goes straight into the edges, in
-    file order.  A bad row, or a vote naming an undeclared record, is
-    rejected with its line as read_votes_csv rejects it.  Record ids are
-    checked once, by read_records_csv."""
+    once: each distinct count's YES fraction, divided once, goes straight
+    into the edges, in file order.  A bad row, or a vote naming an
+    undeclared record, is rejected with its line as read_votes_csv rejects
+    it.  Record ids are checked once, by read_records_csv."""
     records = read_records_csv(records_path)
-    rows = _vote_rows(votes_path, frozenset(records), records_path)
-    return UncertainGraph._from_checked(records, {pair: yes / total for pair, yes, total in rows})
+    return UncertainGraph._from_checked(
+        records, _vote_edges(votes_path, records, records_path, truediv))

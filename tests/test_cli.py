@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import io
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -175,6 +176,30 @@ class TestNext:
                      "--records", str(tmp_path / "records.csv"), "--batch", "3"])
         assert code == 1
         assert capsys.readouterr().err == "no candidate pairs remain\n"
+
+    def test_output_does_not_depend_on_row_order(self, tmp_path, capsys):
+        # the loader keeps file order: shuffled rows, half of them written
+        # b,a, give the graph another edge order but the same batch; the low
+        # edge limit makes the larger blocks sample
+        rng = random.Random(6)
+        records = [f"r{i:02d}" for i in range(24)]
+        pairs = rng.sample([(a, b) for i, a in enumerate(records) for b in records[i + 1:]], 90)
+        rows = [(pair, VoteTally(rng.choice([0, 1, 4, 5] if int(pair[0][1:]) % 4 ==
+                                            int(pair[1][1:]) % 4 else [0, 0, 1, 2]), 5))
+                for pair in sorted(pairs)]
+        write_records_csv(tmp_path / "records.csv", records)
+        write_votes_csv(tmp_path / "sorted.csv", rows)
+        rng.shuffle(rows)
+        write_votes_csv(tmp_path / "shuffled.csv", [((b, a) if i % 2 else (a, b), tally)
+                                                    for i, ((a, b), tally) in enumerate(rows)])
+        outputs = []
+        for name in ("sorted.csv", "shuffled.csv"):
+            assert main(["next", "--graph", str(tmp_path / name), "--records",
+                         str(tmp_path / "records.csv"), "--batch", "10",
+                         "--exact-edge-limit", "4", "--mc-samples", "50"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0].splitlines()) == 10
 
     def test_edge_limit_above_cap_exits_one(self, running_files, capsys):
         # the exact solver is exponential in the edges, so the limit is capped
@@ -386,7 +411,7 @@ class TestRun:
             patched.setattr(perc.fileio.csv, "reader", None)  # plain rows only
             assert main(argv) == 0
         assert capsys.readouterr().out.encode() == outputs[0]
-        monkeypatch.setattr(perc.fileio, "_plain_columns", lambda *args: None)
+        monkeypatch.setattr(perc.fileio, "_plain_split", lambda *args: None)
         assert main(argv) == 0
         assert capsys.readouterr().out.encode() == outputs[0]
 

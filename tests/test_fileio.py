@@ -1,5 +1,6 @@
 """CSV readers and writers: round trips and error reporting."""
 
+import csv
 from unittest import mock
 
 import pytest
@@ -304,9 +305,9 @@ class TestNotUtf8:
 
 PLAIN_IDS = ["r0", "r1", "r2", "r3"]
 # ids no file declares, or that csv.reader reads apart from str.splitlines
-# (\x0b, \x1c, U+2028), quoted, empty or with a BOM
-ODD_IDS = st.sampled_from(["r9", "r1\x0br2", "r2\x1c", "r3\u2028", '"r1"', '"r,2"', "",
-                           "\ufeffr0"])
+# (\x0b, \x1c, U+2028), with a CR that ends no line, quoted, empty or with a BOM
+ODD_IDS = st.sampled_from(["r9", "r1\x0br2", "r2\x1c", "r3\u2028", "r0\rr3", '"r1"', '"r,2"',
+                           "", "\ufeffr0"])
 # (yes, total) out of bounds, zero-padded, of 5,000 digits, or that int()
 # reads though they are not ASCII digits
 ODD_TALLIES = st.sampled_from([("6", "5"), ("0", "0"), ("3", "007"), ("0" * 4999 + "3", "5"),
@@ -387,9 +388,27 @@ def test_plain_path_agrees_with_the_checked_reader(tmp_path_factory, files):
     records_path, votes_path = d / "records.csv", d / "votes.csv"
     records_path.write_text(files[0], encoding="utf-8", newline="")
     votes_path.write_text(files[1], encoding="utf-8", newline="")
-    with mock.patch.object(perc.fileio, "_plain_columns", lambda *args: None):
+    with mock.patch.object(perc.fileio, "_plain_split", lambda *args: None):
         checked = outcomes(records_path, votes_path)
     assert outcomes(records_path, votes_path) == checked
+
+
+@pytest.mark.parametrize("rows, error", [
+    ("a,b,1,2,3\nx,7,9\n", "2: expected 4 columns, got 5"),
+    ("a,b,1,2\nc,d,3,4,x,e,f,5,6\n", "3: expected 4 columns, got 9"),
+], ids=["cell-count-right", "line-ends-aligned"])
+def test_ragged_rows_agree_with_the_checked_reader(tmp_path, rows, error):
+    """Rows of the wrong width whose cells, read as one stream, fill the
+    columns with ids and counts that pass every other check: a long row and
+    a short one that make the right cell count, or a row three rows wide
+    whose line ends fall where the last column's would."""
+    records_path, votes_path = tmp_path / "records.csv", tmp_path / "votes.csv"
+    write_records_csv(records_path, list("abcdefx"))
+    votes_path.write_text("record_a,record_b,yes,total\n" + rows)
+    with mock.patch.object(perc.fileio, "_plain_split", lambda *args: None):
+        checked = outcomes(records_path, votes_path)
+    assert outcomes(records_path, votes_path) == checked
+    assert checked[1] == f"error: {votes_path}:{error}"
 
 
 def test_written_files_take_the_plain_path(tmp_path):
@@ -401,3 +420,29 @@ def test_written_files_take_the_plain_path(tmp_path):
         graph = load_graph(tmp_path / "records.csv", tmp_path / "votes.csv")
     assert graph.records == ("a", "b", "c")
     assert list(graph.edges.items()) == [(("a", "c"), 0.0), (("a", "b"), 1.0)]
+
+
+@pytest.mark.parametrize("checked", [False, True], ids=["plain", "checked"])
+@pytest.mark.parametrize("name", ["records.csv", "votes.csv"])
+def test_id_over_the_field_limit_is_refused_on_both_paths(tmp_path, name, checked):
+    """An id one character longer than csv.field_size_limit() on line 2 is
+    refused with csv.reader's words by every reader of its file, whether or
+    not the plain-row path may take it."""
+    limit = csv.field_size_limit()
+    long_id = "r" * (limit + 1)
+    write_records_csv(tmp_path / "records.csv", ["a", "b"])
+    write_votes_csv(tmp_path / "votes.csv", [(("a", "b"), VoteTally(1, 2))])
+    path = tmp_path / name
+    text = path.read_text()
+    path.write_text(text.replace("\na", f"\n{long_id}", 1))
+    records, votes = tmp_path / "records.csv", tmp_path / "votes.csv"
+    readers = ([lambda: read_records_csv(records), lambda: load_graph(records, votes)]
+               if name == "records.csv" else
+               [lambda: read_votes_csv(votes), lambda: load_graph(records, votes),
+                lambda: read_votes_csv(votes, ["a", "b"], records)])
+    with mock.patch.object(perc.fileio, "_plain_split",
+                           (lambda *args: None) if checked else perc.fileio._plain_split):
+        for read in readers:
+            with pytest.raises(ValueError) as exc:
+                read()
+            assert str(exc.value) == f"{path}:2: field larger than field limit ({limit})"
