@@ -8,40 +8,27 @@ and an experiment harness compares that selection policy against the TC
 and DENSE baselines on simulated or replayed crowds.
 """
 
-from .graph import (Clustering, Pair, UncertainGraph, VoteTally,
-                    clustering_log_likelihood, enumerate_partitions, ingest_votes,
-                    possible_world_log_prob)
-from .reliability import (ConnectivityEstimate, ReliabilityParams, ReliabilityScore,
-                          block_connectivity, disconnectivity)
-from .clustering import (merge_probability, mlc_bruteforce, mlc_unchanged,
-                         scc_cluster)
-from .selection import (CandidatePriority, PriorityState, build_state,
-                        pair_priority, refresh_after_answer, select_batch,
+from .graph import (Clustering, UncertainGraph, VoteTally, clustering_log_likelihood,
+                    ingest_votes, possible_world_log_prob)
+from .reliability import ReliabilityParams, block_connectivity, disconnectivity
+from .clustering import merge_probability, mlc_bruteforce, mlc_unchanged, scc_cluster
+from .selection import (build_state, pair_priority, refresh_after_answer, select_batch,
                         select_next)
-from .baselines import (DenseState, RhoInputs, TcState, build_dense_state, build_tc_state,
-                        dense_batch, refresh_dense_state, refresh_tc_state, rho_inputs, tc_batch)
-from .crowd import (GoldClustering, Oracle, ReplayOracle, SimulatedOracle,
-                    UnrecordedPairError, WorkerModel, crowd_error_rate,
-                    simulate_votes)
-from .harness import (ExperimentConfig, MetricsSnapshot, RunResult,
-                      precision_recall_f1, questions_to_reach, run_experiment,
-                      synth_world)
+from .crowd import GoldClustering, ReplayOracle, SimulatedOracle, WorkerModel
+from .harness import (ExperimentConfig, precision_recall_f1, questions_to_reach,
+                      run_experiment, synth_world)
 
 __version__ = "0.1.0"
 
+# the names the demos, the README and the benchmark call, and the paper's
+# model functions; every other name is imported from its submodule
 __all__ = [
-    "Clustering", "Pair", "UncertainGraph", "VoteTally",
-    "clustering_log_likelihood", "enumerate_partitions", "ingest_votes",
-    "possible_world_log_prob",
-    "ConnectivityEstimate", "ReliabilityParams", "ReliabilityScore",
-    "block_connectivity", "disconnectivity",
+    "Clustering", "UncertainGraph", "VoteTally", "clustering_log_likelihood",
+    "ingest_votes", "possible_world_log_prob",
+    "ReliabilityParams", "block_connectivity", "disconnectivity",
     "merge_probability", "mlc_bruteforce", "mlc_unchanged", "scc_cluster",
-    "CandidatePriority", "PriorityState", "build_state", "pair_priority",
-    "refresh_after_answer", "select_batch", "select_next",
-    "DenseState", "RhoInputs", "TcState", "build_dense_state", "build_tc_state", "dense_batch",
-    "refresh_dense_state", "refresh_tc_state", "rho_inputs", "tc_batch",
-    "GoldClustering", "Oracle", "ReplayOracle", "SimulatedOracle",
-    "UnrecordedPairError", "WorkerModel", "crowd_error_rate", "simulate_votes",
-    "ExperimentConfig", "MetricsSnapshot", "RunResult", "precision_recall_f1",
-    "questions_to_reach", "run_experiment", "synth_world",
+    "build_state", "pair_priority", "refresh_after_answer", "select_batch", "select_next",
+    "GoldClustering", "ReplayOracle", "SimulatedOracle", "WorkerModel",
+    "ExperimentConfig", "precision_recall_f1", "questions_to_reach", "run_experiment",
+    "synth_world",
 ]

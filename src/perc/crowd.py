@@ -123,14 +123,7 @@ def simulate_votes(gold: GoldClustering, pair: Pair, model: WorkerModel,
     return VoteTally(len(coins) - flips if truth else flips, len(coins))
 
 
-class Oracle:
-    """Answer source interface: ``answer(pair) -> VoteTally``."""
-
-    def answer(self, pair: Pair) -> VoteTally:
-        raise NotImplementedError
-
-
-class SimulatedOracle(Oracle):
+class SimulatedOracle:
     """Simulated crowd with order-independent per-pair vote streams
     (``vote_coins``)."""
 
@@ -149,7 +142,7 @@ class UnrecordedPairError(KeyError):
     """Raised when a replay oracle is asked a pair missing from its log."""
 
 
-class ReplayOracle(Oracle):
+class ReplayOracle:
     """Answers straight from a recorded vote log.
 
     Keeps the log's row order, which a replaying harness uses to reproduce

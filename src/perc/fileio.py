@@ -68,12 +68,24 @@ def _plain_split(text: str, header: list[str]) -> list[list[str]] | None:
     return [cells[i:-1:stride] for i in range(stride - 1)]
 
 
-def _rows(reader, path, width: int, optional: int = 0):
-    """(line, row) for each non-empty row after the header.  The line is
-    the physical line the row ends on; after a quoted field that spans
-    lines it runs ahead of the row count.  A row must have width columns,
-    of which the last ``optional`` may be left off."""
+def _csv_rows(text: str, path, header: list[str], optional_tail=()):
+    """(line, row) for each non-empty row below the header of a CSV text.
+    The header must start with ``header``, and each column after those must
+    be one of optional_tail, listed once; a row has the header's width, and
+    may leave off the optional columns.  The line is the physical line the
+    row ends on; after a quoted field that spans lines it runs ahead of the
+    row count."""
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
+        row = next(reader, None)
+        if row is None or row[:len(header)] != header:
+            raise ValueError(f"{path}: expected header {','.join(header)}, got "
+                             f"{','.join(row) if row else 'an empty file'}")
+        extra = row[len(header):]
+        for col in extra:
+            if col not in optional_tail or extra.count(col) > 1:
+                raise ValueError(f"{path}: unexpected column {col!r}")
+        width, optional = len(row), len(extra)
         for row in reader:
             if row:
                 if not width - optional <= len(row) <= width:
@@ -87,21 +99,11 @@ def _rows(reader, path, width: int, optional: int = 0):
         raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
 
 
-def _check_header(reader, expected, path, optional_tail=()):
-    """The header row's columns after the expected ones, each one of
-    optional_tail, listed once."""
-    try:
-        row = next(reader, None)
-    except csv.Error as exc:
-        raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
-    if row is None or row[:len(expected)] != expected:
-        raise ValueError(f"{path}: expected header {','.join(expected)}, got "
-                         f"{','.join(row) if row else 'an empty file'}")
-    extra = row[len(expected):]
-    for col in extra:
-        if col not in optional_tail or extra.count(col) > 1:
-            raise ValueError(f"{path}: unexpected column {col!r}")
-    return extra
+def _write_csv(path, header: list[str], rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _record_id(row, path, lineno, seen) -> str:
@@ -121,23 +123,16 @@ def read_records_csv(path) -> list[str]:
     (ids,) = _plain_split(text, RECORDS_HEADER) or [[]]
     if ids and "" not in ids and len(set(ids)) == len(ids):
         return ids
-    with io.StringIO(text, newline="") as fh:
-        reader = csv.reader(fh)
-        _check_header(reader, RECORDS_HEADER, path)
-        seen: dict[str, None] = {}  # in file order
-        for lineno, row in _rows(reader, path, len(RECORDS_HEADER)):
-            seen[_record_id(row, path, lineno, seen)] = None
+    seen: dict[str, None] = {}  # in file order
+    for lineno, row in _csv_rows(text, path, RECORDS_HEADER):
+        seen[_record_id(row, path, lineno, seen)] = None
     if not seen:
         raise ValueError(f"{path}: no records listed")
     return list(seen)
 
 
 def write_records_csv(path, records) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RECORDS_HEADER)
-        for r in records:
-            writer.writerow([r])
+    _write_csv(path, RECORDS_HEADER, ([r] for r in records))
 
 
 class _Tallies(dict):
@@ -179,28 +174,24 @@ def _vote_edges(path, records, records_path, tally) -> dict:
     # the checked path: row by row, naming the line of the first bad row
     edges = {}
     seen: dict[Pair, int] = {}
-    with io.StringIO(text, newline="") as fh:
-        reader = csv.reader(fh)
-        _check_header(reader, VOTES_HEADER, path)
-        for lineno, row in _rows(reader, path, len(VOTES_HEADER)):
-            a, b, yes, total = row
-            try:
-                value = tallies[yes, total]
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad tally for pair ({a}, {b}): {exc}") from exc
-            try:
-                pair = canonical_pair(a, b)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            if pair in seen:
-                raise ValueError(f"{path}:{lineno}: pair {pair} already listed "
-                                 f"on line {seen[pair]}")
-            seen[pair] = lineno
-            for r in () if declared is None else pair:
-                if r not in declared:
-                    raise ValueError(f"{path}:{lineno}: record {r!r} in pair {pair} "
-                                     f"is not declared in {records_path}")
-            edges[pair] = value
+    for lineno, (a, b, yes, total) in _csv_rows(text, path, VOTES_HEADER):
+        try:
+            value = tallies[yes, total]
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: bad tally for pair ({a}, {b}): {exc}") from exc
+        try:
+            pair = canonical_pair(a, b)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        if pair in seen:
+            raise ValueError(f"{path}:{lineno}: pair {pair} already listed "
+                             f"on line {seen[pair]}")
+        seen[pair] = lineno
+        for r in () if declared is None else pair:
+            if r not in declared:
+                raise ValueError(f"{path}:{lineno}: record {r!r} in pair {pair} "
+                                 f"is not declared in {records_path}")
+        edges[pair] = value
     return edges
 
 
@@ -213,11 +204,7 @@ def read_votes_csv(path, records=None, records_path=None) -> list[tuple[Pair, Vo
 
 
 def write_votes_csv(path, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(VOTES_HEADER)
-        for (a, b), tally in rows:
-            writer.writerow([a, b, tally.yes, tally.total])
+    _write_csv(path, VOTES_HEADER, ([a, b, tally.yes, tally.total] for (a, b), tally in rows))
 
 
 def read_gold_csv(path, records=None, records_path=None) -> GoldClustering:
@@ -227,22 +214,18 @@ def read_gold_csv(path, records=None, records_path=None) -> GoldClustering:
     declared = None if records is None else set(records)
     entity: dict[str, str] = {}
     difficulty: dict[str, float] = {}
-    with io.StringIO(read_text(path), newline="") as fh:
-        reader = csv.reader(fh)
-        extra = _check_header(reader, GOLD_HEADER, path,
-                              optional_tail=("difficulty",))
-        for lineno, row in _rows(reader, path, len(GOLD_HEADER) + len(extra), len(extra)):
-            rid = _record_id(row, path, lineno, entity)
-            if declared is not None and rid not in declared:
-                raise ValueError(f"{path}:{lineno}: record {rid!r} is not declared "
-                                 f"in {records_path}")
-            entity[rid] = row[1]
-            if len(row) > 2 and row[2] != "":
-                # float() would also take signs, spaces, "_", nan and non-ASCII digits
-                if not _PLAIN_NUMBER.fullmatch(row[2]) or float(row[2]) == math.inf:
-                    raise ValueError(f"{path}:{lineno}: difficulty for {rid!r} must be "
-                                     f"a finite number >= 0, got {row[2]!r}")
-                difficulty[rid] = float(row[2])
+    for lineno, row in _csv_rows(read_text(path), path, GOLD_HEADER, ("difficulty",)):
+        rid = _record_id(row, path, lineno, entity)
+        if declared is not None and rid not in declared:
+            raise ValueError(f"{path}:{lineno}: record {rid!r} is not declared "
+                             f"in {records_path}")
+        entity[rid] = row[1]
+        if len(row) > 2 and row[2] != "":
+            # float() would also take signs, spaces, "_", nan and non-ASCII digits
+            if not _PLAIN_NUMBER.fullmatch(row[2]) or float(row[2]) == math.inf:
+                raise ValueError(f"{path}:{lineno}: difficulty for {rid!r} must be "
+                                 f"a finite number >= 0, got {row[2]!r}")
+            difficulty[rid] = float(row[2])
     if not entity:
         raise ValueError(f"{path}: no records listed")
     for rid in records or ():
@@ -252,23 +235,16 @@ def read_gold_csv(path, records=None, records_path=None) -> GoldClustering:
 
 
 def write_gold_csv(path, gold: GoldClustering) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(GOLD_HEADER)
-        for rid in sorted(gold.records):
-            writer.writerow([rid, gold.entity_of(rid)])
+    _write_csv(path, GOLD_HEADER, ([rid, gold.entity_of(rid)] for rid in sorted(gold.records)))
 
 
 def read_clusters_csv(path) -> Clustering:
     groups: dict[str, list[str]] = {}
     seen = set()
-    with io.StringIO(read_text(path), newline="") as fh:
-        reader = csv.reader(fh)
-        _check_header(reader, CLUSTERS_HEADER, path)
-        for lineno, row in _rows(reader, path, len(CLUSTERS_HEADER)):
-            rid = _record_id(row, path, lineno, seen)
-            seen.add(rid)
-            groups.setdefault(row[1], []).append(rid)
+    for lineno, row in _csv_rows(read_text(path), path, CLUSTERS_HEADER):
+        rid = _record_id(row, path, lineno, seen)
+        seen.add(rid)
+        groups.setdefault(row[1], []).append(rid)
     if not groups:
         raise ValueError(f"{path}: no cluster assignments listed")
     return Clustering(groups.values())
@@ -277,38 +253,21 @@ def read_clusters_csv(path) -> Clustering:
 def write_clusters_csv(path, clustering: Clustering) -> None:
     """record_id,cluster_id rows sorted by record; a block's id is its
     minimum member."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CLUSTERS_HEADER)
-        rows = []
-        for block in clustering.blocks:
-            for r in block:
-                rows.append([r, block[0]])
-        rows.sort()
-        writer.writerows(rows)
+    _write_csv(path, CLUSTERS_HEADER,
+               sorted([r, block[0]] for block in clustering.blocks for r in block))
 
 
 def write_curve_csv(path, curve: list[MetricsSnapshot]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CURVE_HEADER)
-        for snap in curve:
-            writer.writerow([snap.questions_asked, repr(snap.precision),
-                             repr(snap.recall), repr(snap.f1),
-                             repr(snap.reliability), snap.blocks])
+    _write_csv(path, CURVE_HEADER, ([snap.questions_asked, repr(snap.precision),
+                                     repr(snap.recall), repr(snap.f1),
+                                     repr(snap.reliability), snap.blocks] for snap in curve))
 
 
 def read_curve_csv(path) -> list[MetricsSnapshot]:
-    out = []
-    with io.StringIO(read_text(path), newline="") as fh:
-        reader = csv.reader(fh)
-        _check_header(reader, CURVE_HEADER, path)
-        for _, row in _rows(reader, path, len(CURVE_HEADER)):
-            out.append(MetricsSnapshot(questions_asked=int(row[0]),
-                                       precision=float(row[1]), recall=float(row[2]),
-                                       f1=float(row[3]), reliability=float(row[4]),
-                                       blocks=int(row[5])))
-    return out
+    return [MetricsSnapshot(questions_asked=int(row[0]), precision=float(row[1]),
+                            recall=float(row[2]), f1=float(row[3]),
+                            reliability=float(row[4]), blocks=int(row[5]))
+            for _, row in _csv_rows(read_text(path), path, CURVE_HEADER)]
 
 
 def load_graph(records_path, votes_path) -> UncertainGraph:

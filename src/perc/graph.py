@@ -85,12 +85,8 @@ class UncertainGraph:
             raise ValueError("a graph needs at least one record")
         self.records = tuple(recs)
         self._record_set = frozenset(recs)
-        self.edges = {}
-        for pair, p in (edges or {}).items():
-            key = self._check_pair(pair)
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"edge {key} has probability {p} outside [0, 1]")
-            self.edges[key] = float(p)
+        self.edges = {}  # _checked tests each pair against it
+        self.edges = self._checked((edges or {}).items())
         self._lineage: list[Pair] = []
         self._n = 0
 
@@ -102,18 +98,27 @@ class UncertainGraph:
         g._record_set = frozenset(g.records)
         return g
 
-    def _check_pair(self, pair: Pair) -> Pair:
-        a, b = pair
-        key = canonical_pair(a, b)
-        for r in key:
-            if r not in self._record_set:
-                raise ValueError(f"record {r!r} in pair {key} is not declared")
-        return key
+    def _checked(self, answers: Iterable[tuple[Pair, float]]) -> dict[Pair, float]:
+        """Each (pair, p) of answers as canonical pair -> p, once both
+        records are declared, the pair is neither in this graph nor listed
+        earlier, and p lies in [0, 1]."""
+        new: dict[Pair, float] = {}
+        for (a, b), p in answers:
+            key = canonical_pair(a, b)
+            for r in key:
+                if r not in self._record_set:
+                    raise ValueError(f"record {r!r} in pair {key} is not declared")
+            if key in self.edges or key in new:
+                raise ValueError(f"pair {key} was already crowdsourced")
+            if not 0.0 <= p <= 1.0:
+                raise ValueError(f"edge {key} has probability {p} outside [0, 1]")
+            new[key] = float(p)
+        return new
 
     @classmethod
     def from_probabilities(cls, records: Iterable[str], probs: dict[Pair, float]) -> "UncertainGraph":
         """Build a fixture graph straight from edge probabilities."""
-        return cls(records, edges={canonical_pair(*k): v for k, v in probs.items()})
+        return cls(records, probs)
 
     def has_edge(self, a: str, b: str) -> bool:
         return canonical_pair(a, b) in self.edges
@@ -131,29 +136,19 @@ class UncertainGraph:
         Re-asking a pair is rejected: the question budget counts distinct
         pairs and no pair is ever crowdsourced twice.
         """
-        return self._extended([((a, b), tally, probability)])
+        if (tally is None) == (probability is None):
+            raise ValueError("provide exactly one of tally or probability")
+        return self._extended([((a, b), probability if tally is None else tally.fraction)])
 
     def with_edges(self, answers: Iterable[tuple[Pair, VoteTally]]) -> "UncertainGraph":
         """New graph with each (pair, tally) of ``answers`` crowdsourced, from
         one copy of the edges; a pair is checked as with_edge checks it."""
-        return self._extended([(pair, tally, None) for pair, tally in answers])
+        return self._extended([(pair, tally.fraction) for pair, tally in answers])
 
-    def _extended(self, answers: list) -> "UncertainGraph":
-        """The graph with each (pair, tally, probability) answer checked and
-        added, on this graph's lineage when it is the chain's newest."""
-        new: dict[Pair, float] = {}
-        for pair, tally, probability in answers:
-            key = self._check_pair(pair)
-            if key in self.edges or key in new:
-                raise ValueError(f"pair {key} was already crowdsourced")
-            if (tally is None) == (probability is None):
-                raise ValueError("provide exactly one of tally or probability")
-            if tally is not None:
-                new[key] = tally.fraction
-            else:
-                if not 0.0 <= probability <= 1.0:
-                    raise ValueError(f"edge {key} has probability {probability} outside [0, 1]")
-                new[key] = float(probability)
+    def _extended(self, answers: list[tuple[Pair, float]]) -> "UncertainGraph":
+        """The graph with each (pair, p) answer checked and added, on this
+        graph's lineage when it is the chain's newest."""
+        new = self._checked(answers)
         g = UncertainGraph.__new__(UncertainGraph)
         g.records = self.records
         g._record_set = self._record_set
@@ -174,9 +169,10 @@ class UncertainGraph:
         one of its edges is in this graph with the same probability.  When
         ``older`` is an ancestor in this graph's with_edge(s) chain, the answer
         is read off their shared lineage in time linear in the added edges;
-        any other pair of graphs, such as a sibling, a graph built with
-        UncertainGraph(...) or ingest_votes, or one that prices an edge
-        differently, is checked edge by edge.
+        an ingest_votes graph is the with_edges child of a graph with no
+        edges, so it starts a lineage too.  Any other pair of graphs, such
+        as a sibling, a graph built with UncertainGraph(...), or one that
+        prices an edge differently, is checked edge by edge.
         """
         if older._lineage is self._lineage and older._n <= self._n:
             # each graph on a lineage has the edges its chain started from
@@ -212,16 +208,18 @@ class UncertainGraph:
                     out.append(((a, b), p))
         return out
 
-    def edges_between(self, left: Iterable[str], right: Iterable[str]) -> list[tuple[Pair, float]]:
-        """Crowdsourced edges spanning the two disjoint member sets, sorted."""
-        out = []
-        for a in left:
-            for b in right:
-                key = canonical_pair(a, b)
-                p = self.edges.get(key)
+    def edges_between(self, left: tuple[str, ...], right: tuple[str, ...]
+                      ) -> list[tuple[Pair, float]]:
+        """Crowdsourced edges spanning two disjoint sorted blocks as (pair,
+        p), canonical and in lexicographic order."""
+        edges = self.edges
+        span = []
+        for a, above in _merge_walk(left, right):
+            for b in above:
+                p = edges.get((a, b))
                 if p is not None:
-                    out.append((key, p))
-        return sorted(out)
+                    span.append(((a, b), p))
+        return span
 
     def absent_pairs_between(self, left: tuple[str, ...], right: tuple[str, ...],
                              allowed: frozenset | None = None) -> Iterator[Pair]:
@@ -311,20 +309,10 @@ class Clustering:
 
 
 def ingest_votes(records: Iterable[str], pairs: Iterable[tuple[Pair, VoteTally]]) -> UncertainGraph:
-    """Build a graph from declared records and per-pair vote tallies.
-
-    Rejects undeclared ids, self-loops and duplicate pairs, naming the
-    offending pair in the error.  A tally's fraction lies in [0, 1] by
-    construction, so each checked pair goes straight into the graph.
-    """
-    graph = UncertainGraph(records)
-    edges = graph.edges
-    for pair, tally in pairs:
-        key = graph._check_pair(pair)
-        if key in edges:
-            raise ValueError(f"duplicate vote tally for pair {key}")
-        edges[key] = tally.fraction
-    return graph
+    """Build a graph from declared records and per-pair vote tallies, as
+    with_edges adds them to a graph with no edges: undeclared ids,
+    self-loops and repeated pairs are rejected, naming the pair."""
+    return UncertainGraph(records).with_edges(pairs)
 
 
 def possible_world_log_prob(graph: UncertainGraph, present: Iterable[Pair]) -> float:

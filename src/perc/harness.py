@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .baselines import (build_dense_state, build_tc_state, dense_batch, refresh_dense_state,
                         refresh_tc_state, tc_batch)
 from .clustering import mlc_unchanged, scc_cluster
-from .crowd import (GoldClustering, Oracle, ReplayOracle, SimulatedOracle,
+from .crowd import (GoldClustering, ReplayOracle, SimulatedOracle,
                     UnrecordedPairError, VoteTally, WorkerModel, crowd_error_rate)
 from .graph import Clustering, Pair, UncertainGraph
 from .reliability import ReliabilityParams, changes_since, reliability
@@ -214,13 +214,13 @@ def run_experiment(config: ExperimentConfig, records, gold: GoldClustering | Non
         raise ValueError("gold clustering does not cover exactly the given records")
 
     graph = UncertainGraph(recs)
-    oracle: Oracle
+    oracle: ReplayOracle | SimulatedOracle
     allowed: frozenset | None = None
     if replay is not None:
         oracle = replay if isinstance(replay, ReplayOracle) else ReplayOracle(replay)
         allowed = oracle.pairs
-        for pair, _ in oracle.rows:
-            graph._check_pair(pair)  # a record outside recs raises ValueError
+        # a record outside recs raises ValueError
+        graph._checked((pair, tally.fraction) for pair, tally in oracle.rows)
         seed_pairs = [pair for pair, _ in oracle.rows[:config.initial_pairs]]
     else:
         oracle = SimulatedOracle(gold, config.worker_model(), seed=config.seed)

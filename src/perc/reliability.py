@@ -20,13 +20,17 @@ Two functions price connectivity.  block_connectivity prices a block as it
 is.  pair_connectivity prices a block and, for each candidate pair, the
 block with that pair added as a certain edge, all by one method: one DP's
 final distribution gives every exact value at once, and sampled values
-share the block's stream.  changes_since tells a caller holding values
+share the block's stream.  disconnectivity prices a block pair from its
+spanning edges, which UncertainGraph.edges_between lists by one merge walk
+over the two sorted blocks.  changes_since tells a caller holding values
 priced on an earlier graph and clustering which blocks the round removed
 and created and which of the values may carry over.  On first read it
-walks the edges once to list the spanning edges of each block pair whose
-values may not, and prices each pair from its list, taking its log once;
-PERC's queue, DENSE's scores and the score here all read them, and a
-build from scratch folds a Changes in which every block is new.
+lists the spanning edges of each block pair whose values may not, through
+edges_between for two old blocks that gained an edge and in one pass over
+the edges for the pairs with a new block, and prices each pair from its
+list, taking its log once; PERC's queue, DENSE's scores and the score here
+all read them, and a build from scratch folds a Changes in which every
+block is new.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from operator import itemgetter
 
-from .graph import Clustering, Pair, UncertainGraph, _merge_walk, check_covers
+from .graph import Clustering, Pair, UncertainGraph, check_covers
 from .util import ConfigError, UnionFind, canonical_pair, derive_seed, make_rng
 
 Block = tuple[str, ...]
@@ -131,31 +135,6 @@ def _check_block(clustering: Clustering, block) -> Block:
     return key
 
 
-def spanning_edges(graph: UncertainGraph, clustering: Clustering,
-                   blocks: frozenset[Block]) -> tuple[dict[BlockPairKey, list], dict[Block, list]]:
-    """In one pass over the edges, the edges spanning each block pair
-    with a block in ``blocks``, keyed (block_j, block_k) with block_j <
-    block_k as Clustering.block_pairs yields them, and the intra edges of
-    each of those blocks of two or more members, as Changes walks them
-    for its new blocks.  Each list is sorted once filled, so it holds
-    (pair, p) in canonical order, as edges_between and edges_within return
-    them; an unspanned pair has no entry."""
-    changes = Changes([], frozenset(), blocks, set(), graph, clustering)
-    return changes.spans, changes.within
-
-
-def _pair_span(edges: dict[Pair, float], left: Block, right: Block) -> list[tuple[Pair, float]]:
-    """The edges spanning two distinct sorted blocks as (pair, p), in
-    canonical order."""
-    span = []
-    for a, above in _merge_walk(left, right):
-        for b in above:
-            p = edges.get((a, b))
-            if p is not None:
-                span.append(((a, b), p))
-    return span
-
-
 def _disconnected(span: list[tuple[Pair, float]]) -> float:
     """1 - prod(p) over a span's edges, multiplied in list order: the
     probability that at least one of them is realized as a NO."""
@@ -178,7 +157,7 @@ def disconnectivity(graph: UncertainGraph, clustering: Clustering,
     bk = _check_block(clustering, block_k)
     if bj == bk:
         raise ValueError(f"need two distinct blocks, got {bj} twice")
-    return _disconnected(_pair_span(graph.edges, bj, bk))
+    return _disconnected(graph.edges_between(bj, bk))
 
 
 def _reduced_block(graph: UncertainGraph, block,
@@ -446,18 +425,18 @@ class Changes:
     @cached_property
     def _walk(self) -> tuple[dict[BlockPairKey, list], dict[Block, list], set[BlockPairKey]]:
         # spans, within and lost, from one walk on first read
-        edges, owner, fresh = self.graph.edges, self.clustering._owner, self.fresh
+        graph, owner, fresh = self.graph, self.clustering._owner, self.fresh
         spans: dict[BlockPairKey, list] = {}
         for a, b in self.added:
             ba, bb = owner[a], owner[b]
             if ba is not bb and ba not in fresh and bb not in fresh:
                 key = (ba, bb) if ba < bb else (bb, ba)
                 if key not in spans:
-                    spans[key] = _pair_span(edges, *key)
+                    spans[key] = graph.edges_between(*key)
         lost: set[BlockPairKey] = set()
         if not fresh:
             return spans, {}, lost
-        items = edges.items()
+        items = graph.edges.items()
         if len(fresh) < len(self.clustering.blocks):
             # the fresh blocks hold the gone blocks' records, so every lost pair is met
             members = {r for block in fresh for r in block}

@@ -76,19 +76,12 @@ def log10_clamped(x: float, floor: float) -> float:
     return math.log10(max(x, floor))
 
 
-def stable_hash(*parts) -> int:
-    """Deterministic non-negative 63-bit hash of the given parts.
-
-    Unlike built-in ``hash`` this does not vary across processes, so seeds
-    derived from it are reproducible run to run.
-    """
-    digest = hashlib.sha256(repr(parts).encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big") >> 1
-
-
 def derive_seed(seed: int, *parts) -> int:
-    """Fold extra context (round index, block members, tags) into a seed."""
-    return stable_hash(int(seed), *parts)
+    """Fold extra context (round index, block members, tags) into a seed:
+    a non-negative 63-bit hash of them that, unlike built-in ``hash``, does
+    not vary across processes, so derived seeds reproduce run to run."""
+    digest = hashlib.sha256(repr((int(seed), *parts)).encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big") >> 1
 
 
 def make_rng(seed: int) -> np.random.Generator:

@@ -193,7 +193,7 @@ def test_3_monotonicity_and_stability_screen():
 
 def test_4_evidence_ratio_factors():
     with criterion(4, "evidence-ratio factors"):
-        from perc import rho_inputs
+        from perc.baselines import rho_inputs
         run = running_graph()
         c1, c2, c3, c4 = Clustering(RUNNING_BLOCKS).blocks
         expected = 0.3 / 0.7

@@ -8,15 +8,11 @@ import pytest
 from perc import (
     Clustering,
     ReliabilityParams,
-    TcState,
     UncertainGraph,
-    build_dense_state,
-    build_tc_state,
-    dense_batch,
-    rho_inputs,
     scc_cluster,
-    tc_batch,
 )
+from perc.baselines import (TcState, build_dense_state, build_tc_state, dense_batch,
+                            rho_inputs, tc_batch)
 from perc.util import make_rng
 from test_fast_paths import reference_open_pairs
 

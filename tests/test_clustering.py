@@ -12,13 +12,13 @@ from perc import (
     Clustering,
     UncertainGraph,
     clustering_log_likelihood,
-    enumerate_partitions,
     merge_probability,
     mlc_bruteforce,
     mlc_unchanged,
     scc_cluster,
 )
 from perc import clustering
+from perc.graph import enumerate_partitions
 
 from conftest import random_small_graph
 from test_fast_paths import reference_scc

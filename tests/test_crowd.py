@@ -10,13 +10,11 @@ from perc import (
     GoldClustering,
     ReplayOracle,
     SimulatedOracle,
-    UnrecordedPairError,
     VoteTally,
     WorkerModel,
-    crowd_error_rate,
-    simulate_votes,
 )
-from perc.crowd import MAX_WORKERS_PER_PAIR, vote_coins
+from perc.crowd import (MAX_WORKERS_PER_PAIR, UnrecordedPairError, crowd_error_rate,
+                        simulate_votes, vote_coins)
 
 GOLD = GoldClustering({"a": "e1", "b": "e1", "c": "e2", "d": "e2"})
 

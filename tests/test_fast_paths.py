@@ -2,14 +2,14 @@
 
 Random small graphs and clusterings with tie-prone edge fractions (0/1,
 1/2, 3/5, ...) are pushed through the fast paths and through references
-that price each block pair on its own: edges_between and disconnectivity
-per pair, a linear-scan agglomerative merge over every edge, a full sort
-of the queue, a scan of all |A|·|B| pairs for the absent cross pairs and
-for the queue entry of every block pair (stored or not), rho_inputs per
-block pair, a rescan of TC's candidates before each pick, a Monte Carlo
-sampler that draws one coin per call, and a cold build_state, a cold
-reliability call and a cold DENSE state after every round.  Values must
-agree bit for bit, since curve bytes depend on them.
+that price each block pair on its own: a filter over every edge and
+disconnectivity per pair, a linear-scan agglomerative merge over every
+edge, a full sort of the queue, a scan of all |A|·|B| pairs for the
+absent cross pairs and for the queue entry of every block pair (stored or
+not), rho_inputs per block pair, a rescan of TC's candidates before each
+pick, a Monte Carlo sampler that draws one coin per call, and a cold
+build_state, a cold reliability call and a cold DENSE state after every
+round.  Values must agree bit for bit, since curve bytes depend on them.
 """
 
 import itertools
@@ -21,12 +21,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from perc import (Clustering, ReliabilityParams, TcState, UncertainGraph, VoteTally,
-                  build_dense_state, build_state, dense_batch, refresh_after_answer,
-                  refresh_dense_state, rho_inputs, scc_cluster, select_batch, tc_batch)
+from perc import (Clustering, ReliabilityParams, UncertainGraph, VoteTally, build_state,
+                  refresh_after_answer, scc_cluster, select_batch)
+from perc.baselines import (TcState, build_dense_state, dense_batch, refresh_dense_state,
+                            rho_inputs, tc_batch)
 from perc.clustering import _PairAgg
 from perc.reliability import (Changes, _sampled_connect_prob, block_connectivity,
-                              changes_since, disconnectivity, reliability, spanning_edges)
+                              changes_since, disconnectivity, reliability)
 from perc.selection import _inter_gain
 from perc.util import make_rng
 
@@ -344,22 +345,44 @@ def reference_tc_batch(graph, seed, k, allowed):
     return out
 
 
+def filtered_span(graph, left, right):
+    """The edges spanning two disjoint blocks as (pair, p) in canonical
+    order, found by testing every edge of the graph."""
+    return sorted(((a, b), p) for (a, b), p in graph.edges.items()
+                  if a in left and b in right or a in right and b in left)
+
+
+@ORACLE
+@given(graphs(fractions=ROUNDING_FRACTIONS), st.data())
+def test_edges_between_equals_a_filter_over_every_edge(graph, data):
+    """The merge walk over two sorted disjoint blocks, either way round and
+    either block possibly empty, lists what the filter finds."""
+    records = data.draw(st.permutations(graph.records), label="records")
+    cut = data.draw(st.integers(0, len(records)), label="cut")
+    end = data.draw(st.integers(cut, len(records)), label="end")
+    left, right = tuple(sorted(records[:cut])), tuple(sorted(records[cut:end]))
+    assert graph.edges_between(left, right) == filtered_span(graph, left, right)
+    assert graph.edges_between(right, left) == filtered_span(graph, left, right)
+
+
 @ORACLE
 @given(graphs_with_clusterings(fractions=ROUNDING_FRACTIONS), st.data())
 def test_spanning_edges_equal_disconnectivity(case, data):
     """The one edge pass lists each block pair's spanning edges and each
-    block's intra edges in canonical order, the order of edges_between
-    and edges_within, and disconnectivity multiplies them in that order."""
+    block's intra edges in canonical order, the order of a filter over
+    every edge and of edges_within, and disconnectivity multiplies them in
+    that order."""
     graph, clustering = case
     blocks = data.draw(st.sets(st.sampled_from(clustering.blocks), min_size=1), label="blocks")
-    spans, within = spanning_edges(graph, clustering, frozenset(blocks))
+    changes = Changes([], frozenset(), frozenset(blocks), set(), graph, clustering)
+    spans, within = changes.spans, changes.within
     assert set(spans) <= {(bj, bk) for bj, bk in clustering.block_pairs()
                           if bj in blocks or bk in blocks}
     for bj, bk in clustering.block_pairs():
         if bj not in blocks and bk not in blocks:
             continue
         span = spans.get((bj, bk))
-        spanning = graph.edges_between(bj, bk)
+        spanning = filtered_span(graph, bj, bk)
         assert (span is None) == (not spanning)
         d = 0.0 if span is None else 1.0 - math.prod(p for _, p in span)
         assert d == 1.0 - math.prod(p for _, p in spanning)
@@ -371,7 +394,7 @@ def test_spanning_edges_equal_disconnectivity(case, data):
 def assert_changes_match_reference(changes, old_graph, old):
     """changes.spans and changes.priced hold exactly the block pairs of two
     old blocks whose spanning edges changed and the spanned pairs with a
-    new block; each span is edges_between's list, priced at
+    new block; each span is filtered_span's list, priced at
     disconnectivity's value and its math.log10, and within lists each new
     block's edges.  Of the old clustering's block pairs with a gone block
     (none from scratch, where old is None), dropped lists each once and
@@ -383,15 +406,16 @@ def assert_changes_match_reference(changes, old_graph, old):
     old_pairs = [] if old is None else [(bj, bk) for bj, bk in old.block_pairs()
                                         if bj in gone or bk in gone]
     assert sorted(changes.dropped) == old_pairs
-    assert changes.lost == {(bj, bk) for bj, bk in old_pairs if graph.edges_between(bj, bk)}
+    assert changes.lost == {(bj, bk) for bj, bk in old_pairs if filtered_span(graph, bj, bk)}
     expected = {(bj, bk) for bj, bk in clustering.block_pairs()
-                if graph.edges_between(bj, bk) != (
-                    [] if bj in fresh or bk in fresh else old_graph.edges_between(bj, bk))}
+                if filtered_span(graph, bj, bk) != (
+                    [] if bj in fresh or bk in fresh else filtered_span(old_graph, bj, bk))}
     assert set(changes.spans) == expected
     assert set(changes.priced) == expected
     for (bj, bk), span in changes.spans.items():
-        assert span == graph.edges_between(bj, bk)
+        assert span == filtered_span(graph, bj, bk)
         d, log = changes.priced[(bj, bk)]
+        assert d == 1.0 - math.prod(p for _, p in span)
         assert d == disconnectivity(graph, clustering, bj, bk)
         assert log == (math.log10(d) if d > 0.0 else -math.inf)
     assert changes.within == {block: graph.edges_within(block)
@@ -428,7 +452,7 @@ def test_reliability_equals_per_pair_sum(case, rng, epsilon):
     params = replace(PARAMS, epsilon=epsilon)
     connect = [block_connectivity(graph, block, params).value for block in clustering.blocks]
     spanned = {(bj, bk): disconnectivity(graph, clustering, bj, bk)
-               for bj, bk in clustering.block_pairs() if graph.edges_between(bj, bk)}
+               for bj, bk in clustering.block_pairs() if filtered_span(graph, bj, bk)}
     connect_terms = [math.log10(c) for c in connect if c >= epsilon]
     disconnect_terms = [math.log10(d) for d in spanned.values() if d >= epsilon]
     # the sums are exactly rounded, so no order of the terms may matter

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perc import Clustering, GoldClustering, MetricsSnapshot, VoteTally, ingest_votes
+from perc import Clustering, GoldClustering, VoteTally, ingest_votes
+from perc.harness import MetricsSnapshot
 import perc.fileio
 from perc.cli import main
 from perc.fileio import (

@@ -11,10 +11,10 @@ from perc import (
     UncertainGraph,
     VoteTally,
     clustering_log_likelihood,
-    enumerate_partitions,
     ingest_votes,
     possible_world_log_prob,
 )
+from perc.graph import enumerate_partitions
 from perc.util import canonical_pair
 
 from conftest import (
@@ -72,6 +72,15 @@ class TestUncertainGraph:
         assert g.has_edge("A", "B")
         assert g.has_edge("B", "A")
         assert g.probability("B", "A") == 0.4
+
+    @pytest.mark.parametrize("build", [
+        UncertainGraph, UncertainGraph.from_probabilities,
+        lambda records, probs: ingest_votes(records, [(pair, VoteTally(round(p * 10), 10))
+                                                      for pair, p in probs.items()]),
+    ], ids=["init", "from_probabilities", "ingest_votes"])
+    def test_rejects_a_pair_named_twice(self, build):
+        with pytest.raises(ValueError, match=r"pair \('A', 'B'\) was already crowdsourced"):
+            build("AB", {("A", "B"): 0.9, ("B", "A"): 0.1})
 
     def test_absent_is_not_zero(self, running_graph):
         # (A, E) was crowdsourced all-NO; (A, D) was never asked.

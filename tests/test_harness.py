@@ -14,7 +14,6 @@ from perc import (
     Clustering,
     ExperimentConfig,
     GoldClustering,
-    MetricsSnapshot,
     ReliabilityParams,
     ReplayOracle,
     UncertainGraph,
@@ -28,7 +27,7 @@ from perc import (
 )
 from perc.cli import main, report
 from perc.fileio import read_curve_csv, write_gold_csv, write_records_csv, write_votes_csv
-from perc.harness import _initial_pairs_simulated
+from perc.harness import MetricsSnapshot, _initial_pairs_simulated
 
 from conftest import running_vote_rows
 

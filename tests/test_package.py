@@ -21,6 +21,25 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
+# the paper's model functions, which the package root keeps for the demos
+# to show the paper's definitions
+PAPER_MODEL = {"possible_world_log_prob", "clustering_log_likelihood", "mlc_bruteforce",
+               "merge_probability", "disconnectivity"}
+
+
+def test_every_exported_name_has_a_caller():
+    """Each root name is imported by ``from perc import`` or read as
+    ``perc.<name>`` in the demos, the README or the benchmark, or is one of
+    the paper's model functions; every other name lives in its submodule."""
+    used = set()
+    for path in [*ROOT.glob("demos/*.py"), ROOT / "README.md", *ROOT.glob("perfbench/*.py")]:
+        text = path.read_text(encoding="utf-8")
+        for names in re.findall(r"from perc import (\([^)]*\)|[^\n]*)", text):
+            used.update(re.findall(r"\w+", names))
+        used.update(re.findall(r"\bperc\.(\w+)", text))
+    assert sorted(set(perc.__all__) - used - PAPER_MODEL) == []
+
+
 def test_no_name_exported_twice():
     assert len(perc.__all__) == len(set(perc.__all__))
 

@@ -11,15 +11,14 @@ from hypothesis import strategies as st
 
 from perc import (
     Clustering,
-    ConnectivityEstimate,
     ReliabilityParams,
     UncertainGraph,
     block_connectivity,
     disconnectivity,
 )
-from perc.reliability import (MAX_EXACT_EDGE_LIMIT, _partition_dp, _reduced_block,
-                              _sampled_connect_prob, pair_connectivity, reliability,
-                              solved_exactly)
+from perc.reliability import (ConnectivityEstimate, MAX_EXACT_EDGE_LIMIT, _partition_dp,
+                              _reduced_block, _sampled_connect_prob, pair_connectivity,
+                              reliability, solved_exactly)
 from perc.util import ConfigError, make_rng
 
 from conftest import connectivity_by_enumeration, random_small_graph
@@ -148,6 +147,23 @@ def dp_blocks(draw):
             if universe else []
     probs = {pair: draw(st.sampled_from((0.0, 0.5, 1.0, 0.3, 0.9))) for pair in pairs}
     return UncertainGraph(members, edges=probs)
+
+
+@st.composite
+def contractible_blocks(draw):
+    """A block of 3 to 6 records: a random tree plus up to 4 more random
+    edges, of which at least two are certain (p of 0 or 1), so contraction
+    removes at least two edges."""
+    n = draw(st.integers(3, 6))
+    members = [f"m{i}" for i in range(n)]
+    pairs = [(members[draw(st.integers(0, i - 1))], members[i]) for i in range(1, n)]
+    rest = [pair for pair in itertools.combinations(members, 2) if pair not in pairs]
+    pairs += draw(st.lists(st.sampled_from(rest), unique=True, max_size=4))
+    probs = [draw(st.sampled_from((0.0, 0.5, 1.0, 0.3, 0.9))) for _ in pairs]
+    for i in draw(st.lists(st.integers(0, len(pairs) - 1), min_size=2, max_size=2,
+                           unique=True)):
+        probs[i] = draw(st.sampled_from((0.0, 1.0)))
+    return UncertainGraph(members, edges=dict(zip(pairs, probs)))
 
 
 def path_edges(n, p):
@@ -343,7 +359,7 @@ class TestContraction:
         assert edges == [(0, 1, 0.4), (1, 0, 0.5), (1, 2, 0.3), (0, 3, 0.7)]
 
     @settings(max_examples=150, deadline=None)
-    @given(dp_blocks())
+    @given(contractible_blocks())
     @example(UncertainGraph.from_probabilities(  # B-C certain, A-C absent
         ["A", "B", "C", "D"], {("A", "B"): 0.5, ("B", "C"): 1.0, ("C", "D"): 1.0,
                                ("A", "D"): 0.0, ("B", "D"): 0.5}))
@@ -353,7 +369,7 @@ class TestContraction:
         members = list(graph.records)
         edges = dict(graph.edge_items())
         index, _, reduced = _reduced_block(graph, members)
-        assume(len(edges) > len(reduced) + 1)
+        assert len(edges) > len(reduced) + 1
         params = ReliabilityParams(exact_edge_limit=len(reduced) + 1, mc_samples=10)
         alone = block_connectivity(graph, members, params)
         assert alone.method == "exact"

@@ -8,7 +8,6 @@ import pytest
 import perc.selection
 from perc import (
     Clustering,
-    PriorityState,
     ReliabilityParams,
     UncertainGraph,
     build_state,
@@ -20,6 +19,7 @@ from perc import (
 )
 from perc.reliability import (MAX_EXACT_EDGE_LIMIT, block_connectivity, disconnectivity,
                               pair_connectivity)
+from perc.selection import PriorityState
 
 from conftest import random_partition, random_small_graph
 
