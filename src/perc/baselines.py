@@ -4,7 +4,9 @@ TC works on majority verdicts only.  Match edges (p above one half) are
 closed transitively into components; a non-match edge (p below one half)
 between two components marks every pair across them as inferred non-match.
 The next question is a uniformly random pair whose relation is still not
-inferable.  Undecided edges (p exactly one half) carry no verdict.
+inferable.  Undecided edges (p exactly one half) carry no verdict.  TC's
+state carries the open pairs and its components from round to round and
+folds in only each round's new edges.
 
 DENSE scores block pairs by a ratio that compares how well the evidence
 supports "A and B are one dense cluster" against the current split, and
@@ -14,16 +16,16 @@ scores every block pair with a pair left to ask once, and
 refresh_dense_state folds each round in, rescoring only the block pairs
 whose evidence a new answer or a new block changed.  Both read each
 changed block pair's spanning edges from the round's Changes, so DENSE
-keeps no copy of the edges.  A batch walks the absent pairs in
-lexicographic order and stops once k of them belong to block pairs at
-the top score.
+keeps no copy of the edges.  It carries the absent pairs, in
+lexicographic order, and a batch walks them and stops once k of them
+belong to block pairs at the top score.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from .graph import Clustering, Pair, UncertainGraph
 from .reliability import Block, BlockPairKey, Changes, ReliabilityParams
@@ -33,55 +35,86 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass
 class TcState:
-    """TC carries only the graph and clustering it last saw and its draw stream."""
+    """TC's draw stream and what the majority verdicts of the graph it last
+    saw settle, carried from round to round: open, the absent pairs no
+    verdict settles, as dict keys in lexicographic order; components, a
+    union-find over record indices joined by YES-majority edges, with each
+    root's members; and settled, the other roots a NO-majority edge links
+    each root to.  Each pair leaves open at most once, so a run's upkeep is
+    at most one pop per record pair."""
 
-    graph: UncertainGraph
-    clustering: Clustering
-    rng: np.random.Generator
+    __slots__ = ("graph", "clustering", "rng", "open", "index", "components", "members",
+                 "settled")
+
+    def __init__(self, graph: UncertainGraph, clustering: Clustering, rng: np.random.Generator):
+        self.graph, self.clustering, self.rng = graph, clustering, rng
+        self.open = dict.fromkeys(graph.absent_pairs())
+        self.index = {r: i for i, r in enumerate(graph.records)}
+        self.components = UnionFind(len(graph.records))
+        self.members = {i: [r] for i, r in enumerate(graph.records)}
+        self.settled: dict[int, set[int]] = {i: set() for i in self.members}
+        self._fold(graph.edges)
+
+    def _fold(self, pairs: Iterable[Pair]) -> None:
+        """Fold each of ``pairs``, edges of self.graph, in: the pair leaves
+        open; a YES-majority edge that joins two components settles each
+        side against the other and against the components settled with the
+        other side, and a NO-majority edge between two unsettled components
+        settles their cross pairs."""
+        edges, find, members, settled = (self.graph.edges, self.components.find,
+                                         self.members, self.settled)
+        pop = self.open.pop
+        for a, b in pairs:
+            pop((a, b), None)
+            p = edges[(a, b)]
+            ra, rb = find(self.index[a]), find(self.index[b])
+            if ra == rb or p == 0.5:
+                continue
+            sa, sb = settled[ra], settled[rb]
+            # the pairs of components this verdict settles that were open
+            sides = [] if rb in sa else [(ra, rb)]
+            if p > 0.5:
+                sides += [(ra, c) for c in sb - sa - {ra}] + [(rb, c) for c in sa - sb - {rb}]
+            for x, y in sides:
+                for u in members[x]:
+                    for v in members[y]:
+                        pop((u, v) if u < v else (v, u), None)
+            if p < 0.5:
+                sa.add(rb)
+                sb.add(ra)
+                continue
+            self.components.union(ra, rb)  # ra stays the root
+            members[ra] += members.pop(rb)
+            for other in settled.pop(rb) - {ra}:
+                settled[other].discard(rb)
+                settled[other].add(ra)
+            settled[ra] = (sa | sb) - {ra, rb}
 
 
 def build_tc_state(graph: UncertainGraph, clustering: Clustering,
                    params: ReliabilityParams, *, allowed: frozenset | None = None) -> TcState:
     """A state drawing from params.seed's TC stream.  ``allowed`` is
-    ignored: TC draws uniformly from its candidate list, so restricting the
-    list in replay mode would shift every draw."""
+    ignored: TC draws uniformly from its open pairs, so restricting them
+    in replay mode would shift every draw."""
     return TcState(graph, clustering, make_rng(derive_seed(params.seed, "tc-stream")))
 
 
 def refresh_tc_state(state: TcState, graph: UncertainGraph, clustering: Clustering,
                      changes: Changes) -> None:
-    """Point the state at the round's graph and clustering."""
+    """Point the state at the round's graph and clustering and fold the
+    round's new edges in."""
     state.graph, state.clustering = graph, clustering
+    state._fold(changes.added)
 
 
 def tc_batch(state: TcState, k: int) -> list[Pair]:
     """Up to k distinct pairs drawn without replacement, each uniformly from
-    the absent, uninferable pairs left, in lexicographic order."""
+    the open pairs left, in lexicographic order; the state is left as it
+    was, apart from its draw stream."""
     if k < 1:
         raise ValueError(f"batch size must be positive, got {k}")
-    recs, edges = state.graph.records, state.graph.edges
-    index = {r: i for i, r in enumerate(recs)}
-    components = UnionFind(len(recs))
-    for (a, b), p in edges.items():
-        if p > 0.5:
-            components.union(index[a], index[b])
-    root = [components.find(i) for i in range(len(recs))]
-    # component root -> the roots settled against it: itself, and every
-    # component a non-match edge links it to
-    settled = {r: {r} for r in root}
-    for (a, b), p in edges.items():
-        if p < 0.5:
-            ra, rb = root[index[a]], root[index[b]]
-            settled[ra].add(rb)
-            settled[rb].add(ra)
-    candidates = []
-    for i, a in enumerate(recs):
-        mine = settled[root[i]]
-        for j, b in enumerate(recs[i + 1:], i + 1):
-            if root[j] not in mine and (a, b) not in edges:
-                candidates.append((a, b))
+    candidates = list(state.open)
     out = []
     while candidates and len(out) < k:
         out.append(candidates.pop(int(state.rng.integers(len(candidates)))))
@@ -173,6 +206,9 @@ class DenseState:
     multiplies in, so every score equals ``rho_inputs(graph, bj,
     bk).value`` to the bit:
 
+    - absent: the graph's absent pairs as dict keys in lexicographic
+      order, the order a batch walks them in; a refresh deletes the
+      round's new edges;
     - outside: each block's positive edges to other blocks as (pair, other
       record, p), tagged with the record so that a surviving block's tags
       stay valid across a recluster; whole: the ratio of that list;
@@ -188,13 +224,14 @@ class DenseState:
     mode; live ignores it.
     """
 
-    __slots__ = ("graph", "clustering", "allowed", "outside", "whole", "spans", "live")
+    __slots__ = ("graph", "clustering", "allowed", "absent", "outside", "whole", "spans", "live")
 
     def __init__(self, graph: UncertainGraph, clustering: Clustering,
                  allowed: frozenset | None = None):
         self.graph = graph
         self.clustering = clustering
         self.allowed = allowed
+        self.absent = dict.fromkeys(graph.absent_pairs())
         self.outside: dict[Block, list[tuple[Pair, str, float]]] = {}
         self.whole: dict[Block, float] = {}
         self.spans: dict[BlockPairKey, list[tuple[Pair, float]]] = {}
@@ -273,6 +310,8 @@ def refresh_dense_state(state: DenseState, graph: UncertainGraph,
     score carries over, so the state equals a build_dense_state on (graph,
     clustering).
     """
+    for pair in changes.added:
+        del state.absent[pair]
     for block in changes.gone:
         del state.outside[block], state.whole[block]
     for keys, table in ((changes.lost, state.spans), (changes.dropped, state.live)):
@@ -300,7 +339,7 @@ def dense_batch(state: DenseState, k: int) -> list[Pair]:
     owner, live, allowed = state.clustering._owner, state.live, state.allowed
     best: list[Pair] = []
     candidates = []
-    for a, b in state.graph.absent_pairs():
+    for a, b in state.absent:
         ba, bb = owner[a], owner[b]
         if ba is not bb and (allowed is None or (a, b) in allowed):
             score = live[(ba, bb) if ba < bb else (bb, ba)]

@@ -203,7 +203,7 @@ def test_4_evidence_ratio_factors():
 
 def test_5_cache_selection_equivalence():
     with criterion(5, "cache-selection equivalence"):
-        from perc import GoldClustering, WorkerModel
+        from perc import WorkerModel
 
         for seed in range(20):
             n = 10 + seed % 6

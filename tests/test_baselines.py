@@ -1,7 +1,5 @@
 """TC and DENSE baseline selection strategies."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -72,6 +70,16 @@ class TestTcSelection:
         chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
         # chi-square with 5 degrees of freedom: 0.999 quantile is ~20.5
         assert chi2 < 20.5
+
+    def test_batch_leaves_the_open_pairs(self):
+        # test_uniform_over_candidates draws all its batches from one state
+        g = UncertainGraph.from_probabilities(
+            "ABCDEF", {("A", "B"): 0.9, ("C", "D"): 0.2, ("E", "F"): 0.5})
+        state = tc_state(g, 5)
+        before = list(state.open)
+        for k in (1, 3, len(before) + 1):
+            assert tc_batch(state, k)
+            assert list(state.open) == before
 
     def test_batch_distinct_without_replacement(self):
         g = UncertainGraph(["A", "B", "C", "D"])
@@ -191,6 +199,15 @@ class TestDenseSelection:
         r12 = rho_inputs(g, ("A", "B"), ("C", "D")).value
         assert r34 > r12
         assert dense_batch(build_dense_state(g, running_clustering), 1) == [("E", "H")]
+
+    def test_batch_leaves_the_absent_pairs(self):
+        g = UncertainGraph.from_probabilities(
+            "ABCDEF", {("A", "B"): 0.9, ("C", "D"): 0.2, ("E", "F"): 0.5})
+        state = build_dense_state(g, scc_cluster(g))
+        before = list(state.absent)
+        for k in (1, 3, len(before) + 1):
+            assert dense_batch(state, k)
+            assert list(state.absent) == before
 
     def test_only_cross_pairs_proposed(self):
         g = UncertainGraph.from_probabilities(

@@ -8,8 +8,8 @@ edge, a full sort of the queue, a scan of all |A|·|B| pairs for the
 absent cross pairs and for the queue entry of every block pair (stored or
 not), rho_inputs per block pair, a rescan of TC's candidates before each
 pick, a Monte Carlo sampler that draws one coin per call, and a cold
-build_state, a cold reliability call and a cold DENSE state after every
-round.  Values must agree bit for bit, since curve bytes depend on them.
+build_state, a cold reliability call, a cold DENSE state and a rescan of
+TC's open pairs after every round.  Values must agree bit for bit, since curve bytes depend on them.
 """
 
 import itertools
@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from perc import (Clustering, ReliabilityParams, UncertainGraph, VoteTally, build_state,
                   refresh_after_answer, scc_cluster, select_batch)
 from perc.baselines import (TcState, build_dense_state, dense_batch, refresh_dense_state,
-                            rho_inputs, tc_batch)
+                            refresh_tc_state, rho_inputs, tc_batch)
 from perc.clustering import _PairAgg
 from perc.reliability import (Changes, _sampled_connect_prob, block_connectivity,
                               changes_since, disconnectivity, reliability)
@@ -764,6 +764,7 @@ def assert_dense_matches_reference(state):
     block pairs a scan finds an absent pair in and the sort-then-dedupe
     DENSE, and the carried lists against a cold build's."""
     graph, clustering, allowed = state.graph, state.clustering, state.allowed
+    assert list(state.absent) == list(graph.absent_pairs())
     assert state.live == dense_scores(graph, clustering)
     cold = build_dense_state(graph, clustering)
     assert state.spans == cold.spans
@@ -818,3 +819,47 @@ def test_tc_batch_equals_rescan(graph, seed):
     for k in range(1, len(reference_open_pairs(graph, None)) + 3):
         state = TcState(graph, clustering, np.random.default_rng(seed))
         assert tc_batch(state, k) == reference_tc_batch(graph, seed, k, None)
+
+
+@st.composite
+def edge_rounds(draw, max_records=8):
+    """Records and the rounds a run adds its edges in, each a list of (pair,
+    p) with p from FRACTIONS (YES, NO and p = 1/2 edges); a state is built
+    on the first round's graph."""
+    n = draw(st.integers(2, max_records))
+    records = sorted(draw(st.permutations(NAMES))[:n])
+    pairs = draw(st.permutations(list(itertools.combinations(records, 2))))
+    answers = [(pair, draw(st.sampled_from(FRACTIONS)))
+               for pair in pairs[:draw(st.integers(0, len(pairs)))]]
+    cuts = sorted(draw(st.sets(st.integers(0, len(answers)), max_size=4)))
+    return records, [answers[i:j] for i, j in zip([0] + cuts, cuts + [len(answers)])]
+
+
+def assert_tc_matches_reference(state, seed):
+    """The carried open pairs against a rescan, and every batch size drawn
+    with a fresh stream against TC rescanning before every pick."""
+    graph = state.graph
+    assert list(state.open) == reference_open_pairs(graph, None)
+    for k in range(1, len(state.open) + 3):
+        state.rng = np.random.default_rng(seed)
+        assert tc_batch(state, k) == reference_tc_batch(graph, seed, k, None)
+
+
+@ORACLE
+@given(edge_rounds(), st.integers(0, 2**32 - 1))
+# the NO edge (A, C) settles {A, B} against {C, D} a round before the YES
+# edge (B, D) joins them
+@example(("ABCDE", [[(("A", "B"), 0.8), (("C", "D"), 0.6)], [(("A", "C"), 0.2)],
+                    [(("B", "D"), 1.0)], [(("D", "E"), 0.4)]]), 7)
+def test_carried_tc_state_equals_cold_build(case, seed):
+    records, rounds = case
+    graph = UncertainGraph.from_probabilities(records, dict(rounds[0]))
+    state = TcState(graph, scc_cluster(graph), np.random.default_rng(seed))
+    assert_tc_matches_reference(state, seed)
+    for answers in rounds[1:]:
+        for pair, p in answers:
+            graph = graph.with_edge(*pair, probability=p)
+        clustering = scc_cluster(graph)
+        refresh_tc_state(state, graph, clustering,
+                         changes_since(state.graph, state.clustering, graph, clustering))
+        assert_tc_matches_reference(state, seed)

@@ -1,5 +1,6 @@
 """The package's public surface, and the names the benchmark patches."""
 
+import ast
 import importlib
 import pkgutil
 import re
@@ -53,6 +54,54 @@ def test_no_attribute_shadows_a_submodule():
         if getattr(perc, info.name) is not module:
             shadowed.append(info.name)
     assert shadowed == []
+
+
+def unused_imports(path):
+    """The names a file imports and never reads, as (line, name).  A name
+    counts as read when the file loads it anywhere, lists it in
+    ``__all__`` or names it in a string annotation; an import marked
+    ``# noqa: F401`` is kept on purpose."""
+    text = path.read_text(encoding="utf-8")
+    lines = text.splitlines()
+    tree = ast.parse(text)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            read.update(elt.value for elt in node.value.elts)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            annotations += [node.returns] + [arg.annotation for arg in (
+                *args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg) if arg]
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    for annotation in filter(None, annotations):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.update(sub.id for sub in ast.walk(ast.parse(node.value, mode="eval"))
+                            if isinstance(sub, ast.Name))
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or \
+                isinstance(node, ast.ImportFrom) and node.module == "__future__" or \
+                "# noqa: F401" in lines[node.lineno - 1]:
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in read:
+                unused.append((node.lineno, name))
+    return unused
+
+
+def test_no_unused_imports():
+    """The package and the tests import only names they use; the demos
+    are left out."""
+    found = {}
+    for path in [*ROOT.glob("src/perc/*.py"), *ROOT.glob("tests/*.py")]:
+        if unused := unused_imports(path):
+            found[str(path.relative_to(ROOT))] = unused
+    assert found == {}
 
 
 def test_benchmark_patch_points_exist():

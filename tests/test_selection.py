@@ -17,8 +17,7 @@ from perc import (
     select_batch,
     select_next,
 )
-from perc.reliability import (MAX_EXACT_EDGE_LIMIT, block_connectivity, disconnectivity,
-                              pair_connectivity)
+from perc.reliability import MAX_EXACT_EDGE_LIMIT, block_connectivity, pair_connectivity
 from perc.selection import PriorityState
 
 from conftest import random_partition, random_small_graph
