@@ -8,7 +8,7 @@ builds a small eight-record world, then scores candidate clusterings by
 the probability of the one edge outcome that agrees with them exactly.
 """
 
-from perc import Clustering, VoteTally, clustering_log_likelihood, ingest_votes
+from perc import Clustering, UncertainGraph, VoteTally, clustering_log_likelihood
 
 # Eight records, four underlying entities: AB, CD, EF, GH.  Ten workers
 # answered each asked pair; the YES counts are the only evidence we keep.
@@ -23,7 +23,7 @@ rows = [
     (("F", "H"), VoteTally(yes=7, total=10)),
 ]
 
-graph = ingest_votes("ABCDEFGH", rows)
+graph = UncertainGraph("ABCDEFGH").with_edges(rows)
 
 print("records:", " ".join(graph.records))
 print("edges so far:")

@@ -21,7 +21,7 @@ from perc.reliability import reliability
 
 # Four records; the candidate clustering is {A,B,C} + {D}.  Inside the big
 # block two edges form a path, and two edges cross over to D.
-graph = UncertainGraph.from_probabilities("ABCD", {
+graph = UncertainGraph("ABCD", {
     ("A", "B"): 0.9, ("B", "C"): 0.8,
     ("A", "D"): 0.2, ("C", "D"): 0.6,
 })

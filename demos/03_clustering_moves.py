@@ -9,7 +9,6 @@ tiny inputs but keeps the fast pass honest.
 """
 
 from perc import (
-    Clustering,
     UncertainGraph,
     clustering_log_likelihood,
     merge_probability,
@@ -18,7 +17,7 @@ from perc import (
     scc_cluster,
 )
 
-graph = UncertainGraph.from_probabilities("ABCDEFGH", {
+graph = UncertainGraph("ABCDEFGH", {
     ("A", "B"): 0.8, ("C", "D"): 0.8, ("E", "F"): 0.8, ("G", "H"): 0.8,
     ("A", "C"): 0.3, ("B", "D"): 0.6,
     ("E", "G"): 0.3, ("F", "H"): 0.7,
@@ -35,7 +34,7 @@ clustering = scc_cluster(graph)
 print("agglomerative result:", clustering)
 
 # On four records we can afford the exact optimum: score every partition.
-small = UncertainGraph.from_probabilities("ABCD", {
+small = UncertainGraph("ABCD", {
     ("A", "B"): 0.9, ("B", "C"): 0.8,
     ("A", "D"): 0.2, ("C", "D"): 0.6,
 })

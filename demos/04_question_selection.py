@@ -9,14 +9,12 @@ across blocks by how much is still riding on the pair staying separable.
 """
 
 from perc import (
-    Clustering,
     UncertainGraph,
     build_state,
     pair_priority,
     refresh_after_answer,
     scc_cluster,
     select_batch,
-    select_next,
 )
 
 # The eight-record world again, including the all-NO answers for the far
@@ -32,7 +30,7 @@ for a in "AB":
 for a in "CD":
     for b in "EFGH":
         probs[(a, b)] = 0.0
-graph = UncertainGraph.from_probabilities("ABCDEFGH", probs)
+graph = UncertainGraph("ABCDEFGH", probs)
 clustering = scc_cluster(graph)
 print("current blocks:", clustering)
 
@@ -45,7 +43,7 @@ for entry in state.entries():
 
 # {E,F} vs {G,H} separates with probability only 0.79, against 0.82 for
 # {A,B} vs {C,D}, so its representative pair is the best single question.
-print("\nnext question:", select_next(state))
+print("\nnext question:", select_batch(state, 1)[0])
 
 # Batches spread across weak spots before doubling up on any one of them;
 # four questions cover both uncertain block pairs twice over.

@@ -9,11 +9,10 @@ and DENSE baselines on simulated or replayed crowds.
 """
 
 from .graph import (Clustering, UncertainGraph, VoteTally, clustering_log_likelihood,
-                    ingest_votes, possible_world_log_prob)
+                    possible_world_log_prob)
 from .reliability import ReliabilityParams, block_connectivity, disconnectivity
 from .clustering import merge_probability, mlc_bruteforce, mlc_unchanged, scc_cluster
-from .selection import (build_state, pair_priority, refresh_after_answer, select_batch,
-                        select_next)
+from .selection import build_state, pair_priority, refresh_after_answer, select_batch
 from .crowd import GoldClustering, ReplayOracle, SimulatedOracle, WorkerModel
 from .harness import (ExperimentConfig, precision_recall_f1, questions_to_reach,
                       run_experiment, synth_world)
@@ -24,10 +23,10 @@ __version__ = "0.1.0"
 # model functions; every other name is imported from its submodule
 __all__ = [
     "Clustering", "UncertainGraph", "VoteTally", "clustering_log_likelihood",
-    "ingest_votes", "possible_world_log_prob",
+    "possible_world_log_prob",
     "ReliabilityParams", "block_connectivity", "disconnectivity",
     "merge_probability", "mlc_bruteforce", "mlc_unchanged", "scc_cluster",
-    "build_state", "pair_priority", "refresh_after_answer", "select_batch", "select_next",
+    "build_state", "pair_priority", "refresh_after_answer", "select_batch",
     "GoldClustering", "ReplayOracle", "SimulatedOracle", "WorkerModel",
     "ExperimentConfig", "precision_recall_f1", "questions_to_reach", "run_experiment",
     "synth_world",

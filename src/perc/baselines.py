@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Iterable
 
 from .graph import Clustering, Pair, UncertainGraph
 from .reliability import Block, BlockPairKey, Changes, ReliabilityParams
-from .util import UnionFind, derive_seed, make_rng
+from .util import derive_seed, make_rng
 
 if TYPE_CHECKING:
     import numpy as np
@@ -38,22 +38,20 @@ if TYPE_CHECKING:
 class TcState:
     """TC's draw stream and what the majority verdicts of the graph it last
     saw settle, carried from round to round: open, the absent pairs no
-    verdict settles, as dict keys in lexicographic order; components, a
-    union-find over record indices joined by YES-majority edges, with each
-    root's members; and settled, the other roots a NO-majority edge links
-    each root to.  Each pair leaves open at most once, so a run's upkeep is
-    at most one pop per record pair."""
+    verdict settles, as dict keys in lexicographic order; root, each
+    record's component, named by one of its records, as YES-majority edges
+    join them, with each root's members; and settled, the other roots a
+    NO-majority edge links each root to.  Each pair leaves open at most
+    once, so a run's upkeep is at most one pop per record pair."""
 
-    __slots__ = ("graph", "clustering", "rng", "open", "index", "components", "members",
-                 "settled")
+    __slots__ = ("graph", "clustering", "rng", "open", "root", "members", "settled")
 
     def __init__(self, graph: UncertainGraph, clustering: Clustering, rng: np.random.Generator):
         self.graph, self.clustering, self.rng = graph, clustering, rng
         self.open = dict.fromkeys(graph.absent_pairs())
-        self.index = {r: i for i, r in enumerate(graph.records)}
-        self.components = UnionFind(len(graph.records))
-        self.members = {i: [r] for i, r in enumerate(graph.records)}
-        self.settled: dict[int, set[int]] = {i: set() for i in self.members}
+        self.root = {r: r for r in graph.records}
+        self.members = {r: [r] for r in graph.records}
+        self.settled: dict[str, set[str]] = {r: set() for r in graph.records}
         self._fold(graph.edges)
 
     def _fold(self, pairs: Iterable[Pair]) -> None:
@@ -62,13 +60,12 @@ class TcState:
         side against the other and against the components settled with the
         other side, and a NO-majority edge between two unsettled components
         settles their cross pairs."""
-        edges, find, members, settled = (self.graph.edges, self.components.find,
-                                         self.members, self.settled)
+        edges, root, members, settled = self.graph.edges, self.root, self.members, self.settled
         pop = self.open.pop
         for a, b in pairs:
             pop((a, b), None)
             p = edges[(a, b)]
-            ra, rb = find(self.index[a]), find(self.index[b])
+            ra, rb = root[a], root[b]
             if ra == rb or p == 0.5:
                 continue
             sa, sb = settled[ra], settled[rb]
@@ -84,7 +81,9 @@ class TcState:
                 sa.add(rb)
                 sb.add(ra)
                 continue
-            self.components.union(ra, rb)  # ra stays the root
+            # ra absorbs rb's component, relabelling its members as they move
+            for r in members[rb]:
+                root[r] = ra
             members[ra] += members.pop(rb)
             for other in settled.pop(rb) - {ra}:
                 settled[other].discard(rb)

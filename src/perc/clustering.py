@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import heapq
 import math
+from typing import Iterator, Sequence
 
-from .graph import (Clustering, Pair, UncertainGraph, clustering_log_likelihood,
-                    enumerate_partitions)
+from .graph import Clustering, Pair, UncertainGraph, clustering_log_likelihood
 from .util import canonical_pair
 
 MAX_BRUTEFORCE_RECORDS = 10
@@ -264,12 +264,32 @@ def mlc_bruteforce(graph: UncertainGraph) -> tuple[Clustering, float]:
         raise ValueError(
             f"refusing brute force over {len(graph.records)} records "
             f"(limit {MAX_BRUTEFORCE_RECORDS})")
-    scored = [(clustering_log_likelihood(graph, c), c)
-              for c in enumerate_partitions(graph.records)]
+    scored = [(clustering_log_likelihood(graph, c), c) for c in _partitions(graph.records)]
     best = max(ll for ll, _ in scored)
     tied = [c for ll, c in scored if ll >= best - _TIE_EPS]
     winner = min(tied, key=lambda c: (len(c.blocks), c.blocks))
     return winner, clustering_log_likelihood(graph, winner)
+
+
+def _partitions(records: Sequence[str]) -> Iterator[Clustering]:
+    """Every partition of the sorted, non-empty ``records`` exactly once,
+    canonicalized: the Bell number of len(records) of them."""
+
+    def grow(i: int, parts: list[list[str]]) -> Iterator[list[list[str]]]:
+        if i == len(records):
+            yield parts
+            return
+        r = records[i]
+        for j in range(len(parts)):
+            parts[j].append(r)
+            yield from grow(i + 1, parts)
+            parts[j].pop()
+        parts.append([r])
+        yield from grow(i + 1, parts)
+        parts.pop()
+
+    for parts in grow(1, [[records[0]]]):
+        yield Clustering(parts)
 
 
 def mlc_unchanged(previous: Clustering, pair: Pair, p: float) -> bool:

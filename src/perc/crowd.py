@@ -17,7 +17,7 @@ import struct
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .graph import Clustering, Pair, VoteTally
+from .graph import Pair, VoteTally
 from .util import ConfigError, canonical_pair
 
 # each answer hashes one 64-byte digest per 8 workers, so the worker count
@@ -63,12 +63,6 @@ class GoldClustering:
 
     def pair_difficulty(self, a: str, b: str) -> float:
         return 0.5 * (self.difficulty[a] + self.difficulty[b])
-
-    def to_clustering(self) -> Clustering:
-        groups: dict[str, list[str]] = {}
-        for r, e in self.entity.items():
-            groups.setdefault(e, []).append(r)
-        return Clustering(groups.values())
 
 
 @dataclass(frozen=True)

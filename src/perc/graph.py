@@ -21,8 +21,6 @@ from .util import canonical_pair, log10_or_neg_inf
 
 Pair = tuple[str, str]
 
-MAX_PARTITION_RECORDS = 12
-
 
 @dataclass(frozen=True)
 class VoteTally:
@@ -115,19 +113,8 @@ class UncertainGraph:
             new[key] = float(p)
         return new
 
-    @classmethod
-    def from_probabilities(cls, records: Iterable[str], probs: dict[Pair, float]) -> "UncertainGraph":
-        """Build a fixture graph straight from edge probabilities."""
-        return cls(records, probs)
-
     def has_edge(self, a: str, b: str) -> bool:
         return canonical_pair(a, b) in self.edges
-
-    def probability(self, a: str, b: str) -> float:
-        key = canonical_pair(a, b)
-        if key not in self.edges:
-            raise KeyError(f"pair {key} has not been crowdsourced")
-        return self.edges[key]
 
     def with_edge(self, a: str, b: str, tally: VoteTally | None = None,
                   probability: float | None = None) -> "UncertainGraph":
@@ -169,10 +156,10 @@ class UncertainGraph:
         one of its edges is in this graph with the same probability.  When
         ``older`` is an ancestor in this graph's with_edge(s) chain, the answer
         is read off their shared lineage in time linear in the added edges;
-        an ingest_votes graph is the with_edges child of a graph with no
-        edges, so it starts a lineage too.  Any other pair of graphs, such
-        as a sibling, a graph built with UncertainGraph(...), or one that
-        prices an edge differently, is checked edge by edge.
+        UncertainGraph(records).with_edges(pairs) is the with_edges child of
+        a graph with no edges, so it starts a lineage too.  Any other pair
+        of graphs, such as a sibling, a graph built with UncertainGraph(...),
+        or one that prices an edge differently, is checked edge by edge.
         """
         if older._lineage is self._lineage and older._n <= self._n:
             # each graph on a lineage has the edges its chain started from
@@ -274,10 +261,6 @@ class Clustering:
         c._carry = None
         return c
 
-    @classmethod
-    def singletons(cls, records: Iterable[str]) -> "Clustering":
-        return cls([[r] for r in records])
-
     @property
     def records(self) -> frozenset:
         return frozenset(self._owner)
@@ -291,12 +274,6 @@ class Clustering:
     def same_block(self, a: str, b: str) -> bool:
         return self.block_of(a) is self.block_of(b)
 
-    def block_pairs(self) -> Iterator[tuple[tuple[str, ...], tuple[str, ...]]]:
-        """All unordered block pairs, in canonical (j < k) order."""
-        for j in range(len(self.blocks)):
-            for k in range(j + 1, len(self.blocks)):
-                yield self.blocks[j], self.blocks[k]
-
     def __eq__(self, other):
         return isinstance(other, Clustering) and self.blocks == other.blocks
 
@@ -306,13 +283,6 @@ class Clustering:
     def __repr__(self):
         inner = ", ".join("{" + ",".join(b) + "}" for b in self.blocks)
         return f"Clustering({inner})"
-
-
-def ingest_votes(records: Iterable[str], pairs: Iterable[tuple[Pair, VoteTally]]) -> UncertainGraph:
-    """Build a graph from declared records and per-pair vote tallies, as
-    with_edges adds them to a graph with no edges: undeclared ids,
-    self-loops and repeated pairs are rejected, naming the pair."""
-    return UncertainGraph(records).with_edges(pairs)
 
 
 def possible_world_log_prob(graph: UncertainGraph, present: Iterable[Pair]) -> float:
@@ -348,34 +318,3 @@ def clustering_log_likelihood(graph: UncertainGraph, clustering: Clustering) -> 
     for (a, b), p in graph.edge_items():
         total += log10_or_neg_inf(p if clustering.same_block(a, b) else 1.0 - p)
     return total
-
-
-def enumerate_partitions(records: Iterable[str]) -> Iterator[Clustering]:
-    """Yield every partition of ``records`` exactly once, canonicalized.
-
-    The count is the Bell number of len(records); the hard cap keeps an
-    accidental call on a big record set from running for hours.
-    """
-    recs = sorted(set(records))
-    if len(recs) > MAX_PARTITION_RECORDS:
-        raise ValueError(
-            f"refusing to enumerate partitions of {len(recs)} records "
-            f"(limit {MAX_PARTITION_RECORDS})")
-    if not recs:
-        raise ValueError("cannot partition an empty record set")
-
-    def grow(i: int, parts: list[list[str]]) -> Iterator[list[list[str]]]:
-        if i == len(recs):
-            yield parts
-            return
-        r = recs[i]
-        for j in range(len(parts)):
-            parts[j].append(r)
-            yield from grow(i + 1, parts)
-            parts[j].pop()
-        parts.append([r])
-        yield from grow(i + 1, parts)
-        parts.pop()
-
-    for parts in grow(1, [[recs[0]]]):
-        yield Clustering(parts)

@@ -196,7 +196,7 @@ def _strategy(name: str) -> tuple:
 
 
 def run_experiment(config: ExperimentConfig, records, gold: GoldClustering | None = None,
-                   replay: ReplayOracle | list | None = None) -> RunResult:
+                   replay: ReplayOracle | None = None) -> RunResult:
     """Run one crowdsourcing experiment to its budget.
 
     Answers come from the replay log when one is given, otherwise from a
@@ -217,7 +217,7 @@ def run_experiment(config: ExperimentConfig, records, gold: GoldClustering | Non
     oracle: ReplayOracle | SimulatedOracle
     allowed: frozenset | None = None
     if replay is not None:
-        oracle = replay if isinstance(replay, ReplayOracle) else ReplayOracle(replay)
+        oracle = replay
         allowed = oracle.pairs
         # a record outside recs raises ValueError
         graph._checked((pair, tally.fraction) for pair, tally in oracle.rows)

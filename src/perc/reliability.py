@@ -111,7 +111,7 @@ class ReliabilityScore:
     d >= epsilon; clamped counts the blocks and block pairs below epsilon,
     unspanned pairs (d = 0) included.  block_connectivity follows
     clustering.blocks; pair_disconnectivity holds the spanned block pairs
-    only, keyed as Clustering.block_pairs yields them, so a pair missing
+    only, keyed (bj, bk) for j < k in clustering.blocks, so a pair missing
     from it has d = 0.
     """
 

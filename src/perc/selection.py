@@ -300,26 +300,16 @@ def refresh_after_answer(state: PriorityState, graph: UncertainGraph,
     _mark(state, changes)
 
 
-def select_next(state: PriorityState) -> Pair | None:
-    """Best candidate pair, or None once the queue is exhausted.
-
-    Ranking is by gain, ties broken lexicographically on the pair, which
-    for tied cross candidates lands on the smallest representative.
-    """
-    batch = select_batch(state, 1)
-    return batch[0] if batch else None
-
-
 def select_batch(state: PriorityState, k: int) -> list[Pair]:
     """Up to k distinct candidate pairs for one crowdsourcing round.
 
-    Fills from the ranked queue first, where each block pair contributes
-    only its representative, spreading the batch across distinct reliability
-    terms.  If slots remain after every entry is taken, block pairs are
-    revisited in the same order and their remaining absent spanning pairs
-    are emitted; those extras provably share the representative's gain, so
-    no re-pricing is needed.  Returns fewer than k only when fewer
-    candidates exist in total.
+    Fills first from the queue ranked by gain, ties broken lexicographically
+    on the pair, where each block pair contributes only its representative,
+    spreading the batch across distinct reliability terms.  If slots remain
+    after every entry is taken, block pairs are revisited in the same order
+    and their remaining absent spanning pairs are emitted; those extras
+    provably share the representative's gain, so no re-pricing is needed.
+    Returns fewer than k only when fewer candidates exist in total.
     """
     if k < 1:
         raise ValueError(f"batch size must be positive, got {k}")

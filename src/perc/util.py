@@ -52,7 +52,6 @@ class UnionFind:
         return root
 
     def union(self, a: int, b: int) -> None:
-        """Join b's set to a's; a's root stays the root."""
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
             self.parent[rb] = ra

@@ -34,7 +34,7 @@ RUNNING_BLOCKS = (("A", "B"), ("C", "D"), ("E", "F"), ("G", "H"))
 
 @pytest.fixture
 def running_graph() -> UncertainGraph:
-    return UncertainGraph.from_probabilities(EIGHT, RUNNING_EDGES)
+    return UncertainGraph(EIGHT, RUNNING_EDGES)
 
 
 @pytest.fixture
@@ -60,7 +60,7 @@ TRIO_EDGES = {
 
 @pytest.fixture
 def trio_graph() -> UncertainGraph:
-    return UncertainGraph.from_probabilities("ABCD", TRIO_EDGES)
+    return UncertainGraph("ABCD", TRIO_EDGES)
 
 
 @pytest.fixture

@@ -31,7 +31,6 @@ from perc import (
     run_experiment,
     scc_cluster,
     select_batch,
-    select_next,
     synth_world,
 )
 from perc.fileio import write_curve_csv
@@ -61,11 +60,11 @@ def criterion(num, name):
 
 
 def running_graph():
-    return UncertainGraph.from_probabilities("ABCDEFGH", RUNNING_EDGES)
+    return UncertainGraph("ABCDEFGH", RUNNING_EDGES)
 
 
 def trio_graph():
-    return UncertainGraph.from_probabilities("ABCD", TRIO_EDGES)
+    return UncertainGraph("ABCD", TRIO_EDGES)
 
 
 def test_1_worked_example_fidelity():
@@ -96,7 +95,7 @@ def test_1_worked_example_fidelity():
 
         assert scc_cluster(run) == run_c
         state = build_state(run, run_c)
-        first = select_next(state)
+        [first] = select_batch(state, 1)
         assert first == ("E", "H")
         assert run_c.block_of("E") == c3 and run_c.block_of("H") == c4
         gain34 = pair_priority(run, run_c, first).gain

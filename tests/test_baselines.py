@@ -1,5 +1,7 @@
 """TC and DENSE baseline selection strategies."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -31,7 +33,7 @@ class TestTcSelection:
         ("ABC", {("A", "B"): 0.5, ("B", "C"): 0.9}, [("A", "C")]),
     ], ids=["closure", "anti-link", "undecided"])
     def test_exhausting_batch_is_the_open_pairs(self, records, edges, open_pairs):
-        g = UncertainGraph.from_probabilities(records, edges)
+        g = UncertainGraph(records, edges)
         assert sorted(tc_batch(tc_state(g, 0), 10)) == open_pairs
 
     def test_never_returns_inferable_or_crowdsourced(self):
@@ -52,8 +54,7 @@ class TestTcSelection:
     def test_exhaustion_returns_none(self):
         # Everything crowdsourced or inferable: two matched pairs plus one
         # non-match between the components settles all six pairs.
-        g = UncertainGraph.from_probabilities(
-            "ABCD", {("A", "B"): 0.9, ("C", "D"): 0.9, ("A", "C"): 0.1})
+        g = UncertainGraph("ABCD", {("A", "B"): 0.9, ("C", "D"): 0.9, ("A", "C"): 0.1})
         assert tc_batch(tc_state(g, 0), 1) == []
 
     def test_uniform_over_candidates(self):
@@ -73,8 +74,7 @@ class TestTcSelection:
 
     def test_batch_leaves_the_open_pairs(self):
         # test_uniform_over_candidates draws all its batches from one state
-        g = UncertainGraph.from_probabilities(
-            "ABCDEF", {("A", "B"): 0.9, ("C", "D"): 0.2, ("E", "F"): 0.5})
+        g = UncertainGraph("ABCDEF", {("A", "B"): 0.9, ("C", "D"): 0.2, ("E", "F"): 0.5})
         state = tc_state(g, 5)
         before = list(state.open)
         for k in (1, 3, len(before) + 1):
@@ -129,8 +129,7 @@ class TestRhoInputs:
         assert r.outside_factor == 1.0
 
     def test_undecided_edges_excluded(self):
-        g = UncertainGraph.from_probabilities(
-            "ABC", {("A", "B"): 0.5, ("A", "C"): 0.8})
+        g = UncertainGraph("ABC", {("A", "B"): 0.5, ("A", "C"): 0.8})
         r = rho_inputs(g, ("A",), ("B",))
         assert r.yes == () and r.no == ()
         assert r.min_factor == 1.0
@@ -139,17 +138,15 @@ class TestRhoInputs:
     def test_outside_positive_evidence_shrinks_rho(self):
         # A strong positive edge from A to an outside record means merging
         # A with B fights that evidence, shrinking the ratio.
-        base = UncertainGraph.from_probabilities(
-            "ABC", {("A", "B"): 0.6})
-        tied = UncertainGraph.from_probabilities(
-            "ABC", {("A", "B"): 0.6, ("A", "C"): 0.9})
+        base = UncertainGraph("ABC", {("A", "B"): 0.6})
+        tied = UncertainGraph("ABC", {("A", "B"): 0.6, ("A", "C"): 0.9})
         assert rho_inputs(tied, ("A",), ("B",)).value < \
             rho_inputs(base, ("A",), ("B",)).value
         assert rho_inputs(tied, ("A",), ("B",)).value == pytest.approx(
             (0.1 / 0.9) * (0.4 / 0.6))
 
     def test_certain_edges_zero_the_ratio(self):
-        g = UncertainGraph.from_probabilities("AB", {("A", "B"): 1.0})
+        g = UncertainGraph("AB", {("A", "B"): 1.0})
         # flipping a certain verdict costs everything: ratio 0
         assert rho_inputs(g, ("A",), ("B",)).value == 0.0
 
@@ -164,8 +161,7 @@ class TestRhoInputs:
                     if rng.random() < 0.6:
                         edges[(recs[i], recs[j])] = float(rng.random())
             g = UncertainGraph(recs, edges=edges)
-            c = Clustering.singletons(recs)
-            for bj, bk in c.block_pairs():
+            for bj, bk in itertools.combinations([(r,) for r in recs], 2):
                 value = rho_inputs(g, bj, bk).value
                 assert 0.0 <= value <= 1.0 + 1e-12
 
@@ -194,15 +190,14 @@ class TestDenseSelection:
             ("C", "E"): 0.0, ("C", "F"): 0.0, ("D", "E"): 0.0, ("D", "F"): 0.0,
             ("C", "G"): 0.0, ("C", "H"): 0.0, ("D", "G"): 0.0, ("D", "H"): 0.0,
         }
-        g = UncertainGraph.from_probabilities("ABCDEFGH", edges)
+        g = UncertainGraph("ABCDEFGH", edges)
         r34 = rho_inputs(g, ("E", "F"), ("G", "H")).value
         r12 = rho_inputs(g, ("A", "B"), ("C", "D")).value
         assert r34 > r12
         assert dense_batch(build_dense_state(g, running_clustering), 1) == [("E", "H")]
 
     def test_batch_leaves_the_absent_pairs(self):
-        g = UncertainGraph.from_probabilities(
-            "ABCDEF", {("A", "B"): 0.9, ("C", "D"): 0.2, ("E", "F"): 0.5})
+        g = UncertainGraph("ABCDEF", {("A", "B"): 0.9, ("C", "D"): 0.2, ("E", "F"): 0.5})
         state = build_dense_state(g, scc_cluster(g))
         before = list(state.absent)
         for k in (1, 3, len(before) + 1):
@@ -210,8 +205,7 @@ class TestDenseSelection:
             assert list(state.absent) == before
 
     def test_only_cross_pairs_proposed(self):
-        g = UncertainGraph.from_probabilities(
-            "ABCD", {("A", "B"): 0.9, ("C", "D"): 0.2})
+        g = UncertainGraph("ABCD", {("A", "B"): 0.9, ("C", "D"): 0.2})
         c = Clustering([["A", "B", "C"], ["D"]])
         batch = dense_batch(build_dense_state(g, c), 10)
         for a, b in batch:
@@ -227,8 +221,7 @@ class TestDenseSelection:
         assert restricted == [("B", "C"), ("F", "G")]
 
     def test_exhaustion_returns_none(self):
-        g = UncertainGraph.from_probabilities(
-            "AB", {("A", "B"): 0.2})
+        g = UncertainGraph("AB", {("A", "B"): 0.2})
         c = Clustering([["A"], ["B"]])
         assert dense_batch(build_dense_state(g, c), 1) == []
 

@@ -18,7 +18,7 @@ from perc import (
     scc_cluster,
 )
 from perc import clustering
-from perc.graph import enumerate_partitions
+from perc.clustering import _partitions
 
 from conftest import random_small_graph
 from test_fast_paths import reference_scc
@@ -32,7 +32,7 @@ class TestMergeProbability:
         assert got == pytest.approx(0.18 / 0.46, abs=1e-12)
 
     def test_single_edge_is_identity(self):
-        g = UncertainGraph.from_probabilities("AB", {("A", "B"): 0.7})
+        g = UncertainGraph("AB", {("A", "B"): 0.7})
         assert merge_probability(g, ("A",), ("B",)) == pytest.approx(0.7)
 
     def test_no_spanning_edges_is_none(self):
@@ -54,14 +54,13 @@ class TestMergeProbability:
             assert merge_probability(g, left, right) == pytest.approx(num / den)
 
     def test_certain_yes_and_no_edges(self):
-        g = UncertainGraph.from_probabilities("ABC", {("A", "B"): 1.0})
+        g = UncertainGraph("ABC", {("A", "B"): 1.0})
         assert merge_probability(g, ("A",), ("B",)) == 1.0
-        g0 = UncertainGraph.from_probabilities("ABC", {("A", "B"): 0.0})
+        g0 = UncertainGraph("ABC", {("A", "B"): 0.0})
         assert merge_probability(g0, ("A",), ("B",)) == 0.0
 
     def test_contradictory_certain_evidence_is_neutral(self):
-        g = UncertainGraph.from_probabilities(
-            "ABC", {("A", "C"): 1.0, ("B", "C"): 0.0})
+        g = UncertainGraph("ABC", {("A", "C"): 1.0, ("B", "C"): 0.0})
         assert merge_probability(g, ("A", "B"), ("C",)) == 0.5
 
     def test_rejects_overlapping_blocks(self, running_graph):
@@ -87,32 +86,29 @@ class TestSccCluster:
         assert c.blocks == (("A", "B"), ("C", "D"), ("E", "F"), ("G", "H"))
 
     def test_boundary_half_does_not_merge(self):
-        g = UncertainGraph.from_probabilities("AB", {("A", "B"): 0.5})
+        g = UncertainGraph("AB", {("A", "B"): 0.5})
         assert scc_cluster(g).blocks == (("A",), ("B",))
-        g2 = UncertainGraph.from_probabilities("AB", {("A", "B"): 0.5 + 1e-9})
+        g2 = UncertainGraph("AB", {("A", "B"): 0.5 + 1e-9})
         assert scc_cluster(g2).blocks == (("A", "B"),)
 
     def test_no_edges_stays_singletons(self):
         g = UncertainGraph(["A", "B", "C"])
-        assert scc_cluster(g) == Clustering.singletons("ABC")
+        assert scc_cluster(g) == Clustering([["A"], ["B"], ["C"]])
 
     def test_chain_merges_fully(self):
-        g = UncertainGraph.from_probabilities(
-            "ABCD", {("A", "B"): 0.9, ("B", "C"): 0.9, ("C", "D"): 0.9})
+        g = UncertainGraph("ABCD", {("A", "B"): 0.9, ("B", "C"): 0.9, ("C", "D"): 0.9})
         assert scc_cluster(g).blocks == (("A", "B", "C", "D"),)
 
     def test_merge_uses_combined_evidence(self):
         # Each single cross edge is weak (0.6) but two of them reinforce:
         # after {A, B} forms, evidence toward C is 0.36 vs 0.16.
-        g = UncertainGraph.from_probabilities(
-            "ABC", {("A", "B"): 0.9, ("A", "C"): 0.6, ("B", "C"): 0.6})
+        g = UncertainGraph("ABC", {("A", "B"): 0.9, ("A", "C"): 0.6, ("B", "C"): 0.6})
         assert scc_cluster(g).blocks == (("A", "B", "C"),)
 
     def test_combined_evidence_can_block_merge(self):
         # One strong YES edge toward C is outvoted by a stronger NO edge
         # once the pair aggregates combine.
-        g = UncertainGraph.from_probabilities(
-            "ABC", {("A", "B"): 0.9, ("A", "C"): 0.7, ("B", "C"): 0.1})
+        g = UncertainGraph("ABC", {("A", "B"): 0.9, ("A", "C"): 0.7, ("B", "C"): 0.1})
         c = scc_cluster(g)
         assert c.blocks == (("A", "B"), ("C",))
 
@@ -125,7 +121,7 @@ class TestSccCluster:
                 super().__init__()
 
         monkeypatch.setattr(clustering, "_PairAgg", CountingAgg)
-        g = UncertainGraph.from_probabilities("ABCDE", {
+        g = UncertainGraph("ABCDE", {
             ("A", "B"): math.nextafter(0.5, 1), ("B", "C"): 0.51, ("A", "C"): 1.0,
             ("C", "D"): 0.6, ("D", "E"): 0.9})
         assert scc_cluster(g).blocks == (("A", "B", "C", "D", "E"),)
@@ -138,8 +134,7 @@ class TestSccCluster:
 
     def test_one_dissenting_edge_keeps_a_yes_triangle_apart(self):
         # a union of the YES edges would give {A, B, C}
-        g = UncertainGraph.from_probabilities(
-            "ABC", {("A", "B"): 1.0, ("B", "C"): 1.0, ("A", "C"): 0.0})
+        g = UncertainGraph("ABC", {("A", "B"): 1.0, ("B", "C"): 1.0, ("A", "C"): 0.0})
         assert scc_cluster(g).blocks == (("A", "B"), ("C",))
 
     def test_deterministic_under_relabeling(self):
@@ -203,7 +198,7 @@ class TestCarriedSccCluster:
             carried.append(warm)
 
     def test_a_later_yes_edge_joins_two_components(self):
-        g = UncertainGraph.from_probabilities("ABCDE", {
+        g = UncertainGraph("ABCDE", {
             ("A", "B"): 0.8, ("B", "C"): 0.6, ("A", "C"): 0.2,
             ("D", "E"): 1.0, ("C", "D"): 0.4})
         first = scc_cluster(g)
@@ -216,21 +211,21 @@ class TestCarriedSccCluster:
             (("A", "B"), ("C", "D", "E"))
         # one call whose new edges both join two components and lie inside
         # one of them: C's component is marked and joined, and gathered once
-        g = UncertainGraph.from_probabilities("ABCDE", {("C", "D"): 0.8, ("D", "E"): 0.8})
+        g = UncertainGraph("ABCDE", {("C", "D"): 0.8, ("D", "E"): 0.8})
         both = g.with_edge("A", "C", probability=0.8).with_edge("C", "E", probability=0.4)
         carried = scc_cluster(both, previous=scc_cluster(g))
         assert carried == scc_cluster(both) == reference_scc(both)
         assert carried.blocks == (("A", "C", "D", "E"), ("B",))
 
     def test_previous_from_a_graph_not_extended_raises(self):
-        g = UncertainGraph.from_probabilities("ABC", {("A", "B"): 0.6})
+        g = UncertainGraph("ABC", {("A", "B"): 0.6})
         later = g.with_edge("B", "C", probability=0.8)
         with pytest.raises(ValueError):
             scc_cluster(g, previous=scc_cluster(later))
-        repriced = UncertainGraph.from_probabilities("ABC", {("A", "B"): 0.4})
+        repriced = UncertainGraph("ABC", {("A", "B"): 0.4})
         with pytest.raises(ValueError):
             scc_cluster(repriced, previous=scc_cluster(g))
-        other_records = UncertainGraph.from_probabilities("ABCD", {("A", "B"): 0.6})
+        other_records = UncertainGraph("ABCD", {("A", "B"): 0.6})
         with pytest.raises(ValueError):
             scc_cluster(other_records, previous=scc_cluster(g))
 
@@ -258,14 +253,13 @@ class TestMlcBruteforce:
         for _ in range(25):
             g = random_small_graph(rng, n_min=2, n_max=6)
             best, best_ll = mlc_bruteforce(g)
-            for c in enumerate_partitions(g.records):
+            for c in _partitions(g.records):
                 assert clustering_log_likelihood(g, c) <= best_ll + 1e-9
             assert clustering_log_likelihood(g, best) == best_ll
 
     def test_tie_breaks_to_fewest_blocks_then_lexicographic(self):
         # p = 0.5 everywhere makes every partition equally likely.
-        g = UncertainGraph.from_probabilities(
-            "ABC", {("A", "B"): 0.5, ("B", "C"): 0.5, ("A", "C"): 0.5})
+        g = UncertainGraph("ABC", {("A", "B"): 0.5, ("B", "C"): 0.5, ("A", "C"): 0.5})
         best, _ = mlc_bruteforce(g)
         assert best.blocks == (("A", "B", "C"),)
 
@@ -323,8 +317,7 @@ class TestMlcUnchanged:
     def test_failed_screen_can_move_the_argmax(self):
         # Fixture (a): strong path {A,B,C}; a contradicting A-C answer
         # splits C off.
-        g = UncertainGraph.from_probabilities(
-            "ABC", {("A", "B"): 0.9, ("B", "C"): 0.8})
+        g = UncertainGraph("ABC", {("A", "B"): 0.9, ("B", "C"): 0.8})
         before, _ = mlc_bruteforce(g)
         assert before == Clustering([["A", "B", "C"]])
         assert not mlc_unchanged(before, ("A", "C"), 0.1)
@@ -333,8 +326,7 @@ class TestMlcUnchanged:
 
     def test_failed_screen_can_rearrange_blocks(self):
         # Fixture (b): weak {B,C} plus a strong new A-B answer pulls B over.
-        g = UncertainGraph.from_probabilities(
-            "ABC", {("B", "C"): 0.6, ("A", "C"): 0.1})
+        g = UncertainGraph("ABC", {("B", "C"): 0.6, ("A", "C"): 0.1})
         before, _ = mlc_bruteforce(g)
         assert before == Clustering([["A"], ["B", "C"]])
         assert not mlc_unchanged(before, ("A", "B"), 0.9)

@@ -27,10 +27,6 @@ class TestGoldClustering:
         with pytest.raises(KeyError):
             GOLD.entity_of("z")
 
-    def test_to_clustering(self):
-        c = GOLD.to_clustering()
-        assert c.blocks == (("a", "b"), ("c", "d"))
-
     def test_difficulty_defaults_and_mean(self):
         g = GoldClustering({"a": "e1", "b": "e1", "c": "e2"},
                            difficulty={"a": 2.0})

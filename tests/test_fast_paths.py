@@ -53,7 +53,7 @@ def graphs(draw, max_records=9, fractions=FRACTIONS):
     values = draw(st.lists(st.one_of(st.none(), st.sampled_from(fractions)),
                            min_size=len(pairs), max_size=len(pairs)))
     probs = {pair: p for pair, p in zip(pairs, values) if p is not None}
-    return UncertainGraph.from_probabilities(records, probs)
+    return UncertainGraph(records, probs)
 
 
 @st.composite
@@ -90,7 +90,7 @@ def component_graphs(draw, max_records=10):
                 p = draw(st.sampled_from((None, None, 0.0, 0.5, 0.3)))
                 if p is not None:
                     probs[(a, b)] = p
-    return UncertainGraph.from_probabilities(records, probs)
+    return UncertainGraph(records, probs)
 
 
 # p just above one half, where log10(p) and log10(1 - p) lie a few ulps apart
@@ -267,7 +267,7 @@ def reference_select_batch(graph, ranked, allowed, k):
 
 def reference_inter(graph, clustering, params, allowed):
     inter = {}
-    for bj, bk in clustering.block_pairs():
+    for bj, bk in itertools.combinations(clustering.blocks, 2):
         absent = scan_absent_between(graph, bj, bk, allowed)
         if absent:
             dis = disconnectivity(graph, clustering, bj, bk)
@@ -289,7 +289,7 @@ def reference_dense_batch(graph, clustering, k, allowed):
     """DENSE with every block pair ranked, every absent cross pair listed
     under its pair's score, a full sort, then repeats dropped."""
     ranked = sorted(((rho_inputs(graph, bj, bk).value, (bj, bk))
-                     for bj, bk in clustering.block_pairs()),
+                     for bj, bk in itertools.combinations(clustering.blocks, 2)),
                     key=lambda t: (-t[0], t[1]))
     candidates = []
     for score, (bj, bk) in ranked:
@@ -376,9 +376,9 @@ def test_spanning_edges_equal_disconnectivity(case, data):
     blocks = data.draw(st.sets(st.sampled_from(clustering.blocks), min_size=1), label="blocks")
     changes = Changes([], frozenset(), frozenset(blocks), set(), graph, clustering)
     spans, within = changes.spans, changes.within
-    assert set(spans) <= {(bj, bk) for bj, bk in clustering.block_pairs()
+    assert set(spans) <= {(bj, bk) for bj, bk in itertools.combinations(clustering.blocks, 2)
                           if bj in blocks or bk in blocks}
-    for bj, bk in clustering.block_pairs():
+    for bj, bk in itertools.combinations(clustering.blocks, 2):
         if bj not in blocks and bk not in blocks:
             continue
         span = spans.get((bj, bk))
@@ -403,11 +403,11 @@ def assert_changes_match_reference(changes, old_graph, old):
     old_blocks = () if old is None else old.blocks
     fresh = set(clustering.blocks) - set(old_blocks)
     gone = set(old_blocks) - set(clustering.blocks)
-    old_pairs = [] if old is None else [(bj, bk) for bj, bk in old.block_pairs()
-                                        if bj in gone or bk in gone]
+    old_pairs = [(bj, bk) for bj, bk in itertools.combinations(old_blocks, 2)
+                 if bj in gone or bk in gone]
     assert sorted(changes.dropped) == old_pairs
     assert changes.lost == {(bj, bk) for bj, bk in old_pairs if filtered_span(graph, bj, bk)}
-    expected = {(bj, bk) for bj, bk in clustering.block_pairs()
+    expected = {(bj, bk) for bj, bk in itertools.combinations(clustering.blocks, 2)
                 if filtered_span(graph, bj, bk) != (
                     [] if bj in fresh or bk in fresh else filtered_span(old_graph, bj, bk))}
     assert set(changes.spans) == expected
@@ -452,7 +452,8 @@ def test_reliability_equals_per_pair_sum(case, rng, epsilon):
     params = replace(PARAMS, epsilon=epsilon)
     connect = [block_connectivity(graph, block, params).value for block in clustering.blocks]
     spanned = {(bj, bk): disconnectivity(graph, clustering, bj, bk)
-               for bj, bk in clustering.block_pairs() if filtered_span(graph, bj, bk)}
+               for bj, bk in itertools.combinations(clustering.blocks, 2)
+               if filtered_span(graph, bj, bk)}
     connect_terms = [math.log10(c) for c in connect if c >= epsilon]
     disconnect_terms = [math.log10(d) for d in spanned.values() if d >= epsilon]
     # the sums are exactly rounded, so no order of the terms may matter
@@ -544,7 +545,7 @@ def test_scc_cluster_at_the_float_boundary_equals_linear_scan(drawn, data):
     still merges them pair by pair.  Cold calls on the whole graph, and
     calls carried along the answers in their drawn order."""
     records, answers = drawn
-    graph = UncertainGraph.from_probabilities(records, dict(answers))
+    graph = UncertainGraph(records, dict(answers))
     assert scc_cluster(graph) == reference_scc(graph)
     graph = UncertainGraph(records)
     carried = scc_cluster(graph)
@@ -559,7 +560,7 @@ def test_scc_cluster_at_the_float_boundary_equals_linear_scan(drawn, data):
 @settings(max_examples=200, deadline=None)
 @given(graphs(fractions=ROUNDING_FRACTIONS), st.integers(1, 600),
        st.integers(0, 2**64 - 1))
-@example(UncertainGraph.from_probabilities(
+@example(UncertainGraph(
     NAMES[:9], {pair: 0.5 for pair in itertools.combinations(NAMES[:9], 2)}), 3000, 5)
 def test_bulk_coins_equal_per_coin_sampler(graph, samples, seed):
     index = {r: i for i, r in enumerate(graph.records)}
@@ -676,7 +677,7 @@ def sparse_graphs_with_clusterings(draw):
     pairs spanned only at p = 1, all of which carry the top gain."""
     graph, clustering = draw(graphs_with_clusterings(max_records=8))
     kept = {pair: p for pair, p in graph.edges.items() if draw(st.booleans())}
-    return UncertainGraph.from_probabilities(graph.records, kept), clustering
+    return UncertainGraph(graph.records, kept), clustering
 
 
 @settings(max_examples=100, deadline=None)
@@ -729,7 +730,7 @@ def test_select_batch_on_a_marked_state_equals_a_priced_one(case, data):
 def test_absent_pairs_between_equals_scan(case, data):
     graph, clustering = case
     allowed = draw_allowed(data, graph)
-    for bj, bk in clustering.block_pairs():
+    for bj, bk in itertools.combinations(clustering.blocks, 2):
         expected = scan_absent_between(graph, bj, bk, allowed)
         assert list(graph.absent_pairs_between(bj, bk, allowed)) == expected
         assert list(graph.absent_pairs_between(bk, bj, allowed)) == expected
@@ -742,7 +743,7 @@ def test_dense_batch_equals_sort_then_dedupe(case, data):
     allowed = draw_allowed(data, graph)
     state = build_dense_state(graph, clustering, allowed=allowed)
     absent = sum(len(scan_absent_between(graph, bj, bk, allowed))
-                 for bj, bk in clustering.block_pairs())
+                 for bj, bk in itertools.combinations(clustering.blocks, 2))
     for k in range(1, absent + 3):
         assert dense_batch(state, k) == \
             reference_dense_batch(graph, clustering, k, allowed)
@@ -753,7 +754,7 @@ def dense_scores(graph, clustering):
     after checking that they are exactly the block pairs (bj, bk) with an
     absent spanning pair."""
     live = build_dense_state(graph, clustering).live
-    keys = [(bj, bk) for bj, bk in clustering.block_pairs()
+    keys = [(bj, bk) for bj, bk in itertools.combinations(clustering.blocks, 2)
             if scan_absent_between(graph, bj, bk, None)]
     assert set(live) == set(keys)
     return {key: live[key] for key in keys}
@@ -771,7 +772,7 @@ def assert_dense_matches_reference(state):
     assert state.outside == cold.outside
     assert state.whole == cold.whole
     absent = sum(len(scan_absent_between(graph, bj, bk, allowed))
-                 for bj, bk in clustering.block_pairs())
+                 for bj, bk in itertools.combinations(clustering.blocks, 2))
     for k in range(1, absent + 3):
         assert dense_batch(state, k) == \
             reference_dense_batch(graph, clustering, k, allowed)
@@ -783,7 +784,7 @@ def assert_dense_matches_reference(state):
 # the top-scoring block pairs' absent pairs, (E, T), (Q, T) and (R, T), may
 # not be asked, so the walk cannot stop early; an explicit example has no
 # data to draw rounds from and checks the cold build only
-@example(UncertainGraph.from_probabilities("EQRT", {("E", "Q"): 0.8, ("E", "R"): 0.2}),
+@example(UncertainGraph("EQRT", {("E", "Q"): 0.8, ("E", "R"): 0.2}),
          frozenset({("Q", "R")}), None)
 def test_carried_dense_state_equals_cold_build(graph, allowed, data):
     clustering = scc_cluster(graph)
@@ -853,7 +854,7 @@ def assert_tc_matches_reference(state, seed):
                     [(("B", "D"), 1.0)], [(("D", "E"), 0.4)]]), 7)
 def test_carried_tc_state_equals_cold_build(case, seed):
     records, rounds = case
-    graph = UncertainGraph.from_probabilities(records, dict(rounds[0]))
+    graph = UncertainGraph(records, dict(rounds[0]))
     state = TcState(graph, scc_cluster(graph), np.random.default_rng(seed))
     assert_tc_matches_reference(state, seed)
     for answers in rounds[1:]:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perc import Clustering, GoldClustering, VoteTally, ingest_votes
+from perc import Clustering, GoldClustering, UncertainGraph, VoteTally
 from perc.harness import MetricsSnapshot
 import perc.fileio
 from perc.cli import main
@@ -175,8 +175,7 @@ class TestLoadGraph:
                         [(("a", "b"), VoteTally(4, 5))])
         g = load_graph(tmp_path / "records.csv", tmp_path / "votes.csv")
         assert g.records == ("a", "b", "c")
-        assert g.probability("a", "b") == 0.8
-        assert not g.has_edge("a", "c")
+        assert g.edges == {("a", "b"): 0.8}
 
     def test_rejects_vote_for_undeclared_record(self, tmp_path):
         write_records_csv(tmp_path / "records.csv", ["a", "b"])
@@ -195,7 +194,7 @@ VOTE_FILES = st.lists(
 @settings(max_examples=60, deadline=None)
 @given(rows=VOTE_FILES)
 def test_load_graph_equals_ingesting_read_votes(tmp_path_factory, rows):
-    """load_graph's one pass builds the edges dict ingest_votes builds from
+    """load_graph's one pass builds the edges dict with_edges builds from
     read_votes_csv: the same keys in the same order, bit-equal fractions."""
     d = tmp_path_factory.mktemp("votes")
     records = [f"r{i}" for i in range(10)]
@@ -210,7 +209,7 @@ def test_load_graph_equals_ingesting_read_votes(tmp_path_factory, rows):
     (d / "votes.csv").write_text("record_a,record_b,yes,total\n" + "".join(
         f"{a},{b},{t.yes},{t.total}\n" for (a, b), t in votes))
     loaded = load_graph(d / "records.csv", d / "votes.csv")
-    ingested = ingest_votes(records, read_votes_csv(d / "votes.csv", records))
+    ingested = UncertainGraph(records).with_edges(read_votes_csv(d / "votes.csv", records))
     assert loaded.records == ingested.records
     assert [(pair, p.hex()) for pair, p in loaded.edges.items()] == \
         [(pair, p.hex()) for pair, p in ingested.edges.items()]

@@ -95,10 +95,11 @@ def unused_imports(path):
 
 
 def test_no_unused_imports():
-    """The package and the tests import only names they use; the demos
-    are left out."""
+    """The package, the tests, the demos and the benchmark import only
+    names they use."""
     found = {}
-    for path in [*ROOT.glob("src/perc/*.py"), *ROOT.glob("tests/*.py")]:
+    for path in [*ROOT.glob("src/perc/*.py"), *ROOT.glob("tests/*.py"), *ROOT.glob("demos/*.py"),
+                 *ROOT.glob("perfbench/*.py")]:
         if unused := unused_imports(path):
             found[str(path.relative_to(ROOT))] = unused
     assert found == {}

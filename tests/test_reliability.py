@@ -52,7 +52,7 @@ class TestDisconnectivity:
             pytest.approx(0.88, abs=1e-12)
 
     def test_no_spanning_edges_means_zero(self):
-        g = UncertainGraph.from_probabilities("ABCD", {("A", "B"): 0.9})
+        g = UncertainGraph("ABCD", {("A", "B"): 0.9})
         c = Clustering([["A", "B"], ["C", "D"]])
         assert disconnectivity(g, c, ("A", "B"), ("C", "D")) == 0.0
 
@@ -62,7 +62,7 @@ class TestDisconnectivity:
             disconnectivity(running_graph, running_clustering, c1, c2)
 
     def test_certain_no_edge_gives_one(self):
-        g = UncertainGraph.from_probabilities("ABC", {("A", "C"): 0.0})
+        g = UncertainGraph("ABC", {("A", "C"): 0.0})
         c = Clustering([["A", "B"], ["C"]])
         assert disconnectivity(g, c, ("A", "B"), ("C",)) == 1.0
 
@@ -88,12 +88,12 @@ class TestConnectivityExact:
         g = UncertainGraph(["A"])
         assert block_connectivity(g, ["A"], EXACT).value == 1.0
         # exact whatever the limit and the edges leaving the block
-        g = UncertainGraph.from_probabilities("AB", {("A", "B"): 0.3})
+        g = UncertainGraph("AB", {("A", "B"): 0.3})
         for params in (EXACT, ReliabilityParams(exact_edge_limit=0)):
             assert block_connectivity(g, "A", params) == ConnectivityEstimate(1.0, "exact")
 
     def test_single_edge(self):
-        g = UncertainGraph.from_probabilities("AB", {("A", "B"): 0.8})
+        g = UncertainGraph("AB", {("A", "B"): 0.8})
         assert block_connectivity(g, "AB", EXACT).value == pytest.approx(0.8)
 
     def test_no_edges_means_disconnected(self):
@@ -108,7 +108,7 @@ class TestConnectivityExact:
 
     def test_triangle_closed_form(self):
         p = {("A", "B"): 0.5, ("B", "C"): 0.5, ("A", "C"): 0.5}
-        g = UncertainGraph.from_probabilities("ABC", p)
+        g = UncertainGraph("ABC", p)
         # all three pairs of edges + the full triangle: 3 * 0.125 + 0.125
         assert block_connectivity(g, "ABC", EXACT).value == pytest.approx(0.5)
 
@@ -122,8 +122,7 @@ class TestConnectivityExact:
             assert got.value == pytest.approx(expected, abs=1e-10)
 
     def test_certain_edges_handled(self):
-        g = UncertainGraph.from_probabilities(
-            "ABC", {("A", "B"): 1.0, ("B", "C"): 0.0, ("A", "C"): 0.6})
+        g = UncertainGraph("ABC", {("A", "B"): 1.0, ("B", "C"): 0.0, ("A", "C"): 0.6})
         expected = connectivity_by_enumeration(
             ["A", "B", "C"], dict(g.edge_items()))
         assert block_connectivity(g, "ABC", EXACT).value == pytest.approx(expected)
@@ -175,10 +174,10 @@ class TestPartitionDP:
     @given(dp_blocks())
     @example(UncertainGraph(["m0"]))
     @example(UncertainGraph(["m0", "m1"]))
-    @example(UncertainGraph.from_probabilities(["m0", "m1"], {("m0", "m1"): 0.5}))
-    @example(UncertainGraph.from_probabilities(  # m3 isolated
+    @example(UncertainGraph(["m0", "m1"], {("m0", "m1"): 0.5}))
+    @example(UncertainGraph(  # m3 isolated
         ["m0", "m1", "m2", "m3"], {("m0", "m1"): 0.5, ("m1", "m2"): 1.0}))
-    @example(UncertainGraph.from_probabilities(  # three groups even with a pair
+    @example(UncertainGraph(  # three groups even with a pair
         ["m0", "m1", "m2", "m3"], {("m0", "m1"): 0.5}))
     def test_matches_enumeration_with_every_certain_pair(self, graph):
         members = list(graph.records)
@@ -205,7 +204,7 @@ class TestPartitionDP:
         # one of those may be absent
         n, p = 19, 0.7
         members = [f"m{i:02d}" for i in range(n)]
-        graph = UncertainGraph.from_probabilities(
+        graph = UncertainGraph(
             members, {(members[i], members[j]): q for i, j, q in path_edges(n, p)})
         absent = [(members[i], members[j]) for i in range(n) for j in range(i + 2, n)]
         base, values = pair_connectivity(
@@ -261,11 +260,10 @@ class TestConnectivityMC:
             assert abs(sampled - exact) <= 4 * sigma + 0.01
 
     def test_certain_graph_sampled_exactly(self):
-        g = UncertainGraph.from_probabilities(
-            "ABC", {("A", "B"): 1.0, ("B", "C"): 1.0})
+        g = UncertainGraph("ABC", {("A", "B"): 1.0, ("B", "C"): 1.0})
         est = sampled_connectivity(g, "ABC", ReliabilityParams(mc_samples=50, seed=0))
         assert est.value == 1.0
-        g0 = UncertainGraph.from_probabilities("ABC", {("A", "B"): 1.0})
+        g0 = UncertainGraph("ABC", {("A", "B"): 1.0})
         est0 = sampled_connectivity(g0, "ABC", ReliabilityParams(mc_samples=50, seed=0))
         assert est0.value == 0.0
 
@@ -284,7 +282,7 @@ class TestBlockConnectivity:
 
 class TestPairConnectivity:
     def test_pair_acts_as_certain_edge(self):
-        g = UncertainGraph.from_probabilities("ABC", {("A", "B"): 0.9})
+        g = UncertainGraph("ABC", {("A", "B"): 0.9})
         base, (boosted,) = pair_connectivity(g, "ABC", [("C", "B")], ReliabilityParams())
         assert base == 0.0
         assert boosted == pytest.approx(0.9)
@@ -350,7 +348,7 @@ class TestContraction:
     def test_certain_edges_join_super_vertices(self):
         # A-C certain: {A, C} is vertex 0, numbered by its smallest member;
         # D-E (p = 0) is dropped and the rest keep canonical order
-        g = UncertainGraph.from_probabilities("ABCDE", {
+        g = UncertainGraph("ABCDE", {
             ("A", "C"): 1.0, ("B", "C"): 0.5, ("D", "E"): 0.0,
             ("B", "D"): 0.3, ("C", "E"): 0.7, ("A", "B"): 0.4})
         index, n, edges = _reduced_block(g, "EDCBA")
@@ -360,7 +358,7 @@ class TestContraction:
 
     @settings(max_examples=150, deadline=None)
     @given(contractible_blocks())
-    @example(UncertainGraph.from_probabilities(  # B-C certain, A-C absent
+    @example(UncertainGraph(  # B-C certain, A-C absent
         ["A", "B", "C", "D"], {("A", "B"): 0.5, ("B", "C"): 1.0, ("C", "D"): 1.0,
                                ("A", "D"): 0.0, ("B", "D"): 0.5}))
     def test_contracted_block_priced_exactly_under_the_raw_count(self, graph):
@@ -385,7 +383,7 @@ class TestContraction:
                 assert abs(value - expected) <= 1e-12, (a, b)
 
     def test_sampled_pair_inside_a_super_vertex_is_the_base(self):
-        g = UncertainGraph.from_probabilities("ABCD", {
+        g = UncertainGraph("ABCD", {
             ("A", "B"): 1.0, ("B", "C"): 1.0, ("C", "D"): 0.5, ("A", "D"): 0.5})
         params = ReliabilityParams(exact_edge_limit=1, mc_samples=50, seed=3)
         alone = block_connectivity(g, "ABCD", params)
@@ -436,7 +434,7 @@ class TestReliability:
     def test_all_singletons_reliability(self, running_graph):
         # Every singleton block is trivially connected; every block pair
         # p(e) = 0 edge spanning it is a certain separator.
-        c = Clustering.singletons(running_graph.records)
+        c = Clustering([r] for r in running_graph.records)
         score = reliability(running_graph, c)
         for est in score.block_connectivity:
             assert est.value == 1.0
@@ -445,8 +443,7 @@ class TestReliability:
         # Raising a spanning edge's NO probability cannot hurt the score.
         previous = None
         for p_yes in [0.9, 0.7, 0.5, 0.3, 0.1]:
-            g = UncertainGraph.from_probabilities(
-                "ABC", {("A", "B"): 0.8, ("B", "C"): p_yes})
+            g = UncertainGraph("ABC", {("A", "B"): 0.8, ("B", "C"): p_yes})
             c = Clustering([["A", "B"], ["C"]])
             value = reliability(g, c).value
             if previous is not None:

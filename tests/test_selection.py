@@ -15,7 +15,6 @@ from perc import (
     refresh_after_answer,
     scc_cluster,
     select_batch,
-    select_next,
 )
 from perc.reliability import MAX_EXACT_EDGE_LIMIT, block_connectivity, pair_connectivity
 from perc.selection import PriorityState
@@ -90,8 +89,7 @@ class TestPairPriority:
             pair_priority(running_graph, running_clustering, ("B", "C")).gain
 
     def test_intra_gain_matches_connectivity_ratio(self):
-        g = UncertainGraph.from_probabilities(
-            "ABC", {("A", "B"): 0.9, ("B", "C"): 0.6})
+        g = UncertainGraph("ABC", {("A", "B"): 0.9, ("B", "C"): 0.6})
         c = Clustering([["A", "B", "C"]])
         params = ReliabilityParams()
         cand = pair_priority(g, c, ("A", "C"), params)
@@ -201,8 +199,7 @@ class TestBuildState:
         assert len(state) == 2
 
     def test_representative_is_smallest_absent_spanning_pair(self):
-        g = UncertainGraph.from_probabilities(
-            "ABCD", {("A", "B"): 0.9, ("C", "D"): 0.9, ("A", "C"): 0.1})
+        g = UncertainGraph("ABCD", {("A", "B"): 0.9, ("C", "D"): 0.9, ("A", "C"): 0.1})
         c = Clustering([["A", "B"], ["C", "D"]])
         state = build_state(g, c)
         rep, _ = inter_queue(state)[(("A", "B"), ("C", "D"))]
@@ -211,7 +208,7 @@ class TestBuildState:
     def test_unspanned_block_pairs_are_left_unstored(self):
         records = [f"r{i:03d}" for i in range(200)]
         g = UncertainGraph(records)
-        state = build_state(g, Clustering.singletons(records))
+        state = build_state(g, Clustering([r] for r in records))
         assert state.intra == {} and state.inter == {} and state.spanned == set()
         assert len(state) == 19900
         assert len(state.entries()) == 19900
@@ -220,7 +217,7 @@ class TestBuildState:
             assert select_batch(state, k) == pairs[:k]
 
     def test_unspanned_pair_whose_min_pair_is_not_allowed_is_stored(self):
-        g = UncertainGraph.from_probabilities("ABCD", {("A", "B"): 0.9})
+        g = UncertainGraph("ABCD", {("A", "B"): 0.9})
         c = Clustering([["A", "B"], ["C", "D"]])
         state = build_state(g, c, allowed=frozenset({("B", "D")}))
         top = -math.log10(ReliabilityParams().epsilon)
@@ -235,7 +232,7 @@ class TestBuildState:
         # no edge spans {A,B} x {C,D}, but (A, C) may not be asked, so the
         # pair holds an entry; the next round splits {C,D}, and that entry
         # must go although the pair is in no lost set
-        g = UncertainGraph.from_probabilities("ABCD", {("A", "B"): 0.9})
+        g = UncertainGraph("ABCD", {("A", "B"): 0.9})
         allowed = frozenset({("B", "D"), ("B", "C")})
         state = build_state(g, Clustering([["A", "B"], ["C", "D"]]), allowed=allowed)
         assert set(state.inter) == {(("A", "B"), ("C", "D"))}
@@ -245,11 +242,10 @@ class TestBuildState:
         assert states_equal(state, build_state(grown, split, allowed=allowed))
 
     def test_fully_crowdsourced_graph_has_empty_queue(self):
-        g = UncertainGraph.from_probabilities(
-            "AB", {("A", "B"): 0.9})
+        g = UncertainGraph("AB", {("A", "B"): 0.9})
         state = build_state(g, Clustering([["A", "B"]]))
         assert len(state) == 0
-        assert select_next(state) is None
+        assert select_batch(state, 1) == []
 
     def test_previous_must_match_params_allowed_and_edges(self, running_graph,
                                                            running_clustering):
@@ -264,8 +260,7 @@ class TestBuildState:
         # {A,B,C} survives untouched while E-F merges {D,E} with {F}; at
         # limit 0 both are sampled, and only the new block is priced
         params = ReliabilityParams(mc_samples=50, exact_edge_limit=0)
-        graph = UncertainGraph.from_probabilities(
-            "ABCDEF", {("A", "B"): 0.9, ("B", "C"): 0.8, ("D", "E"): 0.9})
+        graph = UncertainGraph("ABCDEF", {("A", "B"): 0.9, ("B", "C"): 0.8, ("D", "E"): 0.9})
         state = build_state(graph, scc_cluster(graph), params)
         grown = graph.with_edge("E", "F", probability=0.9)
         clustering = scc_cluster(grown)
@@ -309,19 +304,17 @@ class TestBuildState:
 class TestSelectNext:
     def test_running_example_first_question(self, running_graph, running_clustering):
         state = build_state(running_graph, running_clustering)
-        assert select_next(state) == ("E", "H")
+        assert select_batch(state, 1) == [("E", "H")]
 
     def test_ties_break_lexicographically(self):
         # Two block pairs with identical disconnectivity tie on gain.
-        g = UncertainGraph.from_probabilities(
-            "ABCDEF",
-            {("A", "B"): 0.9, ("C", "D"): 0.9, ("E", "F"): 0.9,
-             ("B", "C"): 0.3, ("D", "E"): 0.3})
+        g = UncertainGraph("ABCDEF", {("A", "B"): 0.9, ("C", "D"): 0.9, ("E", "F"): 0.9,
+                                      ("B", "C"): 0.3, ("D", "E"): 0.3})
         c = Clustering([["A", "B"], ["C", "D"], ["E", "F"]])
         state = build_state(g, c)
         # (A,B)x(C,D) and (C,D)x(E,F) share gain; (A,B)x(E,F) is uncovered
         # and clamps far higher, so its representative wins.
-        assert select_next(state) == ("A", "E")
+        assert select_batch(state, 1) == [("A", "E")]
 
     def test_prefers_highest_gain(self, running_graph, running_clustering):
         state = build_state(running_graph, running_clustering)
@@ -344,7 +337,7 @@ class TestSelectBatch:
         # A joins {B, F} through either absent pair, which the certain B-F
         # edge makes certain, so both carry the top gain.  The batch of two
         # stops at the unstored (A, D), after (A, B) but before (A, F)
-        g = UncertainGraph.from_probabilities("ABCDEF", {("B", "F"): 1.0})
+        g = UncertainGraph("ABCDEF", {("B", "F"): 1.0})
         c = Clustering([["A", "B", "F"], ["C"], ["D"], ["E"]])
         assert select_batch(build_state(g, c), 2) == [("A", "B"), ("A", "C")]
         assert select_batch(build_state(g, c), 5) == [
@@ -386,18 +379,14 @@ class TestSelectBatch:
         select_batch(build_state(running_graph, running_clustering), 2)
         assert sorted(priced) == [(("A", "B"), ("C", "D")), (("E", "F"), ("G", "H"))]
 
-    def test_batch_one_equals_select_next(self):
+    def test_batch_one_is_the_best_entry(self):
         rng = np.random.default_rng(67)
         for _ in range(25):
             g = random_small_graph(rng, n_min=3, n_max=7)
             c = Clustering([list(g.records)[:2], list(g.records)[2:]]) \
                 if len(g.records) > 2 else Clustering([list(g.records)])
             state = build_state(g, c)
-            nxt = select_next(state)
-            if nxt is None:
-                assert select_batch(state, 1) == []
-            else:
-                assert select_batch(state, 1) == [nxt]
+            assert select_batch(state, 1) == [entry.pair for entry in state.entries()[:1]]
 
     def test_batch_caps_at_population(self, running_graph, running_clustering):
         state = build_state(running_graph, running_clustering)
@@ -450,8 +439,7 @@ class TestSelectBatch:
             state.gain(("A", "E"))  # every pair across these blocks was asked
         # an asked pair in a block with absent pairs left, and a pair in a
         # block with none left, which has no per-block entry
-        g = UncertainGraph.from_probabilities(
-            "ABCDE", {("A", "B"): 0.9, ("B", "C"): 0.8, ("D", "E"): 0.7})
+        g = UncertainGraph("ABCDE", {("A", "B"): 0.9, ("B", "C"): 0.8, ("D", "E"): 0.7})
         state = build_state(g, Clustering([["A", "B", "C"], ["D", "E"]]))
         with pytest.raises(KeyError):
             state.gain(("A", "B"))
@@ -487,9 +475,8 @@ class TestRefreshAfterAnswer:
             before[(("A", "B"), ("C", "D"))]
 
     def test_intra_answer_reprices_only_that_block(self):
-        g = UncertainGraph.from_probabilities(
-            "ABCDE", {("A", "B"): 0.9, ("B", "C"): 0.8, ("D", "E"): 0.7,
-                      ("C", "D"): 0.2})
+        g = UncertainGraph("ABCDE", {("A", "B"): 0.9, ("B", "C"): 0.8, ("D", "E"): 0.7,
+                                     ("C", "D"): 0.2})
         c = Clustering([["A", "B", "C"], ["D", "E"]])
         state = build_state(g, c)
         g2 = g.with_edge("A", "C", probability=0.6)
@@ -499,9 +486,8 @@ class TestRefreshAfterAnswer:
     def test_round_prices_each_touched_block_once(self, monkeypatch):
         # three answers inside {A..E} in one graph update; folding them in
         # one at a time priced the block three times
-        g = UncertainGraph.from_probabilities(
-            "ABCDEFG", {("A", "B"): 0.9, ("B", "C"): 0.8, ("C", "D"): 0.9,
-                        ("D", "E"): 0.7, ("E", "F"): 0.1, ("F", "G"): 0.9})
+        g = UncertainGraph("ABCDEFG", {("A", "B"): 0.9, ("B", "C"): 0.8, ("C", "D"): 0.9,
+                                       ("D", "E"): 0.7, ("E", "F"): 0.1, ("F", "G"): 0.9})
         c = Clustering([["A", "B", "C", "D", "E"], ["F", "G"]])
         state = build_state(g, c)
         grown = g
@@ -523,8 +509,7 @@ class TestRefreshAfterAnswer:
         # has the top gain and its representative (A, D) comes first.  Once
         # (A, D) is answered at 1/2 the pair is marked at a lower gain, and
         # its old entry must not outrank the unstored (A, E)
-        g = UncertainGraph.from_probabilities(
-            "ABCDEF", {("A", "B"): 0.9, ("C", "D"): 0.9, ("A", "C"): 1.0})
+        g = UncertainGraph("ABCDEF", {("A", "B"): 0.9, ("C", "D"): 0.9, ("A", "C"): 1.0})
         c = Clustering([["A", "B"], ["C", "D"], ["E"], ["F"]])
         state = build_state(g, c)
         assert select_batch(state, 1) == [("A", "D")]
@@ -547,11 +532,8 @@ class TestRefreshAfterAnswer:
             recs = list(g.records)
             c = Clustering([recs[: len(recs) // 2], recs[len(recs) // 2:]])
             state = build_state(g, c)
-            while True:
-                pair = select_next(state)
-                if pair is None:
-                    break
-                g = g.with_edge(*pair, probability=float(rng.random()))
+            while batch := select_batch(state, 1):
+                g = g.with_edge(*batch[0], probability=float(rng.random()))
                 refresh_after_answer(state, g, c)
                 assert states_equal(state, build_state(g, c))
             assert list(g.absent_pairs()) == []
