@@ -119,8 +119,10 @@ def scc_cluster(graph: UncertainGraph, previous: Clustering | None = None) -> Cl
     edge new since that carry once (with no carry, as for a hand-built
     ``previous``, every record starts alone and every edge is new): one
     inside a component marks it, one with p > 1/2 across two joins them,
-    and only joined and marked components agglomerate again.  Every other
-    keeps its edges and blocks, so the result equals a call without it.
+    and only joined and marked components agglomerate again; a join
+    relabels the side with fewer blocks in a copy of the component map.
+    Every other component keeps its edges and blocks, so the result equals
+    a call without it, and ``previous`` is never changed.
     Its blocks are disjoint sorted tuples, so the result is built from
     them as they stand (Clustering._from_sorted), only their list sorted.
     """
@@ -136,45 +138,30 @@ def scc_cluster(graph: UncertainGraph, previous: Clustering | None = None) -> Cl
         component = dict(old_component)
         blocks_of = dict(old_blocks)
 
-    # a union-find over only the keys joins touch: up maps a joined key to
-    # its parent, size a root to its key count (smaller tree under larger)
-    marked = set()
-    up: dict[int, int] = {}
-    size: dict[int, int] = {}
+    dirty = set()  # the keys of joined and marked components
     for (a, b), p in new_edges:
         ka, kb = component[a], component[b]
-        if ka == kb:
-            marked.add(ka)
-        elif p > 0.5:
-            while ka in up:
-                ka = up[ka]
-            while kb in up:
-                kb = up[kb]
-            if ka != kb:
-                if size.get(ka, 1) < size.get(kb, 1):
-                    ka, kb = kb, ka
-                up[kb] = ka
-                size[ka] = size.get(ka, 1) + size.pop(kb, 1)
-    # each marked or joined key once, under its root: no block gathered twice
-    dirty: dict[int, list[int]] = {}
-    for key in marked.union(up, size):
-        root = key
-        while root in up:
-            root = up[root]
-        dirty.setdefault(root, []).append(key)
-    members_of = {root: sorted([r for key in keys for block in blocks_of.pop(key) for r in block])
-                  for root, keys in dirty.items()}
-    for root, members in members_of.items():
-        component.update(dict.fromkeys(members, root))
+        if ka != kb:
+            if p <= 0.5:
+                continue
+            if len(blocks_of[ka]) < len(blocks_of[kb]):
+                ka, kb = kb, ka
+            moved = blocks_of.pop(kb)
+            component.update((r, ka) for block in moved for r in block)
+            # a new list: the carried lists are the previous result's
+            blocks_of[ka] = blocks_of[ka] + moved
+            dirty.discard(kb)
+        dirty.add(ka)
     # one pass over the edges hands each dirty component its own: linear in
     # the edges, where edges_within would look up every member pair
-    edges_in: dict[int, list[tuple[Pair, float]]] = {root: [] for root in dirty}
+    edges_in: dict[int, list[tuple[Pair, float]]] = {key: [] for key in dirty}
     for (a, b), p in graph.edges.items():
         key = component[a]
         if key in edges_in and component[b] == key:
             edges_in[key].append(((a, b), p))
-    for root, members in members_of.items():
-        blocks_of[root] = _agglomerate(members, edges_in[root])
+    for key, edges in edges_in.items():
+        members = sorted([r for block in blocks_of[key] for r in block])
+        blocks_of[key] = _agglomerate(members, edges)
 
     result = Clustering._from_sorted(block for blocks in blocks_of.values() for block in blocks)
     result._carry = (graph, component, blocks_of)

@@ -12,6 +12,7 @@ the same.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import math
@@ -34,11 +35,14 @@ _PLAIN_NUMBER = re.compile(r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?")
 
 
 def read_text(path) -> str:
-    """The file as UTF-8 text; a byte that is not UTF-8, or a NUL byte, is
+    """The file as UTF-8 text, less a leading byte-order mark (as
+    spreadsheet exports write); a byte that is not UTF-8, or a NUL byte, is
     reported with the physical line it is on.  A path that cannot be read
     raises open()'s OSError, worded alike for a str and a Path."""
     with open(path, "rb", buffering=0) as fh:  # one read: no buffer to fill
-        data = fh.read()
+        # cut before decoding, as "utf-8-sig" would, but so that error
+        # offsets still count from the file's first byte
+        data = fh.read().removeprefix(codecs.BOM_UTF8)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -261,13 +265,6 @@ def write_curve_csv(path, curve: list[MetricsSnapshot]) -> None:
     _write_csv(path, CURVE_HEADER, ([snap.questions_asked, repr(snap.precision),
                                      repr(snap.recall), repr(snap.f1),
                                      repr(snap.reliability), snap.blocks] for snap in curve))
-
-
-def read_curve_csv(path) -> list[MetricsSnapshot]:
-    return [MetricsSnapshot(questions_asked=int(row[0]), precision=float(row[1]),
-                            recall=float(row[2]), f1=float(row[3]),
-                            reliability=float(row[4]), blocks=int(row[5]))
-            for _, row in _csv_rows(read_text(path), path, CURVE_HEADER)]
 
 
 def load_graph(records_path, votes_path) -> UncertainGraph:

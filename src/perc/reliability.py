@@ -53,6 +53,14 @@ BlockPairKey = tuple[Block, Block]
 # 2-vCPU Xeon VM.  CHANGES.md has the measurements.
 MAX_EXACT_EDGE_LIMIT = 25
 
+# the largest mc_samples accepted.  The sampler's time grows linearly with
+# it; on random connected 10-record blocks with 25 uncertain edges (sampled
+# when pricing pairs at the largest exact_edge_limit) the slowest
+# pair_connectivity call this limit allows took 1.7 s with all 20
+# candidates priced, on a 2-vCPU Xeon VM.  A sampled probability's standard
+# error is then at most 0.005.
+MAX_MC_SAMPLES = 10_000
+
 
 @dataclass(frozen=True)
 class ReliabilityParams:
@@ -61,9 +69,10 @@ class ReliabilityParams:
     exact_edge_limit is the largest count of uncertain intra-block edges
     (0 < p < 1, left once the certain edges are contracted) handed to the
     exact solver, at most MAX_EXACT_EDGE_LIMIT (25); above it the Monte
-    Carlo estimator with mc_samples worlds takes over.  epsilon is the clamp
-    floor for zero-probability components.  seed is the master seed that all
-    sampling streams are derived from.
+    Carlo estimator with mc_samples worlds (at most MAX_MC_SAMPLES, 10,000)
+    takes over.  epsilon is the clamp floor for zero-probability
+    components.  seed is the master seed that all sampling streams are
+    derived from.
     """
 
     mc_samples: int = 1000
@@ -74,6 +83,9 @@ class ReliabilityParams:
     def __post_init__(self):
         if self.mc_samples < 1:
             raise ConfigError("mc_samples", f"mc_samples must be positive, got {self.mc_samples}")
+        if self.mc_samples > MAX_MC_SAMPLES:
+            raise ConfigError("mc_samples", f"mc_samples must be <= {MAX_MC_SAMPLES}, "
+                                            f"got {self.mc_samples}")
         if not 0.0 < self.epsilon < 1e-3:
             raise ConfigError("epsilon", f"epsilon must sit in (0, 1e-3), got {self.epsilon}")
         if self.exact_edge_limit < 0:
@@ -112,7 +124,9 @@ class ReliabilityScore:
     unspanned pairs (d = 0) included.  block_connectivity follows
     clustering.blocks; pair_disconnectivity holds the spanned block pairs
     only, keyed (bj, bk) for j < k in clustering.blocks, so a pair missing
-    from it has d = 0.
+    from it has d = 0.  It is read from the one table the score keeps and
+    carries to the next, (d, log10 d) for each spanned pair, as
+    Changes.priced hands them over.
     """
 
     value: float
@@ -120,12 +134,14 @@ class ReliabilityScore:
     disconnectivity_log: float
     clamped: int
     block_connectivity: tuple[ConnectivityEstimate, ...]
-    pair_disconnectivity: dict[BlockPairKey, float]
+    _pairs: dict[BlockPairKey, tuple[float, float]]
     graph: UncertainGraph = field(compare=False, repr=False)
     clustering: Clustering = field(compare=False, repr=False)
     params: ReliabilityParams = field(compare=False, repr=False)
-    # log10 d of each spanned pair with d >= epsilon, carried to the next score
-    _pair_logs: dict[BlockPairKey, float] = field(compare=False, repr=False)
+
+    @property
+    def pair_disconnectivity(self) -> dict[BlockPairKey, float]:
+        return {key: d for key, (d, _) in self._pairs.items()}
 
 
 def _check_block(clustering: Clustering, block) -> Block:
@@ -160,8 +176,7 @@ def disconnectivity(graph: UncertainGraph, clustering: Clustering,
     return _disconnected(graph.edges_between(bj, bk))
 
 
-def _reduced_block(graph: UncertainGraph, block,
-                   intra: list | None = None) -> tuple[dict[str, int], int, list]:
+def _reduced_block(graph: UncertainGraph, block) -> tuple[dict[str, int], int, list]:
     """The block with its certain edges contracted: sorted member ->
     super-vertex, the super-vertex count, and the edges left as
     (vertex, vertex, p) in canonical order.  The p = 1 edges join members
@@ -172,8 +187,7 @@ def _reduced_block(graph: UncertainGraph, block,
     if not members:
         raise ValueError("block is empty")
     position = {r: i for i, r in enumerate(members)}
-    if intra is None:
-        intra = graph.edges_within(members)
+    intra = graph.edges_within(members)
     uf = UnionFind(len(members))
     for (a, b), p in intra:
         if p == 1.0:
@@ -364,8 +378,8 @@ def block_connectivity(graph: UncertainGraph, block,
                                 samples=params.mc_samples, seed=seed)
 
 
-def pair_connectivity(graph: UncertainGraph, block, pairs, params: ReliabilityParams,
-                      intra: list | None = None) -> tuple[float, list[float]]:
+def pair_connectivity(graph: UncertainGraph, block, pairs,
+                      params: ReliabilityParams) -> tuple[float, list[float]]:
     """c(block) and c(block + certain pair) for each pair, by one method.
 
     The method is picked once, from the uncertain edge count after
@@ -378,9 +392,9 @@ def pair_connectivity(graph: UncertainGraph, block, pairs, params: ReliabilityPa
     the one block_connectivity samples it from: the base on the block's
     edges and each pair on those plus the pair at probability 1.  A pair
     inside one super-vertex gets exactly the base.  Raises ValueError for
-    a pair outside the block.  intra is graph.edges_within(block), if known.
+    a pair outside the block.
     """
-    index, n, edges = _reduced_block(graph, block, intra)
+    index, n, edges = _reduced_block(graph, block)
     pair_edges = [_pair_index(index, pair) for pair in pairs]
     if solved_exactly(len(edges) + 1, params):
         connected, split = _partition_dp(n, edges, 2)
@@ -403,9 +417,9 @@ class Changes:
     clustering's blocks the old one lacks (fresh); the blocks a new edge
     lies inside; and, found on first read, the block pairs to price again
     with their spanning edges (spans), with their disconnectivities and
-    logs (priced), the intra edges of each new block (within), and the
-    old block pairs with a gone block (dropped), of which an edge spans
-    those in lost.  Every carried table is keyed by block or block pair as
+    logs (priced), and the old block pairs with a gone block (dropped), of
+    which an edge spans those in lost; a new block's intra edges are read
+    from the graph.  Every carried table is keyed by block or block pair as
     these are, so it changes by key; one of spanned pairs only drops lost.
     previous, the old clustering, is read only once a block is gone."""
 
@@ -423,8 +437,8 @@ class Changes:
         return cls([], frozenset(), frozenset(clustering.blocks), set(), graph, clustering)
 
     @cached_property
-    def _walk(self) -> tuple[dict[BlockPairKey, list], dict[Block, list], set[BlockPairKey]]:
-        # spans, within and lost, from one walk on first read
+    def _walk(self) -> tuple[dict[BlockPairKey, list], set[BlockPairKey]]:
+        # spans and lost, from one walk on first read
         graph, owner, fresh = self.graph, self.clustering._owner, self.fresh
         spans: dict[BlockPairKey, list] = {}
         for a, b in self.added:
@@ -435,13 +449,12 @@ class Changes:
                     spans[key] = graph.edges_between(*key)
         lost: set[BlockPairKey] = set()
         if not fresh:
-            return spans, {}, lost
+            return spans, lost
         items = graph.edges.items()
         if len(fresh) < len(self.clustering.blocks):
             # the fresh blocks hold the gone blocks' records, so every lost pair is met
             members = {r for block in fresh for r in block}
             items = [(pair, p) for pair, p in items if pair[0] in members or pair[1] in members]
-        within: dict[Block, list] = {block: [] for block in fresh if len(block) > 1}
         old = self.previous._owner if self.gone else None
         for edge in items:
             a, b = edge[0]
@@ -450,7 +463,6 @@ class Changes:
             ba = owner[a]
             bb = owner[b]
             if ba is bb:
-                within[ba].append(edge)
                 continue
             key = (ba, bb) if ba < bb else (bb, ba)
             span = spans.get(key)
@@ -458,9 +470,9 @@ class Changes:
                 spans[key] = [edge]
             else:
                 span.append(edge)
-        for span in (*spans.values(), *within.values()):
+        for span in spans.values():
             span.sort()
-        return spans, within, lost
+        return spans, lost
 
     @property
     def spans(self) -> dict[BlockPairKey, list[tuple[Pair, float]]]:
@@ -471,15 +483,9 @@ class Changes:
         return self._walk[0]
 
     @property
-    def within(self) -> dict[Block, list[tuple[Pair, float]]]:
-        """Each new block of two or more members with its intra edges in
-        canonical order, as edges_within, from the walk that finds spans."""
-        return self._walk[1]
-
-    @property
     def lost(self) -> set[BlockPairKey]:
         """Each old block pair with a gone block that an edge spans."""
-        return self._walk[2]
+        return self._walk[1]
 
     @cached_property
     def dropped(self) -> list[BlockPairKey]:
@@ -556,8 +562,7 @@ def reliability(graph: UncertainGraph, clustering: Clustering,
     epsilon = params.epsilon
     blocks = clustering.blocks
     carried: dict[Block, ConnectivityEstimate] = {}
-    pairs: dict[BlockPairKey, float] = {}
-    logs: dict[BlockPairKey, float] = {}
+    pairs: dict[BlockPairKey, tuple[float, float]] = {}
     if previous is None:
         changes = Changes.from_scratch(graph, clustering)
     else:
@@ -566,17 +571,10 @@ def reliability(graph: UncertainGraph, clustering: Clustering,
         if changes is None:
             changes = changes_since(previous.graph, previous.clustering, graph, clustering)
         carried = dict(zip(previous.clustering.blocks, previous.block_connectivity))
-        pairs = dict(previous.pair_disconnectivity)
-        logs = dict(previous._pair_logs)
+        pairs = dict(previous._pairs)
         for key in changes.lost:
-            if pairs.pop(key, None) is not None:
-                logs.pop(key, None)
-    for key, (d, log) in changes.priced.items():
-        pairs[key] = d
-        if d >= epsilon:
-            logs[key] = log
-        else:
-            logs.pop(key, None)
+            pairs.pop(key, None)
+    pairs.update(changes.priced)
 
     estimates = []
     connect_logs = []
@@ -591,10 +589,11 @@ def reliability(graph: UncertainGraph, clustering: Clustering,
             connect_logs.append(math.log10(est.value))
         else:
             clamped += 1
+    disconnect_logs = [log for d, log in pairs.values() if d >= epsilon]
     # spanned pairs below epsilon and every unspanned pair
-    clamped += len(blocks) * (len(blocks) - 1) // 2 - len(logs)
+    clamped += len(blocks) * (len(blocks) - 1) // 2 - len(disconnect_logs)
     connectivity_log = math.fsum(connect_logs)
-    disconnectivity_log = math.fsum(logs.values())
+    disconnectivity_log = math.fsum(disconnect_logs)
     return ReliabilityScore(
         value=math.fsum((connectivity_log, disconnectivity_log,
                          clamped * math.log10(epsilon))),
@@ -602,6 +601,5 @@ def reliability(graph: UncertainGraph, clustering: Clustering,
         disconnectivity_log=disconnectivity_log,
         clamped=clamped,
         block_connectivity=tuple(estimates),
-        pair_disconnectivity=pairs,
-        graph=graph, clustering=clustering, params=params,
-        _pair_logs=logs)
+        _pairs=pairs,
+        graph=graph, clustering=clustering, params=params)

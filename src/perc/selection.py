@@ -72,10 +72,12 @@ class PriorityState:
     representative and shared gain.  The state keeps them by the keys
     Changes names a round's change by: _intra maps each priced block with
     an absent pair to its {pair: gain}, as _inter maps block pairs, so a
-    changed block goes with one pop.  allowed (when set) restricts
-    candidates to a fixed pair set, used in replay mode.  Reading intra,
-    inter, entries() or len() prices every marked entry first (see the
-    module docstring).
+    changed block goes with one pop.  Marked entries wait in _blocks, the
+    set of marked blocks, whose intra edges are read from the graph when
+    priced, and _pairs, each marked block pair with its gain.  allowed
+    (when set) restricts candidates to a fixed pair set, used in replay
+    mode.  Reading intra, inter, entries() or len() prices every marked
+    entry first (see the module docstring).
     """
 
     __slots__ = ("graph", "clustering", "params", "spanned", "allowed", "_intra", "_inter",
@@ -90,9 +92,9 @@ class PriorityState:
         self._intra: dict[Block, dict[Pair, float]] = {}
         self._inter: dict[BlockPairKey, tuple[Pair, float]] = {}
         self.spanned: set[BlockPairKey] = set()
-        # marked, not yet priced: each block of two or more members, with
-        # its intra edges when known, and each block pair, with its gain
-        self._blocks: dict[Block, list | None] = {}
+        # marked, not yet priced: each block of two or more members, and
+        # each block pair, with its gain
+        self._blocks: set[Block] = set()
         self._pairs: dict[BlockPairKey, float] = {}
 
     @property
@@ -108,7 +110,7 @@ class PriorityState:
     def _price_block(self, block: Block) -> dict[Pair, float]:
         """Price a marked block; stores and returns its {pair: gain}, and
         stores nothing once no absent pair is left to ask."""
-        edges = self._blocks.pop(block)
+        self._blocks.remove(block)
         # the block is sorted, so each (a, b) is canonical
         asked, allowed = self.graph.edges, self.allowed
         pairs = [(a, b) for i, a in enumerate(block) for b in block[i + 1:]
@@ -116,7 +118,7 @@ class PriorityState:
         if not pairs:
             return {}
         self._intra[block] = priced = dict(
-            zip(pairs, _intra_gains(self.graph, block, pairs, self.params, edges)))
+            zip(pairs, _intra_gains(self.graph, block, pairs, self.params)))
         return priced
 
     def _price_pair(self, key: BlockPairKey) -> tuple[Pair, float] | None:
@@ -186,10 +188,9 @@ class PriorityState:
 
 
 def _intra_gains(graph: UncertainGraph, block: Block, pairs: list[Pair],
-                 params: ReliabilityParams, intra: list | None = None) -> list[float]:
-    """log10 c(block + certain pair) - log10 c(block) for each pair; intra
-    as pair_connectivity takes it."""
-    base, values = pair_connectivity(graph, block, pairs, params, intra)
+                 params: ReliabilityParams) -> list[float]:
+    """log10 c(block + certain pair) - log10 c(block) for each pair."""
+    base, values = pair_connectivity(graph, block, pairs, params)
     floor = log10_clamped(base, params.epsilon)
     return [log10_clamped(value, params.epsilon) - floor for value in values]
 
@@ -222,16 +223,14 @@ def pair_priority(graph: UncertainGraph, clustering: Clustering, pair: Pair,
 
 def _mark(state: PriorityState, changes: Changes) -> None:
     """Mark for pricing what the state's carried entries lack for its
-    clustering: the candidates of each new or touched block (with a new
-    block's intra edges from changes.within), the block pairs in
-    changes.priced (with the gain their log gives), and the unspanned
-    pairs with a new block whose (min, min) pair may not be asked."""
+    clustering: the candidates of each new or touched block, the block
+    pairs in changes.priced (with the gain their log gives), and the
+    unspanned pairs with a new block whose (min, min) pair may not be
+    asked."""
     allowed, spanned, epsilon = state.allowed, state.spanned, state.params.epsilon
-    fresh, priced, within = changes.fresh, changes.priced, changes.within
+    fresh, priced = changes.fresh, changes.priced
     spanned.update(priced)
-    for block in changes.touched | fresh:
-        if len(block) > 1:
-            state._blocks[block] = within.get(block)
+    state._blocks.update(block for block in changes.touched | fresh if len(block) > 1)
     top = _inter_gain(0.0, state.params)
     # _inter_gain(d) is -log10 d from d = epsilon up
     marked = {key: -log if d >= epsilon else top for key, (d, log) in priced.items()}
@@ -291,7 +290,7 @@ def refresh_after_answer(state: PriorityState, graph: UncertainGraph,
         changes = changes_since(state.graph, state.clustering, graph, clustering)
     for block in (*changes.touched, *changes.gone):
         state._intra.pop(block, None)
-        state._blocks.pop(block, None)
+        state._blocks.discard(block)
     for key in changes.lost if state.allowed is None else changes.dropped:
         state._inter.pop(key, None)
         state._pairs.pop(key, None)

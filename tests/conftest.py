@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 
 from perc import Clustering, UncertainGraph, VoteTally
+from perc.fileio import CURVE_HEADER, _csv_rows, read_text
+from perc.harness import MetricsSnapshot
 
 EIGHT = list("ABCDEFGH")
 
@@ -66,6 +68,15 @@ def trio_graph() -> UncertainGraph:
 @pytest.fixture
 def trio_clustering() -> Clustering:
     return Clustering([("A", "B", "C"), ("D",)])
+
+
+def read_curve_csv(path) -> list[MetricsSnapshot]:
+    """The snapshots of a curve.csv that write_curve_csv wrote, read through
+    the library's checked CSV reader."""
+    return [MetricsSnapshot(questions_asked=int(row[0]), precision=float(row[1]),
+                            recall=float(row[2]), f1=float(row[3]),
+                            reliability=float(row[4]), blocks=int(row[5]))
+            for _, row in _csv_rows(read_text(path), path, CURVE_HEADER)]
 
 
 def world_product(edges: dict, present: set) -> float:

@@ -24,7 +24,6 @@ from perc.cli import build_parser, main, read_config_file
 from perc.fileio import (
     load_graph,
     read_clusters_csv,
-    read_curve_csv,
     read_gold_csv,
     read_records_csv,
     write_clusters_csv,
@@ -34,7 +33,7 @@ from perc.fileio import (
 )
 from perc.reliability import pair_connectivity
 
-from conftest import EIGHT, RUNNING_BLOCKS, running_vote_rows
+from conftest import EIGHT, RUNNING_BLOCKS, read_curve_csv, running_vote_rows
 
 
 @pytest.fixture
@@ -209,6 +208,15 @@ class TestNext:
         assert code == 1
         assert capsys.readouterr().err == \
             "error: exact_edge_limit must be <= 25, got 10000\n"
+
+    def test_mc_samples_above_cap_exits_one(self, running_files, capsys):
+        # the sampler's time grows linearly with its samples, so they are capped
+        records, votes = running_files
+        code = main(["next", "--graph", str(votes), "--records", str(records),
+                     "--mc-samples", "1000000000000"])
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", "error: mc_samples must be <= 10000, got 1000000000000\n")
 
 
 class TestParserReuse:
@@ -477,6 +485,17 @@ class TestRun:
             "", "error: workers_per_pair must be <= 1000, got 100000000000\n")
         assert not (tmp_path / "out").exists()
 
+    def test_oversized_mc_samples_flag_exits_one(self, tmp_path, capsys):
+        world = self.world(tmp_path)
+        capsys.readouterr()
+        code = main(["run", "--records", str(world / "records.csv"),
+                     "--gold", str(world / "gold.csv"), "--mc-samples", "1000000000000",
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", "error: mc_samples must be <= 10000, got 1000000000000\n")
+        assert not (tmp_path / "out").exists()
+
     def test_missing_answer_source_fails(self, tmp_path, capsys):
         world = self.world(tmp_path)
         code = main(["run", "--records", str(world / "records.csv")])
@@ -563,11 +582,12 @@ class TestConfigFile:
         ("workers = 100000000000", "workers_per_pair must be <= 1000, got 100000000000"),
         ("error_rate = 2.0", "error rate 2.0 outside [0, 1]"),
         ("mc_samples = 0", "mc_samples must be positive, got 0"),
+        ("mc_samples = 1000000000000", "mc_samples must be <= 10000, got 1000000000000"),
         ("epsilon = 0.5", "epsilon must sit in (0, 1e-3), got 0.5"),
         ("exact_edge_limit = -1", "exact_edge_limit must be >= 0, got -1"),
         ("exact_edge_limit = 10000", "exact_edge_limit must be <= 25, got 10000"),
     ], ids=["budget", "strategy", "initial", "eval-every", "workers", "workers-cap",
-            "error-rate", "mc-samples", "epsilon", "exact-edge-limit",
+            "error-rate", "mc-samples", "mc-samples-cap", "epsilon", "exact-edge-limit",
             "exact-edge-limit-cap"])
     def test_rejected_value_names_file_and_line(self, tmp_path, capsys, line, message):
         main(["synth", "--entities", "2", "--records", "4", "--out", str(tmp_path)])

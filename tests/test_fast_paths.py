@@ -368,14 +368,13 @@ def test_edges_between_equals_a_filter_over_every_edge(graph, data):
 @ORACLE
 @given(graphs_with_clusterings(fractions=ROUNDING_FRACTIONS), st.data())
 def test_spanning_edges_equal_disconnectivity(case, data):
-    """The one edge pass lists each block pair's spanning edges and each
-    block's intra edges in canonical order, the order of a filter over
-    every edge and of edges_within, and disconnectivity multiplies them in
-    that order."""
+    """The one edge pass lists each block pair's spanning edges in
+    canonical order, the order of a filter over every edge, and
+    disconnectivity multiplies them in that order."""
     graph, clustering = case
     blocks = data.draw(st.sets(st.sampled_from(clustering.blocks), min_size=1), label="blocks")
     changes = Changes([], frozenset(), frozenset(blocks), set(), graph, clustering)
-    spans, within = changes.spans, changes.within
+    spans = changes.spans
     assert set(spans) <= {(bj, bk) for bj, bk in itertools.combinations(clustering.blocks, 2)
                           if bj in blocks or bk in blocks}
     for bj, bk in itertools.combinations(clustering.blocks, 2):
@@ -388,15 +387,13 @@ def test_spanning_edges_equal_disconnectivity(case, data):
         assert d == 1.0 - math.prod(p for _, p in spanning)
         assert d == disconnectivity(graph, clustering, bj, bk)
         assert span is None or span == spanning
-    assert within == {block: graph.edges_within(block) for block in blocks if len(block) > 1}
 
 
 def assert_changes_match_reference(changes, old_graph, old):
     """changes.spans and changes.priced hold exactly the block pairs of two
     old blocks whose spanning edges changed and the spanned pairs with a
     new block; each span is filtered_span's list, priced at
-    disconnectivity's value and its math.log10, and within lists each new
-    block's edges.  Of the old clustering's block pairs with a gone block
+    disconnectivity's value and its math.log10.  Of the old clustering's block pairs with a gone block
     (none from scratch, where old is None), dropped lists each once and
     lost holds those an edge of the new graph spans."""
     graph, clustering = changes.graph, changes.clustering
@@ -418,8 +415,6 @@ def assert_changes_match_reference(changes, old_graph, old):
         assert d == 1.0 - math.prod(p for _, p in span)
         assert d == disconnectivity(graph, clustering, bj, bk)
         assert log == (math.log10(d) if d > 0.0 else -math.inf)
-    assert changes.within == {block: graph.edges_within(block)
-                              for block in fresh if len(block) > 1}
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,5 +1,6 @@
 """CSV readers and writers: round trips and error reporting."""
 
+import codecs
 import csv
 from unittest import mock
 
@@ -10,11 +11,10 @@ from hypothesis import strategies as st
 from perc import Clustering, GoldClustering, UncertainGraph, VoteTally
 from perc.harness import MetricsSnapshot
 import perc.fileio
-from perc.cli import main
+from perc.cli import main, read_config_file
 from perc.fileio import (
     load_graph,
     read_clusters_csv,
-    read_curve_csv,
     read_gold_csv,
     read_records_csv,
     read_votes_csv,
@@ -24,6 +24,8 @@ from perc.fileio import (
     write_records_csv,
     write_votes_csv,
 )
+
+from conftest import read_curve_csv
 
 
 class TestRecordsCsv:
@@ -289,18 +291,56 @@ class TestNotUtf8:
 
     @pytest.mark.parametrize("reader, data, line", [
         (read_records_csv, b"record_id\na\nb\xe9\n", 3),
+        (read_records_csv, b"\xef\xbb\xbfrecord_id\na\nb\xe9\n", 3),
         (read_votes_csv, b'record_a,record_b,yes,total\na,"b\nc",1,5\nc,d\xe9,1,5\n', 4),
         (read_gold_csv, b"record_id,entity_id\na,x\nb,\xe9\n", 3),
         (read_clusters_csv, b"record_id,cluster_id\r\na,a\r\n\xffb,a\r\n", 3),
         (read_curve_csv, b"questions_asked,precision,recall,f1,reliability,blocks\n"
                          b"0,0.0,0.0,0.0,-1.0,2\n\xe9", 3),
-    ], ids=["records", "votes", "gold", "clusters", "curve"])
+    ], ids=["records", "records-after-a-mark", "votes", "gold", "clusters", "curve"])
     def test_bad_byte_names_file_and_line(self, tmp_path, reader, data, line):
         path = tmp_path / "file.csv"
         path.write_bytes(data)
         with pytest.raises(ValueError) as exc:
             reader(path)
         assert str(exc.value) == f"{path}:{line}: not UTF-8 text"
+
+
+class TestByteOrderMark:
+    """A leading UTF-8 byte-order mark, as spreadsheet exports write, is
+    dropped: every file reads the same with and without it."""
+
+    READERS = {
+        "records": ("records.csv", lambda d: read_records_csv(d / "records.csv")),
+        "votes": ("votes.csv", lambda d: read_votes_csv(d / "votes.csv", ["a", "b", "c"])),
+        "graph": ("votes.csv", lambda d: list(load_graph(d / "records.csv",
+                                                          d / "votes.csv").edges.items())),
+        "gold": ("gold.csv", lambda d: read_gold_csv(d / "gold.csv").entity),
+        "clusters": ("clusters.csv", lambda d: read_clusters_csv(d / "clusters.csv")),
+        "config": ("run.cfg", lambda d: read_config_file(d / "run.cfg")),
+    }
+
+    # records and votes files may take the plain-row path or csv.reader's
+    @pytest.mark.parametrize("reader, checked", [
+        ("records", False), ("records", True), ("votes", False), ("votes", True),
+        ("graph", False), ("graph", True), ("gold", True), ("clusters", True),
+        ("config", True),
+    ], ids=["records-plain", "records-checked", "votes-plain", "votes-checked", "graph-plain",
+            "graph-checked", "gold", "clusters", "config"])
+    def test_file_reads_the_same_with_the_mark(self, tmp_path, reader, checked):
+        write_records_csv(tmp_path / "records.csv", ["a", "b", "c"])
+        write_votes_csv(tmp_path / "votes.csv", [(("a", "b"), VoteTally(2, 3)),
+                                                 (("b", "c"), VoteTally(0, 3))])
+        write_gold_csv(tmp_path / "gold.csv", GoldClustering({"a": "x", "b": "x", "c": "y"}))
+        write_clusters_csv(tmp_path / "clusters.csv", Clustering([["a", "b"], ["c"]]))
+        (tmp_path / "run.cfg").write_text("budget = 12  # comment\nseed = 4\n")
+        name, read = self.READERS[reader]
+        with mock.patch.object(perc.fileio, "_plain_split",
+                               (lambda *args: None) if checked else perc.fileio._plain_split):
+            without = read(tmp_path)
+            path = tmp_path / name
+            path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+            assert read(tmp_path) == without
 
 
 PLAIN_IDS = ["r0", "r1", "r2", "r3"]

@@ -186,7 +186,7 @@ class TestUncertainGraph:
         assert len(items) == len(RUNNING_EDGES)
 
 
-class TestIngestVotes:
+class TestWithEdges:
     """Vote tallies ingested as UncertainGraph(records).with_edges(pairs)."""
 
     def test_round_trip(self):
@@ -308,7 +308,7 @@ class TestClusteringLikelihood:
             clustering_log_likelihood(running_graph, Clustering([["A", "B"]]))
 
 
-class TestEnumeratePartitions:
+class TestPartitions:
     def test_counts_are_bell_numbers(self):
         bells = bell_numbers(6)
         for n in range(1, 7):

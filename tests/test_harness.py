@@ -26,10 +26,10 @@ from perc import (
     synth_world,
 )
 from perc.cli import main, report
-from perc.fileio import read_curve_csv, write_gold_csv, write_records_csv, write_votes_csv
+from perc.fileio import write_gold_csv, write_records_csv, write_votes_csv
 from perc.harness import MetricsSnapshot, _initial_pairs_simulated
 
-from conftest import running_vote_rows
+from conftest import read_curve_csv, running_vote_rows
 
 
 def total_pairs(n):

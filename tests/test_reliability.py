@@ -16,9 +16,9 @@ from perc import (
     block_connectivity,
     disconnectivity,
 )
-from perc.reliability import (ConnectivityEstimate, MAX_EXACT_EDGE_LIMIT, _partition_dp,
-                              _reduced_block, _sampled_connect_prob, pair_connectivity,
-                              reliability, solved_exactly)
+from perc.reliability import (ConnectivityEstimate, MAX_EXACT_EDGE_LIMIT, MAX_MC_SAMPLES,
+                              _partition_dp, _reduced_block, _sampled_connect_prob,
+                              pair_connectivity, reliability, solved_exactly)
 from perc.util import ConfigError, make_rng
 
 from conftest import connectivity_by_enumeration, random_small_graph
@@ -228,6 +228,12 @@ class TestPartitionDP:
         assert ReliabilityParams(exact_edge_limit=MAX_EXACT_EDGE_LIMIT)
         with pytest.raises(ConfigError, match=f"must be <= {MAX_EXACT_EDGE_LIMIT}, got 10000"):
             ReliabilityParams(exact_edge_limit=10000)
+
+    def test_mc_samples_is_capped(self):
+        # 4,000, the most any demo or test samples, is admitted
+        assert ReliabilityParams(mc_samples=MAX_MC_SAMPLES).mc_samples >= 4000
+        with pytest.raises(ConfigError, match=f"must be <= {MAX_MC_SAMPLES}, got 10001"):
+            ReliabilityParams(mc_samples=MAX_MC_SAMPLES + 1)
 
     def test_solved_exactly_counts_the_pair(self):
         params = ReliabilityParams(exact_edge_limit=3)

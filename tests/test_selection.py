@@ -301,7 +301,7 @@ class TestBuildState:
         assert len(none_left) == 0
 
 
-class TestSelectNext:
+class TestSelectBatchOfOne:
     def test_running_example_first_question(self, running_graph, running_clustering):
         state = build_state(running_graph, running_clustering)
         assert select_batch(state, 1) == [("E", "H")]
