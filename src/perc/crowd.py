@@ -18,14 +18,11 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .graph import Pair, VoteTally
-from .util import ConfigError, canonical_pair
+from .util import ConfigError, canonical_pair, check_int, check_int_fields
 
 # each answer hashes one 64-byte digest per 8 workers, so the worker count
 # sizes the digests it makes
 MAX_WORKERS_PER_PAIR = 1000
-
-# a BLAKE2b digest read as eight little-endian 64-bit words
-_DIGEST_WORDS = struct.Struct("<8Q")
 
 
 class GoldClustering:
@@ -74,6 +71,7 @@ class WorkerModel:
     error_rate: float = 0.1
 
     def __post_init__(self):
+        check_int_fields(self)
         if self.workers_per_pair < 1:
             raise ConfigError("workers_per_pair",
                               f"need at least one worker, got {self.workers_per_pair}")
@@ -85,6 +83,27 @@ class WorkerModel:
             raise ConfigError("error_rate", f"error rate {self.error_rate} outside [0, 1]")
 
 
+def _salted_states(seed: int, count: int) -> list:
+    """One BLAKE2b state per 8 of ``count`` workers, salted with its index
+    (16 little-endian bytes), that has hashed the seed's prefix of the key."""
+    prefix = f"({seed!r}, 'votes', ".encode("utf-8")
+    return [hashlib.blake2b(prefix, salt=i.to_bytes(16, "little"))
+            for i in range(-(-count // 8))]
+
+
+def _digest(states: list, a: str, b: str) -> bytes:
+    """The states' digests of the key with pair (a, b)'s suffix, joined: a
+    streaming hash fed prefix then suffix digests the whole key."""
+    # a tuple's repr joins its items' reprs with ", ", as prefix and suffix do
+    suffix = f"{a!r}, {b!r})".encode("utf-8")
+    digests = []
+    for state in states:
+        state = state.copy()
+        state.update(suffix)
+        digests.append(state.digest())
+    return b"".join(digests)
+
+
 def vote_coins(seed: int, a: str, b: str, count: int) -> list[float]:
     """The first ``count`` coins, uniform in [0, 1), of canonical pair
     (a, b)'s vote stream under master ``seed``.
@@ -93,13 +112,8 @@ def vote_coins(seed: int, a: str, b: str, count: int) -> list[float]:
     salted with i // 8 (16 little-endian bytes), cut to its top 53 bits: a
     counter-based stream (Salmon et al., SC 2011) with no generator state.
     """
-    # a tuple's repr joins its items' reprs with ", ", as this f-string does
-    key = f"({seed!r}, 'votes', {a!r}, {b!r})".encode("utf-8")
-    words: list[int] = []
-    for block in range(-(-count // 8)):
-        digest = hashlib.blake2b(key, salt=block.to_bytes(16, "little")).digest()
-        words += _DIGEST_WORDS.unpack(digest)
-    return [(w >> 11) * 2**-53 for w in words[:count]]
+    words = struct.unpack_from(f"<{count}Q", _digest(_salted_states(seed, count), a, b))
+    return [(w >> 11) * 2**-53 for w in words]
 
 
 def simulate_votes(gold: GoldClustering, pair: Pair, model: WorkerModel,
@@ -118,18 +132,38 @@ def simulate_votes(gold: GoldClustering, pair: Pair, model: WorkerModel,
 
 
 class SimulatedOracle:
-    """Simulated crowd with order-independent per-pair vote streams
-    (``vote_coins``)."""
+    """Simulated crowd with order-independent per-pair vote streams: each
+    answer equals ``simulate_votes`` on the pair's ``vote_coins``.
+
+    ``model`` and ``seed`` are fixed at construction, which hashes the
+    seed's prefix of every key and builds the n + 1 possible tallies once.
+    """
 
     def __init__(self, gold: GoldClustering, model: WorkerModel, seed: int = 0):
         self.gold = gold
         self.model = model
-        self.seed = int(seed)
+        self.seed = check_int("seed", seed)
+        n = model.workers_per_pair
+        self._states = _salted_states(self.seed, n)
+        self._words = struct.Struct(f"<{n}Q").unpack_from
+        self._tallies = [VoteTally(yes, n) for yes in range(n + 1)]
 
     def answer(self, pair: Pair) -> VoteTally:
-        a, b = canonical_pair(*pair)
-        coins = vote_coins(self.seed, a, b, self.model.workers_per_pair)
-        return simulate_votes(self.gold, (a, b), self.model, coins)
+        a, b = pair
+        if b < a:
+            a, b = b, a
+        elif a == b:
+            canonical_pair(a, b)  # raises the self-loop error
+        truth = self.gold.same(a, b)
+        flip_prob = min(1.0, self.model.error_rate * self.gold.pair_difficulty(a, b))
+        # coin i is (w >> 11) * 2**-53, exactly, for word w; an integer m sits
+        # below a real x iff m < ceil(x), and w >> 11 < c iff w < c << 11, so
+        # coin < p iff w < ceil(p * 2**53) << 11, where p * 2**53 is exact
+        below = math.ceil(flip_prob * 2**53) << 11
+        words = self._words(_digest(self._states, a, b))
+        flips = [w < below for w in words].count(True)
+        n = self.model.workers_per_pair
+        return self._tallies[n - flips if truth else flips]
 
 
 class UnrecordedPairError(KeyError):

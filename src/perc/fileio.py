@@ -82,13 +82,15 @@ def _csv_rows(text: str, path, header: list[str], optional_tail=()):
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         row = next(reader, None)
-        if row is None or row[:len(header)] != header:
-            raise ValueError(f"{path}: expected header {','.join(header)}, got "
-                             f"{','.join(row) if row else 'an empty file'}")
+        if row is None:
+            raise ValueError(f"{path}: expected header {','.join(header)}, got an empty file")
+        if row[:len(header)] != header:
+            raise ValueError(f"{path}:{reader.line_num}: expected header {','.join(header)}, "
+                             f"got {','.join(row) or 'an empty line'}")
         extra = row[len(header):]
         for col in extra:
             if col not in optional_tail or extra.count(col) > 1:
-                raise ValueError(f"{path}: unexpected column {col!r}")
+                raise ValueError(f"{path}:{reader.line_num}: unexpected column {col!r}")
         width, optional = len(row), len(extra)
         for row in reader:
             if row:

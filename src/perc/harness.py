@@ -25,7 +25,7 @@ from .crowd import (GoldClustering, ReplayOracle, SimulatedOracle,
 from .graph import Clustering, Pair, UncertainGraph
 from .reliability import ReliabilityParams, changes_since, reliability
 from .selection import build_state, refresh_after_answer, select_batch
-from .util import ConfigError, canonical_pair, derive_seed, make_rng
+from .util import ConfigError, canonical_pair, check_int_fields, derive_seed, make_rng
 
 log = logging.getLogger(__name__)
 
@@ -56,6 +56,7 @@ class ExperimentConfig:
     eval_every: int = 1
 
     def __post_init__(self):
+        check_int_fields(self)
         if self.strategy not in STRATEGIES:
             raise ConfigError("strategy", f"unknown strategy {self.strategy!r}, "
                                           f"pick one of {STRATEGIES}")

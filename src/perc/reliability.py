@@ -41,7 +41,7 @@ from functools import cached_property, lru_cache
 from operator import itemgetter
 
 from .graph import Clustering, Pair, UncertainGraph, check_covers
-from .util import ConfigError, UnionFind, canonical_pair, derive_seed, make_rng
+from .util import ConfigError, UnionFind, canonical_pair, check_int_fields, derive_seed, make_rng
 
 Block = tuple[str, ...]
 BlockPairKey = tuple[Block, Block]
@@ -81,6 +81,7 @@ class ReliabilityParams:
     seed: int = 0
 
     def __post_init__(self):
+        check_int_fields(self)
         if self.mc_samples < 1:
             raise ConfigError("mc_samples", f"mc_samples must be positive, got {self.mc_samples}")
         if self.mc_samples > MAX_MC_SAMPLES:

@@ -309,6 +309,14 @@ def select_batch(state: PriorityState, k: int) -> list[Pair]:
     and their remaining absent spanning pairs are emitted; those extras
     provably share the representative's gain, so no re-pricing is needed.
     Returns fewer than k only when fewer candidates exist in total.
+
+    The tie order is a policy of its own: equal gains go to the smallest
+    pair by record id, so a cold start, all singletons at the top gain,
+    asks a star around the first record (r00 in a synthetic world).  On
+    the strategy comparison's worlds (60 records, budget 1,200, seeds
+    0-9), 3,647 of 12,000 picks carry the clamped top gain, 7,808 gain 0
+    and 545 a gain that sets them apart; relabelling the records alone
+    moved the seeds on which PERC beats TC between 8 and 10.
     """
     if k < 1:
         raise ValueError(f"batch size must be positive, got {k}")

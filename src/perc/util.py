@@ -8,8 +8,10 @@ decimal exponents.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
+import operator
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -25,6 +27,24 @@ class ConfigError(ValueError):
     def __init__(self, field: str, message: str):
         super().__init__(message)
         self.field = field
+
+
+def check_int(field: str, value) -> int:
+    """``value`` as a Python int; a bool, or anything ``operator.index``
+    refuses (such as 2.0), raises ConfigError naming ``field``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ConfigError(field, f"{field} must be an integer, got {value!r}")
+
+
+def check_int_fields(config) -> None:
+    """check_int on each field of dataclass ``config`` annotated ``int``."""
+    for field in dataclasses.fields(config):
+        if field.type in ("int", int):
+            check_int(field.name, getattr(config, field.name))
 
 
 def canonical_pair(a: str, b: str) -> tuple[str, str]:

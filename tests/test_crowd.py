@@ -1,11 +1,11 @@
 """Simulated and replayed crowd answer sources."""
 
 import hashlib
+import itertools
 import math
 
 import pytest
 
-import perc.crowd
 from perc import (
     GoldClustering,
     ReplayOracle,
@@ -109,18 +109,12 @@ class TestVoteCoins:
         oracle = SimulatedOracle(GOLD, WorkerModel(5, 0.3), seed=42)
         assert oracle.answer(("b", "a")) == VoteTally(2, 5)
 
-    def test_coin_i_does_not_depend_on_worker_count(self, monkeypatch):
-        seen = []
-
-        def recording(gold, pair, model, coins):
-            seen.append(list(coins))
-            return VoteTally(0, model.workers_per_pair)
-
-        monkeypatch.setattr(perc.crowd, "simulate_votes", recording)
+    def test_coin_i_does_not_depend_on_worker_count(self):
+        assert vote_coins(7, "a", "c", 20)[:5] == vote_coins(7, "a", "c", 5)
         for workers in (5, 20):
-            SimulatedOracle(GOLD, WorkerModel(workers, 0.1), seed=7).answer(("c", "a"))
-        assert len(seen[0]) == 5 and len(seen[1]) == 20
-        assert seen[1][:5] == seen[0]
+            model = WorkerModel(workers, 0.1)
+            assert SimulatedOracle(GOLD, model, seed=7).answer(("c", "a")) == simulate_votes(
+                GOLD, ("a", "c"), model, vote_coins(7, "a", "c", workers))
 
     def test_coins_8_to_15_come_from_the_digest_salted_with_1(self):
         digest = hashlib.blake2b(repr((42, "votes", "a", "b")).encode("utf-8"),
@@ -128,8 +122,44 @@ class TestVoteCoins:
         words = [int.from_bytes(digest[8 * j:8 * j + 8], "little") for j in range(8)]
         assert vote_coins(42, "a", "b", 16)[8:] == [(w >> 11) / 2**53 for w in words]
 
+    def test_coin_999_is_word_7_of_the_digest_salted_with_124(self):
+        digest = hashlib.blake2b(repr((42, "votes", "a", "b")).encode("utf-8"),
+                                 salt=(124).to_bytes(16, "little")).digest()
+        word = int.from_bytes(digest[56:64], "little")
+        assert vote_coins(42, "a", "b", 1000)[999] == (word >> 11) / 2**53
+
 
 class TestSimulatedOracle:
+    @pytest.mark.parametrize("workers", [1, 5, 8, 9, 16, 17, 1000])
+    def test_answer_is_the_reference_vote(self, workers):
+        # answer counts flips from the digest words; simulate_votes on
+        # vote_coins is the definition it must reproduce, up to the cap of
+        # the flip probability at 1 (difficulty 3 at error rates 0.5 and 1)
+        for seed, error_rate, difficulty in itertools.product(
+                (0, 7, 42, -3, 2**63), (0.0, 0.1, 0.5, 1.0), (0.0, 0.5, 1.0, 3.0)):
+            gold = GoldClustering(GOLD.entity, {r: difficulty for r in GOLD.entity})
+            model = WorkerModel(workers, error_rate)
+            oracle = SimulatedOracle(gold, model, seed=seed)
+            for pair in (("a", "b"), ("b", "a"), ("a", "c"), ("c", "a")):
+                canonical = tuple(sorted(pair))
+                coins = vote_coins(seed, *canonical, workers)
+                assert oracle.answer(pair) == simulate_votes(gold, canonical, model, coins), \
+                    (seed, error_rate, difficulty, pair)
+
+    def test_a_coin_equal_to_the_flip_probability_does_not_flip(self):
+        coins = vote_coins(42, "a", "b", 5)
+        for error_rate, flips in ((coins[2], 2), (math.nextafter(coins[2], 1.0), 3)):
+            model = WorkerModel(5, error_rate)
+            assert SimulatedOracle(GOLD, model, seed=42).answer(("a", "b")) == \
+                VoteTally(5 - flips, 5) == simulate_votes(GOLD, ("a", "b"), model, coins)
+
+    def test_answer_keeps_the_reference_errors(self):
+        oracle = SimulatedOracle(GOLD, WorkerModel(), seed=1)
+        with pytest.raises(ValueError, match=r"pair \('a', 'a'\) is a self-loop"):
+            oracle.answer(("a", "a"))
+        with pytest.raises(KeyError, match="record 'z' is not in the gold clustering"):
+            oracle.answer(("a", "z"))
+
     def test_deterministic_per_pair(self):
         oracle = SimulatedOracle(GOLD, WorkerModel(), seed=42)
         assert oracle.answer(("a", "b")) == oracle.answer(("b", "a"))

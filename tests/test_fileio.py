@@ -238,13 +238,16 @@ class TestLoadGraphErrors:
          "{votes}:2: record 'z' in pair ('a', 'z') is not declared in {records}"),
         (b"record_id\na\nb\nc\nd\n", b'a,"b\nc",1,5\nc,d\xe9,1,5\n',
          "{votes}:4: not UTF-8 text"),
-        (b"wrong\nx\n", b"", "{records}: expected header record_id, got wrong"),
+        (b"wrong\nx\n", b"", "{records}:1: expected header record_id, got wrong"),
+        (b"", b"", "{records}: expected header record_id, got an empty file"),
+        (b"\nrecord_id\na\n", b"", "{records}:1: expected header record_id, got an empty line"),
         (b"record_id\n", b"", "{records}: no records listed"),
         (b'record_id\na,"x\ny"\nb\n', b"", "{records}:3: expected 1 column, got 2"),
         (b"record_id\na\nb\xe9\n", b"", "{records}:3: not UTF-8 text"),
     ], ids=["tally-above-total", "no-votes", "short-row", "duplicate-pair",
             "multiline-undeclared", "self-loop", "undeclared-record", "votes-not-utf8",
-            "records-header", "records-empty", "records-multiline", "records-not-utf8"])
+            "records-header", "records-no-header", "records-blank-header", "records-empty",
+            "records-multiline", "records-not-utf8"])
     def test_rejected_with_the_readers_text(self, tmp_path, capsys, records, votes,
                                             message):
         records_path, votes_path = tmp_path / "records.csv", tmp_path / "votes.csv"

@@ -2,9 +2,10 @@
 
 import itertools
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from importlib import import_module
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from perc import (
     GoldClustering,
     ReliabilityParams,
     ReplayOracle,
+    SimulatedOracle,
     UncertainGraph,
     VoteTally,
     WorkerModel,
@@ -28,6 +30,7 @@ from perc import (
 from perc.cli import main, report
 from perc.fileio import write_gold_csv, write_records_csv, write_votes_csv
 from perc.harness import MetricsSnapshot, _initial_pairs_simulated
+from perc.util import ConfigError
 
 from conftest import read_curve_csv, running_vote_rows
 
@@ -177,6 +180,23 @@ class TestExperimentConfig:
             ExperimentConfig(batch_size=0)
         with pytest.raises(ValueError):
             ExperimentConfig(eval_every=0)
+
+    def test_integer_fields_refuse_floats_and_bools(self):
+        # 2.0 would fail mid-run and 1.5 as a seed would run truncated, so
+        # every int field refuses them up front; numpy integers pass
+        for cls in (WorkerModel, ReliabilityParams, ExperimentConfig):
+            names = [f.name for f in fields(cls) if f.type == "int"]
+            assert names, cls
+            for name in names:
+                for value in (2.0, True):
+                    with pytest.raises(ConfigError, match="must be an integer") as caught:
+                        cls(**{name: value})
+                    assert caught.value.field == name
+                assert getattr(cls(**{name: np.int64(2)}), name) == 2
+        with pytest.raises(ConfigError, match="seed must be an integer, got 1.5"):
+            SimulatedOracle(GoldClustering({"a": "x"}), WorkerModel(), seed=1.5)
+        assert SimulatedOracle(GoldClustering({"a": "x"}), WorkerModel(),
+                               seed=np.int64(3)).seed == 3
 
     def test_defaults_are_the_checking_dataclasses_defaults(self):
         # each crowd and reliability option declares its default once
