@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .graph import Pair, VoteTally
-from .util import ConfigError, canonical_pair, check_int, check_int_fields
+from .util import canonical_pair, check_fields, check_int
 
 # each answer hashes one 64-byte digest per 8 workers, so the worker count
 # sizes the digests it makes
@@ -38,7 +39,8 @@ class GoldClustering:
         for r, d in (difficulty or {}).items():
             if r not in self.entity:
                 raise ValueError(f"difficulty given for unknown record {r!r}")
-            if not 0 <= d < math.inf:  # also rejects nan
+            # a bool or a string is not a difficulty, and nan fails the bounds
+            if isinstance(d, bool) or not isinstance(d, numbers.Real) or not 0 <= d < math.inf:
                 raise ValueError(f"difficulty for {r!r} must be a finite number >= 0, got {d}")
             self.difficulty[r] = float(d)
 
@@ -64,23 +66,15 @@ class GoldClustering:
 
 @dataclass(frozen=True)
 class WorkerModel:
-    """workers_per_pair independent workers, at most MAX_WORKERS_PER_PAIR
-    (1000), each wrong with error_rate."""
+    """workers_per_pair independent workers, each wrong with error_rate.
+    Each field's limits sit in its metadata, which check_fields reads, so
+    at most MAX_WORKERS_PER_PAIR workers and a rate in [0, 1] pass."""
 
-    workers_per_pair: int = 5
-    error_rate: float = 0.1
+    workers_per_pair: int = field(default=5, metadata={"ge": 1, "le": MAX_WORKERS_PER_PAIR})
+    error_rate: float = field(default=0.1, metadata={"ge": 0.0, "le": 1.0})
 
     def __post_init__(self):
-        check_int_fields(self)
-        if self.workers_per_pair < 1:
-            raise ConfigError("workers_per_pair",
-                              f"need at least one worker, got {self.workers_per_pair}")
-        if self.workers_per_pair > MAX_WORKERS_PER_PAIR:
-            raise ConfigError("workers_per_pair",
-                              f"workers_per_pair must be <= {MAX_WORKERS_PER_PAIR}, "
-                              f"got {self.workers_per_pair}")
-        if not 0.0 <= self.error_rate <= 1.0:
-            raise ConfigError("error_rate", f"error rate {self.error_rate} outside [0, 1]")
+        check_fields(self)
 
 
 def _salted_states(seed: int, count: int) -> list:

@@ -17,19 +17,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .util import canonical_pair, log10_or_neg_inf
+from .util import canonical_pair, check_fields, log10_or_neg_inf
 
 Pair = tuple[str, str]
 
 
 @dataclass(frozen=True)
 class VoteTally:
-    """Crowd answers for one pair: ``yes`` YES votes out of ``total``."""
+    """Crowd answers for one pair: ``yes`` YES votes out of ``total``.
+    Both are integers (check_fields raises ConfigError for 1.5, True or
+    "1"); a total below 1 or yes outside 0..total raises ValueError."""
 
     yes: int
     total: int
 
     def __post_init__(self):
+        check_fields(self)
         if self.total < 1:
             raise ValueError(f"vote tally needs at least one vote, got total={self.total}")
         if not 0 <= self.yes <= self.total:

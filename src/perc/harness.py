@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .baselines import (build_dense_state, build_tc_state, dense_batch, refresh_dense_state,
                         refresh_tc_state, tc_batch)
@@ -25,7 +25,7 @@ from .crowd import (GoldClustering, ReplayOracle, SimulatedOracle,
 from .graph import Clustering, Pair, UncertainGraph
 from .reliability import ReliabilityParams, changes_since, reliability
 from .selection import build_state, refresh_after_answer, select_batch
-from .util import ConfigError, canonical_pair, check_int_fields, derive_seed, make_rng
+from .util import ConfigError, canonical_pair, check_fields, derive_seed, make_rng
 
 log = logging.getLogger(__name__)
 
@@ -33,6 +33,15 @@ STRATEGIES = ("perc", "tc", "dense")
 
 # the most records synth_world makes: 5e9 pairs, already past any run's reach
 MAX_SYNTH_RECORDS = 100_000
+
+# the most records a run may hold every record pair of: TC's open pairs,
+# DENSE's absent pairs and simulated seeding past a spanning path (initial
+# pairs >= records) grow with their square.  A 20-question run (batch 10)
+# at 500, 1,000 and 2,000 records took tc 0.07, 0.28 and 1.07 s (49, 90
+# and 255 MB peak) and dense 0.37, 1.68 and 7.15 s (73, 188 and 628 MB),
+# against perc 0.02 s and 36 MB, on a 2-vCPU Xeon VM.  PERC keeps no such
+# table and is not bounded.
+MAX_ALL_PAIRS_RECORDS = 2000
 
 NAN = float("nan")
 
@@ -42,9 +51,9 @@ class ExperimentConfig:
     """Everything a run needs beyond the records and the answer source."""
 
     strategy: str = "perc"
-    budget: int = 100
-    batch_size: int = 1
-    initial_pairs: int = 0
+    budget: int = field(default=100, metadata={"ge": 0})
+    batch_size: int = field(default=1, metadata={"ge": 1})
+    initial_pairs: int = field(default=0, metadata={"ge": 0})
     # the crowd and reliability fields take their defaults from the
     # dataclasses that check them
     workers_per_pair: int = WorkerModel.workers_per_pair
@@ -53,25 +62,19 @@ class ExperimentConfig:
     epsilon: float = ReliabilityParams.epsilon
     exact_edge_limit: int = ReliabilityParams.exact_edge_limit
     seed: int = ReliabilityParams.seed
-    eval_every: int = 1
+    eval_every: int = field(default=1, metadata={"ge": 1})
 
     def __post_init__(self):
-        check_int_fields(self)
+        check_fields(self)
         if self.strategy not in STRATEGIES:
             raise ConfigError("strategy", f"unknown strategy {self.strategy!r}, "
                                           f"pick one of {STRATEGIES}")
-        if self.budget < 0:
-            raise ConfigError("budget", f"budget must be >= 0, got {self.budget}")
-        if not 0 <= self.initial_pairs <= self.budget:
+        if self.initial_pairs > self.budget:
             raise ConfigError("initial_pairs", f"initial_pairs={self.initial_pairs} "
                                                f"must sit in 0..budget ({self.budget})")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size", f"batch_size must be >= 1, got {self.batch_size}")
         if self.budget > 0 and self.batch_size > self.budget:
             raise ConfigError("batch_size",
                               f"batch_size={self.batch_size} exceeds budget={self.budget}")
-        if self.eval_every < 1:
-            raise ConfigError("eval_every", f"eval_every must be >= 1, got {self.eval_every}")
         # the crowd and reliability parameters check their own fields
         self.worker_model()
         self.reliability_params()
@@ -206,13 +209,21 @@ def run_experiment(config: ExperimentConfig, records, gold: GoldClustering | Non
     replay mode the seeding phase takes the first initial_pairs rows of the
     log in order, and candidate selection is restricted to logged pairs; a
     selection the log cannot answer ends the run early with a flag.  A log
-    naming a record outside ``records`` raises ValueError.
+    naming a record outside ``records`` raises ValueError, as do more than
+    MAX_ALL_PAIRS_RECORDS records for tc, dense or simulated seeding with
+    initial_pairs >= the record count.
     """
     recs = tuple(sorted(set(records)))
     if replay is None and gold is None:
         raise ValueError("need a gold clustering or a replay log to answer questions")
     if gold is not None and gold.records != set(recs):
         raise ValueError("gold clustering does not cover exactly the given records")
+    if len(recs) > MAX_ALL_PAIRS_RECORDS:
+        bound = f"every record pair: {len(recs)} records exceed {MAX_ALL_PAIRS_RECORDS}"
+        if config.strategy in ("tc", "dense"):
+            raise ValueError(f"strategy {config.strategy} holds {bound}")
+        if replay is None and config.initial_pairs >= len(recs):
+            raise ValueError(f"initial_pairs={config.initial_pairs} seeds from {bound}")
 
     graph = UncertainGraph(recs)
     oracle: ReplayOracle | SimulatedOracle

@@ -41,7 +41,7 @@ from functools import cached_property, lru_cache
 from operator import itemgetter
 
 from .graph import Clustering, Pair, UncertainGraph, check_covers
-from .util import ConfigError, UnionFind, canonical_pair, check_int_fields, derive_seed, make_rng
+from .util import UnionFind, canonical_pair, check_fields, derive_seed, make_rng
 
 Block = tuple[str, ...]
 BlockPairKey = tuple[Block, Block]
@@ -68,34 +68,20 @@ class ReliabilityParams:
 
     exact_edge_limit is the largest count of uncertain intra-block edges
     (0 < p < 1, left once the certain edges are contracted) handed to the
-    exact solver, at most MAX_EXACT_EDGE_LIMIT (25); above it the Monte
-    Carlo estimator with mc_samples worlds (at most MAX_MC_SAMPLES, 10,000)
+    exact solver; above it the Monte Carlo estimator with mc_samples worlds
     takes over.  epsilon is the clamp floor for zero-probability
     components.  seed is the master seed that all sampling streams are
-    derived from.
+    derived from.  Each field's limits (MAX_EXACT_EDGE_LIMIT and
+    MAX_MC_SAMPLES among them) sit in its metadata, which check_fields reads.
     """
 
-    mc_samples: int = 1000
-    epsilon: float = 1e-12
-    exact_edge_limit: int = 18
+    mc_samples: int = field(default=1000, metadata={"ge": 1, "le": MAX_MC_SAMPLES})
+    epsilon: float = field(default=1e-12, metadata={"gt": 0.0, "lt": 1e-3})
+    exact_edge_limit: int = field(default=18, metadata={"ge": 0, "le": MAX_EXACT_EDGE_LIMIT})
     seed: int = 0
 
     def __post_init__(self):
-        check_int_fields(self)
-        if self.mc_samples < 1:
-            raise ConfigError("mc_samples", f"mc_samples must be positive, got {self.mc_samples}")
-        if self.mc_samples > MAX_MC_SAMPLES:
-            raise ConfigError("mc_samples", f"mc_samples must be <= {MAX_MC_SAMPLES}, "
-                                            f"got {self.mc_samples}")
-        if not 0.0 < self.epsilon < 1e-3:
-            raise ConfigError("epsilon", f"epsilon must sit in (0, 1e-3), got {self.epsilon}")
-        if self.exact_edge_limit < 0:
-            raise ConfigError("exact_edge_limit",
-                              f"exact_edge_limit must be >= 0, got {self.exact_edge_limit}")
-        if self.exact_edge_limit > MAX_EXACT_EDGE_LIMIT:
-            raise ConfigError("exact_edge_limit",
-                              f"exact_edge_limit must be <= {MAX_EXACT_EDGE_LIMIT}, "
-                              f"got {self.exact_edge_limit}")
+        check_fields(self)
 
 
 def solved_exactly(edge_count: int, params: ReliabilityParams) -> bool:

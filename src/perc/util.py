@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import numbers
 import operator
 from typing import TYPE_CHECKING
 
@@ -22,7 +23,8 @@ NEG_INF = float("-inf")
 
 class ConfigError(ValueError):
     """A parameter value that fails its check; ``field`` names the
-    ExperimentConfig field that carries it."""
+    dataclass field that carries it, a field of ExperimentConfig,
+    WorkerModel, ReliabilityParams or VoteTally."""
 
     def __init__(self, field: str, message: str):
         super().__init__(message)
@@ -40,11 +42,26 @@ def check_int(field: str, value) -> int:
     raise ConfigError(field, f"{field} must be an integer, got {value!r}")
 
 
-def check_int_fields(config) -> None:
-    """check_int on each field of dataclass ``config`` annotated ``int``."""
+# limit key in a field's metadata -> the test the value must pass, and its sign
+_LIMITS = {"ge": (operator.ge, ">="), "gt": (operator.gt, ">"),
+           "le": (operator.le, "<="), "lt": (operator.lt, "<")}
+
+
+def check_fields(config) -> None:
+    """ConfigError naming the first field of dataclass ``config`` that is an
+    ``int`` check_int refuses, a ``float`` that is a bool or not a real
+    number, or breaks a limit its metadata declares (ge, gt, le, lt)."""
     for field in dataclasses.fields(config):
+        name, value = field.name, getattr(config, field.name)
         if field.type in ("int", int):
-            check_int(field.name, getattr(config, field.name))
+            check_int(name, value)
+        elif field.type in ("float", float) and (
+                isinstance(value, bool) or not isinstance(value, numbers.Real)):
+            raise ConfigError(name, f"{name} must be a real number, got {value!r}")
+        for key, limit in field.metadata.items():
+            test, sign = _LIMITS[key]
+            if not test(value, limit):
+                raise ConfigError(name, f"{name} must be {sign} {limit}, got {value}")
 
 
 def canonical_pair(a: str, b: str) -> tuple[str, str]:

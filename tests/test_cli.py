@@ -496,6 +496,23 @@ class TestRun:
             "", "error: mc_samples must be <= 10000, got 1000000000000\n")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flags, holder", [
+        (["--strategy", "tc"], "strategy tc holds"),
+        (["--strategy", "dense"], "strategy dense holds"),
+        (["--initial", "2001", "--budget", "2001"], "initial_pairs=2001 seeds from"),
+    ], ids=["tc", "dense", "seeding"])
+    def test_all_pairs_record_bound_exits_one(self, tmp_path, capsys, flags, holder):
+        # the record count is checked before any all-pairs table is built
+        main(["synth", "--entities", "400", "--records", "2001", "--out", str(tmp_path)])
+        capsys.readouterr()
+        code = main(["run", "--records", str(tmp_path / "records.csv"),
+                     "--gold", str(tmp_path / "gold.csv"), *flags,
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", f"error: {holder} every record pair: 2001 records exceed 2000\n")
+        assert not (tmp_path / "out").exists()
+
     def test_missing_answer_source_fails(self, tmp_path, capsys):
         world = self.world(tmp_path)
         code = main(["run", "--records", str(world / "records.csv")])
@@ -578,12 +595,12 @@ class TestConfigFile:
         ("strategy = x", "unknown strategy 'x', pick one of ('perc', 'tc', 'dense')"),
         ("initial = 500", "initial_pairs=500 must sit in 0..budget (100)"),
         ("eval_every = 0", "eval_every must be >= 1, got 0"),
-        ("workers = 0", "need at least one worker, got 0"),
+        ("workers = 0", "workers_per_pair must be >= 1, got 0"),
         ("workers = 100000000000", "workers_per_pair must be <= 1000, got 100000000000"),
-        ("error_rate = 2.0", "error rate 2.0 outside [0, 1]"),
-        ("mc_samples = 0", "mc_samples must be positive, got 0"),
+        ("error_rate = 2.0", "error_rate must be <= 1.0, got 2.0"),
+        ("mc_samples = 0", "mc_samples must be >= 1, got 0"),
         ("mc_samples = 1000000000000", "mc_samples must be <= 10000, got 1000000000000"),
-        ("epsilon = 0.5", "epsilon must sit in (0, 1e-3), got 0.5"),
+        ("epsilon = 0.5", "epsilon must be < 0.001, got 0.5"),
         ("exact_edge_limit = -1", "exact_edge_limit must be >= 0, got -1"),
         ("exact_edge_limit = 10000", "exact_edge_limit must be <= 25, got 10000"),
     ], ids=["budget", "strategy", "initial", "eval-every", "workers", "workers-cap",

@@ -41,6 +41,13 @@ class TestGoldClustering:
         with pytest.raises(ValueError):
             GoldClustering({})
 
+    @pytest.mark.parametrize("value", [True, "0.5"])
+    def test_rejects_bool_and_string_difficulty(self, value):
+        # True would weigh in as 1.0 and "0.5" would fail a bare comparison
+        with pytest.raises(ValueError, match=f"difficulty for 'a' must be a finite number "
+                                             f">= 0, got {value}$"):
+            GoldClustering({"a": "x", "b": "x"}, difficulty={"a": value})
+
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_rejects_non_finite_difficulty(self, value):
         # min(1, error_rate * nan) is 1, so every vote would come out wrong

@@ -29,7 +29,7 @@ from perc import (
 )
 from perc.cli import main, report
 from perc.fileio import write_gold_csv, write_records_csv, write_votes_csv
-from perc.harness import MetricsSnapshot, _initial_pairs_simulated
+from perc.harness import MAX_ALL_PAIRS_RECORDS, MetricsSnapshot, _initial_pairs_simulated
 from perc.util import ConfigError
 
 from conftest import read_curve_csv, running_vote_rows
@@ -193,10 +193,69 @@ class TestExperimentConfig:
                         cls(**{name: value})
                     assert caught.value.field == name
                 assert getattr(cls(**{name: np.int64(2)}), name) == 2
+            # a bool would run as 0 or 1 and a string would fail a bare
+            # comparison, so every float field refuses both; numpy floats pass
+            names = [f.name for f in fields(cls) if f.type == "float"]
+            assert names, cls
+            for name in names:
+                for value in (True, "0.1"):
+                    with pytest.raises(ConfigError, match="must be a real number") as caught:
+                        cls(**{name: value})
+                    assert caught.value.field == name
+                default = getattr(cls, name)
+                assert getattr(cls(**{name: np.float64(default)}), name) == default
+        # a replayed 1.5 or True would be written to a votes.csv its readers refuse
+        for name in ("yes", "total"):
+            for value in (1.5, True, "1"):
+                with pytest.raises(ConfigError, match="must be an integer") as caught:
+                    VoteTally(**{"yes": 1, "total": 2, name: value})
+                assert caught.value.field == name
+        assert VoteTally(np.int64(1), np.int64(2)).fraction == 0.5
         with pytest.raises(ConfigError, match="seed must be an integer, got 1.5"):
             SimulatedOracle(GoldClustering({"a": "x"}), WorkerModel(), seed=1.5)
         assert SimulatedOracle(GoldClustering({"a": "x"}), WorkerModel(),
                                seed=np.int64(3)).seed == 3
+
+    def test_every_declared_limit_is_checked(self):
+        # each numeric limit is declared once, as metadata on its field; the
+        # nearest value inside it passes, the nearest past it fails naming
+        # the field.  ExperimentConfig's crowd and reliability fields are
+        # checked through the WorkerModel and ReliabilityParams it builds
+        def nearest(value, toward, kind):
+            if kind == "int":
+                return value + (1 if toward > value else -1)
+            return math.nextafter(value, toward)
+
+        declared = {f.name: f.metadata for cls in (WorkerModel, ReliabilityParams)
+                    for f in fields(cls)}
+        unbounded = set()
+        for cls in (WorkerModel, ReliabilityParams, ExperimentConfig):
+            for f in fields(cls):
+                if f.type not in ("int", "float"):
+                    continue
+                limits = f.metadata or declared.get(f.name, {})
+                if not limits.keys() & {"le", "lt"}:
+                    unbounded.add(f.name)
+                if f.type == "float":
+                    with pytest.raises(ConfigError, match=f"^{f.name} must be ") as caught:
+                        cls(**{f.name: math.nan})
+                    assert caught.value.field == f.name
+                for key, limit in limits.items():
+                    outward = -math.inf if key in ("ge", "gt") else math.inf
+                    if key in ("ge", "le"):
+                        inside, past = limit, nearest(limit, outward, f.type)
+                    else:
+                        inside, past = nearest(limit, -outward, f.type), limit
+                    assert getattr(cls(**{f.name: inside}), f.name) == inside
+                    with pytest.raises(ConfigError, match=f"^{f.name} must be ") as caught:
+                        cls(**{f.name: past})
+                    assert caught.value.field == f.name
+        # no value of these grows the work past the all-pairs tables that
+        # MAX_ALL_PAIRS_RECORDS bounds: the budget and the seeding stop at the
+        # pair count, select_batch caps k there, eval_every only thins the
+        # snapshots and seed only picks streams.  A new numeric field needs a
+        # maximum or a reason here
+        assert unbounded == {"budget", "batch_size", "initial_pairs", "seed", "eval_every"}
 
     def test_defaults_are_the_checking_dataclasses_defaults(self):
         # each crowd and reliability option declares its default once
@@ -242,6 +301,32 @@ class TestRunExperiment:
         assert result.curve[-1].f1 == 1.0
         assert all(result.clustering.same_block(a, b) == gold.same(a, b)
                    for a, b in itertools.combinations(sorted(gold.records), 2))
+
+    @pytest.mark.parametrize("strategy, initial, holder", [
+        ("tc", 0, "strategy tc holds"),
+        ("dense", 0, "strategy dense holds"),
+        ("perc", MAX_ALL_PAIRS_RECORDS + 1,
+         f"initial_pairs={MAX_ALL_PAIRS_RECORDS + 1} seeds from"),
+    ], ids=["tc", "dense", "seeding"])
+    def test_all_pairs_tables_refuse_records_past_the_bound(self, strategy, initial, holder):
+        # TC's open pairs, DENSE's absent pairs and seeding past a spanning
+        # path hold every record pair, so their memory grows with its square
+        n = MAX_ALL_PAIRS_RECORDS + 1
+        records, gold = synth_world(n, n // 5, seed=1)
+        config = ExperimentConfig(strategy=strategy, budget=max(20, initial), batch_size=10,
+                                  initial_pairs=initial)
+        with pytest.raises(ValueError, match=f"^{holder} every record pair: {n} records "
+                                             f"exceed {MAX_ALL_PAIRS_RECORDS}$"):
+            run_experiment(config, records, gold=gold)
+
+    def test_perc_runs_past_the_all_pairs_bound(self):
+        # PERC keeps no all-pairs table, and a spanning path of seeds builds none
+        n = MAX_ALL_PAIRS_RECORDS + 1
+        records, gold = synth_world(n, n // 5, seed=1)
+        for initial in (0, n - 1):
+            config = ExperimentConfig(budget=initial + 20, batch_size=10, initial_pairs=initial)
+            result = run_experiment(config, records, gold=gold)
+            assert result.curve[-1].questions_asked == initial + 20
 
     def test_budget_counts_distinct_questions(self):
         result, _ = self.run_error_free("perc", budget=20)
