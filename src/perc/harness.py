@@ -25,7 +25,7 @@ from .crowd import (GoldClustering, ReplayOracle, SimulatedOracle,
 from .graph import Clustering, Pair, UncertainGraph
 from .reliability import ReliabilityParams, changes_since, reliability
 from .selection import build_state, refresh_after_answer, select_batch
-from .util import ConfigError, canonical_pair, check_fields, derive_seed, make_rng
+from .util import ConfigError, canonical_pair, check_fields, check_int, derive_seed, make_rng
 
 log = logging.getLogger(__name__)
 
@@ -336,8 +336,11 @@ def synth_world(n_records: int, n_entities: int, seed: int = 0) -> tuple[list[st
     """Random ground-truth world: records spread over entities.
 
     Every entity gets at least one record; the rest are assigned uniformly,
-    so entity sizes vary around n_records / n_entities.
+    so entity sizes vary around n_records / n_entities.  A bool, a float
+    or another non-integer count or seed raises ConfigError naming it.
     """
+    for name, value in (("n_records", n_records), ("n_entities", n_entities), ("seed", seed)):
+        check_int(name, value)
     if not 1 <= n_records <= MAX_SYNTH_RECORDS:
         raise ValueError(f"record count {n_records} must sit in 1..{MAX_SYNTH_RECORDS}")
     if not 1 <= n_entities <= n_records:

@@ -24,16 +24,18 @@ each new block and each block with a new intra edge, and each block pair
 with a new spanning edge or a new block, is marked to price again; the
 entries of blocks and block pairs that survived it untouched carry over.
 
-Marked entries are priced when first read, not when marked.  select_batch
-ranks through one heap of (-gain, pair) keys, where each marked entry sits
-under a key that none of its priced keys beats: a block under the top gain
-(no gain exceeds it) and its smallest pair (b[0], b[1]), a block pair under
-its gain, known from its disconnectivity, and its (min, min) pair.  A
-marked entry is priced only when its key reaches the top, and its priced
-keys go back in.  gain() prices the one entry it reads; intra, inter,
-entries() and len() price everything marked first.  A value does not
-depend on when it is priced: a block's sampling stream is seeded from its
-members, and a round marks again whatever it changes.
+Marked entries are priced when first read, not when marked; they keep
+their rows in the same two tables as priced ones, _intra and _inter, with
+None where the priced value will go.  select_batch ranks through one heap
+of (-gain, pair) keys, where each marked entry sits under a key that none
+of its priced keys beats: a block under the top gain (no gain exceeds it)
+and its smallest pair (b[0], b[1]), a block pair under its gain, known
+from its disconnectivity, and its (min, min) pair.  A marked entry is
+priced only when its key reaches the top, and its priced keys go back in.
+gain() prices the one entry it reads; intra, inter and entries() price
+everything marked first.  A value does not depend on when it is priced: a
+block's sampling stream is seeded from its members, and a round marks
+again whatever it changes.
 """
 
 from __future__ import annotations
@@ -69,19 +71,19 @@ class PriorityState:
     every block pair with at least one spanning edge.  An unspanned block
     pair is left unstored when its (min, min) representative may be asked;
     inter maps every other block pair with an absent spanning pair to its
-    representative and shared gain.  The state keeps them by the keys
-    Changes names a round's change by: _intra maps each priced block with
-    an absent pair to its {pair: gain}, as _inter maps block pairs, so a
-    changed block goes with one pop.  Marked entries wait in _blocks, the
-    set of marked blocks, whose intra edges are read from the graph when
-    priced, and _pairs, each marked block pair with its gain.  allowed
+    representative and shared gain.  The state keeps one row per key
+    Changes names a round's change by, so a changed entry goes with one
+    pop: _intra maps each block with an absent pair to its {pair: gain},
+    or to None while the block is marked (its intra edges are read from
+    the graph when priced), and _inter maps each block pair to
+    (representative, gain), with representative None while the pair is
+    marked.  Pricing drops a row that has nothing left to ask.  allowed
     (when set) restricts candidates to a fixed pair set, used in replay
-    mode.  Reading intra, inter, entries() or len() prices every marked
-    entry first (see the module docstring).
+    mode.  Reading intra, inter or entries() prices every marked entry
+    first (see the module docstring).
     """
 
-    __slots__ = ("graph", "clustering", "params", "spanned", "allowed", "_intra", "_inter",
-                 "_blocks", "_pairs")
+    __slots__ = ("graph", "clustering", "params", "spanned", "allowed", "_intra", "_inter")
 
     def __init__(self, graph: UncertainGraph, clustering: Clustering,
                  params: ReliabilityParams, allowed: frozenset | None = None):
@@ -89,13 +91,9 @@ class PriorityState:
         self.clustering = clustering
         self.params = params
         self.allowed = allowed
-        self._intra: dict[Block, dict[Pair, float]] = {}
-        self._inter: dict[BlockPairKey, tuple[Pair, float]] = {}
+        self._intra: dict[Block, dict[Pair, float] | None] = {}
+        self._inter: dict[BlockPairKey, tuple[Pair | None, float]] = {}
         self.spanned: set[BlockPairKey] = set()
-        # marked, not yet priced: each block of two or more members, and
-        # each block pair, with its gain
-        self._blocks: set[Block] = set()
-        self._pairs: dict[BlockPairKey, float] = {}
 
     @property
     def intra(self) -> dict[Pair, float]:
@@ -109,13 +107,13 @@ class PriorityState:
 
     def _price_block(self, block: Block) -> dict[Pair, float]:
         """Price a marked block; stores and returns its {pair: gain}, and
-        stores nothing once no absent pair is left to ask."""
-        self._blocks.remove(block)
+        drops its row once no absent pair is left to ask."""
         # the block is sorted, so each (a, b) is canonical
         asked, allowed = self.graph.edges, self.allowed
         pairs = [(a, b) for i, a in enumerate(block) for b in block[i + 1:]
                  if (a, b) not in asked and (allowed is None or (a, b) in allowed)]
         if not pairs:
+            del self._intra[block]
             return {}
         self._intra[block] = priced = dict(
             zip(pairs, _intra_gains(self.graph, block, pairs, self.params)))
@@ -123,22 +121,23 @@ class PriorityState:
 
     def _price_pair(self, key: BlockPairKey) -> tuple[Pair, float] | None:
         """Price a marked block pair; stores and returns (representative,
-        gain), and stores nothing once no absent spanning pair is left to
+        gain), and drops its row once no absent spanning pair is left to
         ask."""
-        gain = self._pairs.pop(key)
+        gain = self._inter[key][1]
         # (min, min) is the first pair absent_pairs_between would try
         rep = (key[0][0], key[1][0])
         if rep in self.graph.edges or self.allowed is not None and rep not in self.allowed:
             rep = next(self.graph.absent_pairs_between(*key, self.allowed), None)
             if rep is None:
+                del self._inter[key]
                 return None
         self._inter[key] = entry = (rep, gain)
         return entry
 
     def _price_all(self) -> None:
-        for block in list(self._blocks):
+        for block in [block for block, entries in self._intra.items() if entries is None]:
             self._price_block(block)
-        for key in list(self._pairs):
+        for key in [key for key, (rep, _) in self._inter.items() if rep is None]:
             self._price_pair(key)
 
     def _unstored(self) -> Iterator[tuple[Pair, BlockPairKey]]:
@@ -158,13 +157,12 @@ class PriorityState:
         owner = self.clustering._owner
         block_a, block_b = owner[pair[0]], owner[pair[1]]
         if block_a is block_b:
-            if block_a in self._blocks:
-                self._price_block(block_a)
-            return self._intra.get(block_a, {})[pair]
+            entries = self._intra.get(block_a, {})
+            return (self._price_block(block_a) if entries is None else entries)[pair]
         key = (block_a, block_b) if block_a < block_b else (block_b, block_a)
-        if key in self._pairs:
-            self._price_pair(key)
         entry = self._inter.get(key)
+        if entry is not None and entry[0] is None:
+            entry = self._price_pair(key)
         if entry is not None:
             return entry[1]
         if key in self.spanned:
@@ -182,9 +180,6 @@ class PriorityState:
                    for rep, key in self._unstored())
         out.sort(key=lambda c: (-c.gain, c.pair))
         return out
-
-    def __len__(self):
-        return len(self.intra) + len(self.inter) + sum(1 for _ in self._unstored())
 
 
 def _intra_gains(graph: UncertainGraph, block: Block, pairs: list[Pair],
@@ -230,10 +225,12 @@ def _mark(state: PriorityState, changes: Changes) -> None:
     allowed, spanned, epsilon = state.allowed, state.spanned, state.params.epsilon
     fresh, priced = changes.fresh, changes.priced
     spanned.update(priced)
-    state._blocks.update(block for block in changes.touched | fresh if len(block) > 1)
+    state._intra.update(dict.fromkeys(block for block in changes.touched | fresh
+                                      if len(block) > 1))
     top = _inter_gain(0.0, state.params)
     # _inter_gain(d) is -log10 d from d = epsilon up
-    marked = {key: -log if d >= epsilon else top for key, (d, log) in priced.items()}
+    state._inter.update({key: (None, -log if d >= epsilon else top)
+                         for key, (d, log) in priced.items()})
     if allowed is not None:
         # unspanned pairs are left unstored unless their (min, min) pair may
         # not be asked; each pair with a new block once: blocks are sorted,
@@ -244,10 +241,7 @@ def _mark(state: PriorityState, changes: Changes) -> None:
                     for j, bj in enumerate(blocks) if is_new[j]
                     for k, bk in enumerate(blocks) if k > j or (k < j and not is_new[k])):
             if key not in spanned and (key[0][0], key[1][0]) not in allowed:
-                marked[key] = top
-    for key in marked:
-        state._inter.pop(key, None)  # so that no read meets the old gain
-    state._pairs.update(marked)
+                state._inter[key] = (None, top)
 
 
 def build_state(graph: UncertainGraph, clustering: Clustering,
@@ -290,10 +284,8 @@ def refresh_after_answer(state: PriorityState, graph: UncertainGraph,
         changes = changes_since(state.graph, state.clustering, graph, clustering)
     for block in (*changes.touched, *changes.gone):
         state._intra.pop(block, None)
-        state._blocks.discard(block)
     for key in changes.lost if state.allowed is None else changes.dropped:
         state._inter.pop(key, None)
-        state._pairs.pop(key, None)
         state.spanned.discard(key)
     state.graph, state.clustering = graph, clustering
     _mark(state, changes)
@@ -324,29 +316,29 @@ def select_batch(state: PriorityState, k: int) -> list[Pair]:
     k = min(k, n * (n - 1) // 2)  # no batch exceeds the pairs; islice needs k <= sys.maxsize
     # The batch is the k smallest (-gain, pair) keys; they are unique, so no
     # two heap items compare past their pair.  An item's third field is None
-    # (intra entry), the block pair of an inter entry, or a marked block or
-    # block pair, priced when popped.  Unstored entries come in rank order
-    # at the top gain, so once k are found only a top-gain entry can rank.
+    # (intra entry), a marked block, priced when popped, or a block pair,
+    # priced when popped if its row is marked.  Unstored entries come in rank
+    # order at the top gain, so once k are found only a top-gain entry can rank.
+    intra, inter = state._intra, state._inter
     top = _inter_gain(0.0, state.params)
     unstored = list(islice(state._unstored(), k))
     floor = top if len(unstored) == k else -math.inf
     heap = [(-top, rep, key) for rep, key in unstored]
-    heap += [(-gain, pair, None) for entries in state._intra.values()
+    heap += [(-gain, pair, None) for entries in intra.values() if entries is not None
              for pair, gain in entries.items() if gain >= floor]
-    heap += [(-gain, rep, key) for key, (rep, gain) in state._inter.items() if gain >= floor]
-    heap += [(-top, block[:2], block) for block in state._blocks]
-    heap += [(-gain, (key[0][0], key[1][0]), key) for key, gain in state._pairs.items()
-             if gain >= floor]
+    heap += [(-top, block[:2], block) for block, entries in intra.items() if entries is None]
+    heap += [(-gain, (key[0][0], key[1][0]) if rep is None else rep, key)
+             for key, (rep, gain) in inter.items() if gain >= floor]
     heapq.heapify(heap)
     batch: list[Pair] = []
     fill: list[tuple[Pair, BlockPairKey]] = []  # the inter entries taken, in rank order
     while heap and len(batch) < k:
         _, pair, key = heapq.heappop(heap)
-        if key in state._blocks:
+        if key in intra:  # a marked block: priced intra items carry None
             for pair, gain in state._price_block(key).items():
                 if gain >= floor:
                     heapq.heappush(heap, (-gain, pair, None))
-        elif key in state._pairs:
+        elif key in inter and inter[key][0] is None:
             entry = state._price_pair(key)
             if entry is not None:
                 heapq.heappush(heap, (-entry[1], entry[0], key))

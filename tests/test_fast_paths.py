@@ -279,7 +279,7 @@ def assert_queue_matches_reference(state):
     """The full queue view and every batch size against the references."""
     ranked = reference_entries(state.graph, state.clustering, state.params, state.allowed)
     assert [(c.gain, c.pair, c.scope) for c in state.entries()] == ranked
-    assert len(state) == len(ranked)
+    assert len(state.entries()) == len(ranked)
     for k in range(1, len(ranked) + 4):
         assert select_batch(state, k) == \
             reference_select_batch(state.graph, ranked, state.allowed, k)
@@ -635,8 +635,8 @@ def test_select_batch_equals_sorted_queue(case, data):
              for c in state.entries() if c.scope[0] == "inter"}
     assert inter == reference_inter(graph, clustering, PARAMS, allowed)
     ranked = [c.pair for c in state.entries()]
-    for k in range(1, len(state) + 4):
-        assert select_batch(state, k)[:len(state)] == ranked[:k]
+    for k in range(1, len(ranked) + 4):
+        assert select_batch(state, k)[:len(ranked)] == ranked[:k]
     assert_queue_matches_reference(state)
 
 

@@ -160,6 +160,16 @@ class TestSynthWorld:
     def test_validation(self):
         with pytest.raises(ValueError):
             synth_world(0, 1)
+        for args, field in (((True, 1), "n_records"), ((2.0, 1), "n_records"),
+                            ((5, True), "n_entities"), ((5, 2.0), "n_entities"),
+                            ((5, 2, 2.7), "seed"), ((5, 2, False), "seed"),
+                            (("5", 2), "n_records")):
+            with pytest.raises(ConfigError, match=f"^{field} must be an integer") as caught:
+                synth_world(*args)
+            assert caught.value.field == field
+        records, gold = synth_world(np.int64(5), np.int64(2), np.int64(3))
+        plain_records, plain_gold = synth_world(5, 2, 3)
+        assert records == plain_records and gold.entity == plain_gold.entity
         with pytest.raises(ValueError):
             synth_world(5, 6)
         with pytest.raises(ValueError):

@@ -196,7 +196,7 @@ class TestBuildState:
         assert rep34 == ("E", "H")
         assert gain34 == pytest.approx(-math.log10(0.79))
         assert gain12 == pytest.approx(-math.log10(0.82))
-        assert len(state) == 2
+        assert len(state.entries()) == 2
 
     def test_representative_is_smallest_absent_spanning_pair(self):
         g = UncertainGraph("ABCD", {("A", "B"): 0.9, ("C", "D"): 0.9, ("A", "C"): 0.1})
@@ -210,7 +210,6 @@ class TestBuildState:
         g = UncertainGraph(records)
         state = build_state(g, Clustering([r] for r in records))
         assert state.intra == {} and state.inter == {} and state.spanned == set()
-        assert len(state) == 19900
         assert len(state.entries()) == 19900
         pairs = list(g.absent_pairs())
         for k in (1, 2, 199, 200, 1000):
@@ -222,7 +221,7 @@ class TestBuildState:
         state = build_state(g, c, allowed=frozenset({("B", "D")}))
         top = -math.log10(ReliabilityParams().epsilon)
         assert state.inter == {(("A", "B"), ("C", "D")): (("B", "D"), top)}
-        assert len(state) == 1
+        assert len(state.entries()) == 1
         unstored = build_state(g, c, allowed=frozenset({("A", "C"), ("B", "D")}))
         assert unstored.inter == {}
         assert [(e.pair, e.gain) for e in unstored.entries()] == [(("A", "C"), top)]
@@ -244,7 +243,7 @@ class TestBuildState:
     def test_fully_crowdsourced_graph_has_empty_queue(self):
         g = UncertainGraph("AB", {("A", "B"): 0.9})
         state = build_state(g, Clustering([["A", "B"]]))
-        assert len(state) == 0
+        assert len(state.entries()) == 0
         assert select_batch(state, 1) == []
 
     def test_previous_must_match_params_allowed_and_edges(self, running_graph,
@@ -298,7 +297,7 @@ class TestBuildState:
         assert queue[(("E", "F"), ("G", "H"))][0] == ("F", "G")
         none_left = build_state(running_graph, running_clustering,
                                 allowed=frozenset())
-        assert len(none_left) == 0
+        assert len(none_left.entries()) == 0
 
 
 class TestSelectBatchOfOne:
@@ -366,8 +365,8 @@ class TestSelectBatch:
             if len(list(state._unstored())) >= k:
                 continue
             kth = (-ranked[k - 1].gain, ranked[k - 1].pair) if len(ranked) >= k else (math.inf,)
-            expected = [key for key, gain in state._pairs.items()
-                        if (-gain, (key[0][0], key[1][0])) <= kth]
+            expected = [key for key, (rep, gain) in state._inter.items()
+                        if rep is None and (-gain, (key[0][0], key[1][0])) <= kth]
             priced.clear()
             select_batch(state, k)
             assert sorted(priced) == sorted(expected)
@@ -547,7 +546,7 @@ class TestRefreshAfterAnswer:
             recs = list(g.records)
             c = Clustering([recs[::2], recs[1::2]])
             state = build_state(g, c)
-            while len(state):
+            while len(state.entries()):
                 batch = select_batch(state, 3)
                 for pair in batch:
                     g = g.with_edge(*pair, probability=float(rng.random()))
