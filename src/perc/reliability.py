@@ -13,14 +13,14 @@ uncertain edges left are solved exactly by a partition DP: one pass over
 the edges carries the probability of each vertex partition the edges seen
 so far can leave, merging identical states and dropping those the
 remaining edges cannot bring down to two groups.  Larger blocks fall back
-to Monte Carlo sampling that realizes edges lazily during a BFS and stops
-as soon as the block is covered.
+to its Monte Carlo twin, which realizes every edge in each sampled world
+and tallies the worlds' one- and two-group partitions.
 
 Two functions price connectivity.  block_connectivity prices a block as it
 is.  pair_connectivity prices a block and, for each candidate pair, the
-block with that pair added as a certain edge, all by one method: one DP's
-final distribution gives every exact value at once, and sampled values
-share the block's stream.  disconnectivity prices a block pair from its
+block with that pair added as a certain edge, all by one method: the DP's
+final distribution, or the sampled partitions of the block's stream,
+gives every value at once.  disconnectivity prices a block pair from its
 spanning edges, which UncertainGraph.edges_between lists by one merge walk
 over the two sorted blocks.  changes_since tells a caller holding values
 priced on an earlier graph and clustering which blocks the round removed
@@ -38,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import compress
 from operator import itemgetter
 
 from .graph import Clustering, Pair, UncertainGraph, check_covers
@@ -56,7 +57,7 @@ MAX_EXACT_EDGE_LIMIT = 25
 # the largest mc_samples accepted.  The sampler's time grows linearly with
 # it; on random connected 10-record blocks with 25 uncertain edges (sampled
 # when pricing pairs at the largest exact_edge_limit) the slowest
-# pair_connectivity call this limit allows took 1.7 s with all 20
+# pair_connectivity call this limit allows took 0.10 s with all 20
 # candidates priced, on a 2-vCPU Xeon VM.  A sampled probability's standard
 # error is then at most 0.005.
 MAX_MC_SAMPLES = 10_000
@@ -297,56 +298,35 @@ def _partition_dp(n: int, edges: list[tuple[int, int, float]],
 _COIN_CHUNK = 4096
 
 
-def _sampled_connect_prob(n: int, edges: list[tuple[int, int, float]],
-                          samples: int, rng) -> float:
-    """Monte Carlo connectivity: fraction of sampled worlds where a BFS from
-    node 0 (the minimum-id member) reaches everyone.
+def _sampled_partitions(n: int, edges: list[tuple[int, int, float]],
+                        samples: int, rng) -> tuple[float, dict[bytes, float]]:
+    """The sampled twin of _partition_dp(n, edges, 2): the share of the
+    sampled worlds in which the edges join all n vertices, and the
+    two-group partitions the worlds leave, each with its share of them.
 
-    Edges are realized lazily when the BFS frontier first touches them and
-    the coin is remembered, so each edge is flipped at most once per world
-    and unreached parts of the graph cost nothing.  Coins are read in that
-    order from bulk draws of the generator, which yields the same doubles
-    as one ``rng.random()`` call per coin; draws left unread are dropped.
+    Each world realizes every edge, in list order, from one row of a bulk
+    draw of about _COIN_CHUNK coins, which yields the same doubles as one
+    ``rng.random()`` call per coin.  A union-find finds the world's groups;
+    a two-group world is keyed by whether each vertex lies in vertex 0's
+    group, so equal partitions share one key.
     """
-    if n <= 1:
-        return 1.0
-    adjacency: list[list[tuple[int, int, float]]] = [[] for _ in range(n)]
-    for eid, (u, v, p) in enumerate(edges):
-        adjacency[u].append((v, eid, p))
-        adjacency[v].append((u, eid, p))
-    if not adjacency[0] and n > 1:
-        return 0.0
-    # no run reads more than one coin per edge and world
-    chunk = min(_COIN_CHUNK, samples * len(edges))
-    coins: list[float] = []
-    used = 0
-    hits = 0
-    for _ in range(samples):
-        decided: dict[int, bool] = {}
-        visited = [False] * n
-        visited[0] = True
-        seen = 1
-        stack = [0]
-        while stack and seen < n:
-            node = stack.pop()
-            for other, eid, p in adjacency[node]:
-                if visited[other]:
-                    continue
-                present = decided.get(eid)
-                if present is None:
-                    if used == len(coins):
-                        coins = rng.random(chunk).tolist()
-                        used = 0
-                    present = coins[used] < p
-                    used += 1
-                    decided[eid] = present
-                if present:
-                    visited[other] = True
-                    seen += 1
-                    stack.append(other)
-        if seen == n:
-            hits += 1
-    return hits / samples
+    rows = max(1, _COIN_CHUNK // max(1, len(edges)))
+    ends = [(u, v) for u, v, _ in edges]
+    probs = [p for _, _, p in edges]
+    connected = 0
+    split: dict[bytes, int] = {}
+    for start in range(0, samples, rows):
+        for world in (rng.random((min(rows, samples - start), len(edges))) < probs).tolist():
+            uf = UnionFind(n)
+            for u, v in compress(ends, world):
+                uf.union(u, v)
+            if uf.groups == 1:
+                connected += 1
+            elif uf.groups == 2:
+                root = uf.find(0)
+                key = bytes(uf.find(x) == root for x in range(n))
+                split[key] = split.get(key, 0) + 1
+    return connected / samples, {key: count / samples for key, count in split.items()}
 
 
 def block_connectivity(graph: UncertainGraph, block,
@@ -360,7 +340,7 @@ def block_connectivity(graph: UncertainGraph, block,
     if solved_exactly(len(edges), params):
         return ConnectivityEstimate(value=_partition_dp(n, edges, 1)[0], method="exact")
     seed = _stream_seed(params, index)
-    value = _sampled_connect_prob(n, edges, params.mc_samples, make_rng(seed))
+    value = _sampled_partitions(n, edges, params.mc_samples, make_rng(seed))[0]
     return ConnectivityEstimate(value=value, method="monte-carlo",
                                 samples=params.mc_samples, seed=seed)
 
@@ -373,28 +353,24 @@ def pair_connectivity(graph: UncertainGraph, block, pairs,
     contraction with a pair added.  A block with exactly exact_edge_limit
     of them is therefore sampled here, though block_connectivity solves it
     exactly, so a gain never compares an exact value against a sampled one.
-    Exact values all come from one partition DP: c(block + certain ab) is
-    P(1 group) plus P(2 groups with a and b apart), the second term an
-    exactly rounded sum.  Sampled values all read the block's one stream,
-    the one block_connectivity samples it from: the base on the block's
-    edges and each pair on those plus the pair at probability 1.  A pair
-    inside one super-vertex gets exactly the base.  Raises ValueError for
-    a pair outside the block.
+    Either way one distribution prices every pair: the partition DP's, or
+    the sampled worlds of the block's one stream, the one
+    block_connectivity samples it from.  c(block + certain ab) is P(1
+    group) plus P(2 groups with a and b apart), the second term an exactly
+    rounded sum, so no pair prices below the base, and a pair inside one
+    super-vertex gets exactly the base.  Raises ValueError for a pair
+    outside the block.
     """
     index, n, edges = _reduced_block(graph, block)
     pair_edges = [_pair_index(index, pair) for pair in pairs]
     if solved_exactly(len(edges) + 1, params):
         connected, split = _partition_dp(n, edges, 2)
-        states = list(split.items())
-        return connected, [connected + math.fsum(w for s, w in states if s[ia] != s[ib])
-                           for ia, ib in pair_edges]
-    seed = _stream_seed(params, index)
-
-    def sampled(extra: list) -> float:
-        return _sampled_connect_prob(n, edges + extra, params.mc_samples, make_rng(seed))
-
-    base = sampled([])
-    return base, [base if ia == ib else sampled([(ia, ib, 1.0)]) for ia, ib in pair_edges]
+    else:
+        connected, split = _sampled_partitions(n, edges, params.mc_samples,
+                                               make_rng(_stream_seed(params, index)))
+    states = list(split.items())
+    return connected, [connected + math.fsum(w for s, w in states if s[ia] != s[ib])
+                       for ia, ib in pair_edges]
 
 
 @dataclass(frozen=True)

@@ -519,6 +519,29 @@ class TestRun:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_missing_records_exits_one(self, tmp_path, capsys):
+        world = self.world(tmp_path)
+        capsys.readouterr()
+        code = main(["run", "--gold", str(world / "gold.csv"), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", "error: run needs --records (or a records entry in the config file)\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_out_under_a_regular_file_exits_one(self, tmp_path, capsys):
+        world = self.world(tmp_path)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        capsys.readouterr()
+        code = main(["run", "--records", str(world / "records.csv"),
+                     "--gold", str(world / "gold.csv"), "--budget", "5",
+                     "--out", str(blocker / "out")])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: cannot create output directory {blocker / 'out'}: ")
+        assert blocker.read_text() == ""
+
 
 class TestConfigFile:
     def test_parses_comments_and_underscores(self, tmp_path):

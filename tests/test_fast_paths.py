@@ -7,9 +7,10 @@ disconnectivity per pair, a linear-scan agglomerative merge over every
 edge, a full sort of the queue, a scan of all |A|·|B| pairs for the
 absent cross pairs and for the queue entry of every block pair (stored or
 not), rho_inputs per block pair, a rescan of TC's candidates before each
-pick, a Monte Carlo sampler that draws one coin per call, and a cold
-build_state, a cold reliability call, a cold DENSE state and a rescan of
-TC's open pairs after every round.  Values must agree bit for bit, since curve bytes depend on them.
+pick, a Monte Carlo sampler that draws one coin per call and finds each
+world's groups by BFS, and a cold build_state, a cold reliability call, a
+cold DENSE state and a rescan of TC's open pairs after every round.
+Values must agree bit for bit, since curve bytes depend on them.
 """
 
 import itertools
@@ -26,7 +27,7 @@ from perc import (Clustering, ReliabilityParams, UncertainGraph, VoteTally, buil
 from perc.baselines import (TcState, build_dense_state, dense_batch, refresh_dense_state,
                             refresh_tc_state, rho_inputs, tc_batch)
 from perc.clustering import _PairAgg
-from perc.reliability import (Changes, _sampled_connect_prob, block_connectivity,
+from perc.reliability import (Changes, _sampled_partitions, block_connectivity,
                               changes_since, disconnectivity, reliability)
 from perc.selection import _inter_gain
 from perc.util import make_rng
@@ -182,36 +183,36 @@ def reference_scc(graph):
     return Clustering(blocks.values())
 
 
-def reference_sampled_connect_prob(n, edges, samples, rng):
-    """The lazy-BFS Monte Carlo estimate with one rng.random() call per
-    coin, in the order the walk first meets each edge."""
-    if n <= 1:
-        return 1.0
-    adjacency = [[] for _ in range(n)]
-    for eid, (u, v, p) in enumerate(edges):
-        adjacency[u].append((v, eid, p))
-        adjacency[v].append((u, eid, p))
-    if not adjacency[0]:
-        return 0.0
-    hits = 0
+def reference_sampled_partitions(n, edges, samples, rng):
+    """The sampled partitions with one rng.random() call per coin, edge by
+    edge in list order and world by world, each world's groups found by a
+    plain BFS from every vertex not yet reached."""
+    connected = 0
+    split = {}
     for _ in range(samples):
-        decided = {}
-        visited = [False] * n
-        visited[0] = True
-        seen = 1
-        stack = [0]
-        while stack and seen < n:
-            for other, eid, p in adjacency[stack.pop()]:
-                if visited[other]:
-                    continue
-                if eid not in decided:
-                    decided[eid] = rng.random() < p
-                if decided[eid]:
-                    visited[other] = True
-                    seen += 1
-                    stack.append(other)
-        hits += seen == n
-    return hits / samples
+        adjacency = [[] for _ in range(n)]
+        for u, v, p in edges:
+            if rng.random() < p:
+                adjacency[u].append(v)
+                adjacency[v].append(u)
+        group = [None] * n
+        groups = 0
+        for start in range(n):
+            if group[start] is None:
+                group[start] = groups
+                queue = [start]
+                for node in queue:
+                    for other in adjacency[node]:
+                        if group[other] is None:
+                            group[other] = groups
+                            queue.append(other)
+                groups += 1
+        if groups == 1:
+            connected += 1
+        elif groups == 2:
+            key = bytes(g == group[0] for g in group)
+            split[key] = split.get(key, 0) + 1
+    return connected / samples, {key: count / samples for key, count in split.items()}
 
 
 @st.composite
@@ -561,8 +562,8 @@ def test_bulk_coins_equal_per_coin_sampler(graph, samples, seed):
     index = {r: i for i, r in enumerate(graph.records)}
     edges = [(index[a], index[b], p) for (a, b), p in graph.edge_items()]
     n = len(graph.records)
-    assert _sampled_connect_prob(n, edges, samples, make_rng(seed)) == \
-        reference_sampled_connect_prob(n, edges, samples, make_rng(seed))
+    assert _sampled_partitions(n, edges, samples, make_rng(seed)) == \
+        reference_sampled_partitions(n, edges, samples, make_rng(seed))
 
 
 @settings(max_examples=150, deadline=None)

@@ -17,7 +17,7 @@ from perc import (
     disconnectivity,
 )
 from perc.reliability import (ConnectivityEstimate, MAX_EXACT_EDGE_LIMIT, MAX_MC_SAMPLES,
-                              _partition_dp, _reduced_block, _sampled_connect_prob,
+                              _partition_dp, _reduced_block, _sampled_partitions,
                               pair_connectivity, reliability, solved_exactly)
 from perc.util import ConfigError, make_rng
 
@@ -81,6 +81,16 @@ def sampled_connectivity(graph, block, params):
     """block_connectivity forced onto the Monte Carlo path."""
     return block_connectivity(graph, block,
                               dataclasses.replace(params, exact_edge_limit=0))
+
+
+def partition_pair_values(graph, members, pairs, samples, seed):
+    """c(block + certain pair) for each pair, read off _sampled_partitions
+    on the stream seed: the connected share plus the share of two-group
+    worlds with the pair apart."""
+    index, n, edges = _reduced_block(graph, members)
+    connected, split = _sampled_partitions(n, edges, samples, make_rng(seed))
+    return [connected + math.fsum(w for s, w in split.items() if s[index[a]] != s[index[b]])
+            for a, b in pairs]
 
 
 class TestConnectivityExact:
@@ -301,19 +311,24 @@ class TestPairConnectivity:
         below = ReliabilityParams(exact_edge_limit=1, mc_samples=100, seed=0)
         sampled = block_connectivity(trio_graph, "ABC", below)
         assert sampled.method == "monte-carlo"
-        base, (value,) = pair_connectivity(trio_graph, "ABC", [("A", "C")], params)
+        base, values = pair_connectivity(trio_graph, "ABC", [("A", "C")], params)
         assert base == sampled.value
-        index, n, edges = _reduced_block(trio_graph, "ABC")
-        assert value == _sampled_connect_prob(3, edges + [(0, 2, 1.0)], 100,
-                                              make_rng(sampled.seed))
+        assert values == partition_pair_values(trio_graph, "ABC", [("A", "C")], 100,
+                                               sampled.seed)
 
     def test_pair_must_be_inside_block(self, running_graph):
         with pytest.raises(ValueError, match="does not lie inside the block"):
             pair_connectivity(running_graph, ("A", "B"), [("A", "C")], ReliabilityParams())
 
+    def test_empty_block_is_refused(self, trio_graph):
+        with pytest.raises(ValueError, match="^block is empty$"):
+            block_connectivity(trio_graph, (), EXACT)
+        with pytest.raises(ValueError, match="^block is empty$"):
+            pair_connectivity(trio_graph, (), [], EXACT)
+
     def test_base_and_pairs_share_one_stream(self):
         # common random numbers: the base is block_connectivity's sampled
-        # value, and each with-pair value reads the same derived stream
+        # value, and each with-pair value reads the same sampled worlds
         members = [f"m{i}" for i in range(6)]
         rng = np.random.default_rng(31)
         edges = {}
@@ -325,29 +340,57 @@ class TestPairConnectivity:
         params = ReliabilityParams(exact_edge_limit=2, mc_samples=400, seed=77)
         alone = block_connectivity(g, members, params)
         assert alone.method == "monte-carlo"
-        base, (value,) = pair_connectivity(g, members, [(members[0], members[1])], params)
+        pair = (members[0], members[1])
+        base, values = pair_connectivity(g, members, [pair], params)
         assert base == alone.value
-        _, _, indexed = _reduced_block(g, members)
-        assert value == _sampled_connect_prob(6, indexed + [(0, 1, 1.0)], 400,
-                                              make_rng(alone.seed))
+        assert values == partition_pair_values(g, members, [pair], 400, alone.seed)
 
     @settings(max_examples=100, deadline=None)
     @given(dp_blocks(), st.integers(0, 2**32 - 1))
     def test_sampled_values_equal_the_reference(self, graph, seed):
         members = list(graph.records)
         edges = dict(graph.edge_items())
-        index, n, reduced = _reduced_block(graph, members)
+        _, _, reduced = _reduced_block(graph, members)
         assume(reduced)  # block_connectivity samples no block without uncertain edges
         absent = [pair for pair in itertools.combinations(members, 2) if pair not in edges]
         params = ReliabilityParams(mc_samples=60, exact_edge_limit=len(reduced), seed=seed)
         below = dataclasses.replace(params, exact_edge_limit=len(reduced) - 1)
         base, values = pair_connectivity(graph, members, absent, params)
-        # reference: the block's own stream, without and with each certain pair
-        stream = block_connectivity(graph, members, below).seed
-        assert base == _sampled_connect_prob(n, reduced, 60, make_rng(stream))
-        for (a, b), value in zip(absent, values):
-            assert value == _sampled_connect_prob(
-                n, reduced + [(index[a], index[b], 1.0)], 60, make_rng(stream))
+        # reference: the partitions sampled from the block's own stream
+        alone = block_connectivity(graph, members, below)
+        assert base == alone.value
+        assert values == partition_pair_values(graph, members, absent, 60, alone.seed)
+
+    @settings(max_examples=150, deadline=None)
+    @given(dp_blocks(), st.integers(1, 200), st.integers(0, 2**32 - 1))
+    def test_sampled_pair_never_prices_below_the_base(self, graph, samples, seed):
+        # a certain pair can only join groups, and every pair reads the
+        # base's worlds, so each sampled with-pair value is at least the base
+        members = list(graph.records)
+        edges = dict(graph.edge_items())
+        absent = [pair for pair in itertools.combinations(members, 2) if pair not in edges]
+        params = ReliabilityParams(mc_samples=samples, exact_edge_limit=0, seed=seed)
+        base, values = pair_connectivity(graph, members, absent, params)
+        for pair, value in zip(absent, values):
+            assert value >= base, pair
+
+    def test_sampled_pairs_sit_within_tolerance_of_the_exact_dp(self):
+        # acceptance 2's sweep and tolerance, applied to every with-pair value
+        rng = np.random.default_rng(20261020)
+        priced = 0
+        for i in range(40):
+            g, members = random_block_graph(rng, n_max=8, max_edges=14)
+            absent = [pair for pair in itertools.combinations(members, 2)
+                      if pair not in g.edges]
+            _, exact = pair_connectivity(g, members, absent, EXACT)
+            _, sampled = pair_connectivity(
+                g, members, absent, ReliabilityParams(mc_samples=1000, seed=i,
+                                                      exact_edge_limit=0))
+            for pair, want, got in zip(absent, exact, sampled):
+                tolerance = 3.0 * math.sqrt(want * (1.0 - want) / 1000.0) + 0.005
+                assert abs(got - want) <= tolerance, (i, pair)
+            priced += len(absent)
+        assert priced >= 300
 
 
 class TestContraction:
