@@ -14,10 +14,12 @@ present edges are exactly its intra-block edges.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .util import canonical_pair, check_fields, log10_or_neg_inf
+from .util import canonical_pair, check_fields
 
 Pair = tuple[str, str]
 
@@ -102,7 +104,7 @@ class UncertainGraph:
     def _checked(self, answers: Iterable[tuple[Pair, float]]) -> dict[Pair, float]:
         """Each (pair, p) of answers as canonical pair -> p, once both
         records are declared, the pair is neither in this graph nor listed
-        earlier, and p lies in [0, 1]."""
+        earlier, and p is a real number (not a bool) in [0, 1]."""
         new: dict[Pair, float] = {}
         for (a, b), p in answers:
             key = canonical_pair(a, b)
@@ -111,6 +113,8 @@ class UncertainGraph:
                     raise ValueError(f"record {r!r} in pair {key} is not declared")
             if key in self.edges or key in new:
                 raise ValueError(f"pair {key} was already crowdsourced")
+            if type(p) is not float and (isinstance(p, bool) or not isinstance(p, numbers.Real)):
+                raise ValueError(f"edge {key} probability must be a real number, got {p!r}")
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"edge {key} has probability {p} outside [0, 1]")
             new[key] = float(p)
@@ -303,7 +307,8 @@ def possible_world_log_prob(graph: UncertainGraph, present: Iterable[Pair]) -> f
         present_set.add(key)
     total = 0.0
     for pair, p in graph.edge_items():
-        total += log10_or_neg_inf(p if pair in present_set else 1.0 - p)
+        q = p if pair in present_set else 1.0 - p
+        total += math.log10(q) if q > 0.0 else -math.inf
     return total
 
 
@@ -317,7 +322,5 @@ def clustering_log_likelihood(graph: UncertainGraph, clustering: Clustering) -> 
     """log10 likelihood of a clustering: the probability of the one world
     whose present edges are exactly the clustering's intra-block edges."""
     check_covers(graph, clustering)
-    total = 0.0
-    for (a, b), p in graph.edge_items():
-        total += log10_or_neg_inf(p if clustering.same_block(a, b) else 1.0 - p)
-    return total
+    return possible_world_log_prob(graph, [pair for pair in graph.edges
+                                           if clustering.same_block(*pair)])

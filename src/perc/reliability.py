@@ -16,12 +16,12 @@ remaining edges cannot bring down to two groups.  Larger blocks fall back
 to its Monte Carlo twin, which realizes every edge in each sampled world
 and tallies the worlds' one- and two-group partitions.
 
-Two functions price connectivity.  block_connectivity prices a block as it
-is.  pair_connectivity prices a block and, for each candidate pair, the
-block with that pair added as a certain edge, all by one method: the DP's
-final distribution, or the sampled partitions of the block's stream,
-gives every value at once.  disconnectivity prices a block pair from its
-spanning edges, which UncertainGraph.edges_between lists by one merge walk
+Two functions price connectivity through _partitions, which picks the
+method once from the block's uncertain edge count.  block_connectivity
+prices a block as it is.  pair_connectivity prices it and, for each
+candidate pair, the block with that pair added as a certain edge, from one
+distribution: the DP's, or the sampled partitions of the block's stream.
+disconnectivity prices a block pair from its spanning edges, which UncertainGraph.edges_between lists by one merge walk
 over the two sorted blocks.  changes_since tells a caller holding values
 priced on an earlier graph and clustering which blocks the round removed
 and created and which of the values may carry over.  On first read it
@@ -50,14 +50,14 @@ BlockPairKey = tuple[Block, Block]
 # the largest exact_edge_limit accepted, which counts the uncertain edges
 # left after contraction.  The partition DP's time about doubles with every
 # two of them; on random connected blocks the slowest call this limit
-# allows took a quarter of a second (24 edges, every candidate priced) on a
+# allows took 1.1 s (25 edges, every candidate priced; 0.66 s at 24) on a
 # 2-vCPU Xeon VM.  CHANGES.md has the measurements.
 MAX_EXACT_EDGE_LIMIT = 25
 
 # the largest mc_samples accepted.  The sampler's time grows linearly with
-# it; on random connected 10-record blocks with 25 uncertain edges (sampled
-# when pricing pairs at the largest exact_edge_limit) the slowest
-# pair_connectivity call this limit allows took 0.10 s with all 20
+# it; on random connected 10-record blocks with 26 uncertain edges (the
+# fewest sampled at the largest exact_edge_limit) the slowest
+# pair_connectivity call this limit allows took 0.10 s with all 19
 # candidates priced, on a 2-vCPU Xeon VM.  A sampled probability's standard
 # error is then at most 0.005.
 MAX_MC_SAMPLES = 10_000
@@ -85,13 +85,6 @@ class ReliabilityParams:
         check_fields(self)
 
 
-def solved_exactly(edge_count: int, params: ReliabilityParams) -> bool:
-    """Whether a block with edge_count uncertain intra edges after
-    contraction, a hypothetical certain pair included, is priced by the
-    exact DP rather than sampled."""
-    return edge_count <= params.exact_edge_limit
-
-
 @dataclass(frozen=True)
 class ConnectivityEstimate:
     """A block connectivity value plus how it was obtained."""
@@ -110,11 +103,10 @@ class ReliabilityScore:
     disconnectivity_log sums log10 d over the spanned block pairs with
     d >= epsilon; clamped counts the blocks and block pairs below epsilon,
     unspanned pairs (d = 0) included.  block_connectivity follows
-    clustering.blocks; pair_disconnectivity holds the spanned block pairs
-    only, keyed (bj, bk) for j < k in clustering.blocks, so a pair missing
-    from it has d = 0.  It is read from the one table the score keeps and
-    carries to the next, (d, log10 d) for each spanned pair, as
-    Changes.priced hands them over.
+    clustering.blocks; _pairs holds (d, log10 d) for the spanned block
+    pairs only, keyed (bj, bk) for j < k in clustering.blocks, so a pair
+    missing from it has d = 0.  It is the one table the score keeps and
+    carries to the next, as Changes.priced hands the pairs over.
     """
 
     value: float
@@ -126,10 +118,6 @@ class ReliabilityScore:
     graph: UncertainGraph = field(compare=False, repr=False)
     clustering: Clustering = field(compare=False, repr=False)
     params: ReliabilityParams = field(compare=False, repr=False)
-
-    @property
-    def pair_disconnectivity(self) -> dict[BlockPairKey, float]:
-        return {key: d for key, (d, _) in self._pairs.items()}
 
 
 def _check_block(clustering: Clustering, block) -> Block:
@@ -231,8 +219,7 @@ def _joined(state: bytes, comps: list, lu: int, lv: int) -> bool:
     return lu == lv
 
 
-def _partition_dp(n: int, edges: list[tuple[int, int, float]],
-                  max_groups: int) -> tuple[float, dict[bytes, float]]:
+def _partition_dp(n: int, edges: list[tuple[int, int, float]]) -> tuple[float, dict[bytes, float]]:
     """P(the edges join all n vertices) and the two-group partitions they
     can leave, with their probabilities.
 
@@ -242,9 +229,9 @@ def _partition_dp(n: int, edges: list[tuple[int, int, float]],
     absent with 1 - p.  A state's level is the number of groups it would
     have if every edge still to come were present: a present edge keeps
     it, an absent one raises it by one when it bridges that join.  States
-    above max_groups (1 or 2) can never end with so few groups and are
-    dropped, so a tree block keeps the connected state plus one state per
-    absent edge.  Callers pass the uncertain edges of a contracted block
+    above level 2 can never end with one or two groups and are dropped, so
+    a tree block keeps the connected state plus one state per absent edge.
+    Callers pass the uncertain edges of a contracted block
     (_reduced_block), so every edge splits.  Labels are bytes, so n is at
     most 256.  A block that can end in two groups has at most m + 2
     vertices, so one the exact_edge_limit admits has at most 27.
@@ -258,11 +245,11 @@ def _partition_dp(n: int, edges: list[tuple[int, int, float]],
         uf.union(u, v)
         roots.append([uf.find(x) for x in range(n)])
     roots.reverse()
-    if uf.groups > max_groups:
+    if uf.groups > 2:
         return 0.0, {}
-    # levels[k]: states whose groups, joined by the edges to come, number k
-    levels: list[dict[bytes, float]] = [{} for _ in range(max_groups + 1)]
-    levels[uf.groups][bytes(range(n))] = 1.0
+    # one, two: the states whose groups, joined by the edges to come, number 1 or 2
+    one, two = {}, {}
+    (one if uf.groups == 1 else two)[bytes(range(n))] = 1.0
     for i, (u, v, p) in enumerate(edges):
         root = roots[i + 1]
         comps = None
@@ -273,11 +260,9 @@ def _partition_dp(n: int, edges: list[tuple[int, int, float]],
                 members.setdefault(r, []).append(x)
             comps = [itemgetter(*group) for group in members.values() if len(group) > 1]
         q = 1.0 - p
-        nxt: list[dict[bytes, float]] = [{} for _ in range(max_groups + 1)]
-        for k in range(1, max_groups + 1):
-            same = nxt[k]
-            split = nxt[k + 1] if k < max_groups else None
-            for state, w in levels[k].items():
+        next_one, next_two = {}, {}
+        for states, same, split in ((one, next_one, next_two), (two, next_two, None)):
+            for state, w in states.items():
                 lu, lv = state[u], state[v]
                 if lu == lv:
                     same[state] = same.get(state, 0.0) + w
@@ -289,9 +274,9 @@ def _partition_dp(n: int, edges: list[tuple[int, int, float]],
                     same[state] = same.get(state, 0.0) + w * q
                 elif split is not None:
                     split[state] = split.get(state, 0.0) + w * q
-        levels = nxt
+        one, two = next_one, next_two
     # after the last edge a state's level is its group count
-    return levels[1].get(bytes(n), 0.0), levels[2] if max_groups > 1 else {}
+    return one.get(bytes(n), 0.0), two
 
 
 # coins drawn from the generator at a time by the Monte Carlo sampler
@@ -300,7 +285,7 @@ _COIN_CHUNK = 4096
 
 def _sampled_partitions(n: int, edges: list[tuple[int, int, float]],
                         samples: int, rng) -> tuple[float, dict[bytes, float]]:
-    """The sampled twin of _partition_dp(n, edges, 2): the share of the
+    """The sampled twin of _partition_dp(n, edges): the share of the
     sampled worlds in which the edges join all n vertices, and the
     two-group partitions the worlds leave, each with its share of them.
 
@@ -329,6 +314,24 @@ def _sampled_partitions(n: int, edges: list[tuple[int, int, float]],
     return connected / samples, {key: count / samples for key, count in split.items()}
 
 
+def _partitions(graph: UncertainGraph, block, params: ReliabilityParams,
+                pairs=()) -> tuple[ConnectivityEstimate, dict[bytes, float], list]:
+    """The block's connectivity, its two-group partitions with their
+    probabilities, and each pair as two super-vertices, all by one method:
+    the partition DP up to exact_edge_limit uncertain edges after
+    contraction, and above it the sampled worlds of the block's stream.
+    Raises ValueError for a pair outside the block."""
+    index, n, edges = _reduced_block(graph, block)
+    pair_edges = [_pair_index(index, pair) for pair in pairs]
+    if len(edges) <= params.exact_edge_limit:
+        connected, split = _partition_dp(n, edges)
+        return ConnectivityEstimate(value=connected, method="exact"), split, pair_edges
+    seed = _stream_seed(params, index)
+    connected, split = _sampled_partitions(n, edges, params.mc_samples, make_rng(seed))
+    return (ConnectivityEstimate(value=connected, method="monte-carlo",
+                                 samples=params.mc_samples, seed=seed), split, pair_edges)
+
+
 def block_connectivity(graph: UncertainGraph, block,
                        params: ReliabilityParams) -> ConnectivityEstimate:
     """Connectivity of the block, solved exactly up to exact_edge_limit
@@ -336,38 +339,19 @@ def block_connectivity(graph: UncertainGraph, block,
     block is connected for certain."""
     if len(block) == 1:
         return ConnectivityEstimate(value=1.0, method="exact")
-    index, n, edges = _reduced_block(graph, block)
-    if solved_exactly(len(edges), params):
-        return ConnectivityEstimate(value=_partition_dp(n, edges, 1)[0], method="exact")
-    seed = _stream_seed(params, index)
-    value = _sampled_partitions(n, edges, params.mc_samples, make_rng(seed))[0]
-    return ConnectivityEstimate(value=value, method="monte-carlo",
-                                samples=params.mc_samples, seed=seed)
+    return _partitions(graph, block, params)[0]
 
 
 def pair_connectivity(graph: UncertainGraph, block, pairs,
                       params: ReliabilityParams) -> tuple[float, list[float]]:
-    """c(block) and c(block + certain pair) for each pair, by one method.
-
-    The method is picked once, from the uncertain edge count after
-    contraction with a pair added.  A block with exactly exact_edge_limit
-    of them is therefore sampled here, though block_connectivity solves it
-    exactly, so a gain never compares an exact value against a sampled one.
-    Either way one distribution prices every pair: the partition DP's, or
-    the sampled worlds of the block's one stream, the one
-    block_connectivity samples it from.  c(block + certain ab) is P(1
-    group) plus P(2 groups with a and b apart), the second term an exactly
-    rounded sum, so no pair prices below the base, and a pair inside one
-    super-vertex gets exactly the base.  Raises ValueError for a pair
-    outside the block.
+    """c(block), bit for bit block_connectivity's value, and c(block +
+    certain pair) for each pair from the same distribution: P(1 group) plus
+    P(2 groups with a and b apart), the second term an exactly rounded sum,
+    so no pair prices below the base, and a pair inside one super-vertex
+    gets exactly the base.  Raises ValueError for a pair outside the block.
     """
-    index, n, edges = _reduced_block(graph, block)
-    pair_edges = [_pair_index(index, pair) for pair in pairs]
-    if solved_exactly(len(edges) + 1, params):
-        connected, split = _partition_dp(n, edges, 2)
-    else:
-        connected, split = _sampled_partitions(n, edges, params.mc_samples,
-                                               make_rng(_stream_seed(params, index)))
+    estimate, split, pair_edges = _partitions(graph, block, params, pairs)
+    connected = estimate.value
     states = list(split.items())
     return connected, [connected + math.fsum(w for s, w in states if s[ia] != s[ib])
                        for ia, ib in pair_edges]

@@ -18,8 +18,6 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     import numpy as np
 
-NEG_INF = float("-inf")
-
 
 class ConfigError(ValueError):
     """A parameter value that fails its check; ``field`` names the
@@ -93,15 +91,6 @@ class UnionFind:
         if ra != rb:
             self.parent[rb] = ra
             self.groups -= 1
-
-
-def log10_or_neg_inf(x: float) -> float:
-    """log10 that maps 0 to -inf instead of raising."""
-    if x < 0.0:
-        raise ValueError(f"expected a probability in [0, 1], got {x}")
-    if x == 0.0:
-        return NEG_INF
-    return math.log10(x)
 
 
 def log10_clamped(x: float, floor: float) -> float:

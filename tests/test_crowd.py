@@ -102,6 +102,11 @@ class TestWorkerModel:
         with pytest.raises(ValueError, match=f"need 5 coins, got {count}"):
             simulate_votes(GOLD, ("a", "b"), model, [0.5] * count)
 
+    def test_self_loop_is_refused(self):
+        model = WorkerModel(workers_per_pair=5, error_rate=0.1)
+        with pytest.raises(ValueError, match=r"^pair \('a', 'a'\) is a self-loop"):
+            simulate_votes(GOLD, ("a", "a"), model, [0.5] * 5)
+
 
 class TestVoteCoins:
     def test_known_answer(self):

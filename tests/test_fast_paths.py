@@ -465,7 +465,8 @@ def test_reliability_equals_per_pair_sum(case, rng, epsilon):
     assert score.value == math.fsum((math.fsum(connect_terms), math.fsum(disconnect_terms),
                                      clamped * math.log10(epsilon)))
     assert [est.value for est in score.block_connectivity] == connect
-    assert score.pair_disconnectivity == spanned
+    assert score._pairs == {key: (d, math.log10(d) if d > 0.0 else -math.inf)
+                            for key, d in spanned.items()}
 
 
 @ORACLE
@@ -622,7 +623,7 @@ def test_carried_score_equals_cold_call(graph, data):
         assert carried.disconnectivity_log == cold.disconnectivity_log
         assert carried.clamped == cold.clamped
         assert carried.block_connectivity == cold.block_connectivity
-        assert carried.pair_disconnectivity == cold.pair_disconnectivity
+        assert carried._pairs == cold._pairs
         score = carried
 
 

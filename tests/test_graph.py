@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -96,6 +97,19 @@ class TestUncertainGraph:
             UncertainGraph("AB", {("A", "B"): 1.5})
         with pytest.raises(ValueError):
             UncertainGraph("AB", {("A", "B"): -0.1})
+        # a bool or a value that is not a real number is refused by name,
+        # through the constructor and through with_edge alike
+        for bad in (True, False, np.bool_(True), "0.5", None, 0.5j):
+            message = rf"^edge \('A', 'B'\) probability must be a real number, got {re.escape(repr(bad))}$"
+            with pytest.raises(ValueError, match=message):
+                UncertainGraph("AB", {("B", "A"): bad})
+            if bad is not None:  # None there means no probability was given
+                with pytest.raises(ValueError, match=message):
+                    UncertainGraph("AB").with_edge("A", "B", probability=bad)
+        for good in (np.float64(0.25), np.float32(0.5), 1, np.int64(0)):
+            g = UncertainGraph("AB").with_edge("A", "B", probability=good)
+            assert g.edges == {("A", "B"): float(good)}
+            assert type(g.edges[("A", "B")]) is float
 
     def test_with_edge_returns_new_graph(self):
         g = UncertainGraph("ABC", {("A", "B"): 0.8})

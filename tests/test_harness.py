@@ -633,6 +633,21 @@ class TestReplay:
         cut = run_experiment(config, records, replay=ReplayOracle(live.vote_log[:14]))
         assert cut.flags == {"exhausted": True, "replay_exhausted": True}
 
+    def test_replay_ends_before_a_round_whose_first_pick_is_unrecorded(self):
+        # the log lacks the first pick of TC's twelfth batch, so that round
+        # asks nothing, is not counted, and ends the run
+        records, gold = synth_world(20, 4, seed=1)
+        config = ExperimentConfig(strategy="tc", budget=60, batch_size=5, seed=2)
+        live = run_experiment(config, records, gold=gold)
+        assert live.stats["rounds"] == 12
+        (missing, _), = live.vote_log[55:56]
+        cut = run_experiment(config, records, gold=gold,
+                             replay=ReplayOracle(live.vote_log[:55] + live.vote_log[56:]))
+        assert cut.vote_log == live.vote_log[:55]
+        assert cut.stats["rounds"] == 11
+        assert cut.flags == {"replay_exhausted": True, "unanswered_selection": missing}
+        assert cut.curve == live.curve[:12]
+
 
 class TestReport:
     def test_writes_all_files_and_returns_curve_path(self, tmp_path, capsys):

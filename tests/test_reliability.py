@@ -18,7 +18,7 @@ from perc import (
 )
 from perc.reliability import (ConnectivityEstimate, MAX_EXACT_EDGE_LIMIT, MAX_MC_SAMPLES,
                               _partition_dp, _reduced_block, _sampled_partitions,
-                              pair_connectivity, reliability, solved_exactly)
+                              pair_connectivity, reliability)
 from perc.util import ConfigError, make_rng
 
 from conftest import connectivity_by_enumeration, random_small_graph
@@ -205,7 +205,7 @@ class TestPartitionDP:
         # absent; without pruning at three groups the 18 edges would leave
         # 2**18 partitions
         n, p = 19, 0.7
-        connected, split = _partition_dp(n, path_edges(n, p), 2)
+        connected, split = _partition_dp(n, path_edges(n, p))
         assert len(split) == n - 1
         assert connected == pytest.approx(p ** (n - 1), rel=1e-12)
 
@@ -225,15 +225,6 @@ class TestPartitionDP:
             expected = p ** (n - 1) + d * (1 - p) * p ** (n - 2)
             assert value == pytest.approx(expected, rel=1e-12)
 
-    def test_one_group_only_run_gives_the_same_connectivity(self):
-        rng = np.random.default_rng(5)
-        for _ in range(30):
-            g, members = random_block_graph(rng, n_max=7, max_edges=14)
-            index = {r: i for i, r in enumerate(members)}
-            edges = [(index[a], index[b], p) for (a, b), p in g.edge_items()]
-            assert _partition_dp(len(members), edges, 1) == (
-                _partition_dp(len(members), edges, 2)[0], {})
-
     def test_exact_edge_limit_is_capped(self):
         assert ReliabilityParams(exact_edge_limit=MAX_EXACT_EDGE_LIMIT)
         with pytest.raises(ConfigError, match=f"must be <= {MAX_EXACT_EDGE_LIMIT}, got 10000"):
@@ -244,11 +235,6 @@ class TestPartitionDP:
         assert ReliabilityParams(mc_samples=MAX_MC_SAMPLES).mc_samples >= 4000
         with pytest.raises(ConfigError, match=f"must be <= {MAX_MC_SAMPLES}, got 10001"):
             ReliabilityParams(mc_samples=MAX_MC_SAMPLES + 1)
-
-    def test_solved_exactly_counts_the_pair(self):
-        params = ReliabilityParams(exact_edge_limit=3)
-        assert solved_exactly(3, params)
-        assert not solved_exactly(4, params)
 
 
 class TestConnectivityMC:
@@ -304,14 +290,21 @@ class TestPairConnectivity:
         assert boosted == pytest.approx(0.9)
 
     def test_method_comes_from_the_edge_count_with_a_pair(self, trio_graph):
-        # at m == exact_edge_limit the block alone is exact, but the base
-        # and every with-pair value are sampled from the block's stream
+        # the block's own count of m = 2 uncertain edges picks the method, a
+        # pair not counted: at m == exact_edge_limit the base and every
+        # with-pair value are exact, and below it both are sampled from the
+        # block's stream
         params = ReliabilityParams(exact_edge_limit=2, mc_samples=100, seed=0)
-        assert block_connectivity(trio_graph, "ABC", params).method == "exact"
+        exact = block_connectivity(trio_graph, "ABC", params)
+        assert exact.method == "exact"
+        base, (value,) = pair_connectivity(trio_graph, "ABC", [("A", "C")], params)
+        assert base == exact.value
+        # a certain A-C leaves ABC connected unless both A-B and B-C are absent
+        assert value == pytest.approx(1.0 - 0.1 * 0.2, abs=1e-15)
         below = ReliabilityParams(exact_edge_limit=1, mc_samples=100, seed=0)
         sampled = block_connectivity(trio_graph, "ABC", below)
         assert sampled.method == "monte-carlo"
-        base, values = pair_connectivity(trio_graph, "ABC", [("A", "C")], params)
+        base, values = pair_connectivity(trio_graph, "ABC", [("A", "C")], below)
         assert base == sampled.value
         assert values == partition_pair_values(trio_graph, "ABC", [("A", "C")], 100,
                                                sampled.seed)
@@ -351,15 +344,40 @@ class TestPairConnectivity:
         members = list(graph.records)
         edges = dict(graph.edge_items())
         _, _, reduced = _reduced_block(graph, members)
-        assume(reduced)  # block_connectivity samples no block without uncertain edges
+        assume(reduced)  # no block without uncertain edges is sampled
         absent = [pair for pair in itertools.combinations(members, 2) if pair not in edges]
-        params = ReliabilityParams(mc_samples=60, exact_edge_limit=len(reduced), seed=seed)
-        below = dataclasses.replace(params, exact_edge_limit=len(reduced) - 1)
+        # one edge over the limit: both functions sample
+        params = ReliabilityParams(mc_samples=60, exact_edge_limit=len(reduced) - 1, seed=seed)
         base, values = pair_connectivity(graph, members, absent, params)
         # reference: the partitions sampled from the block's own stream
-        alone = block_connectivity(graph, members, below)
+        alone = block_connectivity(graph, members, params)
+        assert alone.method == "monte-carlo"
         assert base == alone.value
         assert values == partition_pair_values(graph, members, absent, 60, alone.seed)
+
+    @settings(max_examples=100, deadline=None)
+    @given(dp_blocks(), st.integers(0, 2**32 - 1))
+    @example(UncertainGraph(["m0", "m1", "m2"], {("m0", "m1"): 0.9, ("m1", "m2"): 0.8}), 0)
+    def test_base_is_the_scored_term_at_every_limit(self, graph, seed):
+        # the queue's base is block_connectivity's value bit for bit, and the
+        # with-pair values come by the same method, at every limit from 0 to
+        # m + 1; at m == exact_edge_limit, counting the pair would sample
+        members = list(graph.records)
+        edges = dict(graph.edge_items())
+        absent = [pair for pair in itertools.combinations(members, 2) if pair not in edges]
+        m = len(_reduced_block(graph, members)[2])
+        _, exact = pair_connectivity(graph, members, absent, EXACT)
+        for limit in range(m + 2):
+            params = ReliabilityParams(mc_samples=30, exact_edge_limit=limit, seed=seed)
+            alone = block_connectivity(graph, members, params)
+            assert alone.method == ("exact" if m <= limit else "monte-carlo"), limit
+            base, values = pair_connectivity(graph, members, absent, params)
+            assert base == alone.value, limit
+            if alone.method == "exact":
+                assert values == exact, limit
+            else:
+                assert values == partition_pair_values(graph, members, absent, 30,
+                                                       alone.seed), limit
 
     @settings(max_examples=150, deadline=None)
     @given(dp_blocks(), st.integers(1, 200), st.integers(0, 2**32 - 1))
@@ -451,8 +469,8 @@ class TestReliability:
             math.log10(0.72) + math.log10(0.88), abs=1e-12)
         assert [e.value for e in score.block_connectivity] == [
             pytest.approx(0.72), pytest.approx(1.0)]
-        assert score.pair_disconnectivity == {
-            (("A", "B", "C"), ("D",)): pytest.approx(0.88)}
+        assert score._pairs == {
+            (("A", "B", "C"), ("D",)): (pytest.approx(0.88), pytest.approx(math.log10(0.88)))}
         assert score.connectivity_log == pytest.approx(math.log10(0.72), abs=1e-15)
         assert score.disconnectivity_log == pytest.approx(math.log10(0.88), abs=1e-15)
         assert score.clamped == 0
@@ -470,7 +488,7 @@ class TestReliability:
         score = reliability(g, c, ReliabilityParams(epsilon=1e-12))
         assert score.value == pytest.approx(2 * math.log10(1e-12))
         assert score.clamped == 2
-        assert score.pair_disconnectivity == {}
+        assert score._pairs == {}
 
     def test_epsilon_is_configurable(self):
         g = UncertainGraph(["A", "B"])
@@ -534,14 +552,14 @@ class TestReliability:
         # splitting {C,D} removes a block that A-C and B-D span
         params = ReliabilityParams(exact_edge_limit=8)
         previous = reliability(running_graph, running_clustering, params)
-        before = dict(previous.pair_disconnectivity)
+        before = dict(previous._pairs)
         assert (("A", "B"), ("C", "D")) in before
         grown = running_graph.with_edge("A", "D", probability=0.4)
         split = Clustering((("A", "B"), ("C",), ("D",), ("E", "F"), ("G", "H")))
         cold = reliability(grown, split, params)
         for _ in range(2):
             assert reliability(grown, split, params, previous=previous) == cold
-            assert previous.pair_disconnectivity == before
+            assert previous._pairs == before
 
     def test_sampled_connectivity_carries(self, running_graph, running_clustering):
         # at limit 0 every block is sampled; an edge across two blocks

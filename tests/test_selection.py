@@ -126,15 +126,15 @@ class TestPairPriority:
         assert checked >= 25
 
 
-    def test_gain_at_exactly_the_edge_limit_compares_sampled_values(self):
-        # A block with exactly exact_edge_limit edges is sampled once a pair
-        # is added, so its base must be sampled from the same stream too: an
-        # exact base against a sampled with-pair value gave gains down to
-        # -10.9, though a certain edge never lowers connectivity.
+    def test_gain_at_exactly_the_edge_limit_compares_exact_values(self):
+        # A block with exactly exact_edge_limit edges is solved exactly, a
+        # candidate pair not counted, so its gains are taken against the
+        # exact term the score holds.  Sampled with-pair values against an
+        # exact base give gains down to -10.9 on such blocks, though a
+        # certain edge never lowers connectivity.
         rng = np.random.default_rng(7)
         limit = 8
         params = ReliabilityParams(mc_samples=50, exact_edge_limit=limit, seed=3)
-        below = ReliabilityParams(mc_samples=50, exact_edge_limit=limit - 1, seed=3)
         checked = 0
         while checked < 20:
             g = random_small_graph(rng, n_min=7, n_max=7, p_edge=0.4)
@@ -142,13 +142,16 @@ class TestPairPriority:
                 continue
             block = g.records
             c = Clustering([block])
-            base = block_connectivity(g, block, below)  # sampled, same stream
-            assert base.method == "monte-carlo"
+            base = block_connectivity(g, block, params)
+            assert base.method == "exact"
             intra = build_state(g, c, params).intra
             pairs = list(g.absent_pairs())
             pair_base, values = pair_connectivity(g, block, pairs, params)
             assert pair_base == base.value
             for pair, with_edge in zip(pairs, values):
+                certain = g.with_edge(*pair, probability=1.0)
+                assert with_edge == pytest.approx(
+                    block_connectivity(certain, block, params).value, abs=1e-12)
                 expected = (math.log10(max(with_edge, params.epsilon))
                             - math.log10(max(base.value, params.epsilon)))
                 assert pair_priority(g, c, pair, params).gain == expected
