@@ -299,12 +299,10 @@ def possible_world_log_prob(graph: UncertainGraph, present: Iterable[Pair]) -> f
     crowdsourced is rejected.  Worlds forced impossible by a certain edge
     (p of 0 or 1 on the wrong side) come back as -inf.
     """
-    present_set = set()
-    for pair in present:
-        key = canonical_pair(*pair)
-        if key not in graph.edges:
-            raise ValueError(f"pair {key} is not a crowdsourced edge")
-        present_set.add(key)
+    present_set = {canonical_pair(*pair) for pair in present}
+    missing = present_set - graph.edges.keys()
+    if missing:
+        raise ValueError(f"pair {min(missing)} is not a crowdsourced edge")
     total = 0.0
     for pair, p in graph.edge_items():
         q = p if pair in present_set else 1.0 - p
@@ -322,5 +320,8 @@ def clustering_log_likelihood(graph: UncertainGraph, clustering: Clustering) -> 
     """log10 likelihood of a clustering: the probability of the one world
     whose present edges are exactly the clustering's intra-block edges."""
     check_covers(graph, clustering)
-    return possible_world_log_prob(graph, [pair for pair in graph.edges
-                                           if clustering.same_block(*pair)])
+    total = 0.0
+    for (a, b), p in graph.edge_items():
+        q = p if clustering.same_block(a, b) else 1.0 - p
+        total += math.log10(q) if q > 0.0 else -math.inf
+    return total

@@ -16,21 +16,22 @@ remaining edges cannot bring down to two groups.  Larger blocks fall back
 to its Monte Carlo twin, which realizes every edge in each sampled world
 and tallies the worlds' one- and two-group partitions.
 
-Two functions price connectivity through _partitions, which picks the
-method once from the block's uncertain edge count.  block_connectivity
-prices a block as it is.  pair_connectivity prices it and, for each
-candidate pair, the block with that pair added as a certain edge, from one
-distribution: the DP's, or the sampled partitions of the block's stream.
-disconnectivity prices a block pair from its spanning edges, which UncertainGraph.edges_between lists by one merge walk
-over the two sorted blocks.  changes_since tells a caller holding values
-priced on an earlier graph and clustering which blocks the round removed
-and created and which of the values may carry over.  On first read it
-lists the spanning edges of each block pair whose values may not, through
-edges_between for two old blocks that gained an edge and in one pass over
-the edges for the pairs with a new block, and prices each pair from its
-list, taking its log once; PERC's queue, DENSE's scores and the score here
-all read them, and a build from scratch folds a Changes in which every
-block is new.
+block_connectivity prices a block as it is, and pair_connectivity prices
+it and, for each candidate pair, the block with that pair added as a
+certain edge, both from one distribution that _partitions finds by the
+method the block's uncertain edge count picks: the DP's, or the sampled
+partitions of the block's stream.  The latest blocks' distributions are
+kept, so PERC's queue reads what the round's snapshot found.
+disconnectivity prices a block pair from its spanning edges, which
+UncertainGraph.edges_between lists by one merge walk over the two sorted
+blocks.  changes_since tells a caller holding values priced on an earlier
+graph and clustering which blocks the round removed and created and which
+of the values may carry over.  On first read it lists the spanning edges
+of each block pair whose values may not, through edges_between for two old
+blocks that gained an edge and in one pass over the edges for the pairs
+with a new block, and prices each pair from its list, taking its log once;
+PERC's queue, DENSE's scores and the score here all read them, and a build
+from scratch folds a Changes in which every block is new.
 """
 
 from __future__ import annotations
@@ -174,19 +175,6 @@ def _reduced_block(graph: UncertainGraph, block) -> tuple[dict[str, int], int, l
                                if p > 0.0 and index[a] != index[b]]
 
 
-def _pair_index(index: dict[str, int], pair: Pair) -> tuple[int, int]:
-    a, b = canonical_pair(*pair)
-    if a not in index or b not in index:
-        raise ValueError(f"pair {(a, b)} does not lie inside the block")
-    return index[a], index[b]
-
-
-def _stream_seed(params: ReliabilityParams, index: dict[str, int]) -> int:
-    # the seed folds the members into params.seed, so every evaluation of
-    # one block under one params reuses one stream (common random numbers)
-    return derive_seed(params.seed, "connectivity", tuple(index))
-
-
 @lru_cache(maxsize=None)
 def _merge_table(lo: int, hi: int) -> bytes:
     """bytes.translate table folding label hi into lo; the labels above hi
@@ -315,21 +303,33 @@ def _sampled_partitions(n: int, edges: list[tuple[int, int, float]],
 
 
 def _partitions(graph: UncertainGraph, block, params: ReliabilityParams,
-                pairs=()) -> tuple[ConnectivityEstimate, dict[bytes, float], list]:
-    """The block's connectivity, its two-group partitions with their
-    probabilities, and each pair as two super-vertices, all by one method:
-    the partition DP up to exact_edge_limit uncertain edges after
-    contraction, and above it the sampled worlds of the block's stream.
-    Raises ValueError for a pair outside the block."""
+                pairs=()) -> tuple[ConnectivityEstimate, tuple, list]:
+    """The block's connectivity and its two-group partitions as (state,
+    probability) items, by _distribution, and each pair as two
+    super-vertices.  Raises ValueError for a pair outside the block."""
     index, n, edges = _reduced_block(graph, block)
-    pair_edges = [_pair_index(index, pair) for pair in pairs]
+    pair_edges = []
+    for a, b in (canonical_pair(*pair) for pair in pairs):
+        if a not in index or b not in index:
+            raise ValueError(f"pair {(a, b)} does not lie inside the block")
+        pair_edges.append((index[a], index[b]))
+    return (*_distribution(tuple(index), n, tuple(edges), params), pair_edges)
+
+
+@lru_cache(maxsize=256)
+def _distribution(members: Block, n: int, edges: tuple,
+                  params: ReliabilityParams) -> tuple[ConnectivityEstimate, tuple]:
+    """By the DP up to exact_edge_limit uncertain edges, else from the block's
+    stream; kept for PERC's queue, which prices the blocks the snapshot did."""
     if len(edges) <= params.exact_edge_limit:
         connected, split = _partition_dp(n, edges)
-        return ConnectivityEstimate(value=connected, method="exact"), split, pair_edges
-    seed = _stream_seed(params, index)
+        return ConnectivityEstimate(value=connected, method="exact"), tuple(split.items())
+    # the seed folds the members into params.seed, so every evaluation of
+    # one block under one params reuses one stream (common random numbers)
+    seed = derive_seed(params.seed, "connectivity", members)
     connected, split = _sampled_partitions(n, edges, params.mc_samples, make_rng(seed))
     return (ConnectivityEstimate(value=connected, method="monte-carlo",
-                                 samples=params.mc_samples, seed=seed), split, pair_edges)
+                                 samples=params.mc_samples, seed=seed), tuple(split.items()))
 
 
 def block_connectivity(graph: UncertainGraph, block,
@@ -350,9 +350,8 @@ def pair_connectivity(graph: UncertainGraph, block, pairs,
     so no pair prices below the base, and a pair inside one super-vertex
     gets exactly the base.  Raises ValueError for a pair outside the block.
     """
-    estimate, split, pair_edges = _partitions(graph, block, params, pairs)
+    estimate, states, pair_edges = _partitions(graph, block, params, pairs)
     connected = estimate.value
-    states = list(split.items())
     return connected, [connected + math.fsum(w for s, w in states if s[ia] != s[ib])
                        for ia, ib in pair_edges]
 

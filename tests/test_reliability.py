@@ -6,9 +6,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import perc.reliability
 from perc import (
     Clustering,
     ReliabilityParams,
@@ -84,11 +85,12 @@ def sampled_connectivity(graph, block, params):
 
 
 def partition_pair_values(graph, members, pairs, samples, seed):
-    """c(block + certain pair) for each pair, read off _sampled_partitions
-    on the stream seed: the connected share plus the share of two-group
-    worlds with the pair apart."""
+    """c(block + certain pair) for each pair, read off _partition_dp when
+    samples is 0 and else off _sampled_partitions on the stream seed: the
+    connected share plus the share of two-group worlds with the pair apart."""
     index, n, edges = _reduced_block(graph, members)
-    connected, split = _sampled_partitions(n, edges, samples, make_rng(seed))
+    connected, split = (_sampled_partitions(n, edges, samples, make_rng(seed)) if samples
+                        else _partition_dp(n, edges))
     return [connected + math.fsum(w for s, w in split.items() if s[index[a]] != s[index[b]])
             for a, b in pairs]
 
@@ -340,44 +342,39 @@ class TestPairConnectivity:
 
     @settings(max_examples=100, deadline=None)
     @given(dp_blocks(), st.integers(0, 2**32 - 1))
-    def test_sampled_values_equal_the_reference(self, graph, seed):
-        members = list(graph.records)
-        edges = dict(graph.edge_items())
-        _, _, reduced = _reduced_block(graph, members)
-        assume(reduced)  # no block without uncertain edges is sampled
-        absent = [pair for pair in itertools.combinations(members, 2) if pair not in edges]
-        # one edge over the limit: both functions sample
-        params = ReliabilityParams(mc_samples=60, exact_edge_limit=len(reduced) - 1, seed=seed)
-        base, values = pair_connectivity(graph, members, absent, params)
-        # reference: the partitions sampled from the block's own stream
-        alone = block_connectivity(graph, members, params)
-        assert alone.method == "monte-carlo"
-        assert base == alone.value
-        assert values == partition_pair_values(graph, members, absent, 60, alone.seed)
-
-    @settings(max_examples=100, deadline=None)
-    @given(dp_blocks(), st.integers(0, 2**32 - 1))
     @example(UncertainGraph(["m0", "m1", "m2"], {("m0", "m1"): 0.9, ("m1", "m2"): 0.8}), 0)
-    def test_base_is_the_scored_term_at_every_limit(self, graph, seed):
-        # the queue's base is block_connectivity's value bit for bit, and the
-        # with-pair values come by the same method, at every limit from 0 to
-        # m + 1; at m == exact_edge_limit, counting the pair would sample
+    def test_sampled_values_equal_the_reference(self, graph, seed):
+        # at every limit from 0 to m + 1 the queue's base is block_connectivity's
+        # value bit for bit, and the with-pair values come by the same method
+        # from the reference partitions: the DP's up to m == exact_edge_limit,
+        # where counting the pair would sample, and the block's stream above it
         members = list(graph.records)
         edges = dict(graph.edge_items())
         absent = [pair for pair in itertools.combinations(members, 2) if pair not in edges]
         m = len(_reduced_block(graph, members)[2])
-        _, exact = pair_connectivity(graph, members, absent, EXACT)
         for limit in range(m + 2):
-            params = ReliabilityParams(mc_samples=30, exact_edge_limit=limit, seed=seed)
+            params = ReliabilityParams(mc_samples=60, exact_edge_limit=limit, seed=seed)
+            base, values = pair_connectivity(graph, members, absent, params)
             alone = block_connectivity(graph, members, params)
             assert alone.method == ("exact" if m <= limit else "monte-carlo"), limit
-            base, values = pair_connectivity(graph, members, absent, params)
             assert base == alone.value, limit
-            if alone.method == "exact":
-                assert values == exact, limit
-            else:
-                assert values == partition_pair_values(graph, members, absent, 30,
-                                                       alone.seed), limit
+            assert values == partition_pair_values(graph, members, absent, alone.samples,
+                                                   alone.seed), limit
+
+    def test_pairs_read_the_partitions_the_score_found(self, monkeypatch):
+        # the snapshot prices a changed block, the queue the same block on
+        # the same graph: the second call runs neither the DP nor the sampler
+        perc.reliability._distribution.cache_clear()
+        runs = []
+        for name in ("_partition_dp", "_sampled_partitions"):
+            monkeypatch.setattr(perc.reliability, name, lambda *args, run=getattr(
+                perc.reliability, name), name=name: runs.append(name) or run(*args))
+        g = UncertainGraph("ABCD", {("A", "B"): 0.3, ("B", "C"): 0.6, ("C", "D"): 0.7,
+                                    ("A", "D"): 0.4})
+        for params in (EXACT, ReliabilityParams(exact_edge_limit=3, mc_samples=50, seed=8)):
+            alone = block_connectivity(g, "ABCD", params)
+            assert pair_connectivity(g, "ABCD", [("A", "C")], params)[0] == alone.value
+        assert runs == ["_partition_dp", "_sampled_partitions"]
 
     @settings(max_examples=150, deadline=None)
     @given(dp_blocks(), st.integers(1, 200), st.integers(0, 2**32 - 1))
