@@ -125,13 +125,7 @@ def cmd_run(args) -> int:
 def cmd_cluster(args) -> int:
     graph = load_graph(args.records, args.graph)
     clustering = scc_cluster(graph)
-    if args.out:
-        write_clusters_csv(args.out, clustering)
-    else:
-        sys.stdout.write("record_id,cluster_id\n")
-        rows = sorted((r, block[0]) for block in clustering.blocks for r in block)
-        for r, cid in rows:
-            sys.stdout.write(f"{r},{cid}\n")
+    write_clusters_csv(args.out or sys.stdout, clustering)
     return 0
 
 

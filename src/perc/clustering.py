@@ -35,12 +35,15 @@ def merge_probability(graph: UncertainGraph, block_a, block_b) -> float | None:
     Computed in log space as prod(p) / (prod(p) + prod(1 - p)) over the
     spanning edges, iterated in canonical order so the value does not
     depend on construction order.  Returns None when nothing spans the
-    pair, which callers treat as "no evidence, skip".
+    pair, which callers treat as "no evidence, skip".  Raises ValueError for
+    overlapping blocks or a record the graph does not declare.
     """
     a = tuple(sorted(set(block_a)))
     b = tuple(sorted(set(block_b)))
     if set(a) & set(b):
         raise ValueError(f"blocks {a} and {b} overlap")
+    if not graph._record_set.issuperset(a + b):
+        raise ValueError(f"record {min(set(a + b) - graph._record_set)!r} is not declared")
     spanning = graph.edges_between(a, b)
     if not spanning:
         return None

@@ -1,12 +1,17 @@
 """Crowd answer sources: simulated workers and replayed logs.
 
-The simulated crowd draws each worker's answer independently: the truth
-from the gold clustering, flipped with the model's error rate (scaled by
-the optional per-record difficulty, averaged over the pair).  Worker i's
-coin comes from a counter-based stream keyed by (master seed, pair) alone
-(``vote_coins``): word i mod 8 of a BLAKE2b digest of the key salted with
-i // 8.  So a pair's tally never depends on the ask order, the process or
-PYTHONHASHSEED, and coin i does not depend on the worker count.
+The simulated crowd draws each worker's answer independently: worker i
+flips the truth from the gold clustering when its coin falls below the
+model's error rate, scaled by the optional per-record difficulty averaged
+over the pair and capped at 1.  The coins of canonical pair (a, b) under
+master seed s form a stateless counter-based stream (Salmon et al., SC
+2011): coin i is (w >> 11) * 2**-53 for w, word i mod 8 (little-endian) of
+
+    blake2b(repr((s, "votes", a, b)).encode(), salt=(i // 8).to_bytes(16, "little"))
+
+So a pair's tally never depends on the ask order, the process or
+PYTHONHASHSEED, and coin i does not depend on the worker count.  The tests
+check SimulatedOracle.answer against this definition.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import math
 import numbers
 import struct
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .graph import Pair, VoteTally
 from .util import canonical_pair, check_fields, check_int
@@ -77,60 +82,14 @@ class WorkerModel:
         check_fields(self)
 
 
-def _salted_states(seed: int, count: int) -> list:
-    """One BLAKE2b state per 8 of ``count`` workers, salted with its index
-    (16 little-endian bytes), that has hashed the seed's prefix of the key."""
-    prefix = f"({seed!r}, 'votes', ".encode("utf-8")
-    return [hashlib.blake2b(prefix, salt=i.to_bytes(16, "little"))
-            for i in range(-(-count // 8))]
-
-
-def _digest(states: list, a: str, b: str) -> bytes:
-    """The states' digests of the key with pair (a, b)'s suffix, joined: a
-    streaming hash fed prefix then suffix digests the whole key."""
-    # a tuple's repr joins its items' reprs with ", ", as prefix and suffix do
-    suffix = f"{a!r}, {b!r})".encode("utf-8")
-    digests = []
-    for state in states:
-        state = state.copy()
-        state.update(suffix)
-        digests.append(state.digest())
-    return b"".join(digests)
-
-
-def vote_coins(seed: int, a: str, b: str, count: int) -> list[float]:
-    """The first ``count`` coins, uniform in [0, 1), of canonical pair
-    (a, b)'s vote stream under master ``seed``.
-
-    Coin i is word i mod 8 of ``blake2b(repr((seed, "votes", a, b)))``
-    salted with i // 8 (16 little-endian bytes), cut to its top 53 bits: a
-    counter-based stream (Salmon et al., SC 2011) with no generator state.
-    """
-    words = struct.unpack_from(f"<{count}Q", _digest(_salted_states(seed, count), a, b))
-    return [(w >> 11) * 2**-53 for w in words]
-
-
-def simulate_votes(gold: GoldClustering, pair: Pair, model: WorkerModel,
-                   coins: Sequence[float]) -> VoteTally:
-    """One tally for ``pair``, in either order: worker i flips the truth
-    when coins[i] falls below the pair's flip probability."""
-    if len(coins) != model.workers_per_pair:
-        raise ValueError(f"need {model.workers_per_pair} coins, got {len(coins)}")
-    a, b = pair
-    if a == b:
-        canonical_pair(a, b)  # raises the self-loop error
-    truth = gold.same(a, b)
-    flip_prob = min(1.0, model.error_rate * gold.pair_difficulty(a, b))
-    flips = [coin < flip_prob for coin in coins].count(True)
-    return VoteTally(len(coins) - flips if truth else flips, len(coins))
-
-
 class SimulatedOracle:
-    """Simulated crowd with order-independent per-pair vote streams: each
-    answer equals ``simulate_votes`` on the pair's ``vote_coins``.
+    """Simulated crowd answering by the vote rule of the module docstring.
 
     ``model`` and ``seed`` are fixed at construction, which hashes the
-    seed's prefix of every key and builds the n + 1 possible tallies once.
+    seed's prefix of every key into one salted BLAKE2b state per 8 workers
+    and builds the n + 1 possible tallies once.  An answer hashes only the
+    pair's suffix of the key, into copies of those states, and counts the
+    flips from the digests' words against an integer threshold.
     """
 
     def __init__(self, gold: GoldClustering, model: WorkerModel, seed: int = 0):
@@ -138,7 +97,9 @@ class SimulatedOracle:
         self.model = model
         self.seed = check_int("seed", seed)
         n = model.workers_per_pair
-        self._states = _salted_states(self.seed, n)
+        prefix = f"({self.seed!r}, 'votes', ".encode("utf-8")
+        self._states = [hashlib.blake2b(prefix, salt=i.to_bytes(16, "little"))
+                        for i in range(-(-n // 8))]
         self._words = struct.Struct(f"<{n}Q").unpack_from
         self._tallies = [VoteTally(yes, n) for yes in range(n + 1)]
 
@@ -154,7 +115,14 @@ class SimulatedOracle:
         # below a real x iff m < ceil(x), and w >> 11 < c iff w < c << 11, so
         # coin < p iff w < ceil(p * 2**53) << 11, where p * 2**53 is exact
         below = math.ceil(flip_prob * 2**53) << 11
-        words = self._words(_digest(self._states, a, b))
+        # prefix + suffix is the key's repr, which joins the items' reprs by ", "
+        suffix = f"{a!r}, {b!r})".encode("utf-8")
+        digests = []
+        for state in self._states:
+            state = state.copy()
+            state.update(suffix)
+            digests.append(state.digest())
+        words = self._words(b"".join(digests))
         flips = [w < below for w in words].count(True)
         n = self.model.workers_per_pair
         return self._tallies[n - flips if truth else flips]

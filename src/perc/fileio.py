@@ -13,6 +13,7 @@ the same.
 from __future__ import annotations
 
 import codecs
+import contextlib
 import csv
 import io
 import math
@@ -106,7 +107,9 @@ def _csv_rows(text: str, path, header: list[str], optional_tail=()):
 
 
 def _write_csv(path, header: list[str], rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    """The header and rows, CRLF-ended, to the file at ``path`` or to an open text stream."""
+    with (contextlib.nullcontext(path) if hasattr(path, "write")
+          else open(path, "w", newline="", encoding="utf-8")) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -258,7 +261,8 @@ def read_clusters_csv(path) -> Clustering:
 
 def write_clusters_csv(path, clustering: Clustering) -> None:
     """record_id,cluster_id rows sorted by record; a block's id is its
-    minimum member."""
+    minimum member.  ``path`` may be an open text stream, such as
+    sys.stdout."""
     _write_csv(path, CLUSTERS_HEADER,
                sorted([r, block[0]] for block in clustering.blocks for r in block))
 

@@ -146,6 +146,7 @@ def disconnectivity(graph: UncertainGraph, clustering: Clustering,
     The product runs over edges in canonical order, which makes the value
     independent of graph construction order.
     """
+    check_covers(graph, clustering)
     bj = _check_block(clustering, block_j)
     bk = _check_block(clustering, block_k)
     if bj == bk:
@@ -163,6 +164,8 @@ def _reduced_block(graph: UncertainGraph, block) -> tuple[dict[str, int], int, l
     members = sorted(set(block))
     if not members:
         raise ValueError("block is empty")
+    if not graph._record_set.issuperset(members):
+        raise ValueError(f"record {min(set(members) - graph._record_set)!r} is not declared")
     position = {r: i for i, r in enumerate(members)}
     intra = graph.edges_within(members)
     uf = UnionFind(len(members))
@@ -336,8 +339,9 @@ def block_connectivity(graph: UncertainGraph, block,
                        params: ReliabilityParams) -> ConnectivityEstimate:
     """Connectivity of the block, solved exactly up to exact_edge_limit
     uncertain edges after contraction and sampled above it.  A one-record
-    block is connected for certain."""
-    if len(block) == 1:
+    block is connected for certain.  Raises ValueError for a record the
+    graph does not declare."""
+    if len(block) == 1 and graph._record_set.issuperset(block):
         return ConnectivityEstimate(value=1.0, method="exact")
     return _partitions(graph, block, params)[0]
 
@@ -348,7 +352,8 @@ def pair_connectivity(graph: UncertainGraph, block, pairs,
     certain pair) for each pair from the same distribution: P(1 group) plus
     P(2 groups with a and b apart), the second term an exactly rounded sum,
     so no pair prices below the base, and a pair inside one super-vertex
-    gets exactly the base.  Raises ValueError for a pair outside the block.
+    gets exactly the base.  Raises ValueError for a pair outside the block
+    or a record the graph does not declare.
     """
     estimate, states, pair_edges = _partitions(graph, block, params, pairs)
     connected = estimate.value

@@ -203,6 +203,7 @@ def pair_priority(graph: UncertainGraph, clustering: Clustering, pair: Pair,
     callers can probe a single candidate without building the whole queue.
     """
     params = params or ReliabilityParams()
+    check_covers(graph, clustering)
     a, b = canonical_pair(*pair)
     if graph.has_edge(a, b):
         raise ValueError(f"pair {(a, b)} was already crowdsourced")

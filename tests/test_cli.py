@@ -99,6 +99,15 @@ class TestCluster:
         assert lines[0] == "record_id,cluster_id"
         assert "A,A" in lines and "B,A" in lines and "H,G" in lines
 
+    def test_stdout_has_the_bytes_of_the_out_file(self, running_files, tmp_path, capsys):
+        # one writer for both, so both end lines with CRLF
+        records, votes = running_files
+        out = tmp_path / "clusters.csv"
+        argv = ["cluster", "--graph", str(votes), "--records", str(records)]
+        assert main(argv) == 0 and main([*argv, "--out", str(out)]) == 0
+        assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+        assert out.read_bytes().startswith(b"record_id,cluster_id\r\nA,A\r\n")
+
 
 class TestNext:
     def test_single_best_question(self, running_files, capsys):

@@ -67,6 +67,11 @@ class TestMergeProbability:
         with pytest.raises(ValueError):
             merge_probability(running_graph, ("A", "B"), ("B", "C"))
 
+    def test_rejects_an_undeclared_record(self):
+        g = UncertainGraph("ABC", {("A", "B"): 0.9, ("B", "C"): 0.8})
+        with pytest.raises(ValueError, match="^record 'Z' is not declared$"):
+            merge_probability(g, ["A"], ["Z"])
+
     def test_extreme_products_do_not_overflow(self):
         n = 400
         left = ["L"]

@@ -13,8 +13,7 @@ from perc import (
     VoteTally,
     WorkerModel,
 )
-from perc.crowd import (MAX_WORKERS_PER_PAIR, UnrecordedPairError, crowd_error_rate,
-                        simulate_votes, vote_coins)
+from perc.crowd import MAX_WORKERS_PER_PAIR, UnrecordedPairError, crowd_error_rate
 
 GOLD = GoldClustering({"a": "e1", "b": "e1", "c": "e2", "d": "e2"})
 
@@ -55,6 +54,30 @@ class TestGoldClustering:
             GoldClustering({"a": "x", "b": "x"}, difficulty={"a": value})
 
 
+def reference_coins(seed, a, b, count):
+    """The first ``count`` coins of canonical pair (a, b) under ``seed``,
+    straight from perc.crowd's definition, one digest per coin: coin i is
+    word i mod 8 of the key's BLAKE2b digest salted with i // 8, cut to its
+    top 53 bits."""
+    key = repr((seed, "votes", a, b)).encode("utf-8")
+    coins = []
+    for i in range(count):
+        digest = hashlib.blake2b(key, salt=(i // 8).to_bytes(16, "little")).digest()
+        word = int.from_bytes(digest[8 * (i % 8):8 * (i % 8) + 8], "little")
+        coins.append((word >> 11) * 2**-53)
+    return coins
+
+
+def reference_vote(seed, pair, workers, error_rate, same, difficulty=1.0):
+    """The tally perc.crowd's definition gives ``pair``, in either order,
+    whose records are one entity when ``same`` and have mean difficulty
+    ``difficulty``: worker i flips the truth when coin i falls below
+    min(1, error_rate * difficulty)."""
+    flip_prob = min(1.0, error_rate * difficulty)
+    flips = sum(coin < flip_prob for coin in reference_coins(seed, *sorted(pair), workers))
+    return VoteTally(workers - flips if same else flips, workers)
+
+
 class TestWorkerModel:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -66,52 +89,36 @@ class TestWorkerModel:
             WorkerModel(workers_per_pair=MAX_WORKERS_PER_PAIR + 1)
 
     def test_error_free_votes_match_gold(self):
-        model = WorkerModel(workers_per_pair=7, error_rate=0.0)
-        assert simulate_votes(GOLD, ("a", "b"), model,
-                              vote_coins(0, "a", "b", 7)) == VoteTally(7, 7)
-        assert simulate_votes(GOLD, ("a", "c"), model,
-                              vote_coins(0, "a", "c", 7)) == VoteTally(0, 7)
+        oracle = SimulatedOracle(GOLD, WorkerModel(workers_per_pair=7, error_rate=0.0))
+        assert oracle.answer(("a", "b")) == VoteTally(7, 7)
+        assert oracle.answer(("a", "c")) == VoteTally(0, 7)
 
     def test_always_wrong_votes_invert_gold(self):
-        model = WorkerModel(workers_per_pair=4, error_rate=1.0)
-        assert simulate_votes(GOLD, ("a", "b"), model,
-                              vote_coins(0, "a", "b", 4)) == VoteTally(0, 4)
-        assert simulate_votes(GOLD, ("c", "a"), model,
-                              vote_coins(0, "a", "c", 4)) == VoteTally(4, 4)
+        oracle = SimulatedOracle(GOLD, WorkerModel(workers_per_pair=4, error_rate=1.0))
+        assert oracle.answer(("a", "b")) == VoteTally(0, 4)
+        assert oracle.answer(("c", "a")) == VoteTally(4, 4)
 
     def test_error_rate_scales_with_difficulty(self):
         # Difficulty 3 at base rate 0.2 flips with probability 0.6; check
-        # the empirical flip share lands near it.
+        # the empirical flip share of one worker over 4,000 seeds lands near it.
         gold = GoldClustering({"a": "e1", "b": "e1"},
                               difficulty={"a": 3.0, "b": 3.0})
         model = WorkerModel(workers_per_pair=1, error_rate=0.2)
-        flips = sum(simulate_votes(gold, ("a", "b"), model, [coin]).yes == 0
-                    for coin in vote_coins(101, "a", "b", 4000))
+        flips = sum(SimulatedOracle(gold, model, seed=seed).answer(("a", "b")).yes == 0
+                    for seed in range(4000))
         assert flips / 4000 == pytest.approx(0.6, abs=0.03)
 
     def test_difficulty_caps_flip_probability_at_one(self):
         gold = GoldClustering({"a": "e1", "b": "e1"},
                               difficulty={"a": 50.0, "b": 50.0})
         model = WorkerModel(workers_per_pair=6, error_rate=0.9)
-        assert simulate_votes(gold, ("a", "b"), model,
-                              vote_coins(5, "a", "b", 6)) == VoteTally(0, 6)
-
-    @pytest.mark.parametrize("count", [4, 6])
-    def test_one_coin_per_worker(self, count):
-        model = WorkerModel(workers_per_pair=5, error_rate=0.1)
-        with pytest.raises(ValueError, match=f"need 5 coins, got {count}"):
-            simulate_votes(GOLD, ("a", "b"), model, [0.5] * count)
-
-    def test_self_loop_is_refused(self):
-        model = WorkerModel(workers_per_pair=5, error_rate=0.1)
-        with pytest.raises(ValueError, match=r"^pair \('a', 'a'\) is a self-loop"):
-            simulate_votes(GOLD, ("a", "a"), model, [0.5] * 5)
+        assert SimulatedOracle(gold, model, seed=5).answer(("a", "b")) == VoteTally(0, 6)
 
 
 class TestVoteCoins:
     def test_known_answer(self):
         # pins the stream: a change here moves every simulated tally
-        assert vote_coins(42, "a", "b", 10) == [
+        assert reference_coins(42, "a", "b", 10) == [
             0.031115698112431645, 0.19744103144096614, 0.28841541090556433,
             0.7789623669085282, 0.551062205939987, 0.8547866979803442,
             0.729036169633587, 0.7250339488330988, 0.9358750756481377,
@@ -122,48 +129,36 @@ class TestVoteCoins:
         assert oracle.answer(("b", "a")) == VoteTally(2, 5)
 
     def test_coin_i_does_not_depend_on_worker_count(self):
-        assert vote_coins(7, "a", "c", 20)[:5] == vote_coins(7, "a", "c", 5)
-        for workers in (5, 20):
-            model = WorkerModel(workers, 0.1)
-            assert SimulatedOracle(GOLD, model, seed=7).answer(("c", "a")) == simulate_votes(
-                GOLD, ("a", "c"), model, vote_coins(7, "a", "c", workers))
-
-    def test_coins_8_to_15_come_from_the_digest_salted_with_1(self):
-        digest = hashlib.blake2b(repr((42, "votes", "a", "b")).encode("utf-8"),
-                                 salt=(1).to_bytes(16, "little")).digest()
-        words = [int.from_bytes(digest[8 * j:8 * j + 8], "little") for j in range(8)]
-        assert vote_coins(42, "a", "b", 16)[8:] == [(w >> 11) / 2**53 for w in words]
-
-    def test_coin_999_is_word_7_of_the_digest_salted_with_124(self):
-        digest = hashlib.blake2b(repr((42, "votes", "a", "b")).encode("utf-8"),
-                                 salt=(124).to_bytes(16, "little")).digest()
-        word = int.from_bytes(digest[56:64], "little")
-        assert vote_coins(42, "a", "b", 1000)[999] == (word >> 11) / 2**53
+        # worker i keeps its coin at any worker count, so one more worker
+        # adds at most one flip and undoes none, across the digests of 8
+        flips = [n - SimulatedOracle(GOLD, WorkerModel(n, 0.5), seed=7).answer(("b", "a")).yes
+                 for n in range(1, 41)]
+        assert {b - a for a, b in zip([0, *flips], flips)} == {0, 1}
 
 
 class TestSimulatedOracle:
     @pytest.mark.parametrize("workers", [1, 5, 8, 9, 16, 17, 1000])
     def test_answer_is_the_reference_vote(self, workers):
-        # answer counts flips from the digest words; simulate_votes on
-        # vote_coins is the definition it must reproduce, up to the cap of
-        # the flip probability at 1 (difficulty 3 at error rates 0.5 and 1)
+        # answer counts flips from carried hash states and integer word
+        # thresholds; reference_vote is the definition, one digest per coin,
+        # up to the cap of the flip probability at 1 (difficulty 3 at error
+        # rates 0.5 and 1)
         for seed, error_rate, difficulty in itertools.product(
                 (0, 7, 42, -3, 2**63), (0.0, 0.1, 0.5, 1.0), (0.0, 0.5, 1.0, 3.0)):
             gold = GoldClustering(GOLD.entity, {r: difficulty for r in GOLD.entity})
-            model = WorkerModel(workers, error_rate)
-            oracle = SimulatedOracle(gold, model, seed=seed)
+            oracle = SimulatedOracle(gold, WorkerModel(workers, error_rate), seed=seed)
             for pair in (("a", "b"), ("b", "a"), ("a", "c"), ("c", "a")):
-                canonical = tuple(sorted(pair))
-                coins = vote_coins(seed, *canonical, workers)
-                assert oracle.answer(pair) == simulate_votes(gold, canonical, model, coins), \
+                same = GOLD.entity[pair[0]] == GOLD.entity[pair[1]]
+                assert oracle.answer(pair) == reference_vote(
+                    seed, pair, workers, error_rate, same, difficulty), \
                     (seed, error_rate, difficulty, pair)
 
     def test_a_coin_equal_to_the_flip_probability_does_not_flip(self):
-        coins = vote_coins(42, "a", "b", 5)
+        coins = reference_coins(42, "a", "b", 5)
         for error_rate, flips in ((coins[2], 2), (math.nextafter(coins[2], 1.0), 3)):
-            model = WorkerModel(5, error_rate)
-            assert SimulatedOracle(GOLD, model, seed=42).answer(("a", "b")) == \
-                VoteTally(5 - flips, 5) == simulate_votes(GOLD, ("a", "b"), model, coins)
+            oracle = SimulatedOracle(GOLD, WorkerModel(5, error_rate), seed=42)
+            assert oracle.answer(("a", "b")) == VoteTally(5 - flips, 5) == \
+                reference_vote(42, ("a", "b"), 5, error_rate, same=True)
 
     def test_answer_keeps_the_reference_errors(self):
         oracle = SimulatedOracle(GOLD, WorkerModel(), seed=1)

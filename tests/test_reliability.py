@@ -74,6 +74,14 @@ class TestDisconnectivity:
             disconnectivity(running_graph, running_clustering,
                             ("A", "B"), ("A", "B"))
 
+    def test_rejects_a_clustering_of_other_records(self):
+        # Z is not declared and C is left out; each block is still part of
+        # the clustering, so only the cover check catches it
+        g = UncertainGraph("ABC", {("A", "B"): 0.9, ("B", "C"): 0.8})
+        c = Clustering([["A", "B"], ["Z"]])
+        with pytest.raises(ValueError, match="does not cover exactly the graph's records"):
+            disconnectivity(g, c, ("A", "B"), ("Z",))
+
 
 EXACT = ReliabilityParams()
 
@@ -283,8 +291,18 @@ class TestBlockConnectivity:
         est = block_connectivity(trio_graph, ("A", "B", "C"), params)
         assert est.method == "monte-carlo"
 
+    @pytest.mark.parametrize("block", [("A", "Z"), ("Z",)], ids=["two-records", "one-record"])
+    def test_rejects_an_undeclared_record(self, trio_graph, block):
+        # a one-record block is connected for certain, but only if declared
+        with pytest.raises(ValueError, match="^record 'Z' is not declared$"):
+            block_connectivity(trio_graph, block, EXACT)
+
 
 class TestPairConnectivity:
+    def test_rejects_an_undeclared_record(self, trio_graph):
+        with pytest.raises(ValueError, match="^record 'Z' is not declared$"):
+            pair_connectivity(trio_graph, ("A", "Z"), [("A", "Z")], EXACT)
+
     def test_pair_acts_as_certain_edge(self):
         g = UncertainGraph("ABC", {("A", "B"): 0.9})
         base, (boosted,) = pair_connectivity(g, "ABC", [("C", "B")], ReliabilityParams())

@@ -110,6 +110,14 @@ class TestPairPriority:
         with pytest.raises(ValueError):
             pair_priority(running_graph, running_clustering, ("A", "B"))
 
+    def test_rejects_a_clustering_of_other_records(self):
+        # the pair's blocks are found, and nothing spans them, so without the
+        # cover check the pair would get the clamped top gain
+        g = UncertainGraph("ABC", {("A", "B"): 0.9, ("B", "C"): 0.8})
+        c = Clustering([["A", "B"], ["Z"]])
+        with pytest.raises(ValueError, match="does not cover exactly the graph's records"):
+            pair_priority(g, c, ("A", "Z"))
+
     def test_intra_gain_nonnegative(self):
         # Adding a certain edge can only help connectivity.
         rng = np.random.default_rng(61)
