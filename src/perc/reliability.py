@@ -409,8 +409,10 @@ class Changes:
         old = self.previous._owner if self.gone else None
         for edge in items:
             a, b = edge[0]
-            if old is not None and old[a] is not old[b]:
-                lost.add((old[a], old[b]) if old[a] < old[b] else (old[b], old[a]))
+            if old is not None:
+                oa, ob = old[a], old[b]
+                if oa is not ob:
+                    lost.add((oa, ob) if oa < ob else (ob, oa))
             ba = owner[a]
             bb = owner[b]
             if ba is bb:

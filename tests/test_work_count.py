@@ -16,4 +16,4 @@ def test_line_events_equal_the_recorded_counts():
     assert measured == recorded[work_count.version()], (
         "the work moved; if that is meant, regenerate the counts with "
         "`python tests/work_count.py --write` and report the change per module\n"
-        + work_count.table(measured))
+        + work_count.table(measured, recorded[work_count.version()]))

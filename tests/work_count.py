@@ -1,7 +1,7 @@
 """How many lines of src/perc the benchmark's seed-1 passes run, per module:
 a measure of the program's work that does not depend on the host.
 
-    python tests/work_count.py            # print the table
+    python tests/work_count.py            # print the counts against the recorded ones
     python tests/work_count.py --write    # also regenerate tests/work_counts.json
 
 Each workload of perfbench/workloads.py is counted in a fresh Python process,
@@ -142,14 +142,17 @@ def recorded() -> dict[str, dict[str, dict[str, int]]]:
     return json.loads(COUNTS.read_text()) if COUNTS.exists() else {}
 
 
-def table(counts: dict[str, dict[str, int]]) -> str:
-    modules = sorted({m for per in counts.values() for m in per})
-    lines = [f"{'module':<14}" + "".join(f"{name:>14}" for name in counts)]
-    for module in modules:
-        lines.append(f"{module:<14}" + "".join(f"{per.get(module, 0):>14,}"
-                                               for per in counts.values()))
-    lines.append(f"{'total':<14}" + "".join(f"{sum(per.values()):>14,}"
-                                            for per in counts.values()))
+def table(measured: dict[str, dict[str, int]], before: dict[str, dict[str, int]]) -> str:
+    """Per workload and module: the count in ``before`` (recorded), the
+    measured count and the measured count's change from it."""
+    lines = []
+    for name, per in measured.items():
+        old = before.get(name, {})
+        rows = [(m, old.get(m, 0), per.get(m, 0)) for m in sorted(per.keys() | old.keys())]
+        rows.append(("total", sum(old.values()), sum(per.values())))
+        lines.append(f"{name:<14}{'recorded':>12}{'measured':>12}{'change':>12}")
+        lines.extend(f"{module:<14}{was:>12,}{now:>12,}{now - was:>+12,}"
+                     for module, was, now in rows)
     return "\n".join(lines)
 
 
@@ -164,10 +167,11 @@ def main(argv=None) -> int:
         print(json.dumps(count_workload(args.workload)))
         return 0
     counts = measure()
-    print(f"line events per module of src/perc, seed-1 passes, Python {version()}")
-    print(table(counts))
+    stored = recorded()
+    print(f"line events per module of src/perc, seed-1 passes, Python {version()}, "
+          f"against {COUNTS.name}")
+    print(table(counts, stored.get(version(), {})))
     if args.write:
-        stored = recorded()
         stored[version()] = counts
         COUNTS.write_text(json.dumps(stored, indent=1, sort_keys=True) + "\n")
         print(f"wrote {COUNTS.name}")
