@@ -179,7 +179,8 @@ class TestCarriedSccCluster:
     """scc_cluster(graph, previous=...) must equal scc_cluster(graph)."""
 
     @settings(max_examples=300, deadline=None)
-    @given(edge_chains(), st.lists(st.none() | st.integers(0, 8)))
+    # one pick per answer: a chain of 9 records has 36
+    @given(edge_chains(), st.lists(st.none() | st.integers(0, 36), min_size=36, max_size=36))
     # a chain whose carried calls take both ways to a dirty component's
     # edges: the first answer joins r3 and r4 in a graph of one edge, one
     # member pair, so the edges are passed over; the last joins r5 to them
@@ -187,25 +188,28 @@ class TestCarriedSccCluster:
     # up, and the old edge (r4, r5) at 0.0 keeps r5 apart
     @example((["r0", "r1", "r2", "r3", "r4", "r5"],
               [(("r3", "r4"), 0.8), (("r0", "r1"), 0.2), (("r4", "r5"), 0.0),
-               (("r3", "r5"), 0.6)]), [])
+               (("r3", "r5"), 0.6)]), [0] * 36)
     def test_carried_equals_cold_along_a_chain(self, chain, picks):
-        # picks[i] is None when answer i is not reclustered, else how many
-        # results back the carry is taken from; answers past picks carry
-        # from the latest result, so a failing chain shrinks to that
+        # picks[i] is None when answer i is not reclustered, else which
+        # earlier result the carry is taken from, counted back from the
+        # latest modulo their number: any of them, shrinking to the latest
         records, answers = chain
         graph = UncertainGraph(records)
         carried = [scc_cluster(graph)]
-        for step, (pair, p) in enumerate(answers):
+        for (pair, p), back in zip(answers, picks):
             graph = graph.with_edge(*pair, probability=p)
-            back = picks[step] if step < len(picks) else 0
             if back is None:
                 continue
             cold = scc_cluster(graph)
-            previous = carried[-1 - min(back, len(carried) - 1)]
+            previous = carried[-1 - back % len(carried)]
             with mock.patch.object(UncertainGraph, "edges_within", autospec=True,
-                                   side_effect=UncertainGraph.edges_within) as lookups:
+                                   side_effect=UncertainGraph.edges_within) as lookups, \
+                    mock.patch.object(clustering, "_agglomerate",
+                                      wraps=clustering._agglomerate) as agglomerated:
                 warm = scc_cluster(graph, previous=previous)
-            event("member-pair lookups" if lookups.called else "no member-pair lookups")
+            event("member-pair lookups" if lookups.called else
+                  "one pass over the edges" if agglomerated.called else
+                  "no component clustered again")
             assert warm == cold
             # previous is not consumed: carrying from it again gives the same
             assert scc_cluster(graph, previous=previous) == cold
