@@ -13,9 +13,11 @@ lexicographically smallest absent spanning pair.
 
 A block pair that no edge spans has disconnectivity 0, clamped to epsilon,
 so it carries the top gain, -log10 epsilon, and its representative is
-(min of one block, min of the other).  Such pairs are left unstored: the
-queue keeps the set of spanned block pairs instead, and select_batch walks
-the unspanned ones in block order, which is already their rank order.
+(min of one block, min of the other).  Such pairs are left unstored
+unless that representative may not be asked; every other block pair holds
+a row from the round that marks it to the round that drops it.  So the
+unstored pairs are those with no row, and select_batch walks them in block
+order, which is already their rank order.
 
 build_state starts a state from scratch once; after that,
 refresh_after_answer folds each round in, whether or not it changed the
@@ -26,16 +28,17 @@ entries of blocks and block pairs that survived it untouched carry over.
 
 Marked entries are priced when first read, not when marked; they keep
 their rows in the same two tables as priced ones, _intra and _inter, with
-None where the priced value will go.  select_batch ranks through one heap
-of (-gain, pair) keys, where each marked entry sits under a key that none
-of its priced keys beats: a block under the top gain (no gain exceeds it)
-and its smallest pair (b[0], b[1]), a block pair under its gain, known
-from its disconnectivity, and its (min, min) pair.  A marked entry is
-priced only when its key reaches the top, and its priced keys go back in.
-gain() prices the one entry it reads; intra, inter and entries() price
-everything marked first.  A value does not depend on when it is priced: a
-block's sampling stream is seeded from its members, and a round marks
-again whatever it changes.
+None where the priced value will go.  Pricing fills a row in, empty when
+nothing is left to ask, and never drops it.  select_batch ranks through
+one heap of (-gain, pair) keys, where each marked entry sits under a key
+that none of its priced keys beats: a block under the top gain (no gain
+exceeds it) and its smallest pair (b[0], b[1]), a block pair under its
+gain, known from its disconnectivity, and its (min, min) pair.  A marked
+entry is priced only when its key reaches the top, and its priced keys go
+back in.  gain() prices the one entry it reads; intra, inter and entries()
+price everything marked first.  A value does not depend on when it is
+priced: a block's sampling stream is seeded from its members, and a round
+marks again whatever it changes.
 """
 
 from __future__ import annotations
@@ -67,23 +70,24 @@ class PriorityState:
     """Candidate gains for one (graph, clustering) snapshot, priced on
     first read.
 
-    intra maps each absent intra-block pair to its gain, and spanned holds
-    every block pair with at least one spanning edge.  An unspanned block
-    pair is left unstored when its (min, min) representative may be asked;
-    inter maps every other block pair with an absent spanning pair to its
-    representative and shared gain.  The state keeps one row per key
-    Changes names a round's change by, so a changed entry goes with one
-    pop: _intra maps each block with an absent pair to its {pair: gain},
-    or to None while the block is marked (its intra edges are read from
-    the graph when priced), and _inter maps each block pair to
-    (representative, gain), with representative None while the pair is
-    marked.  Pricing drops a row that has nothing left to ask.  allowed
-    (when set) restricts candidates to a fixed pair set, used in replay
-    mode.  Reading intra, inter or entries() prices every marked entry
-    first (see the module docstring).
+    intra maps each absent intra-block pair to its gain.  An unspanned
+    block pair is left unstored when its (min, min) representative may be
+    asked; inter maps every other block pair with an absent spanning pair
+    to its representative and shared gain.  The state keeps one row per
+    key Changes names a round's change by, so a changed entry goes with
+    one pop: _intra maps each block of two or more records to its
+    {pair: gain}, or to None while the block is marked (its intra edges
+    are read from the graph when priced), and _inter maps each stored
+    block pair to (representative, gain), with representative None while
+    the pair is marked and () once no absent spanning pair is left to
+    ask.  A row lives from the _mark that makes it to the
+    refresh_after_answer that drops its key, so a block pair has no row
+    exactly when it is unstored.  allowed (when set) restricts candidates
+    to a fixed pair set, used in replay mode.  Reading intra, inter or
+    entries() prices every marked entry first (see the module docstring).
     """
 
-    __slots__ = ("graph", "clustering", "params", "spanned", "allowed", "_intra", "_inter")
+    __slots__ = ("graph", "clustering", "params", "allowed", "_intra", "_inter")
 
     def __init__(self, graph: UncertainGraph, clustering: Clustering,
                  params: ReliabilityParams, allowed: frozenset | None = None):
@@ -92,8 +96,7 @@ class PriorityState:
         self.params = params
         self.allowed = allowed
         self._intra: dict[Block, dict[Pair, float] | None] = {}
-        self._inter: dict[BlockPairKey, tuple[Pair | None, float]] = {}
-        self.spanned: set[BlockPairKey] = set()
+        self._inter: dict[BlockPairKey, tuple[Pair | tuple[()] | None, float]] = {}
 
     @property
     def intra(self) -> dict[Pair, float]:
@@ -103,34 +106,28 @@ class PriorityState:
     @property
     def inter(self) -> dict[BlockPairKey, tuple[Pair, float]]:
         self._price_all()
-        return self._inter
+        return {key: entry for key, entry in self._inter.items() if entry[0]}
 
     def _price_block(self, block: Block) -> dict[Pair, float]:
-        """Price a marked block; stores and returns its {pair: gain}, and
-        drops its row once no absent pair is left to ask."""
+        """Price a marked block; stores and returns its {pair: gain}, empty
+        once no absent pair is left to ask."""
         # the block is sorted, so each (a, b) is canonical
         asked, allowed = self.graph.edges, self.allowed
         pairs = [(a, b) for i, a in enumerate(block) for b in block[i + 1:]
                  if (a, b) not in asked and (allowed is None or (a, b) in allowed)]
-        if not pairs:
-            del self._intra[block]
-            return {}
-        self._intra[block] = priced = dict(
-            zip(pairs, _intra_gains(self.graph, block, pairs, self.params)))
+        self._intra[block] = priced = dict(zip(
+            pairs, _intra_gains(self.graph, block, pairs, self.params))) if pairs else {}
         return priced
 
-    def _price_pair(self, key: BlockPairKey) -> tuple[Pair, float] | None:
+    def _price_pair(self, key: BlockPairKey) -> tuple[Pair | tuple[()], float]:
         """Price a marked block pair; stores and returns (representative,
-        gain), and drops its row once no absent spanning pair is left to
-        ask."""
+        gain), with representative () once no absent spanning pair is left
+        to ask."""
         gain = self._inter[key][1]
         # (min, min) is the first pair absent_pairs_between would try
         rep = (key[0][0], key[1][0])
         if rep in self.graph.edges or self.allowed is not None and rep not in self.allowed:
-            rep = next(self.graph.absent_pairs_between(*key, self.allowed), None)
-            if rep is None:
-                del self._inter[key]
-                return None
+            rep = next(self.graph.absent_pairs_between(*key, self.allowed), ())
         self._inter[key] = entry = (rep, gain)
         return entry
 
@@ -143,31 +140,29 @@ class PriorityState:
     def _unstored(self) -> Iterator[tuple[Pair, BlockPairKey]]:
         """(representative, block pair) of each unstored entry, in block
         order, which is representative order; each has the top gain."""
-        blocks, spanned, allowed = self.clustering.blocks, self.spanned, self.allowed
+        blocks, inter = self.clustering.blocks, self._inter
         for j, bj in enumerate(blocks):
             for k in range(j + 1, len(blocks)):
                 key = (bj, blocks[k])
-                if key not in spanned:
-                    rep = (bj[0], key[1][0])
-                    if allowed is None or rep in allowed:
-                        yield rep, key
+                if key not in inter:
+                    yield (bj[0], key[1][0]), key
 
     def gain(self, pair: Pair) -> float:
         """The gain of asking ``pair``, an absent candidate."""
         owner = self.clustering._owner
         block_a, block_b = owner[pair[0]], owner[pair[1]]
         if block_a is block_b:
-            entries = self._intra.get(block_a, {})
+            entries = self._intra[block_a]
             return (self._price_block(block_a) if entries is None else entries)[pair]
         key = (block_a, block_b) if block_a < block_b else (block_b, block_a)
         entry = self._inter.get(key)
-        if entry is not None and entry[0] is None:
+        if entry is None:
+            return _inter_gain(0.0, self.params)
+        if entry[0] is None:
             entry = self._price_pair(key)
-        if entry is not None:
-            return entry[1]
-        if key in self.spanned:
+        if not entry[0]:
             raise KeyError(f"pair {pair} is not a candidate")
-        return _inter_gain(0.0, self.params)
+        return entry[1]
 
     def entries(self) -> list[CandidatePriority]:
         """All queue entries, unstored ones included, ranked best first."""
@@ -223,9 +218,8 @@ def _mark(state: PriorityState, changes: Changes) -> None:
     pairs in changes.priced (with the gain their log gives), and the
     unspanned pairs with a new block whose (min, min) pair may not be
     asked."""
-    allowed, spanned, epsilon = state.allowed, state.spanned, state.params.epsilon
+    allowed, epsilon = state.allowed, state.params.epsilon
     fresh, priced = changes.fresh, changes.priced
-    spanned.update(priced)
     state._intra.update(dict.fromkeys(block for block in changes.touched | fresh
                                       if len(block) > 1))
     top = _inter_gain(0.0, state.params)
@@ -234,15 +228,14 @@ def _mark(state: PriorityState, changes: Changes) -> None:
                          for key, (d, log) in priced.items()})
     if allowed is not None:
         # unspanned pairs are left unstored unless their (min, min) pair may
-        # not be asked; each pair with a new block once: blocks are sorted,
-        # so j < k orders it
-        blocks = state.clustering.blocks
-        is_new = [block in fresh for block in blocks]
-        for key in ((bj, bk) if j < k else (bk, bj)
-                    for j, bj in enumerate(blocks) if is_new[j]
-                    for k, bk in enumerate(blocks) if k > j or (k < j and not is_new[k])):
-            if key not in spanned and (key[0][0], key[1][0]) not in allowed:
-                state._inter[key] = (None, top)
+        # not be asked; every spanned pair with a new block has a row by now,
+        # and so has each unspanned one already met from its other block
+        for new in fresh:
+            for block in state.clustering.blocks:
+                key = (new, block) if new < block else (block, new)
+                if block is not new and key not in state._inter \
+                        and (key[0][0], key[1][0]) not in allowed:
+                    state._inter[key] = (None, top)
 
 
 def build_state(graph: UncertainGraph, clustering: Clustering,
@@ -267,15 +260,14 @@ def refresh_after_answer(state: PriorityState, graph: UncertainGraph,
     still marked:
 
     - the intra entries of a surviving block with no new intra edge;
-    - the inter entry of a surviving block pair with no new spanning edge,
-      and whether it is spanned.
+    - the inter row of a surviving block pair with no new spanning edge.
 
-    The entries of gone and touched blocks and of the block pairs in
+    The rows of gone and touched blocks and of the block pairs in
     ``changes.lost`` (``changes.dropped`` in replay mode, where unspanned
-    pairs can hold marks) are dropped by key.  New blocks, blocks that a new
-    edge touched (each once, however many answers it got) and the block
-    pairs changes_since prices are marked afresh, so the state equals a
-    build_state on (graph, clustering).  ``changes`` is changes_since(
+    pairs can hold rows) are dropped by key; no other call drops a row.
+    New blocks, blocks that a new edge touched (each once, however many
+    answers it got) and the block pairs changes_since prices are marked
+    afresh, so the state equals a build_state on (graph, clustering).  ``changes`` is changes_since(
     state.graph, state.clustering, graph, clustering), which the caller
     may share with every holder of the round's change; without it, this
     call finds it.  Raises ValueError as changes_since.
@@ -287,7 +279,6 @@ def refresh_after_answer(state: PriorityState, graph: UncertainGraph,
         state._intra.pop(block, None)
     for key in changes.lost if state.allowed is None else changes.dropped:
         state._inter.pop(key, None)
-        state.spanned.discard(key)
     state.graph, state.clustering = graph, clustering
     _mark(state, changes)
 
@@ -329,7 +320,7 @@ def select_batch(state: PriorityState, k: int) -> list[Pair]:
              for pair, gain in entries.items() if gain >= floor]
     heap += [(-top, block[:2], block) for block, entries in intra.items() if entries is None]
     heap += [(-gain, (key[0][0], key[1][0]) if rep is None else rep, key)
-             for key, (rep, gain) in inter.items() if gain >= floor]
+             for key, (rep, gain) in inter.items() if gain >= floor and rep != ()]
     heapq.heapify(heap)
     batch: list[Pair] = []
     fill: list[tuple[Pair, BlockPairKey]] = []  # the inter entries taken, in rank order
@@ -341,7 +332,7 @@ def select_batch(state: PriorityState, k: int) -> list[Pair]:
                     heapq.heappush(heap, (-gain, pair, None))
         elif key in inter and inter[key][0] is None:
             entry = state._price_pair(key)
-            if entry is not None:
+            if entry[0]:
                 heapq.heappush(heap, (-entry[1], entry[0], key))
         else:
             batch.append(pair)

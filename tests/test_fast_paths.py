@@ -591,7 +591,7 @@ def test_carried_state_equals_cold_build(graph, data):
         cold = build_state(graph, clustering, params, allowed=allowed)
         assert state.intra == cold.intra
         assert state.inter == cold.inter
-        assert state.spanned == cold.spanned
+        assert state._inter.keys() == cold._inter.keys()  # the views priced every row
 
 
 @settings(max_examples=150, deadline=None)

@@ -66,7 +66,8 @@ def inter_queue(state):
 
 
 def states_equal(a, b):
-    return (a.intra == b.intra and a.inter == b.inter and a.spanned == b.spanned
+    # the views price both states, so every row of _inter is priced by now
+    return (a.intra == b.intra and a.inter == b.inter and a._inter.keys() == b._inter.keys()
             and a.entries() == b.entries()
             and a.clustering == b.clustering and a.graph.edges == b.graph.edges)
 
@@ -220,7 +221,7 @@ class TestBuildState:
         records = [f"r{i:03d}" for i in range(200)]
         g = UncertainGraph(records)
         state = build_state(g, Clustering([r] for r in records))
-        assert state.intra == {} and state.inter == {} and state.spanned == set()
+        assert state.intra == {} and state.inter == {} and set(state._inter) == set()
         assert len(state.entries()) == 19900
         pairs = list(g.absent_pairs())
         for k in (1, 2, 199, 200, 1000):
@@ -237,6 +238,14 @@ class TestBuildState:
         assert unstored.inter == {}
         assert [(e.pair, e.gain) for e in unstored.entries()] == [(("A", "C"), top)]
         assert select_batch(unstored, 3) == [("A", "C"), ("B", "D")]
+        # nothing across the blocks may be asked: the stored pair prices to no
+        # representative, so (A, C) is no candidate, not an unstored top gain
+        empty = build_state(g, c, allowed=frozenset())
+        with pytest.raises(KeyError):
+            empty.gain(("A", "C"))
+        assert select_batch(empty, 3) == [] and empty.entries() == []
+        with pytest.raises(KeyError):
+            empty.gain(("A", "C"))
 
     def test_stored_unspanned_pair_goes_when_its_block_is_reclustered_away(self):
         # no edge spans {A,B} x {C,D}, but (A, C) may not be asked, so the
@@ -448,14 +457,14 @@ class TestSelectBatch:
         with pytest.raises(KeyError):
             state.gain(("A", "E"))  # every pair across these blocks was asked
         # an asked pair in a block with absent pairs left, and a pair in a
-        # block with none left, which has no per-block entry
+        # block with none left, whose per-block row prices to empty
         g = UncertainGraph("ABCDE", {("A", "B"): 0.9, ("B", "C"): 0.8, ("D", "E"): 0.7})
         state = build_state(g, Clustering([["A", "B", "C"], ["D", "E"]]))
         with pytest.raises(KeyError):
             state.gain(("A", "B"))
         with pytest.raises(KeyError):
             state.gain(("D", "E"))
-        assert ("D", "E") not in state._intra and ("A", "B", "C") in state._intra
+        assert state._intra[("D", "E")] == {} and ("A", "B", "C") in state._intra
 
     def test_expansion_pairs_share_the_representative_gain(self, running_graph,
                                                            running_clustering):
