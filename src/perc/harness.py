@@ -309,8 +309,9 @@ def run_experiment(config: ExperimentConfig, records, gold: GoldClustering | Non
             clustering = fresh
         rounds += 1
         # the round's change, found once for the state and, with eval_every 1,
-        # for the snapshot, whose last score was then priced where the state was
-        changes = changes_since(state.graph, state.clustering, graph, clustering)
+        # for the snapshot, whose last score was then priced where the state
+        # was and so lends the spans of the block pairs that gained edges
+        changes = changes_since(state.graph, state.clustering, graph, clustering, score=score)
         refresh(state, graph, clustering, changes)
         if rounds % config.eval_every == 0:
             snapshot(changes if config.eval_every == 1 else None)

@@ -27,11 +27,14 @@ UncertainGraph.edges_between lists by one merge walk over the two sorted
 blocks.  changes_since tells a caller holding values priced on an earlier
 graph and clustering which blocks the round removed and created and which
 of the values may carry over.  On first read it lists the spanning edges
-of each block pair whose values may not, through edges_between for two old
-blocks that gained an edge and in one pass over the edges for the pairs
-with a new block, and prices each pair from its list, taking its log once;
-PERC's queue, DENSE's scores and the score here all read them, and a build
-from scratch folds a Changes in which every block is new.
+of each block pair whose values may not and prices each pair from its
+list, taking its log once.  The list of two old blocks that gained an edge
+is the list the score priced on the earlier graph and clustering kept for
+the pair, merged with the round's new edges, when the caller lends that
+score, and edges_between's otherwise; the lists of the pairs with a new
+block come from one pass over the edges.  PERC's queue, DENSE's scores and
+the score here all read them, and a build from scratch folds a Changes in
+which every block is new.
 """
 
 from __future__ import annotations
@@ -104,10 +107,13 @@ class ReliabilityScore:
     disconnectivity_log sums log10 d over the spanned block pairs with
     d >= epsilon; clamped counts the blocks and block pairs below epsilon,
     unspanned pairs (d = 0) included.  block_connectivity follows
-    clustering.blocks; _pairs holds (d, log10 d) for the spanned block
-    pairs only, keyed (bj, bk) for j < k in clustering.blocks, so a pair
-    missing from it has d = 0.  It is the one table the score keeps and
-    carries to the next, as Changes.priced hands the pairs over.
+    clustering.blocks; _pairs holds (d, log10 d, span) for the spanned
+    block pairs only, keyed (bj, bk) for j < k in clustering.blocks, so a
+    pair missing from it has d = 0.  span is the list of spanning edges d
+    was priced from, which changes_since may borrow (and never changes)
+    to list the pair's edges on the next graph.  It is the one table the
+    score keeps and carries to the next, as Changes.priced hands the pairs
+    over.
     """
 
     value: float
@@ -115,7 +121,7 @@ class ReliabilityScore:
     disconnectivity_log: float
     clamped: int
     block_connectivity: tuple[ConnectivityEstimate, ...]
-    _pairs: dict[BlockPairKey, tuple[float, float]]
+    _pairs: dict[BlockPairKey, tuple[float, float, list[tuple[Pair, float]]]]
     graph: UncertainGraph = field(compare=False, repr=False)
     clustering: Clustering = field(compare=False, repr=False)
     params: ReliabilityParams = field(compare=False, repr=False)
@@ -372,7 +378,9 @@ class Changes:
     which an edge spans those in lost; a new block's intra edges are read
     from the graph.  Every carried table is keyed by block or block pair as
     these are, so it changes by key; one of spanned pairs only drops lost.
-    previous, the old clustering, is read only once a block is gone."""
+    previous, the old clustering, is read only once a block is gone.  rows,
+    when set, are the _pairs of a score priced on the old graph and
+    clustering, whose spans the spans of two old blocks start from."""
 
     added: list[Pair]
     gone: frozenset[Block]
@@ -381,6 +389,7 @@ class Changes:
     graph: UncertainGraph = field(repr=False)
     clustering: Clustering = field(repr=False)
     previous: Clustering | None = field(default=None, repr=False)
+    rows: dict[BlockPairKey, tuple] | None = field(default=None, repr=False)
 
     @classmethod
     def from_scratch(cls, graph: UncertainGraph, clustering: Clustering) -> "Changes":
@@ -390,18 +399,31 @@ class Changes:
     @cached_property
     def _walk(self) -> tuple[dict[BlockPairKey, list], set[BlockPairKey]]:
         # spans and lost, from one walk on first read
-        graph, owner, fresh = self.graph, self.clustering._owner, self.fresh
+        graph, owner, fresh, rows = self.graph, self.clustering._owner, self.fresh, self.rows
+        edges = graph.edges
         spans: dict[BlockPairKey, list] = {}
-        for a, b in self.added:
-            ba, bb = owner[a], owner[b]
+        for pair in self.added:
+            ba, bb = owner[pair[0]], owner[pair[1]]
             if ba is not bb and ba not in fresh and bb not in fresh:
                 key = (ba, bb) if ba < bb else (bb, ba)
-                if key not in spans:
-                    spans[key] = graph.edges_between(*key)
+                if rows is None:
+                    if key not in spans:
+                        spans[key] = graph.edges_between(*key)  # this round's edges included
+                    continue
+                span = spans.get(key)
+                if span is None:
+                    # a copy, since DENSE's spans may hold the row's own list
+                    row = rows.get(key)
+                    span = spans[key] = [] if row is None else row[2].copy()
+                span.append((pair, edges[pair]))
         lost: set[BlockPairKey] = set()
         if not fresh:
+            if rows is not None:
+                # each lent span is two sorted runs, its row's and the round's
+                for span in spans.values():
+                    span.sort()
             return spans, lost
-        items = graph.edges.items()
+        items = edges.items()
         if len(fresh) < len(self.clustering.blocks):
             # the fresh blocks hold the gone blocks' records, so every lost pair is met
             members = {r for block in fresh for r in block}
@@ -449,18 +471,20 @@ class Changes:
                 for other in self.previous.blocks if other not in gone or other > dead]
 
     @cached_property
-    def priced(self) -> dict[BlockPairKey, tuple[float, float]]:
-        """Each block pair in spans with its disconnectivity d and log10 d
-        (-inf at d = 0), the log taken once for every holder."""
+    def priced(self) -> dict[BlockPairKey, tuple[float, float, list]]:
+        """Each block pair in spans with its disconnectivity d, log10 d
+        (-inf at d = 0), the log taken once for every holder, and the span
+        d was priced from."""
         priced = {}
         for key, span in self.spans.items():
             d = _disconnected(span)
-            priced[key] = d, math.log10(d) if d > 0.0 else -math.inf
+            priced[key] = d, math.log10(d) if d > 0.0 else -math.inf, span
         return priced
 
 
 def changes_since(previous_graph: UncertainGraph, previous_clustering: Clustering,
-                  graph: UncertainGraph, clustering: Clustering) -> Changes:
+                  graph: UncertainGraph, clustering: Clustering, *,
+                  score: ReliabilityScore | None = None) -> Changes:
     """What the edges graph adds to previous_graph changed, for values
     priced on (previous_graph, previous_clustering) that may carry over.
 
@@ -468,6 +492,12 @@ def changes_since(previous_graph: UncertainGraph, previous_clustering: Clusterin
     an unchanged clustering object lost and made no block.  Only the edges
     and the block sets are compared here; every block-pair set is found
     when first read.  Raises ValueError as UncertainGraph.edges_added_since.
+
+    ``score``, when priced on previous_graph and previous_clustering (the
+    very objects), lends its rows: the span of two old blocks that gained
+    edges is then its row's list (none for a pair with no row) merged with
+    the round's new edges of the pair, not an edges_between walk.  A score
+    priced on anything else is not read.
 
     The result is only read, never changed, by the callers it is handed
     to, so run_experiment finds each round's change once and hands it to
@@ -477,10 +507,15 @@ def changes_since(previous_graph: UncertainGraph, previous_clustering: Clusterin
     owner = clustering._owner
     added = graph.edges_added_since(previous_graph)
     touched = {owner[a] for a, b in added if owner[a] is owner[b]}
+    rows = None
+    if score is not None and score.graph is previous_graph \
+            and score.clustering is previous_clustering:
+        rows = score._pairs
     if clustering is previous_clustering:
-        return Changes(added, frozenset(), frozenset(), touched, graph, clustering)
+        return Changes(added, frozenset(), frozenset(), touched, graph, clustering, rows=rows)
     old, new = frozenset(previous_clustering.blocks), frozenset(clustering.blocks)
-    return Changes(added, old - new, new - old, touched, graph, clustering, previous_clustering)
+    return Changes(added, old - new, new - old, touched, graph, clustering,
+                   previous_clustering, rows)
 
 
 def reliability(graph: UncertainGraph, clustering: Clustering,
@@ -508,21 +543,23 @@ def reliability(graph: UncertainGraph, clustering: Clustering,
     and every block.  ``changes`` is what
     changes_since(previous.graph, previous.clustering, graph, clustering)
     returned, when the caller has already found it for another holder of
-    values priced on the same pair; without it, this call finds it.
+    values priced on the same pair; without it, this call finds it and
+    lends it ``previous``.
     """
     params = params or ReliabilityParams()
     check_covers(graph, clustering)
     epsilon = params.epsilon
     blocks = clustering.blocks
     carried: dict[Block, ConnectivityEstimate] = {}
-    pairs: dict[BlockPairKey, tuple[float, float]] = {}
+    pairs: dict[BlockPairKey, tuple[float, float, list]] = {}
     if previous is None:
         changes = Changes.from_scratch(graph, clustering)
     else:
         if previous.params != params:
             raise ValueError("previous score priced other params")
         if changes is None:
-            changes = changes_since(previous.graph, previous.clustering, graph, clustering)
+            changes = changes_since(previous.graph, previous.clustering, graph, clustering,
+                                    score=previous)
         carried = dict(zip(previous.clustering.blocks, previous.block_connectivity))
         pairs = dict(previous._pairs)
         for key in changes.lost:
@@ -542,7 +579,7 @@ def reliability(graph: UncertainGraph, clustering: Clustering,
             connect_logs.append(math.log10(est.value))
         else:
             clamped += 1
-    disconnect_logs = [log for d, log in pairs.values() if d >= epsilon]
+    disconnect_logs = [log for d, log, _ in pairs.values() if d >= epsilon]
     # spanned pairs below epsilon and every unspanned pair
     clamped += len(blocks) * (len(blocks) - 1) // 2 - len(disconnect_logs)
     connectivity_log = math.fsum(connect_logs)

@@ -225,7 +225,7 @@ def _mark(state: PriorityState, changes: Changes) -> None:
     top = _inter_gain(0.0, state.params)
     # _inter_gain(d) is -log10 d from d = epsilon up
     state._inter.update({key: (None, -log if d >= epsilon else top)
-                         for key, (d, log) in priced.items()})
+                         for key, (d, log, _) in priced.items()})
     if allowed is not None:
         # unspanned pairs are left unstored unless their (min, min) pair may
         # not be asked; every spanned pair with a new block has a row by now,

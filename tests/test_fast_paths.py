@@ -13,6 +13,7 @@ cold DENSE state and a rescan of TC's open pairs after every round.
 Values must agree bit for bit, since curve bytes depend on them.
 """
 
+import copy
 import itertools
 import math
 from dataclasses import replace
@@ -412,7 +413,8 @@ def assert_changes_match_reference(changes, old_graph, old):
     assert set(changes.priced) == expected
     for (bj, bk), span in changes.spans.items():
         assert span == filtered_span(graph, bj, bk)
-        d, log = changes.priced[(bj, bk)]
+        d, log, priced_span = changes.priced[(bj, bk)]
+        assert priced_span is span
         assert d == 1.0 - math.prod(p for _, p in span)
         assert d == disconnectivity(graph, clustering, bj, bk)
         assert log == (math.log10(d) if d > 0.0 else -math.inf)
@@ -421,9 +423,13 @@ def assert_changes_match_reference(changes, old_graph, old):
 @settings(max_examples=150, deadline=None)
 @given(graphs(max_records=8, fractions=ROUNDING_FRACTIONS), st.data())
 def test_changes_spans_equal_edges_between(graph, data):
-    """A build from scratch, then drawn rounds of answers and reclusters."""
+    """A build from scratch, then drawn rounds of answers and reclusters,
+    each found with no score or with a drawn score of the chain.  Only the
+    score priced on the old graph and clustering lends its rows, and no
+    list of a lent row is changed; one priced on an older graph is not read."""
     clustering = data.draw(next_clusterings(graph, scc_cluster(graph)), label="clustering")
     assert_changes_match_reference(Changes.from_scratch(graph, clustering), graph, None)
+    scores = [reliability(graph, clustering, PARAMS)]
     for _ in range(4):
         absent = list(graph.absent_pairs())
         if not absent:
@@ -435,9 +441,15 @@ def test_changes_spans_equal_edges_between(graph, data):
             new_graph = new_graph.with_edge(*pair, probability=data.draw(
                 st.sampled_from(ROUNDING_FRACTIONS), label="p"))
         new_clustering = data.draw(next_clusterings(new_graph, clustering), label="clustering")
-        changes = changes_since(graph, clustering, new_graph, new_clustering)
+        score = data.draw(st.sampled_from([None, *scores]), label="score")
+        changes = changes_since(graph, clustering, new_graph, new_clustering, score=score)
+        assert changes.rows is (score._pairs if score is scores[-1] else None)
+        rows = copy.deepcopy(scores[-1]._pairs)
         assert_changes_match_reference(changes, graph, clustering)
+        assert scores[-1]._pairs == rows
         graph, clustering = new_graph, new_clustering
+        scores.append(reliability(graph, clustering, PARAMS, previous=scores[-1],
+                                  changes=changes))
 
 
 @ORACLE
@@ -465,7 +477,8 @@ def test_reliability_equals_per_pair_sum(case, rng, epsilon):
     assert score.value == math.fsum((math.fsum(connect_terms), math.fsum(disconnect_terms),
                                      clamped * math.log10(epsilon)))
     assert [est.value for est in score.block_connectivity] == connect
-    assert score._pairs == {key: (d, math.log10(d) if d > 0.0 else -math.inf)
+    assert score._pairs == {key: (d, math.log10(d) if d > 0.0 else -math.inf,
+                                  filtered_span(graph, *key))
                             for key, d in spanned.items()}
 
 

@@ -418,9 +418,9 @@ class TestRunExperiment:
                    for name in ("harness", "selection", "reliability")]
         changes_since = modules[-1].changes_since
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls.append(args)
-            return changes_since(*args)
+            return changes_since(*args, **kwargs)
 
         for module in modules:
             monkeypatch.setattr(module, "changes_since", counted)
@@ -532,6 +532,36 @@ class TestRunExperiment:
         rows = {row.questions_asked: row for row in every.curve}
         assert len(every.curve) > len(sparse.curve) > 2
         assert all(row == rows[row.questions_asked] for row in sparse.curve)
+
+    @pytest.mark.parametrize("strategy", ["perc", "tc", "dense"])
+    def test_snapshot_every_round_walks_no_block_pair(self, monkeypatch, strategy):
+        """With a snapshot every round, each round's change takes the spans
+        of the block pairs that gained edges from the last score's rows, so
+        the run never calls edges_between; with one every third round, the
+        rounds between snapshots walk their pairs instead and the run still
+        gets the rows of its every-round twin."""
+        walked = []
+        edges_between = UncertainGraph.edges_between
+
+        def counted(self, left, right):
+            walked.append((left, right))
+            return edges_between(self, left, right)
+
+        monkeypatch.setattr(UncertainGraph, "edges_between", counted)
+        records, gold = synth_world(30, 6, seed=5)
+        config = ExperimentConfig(strategy=strategy, budget=150, batch_size=5,
+                                  initial_pairs=29, error_rate=0.2, mc_samples=50,
+                                  exact_edge_limit=4, seed=3)
+        every = run_experiment(config, records, gold=gold)
+        assert every.stats["reclusterings_changed"] > 0
+        assert walked == []
+        sparse = run_experiment(replace(config, eval_every=3), records, gold=gold)
+        assert sparse.vote_log == every.vote_log
+        rows = {row.questions_asked: row for row in every.curve}
+        assert len(every.curve) > len(sparse.curve) > 2
+        assert all(row == rows[row.questions_asked] for row in sparse.curve)
+        # TC's refresh reads no span, and each snapshot borrows its last score's
+        assert (walked != []) is (strategy != "tc")
 
     def test_stats_crowd_error_rate_zero_when_error_free(self):
         result, _ = self.run_error_free("perc")

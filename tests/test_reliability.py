@@ -1,5 +1,6 @@
 """Connectivity, disconnectivity, and the combined reliability score."""
 
+import copy
 import dataclasses
 import itertools
 import math
@@ -485,7 +486,8 @@ class TestReliability:
         assert [e.value for e in score.block_connectivity] == [
             pytest.approx(0.72), pytest.approx(1.0)]
         assert score._pairs == {
-            (("A", "B", "C"), ("D",)): (pytest.approx(0.88), pytest.approx(math.log10(0.88)))}
+            (("A", "B", "C"), ("D",)): (pytest.approx(0.88), pytest.approx(math.log10(0.88)),
+                                        [(("A", "D"), 0.2), (("C", "D"), 0.6)])}
         assert score.connectivity_log == pytest.approx(math.log10(0.72), abs=1e-15)
         assert score.disconnectivity_log == pytest.approx(math.log10(0.88), abs=1e-15)
         assert score.clamped == 0
@@ -564,17 +566,20 @@ class TestReliability:
 
     def test_previous_is_left_as_it_was_across_a_recluster(self, running_graph,
                                                            running_clustering):
-        # splitting {C,D} removes a block that A-C and B-D span
+        # splitting {C,D} removes a block that A-C and B-D span; left
+        # unsplit, the pair gains A-D, and its span starts from a copy of
+        # previous's row, whose list previous keeps as it was
         params = ReliabilityParams(exact_edge_limit=8)
         previous = reliability(running_graph, running_clustering, params)
-        before = dict(previous._pairs)
+        before = copy.deepcopy(previous._pairs)
         assert (("A", "B"), ("C", "D")) in before
         grown = running_graph.with_edge("A", "D", probability=0.4)
         split = Clustering((("A", "B"), ("C",), ("D",), ("E", "F"), ("G", "H")))
-        cold = reliability(grown, split, params)
-        for _ in range(2):
-            assert reliability(grown, split, params, previous=previous) == cold
-            assert previous._pairs == before
+        for clustering in (split, running_clustering):
+            cold = reliability(grown, clustering, params)
+            for _ in range(2):
+                assert reliability(grown, clustering, params, previous=previous) == cold
+                assert previous._pairs == before
 
     def test_sampled_connectivity_carries(self, running_graph, running_clustering):
         # at limit 0 every block is sampled; an edge across two blocks

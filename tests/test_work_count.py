@@ -1,6 +1,6 @@
-"""The program's work on the benchmark's seed-1 passes, counted as line
-events by tests/work_count.py, equals the counts recorded for this Python
-version in tests/work_counts.json."""
+"""The program's work on the benchmark's seed-1 passes and the noisy-crowd
+pass, counted as line events by tests/work_count.py, equals the counts
+recorded for this Python version in tests/work_counts.json."""
 
 import pytest
 

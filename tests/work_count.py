@@ -1,5 +1,6 @@
-"""How many lines of src/perc the benchmark's seed-1 passes run, per module:
-a measure of the program's work that does not depend on the host.
+"""How many lines of src/perc the benchmark's seed-1 passes, and a
+noisy-crowd pass, run per module: a measure of the program's work that
+does not depend on the host.
 
     python tests/work_count.py            # print the counts against the recorded ones
     python tests/work_count.py --write    # also regenerate tests/work_counts.json
@@ -12,7 +13,11 @@ compiled from src/perc:
   its worlds built as perfbench/worker.py's run_loop builds them;
 - next-cold: the perc.cli.main calls of one seed-1 pass, on the records and
   vote files that perfbench/worker.py's run_next writes, in a temporary
-  directory.
+  directory;
+- noisy-crowd, which no benchmark workload reaches: one PERC and one DENSE
+  run_experiment call on the seed-1 world 0 of 60 records in 5 entities,
+  with a crowd that errs on 3 answers in 10 (NOISY_CROWD).  Its blocks grow
+  past the default exact_edge_limit, so the PERC run samples about 20.
 
 Only those calls are traced, not the set-up around them.  A line event
 counts an interpreter line, not work done in C (sorts, dict copies,
@@ -35,8 +40,13 @@ from pathlib import Path
 from line_reach import PACKAGE, ROOT, SRC, in_temp_dir
 
 COUNTS = Path(__file__).resolve().parent / "work_counts.json"
-WORKLOADS = ("many-blocks", "baselines", "next-cold")
+WORKLOADS = ("many-blocks", "baselines", "next-cold", "noisy-crowd")
 SEED = 1
+# the noisy-crowd pass as perfbench/workloads.py's Workload fields; about a
+# second under sys.settrace on a 2-vCPU Xeon VM
+NOISY_CROWD = dict(kind="loop", worlds=1, records=60, entities=5, runs=tuple(
+    dict(strategy=strategy, initial_pairs=0, budget=450, batch_size=10, error_rate=0.3)
+    for strategy in ("perc", "dense")))
 
 
 class LineCounter:
@@ -83,11 +93,11 @@ def count_workload(name: str) -> dict[str, int]:
     import perc
     import perc.cli
     from perc.fileio import write_records_csv, write_votes_csv
-    from workloads import WORKLOADS as RECIPES, make_world, vote_file_pairs, world_seed
+    from workloads import WORKLOADS as RECIPES, Workload, make_world, vote_file_pairs, world_seed
 
     if Path(perc.__file__).resolve().parent != PACKAGE:
         raise SystemExit(f"perc imported from {perc.__file__}, not from {PACKAGE}")
-    workload = RECIPES[name]
+    workload = RECIPES[name] if name in RECIPES else Workload(name, "", **NOISY_CROWD)
     counter = LineCounter()
     for index in range(workload.worlds):
         seed = world_seed(SEED, index)
