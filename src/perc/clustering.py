@@ -33,10 +33,10 @@ def merge_probability(graph: UncertainGraph, block_a, block_b) -> float | None:
     crowdsourced edges spanning them.
 
     Computed in log space as prod(p) / (prod(p) + prod(1 - p)) over the
-    spanning edges, iterated in canonical order so the value does not
-    depend on construction order.  Returns None when nothing spans the
-    pair, which callers treat as "no evidence, skip".  Raises ValueError for
-    overlapping blocks or a record the graph does not declare.
+    spanning edges, whose tallies are folded in canonical order so the
+    value does not depend on construction order.  Returns None when nothing
+    spans the pair, which callers treat as "no evidence, skip".  Raises
+    ValueError for overlapping blocks or a record the graph does not declare.
     """
     a = tuple(sorted(set(block_a)))
     b = tuple(sorted(set(block_b)))
@@ -47,54 +47,40 @@ def merge_probability(graph: UncertainGraph, block_a, block_b) -> float | None:
     spanning = graph.edges_between(a, b)
     if not spanning:
         return None
-    agg = _PairAgg()
+    tally = [0.0, 0.0, 0, 0]
     for _, p in spanning:
-        agg.add_edge(p)
-    return agg.probability()
+        tally = [total + part for total, part in zip(tally, _edge_tally(p))]
+    return _tally_probability(tally)
 
 
-class _PairAgg:
-    """Running log-space tallies for the edges spanning one block pair."""
+def _edge_tally(p: float) -> list:
+    """One edge's log-space tally [log_yes, log_no, zero_yes, zero_no]: the
+    log10 of its YES and NO factors, or a count of 1 where the factor is 0.
+    A block pair's tally is the field-wise sum of its spanning edges'."""
+    if p == 0.0:
+        return [0.0, 0.0, 1, 0]
+    if p == 1.0:
+        return [0.0, 0.0, 0, 1]
+    return [math.log10(p), math.log10(1.0 - p), 0, 0]
 
-    __slots__ = ("log_yes", "log_no", "zero_yes", "zero_no")
 
-    def __init__(self):
-        self.log_yes = 0.0
-        self.log_no = 0.0
-        self.zero_yes = 0
-        self.zero_no = 0
-
-    def add_edge(self, p: float):
-        if p == 0.0:
-            self.zero_yes += 1
-        else:
-            self.log_yes += math.log10(p)
-        if p == 1.0:
-            self.zero_no += 1
-        else:
-            self.log_no += math.log10(1.0 - p)
-
-    def absorb(self, other: "_PairAgg"):
-        self.log_yes += other.log_yes
-        self.log_no += other.log_no
-        self.zero_yes += other.zero_yes
-        self.zero_no += other.zero_no
-
-    def probability(self) -> float:
-        if self.zero_yes and self.zero_no:
-            # certain evidence in both directions, neutral value that never merges
-            return 0.5
-        if self.zero_yes:
-            return 0.0
-        if self.zero_no:
-            return 1.0
-        # 1 / (1 + prod(1-p)/prod(p)), guarded against overflow in the exponent
-        diff = self.log_no - self.log_yes
-        if diff > 300:
-            return 0.0
-        if diff < -300:
-            return 1.0
-        return 1.0 / (1.0 + 10.0 ** diff)
+def _tally_probability(tally) -> float:
+    """The merge probability of a block pair's tally."""
+    log_yes, log_no, zero_yes, zero_no = tally
+    if zero_yes and zero_no:
+        # certain evidence in both directions, neutral value that never merges
+        return 0.5
+    if zero_yes:
+        return 0.0
+    if zero_no:
+        return 1.0
+    # 1 / (1 + prod(1-p)/prod(p)), guarded against overflow in the exponent
+    diff = log_no - log_yes
+    if diff > 300:
+        return 0.0
+    if diff < -300:
+        return 1.0
+    return 1.0 / (1.0 + 10.0 ** diff)
 
 
 def scc_cluster(graph: UncertainGraph, previous: Clustering | None = None) -> Clustering:
@@ -113,7 +99,7 @@ def scc_cluster(graph: UncertainGraph, previous: Clustering | None = None) -> Cl
     and each component is agglomerated on its own (_agglomerate).  That
     gives the blocks of one pass over every component at once: order keys
     are unique, so no other component can change a component's pop order,
-    and its tallies are still summed in sorted edge order.
+    and its tallies fold the same edges along the same merges.
 
     ``previous`` is a clustering this function returned for a graph that
     ``graph`` extends (ValueError otherwise, as
@@ -131,7 +117,8 @@ def scc_cluster(graph: UncertainGraph, previous: Clustering | None = None) -> Cl
     pairs than the graph has edges looks those pairs up (edges_within); a
     cold call, whose every component is dirty, and a carried call with more
     pairs hand each dirty component its edges in one pass over all edges.
-    _agglomerate sorts them, so neither way changes the blocks.  The blocks
+    _agglomerate's blocks do not depend on the order of a component's
+    edges, so neither way changes them.  The blocks
     are disjoint sorted tuples, so the result is built from them as they
     stand, only their list sorted.  A cold result maps every record to its
     block; a carried one copies ``previous``'s owner map and relabels only
@@ -196,15 +183,18 @@ def scc_cluster(graph: UncertainGraph, previous: Clustering | None = None) -> Cl
 
 def _agglomerate(members: list[str], edges: list[tuple[Pair, float]]) -> list[tuple[str, ...]]:
     """The blocks scc_cluster's merges leave in one component, from its
-    sorted members and its edges, which it sorts only to build the heap.
+    sorted members and its edges in any order.
 
-    Candidates sit in a heap keyed (-probability, order key); entries of a
+    Candidates sit in a heap keyed (-probability, order key), and only pairs
+    above one half enter it, since no other pair can merge; entries of a
     block that has since been merged away are skipped when popped.  Order
     keys of live blocks are unique, so the pop order is the ranking
-    scc_cluster describes.
+    scc_cluster describes.  Each pair's tally starts from one edge, and two
+    tallies of one neighbour fold with one commutative addition per field,
+    so neither the merges nor the blocks depend on the order of ``edges``.
 
     A component whose edges all have p > 1/2 is returned as one block with
-    no heap: each aggregate's two log10 sums fold log10(p) > log10(1 - p)
+    no heap: each tally's two log10 sums fold log10(p) > log10(1 - p)
     by the same additions, and monotone rounding keeps log_yes >= log_no
     (strictly: every fold order of up to 48 edges at p = nextafter(1/2, 1)
     keeps a margin), so merging goes on until the connected component is
@@ -212,56 +202,55 @@ def _agglomerate(members: list[str], edges: list[tuple[Pair, float]]) -> list[tu
     """
     if all(p > 0.5 for _, p in edges):
         return [tuple(members)]
-    edges.sort()
     index = {r: i for i, r in enumerate(members)}
     blocks: dict[int, tuple[str, ...]] = {i: (r,) for i, r in enumerate(members)}
-    agg: dict[tuple[int, int], _PairAgg] = {}
+    tallies: dict[tuple[int, int], list] = {}
     neighbours: dict[int, set[int]] = {i: set() for i in blocks}
+    heap: list = []
+
+    def push(ia: int, ib: int, tally: list):
+        prob = _tally_probability(tally)
+        if prob > 0.5:
+            # members are sorted, so [0] is a block's min member
+            fa, fb = blocks[ia][0], blocks[ib][0]
+            heapq.heappush(heap, (-prob, (fa, fb) if fa < fb else (fb, fa), (ia, ib)))
+
     for (a, b), p in edges:  # ia < ib: members are sorted, edges canonical
         ia, ib = index[a], index[b]
-        entry = agg[(ia, ib)] = _PairAgg()
-        entry.add_edge(p)
+        tally = tallies[(ia, ib)] = _edge_tally(p)
         neighbours[ia].add(ib)
         neighbours[ib].add(ia)
-
-    def candidate(ia: int, ib: int, entry: _PairAgg):
-        # members are sorted, so [0] is a block's min member
-        fa, fb = blocks[ia][0], blocks[ib][0]
-        return (-entry.probability(), (fa, fb) if fa < fb else (fb, fa), (ia, ib))
-
-    heap = [candidate(ia, ib, entry) for (ia, ib), entry in agg.items()]
-    heapq.heapify(heap)
+        push(ia, ib, tally)
     next_id = len(blocks)
     while heap:
-        neg_prob, _, (ia, ib) = heapq.heappop(heap)
+        _, _, (ia, ib) = heapq.heappop(heap)
         if ia not in blocks or ib not in blocks:
             continue
-        if -neg_prob <= 0.5:
-            break
         mid = next_id
         next_id += 1
         blocks[mid] = tuple(sorted(blocks.pop(ia) + blocks.pop(ib)))
-        del agg[(ia, ib)]
+        del tallies[(ia, ib)]
 
-        # two entries for one neighbour fold with one commutative float
-        # addition per field, so the merged tallies do not depend on order
-        combined: dict[int, _PairAgg] = {}
+        combined: dict[int, list] = {}
         for side in (ia, ib):
             for other in neighbours.pop(side):
                 if other == ia or other == ib:
                     continue
-                entry = agg.pop((side, other) if side < other else (other, side))
+                tally = tallies.pop((side, other) if side < other else (other, side))
                 neighbours[other].discard(side)
                 bucket = combined.get(other)
                 if bucket is None:
-                    combined[other] = entry
+                    combined[other] = tally
                 else:
-                    bucket.absorb(entry)
+                    bucket[0] += tally[0]
+                    bucket[1] += tally[1]
+                    bucket[2] += tally[2]
+                    bucket[3] += tally[3]
         neighbours[mid] = set(combined)
-        for other, entry in combined.items():
-            agg[(other, mid)] = entry
+        for other, tally in combined.items():
+            tallies[(other, mid)] = tally
             neighbours[other].add(mid)
-            heapq.heappush(heap, candidate(other, mid, entry))
+            push(other, mid, tally)
 
     return list(blocks.values())
 

@@ -120,13 +120,13 @@ class TestSccCluster:
 
     def test_agreeing_component_is_one_block_without_tallies(self, monkeypatch):
         made = []
+        edge_tally = clustering._edge_tally
 
-        class CountingAgg(clustering._PairAgg):
-            def __init__(self):
-                made.append(self)
-                super().__init__()
+        def counting_tally(p):
+            made.append(p)
+            return edge_tally(p)
 
-        monkeypatch.setattr(clustering, "_PairAgg", CountingAgg)
+        monkeypatch.setattr(clustering, "_edge_tally", counting_tally)
         g = UncertainGraph("ABCDE", {
             ("A", "B"): math.nextafter(0.5, 1), ("B", "C"): 0.51, ("A", "C"): 1.0,
             ("C", "D"): 0.6, ("D", "E"): 0.9})

@@ -27,7 +27,7 @@ from perc import (Clustering, ReliabilityParams, UncertainGraph, VoteTally, buil
                   refresh_after_answer, scc_cluster, select_batch)
 from perc.baselines import (TcState, build_dense_state, dense_batch, refresh_dense_state,
                             refresh_tc_state, rho_inputs, tc_batch)
-from perc.clustering import _PairAgg
+from perc.clustering import _edge_tally, _tally_probability
 from perc.reliability import (Changes, _sampled_partitions, block_connectivity,
                               changes_since, disconnectivity, reliability)
 from perc.selection import _inter_gain
@@ -49,9 +49,11 @@ ORACLE = settings(max_examples=150, deadline=None)
 
 @st.composite
 def graphs(draw, max_records=9, fractions=FRACTIONS):
+    """A graph whose edges are inserted in a drawn order, as a loaded vote
+    file may list them, so graph.edges is not sorted."""
     n = draw(st.integers(2, max_records))
     records = draw(st.permutations(NAMES))[:n]
-    pairs = list(itertools.combinations(sorted(records), 2))
+    pairs = draw(st.permutations(list(itertools.combinations(sorted(records), 2))))
     values = draw(st.lists(st.one_of(st.none(), st.sampled_from(fractions)),
                            min_size=len(pairs), max_size=len(pairs)))
     probs = {pair: p for pair, p in zip(pairs, values) if p is not None}
@@ -74,7 +76,7 @@ def component_graphs(draw, max_records=10):
     """Groups of records, each held together by a path of p > 1/2 edges
     plus random edges inside, with edges at p 0, 1/2 or 0.3 between
     groups: several components of the p > 1/2 edges that cross evidence
-    joins."""
+    joins; the edges inserted in a drawn order, as graphs() inserts them."""
     n = draw(st.integers(2, max_records))
     records = sorted(draw(st.permutations(NAMES))[:n])
     cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=n - 1)))
@@ -92,7 +94,8 @@ def component_graphs(draw, max_records=10):
                 p = draw(st.sampled_from((None, None, 0.0, 0.5, 0.3)))
                 if p is not None:
                     probs[(a, b)] = p
-    return UncertainGraph(records, probs)
+    order = draw(st.permutations(sorted(probs)))
+    return UncertainGraph(records, {pair: probs[pair] for pair in order})
 
 
 # p just above one half, where log10(p) and log10(1 - p) lie a few ulps apart
@@ -152,13 +155,12 @@ def reference_scc(graph):
     owner = {r: i for i, r in enumerate(graph.records)}
     agg = {}
     for (a, b), p in graph.edge_items():
-        key = tuple(sorted((owner[a], owner[b])))
-        agg.setdefault(key, _PairAgg()).add_edge(p)
+        agg[tuple(sorted((owner[a], owner[b])))] = _edge_tally(p)
     next_id = len(blocks)
     while agg:
         best_key = best_prob = best_order = None
         for key, entry in agg.items():
-            prob = entry.probability()
+            prob = _tally_probability(entry)
             order = tuple(sorted((blocks[key[0]][0], blocks[key[1]][0])))
             if best_key is None or prob > best_prob or (
                     prob == best_prob and order < best_order):
@@ -176,7 +178,7 @@ def reference_scc(graph):
                 if {x, y} != {ia, ib}:
                     other = y if x in (ia, ib) else x
                     if other in combined:
-                        combined[other].absorb(entry)
+                        combined[other] = [u + v for u, v in zip(combined[other], entry)]
                     else:
                         combined[other] = entry
         for other, entry in combined.items():
