@@ -17,7 +17,14 @@ so it carries the top gain, -log10 epsilon, and its representative is
 unless that representative may not be asked; every other block pair holds
 a row from the round that marks it to the round that drops it.  So the
 unstored pairs are those with no row, and select_batch walks them in block
-order, which is already their rank order.
+order, which is already their rank order.  From its first
+refresh_after_answer on, a state counts its rows where they are made,
+priced and dropped: per block, the _inter rows keyed with it first, so the
+walk skips a block whose later pairs all have rows; and the priced intra
+entries and _inter rows at the top gain, so when k unstored pairs fill a
+batch and none is counted, select_batch heaps only those pairs and the
+marked blocks.  A cold build counts nothing; the first refresh counts what
+it left in one pass.
 
 build_state starts a state from scratch once; after that,
 refresh_after_answer folds each round in, whether or not it changed the
@@ -82,12 +89,17 @@ class PriorityState:
     the pair is marked and () once no absent spanning pair is left to
     ask.  A row lives from the _mark that makes it to the
     refresh_after_answer that drops its key, so a block pair has no row
-    exactly when it is unstored.  allowed (when set) restricts candidates
-    to a fixed pair set, used in replay mode.  Reading intra, inter or
-    entries() prices every marked entry first (see the module docstring).
+    exactly when it is unstored.  From the first refresh_after_answer on,
+    _later maps each block to how many _inter rows are keyed with it first
+    and _at_top counts the priced intra entries and _inter rows at the top
+    gain; before it they are {} and None.  allowed (when set) restricts
+    candidates to a fixed pair set, used in replay mode.  Reading intra,
+    inter or entries() prices every marked entry first (see the module
+    docstring).
     """
 
-    __slots__ = ("graph", "clustering", "params", "allowed", "_intra", "_inter")
+    __slots__ = ("graph", "clustering", "params", "allowed", "_intra", "_inter",
+                 "_later", "_at_top")
 
     def __init__(self, graph: UncertainGraph, clustering: Clustering,
                  params: ReliabilityParams, allowed: frozenset | None = None):
@@ -97,6 +109,8 @@ class PriorityState:
         self.allowed = allowed
         self._intra: dict[Block, dict[Pair, float] | None] = {}
         self._inter: dict[BlockPairKey, tuple[Pair | tuple[()] | None, float]] = {}
+        self._later: dict[Block, int] = {}
+        self._at_top: int | None = None
 
     @property
     def intra(self) -> dict[Pair, float]:
@@ -117,6 +131,9 @@ class PriorityState:
                  if (a, b) not in asked and (allowed is None or (a, b) in allowed)]
         self._intra[block] = priced = dict(zip(
             pairs, _intra_gains(self.graph, block, pairs, self.params))) if pairs else {}
+        if self._at_top is not None:
+            top = _inter_gain(0.0, self.params)
+            self._at_top += sum(gain >= top for gain in priced.values())
         return priced
 
     def _price_pair(self, key: BlockPairKey) -> tuple[Pair | tuple[()], float]:
@@ -140,8 +157,11 @@ class PriorityState:
     def _unstored(self) -> Iterator[tuple[Pair, BlockPairKey]]:
         """(representative, block pair) of each unstored entry, in block
         order, which is representative order; each has the top gain."""
-        blocks, inter = self.clustering.blocks, self._inter
+        blocks, inter, later = self.clustering.blocks, self._inter, self._later
+        last = len(blocks) - 1
         for j, bj in enumerate(blocks):
+            if later.get(bj) == last - j:
+                continue  # every pair of the row is stored
             for k in range(j + 1, len(blocks)):
                 key = (bj, blocks[k])
                 if key not in inter:
@@ -220,22 +240,33 @@ def _mark(state: PriorityState, changes: Changes) -> None:
     asked."""
     allowed, epsilon = state.allowed, state.params.epsilon
     fresh, priced = changes.fresh, changes.priced
+    inter = state._inter
     state._intra.update(dict.fromkeys(block for block in changes.touched | fresh
                                       if len(block) > 1))
     top = _inter_gain(0.0, state.params)
     # _inter_gain(d) is -log10 d from d = epsilon up
-    state._inter.update({key: (None, -log if d >= epsilon else top)
-                         for key, (d, log, _) in priced.items()})
+    rows = {key: (None, -log if d >= epsilon else top) for key, (d, log, _) in priced.items()}
     if allowed is not None:
         # unspanned pairs are left unstored unless their (min, min) pair may
-        # not be asked; every spanned pair with a new block has a row by now,
-        # and so has each unspanned one already met from its other block
+        # not be asked; no row has a new block yet, every spanned pair with
+        # one is in rows, and so is each unspanned one met from its other block
         for new in fresh:
             for block in state.clustering.blocks:
                 key = (new, block) if new < block else (block, new)
-                if block is not new and key not in state._inter \
-                        and (key[0][0], key[1][0]) not in allowed:
-                    state._inter[key] = (None, top)
+                if block is not new and key not in rows and (key[0][0], key[1][0]) not in allowed:
+                    rows[key] = (None, top)
+    if state._at_top is not None:
+        later, at_top = state._later, state._at_top
+        for key, (_, gain) in rows.items():
+            row = inter.get(key)
+            if row is None:
+                later[key[0]] = later.get(key[0], 0) + 1
+            elif row[1] >= top:
+                at_top -= 1
+            if gain >= top:
+                at_top += 1
+        state._at_top = at_top
+    inter.update(rows)
 
 
 def build_state(graph: UncertainGraph, clustering: Clustering,
@@ -275,10 +306,25 @@ def refresh_after_answer(state: PriorityState, graph: UncertainGraph,
     check_covers(graph, clustering)
     if changes is None:
         changes = changes_since(state.graph, state.clustering, graph, clustering)
+    intra, inter, later, at_top = state._intra, state._inter, state._later, state._at_top
+    top = _inter_gain(0.0, state.params)
+    if at_top is None:  # counting starts from what the cold build left
+        for bj, _ in inter:
+            later[bj] = later.get(bj, 0) + 1
+        at_top = sum(gain >= top for entries in intra.values() if entries
+                     for gain in entries.values()) + sum(gain >= top for _, gain in inter.values())
     for block in (*changes.touched, *changes.gone):
-        state._intra.pop(block, None)
+        entries = intra.pop(block, None)
+        if entries and at_top:  # with no top entry counted, none is dropped
+            at_top -= sum(gain >= top for gain in entries.values())
     for key in changes.lost if state.allowed is None else changes.dropped:
-        state._inter.pop(key, None)
+        row = inter.pop(key, None)
+        if row is not None:
+            later[key[0]] -= 1
+            at_top -= row[1] >= top
+    for block in changes.gone:  # each count is 0 by now
+        later.pop(block, None)
+    state._at_top = at_top
     state.graph, state.clustering = graph, clustering
     _mark(state, changes)
 
@@ -316,11 +362,12 @@ def select_batch(state: PriorityState, k: int) -> list[Pair]:
     unstored = list(islice(state._unstored(), k))
     floor = top if len(unstored) == k else -math.inf
     heap = [(-top, rep, key) for rep, key in unstored]
-    heap += [(-gain, pair, None) for entries in intra.values() if entries is not None
-             for pair, gain in entries.items() if gain >= floor]
     heap += [(-top, block[:2], block) for block, entries in intra.items() if entries is None]
-    heap += [(-gain, (key[0][0], key[1][0]) if rep is None else rep, key)
-             for key, (rep, gain) in inter.items() if gain >= floor and rep != ()]
+    if floor < top or state._at_top != 0:  # else only these and marked blocks can rank
+        heap += [(-gain, pair, None) for entries in intra.values() if entries is not None
+                 for pair, gain in entries.items() if gain >= floor]
+        heap += [(-gain, (key[0][0], key[1][0]) if rep is None else rep, key)
+                 for key, (rep, gain) in inter.items() if gain >= floor and rep != ()]
     heapq.heapify(heap)
     batch: list[Pair] = []
     fill: list[tuple[Pair, BlockPairKey]] = []  # the inter entries taken, in rank order

@@ -16,6 +16,7 @@ Values must agree bit for bit, since curve bytes depend on them.
 import copy
 import itertools
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -604,9 +605,29 @@ def test_carried_state_equals_cold_build(graph, data):
         clustering = data.draw(next_clusterings(graph, clustering), label="clustering")
         refresh_after_answer(state, graph, clustering)
         cold = build_state(graph, clustering, params, allowed=allowed)
+        for k in (1, 3, 20):
+            assert select_batch(state, k) == select_batch(cold, k)
         assert state.intra == cold.intra
         assert state.inter == cold.inter
         assert state._inter.keys() == cold._inter.keys()  # the views priced every row
+        assert_counts_match_rows(state)
+        blocks = clustering.blocks
+        assert list(state._unstored()) == [
+            ((bj[0], bk[0]), (bj, bk)) for j, bj in enumerate(blocks) for bk in blocks[j + 1:]
+            if (bj, bk) not in state._inter]
+
+
+def assert_counts_match_rows(state):
+    """A carried state's counts equal a recount of its rows: per block, the
+    _inter rows keyed with it first, and the priced intra entries and
+    _inter rows at the top gain."""
+    top = _inter_gain(0.0, state.params)
+    assert state._later.keys() <= set(state.clustering.blocks)
+    assert {block: n for block, n in state._later.items() if n} == Counter(
+        bj for bj, _ in state._inter)
+    assert state._at_top == sum(gain >= top for entries in state._intra.values()
+                                for gain in entries.values()) + sum(
+        gain >= top for _, gain in state._inter.values())
 
 
 @settings(max_examples=150, deadline=None)

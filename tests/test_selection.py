@@ -398,6 +398,44 @@ class TestSelectBatch:
         select_batch(build_state(running_graph, running_clustering), 2)
         assert sorted(priced) == [(("A", "B"), ("C", "D")), (("E", "F"), ("G", "H"))]
 
+    @pytest.mark.parametrize("answered_in_round", [False, True])
+    def test_counted_top_gain_row_ranks_among_unstored_pairs(self, answered_in_round):
+        # every edge across {A} x {C, D} is certain, so d = 0 and the row's
+        # (A, D) carries the top gain, like the unstored pairs around it;
+        # counting starts at the refresh, whether the row was built before
+        # or is made in the round
+        certain = {("A", "C"): 1.0}
+        before = UncertainGraph("ABCDEFG", {("C", "D"): 0.5, **certain})
+        after = before.with_edge("F", "G", probability=0.5)
+        if answered_in_round:
+            before = UncertainGraph("ABCDEFG", {("C", "D"): 0.5, ("F", "G"): 0.5})
+            after = before.with_edge("A", "C", probability=1.0)
+        c = Clustering([["A"], ["B"], ["C", "D"], ["E"], ["F"], ["G"]])
+        state = build_state(before, c)
+        refresh_after_answer(state, after, c)
+        assert state._at_top == 1 and len(list(state._unstored())) >= 3
+        assert select_batch(state, 3) == [("A", "B"), ("A", "D"), ("A", "E")]
+        assert select_batch(state, 3) == [entry.pair for entry in state.entries()[:3]]
+
+    @pytest.mark.parametrize("priced_before_counting", [False, True])
+    def test_counted_top_gain_intra_entry_ranks_among_unstored_pairs(
+            self, priced_before_counting):
+        # A-B is a certain NO, so c(A, B, C) = 0, clamped to epsilon; a
+        # certain A-C joins A through the certain B-C, so (A, C) gains the top
+        g = UncertainGraph("ABCDEFG", {("A", "B"): 0.0, ("B", "C"): 1.0})
+        after = g.with_edge("F", "G", probability=0.5)
+        c = Clustering([["A", "B", "C"], ["D"], ["E"], ["F"], ["G"]])
+        state = build_state(g, c)
+        if priced_before_counting:
+            select_batch(state, 3)  # prices the marked block
+        refresh_after_answer(state, after, c)
+        if not priced_before_counting:
+            state.gain(("A", "C"))  # prices the marked block
+        assert state._intra[("A", "B", "C")] is not None
+        assert state._at_top == 1 and len(list(state._unstored())) >= 3
+        assert select_batch(state, 3) == [("A", "C"), ("A", "D"), ("A", "E")]
+        assert select_batch(state, 3) == [entry.pair for entry in state.entries()[:3]]
+
     def test_batch_one_is_the_best_entry(self):
         rng = np.random.default_rng(67)
         for _ in range(25):
