@@ -35,17 +35,23 @@ entries of blocks and block pairs that survived it untouched carry over.
 
 Marked entries are priced when first read, not when marked; they keep
 their rows in the same two tables as priced ones, _intra and _inter, with
-None where the priced value will go.  Pricing fills a row in, empty when
-nothing is left to ask, and never drops it.  select_batch ranks through
-one heap of (-gain, pair) keys, where each marked entry sits under a key
-that none of its priced keys beats: a block under the top gain (no gain
-exceeds it) and its smallest pair (b[0], b[1]), a block pair under its
-gain, known from its disconnectivity, and its (min, min) pair.  A marked
-entry is priced only when its key reaches the top, and its priced keys go
-back in.  gain() prices the one entry it reads; intra, inter and entries()
-price everything marked first.  A value does not depend on when it is
-priced: a block's sampling stream is seeded from its members, and a round
-marks again whatever it changes.
+None where the priced value will go, or for a block a float, a certified
+bound on its gains.  Pricing fills a row in, empty when nothing is left
+to ask, and never drops it.  select_batch ranks through one heap of
+(-gain, pair) keys, where each marked entry sits under a key that none of
+its priced keys beats: a block under its bound, or the top gain (no gain
+exceeds it) while it has none, and its smallest pair (b[0], b[1]); a
+block pair under its gain, known from its disconnectivity, and its
+(min, min) pair.  A marked entry is priced only when its key reaches the
+top, and its priced keys go back in.  A block whose key reaches the top
+while k unstored pairs hold the batch's floor at the top gain is first
+certified by _gain_bound, whose three conditions bound every gain of a
+block of n records below n log10 2, at most the top gain; a certified
+block keeps that bound in its row, unpriced, and goes into the heap only
+in a batch whose floor is at or below it.  gain() prices the one entry it
+reads; intra, inter and entries() price everything marked first.  A value
+does not depend on when it is priced: a block's sampling stream is seeded
+from its members, and a round marks again whatever it changes.
 """
 
 from __future__ import annotations
@@ -61,7 +67,7 @@ from .graph import Clustering, Pair, UncertainGraph, check_covers
 from .reliability import (Block, BlockPairKey, Changes, ReliabilityParams,  # noqa: F401
                           block_connectivity, changes_since, disconnectivity,
                           pair_connectivity)
-from .util import canonical_pair, log10_clamped
+from .util import UnionFind, canonical_pair, log10_clamped
 
 
 @dataclass(frozen=True)
@@ -83,9 +89,10 @@ class PriorityState:
     to its representative and shared gain.  The state keeps one row per
     key Changes names a round's change by, so a changed entry goes with
     one pop: _intra maps each block of two or more records to its
-    {pair: gain}, or to None while the block is marked (its intra edges
-    are read from the graph when priced), and _inter maps each stored
-    block pair to (representative, gain), with representative None while
+    {pair: gain}, or while the block is marked (its intra edges are read
+    from the graph when priced) to None, or to a float once _gain_bound
+    has bounded its gains by it; _inter maps each stored block pair to
+    (representative, gain), with representative None while
     the pair is marked and () once no absent spanning pair is left to
     ask.  A row lives from the _mark that makes it to the
     refresh_after_answer that drops its key, so a block pair has no row
@@ -107,7 +114,7 @@ class PriorityState:
         self.clustering = clustering
         self.params = params
         self.allowed = allowed
-        self._intra: dict[Block, dict[Pair, float] | None] = {}
+        self._intra: dict[Block, dict[Pair, float] | float | None] = {}
         self._inter: dict[BlockPairKey, tuple[Pair | tuple[()] | None, float]] = {}
         self._later: dict[Block, int] = {}
         self._at_top: int | None = None
@@ -149,7 +156,7 @@ class PriorityState:
         return entry
 
     def _price_all(self) -> None:
-        for block in [block for block, entries in self._intra.items() if entries is None]:
+        for block in [block for block, row in self._intra.items() if not isinstance(row, dict)]:
             self._price_block(block)
         for key in [key for key, (rep, _) in self._inter.items() if rep is None]:
             self._price_pair(key)
@@ -173,7 +180,7 @@ class PriorityState:
         block_a, block_b = owner[pair[0]], owner[pair[1]]
         if block_a is block_b:
             entries = self._intra[block_a]
-            return (self._price_block(block_a) if entries is None else entries)[pair]
+            return (entries if isinstance(entries, dict) else self._price_block(block_a))[pair]
         key = (block_a, block_b) if block_a < block_b else (block_b, block_a)
         entry = self._inter.get(key)
         if entry is None:
@@ -203,6 +210,31 @@ def _intra_gains(graph: UncertainGraph, block: Block, pairs: list[Pair],
     base, values = pair_connectivity(graph, block, pairs, params)
     floor = log10_clamped(base, params.epsilon)
     return [log10_clamped(value, params.epsilon) - floor for value in values]
+
+
+def _gain_bound(graph: UncertainGraph, block: Block, params: ReliabilityParams) -> float | None:
+    """n log10 2 for a block of n records if (i) 2^(1-n) >= 2 epsilon,
+    (ii) its edges with p > 1/2 join all n records and (iii) at most
+    exact_edge_limit of its edges have 0 < p < 1, else None.  By (ii) a
+    spanning tree gives c(block) > 2^(1-n), by (iii) the DP solves c
+    rather than a sample that can read 0, and by (i) no clamp moves it; so
+    every intra gain, at most -log10 c, is below (n - 1) log10 2, and the
+    bound, at most the top gain -log10 epsilon, keeps a factor 2 in hand."""
+    n = len(block)
+    if 2.0 ** (1 - n) < 2 * params.epsilon:
+        return None
+    edges, uncertain, joined = graph.edges, 0, UnionFind(n)
+    # the block is sorted, so each (a, b) is canonical
+    for i, a in enumerate(block):
+        for j in range(i + 1, n):
+            p = edges.get((a, block[j]))
+            if p is not None:
+                uncertain += 0.0 < p < 1.0
+                if p > 0.5:
+                    joined.union(i, j)
+    if joined.groups > 1 or uncertain > params.exact_edge_limit:
+        return None
+    return n * math.log10(2.0)
 
 
 def _inter_gain(dis: float, params: ReliabilityParams) -> float:
@@ -311,11 +343,11 @@ def refresh_after_answer(state: PriorityState, graph: UncertainGraph,
     if at_top is None:  # counting starts from what the cold build left
         for bj, _ in inter:
             later[bj] = later.get(bj, 0) + 1
-        at_top = sum(gain >= top for entries in intra.values() if entries
+        at_top = sum(gain >= top for entries in intra.values() if isinstance(entries, dict)
                      for gain in entries.values()) + sum(gain >= top for _, gain in inter.values())
     for block in (*changes.touched, *changes.gone):
         entries = intra.pop(block, None)
-        if entries and at_top:  # with no top entry counted, none is dropped
+        if at_top and isinstance(entries, dict):  # with no top entry counted, none is dropped
             at_top -= sum(gain >= top for gain in entries.values())
     for key in changes.lost if state.allowed is None else changes.dropped:
         row = inter.pop(key, None)
@@ -347,6 +379,10 @@ def select_batch(state: PriorityState, k: int) -> list[Pair]:
     0-9), 3,647 of 12,000 picks carry the clamped top gain, 7,808 gain 0
     and 545 a gain that sets them apart; relabelling the records alone
     moved the seeds on which PERC beats TC between 8 and 10.
+
+    When k unstored pairs fill the batch at the top gain, a marked block
+    that pops is priced only if _gain_bound refuses it; else it keeps the
+    bound on its gains, unpriced, until a batch's floor is at or below it.
     """
     if k < 1:
         raise ValueError(f"batch size must be positive, got {k}")
@@ -354,17 +390,19 @@ def select_batch(state: PriorityState, k: int) -> list[Pair]:
     k = min(k, n * (n - 1) // 2)  # no batch exceeds the pairs; islice needs k <= sys.maxsize
     # The batch is the k smallest (-gain, pair) keys; they are unique, so no
     # two heap items compare past their pair.  An item's third field is None
-    # (intra entry), a marked block, priced when popped, or a block pair,
-    # priced when popped if its row is marked.  Unstored entries come in rank
-    # order at the top gain, so once k are found only a top-gain entry can rank.
+    # (intra entry), a marked block, certified or priced when popped, or a
+    # block pair, priced when popped if its row is marked.  Unstored entries
+    # come in rank order at the top gain, so once k are found only a
+    # top-gain entry can rank.
     intra, inter = state._intra, state._inter
     top = _inter_gain(0.0, state.params)
     unstored = list(islice(state._unstored(), k))
     floor = top if len(unstored) == k else -math.inf
     heap = [(-top, rep, key) for rep, key in unstored]
-    heap += [(-top, block[:2], block) for block, entries in intra.items() if entries is None]
+    heap += [(-top if row is None else -row, block[:2], block) for block, row in intra.items()
+             if row is None or not isinstance(row, dict) and row >= floor]
     if floor < top or state._at_top != 0:  # else only these and marked blocks can rank
-        heap += [(-gain, pair, None) for entries in intra.values() if entries is not None
+        heap += [(-gain, pair, None) for entries in intra.values() if isinstance(entries, dict)
                  for pair, gain in entries.items() if gain >= floor]
         heap += [(-gain, (key[0][0], key[1][0]) if rep is None else rep, key)
                  for key, (rep, gain) in inter.items() if gain >= floor and rep != ()]
@@ -374,6 +412,10 @@ def select_batch(state: PriorityState, k: int) -> list[Pair]:
     while heap and len(batch) < k:
         _, pair, key = heapq.heappop(heap)
         if key in intra:  # a marked block: priced intra items carry None
+            if intra[key] is None and floor == top:
+                bound = intra[key] = _gain_bound(state.graph, key, state.params)
+                if bound is not None:
+                    continue  # no gain of the block reaches the floor
             for pair, gain in state._price_block(key).items():
                 if gain >= floor:
                     heapq.heappush(heap, (-gain, pair, None))

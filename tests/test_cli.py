@@ -136,9 +136,12 @@ class TestNext:
         assert main([*argv, str(10**20)]) == 0
         assert capsys.readouterr().out == every
 
-    def test_prices_only_blocks_below_the_bound(self, tmp_path, capsys, monkeypatch):
-        # four blocks of three that no edge spans: the batch of two is
-        # (A, D) and (A, G), and no pair of a block after (A, G) can rank
+    @staticmethod
+    def next_pricing(tmp_path, monkeypatch, *flags):
+        """perc next --batch 2 on four blocks of three that no edge spans,
+        each joined by two edges at p 0.8: its exit code and the blocks it
+        priced.  The batch is (A, D) and (A, G), and no pair of a block
+        after (A, G) can rank."""
         blocks = ["ABC", "DEF", "GHI", "JKL"]
         write_records_csv(tmp_path / "records.csv", [r for block in blocks for r in block])
         write_votes_csv(tmp_path / "votes.csv", [((a, b), VoteTally(4, 5)) for x, y, z in blocks
@@ -150,7 +153,21 @@ class TestNext:
             return pair_connectivity(graph, block, pairs, params, *intra)
         monkeypatch.setattr(perc.selection, "pair_connectivity", counted)
         code = main(["next", "--graph", str(tmp_path / "votes.csv"),
-                     "--records", str(tmp_path / "records.csv"), "--batch", "2"])
+                     "--records", str(tmp_path / "records.csv"), "--batch", "2", *flags])
+        return code, priced
+
+    def test_prices_only_blocks_below_the_bound(self, tmp_path, capsys, monkeypatch):
+        # block ABC pops before (A, D), but its certified gain bound,
+        # 3 log10 2, is below the top gain, so it waits unpriced
+        code, priced = self.next_pricing(tmp_path, monkeypatch)
+        assert code == 0
+        assert capsys.readouterr().out == "A,D,12.0\nA,G,12.0\n"
+        assert priced == []
+
+    def test_prices_a_block_sampled_past_the_edge_limit(self, tmp_path, capsys, monkeypatch):
+        # two uncertain edges above the limit of one: a sampled c can read
+        # 0, and then a pair of the block reaches the top gain
+        code, priced = self.next_pricing(tmp_path, monkeypatch, "--exact-edge-limit", "1")
         assert code == 0
         assert capsys.readouterr().out == "A,D,12.0\nA,G,12.0\n"
         assert priced == [("A", "B", "C")]
@@ -226,6 +243,27 @@ class TestNext:
         assert code == 1
         assert capsys.readouterr() == (
             "", "error: mc_samples must be <= 10000, got 1000000000000\n")
+
+
+class TestClosedPipe:
+    @pytest.mark.parametrize("command", ["next", "cluster"])
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_reader_gone_exits_one_quietly(self, running_files, command, unbuffered):
+        # as when `perc next ... | head -1` stops reading: the pipe's read end
+        # is closed before the child writes, whether each write goes out at
+        # once or waits in the buffer for the final flush
+        records, votes = running_files
+        read, write = os.pipe()
+        os.close(read)
+        env = {**os.environ, "PYTHONPATH": str(Path(perc.cli.__file__).parents[1]),
+               "PYTHONUNBUFFERED": unbuffered}
+        try:
+            done = subprocess.run([sys.executable, "-m", "perc.cli", command, "--graph",
+                                   str(votes), "--records", str(records)],
+                                  stdout=write, stderr=subprocess.PIPE, env=env, text=True)
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (1, "")
 
 
 class TestParserReuse:

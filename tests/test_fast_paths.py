@@ -758,6 +758,45 @@ def test_select_batch_on_a_marked_state_equals_a_priced_one(case, data):
         clustering = data.draw(next_clusterings(graph, clustering), label="clustering")
 
 
+@st.composite
+def carried_cases(draw):
+    """A graph under a hand-built clustering, and what a carried state saw
+    before it: the graph less some of its edges, a clustering of that, and
+    the size of the batch drawn there."""
+    graph, clustering = draw(graphs_with_clusterings(max_records=8, fractions=ROUNDING_FRACTIONS))
+    before = UncertainGraph(graph.records, {pair: p for pair, p in graph.edges.items()
+                                            if draw(st.booleans())})
+    return (graph, clustering, before, draw(next_clusterings(before, clustering)),
+            draw(st.integers(1, 6)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(carried_cases(), st.builds(
+    ReliabilityParams, mc_samples=st.sampled_from((1, 20)),
+    epsilon=st.floats(1e-12, 1e-3, exclude_max=True),
+    exact_edge_limit=st.integers(0, 8), seed=st.integers(0, 3)))
+# a sampled block whose one world drops one of its two edges: c reads 0, so
+# (A, C), which joins it again, gains the top and ranks before (A, D)
+@example((UncertainGraph("ABCDE", {("A", "B"): 0.8, ("B", "C"): 0.8}),
+          Clustering([["A", "B", "C"], ["D"], ["E"]]),
+          UncertainGraph("ABCDE", {("A", "B"): 0.8}),
+          Clustering([["A", "B", "C"], ["D"], ["E"]]), 1),
+         ReliabilityParams(mc_samples=1, exact_edge_limit=0, seed=2))
+def test_select_batch_equals_the_first_entries_of_a_priced_queue(case, params):
+    """A marked block waits under its certified gain bound only where none
+    of its gains can rank.  Batches of 1, 3 and 20 drawn in turn from one
+    cold state, and from one carried state, must each start with the first
+    entries of the queue with everything priced."""
+    graph, clustering, before, earlier, drawn_k = case
+    ranked = [entry.pair for entry in build_state(graph, clustering, params).entries()]
+    carried = build_state(before, earlier, params)
+    select_batch(carried, drawn_k)
+    refresh_after_answer(carried, graph, clustering)
+    for state in (build_state(graph, clustering, params), carried):
+        for k in (1, 3, 20):
+            assert select_batch(state, k)[:len(ranked)] == ranked[:k]
+
+
 @ORACLE
 @given(graphs_with_clusterings(), st.data())
 def test_absent_pairs_between_equals_scan(case, data):

@@ -516,6 +516,77 @@ class TestSelectBatch:
         assert by_pair[("A", "D")] == by_pair[("B", "C")]
 
 
+def path_block(records, p=0.8):
+    """Edges at p joining the records in a path."""
+    return {(a, b): p for a, b in zip(records, records[1:])}
+
+
+class TestGainBound:
+    """A marked block that pops while k unstored pairs hold the floor at
+    the top gain waits unpriced when _gain_bound certifies that none of its
+    gains reaches the top; the block is then priced only in a batch whose
+    floor is at or below the stored bound."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        """The blocks priced and the blocks certified, in call order."""
+        priced, checked = [], []
+        gain_bound = perc.selection._gain_bound
+
+        def pricing(graph, block, pairs, params, *rest):
+            priced.append(tuple(block))
+            return pair_connectivity(graph, block, pairs, params, *rest)
+
+        def certifying(graph, block, params):
+            checked.append(block)
+            return gain_bound(graph, block, params)
+        monkeypatch.setattr(perc.selection, "pair_connectivity", pricing)
+        monkeypatch.setattr(perc.selection, "_gain_bound", certifying)
+        return priced, checked
+
+    @pytest.mark.parametrize("block, epsilon", [
+        ("ABC", 1e-12),
+        # (i) at its margin: 2^(1 - 10) >= 2 epsilon
+        ("ABCDEFGHIJ", 3 * 2.0**-12),
+    ])
+    def test_certified_block_waits_under_its_bound(self, monkeypatch, block, epsilon):
+        g = UncertainGraph(block + "XYZ", path_block(block))
+        c = Clustering([list(block), ["X"], ["Y"], ["Z"]])
+        params = ReliabilityParams(epsilon=epsilon)
+        ranked = [entry.pair for entry in build_state(g, c, params).entries()]
+        priced, checked = self.counted(monkeypatch)
+        state = build_state(g, c, params)
+        # six unstored pairs; (A, B) comes before (A, X), so the block pops
+        assert select_batch(state, 2) == ranked[:2] == [("A", "X"), ("A", "Y")]
+        assert state._intra[tuple(block)] == len(block) * math.log10(2)
+        # the bound is stored, not found again
+        assert select_batch(state, 2) == ranked[:2]
+        assert (priced, checked) == ([], [tuple(block)])
+        # a batch past the unstored pairs has no floor: the block goes in
+        # under its bound and is priced when that key reaches the top
+        k = len(ranked) + 1
+        assert select_batch(state, k)[:len(ranked)] == ranked
+        assert (priced, checked) == ([tuple(block)], [tuple(block)])
+
+    @pytest.mark.parametrize("edges, params", [
+        # (i) fails by the factor 2: 2^(1 - 11) < 2 epsilon, though >= epsilon
+        (path_block("ABCDEFGHIJK"), ReliabilityParams(epsilon=3 * 2.0**-12)),
+        # (ii) fails: only edges at p <= 1/2 inside, and c = 0 <= epsilon
+        ({("A", "B"): 0.5, ("B", "C"): 0.0}, ReliabilityParams()),
+        # (iii) fails: two uncertain edges, sampled above a limit of one
+        (path_block("ABC"), ReliabilityParams(exact_edge_limit=1)),
+    ])
+    def test_refused_block_is_priced(self, monkeypatch, edges, params):
+        block = sorted({r for pair in edges for r in pair})
+        g = UncertainGraph(block + ["X", "Y", "Z"], edges)
+        c = Clustering([block, ["X"], ["Y"], ["Z"]])
+        ranked = [entry.pair for entry in build_state(g, c, params).entries()]
+        priced, checked = self.counted(monkeypatch)
+        state = build_state(g, c, params)
+        assert select_batch(state, 2) == ranked[:2]
+        assert priced == checked == [tuple(block)]
+
+
 class TestRefreshAfterAnswer:
     def test_inter_answer_reprices_only_that_block_pair(self, running_graph,
                                                         running_clustering):
