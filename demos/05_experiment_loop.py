@@ -25,7 +25,7 @@ results = {}
 for strategy in ("perc", "tc", "dense"):
     config = ExperimentConfig(strategy=strategy, budget=250, batch_size=5,
                               initial_pairs=29, workers_per_pair=5,
-                              error_rate=0.1, seed=7, eval_every=1)
+                              error_rate=0.1, seed=7)
     results[strategy] = run_experiment(config, records, gold=gold)
 
 print("questions needed to reach F1 0.9 (lower is better):")
@@ -49,7 +49,7 @@ print(f"\nperc run: {stats['rounds']} rounds, "
 perc = results["perc"]
 config = ExperimentConfig(strategy="perc", budget=250, batch_size=5,
                           initial_pairs=29, workers_per_pair=5,
-                          error_rate=0.1, seed=7, eval_every=1)
+                          error_rate=0.1, seed=7)
 replayed = run_experiment(config, records, gold=gold,
                           replay=ReplayOracle(perc.vote_log))
 print("\nreplay reproduces the curve:", replayed.curve == perc.curve)

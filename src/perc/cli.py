@@ -217,16 +217,25 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER = build_parser()
 
 
+def _drop_stdout() -> None:
+    """Point stdout at devnull, so what is still buffered goes nowhere and
+    the interpreter's final flush stays quiet."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         code = args.func(args)
-        sys.stdout.flush()  # a reader that stopped early fails the write here, not at exit
+        try:
+            sys.stdout.flush()  # a reader that stopped early fails the write here, not at exit
+        except OSError as exc:
+            _drop_stdout()
+            # named as open() names a file; a closed pipe stays a BrokenPipeError
+            raise OSError(exc.errno, exc.strerror, "<stdout>") from None
         return code
     except BrokenPipeError:
-        # what is still buffered goes to devnull, so the interpreter's
-        # final flush stays quiet
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _drop_stdout()
         return 1
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

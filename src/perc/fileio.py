@@ -107,12 +107,19 @@ def _csv_rows(text: str, path, header: list[str], optional_tail=()):
 
 
 def _write_csv(path, header: list[str], rows) -> None:
-    """The header and rows, CRLF-ended, to the file at ``path`` or to an open text stream."""
-    with (contextlib.nullcontext(path) if hasattr(path, "write")
-          else open(path, "w", newline="", encoding="utf-8")) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    """The header and rows, CRLF-ended, to the file at ``path`` or to an open
+    text stream.  A write to the file that fails (a full disk) raises an
+    OSError that names ``path``, as open()'s errors do."""
+    try:
+        with (contextlib.nullcontext(path) if hasattr(path, "write")
+              else open(path, "w", newline="", encoding="utf-8")) as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+    except OSError as exc:
+        if exc.filename is not None or hasattr(path, "write"):
+            raise
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
 
 
 def _record_id(row, path, lineno, seen) -> str:

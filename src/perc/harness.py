@@ -62,7 +62,6 @@ class ExperimentConfig:
     epsilon: float = ReliabilityParams.epsilon
     exact_edge_limit: int = ReliabilityParams.exact_edge_limit
     seed: int = ReliabilityParams.seed
-    eval_every: int = field(default=1, metadata={"ge": 1})
 
     def __post_init__(self):
         check_fields(self)
@@ -266,8 +265,6 @@ def run_experiment(config: ExperimentConfig, records, gold: GoldClustering | Non
 
     def snapshot(changes=None):
         nonlocal score
-        if curve and curve[-1].questions_asked == len(vote_log):
-            return
         if gold is not None:
             precision, recall, f1 = precision_recall_f1(clustering, gold, f1_terms)
         else:
@@ -308,17 +305,15 @@ def run_experiment(config: ExperimentConfig, records, gold: GoldClustering | Non
             reclusterings_changed += fresh != clustering
             clustering = fresh
         rounds += 1
-        # the round's change, found once for the state and, with eval_every 1,
-        # for the snapshot, whose last score was then priced where the state
-        # was and so lends the spans of the block pairs that gained edges
+        # the round's change, found once for the state and the snapshot; the
+        # last score was priced where the state was, so it lends the spans
+        # of the block pairs that gained edges
         changes = changes_since(state.graph, state.clustering, graph, clustering, score=score)
         refresh(state, graph, clustering, changes)
-        if rounds % config.eval_every == 0:
-            snapshot(changes if config.eval_every == 1 else None)
+        snapshot(changes)
         log.debug("round %d: asked %d pairs, %d blocks, %d total questions",
                   rounds, len(answered), len(clustering.blocks), len(vote_log))
 
-    snapshot()
     stats = {
         "questions_asked": len(vote_log),
         "rounds": rounds,

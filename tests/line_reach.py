@@ -7,23 +7,27 @@ Executable lines are counted from the line tables of the code objects
 compiled from each module of src/perc.  Two sets of runs are traced with
 the stdlib's sys.settrace:
 
-- the callers: the five demos, the fenced block under "## Command line" in
-  README.md through perc.cli.main, and the "Sampled perc run" step of
-  .github/workflows/tests.yml with its replay, each in a temporary
-  directory;
+- the callers: the five demos, in this process, and two shell snippets,
+  the fenced block under "## Command line" in README.md and the "Sampled
+  perc run" step of .github/workflows/tests.yml (its replay and its four
+  perc next calls), each run by ``bash -e`` in a temporary directory with
+  a ``perc`` first on PATH that runs ``python -m perc.cli`` traced;
 - the tests: tier-1 and the benchmark smoke test, in one pytest session.
-  Child Python processes that keep PYTHONPATH (the demo tests and the
-  benchmark's workers) are traced too, through a sitecustomize module in a
-  temporary directory; a child that replaces PYTHONPATH is not.
+
+Child Python processes that keep PYTHONPATH (the shell snippets' perc
+commands, the demo tests and the benchmark's workers) are traced through a
+sitecustomize module in a temporary directory; a child that replaces
+PYTHONPATH is not.
 
 The report gives, per module, the executable lines, the lines the callers
 reach, the lines only the tests reach and the lines nothing reaches, then
 the line numbers of the last two kinds.  It gates nothing: a failing test
-or command is reported, and the table is printed all the same.  Every run
-works in a temporary directory, and the pytest and hypothesis caches are
-kept out of the checkout, but the benchmark smoke test keeps its worlds in
-the ignored .perfbench/ as it always does.  The test half takes about two
-and a half minutes under tracing on a 2-vCPU Xeon VM.
+or snippet is reported (a snippet stops at its first failing command), and
+the table is printed all the same.  Every run works in a temporary
+directory, and the pytest and hypothesis caches are kept out of the
+checkout, but the benchmark smoke test keeps its worlds in the ignored
+.perfbench/ as it always does.  The test half takes about two and a half
+minutes under tracing on a 2-vCPU Xeon VM.
 """
 
 from __future__ import annotations
@@ -36,8 +40,10 @@ import json
 import os
 import runpy
 import shlex
+import subprocess
 import sys
 import tempfile
+import textwrap
 import threading
 import time
 from pathlib import Path
@@ -118,7 +124,7 @@ class Tracer:
 
 def trace_child(out_dir: str) -> None:
     """Trace this process and write its lines to a file in out_dir when it
-    exits; the sitecustomize module of the test half calls this."""
+    exits; the sitecustomize module of child_environment calls this."""
     tracer = Tracer(PACKAGE)
 
     def dump():
@@ -154,30 +160,21 @@ def executable_lines() -> dict[str, set[int]]:
     return out
 
 
-def shell_lines(text: str) -> list[list[str]]:
-    """The commands of a shell snippet, continuation lines joined and a
-    leading ``time`` dropped, each split as the shell would."""
-    commands = []
-    for line in text.replace("\\\n", " ").splitlines():
-        argv = shlex.split(line, comments=True)
-        if argv[:1] == ["time"]:
-            argv = argv[1:]
-        if argv:
-            commands.append(argv)
-    return commands
-
-
-def readme_commands() -> list[list[str]]:
+def readme_block() -> str:
+    """The fenced block under "## Command line" in README.md, the lines CI's
+    README step cuts out with awk."""
     text = (ROOT / "README.md").read_text()
-    block = text[text.index("## Command line"):].split("```")[1]
-    return shell_lines(block)
+    lines = text[text.index("## Command line"):].splitlines(keepends=True)
+    start, end = [i for i, line in enumerate(lines) if line.startswith("```")][:2]
+    return "".join(lines[start + 1:end])
 
 
-def sampled_run_commands() -> list[list[str]]:
-    """The commands of CI's "Sampled perc run" step."""
+def ci_step(name: str) -> str:
+    """The ``run: |`` script of the step of .github/workflows/tests.yml with
+    this name."""
     text = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
-    step = text[text.index("- name: Sampled perc run"):]
-    return shell_lines(step[step.index("run: |") + len("run: |"):step.index("- name:", 1)])
+    step = text[text.index(f"- name: {name}"):]
+    return textwrap.dedent(step[step.index("run: |") + len("run: |"):step.index("- name:", 1)])
 
 
 @contextlib.contextmanager
@@ -193,20 +190,54 @@ def in_temp_dir():
             os.chdir(here)
 
 
-def run_commands(commands: list[list[str]], problems: list[str]) -> None:
-    """Run each perc command through perc.cli.main and each cmp in this
-    process, in the current directory; any other command is skipped."""
-    from perc.cli import main
-    for argv in commands:
-        if argv[0] == "perc":
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()) as err:
-                code = main(argv[1:])
-            if code != 0:
-                problems.append(f"{shlex.join(argv)} exited {code}: {err.getvalue().strip()}")
-        elif argv[0] == "cmp":
-            if Path(argv[1]).read_bytes() != Path(argv[2]).read_bytes():
-                problems.append(f"{shlex.join(argv)}: the files differ")
+def child_environment(tmp: Path) -> dict[str, str]:
+    """os.environ plus what makes a child Python process trace itself and
+    write its lines under tmp/out when it exits: a sitecustomize module in
+    tmp/site, first on PYTHONPATH, then src."""
+    (tmp / "site").mkdir()
+    (tmp / "out").mkdir()
+    (tmp / "site" / "sitecustomize.py").write_text(SITECUSTOMIZE.format(
+        variable=OUT_VARIABLE, path=str(Path(__file__).resolve())))
+    env = os.environ.copy()
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(tmp / "site"), str(SRC), env.get("PYTHONPATH")]))
+    env[OUT_VARIABLE] = str(tmp / "out")
+    return env
+
+
+def add_child_lines(tmp: Path, lines: dict[str, set[int]]) -> dict[str, set[int]]:
+    """lines, with the lines added that the children traced under
+    child_environment(tmp) wrote."""
+    for dump in (tmp / "out").glob("*.json"):
+        for name, hit in json.loads(dump.read_text()).items():
+            lines.setdefault(name, set()).update(hit)
+    return lines
+
+
+def trace_shell(snippets: dict[str, str], lines: dict[str, set[int]],
+                problems: list[str]) -> dict[str, set[int]]:
+    """Run each named shell snippet with ``bash -e`` in a temporary directory
+    of its own, with a ``perc`` first on PATH that runs ``python -m
+    perc.cli`` traced, and add the lines its perc commands reach to lines.
+    A failing command stops its snippet, which is named in problems with
+    its exit status and the end of its stderr."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        env = child_environment(tmp)
+        shim = tmp / "bin" / "perc"
+        shim.parent.mkdir()
+        shim.write_text(f'#!/bin/sh\nexec {shlex.quote(sys.executable)} -m perc.cli "$@"\n')
+        shim.chmod(0o755)
+        env["PATH"] = os.pathsep.join(filter(None, [str(shim.parent), env.get("PATH")]))
+        for name, text in snippets.items():
+            with tempfile.TemporaryDirectory() as work:
+                done = subprocess.run(["bash", "-e", "-c", text], cwd=work, env=env,
+                                      stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                                      text=True)
+            if done.returncode:
+                tail = " | ".join(done.stderr.strip().splitlines()[-3:])
+                problems.append(f"{name} exited {done.returncode}: {tail}")
+        return add_child_lines(tmp, lines)
 
 
 def trace_callers() -> tuple[dict[str, set[int]], list[str]]:
@@ -217,12 +248,11 @@ def trace_callers() -> tuple[dict[str, set[int]], list[str]]:
         for demo in sorted((ROOT / "demos").glob("*.py")):
             with in_temp_dir(), contextlib.redirect_stdout(io.StringIO()):
                 runpy.run_path(str(demo), run_name="__main__")
-        for commands in (readme_commands(), sampled_run_commands()):
-            with in_temp_dir():
-                run_commands(commands, problems)
     finally:
         Tracer.stop()
-    return tracer.lines(), problems
+    snippets = {"README Command line": readme_block(),
+                "CI Sampled perc run": ci_step("Sampled perc run")}
+    return trace_shell(snippets, tracer.lines(), problems), problems
 
 
 class HypothesisSetup:
@@ -248,13 +278,7 @@ def trace_tests() -> tuple[dict[str, set[int]], int]:
     saved = os.environ.copy()
     tracer = Tracer(PACKAGE)
     with in_temp_dir() as tmp:
-        (tmp / "site").mkdir()
-        (tmp / "out").mkdir()
-        (tmp / "site" / "sitecustomize.py").write_text(SITECUSTOMIZE.format(
-            variable=OUT_VARIABLE, path=str(Path(__file__).resolve())))
-        os.environ["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(tmp / "site"), str(SRC), saved.get("PYTHONPATH")]))
-        os.environ[OUT_VARIABLE] = str(tmp / "out")
+        os.environ.update(child_environment(tmp))
         tracer.start()
         try:
             # pytest's own report goes to stderr, so stdout holds the table only
@@ -267,10 +291,7 @@ def trace_tests() -> tuple[dict[str, set[int]], int]:
             Tracer.stop()
             os.environ.clear()
             os.environ.update(saved)
-        lines = tracer.lines()
-        for dump in (tmp / "out").glob("*.json"):
-            for name, hit in json.loads(dump.read_text()).items():
-                lines.setdefault(name, set()).update(hit)
+        lines = add_child_lines(tmp, tracer.lines())
     return lines, int(status)
 
 

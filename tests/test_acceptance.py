@@ -249,7 +249,7 @@ def test_6_strategy_comparison():
             config = ExperimentConfig(strategy=strategy, budget=1200,
                                       batch_size=10, initial_pairs=0,
                                       workers_per_pair=5, error_rate=0.1,
-                                      seed=master, eval_every=1)
+                                      seed=master)
             result = run_experiment(config, records, gold=gold)
             q = questions_to_reach(result.curve, 0.9)
             return math.inf if q is None else q
@@ -276,7 +276,7 @@ def test_7_determinism_and_replay(tmp_path):
             config = ExperimentConfig(strategy=strategy, budget=80,
                                       batch_size=5, initial_pairs=19,
                                       workers_per_pair=5, error_rate=0.1,
-                                      seed=123, eval_every=1)
+                                      seed=123)
             first = run_experiment(config, records, gold=gold)
             second = run_experiment(config, records, gold=gold)
             paths = []

@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import dataclasses
+import errno
 import io
 import os
 import random
@@ -264,6 +265,33 @@ class TestClosedPipe:
         finally:
             os.close(write)
         assert (done.returncode, done.stderr) == (1, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full to write to")
+class TestFullDevice:
+    """A write that fails for want of space names its target, as open()'s
+    errors name theirs."""
+
+    FULL = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+
+    def test_out_file_is_named(self, running_files, capsys):
+        records, votes = running_files
+        assert main(["cluster", "--graph", str(votes), "--records", str(records),
+                     "--out", "/dev/full"]) == 1
+        assert capsys.readouterr() == ("", f"error: {self.FULL}: '/dev/full'\n")
+
+    def test_stdout_is_named(self, running_files):
+        # as `perc next ... > /dev/full` with buffered stdout: the batch
+        # waits in the buffer and the write fails at main's flush.  The
+        # PYTHONPATH kept after src lets tests/line_reach.py trace the child
+        records, votes = running_files
+        env = {**os.environ, "PYTHONUNBUFFERED": "", "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(Path(perc.cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+        with open("/dev/full", "w") as full:
+            done = subprocess.run([sys.executable, "-m", "perc.cli", "next", "--graph",
+                                   str(votes), "--records", str(records)],
+                                  stdout=full, stderr=subprocess.PIPE, env=env, text=True)
+        assert (done.returncode, done.stderr) == (1, f"error: {self.FULL}: '<stdout>'\n")
 
 
 class TestParserReuse:
@@ -607,11 +635,20 @@ class TestConfigFile:
         values = read_config_file(cfg)
         assert values == {"budget": (40, 1), "error_rate": (0.2, 2)}
 
-    def test_rejects_unknown_key(self, tmp_path):
+    def test_rejects_unknown_key(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
-        cfg.write_text("wat = 1\n")
-        with pytest.raises(ValueError, match="wat"):
-            read_config_file(cfg)
+        # a key that names no run flag, eval_every among them
+        for lines, lineno, key in [("wat = 1\n", 1, "wat"),
+                                   ("budget = 10\neval_every = 2\n", 2, "eval_every")]:
+            cfg.write_text(lines)
+            assert main(["run", "--config", str(cfg)]) == 1
+            assert capsys.readouterr().err == f"error: {cfg}:{lineno}: unknown option {key!r}\n"
+        # and its flag is refused as every unknown flag is
+        with pytest.raises(SystemExit) as info:
+            main(["run", "--eval-every", "2"])
+        assert info.value.code == 2
+        assert capsys.readouterr().err == (
+            f"{build_parser().format_usage()}perc: error: unrecognized arguments: --eval-every 2\n")
 
     def test_rejects_missing_equals(self, tmp_path):
         cfg = tmp_path / "c.cfg"
@@ -674,7 +711,6 @@ class TestConfigFile:
         ("budget = -1", "budget must be >= 0, got -1"),
         ("strategy = x", "unknown strategy 'x', pick one of ('perc', 'tc', 'dense')"),
         ("initial = 500", "initial_pairs=500 must sit in 0..budget (100)"),
-        ("eval_every = 0", "eval_every must be >= 1, got 0"),
         ("workers = 0", "workers_per_pair must be >= 1, got 0"),
         ("workers = 100000000000", "workers_per_pair must be <= 1000, got 100000000000"),
         ("error_rate = 2.0", "error_rate must be <= 1.0, got 2.0"),
@@ -683,7 +719,7 @@ class TestConfigFile:
         ("epsilon = 0.5", "epsilon must be < 0.001, got 0.5"),
         ("exact_edge_limit = -1", "exact_edge_limit must be >= 0, got -1"),
         ("exact_edge_limit = 10000", "exact_edge_limit must be <= 25, got 10000"),
-    ], ids=["budget", "strategy", "initial", "eval-every", "workers", "workers-cap",
+    ], ids=["budget", "strategy", "initial", "workers", "workers-cap",
             "error-rate", "mc-samples", "mc-samples-cap", "epsilon", "exact-edge-limit",
             "exact-edge-limit-cap"])
     def test_rejected_value_names_file_and_line(self, tmp_path, capsys, line, message):
@@ -696,8 +732,7 @@ class TestConfigFile:
         assert capsys.readouterr().err == f"error: {cfg}:4: {message}\n"
         # a flag for the same option replaces the file's value
         flag = "--" + line.split(" = ")[0].replace("_", "-")
-        fixed = {"--strategy": "tc", "--eval-every": "1", "--error-rate": "0.1",
-                 "--epsilon": "1e-9"}.get(flag, "5")
+        fixed = {"--strategy": "tc", "--error-rate": "0.1", "--epsilon": "1e-9"}.get(flag, "5")
         assert main(["run", "--config", str(cfg), flag, fixed]) == 0
         capsys.readouterr()
 
@@ -712,7 +747,7 @@ class TestOptionsFromDataclasses:
     VALUES = {"strategy": "dense", "budget": 14, "batch_size": 3,
               "initial_pairs": 9, "workers_per_pair": 3, "error_rate": 0.2,
               "mc_samples": 50, "epsilon": 1e-9, "exact_edge_limit": 4,
-              "seed": 7, "eval_every": 2}
+              "seed": 7}
 
     def test_every_field_is_a_run_flag_and_a_config_key(self, tmp_path, capsys,
                                                          monkeypatch):

@@ -648,8 +648,8 @@ def test_carried_score_equals_cold_call(graph, data):
             graph = graph.with_edge(*pair, probability=data.draw(
                 st.sampled_from(ROUNDING_FRACTIONS), label="p"))
         clustering = data.draw(next_clusterings(graph, clustering), label="clustering")
-        # eval_every > 1: a round without a snapshot leaves the next one to
-        # carry from further back
+        # a caller that skips a round's snapshot leaves the next one to carry
+        # from further back
         if not data.draw(st.booleans(), label="snapshot"):
             continue
         carried = reliability(graph, clustering, params, previous=score)

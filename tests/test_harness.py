@@ -188,8 +188,6 @@ class TestExperimentConfig:
             ExperimentConfig(budget=5, batch_size=6)
         with pytest.raises(ValueError):
             ExperimentConfig(batch_size=0)
-        with pytest.raises(ValueError):
-            ExperimentConfig(eval_every=0)
 
     def test_integer_fields_refuse_floats_and_bools(self):
         # 2.0 would fail mid-run and 1.5 as a seed would run truncated, so
@@ -262,10 +260,9 @@ class TestExperimentConfig:
                     assert caught.value.field == f.name
         # no value of these grows the work past the all-pairs tables that
         # MAX_ALL_PAIRS_RECORDS bounds: the budget and the seeding stop at the
-        # pair count, select_batch caps k there, eval_every only thins the
-        # snapshots and seed only picks streams.  A new numeric field needs a
-        # maximum or a reason here
-        assert unbounded == {"budget", "batch_size", "initial_pairs", "seed", "eval_every"}
+        # pair count, select_batch caps k there and seed only picks streams.
+        # A new numeric field needs a maximum or a reason here
+        assert unbounded == {"budget", "batch_size", "initial_pairs", "seed"}
 
     def test_defaults_are_the_checking_dataclasses_defaults(self):
         # each crowd and reliability option declares its default once
@@ -360,9 +357,11 @@ class TestRunExperiment:
         assert result.clustering == Clustering([["a"]])
 
     def test_curve_question_counts_strictly_increase(self):
-        result, _ = self.run_error_free("perc", eval_every=2)
+        result, _ = self.run_error_free("perc")
         counts = [snap.questions_asked for snap in result.curve]
         assert counts == sorted(set(counts))
+        # one row for the seeding and one per round
+        assert len(counts) == 1 + result.stats["rounds"]
 
     def test_contradiction_triggers_recluster(self):
         # Two records of one entity plus a stranger; the replay log first
@@ -474,17 +473,16 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("strategy", ["perc", "dense"])
     @pytest.mark.parametrize("batch_size", [1, 7])
-    @pytest.mark.parametrize("eval_every", [1, 3])
-    def test_carried_run_equals_cold_run(self, monkeypatch, strategy, batch_size,
-                                         eval_every):
+    @pytest.mark.parametrize("seed", [1])
+    def test_carried_run_equals_cold_run(self, monkeypatch, strategy, batch_size, seed):
         """Everything the loop carries from round to round (the clustering,
         the snapshot's score and F1 counts, the strategy's state) gives the
         vote log and curve of a run that prices every round from scratch,
         bit for bit, and so does a replay of a cut log."""
-        records, gold = synth_world(24, 5, seed=batch_size + eval_every)
+        records, gold = synth_world(24, 5, seed=batch_size + seed)
         config = ExperimentConfig(strategy=strategy, budget=90, batch_size=batch_size,
                                   initial_pairs=12, error_rate=0.3, mc_samples=30,
-                                  exact_edge_limit=6, seed=eval_every, eval_every=eval_every)
+                                  exact_edge_limit=6, seed=seed)
         carried = run_experiment(config, records, gold=gold)
         cut = ReplayOracle(carried.vote_log[:60])
         carried_replay = run_experiment(config, records, gold=gold, replay=cut)
@@ -518,50 +516,36 @@ class TestRunExperiment:
         assert carried_replay.curve == cold_replay.curve
         assert carried_replay.flags == cold_replay.flags
 
-    def test_sparse_snapshots_equal_every_round_snapshots(self):
-        """A snapshot every third round prices its score from the last one
-        and gets the row an every-round run has at the same question count,
-        bit for bit, sampled connectivity included."""
-        records, gold = synth_world(30, 6, seed=5)
-        config = ExperimentConfig(strategy="perc", budget=150, batch_size=5,
-                                  initial_pairs=29, error_rate=0.2, mc_samples=50,
-                                  exact_edge_limit=4, seed=3)
-        every = run_experiment(config, records, gold=gold)
-        sparse = run_experiment(replace(config, eval_every=3), records, gold=gold)
-        assert sparse.vote_log == every.vote_log
-        rows = {row.questions_asked: row for row in every.curve}
-        assert len(every.curve) > len(sparse.curve) > 2
-        assert all(row == rows[row.questions_asked] for row in sparse.curve)
-
     @pytest.mark.parametrize("strategy", ["perc", "tc", "dense"])
     def test_snapshot_every_round_walks_no_block_pair(self, monkeypatch, strategy):
-        """With a snapshot every round, each round's change takes the spans
-        of the block pairs that gained edges from the last score's rows, so
-        the run never calls edges_between; with one every third round, the
-        rounds between snapshots walk their pairs instead and the run still
-        gets the rows of its every-round twin."""
+        """The run prices one snapshot after the seeding and one per round,
+        each from that round's change, which takes the spans of the block
+        pairs that gained edges from the last snapshot's rows, so the run
+        never calls edges_between."""
         walked = []
         edges_between = UncertainGraph.edges_between
+        snapshots = []
+        reliability = perc.harness.reliability
 
         def counted(self, left, right):
             walked.append((left, right))
             return edges_between(self, left, right)
 
+        def snapshot(graph, clustering, params=None, previous=None, changes=None):
+            snapshots.append(changes)
+            return reliability(graph, clustering, params, previous=previous, changes=changes)
+
         monkeypatch.setattr(UncertainGraph, "edges_between", counted)
+        monkeypatch.setattr(perc.harness, "reliability", snapshot)
         records, gold = synth_world(30, 6, seed=5)
         config = ExperimentConfig(strategy=strategy, budget=150, batch_size=5,
                                   initial_pairs=29, error_rate=0.2, mc_samples=50,
                                   exact_edge_limit=4, seed=3)
-        every = run_experiment(config, records, gold=gold)
-        assert every.stats["reclusterings_changed"] > 0
+        result = run_experiment(config, records, gold=gold)
+        assert result.stats["reclusterings_changed"] > 0
         assert walked == []
-        sparse = run_experiment(replace(config, eval_every=3), records, gold=gold)
-        assert sparse.vote_log == every.vote_log
-        rows = {row.questions_asked: row for row in every.curve}
-        assert len(every.curve) > len(sparse.curve) > 2
-        assert all(row == rows[row.questions_asked] for row in sparse.curve)
-        # TC's refresh reads no span, and each snapshot borrows its last score's
-        assert (walked != []) is (strategy != "tc")
+        assert len(snapshots) == len(result.curve) == 1 + result.stats["rounds"]
+        assert snapshots[0] is None and None not in snapshots[1:]
 
     def test_stats_crowd_error_rate_zero_when_error_free(self):
         result, _ = self.run_error_free("perc")
