@@ -217,27 +217,20 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER = build_parser()
 
 
-def _drop_stdout() -> None:
-    """Point stdout at devnull, so what is still buffered goes nowhere and
-    the interpreter's final flush stays quiet."""
-    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-
-
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         code = args.func(args)
-        try:
-            sys.stdout.flush()  # a reader that stopped early fails the write here, not at exit
-        except OSError as exc:
-            _drop_stdout()
-            # named as open() names a file; a closed pipe stays a BrokenPipeError
-            raise OSError(exc.errno, exc.strerror, "<stdout>") from None
+        sys.stdout.flush()  # a reader that stopped early fails the write here, not at exit
         return code
-    except BrokenPipeError:
-        _drop_stdout()
-        return 1
     except (ValueError, OSError) as exc:
+        if isinstance(exc, OSError) and exc.filename is None:
+            # every file perc reads or writes names itself, so this is a failed
+            # stdout write; devnull takes what is still buffered and quiets the final flush
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            if isinstance(exc, BrokenPipeError):
+                return 1
+            exc.filename = "<stdout>"
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -39,11 +39,17 @@ def read_text(path) -> str:
     """The file as UTF-8 text, less a leading byte-order mark (as
     spreadsheet exports write); a byte that is not UTF-8, or a NUL byte, is
     reported with the physical line it is on.  A path that cannot be read
-    raises open()'s OSError, worded alike for a str and a Path."""
-    with open(path, "rb", buffering=0) as fh:  # one read: no buffer to fill
-        # cut before decoding, as "utf-8-sig" would, but so that error
-        # offsets still count from the file's first byte
-        data = fh.read().removeprefix(codecs.BOM_UTF8)
+    raises an OSError that names it, as open()'s do, worded alike for a str
+    and a Path."""
+    try:
+        with open(path, "rb", buffering=0) as fh:  # one read: no buffer to fill
+            # cut before decoding, as "utf-8-sig" would, but so that error
+            # offsets still count from the file's first byte
+            data = fh.read().removeprefix(codecs.BOM_UTF8)
+    except OSError as exc:
+        if exc.filename is None:  # a read that fails after open()
+            exc.filename = str(path)
+        raise
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -117,9 +123,9 @@ def _write_csv(path, header: list[str], rows) -> None:
             writer.writerow(header)
             writer.writerows(rows)
     except OSError as exc:
-        if exc.filename is not None or hasattr(path, "write"):
-            raise
-        raise OSError(exc.errno, exc.strerror, str(path)) from None
+        if exc.filename is None and not hasattr(path, "write"):
+            exc.filename = str(path)
+        raise
 
 
 def _record_id(row, path, lineno, seen) -> str:

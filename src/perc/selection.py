@@ -34,24 +34,24 @@ with a new spanning edge or a new block, is marked to price again; the
 entries of blocks and block pairs that survived it untouched carry over.
 
 Marked entries are priced when first read, not when marked; they keep
-their rows in the same two tables as priced ones, _intra and _inter, with
-None where the priced value will go, or for a block a float, a certified
-bound on its gains.  Pricing fills a row in, empty when nothing is left
-to ask, and never drops it.  select_batch ranks through one heap of
-(-gain, pair) keys, where each marked entry sits under a key that none of
-its priced keys beats: a block under its bound, or the top gain (no gain
-exceeds it) while it has none, and its smallest pair (b[0], b[1]); a
-block pair under its gain, known from its disconnectivity, and its
-(min, min) pair.  A marked entry is priced only when its key reaches the
-top, and its priced keys go back in.  A block whose key reaches the top
-while k unstored pairs hold the batch's floor at the top gain is first
-certified by _gain_bound, whose three conditions bound every gain of a
-block of n records below n log10 2, at most the top gain; a certified
-block keeps that bound in its row, unpriced, and goes into the heap only
-in a batch whose floor is at or below it.  gain() prices the one entry it
-reads; intra, inter and entries() price everything marked first.  A value
-does not depend on when it is priced: a block's sampling stream is seeded
-from its members, and a round marks again whatever it changes.
+their rows in the same two tables as priced ones, _intra and _inter: a
+marked block holds a float that none of its gains exceeds, the top gain
+when marked, and a marked block pair None where its representative will
+go.  Pricing fills a row in, empty when nothing is left to ask, and never
+drops it.  select_batch ranks through one heap of (-gain, pair) keys,
+where each marked entry sits under a key that none of its priced keys
+beats: a block under its float and its smallest pair (b[0], b[1]); a block
+pair under its gain, known from its disconnectivity, and its (min, min)
+pair.  A marked entry is priced only when its key reaches the top, and its
+priced keys go back in.  A block whose key reaches the top while k
+unstored pairs hold the batch's floor at the top gain is first certified
+by _gain_bound, whose three conditions bound every gain of a block of n
+records below n log10 2, at most the top gain; a certified block keeps
+that bound as its float, unpriced, and goes into the heap only in a batch
+whose floor is at or below it.  gain() prices the one entry it reads;
+intra, inter and entries() price everything marked first.  A value does
+not depend on when it is priced: a block's sampling stream is seeded from
+its members, and a round marks again whatever it changes.
 """
 
 from __future__ import annotations
@@ -83,26 +83,25 @@ class PriorityState:
     """Candidate gains for one (graph, clustering) snapshot, priced on
     first read.
 
-    intra maps each absent intra-block pair to its gain.  An unspanned
-    block pair is left unstored when its (min, min) representative may be
-    asked; inter maps every other block pair with an absent spanning pair
-    to its representative and shared gain.  The state keeps one row per
-    key Changes names a round's change by, so a changed entry goes with
-    one pop: _intra maps each block of two or more records to its
-    {pair: gain}, or while the block is marked (its intra edges are read
-    from the graph when priced) to None, or to a float once _gain_bound
-    has bounded its gains by it; _inter maps each stored block pair to
-    (representative, gain), with representative None while
-    the pair is marked and () once no absent spanning pair is left to
-    ask.  A row lives from the _mark that makes it to the
-    refresh_after_answer that drops its key, so a block pair has no row
-    exactly when it is unstored.  From the first refresh_after_answer on,
-    _later maps each block to how many _inter rows are keyed with it first
-    and _at_top counts the priced intra entries and _inter rows at the top
-    gain; before it they are {} and None.  allowed (when set) restricts
-    candidates to a fixed pair set, used in replay mode.  Reading intra,
-    inter or entries() prices every marked entry first (see the module
-    docstring).
+    intra maps each absent intra-block pair to its gain.  An unspanned block
+    pair is left unstored when its (min, min) representative may be asked;
+    inter maps every other block pair with an absent spanning pair to its
+    representative and shared gain.  The state keeps one row per key Changes
+    names a round's change by, so a changed entry goes with one pop: _intra
+    maps each block of two or more records to its {pair: gain}, or while the
+    block is marked (its intra edges are read from the graph when priced) to
+    a float that none of its gains exceeds, the top gain until _gain_bound
+    certifies a lower one; _inter maps each stored block pair to
+    (representative, gain), with representative None while the pair is
+    marked and () once no absent spanning pair is left to ask.  A row lives
+    from the _mark that makes it to the refresh_after_answer that drops its
+    key, so a block pair has no row exactly when it is unstored.  From the
+    first refresh_after_answer on, _later maps each block to how many _inter
+    rows are keyed with it first and _at_top counts the priced intra entries
+    and _inter rows at the top gain; before it they are {} and None.
+    allowed (when set) restricts candidates to a fixed pair set, used in
+    replay mode.  Reading intra, inter or entries() prices every marked
+    entry first (see the module docstring).
     """
 
     __slots__ = ("graph", "clustering", "params", "allowed", "_intra", "_inter",
@@ -114,7 +113,7 @@ class PriorityState:
         self.clustering = clustering
         self.params = params
         self.allowed = allowed
-        self._intra: dict[Block, dict[Pair, float] | float | None] = {}
+        self._intra: dict[Block, dict[Pair, float] | float] = {}
         self._inter: dict[BlockPairKey, tuple[Pair | tuple[()] | None, float]] = {}
         self._later: dict[Block, int] = {}
         self._at_top: int | None = None
@@ -273,9 +272,9 @@ def _mark(state: PriorityState, changes: Changes) -> None:
     allowed, epsilon = state.allowed, state.params.epsilon
     fresh, priced = changes.fresh, changes.priced
     inter = state._inter
-    state._intra.update(dict.fromkeys(block for block in changes.touched | fresh
-                                      if len(block) > 1))
-    top = _inter_gain(0.0, state.params)
+    top = _inter_gain(0.0, state.params)  # no gain exceeds it
+    state._intra.update(dict.fromkeys((block for block in changes.touched | fresh
+                                       if len(block) > 1), top))
     # _inter_gain(d) is -log10 d from d = epsilon up
     rows = {key: (None, -log if d >= epsilon else top) for key, (d, log, _) in priced.items()}
     if allowed is not None:
@@ -380,9 +379,9 @@ def select_batch(state: PriorityState, k: int) -> list[Pair]:
     and 545 a gain that sets them apart; relabelling the records alone
     moved the seeds on which PERC beats TC between 8 and 10.
 
-    When k unstored pairs fill the batch at the top gain, a marked block
-    that pops is priced only if _gain_bound refuses it; else it keeps the
-    bound on its gains, unpriced, until a batch's floor is at or below it.
+    At a top floor (k unstored pairs at the top gain) only a marked block
+    whose float is the top gain pops; it is priced only if _gain_bound
+    refuses it, else it waits under the bound until a floor reaches it.
     """
     if k < 1:
         raise ValueError(f"batch size must be positive, got {k}")
@@ -390,17 +389,17 @@ def select_batch(state: PriorityState, k: int) -> list[Pair]:
     k = min(k, n * (n - 1) // 2)  # no batch exceeds the pairs; islice needs k <= sys.maxsize
     # The batch is the k smallest (-gain, pair) keys; they are unique, so no
     # two heap items compare past their pair.  An item's third field is None
-    # (intra entry), a marked block, certified or priced when popped, or a
-    # block pair, priced when popped if its row is marked.  Unstored entries
-    # come in rank order at the top gain, so once k are found only a
-    # top-gain entry can rank.
+    # (intra entry), a marked block under its float, certified or priced
+    # when popped, or a block pair, priced when popped if its row is
+    # marked.  Unstored entries come in rank order at the top gain, so once
+    # k are found only a top-gain entry can rank.
     intra, inter = state._intra, state._inter
     top = _inter_gain(0.0, state.params)
     unstored = list(islice(state._unstored(), k))
     floor = top if len(unstored) == k else -math.inf
     heap = [(-top, rep, key) for rep, key in unstored]
-    heap += [(-top if row is None else -row, block[:2], block) for block, row in intra.items()
-             if row is None or not isinstance(row, dict) and row >= floor]
+    heap += [(-row, block[:2], block) for block, row in intra.items()
+             if not isinstance(row, dict) and row >= floor]
     if floor < top or state._at_top != 0:  # else only these and marked blocks can rank
         heap += [(-gain, pair, None) for entries in intra.values() if isinstance(entries, dict)
                  for pair, gain in entries.items() if gain >= floor]
@@ -412,10 +411,10 @@ def select_batch(state: PriorityState, k: int) -> list[Pair]:
     while heap and len(batch) < k:
         _, pair, key = heapq.heappop(heap)
         if key in intra:  # a marked block: priced intra items carry None
-            if intra[key] is None and floor == top:
-                bound = intra[key] = _gain_bound(state.graph, key, state.params)
-                if bound is not None:
-                    continue  # no gain of the block reaches the floor
+            # a bound is n log10 2 > 0; certified, no gain of the block reaches the floor
+            if floor == top and (bound := _gain_bound(state.graph, key, state.params)):
+                intra[key] = bound
+                continue
             for pair, gain in state._price_block(key).items():
                 if gain >= floor:
                     heapq.heappush(heap, (-gain, pair, None))

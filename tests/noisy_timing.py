@@ -14,13 +14,6 @@ reliability._sampled_partitions and reliability._partition_dp, read by
 wrapping those module globals; the wrappers' own cost, a perf_counter pair
 per call, is in the wall time.
 
-It also counts each carried scc_cluster call (one given ``previous``) by the
-way scc_cluster's size rule gathered its dirty components' edges: member-pair
-lookups (edges_within) or the one pass over all edges.  After the call, both
-ways are timed again on its graph and components, and the helper prints, per
-way the rule took, the calls, their time that way and their time the other
-way.  That timing is left out of the wall time.
-
 It gates nothing, and pytest does not collect it.  To compare two commits,
 run it in each checkout in turn, alternating, since the host drifts.
 """
@@ -33,8 +26,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from perc import clustering, harness, reliability  # noqa: E402
-from perc.graph import UncertainGraph  # noqa: E402
+from perc import clustering, reliability  # noqa: E402
 from perc.harness import ExperimentConfig, run_experiment, synth_world  # noqa: E402
 
 TIMED = ((clustering, "_agglomerate"), (reliability, "_sampled_partitions"),
@@ -54,88 +46,16 @@ def timed(spent: dict, name: str, function):
     return wrapper
 
 
-def pass_over_edges(graph: UncertainGraph, component: dict, keys) -> dict:
-    """scc_cluster's one pass over all edges, for the components ``keys``."""
-    edges_in = {key: [] for key in keys}
-    for (a, b), p in graph.edges.items():
-        key = component[a]
-        if key in edges_in and component[b] == key:
-            edges_in[key].append(((a, b), p))
-    return edges_in
-
-
-class SizeRule:
-    """Wrappers that record, per carried scc_cluster call, the way the size
-    rule took and the time of each way: ways[way] = [calls, seconds that
-    way, seconds the other way]."""
-
-    def __init__(self):
-        self.ways = {"lookups": [0, 0.0, 0.0], "pass": [0, 0.0, 0.0]}
-        self.extra = 0.0  # seconds spent timing, to leave out of the wall
-        self._inside = False
-        self._looked_up = False
-        self._members: list[list[str]] = []
-
-    def edges_within(self, function):
-        def wrapper(graph, members):
-            self._looked_up |= self._inside
-            return function(graph, members)
-        return wrapper
-
-    def agglomerate(self, function):
-        def wrapper(members, edges):
-            if self._inside:
-                self._members.append(members)
-            return function(members, edges)
-        return wrapper
-
-    def scc_cluster(self, function, edges_within):
-        def wrapper(graph, previous=None):
-            if previous is None:
-                return function(graph)
-            self._inside, self._looked_up, self._members = True, False, []
-            try:
-                result = function(graph, previous=previous)
-            finally:
-                self._inside = False
-            component = result._carry[1]
-            keys = [component[ms[0]] for ms in self._members]
-            start = time.perf_counter()
-            for ms in self._members:
-                edges_within(graph, ms)
-            looked_up = time.perf_counter()
-            pass_over_edges(graph, component, keys)
-            end = time.perf_counter()
-            lookups, passed = looked_up - start, end - looked_up
-            way = self.ways["lookups" if self._looked_up else "pass"]
-            way[0] += 1
-            way[1] += lookups if self._looked_up else passed
-            way[2] += passed if self._looked_up else lookups
-            self.extra += end - start
-            return result
-        return wrapper
-
-
-def run(strategy: str, seed: int) -> tuple[float, dict, SizeRule]:
-    """One noisy-crowd run: its wall seconds, the seconds inside each timed
-    function, and its size-rule record."""
+def run(strategy: str, seed: int) -> tuple[float, dict]:
+    """One noisy-crowd run: its wall seconds and the seconds inside each
+    timed function."""
     records, gold = synth_world(60, 5, seed=seed)
     config = ExperimentConfig(strategy=strategy, budget=1200, batch_size=10, error_rate=0.3)
     spent = {name: 0.0 for _, name in TIMED}
-    rule = SizeRule()
-    patched = []
-    for module, name in TIMED:
-        function = getattr(module, name)
-        if function is clustering._agglomerate:
-            function = rule.agglomerate(function)
-        patched.append((module, name, timed(spent, name, function)))
-    within = UncertainGraph.edges_within
-    patched += [(UncertainGraph, "edges_within", rule.edges_within(within)),
-                (harness, "scc_cluster", rule.scc_cluster(harness.scc_cluster, within))]
-    originals = [(module, name, getattr(module, name)) for module, name, _ in patched]
+    originals = [(module, name, getattr(module, name)) for module, name in TIMED]
     reliability._distribution.cache_clear()
-    for module, name, function in patched:
-        setattr(module, name, function)
+    for module, name, function in originals:
+        setattr(module, name, timed(spent, name, function))
     try:
         start = time.perf_counter()
         run_experiment(config, records, gold)
@@ -143,23 +63,18 @@ def run(strategy: str, seed: int) -> tuple[float, dict, SizeRule]:
     finally:
         for module, name, function in originals:
             setattr(module, name, function)
-    return wall - rule.extra, spent, rule
+    return wall, spent
 
 
 def main() -> int:
     print("seconds per noisy-crowd run (60 records, 5 entities, error 0.3, budget 1200, "
-          f"batch 10), Python {sys.version_info[0]}.{sys.version_info[1]};")
-    print("then carried scc_cluster calls by the way the size rule gathered their edges: "
-          "calls, ms that way, ms the other way")
-    print(f"{'strategy':<9}{'seed':>5}{'wall':>8}" + "".join(f"{name:>21}" for _, name in TIMED)
-          + f"{'lookups':>23}{'pass':>23}")
+          f"batch 10), Python {sys.version_info[0]}.{sys.version_info[1]}")
+    print(f"{'strategy':<9}{'seed':>5}{'wall':>8}" + "".join(f"{name:>21}" for _, name in TIMED))
     for strategy in STRATEGIES:
         for seed in SEEDS:
-            wall, spent, rule = run(strategy, seed)
+            wall, spent = run(strategy, seed)
             print(f"{strategy:<9}{seed:>5}{wall:>8.3f}"
-                  + "".join(f"{spent[name]:>21.3f}" for _, name in TIMED)
-                  + "".join(f"{calls:>7}{1e3 * taken:>8.2f}{1e3 * other:>8.2f}"
-                            for calls, taken, other in rule.ways.values()), flush=True)
+                  + "".join(f"{spent[name]:>21.3f}" for _, name in TIMED), flush=True)
     return 0
 
 

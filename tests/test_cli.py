@@ -37,6 +37,14 @@ from perc.reliability import pair_connectivity
 from conftest import EIGHT, RUNNING_BLOCKS, read_curve_csv, running_vote_rows
 
 
+def child_env(**variables) -> dict:
+    """os.environ plus ``variables`` for a child process that imports perc:
+    src leads PYTHONPATH and the entries already there stay after it, so
+    that tests/line_reach.py can trace the child."""
+    path = [str(Path(perc.cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)), **variables}
+
+
 @pytest.fixture
 def running_files(tmp_path):
     """records.csv and votes.csv for the eight-record example."""
@@ -179,10 +187,9 @@ class TestNext:
         records, votes = running_files
         script = ("import sys, perc, perc.cli; code = perc.cli.main(sys.argv[1:]); "
                   "sys.exit('numpy was loaded' if 'numpy' in sys.modules else code)")
-        env = {**os.environ, "PYTHONPATH": str(Path(perc.cli.__file__).parents[1])}
         done = subprocess.run([sys.executable, "-c", script, "next", "--graph", str(votes),
                                "--records", str(records)],
-                              env=env, capture_output=True, text=True)
+                              env=child_env(), capture_output=True, text=True)
         assert (done.returncode, done.stderr) == (0, "")
         assert done.stdout.split(",")[:2] == ["E", "H"]
 
@@ -256,12 +263,11 @@ class TestClosedPipe:
         records, votes = running_files
         read, write = os.pipe()
         os.close(read)
-        env = {**os.environ, "PYTHONPATH": str(Path(perc.cli.__file__).parents[1]),
-               "PYTHONUNBUFFERED": unbuffered}
         try:
             done = subprocess.run([sys.executable, "-m", "perc.cli", command, "--graph",
                                    str(votes), "--records", str(records)],
-                                  stdout=write, stderr=subprocess.PIPE, env=env, text=True)
+                                  stdout=write, stderr=subprocess.PIPE,
+                                  env=child_env(PYTHONUNBUFFERED=unbuffered), text=True)
         finally:
             os.close(write)
         assert (done.returncode, done.stderr) == (1, "")
@@ -280,17 +286,18 @@ class TestFullDevice:
                      "--out", "/dev/full"]) == 1
         assert capsys.readouterr() == ("", f"error: {self.FULL}: '/dev/full'\n")
 
-    def test_stdout_is_named(self, running_files):
-        # as `perc next ... > /dev/full` with buffered stdout: the batch
-        # waits in the buffer and the write fails at main's flush.  The
-        # PYTHONPATH kept after src lets tests/line_reach.py trace the child
+    @pytest.mark.parametrize("command", ["next", "cluster"])
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_stdout_is_named(self, running_files, command, unbuffered):
+        # as `perc next ... > /dev/full`: the write fails inside the command
+        # when each write goes out at once, and at main's flush when the
+        # output waits in the buffer
         records, votes = running_files
-        env = {**os.environ, "PYTHONUNBUFFERED": "", "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(Path(perc.cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
         with open("/dev/full", "w") as full:
-            done = subprocess.run([sys.executable, "-m", "perc.cli", "next", "--graph",
-                                   str(votes), "--records", str(records)],
-                                  stdout=full, stderr=subprocess.PIPE, env=env, text=True)
+            done = subprocess.run([sys.executable, "-m", "perc.cli", command, "--graph",
+                                   str(votes), "--records", str(records)], stdout=full,
+                                  stderr=subprocess.PIPE,
+                                  env=child_env(PYTHONUNBUFFERED=unbuffered), text=True)
         assert (done.returncode, done.stderr) == (1, f"error: {self.FULL}: '<stdout>'\n")
 
 
@@ -453,7 +460,6 @@ class TestRun:
         # the larger blocks sample
         main(["synth", "--entities", "3", "--records", "15", "--seed", "4",
               "--out", str(tmp_path / "world")])
-        env = {**os.environ, "PYTHONPATH": str(Path(perc.cli.__file__).parents[1])}
 
         def outputs(label, *options):
             runs = []
@@ -467,7 +473,7 @@ class TestRun:
                      *options, "--budget", "60", "--batch", "5",
                      "--initial", "10", "--seed", "3", "--exact-edge-limit", "4",
                      "--mc-samples", "60", "--out", str(out)],
-                    env={**env, "PYTHONHASHSEED": hash_seed}, check=True,
+                    env=child_env(PYTHONHASHSEED=hash_seed), check=True,
                     capture_output=True)
                 runs.append([(out / name).read_bytes()
                              for name in ("votes.csv", "curve.csv", "clusters.csv")])
@@ -493,11 +499,10 @@ class TestRun:
             "f,d,3,5\nc,d,2,05\ng,a,0,5\ne,g,0005,5\n")
         argv = ["next", "--graph", str(tmp_path / "votes.csv"),
                 "--records", str(tmp_path / "records.csv"), "--batch", "6"]
-        env = {**os.environ, "PYTHONPATH": str(Path(perc.cli.__file__).parents[1])}
         outputs = [subprocess.run(
             [sys.executable, "-c", "import sys; from perc.cli import main; "
              "sys.exit(main(sys.argv[1:]))", *argv],
-            env={**env, "PYTHONHASHSEED": hash_seed}, check=True,
+            env=child_env(PYTHONHASHSEED=hash_seed), check=True,
             capture_output=True).stdout for hash_seed in ("1", "2")]
         assert outputs[0] == outputs[1]
         with monkeypatch.context() as patched:
@@ -806,6 +811,15 @@ class TestErrors:
             "", f"error: [Errno 2] No such file or directory: '{missing}'\n")
         assert main([command, "--graph", str(votes), "--records", str(tmp_path)]) == 1
         assert capsys.readouterr() == ("", f"error: [Errno 21] Is a directory: '{tmp_path}'\n")
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/mem"), reason="no /proc/self/mem")
+    def test_read_that_fails_after_open_is_named(self, running_files, capsys):
+        # opening /proc/self/mem succeeds and reading its first page fails;
+        # main takes an unnamed OSError for a failed stdout write
+        records, votes = running_files
+        assert main(["cluster", "--graph", str(votes), "--records", "/proc/self/mem"]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: [Errno {errno.EIO}] {os.strerror(errno.EIO)}: '/proc/self/mem'\n")
 
     @pytest.mark.parametrize("command", ["cluster", "next", "run", "run-seeded"])
     @pytest.mark.parametrize("records, votes, bad", [

@@ -431,7 +431,7 @@ class TestSelectBatch:
         refresh_after_answer(state, after, c)
         if not priced_before_counting:
             state.gain(("A", "C"))  # prices the marked block
-        assert state._intra[("A", "B", "C")] is not None
+        assert isinstance(state._intra[("A", "B", "C")], dict)
         assert state._at_top == 1 and len(list(state._unstored())) >= 3
         assert select_batch(state, 3) == [("A", "C"), ("A", "D"), ("A", "E")]
         assert select_batch(state, 3) == [entry.pair for entry in state.entries()[:3]]
