@@ -16,6 +16,7 @@ from perc import (
     scc_cluster,
     select_batch,
 )
+from perc.reliability import changes_since, reliability
 
 # The eight-record world again, including the all-NO answers for the far
 # block pairs so only two block pairs are still uncertain.
@@ -50,10 +51,11 @@ print("\nnext question:", select_batch(state, 1)[0])
 print("batch of 4:   ", select_batch(state, 4))
 
 # Suppose the crowd answers E-H with a clear NO, and the blocks stay as
-# they are.  Folding the round in reprices only the one block pair's
-# entry; everything else still holds.
+# they are.  The round's change is measured from the reliability score of
+# the blocks before it, and folding it in reprices only the one block
+# pair's entry; everything else still holds.
 answered = graph.with_edge("E", "H", probability=0.1)
-refresh_after_answer(state, answered, clustering)
+refresh_after_answer(state, changes_since(reliability(graph, clustering), answered, clustering))
 print("\nafter a NO on E-H:")
 for entry in state.entries():
     a, b = entry.pair

@@ -99,11 +99,10 @@ def build_tc_state(graph: UncertainGraph, clustering: Clustering,
     return TcState(graph, clustering, make_rng(derive_seed(params.seed, "tc-stream")))
 
 
-def refresh_tc_state(state: TcState, graph: UncertainGraph, clustering: Clustering,
-                     changes: Changes) -> None:
-    """Point the state at the round's graph and clustering and fold the
-    round's new edges in."""
-    state.graph, state.clustering = graph, clustering
+def refresh_tc_state(state: TcState, changes: Changes) -> None:
+    """Point the state at the graph and clustering of the round's change,
+    as changes_since finds it, and fold the round's new edges in."""
+    state.graph, state.clustering = changes.graph, changes.clustering
     state._fold(changes.added)
 
 
@@ -294,20 +293,19 @@ def build_dense_state(graph: UncertainGraph, clustering: Clustering,
     return state
 
 
-def refresh_dense_state(state: DenseState, graph: UncertainGraph,
-                        clustering: Clustering, changes: Changes) -> None:
+def refresh_dense_state(state: DenseState, changes: Changes) -> None:
     """Fold one round into the state, in place.
 
-    ``graph`` extends ``state.graph`` with the round's answers, and
-    ``changes`` is changes_since(state.graph, state.clustering, graph,
-    clustering).  A new negative edge rescores its own block pair, a new
-    positive edge every pair with either of its blocks, and a recluster
-    every pair with a new block.  The lists of gone blocks go by key, as
-    do the spans of the spanned block pairs in ``changes.lost`` and the
-    scores of every block pair in ``changes.dropped``; the spans of
+    ``changes`` is the round's change from the state's graph and
+    clustering, as changes_since finds it, and the state moves to its
+    graph and clustering.  A new negative edge rescores its own block
+    pair, a new positive edge every pair with either of its blocks, and a
+    recluster every pair with a new block.  The lists of gone blocks go by
+    key, as do the spans of the spanned block pairs in ``changes.lost``
+    and the scores of every block pair in ``changes.dropped``; the spans of
     changes.spans replace their block pairs', and every other list and
-    score carries over, so the state equals a build_dense_state on (graph,
-    clustering).
+    score carries over, so the state equals a build_dense_state on the new
+    graph and clustering.
     """
     for pair in changes.added:
         del state.absent[pair]
@@ -316,7 +314,7 @@ def refresh_dense_state(state: DenseState, graph: UncertainGraph,
     for keys, table in ((changes.lost, state.spans), (changes.dropped, state.live)):
         for key in keys:
             table.pop(key, None)
-    state.graph, state.clustering = graph, clustering
+    state.graph, state.clustering = changes.graph, changes.clustering
     _fold(state, changes)
 
 

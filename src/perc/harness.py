@@ -9,6 +9,9 @@ distinct pairs ever asked, seeding included.
 Each strategy is a build / refresh / batch protocol that _strategy reads
 from this module's globals once per run, not at import, so a wrapper
 installed here after import (the benchmark's counters) sees every call.
+Each round's change is found once, by changes_since from the last
+snapshot's score, and handed to refresh(state, changes) and to the next
+snapshot, each of which reads it alone.
 """
 
 from __future__ import annotations
@@ -269,7 +272,7 @@ def run_experiment(config: ExperimentConfig, records, gold: GoldClustering | Non
             precision, recall, f1 = precision_recall_f1(clustering, gold, f1_terms)
         else:
             precision = recall = f1 = NAN
-        score = reliability(graph, clustering, params, previous=score, changes=changes)
+        score = reliability(graph, clustering, params, changes=changes)
         curve.append(MetricsSnapshot(questions_asked=len(vote_log),
                                      precision=precision, recall=recall, f1=f1,
                                      reliability=score.value,
@@ -305,12 +308,13 @@ def run_experiment(config: ExperimentConfig, records, gold: GoldClustering | Non
             reclusterings_changed += fresh != clustering
             clustering = fresh
         rounds += 1
-        # the round's change, found once for the state and the snapshot; the
-        # last score was priced where the state was, so it lends the spans
-        # of the block pairs that gained edges
-        changes = changes_since(state.graph, state.clustering, graph, clustering, score=score)
-        refresh(state, graph, clustering, changes)
+        # the round's change, found once for the state and the snapshot from
+        # the last score, which was priced where the state was; dropped with
+        # the round, so that score and its graph do not outlive it
+        changes = changes_since(score, graph, clustering)
+        refresh(state, changes)
         snapshot(changes)
+        del changes
         log.debug("round %d: asked %d pairs, %d blocks, %d total questions",
                   rounds, len(answered), len(clustering.blocks), len(vote_log))
 

@@ -24,16 +24,15 @@ partitions of the block's stream.  The latest blocks' distributions are
 kept, so PERC's queue reads what the round's snapshot found.
 disconnectivity prices a block pair from its spanning edges, which
 UncertainGraph.edges_between lists by one merge walk over the two sorted
-blocks.  changes_since tells a caller holding values priced on an earlier
-graph and clustering which blocks the round removed and created and which
-of the values may carry over.  On first read it lists the spanning edges
-of each block pair whose values may not and prices each pair from its
-list, taking its log once.  The list of two old blocks that gained an edge
-is the list the score priced on the earlier graph and clustering kept for
-the pair, merged with the round's new edges, when the caller lends that
-score, and edges_between's otherwise; the lists of the pairs with a new
-block come from one pass over the edges.  PERC's queue, DENSE's scores and
-the score here all read them, and a build from scratch folds a Changes in
+blocks.  changes_since measures a round's change from the score priced on
+the earlier graph and clustering: which blocks the round removed and
+created, and which values priced there may carry over.  On first read it
+lists the spanning edges of each block pair whose values may not and
+prices each pair from its list, taking its log once.  The list of two old
+blocks that gained an edge is the list that score kept for the pair,
+merged with the round's new edges; the lists of the pairs with a new block
+come from one pass over the edges.  PERC's queue, DENSE's scores and the
+score here all read them, and a build from scratch folds a Changes in
 which every block is new.
 """
 
@@ -110,8 +109,8 @@ class ReliabilityScore:
     clustering.blocks; _pairs holds (d, log10 d, span) for the spanned
     block pairs only, keyed (bj, bk) for j < k in clustering.blocks, so a
     pair missing from it has d = 0.  span is the list of spanning edges d
-    was priced from, which changes_since may borrow (and never changes)
-    to list the pair's edges on the next graph.  It is the one table the
+    was priced from, which changes_since borrows (and never changes) to
+    list the pair's edges on the next graph.  It is the one table the
     score keeps and carries to the next, as Changes.priced hands the pairs
     over.
     """
@@ -378,9 +377,9 @@ class Changes:
     which an edge spans those in lost; a new block's intra edges are read
     from the graph.  Every carried table is keyed by block or block pair as
     these are, so it changes by key; one of spanned pairs only drops lost.
-    previous, the old clustering, is read only once a block is gone.  rows,
-    when set, are the _pairs of a score priced on the old graph and
-    clustering, whose spans the spans of two old blocks start from."""
+    score is the score priced on the old graph and clustering: the spans of
+    two old blocks start from its _pairs, and its clustering, the old one,
+    is read only once a block is gone.  A build from scratch has none."""
 
     added: list[Pair]
     gone: frozenset[Block]
@@ -388,8 +387,7 @@ class Changes:
     touched: set[Block]
     graph: UncertainGraph = field(repr=False)
     clustering: Clustering = field(repr=False)
-    previous: Clustering | None = field(default=None, repr=False)
-    rows: dict[BlockPairKey, tuple] | None = field(default=None, repr=False)
+    score: ReliabilityScore | None = field(default=None, repr=False)
 
     @classmethod
     def from_scratch(cls, graph: UncertainGraph, clustering: Clustering) -> "Changes":
@@ -399,36 +397,30 @@ class Changes:
     @cached_property
     def _walk(self) -> tuple[dict[BlockPairKey, list], set[BlockPairKey]]:
         # spans and lost, from one walk on first read
-        graph, owner, fresh, rows = self.graph, self.clustering._owner, self.fresh, self.rows
-        edges = graph.edges
+        owner, fresh, edges = self.clustering._owner, self.fresh, self.graph.edges
         spans: dict[BlockPairKey, list] = {}
         for pair in self.added:
             ba, bb = owner[pair[0]], owner[pair[1]]
             if ba is not bb and ba not in fresh and bb not in fresh:
                 key = (ba, bb) if ba < bb else (bb, ba)
-                if rows is None:
-                    if key not in spans:
-                        spans[key] = graph.edges_between(*key)  # this round's edges included
-                    continue
                 span = spans.get(key)
                 if span is None:
                     # a copy, since DENSE's spans may hold the row's own list
-                    row = rows.get(key)
+                    row = self.score._pairs.get(key)
                     span = spans[key] = [] if row is None else row[2].copy()
                 span.append((pair, edges[pair]))
         lost: set[BlockPairKey] = set()
         if not fresh:
-            if rows is not None:
-                # each lent span is two sorted runs, its row's and the round's
-                for span in spans.values():
-                    span.sort()
+            # each lent span is two sorted runs, its row's and the round's
+            for span in spans.values():
+                span.sort()
             return spans, lost
         items = edges.items()
         if len(fresh) < len(self.clustering.blocks):
             # the fresh blocks hold the gone blocks' records, so every lost pair is met
             members = {r for block in fresh for r in block}
             items = [(pair, p) for pair, p in items if pair[0] in members or pair[1] in members]
-        old = self.previous._owner if self.gone else None
+        old = self.score.clustering._owner if self.gone else None
         for edge in items:
             a, b = edge[0]
             if old is not None:
@@ -468,7 +460,7 @@ class Changes:
         pair of two gone blocks is listed from its first block only."""
         gone = self.gone
         return [(dead, other) if dead < other else (other, dead) for dead in gone
-                for other in self.previous.blocks if other not in gone or other > dead]
+                for other in self.score.clustering.blocks if other not in gone or other > dead]
 
     @cached_property
     def priced(self) -> dict[BlockPairKey, tuple[float, float, list]]:
@@ -482,45 +474,38 @@ class Changes:
         return priced
 
 
-def changes_since(previous_graph: UncertainGraph, previous_clustering: Clustering,
-                  graph: UncertainGraph, clustering: Clustering, *,
-                  score: ReliabilityScore | None = None) -> Changes:
-    """What the edges graph adds to previous_graph changed, for values
-    priced on (previous_graph, previous_clustering) that may carry over.
+def changes_since(score: ReliabilityScore, graph: UncertainGraph,
+                  clustering: Clustering) -> Changes:
+    """What the edges graph adds to score.graph changed, for values priced
+    on score.graph and score.clustering that may carry over.
 
     This is the one place a round's change is worked out (see Changes);
     an unchanged clustering object lost and made no block.  Only the edges
     and the block sets are compared here; every block-pair set is found
-    when first read.  Raises ValueError as UncertainGraph.edges_added_since.
-
-    ``score``, when priced on previous_graph and previous_clustering (the
-    very objects), lends its rows: the span of two old blocks that gained
-    edges is then its row's list (none for a pair with no row) merged with
-    the round's new edges of the pair, not an edges_between walk.  A score
-    priced on anything else is not read.
+    when first read, and the span of two old blocks that gained edges is
+    score's row of the pair (none for a pair with no row) merged with the
+    round's new edges of the pair.  Raises ValueError unless clustering
+    covers exactly graph's records, and as UncertainGraph.edges_added_since.
 
     The result is only read, never changed, by the callers it is handed
-    to, so run_experiment finds each round's change once and hands it to
-    the strategy's refresh (refresh_after_answer, refresh_dense_state or
-    refresh_tc_state) and to the snapshot's reliability.
+    to, so run_experiment finds each round's change once, from its last
+    snapshot, and hands it to the strategy's refresh (refresh_after_answer,
+    refresh_dense_state or refresh_tc_state) and to the next snapshot's
+    reliability.
     """
+    check_covers(graph, clustering)
     owner = clustering._owner
-    added = graph.edges_added_since(previous_graph)
+    added = graph.edges_added_since(score.graph)
     touched = {owner[a] for a, b in added if owner[a] is owner[b]}
-    rows = None
-    if score is not None and score.graph is previous_graph \
-            and score.clustering is previous_clustering:
-        rows = score._pairs
-    if clustering is previous_clustering:
-        return Changes(added, frozenset(), frozenset(), touched, graph, clustering, rows=rows)
-    old, new = frozenset(previous_clustering.blocks), frozenset(clustering.blocks)
-    return Changes(added, old - new, new - old, touched, graph, clustering,
-                   previous_clustering, rows)
+    previous = score.clustering
+    if clustering is previous:
+        return Changes(added, frozenset(), frozenset(), touched, graph, clustering, score)
+    old, new = frozenset(previous.blocks), frozenset(clustering.blocks)
+    return Changes(added, old - new, new - old, touched, graph, clustering, score)
 
 
 def reliability(graph: UncertainGraph, clustering: Clustering,
                 params: ReliabilityParams | None = None, *,
-                previous: ReliabilityScore | None = None,
                 changes: Changes | None = None) -> ReliabilityScore:
     """Clustering reliability: log10 block connectivity summed over blocks
     plus log10 pair disconnectivity summed over block pairs, zeros clamped
@@ -528,23 +513,20 @@ def reliability(graph: UncertainGraph, clustering: Clustering,
 
     The value is fsum((connectivity_log, disconnectivity_log,
     clamped * log10(epsilon))), each part an exactly rounded sum, so it does
-    not depend on the order the terms were added in.  ``previous`` is a
-    score of the same records under the same params, whose graph this graph
-    extends.  Its terms whose inputs did not change are carried over
-    instead of priced again:
+    not depend on the order the terms were added in.  ``changes`` is what
+    changes_since(previous, graph, clustering) returned for a score
+    ``previous`` of the same records under the same params.  previous's
+    terms whose inputs did not change are carried over instead of priced
+    again:
 
     - the connectivity of a surviving block with no new intra edge, exact
       or sampled (a block's stream depends on the seed and its members);
     - the disconnectivity of a surviving block pair with no new spanning
       edge.
 
-    The pairs changes_since prices are priced again, so the result equals
-    a call without ``previous``, which prices Changes.from_scratch's pairs
-    and every block.  ``changes`` is what
-    changes_since(previous.graph, previous.clustering, graph, clustering)
-    returned, when the caller has already found it for another holder of
-    values priced on the same pair; without it, this call finds it and
-    lends it ``previous``.
+    The block pairs in changes.priced take their new values, so the result
+    equals a call without ``changes``, which prices Changes.from_scratch's
+    pairs and every block.
     """
     params = params or ReliabilityParams()
     check_covers(graph, clustering)
@@ -552,14 +534,14 @@ def reliability(graph: UncertainGraph, clustering: Clustering,
     blocks = clustering.blocks
     carried: dict[Block, ConnectivityEstimate] = {}
     pairs: dict[BlockPairKey, tuple[float, float, list]] = {}
-    if previous is None:
+    if changes is None:
         changes = Changes.from_scratch(graph, clustering)
-    else:
+    elif changes.graph is not graph or changes.clustering is not clustering:
+        raise ValueError("changes were found for another graph or clustering")
+    previous = changes.score
+    if previous is not None:
         if previous.params != params:
             raise ValueError("previous score priced other params")
-        if changes is None:
-            changes = changes_since(previous.graph, previous.clustering, graph, clustering,
-                                    score=previous)
         carried = dict(zip(previous.clustering.blocks, previous.block_connectivity))
         pairs = dict(previous._pairs)
         for key in changes.lost:

@@ -27,11 +27,12 @@ marked blocks.  A cold build counts nothing; the first refresh counts what
 it left in one pass.
 
 build_state starts a state from scratch once; after that,
-refresh_after_answer folds each round in, whether or not it changed the
-clustering.  A round re-triggers work only where terms actually moved:
-each new block and each block with a new intra edge, and each block pair
-with a new spanning edge or a new block, is marked to price again; the
-entries of blocks and block pairs that survived it untouched carry over.
+refresh_after_answer folds in each round's change, as changes_since finds
+it, whether or not the round changed the clustering.  A round re-triggers
+work only where terms actually moved: each new block and each block with
+a new intra edge, and each block pair with a new spanning edge or a new
+block, is marked to price again; the entries of blocks and block pairs
+that survived it untouched carry over.
 
 Marked entries are priced when first read, not when marked; they keep
 their rows in the same two tables as priced ones, _intra and _inter: a
@@ -65,8 +66,7 @@ from typing import Iterator
 from .graph import Clustering, Pair, UncertainGraph, check_covers
 # block_connectivity has no caller here; the benchmark's tracer patches this name
 from .reliability import (Block, BlockPairKey, Changes, ReliabilityParams,  # noqa: F401
-                          block_connectivity, changes_since, disconnectivity,
-                          pair_connectivity)
+                          block_connectivity, disconnectivity, pair_connectivity)
 from .util import UnionFind, canonical_pair, log10_clamped
 
 
@@ -312,14 +312,14 @@ def build_state(graph: UncertainGraph, clustering: Clustering,
     return state
 
 
-def refresh_after_answer(state: PriorityState, graph: UncertainGraph,
-                         clustering: Clustering, changes: Changes | None = None) -> None:
+def refresh_after_answer(state: PriorityState, changes: Changes) -> None:
     """Fold one round into the state, in place.
 
-    ``graph`` extends ``state.graph`` with the round's answers, and
-    ``clustering`` is the clustering after the round, changed or not.
-    Entries whose inputs did not change are carried over, priced or
-    still marked:
+    ``changes`` is the round's change from the state's graph and
+    clustering, as changes_since finds it, and the state moves to its
+    graph and clustering, the clustering after the round, changed or not.
+    Entries whose inputs did not change are carried over, priced or still
+    marked:
 
     - the intra entries of a surviving block with no new intra edge;
     - the inter row of a surviving block pair with no new spanning edge.
@@ -328,15 +328,10 @@ def refresh_after_answer(state: PriorityState, graph: UncertainGraph,
     ``changes.lost`` (``changes.dropped`` in replay mode, where unspanned
     pairs can hold rows) are dropped by key; no other call drops a row.
     New blocks, blocks that a new edge touched (each once, however many
-    answers it got) and the block pairs changes_since prices are marked
-    afresh, so the state equals a build_state on (graph, clustering).  ``changes`` is changes_since(
-    state.graph, state.clustering, graph, clustering), which the caller
-    may share with every holder of the round's change; without it, this
-    call finds it.  Raises ValueError as changes_since.
+    answers it got) and the block pairs in changes.priced are marked
+    afresh, so the state equals a build_state on the new graph and
+    clustering.
     """
-    check_covers(graph, clustering)
-    if changes is None:
-        changes = changes_since(state.graph, state.clustering, graph, clustering)
     intra, inter, later, at_top = state._intra, state._inter, state._later, state._at_top
     top = _inter_gain(0.0, state.params)
     if at_top is None:  # counting starts from what the cold build left
@@ -356,7 +351,7 @@ def refresh_after_answer(state: PriorityState, graph: UncertainGraph,
     for block in changes.gone:  # each count is 0 by now
         later.pop(block, None)
     state._at_top = at_top
-    state.graph, state.clustering = graph, clustering
+    state.graph, state.clustering = changes.graph, changes.clustering
     _mark(state, changes)
 
 

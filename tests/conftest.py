@@ -16,6 +16,7 @@ import pytest
 from perc import Clustering, UncertainGraph, VoteTally
 from perc.fileio import CURVE_HEADER, _csv_rows, read_text
 from perc.harness import MetricsSnapshot
+from perc.reliability import ReliabilityParams, changes_since, reliability
 
 EIGHT = list("ABCDEFGH")
 
@@ -50,6 +51,19 @@ def running_vote_rows() -> list[tuple[tuple[str, str], VoteTally]]:
     for (a, b), p in sorted(RUNNING_EDGES.items()):
         rows.append(((a, b), VoteTally(yes=round(p * 10), total=10)))
     return rows
+
+
+# a span does not depend on params, so these, which sample each block once,
+# price the scores round_changes measures a change from
+SPAN_PARAMS = ReliabilityParams(mc_samples=1, exact_edge_limit=0)
+
+
+def round_changes(state, graph, clustering):
+    """The round's change from a strategy state's graph and clustering to
+    these, measured as run_experiment measures it: from a score priced
+    where the state was."""
+    return changes_since(reliability(state.graph, state.clustering, SPAN_PARAMS),
+                         graph, clustering)
 
 
 # Two blocks {A,B,C} and {D}: intra path 0.9, 0.8 and two edges to D whose

@@ -43,6 +43,7 @@ from conftest import (
     TRIO_EDGES,
     random_partition,
     random_small_graph,
+    round_changes,
 )
 
 
@@ -238,7 +239,7 @@ def test_5_cache_selection_equivalence():
                 if changed:
                     state = build_state(graph, clustering, params)
                 else:
-                    refresh_after_answer(state, graph, clustering)
+                    refresh_after_answer(state, round_changes(state, graph, clustering))
 
 
 def test_6_strategy_comparison():

@@ -34,6 +34,8 @@ from perc.reliability import (Changes, _sampled_partitions, block_connectivity,
 from perc.selection import _inter_gain
 from perc.util import make_rng
 
+from conftest import round_changes
+
 FRACTIONS = (0.0, 1.0, 0.5, 0.6, 0.4, 0.2, 0.8)
 # tallies whose fractions are FRACTIONS
 TALLIES = tuple(VoteTally(yes, total) for yes, total in
@@ -415,7 +417,7 @@ def assert_changes_match_reference(changes, old_graph, old):
     assert set(changes.spans) == expected
     assert set(changes.priced) == expected
     for (bj, bk), span in changes.spans.items():
-        assert span == filtered_span(graph, bj, bk)
+        assert span == filtered_span(graph, bj, bk) == graph.edges_between(bj, bk)
         d, log, priced_span = changes.priced[(bj, bk)]
         assert priced_span is span
         assert d == 1.0 - math.prod(p for _, p in span)
@@ -423,36 +425,48 @@ def assert_changes_match_reference(changes, old_graph, old):
         assert log == (math.log10(d) if d > 0.0 else -math.inf)
 
 
-@settings(max_examples=150, deadline=None)
-@given(graphs(max_records=8, fractions=ROUNDING_FRACTIONS), st.data())
-def test_changes_spans_equal_edges_between(graph, data):
-    """A build from scratch, then drawn rounds of answers and reclusters,
-    each found with no score or with a drawn score of the chain.  Only the
-    score priced on the old graph and clustering lends its rows, and no
-    list of a lent row is changed; one priced on an older graph is not read."""
-    clustering = data.draw(next_clusterings(graph, scc_cluster(graph)), label="clustering")
-    assert_changes_match_reference(Changes.from_scratch(graph, clustering), graph, None)
-    scores = [reliability(graph, clustering, PARAMS)]
+@st.composite
+def change_chains(draw):
+    """(graph, clustering) before a run's first round and after each of up
+    to four: drawn answers, each round's batch on one graph, then a drawn
+    recluster."""
+    graph = draw(graphs(max_records=8, fractions=ROUNDING_FRACTIONS))
+    chain = [(graph, draw(next_clusterings(graph, scc_cluster(graph))))]
     for _ in range(4):
         absent = list(graph.absent_pairs())
         if not absent:
             break
-        batch = data.draw(st.lists(st.sampled_from(absent), min_size=1, max_size=4,
-                                   unique=True), label="batch")
-        new_graph = graph
-        for pair in batch:
-            new_graph = new_graph.with_edge(*pair, probability=data.draw(
-                st.sampled_from(ROUNDING_FRACTIONS), label="p"))
-        new_clustering = data.draw(next_clusterings(new_graph, clustering), label="clustering")
-        score = data.draw(st.sampled_from([None, *scores]), label="score")
-        changes = changes_since(graph, clustering, new_graph, new_clustering, score=score)
-        assert changes.rows is (score._pairs if score is scores[-1] else None)
-        rows = copy.deepcopy(scores[-1]._pairs)
+        for pair in draw(st.lists(st.sampled_from(absent), min_size=1, max_size=4, unique=True)):
+            graph = graph.with_edge(*pair, probability=draw(st.sampled_from(ROUNDING_FRACTIONS)))
+        chain.append((graph, draw(next_clusterings(graph, chain[-1][1]))))
+    return chain
+
+
+_BEFORE = UncertainGraph("ABCDEF", {("A", "B"): 0.8, ("C", "D"): 0.8, ("E", "F"): 0.8,
+                                    ("A", "C"): 0.3})
+
+
+@settings(max_examples=150, deadline=None)
+@given(change_chains())
+# B-D spans {A, B} x {C, D}, whose span starts from the score's row of
+# A-C, and splitting {E, F} makes two fresh blocks that A-E and E-F span
+@example([(_BEFORE, Clustering(["AB", "CD", "EF"])),
+          (_BEFORE.with_edge("B", "D", probability=0.6).with_edge("A", "E", probability=0.2),
+           Clustering(["AB", "CD", "E", "F"]))])
+def test_changes_spans_equal_edges_between(chain):
+    """A build from scratch, then each round's change measured from the
+    score priced on the old graph and clustering: every span is
+    edges_between's list, and no list of the score's rows is changed."""
+    graph, clustering = chain[0]
+    assert_changes_match_reference(Changes.from_scratch(graph, clustering), graph, None)
+    score = reliability(graph, clustering, PARAMS)
+    for new_graph, new_clustering in chain[1:]:
+        changes = changes_since(score, new_graph, new_clustering)
+        rows = copy.deepcopy(score._pairs)
         assert_changes_match_reference(changes, graph, clustering)
-        assert scores[-1]._pairs == rows
+        assert score._pairs == rows
         graph, clustering = new_graph, new_clustering
-        scores.append(reliability(graph, clustering, PARAMS, previous=scores[-1],
-                                  changes=changes))
+        score = reliability(graph, clustering, PARAMS, changes=changes)
 
 
 @ORACLE
@@ -603,7 +617,7 @@ def test_carried_state_equals_cold_build(graph, data):
             graph = graph.with_edge(*pair, probability=data.draw(
                 st.sampled_from(ROUNDING_FRACTIONS), label="p"))
         clustering = data.draw(next_clusterings(graph, clustering), label="clustering")
-        refresh_after_answer(state, graph, clustering)
+        refresh_after_answer(state, round_changes(state, graph, clustering))
         cold = build_state(graph, clustering, params, allowed=allowed)
         for k in (1, 3, 20):
             assert select_batch(state, k) == select_batch(cold, k)
@@ -652,7 +666,8 @@ def test_carried_score_equals_cold_call(graph, data):
         # from further back
         if not data.draw(st.booleans(), label="snapshot"):
             continue
-        carried = reliability(graph, clustering, params, previous=score)
+        carried = reliability(graph, clustering, params,
+                              changes=changes_since(score, graph, clustering))
         cold = reliability(graph, clustering, params)
         assert carried.value == cold.value
         assert carried.connectivity_log == cold.connectivity_log
@@ -699,7 +714,7 @@ def test_queue_with_unstored_pairs_equals_every_block_pair(graph, data):
                 st.sampled_from(ROUNDING_FRACTIONS), label="p"))
         if data.draw(st.booleans(), label="recluster"):
             clustering = data.draw(next_clusterings(graph, clustering), label="clustering")
-        refresh_after_answer(state, graph, clustering)
+        refresh_after_answer(state, round_changes(state, graph, clustering))
         assert_queue_matches_reference(state)
 
 
@@ -734,7 +749,7 @@ def test_select_batch_on_a_marked_state_equals_a_priced_one(case, data):
         *before, drawn_k = previous
         state = build_state(*before, params, allowed=allowed)
         select_batch(state, drawn_k)
-        refresh_after_answer(state, graph, clustering)
+        refresh_after_answer(state, round_changes(state, graph, clustering))
         return state
     previous = None
     for round_index in range(3):
@@ -791,7 +806,7 @@ def test_select_batch_equals_the_first_entries_of_a_priced_queue(case, params):
     ranked = [entry.pair for entry in build_state(graph, clustering, params).entries()]
     carried = build_state(before, earlier, params)
     select_batch(carried, drawn_k)
-    refresh_after_answer(carried, graph, clustering)
+    refresh_after_answer(carried, round_changes(carried, graph, clustering))
     for state in (build_state(graph, clustering, params), carried):
         for k in (1, 3, 20):
             assert select_batch(state, k)[:len(ranked)] == ranked[:k]
@@ -872,8 +887,7 @@ def test_carried_dense_state_equals_cold_build(graph, allowed, data):
             graph = graph.with_edge(*pair, probability=data.draw(
                 st.sampled_from(ROUNDING_FRACTIONS), label="p"))
         clustering = data.draw(next_clusterings(graph, clustering), label="clustering")
-        refresh_dense_state(state, graph, clustering,
-                            changes_since(state.graph, state.clustering, graph, clustering))
+        refresh_dense_state(state, round_changes(state, graph, clustering))
         assert_dense_matches_reference(state)
 
 
@@ -933,6 +947,5 @@ def test_carried_tc_state_equals_cold_build(case, seed):
         for pair, p in answers:
             graph = graph.with_edge(*pair, probability=p)
         clustering = scc_cluster(graph)
-        refresh_tc_state(state, graph, clustering,
-                         changes_since(state.graph, state.clustering, graph, clustering))
+        refresh_tc_state(state, round_changes(state, graph, clustering))
         assert_tc_matches_reference(state, seed)

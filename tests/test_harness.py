@@ -413,8 +413,7 @@ class TestRunExperiment:
         graphs once per round plus once per recluster, each time with an
         ancestor on the newer graph's lineage."""
         calls = []
-        modules = [import_module(f"perc.{name}")
-                   for name in ("harness", "selection", "reliability")]
+        modules = [import_module(f"perc.{name}") for name in ("harness", "reliability")]
         changes_since = modules[-1].changes_since
 
         def counted(*args, **kwargs):
@@ -493,8 +492,8 @@ class TestRunExperiment:
         precision_recall_f1 = harness.precision_recall_f1
         build = harness._strategy(strategy)[0]
 
-        def cold_refresh(state, graph, clustering, changes=None):
-            fresh = build(graph, clustering, config.reliability_params(),
+        def cold_refresh(state, changes):
+            fresh = build(changes.graph, changes.clustering, config.reliability_params(),
                           allowed=state.allowed)
             for name in type(state).__slots__:
                 setattr(state, name, getattr(fresh, name))
@@ -502,7 +501,7 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "scc_cluster", lambda graph, previous=None:
                             scc_cluster(graph))
         monkeypatch.setattr(harness, "reliability", lambda graph, clustering, params=None,
-                            previous=None, changes=None: reliability(graph, clustering, params))
+                            changes=None: reliability(graph, clustering, params))
         monkeypatch.setattr(harness, "precision_recall_f1", lambda predicted, gold, terms=None:
                             precision_recall_f1(predicted, gold))
         monkeypatch.setattr(harness, "refresh_after_answer", cold_refresh)
@@ -531,9 +530,9 @@ class TestRunExperiment:
             walked.append((left, right))
             return edges_between(self, left, right)
 
-        def snapshot(graph, clustering, params=None, previous=None, changes=None):
+        def snapshot(graph, clustering, params=None, changes=None):
             snapshots.append(changes)
-            return reliability(graph, clustering, params, previous=previous, changes=changes)
+            return reliability(graph, clustering, params, changes=changes)
 
         monkeypatch.setattr(UncertainGraph, "edges_between", counted)
         monkeypatch.setattr(perc.harness, "reliability", snapshot)

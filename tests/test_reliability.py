@@ -20,7 +20,7 @@ from perc import (
 )
 from perc.reliability import (ConnectivityEstimate, MAX_EXACT_EDGE_LIMIT, MAX_MC_SAMPLES,
                               _partition_dp, _reduced_block, _sampled_partitions,
-                              pair_connectivity, reliability)
+                              changes_since, pair_connectivity, reliability)
 from perc.util import ConfigError, make_rng
 
 from conftest import connectivity_by_enumeration, random_small_graph
@@ -539,30 +539,48 @@ class TestReliability:
         params = ReliabilityParams(exact_edge_limit=8)
         grown = running_graph.with_edge("A", "D", probability=0.4)
         previous = reliability(running_graph, running_clustering, params)
+        changes = changes_since(previous, grown, running_clustering)
         with pytest.raises(ValueError, match="previous score priced other params"):
             reliability(grown, running_clustering, ReliabilityParams(exact_edge_limit=9),
-                        previous=previous)
+                        changes=changes)
         # the previous graph must be part of the new one, with its probabilities
         with pytest.raises(ValueError, match="edges this graph lacks"):
-            reliability(running_graph, running_clustering, params,
-                        previous=reliability(grown, running_clustering, params))
+            changes_since(reliability(grown, running_clustering, params), running_graph,
+                          running_clustering)
         repriced = dict(running_graph.edges)
         repriced[("A", "B")] = 0.7
         with pytest.raises(ValueError, match="prices differently"):
-            reliability(UncertainGraph(running_graph.records, edges=repriced),
-                        running_clustering, params, previous=previous)
+            changes_since(previous, UncertainGraph(running_graph.records, edges=repriced),
+                          running_clustering)
         wider = UncertainGraph(running_graph.records + ("I",), edges=running_graph.edges)
         with pytest.raises(ValueError, match="other records"):
-            reliability(wider, Clustering(running_clustering.blocks + (("I",),)), params,
-                        previous=previous)
+            changes_since(previous, wider, Clustering(running_clustering.blocks + (("I",),)))
         # the seed is a param like any other
         with pytest.raises(ValueError, match="previous score priced other params"):
             reliability(grown, running_clustering, ReliabilityParams(exact_edge_limit=8, seed=5),
-                        previous=previous)
-        # previous is left as it was
+                        changes=changes)
+        # the change carries to the graph and clustering it was found for only
+        with pytest.raises(ValueError, match="another graph or clustering"):
+            reliability(grown.with_edge("B", "C", probability=0.5), running_clustering,
+                        params, changes=changes)
+        with pytest.raises(ValueError, match="another graph or clustering"):
+            reliability(grown, Clustering(running_clustering.blocks), params, changes=changes)
+        # previous and the change are left as they were
         cold = reliability(grown, running_clustering, params)
         for _ in range(2):
-            assert reliability(grown, running_clustering, params, previous=previous) == cold
+            assert reliability(grown, running_clustering, params, changes=changes) == cold
+
+    def test_changes_need_a_clustering_that_covers_the_graph(self, running_graph,
+                                                              running_clustering):
+        # H is missing; the new edge touches it, or only records the clustering has
+        previous = reliability(running_graph, running_clustering)
+        partial = Clustering(block for block in running_clustering.blocks if "H" not in block)
+        for pair in (("E", "H"), ("B", "C")):
+            grown = running_graph.with_edge(*pair, probability=0.4)
+            with pytest.raises(ValueError, match="does not cover exactly"):
+                changes_since(previous, grown, partial)
+        with pytest.raises(ValueError, match="does not cover exactly"):
+            changes_since(previous, grown, Clustering(running_clustering.blocks + (("I",),)))
 
     def test_previous_is_left_as_it_was_across_a_recluster(self, running_graph,
                                                            running_clustering):
@@ -578,7 +596,8 @@ class TestReliability:
         for clustering in (split, running_clustering):
             cold = reliability(grown, clustering, params)
             for _ in range(2):
-                assert reliability(grown, clustering, params, previous=previous) == cold
+                changes = changes_since(previous, grown, clustering)
+                assert reliability(grown, clustering, params, changes=changes) == cold
                 assert previous._pairs == before
 
     def test_sampled_connectivity_carries(self, running_graph, running_clustering):
@@ -587,7 +606,8 @@ class TestReliability:
         params = ReliabilityParams(mc_samples=50, exact_edge_limit=0)
         previous = reliability(running_graph, running_clustering, params)
         grown = running_graph.with_edge("A", "D", probability=0.4)
-        carried = reliability(grown, running_clustering, params, previous=previous)
+        carried = reliability(grown, running_clustering, params,
+                              changes=changes_since(previous, grown, running_clustering))
         for old, new in zip(previous.block_connectivity, carried.block_connectivity):
             assert new.method == "monte-carlo"
             assert new is old

@@ -19,7 +19,7 @@ from perc import (
 from perc.reliability import MAX_EXACT_EDGE_LIMIT, block_connectivity, pair_connectivity
 from perc.selection import PriorityState
 
-from conftest import random_partition, random_small_graph
+from conftest import random_partition, random_small_graph, round_changes
 
 
 def factoring_connectivity(n, edges):
@@ -257,7 +257,7 @@ class TestBuildState:
         assert set(state.inter) == {(("A", "B"), ("C", "D"))}
         grown = g.with_edge("C", "D", probability=0.2)
         split = Clustering([["A", "B"], ["C"], ["D"]])
-        refresh_after_answer(state, grown, split)
+        refresh_after_answer(state, round_changes(state, grown, split))
         assert states_equal(state, build_state(grown, split, allowed=allowed))
 
     def test_fully_crowdsourced_graph_has_empty_queue(self):
@@ -273,7 +273,8 @@ class TestBuildState:
         # the previous graph must be part of the new one
         previous = build_state(grown, running_clustering, params)
         with pytest.raises(ValueError, match="edges this graph lacks"):
-            refresh_after_answer(previous, running_graph, running_clustering)
+            refresh_after_answer(previous, round_changes(previous, running_graph,
+                                                         running_clustering))
 
     def test_carry_prices_no_kept_sampled_block(self, monkeypatch):
         # {A,B,C} survives untouched while E-F merges {D,E} with {F}; at
@@ -291,7 +292,7 @@ class TestBuildState:
             priced.append(tuple(block))
             return pair_connectivity(graph, block, pairs, params, *intra)
         monkeypatch.setattr(perc.selection, "pair_connectivity", counted)
-        refresh_after_answer(state, grown, clustering)
+        refresh_after_answer(state, round_changes(state, grown, clustering))
         assert state.intra[("A", "C")] == carried_gain
         assert priced == [("D", "E", "F")]
         assert states_equal(state, build_state(grown, clustering, params))
@@ -301,13 +302,13 @@ class TestBuildState:
         previous = build_state(running_graph, running_clustering)
         repriced = dict(running_graph.edges)
         repriced[("A", "B")] = 0.7
+        repriced = UncertainGraph(running_graph.records, edges=repriced)
         with pytest.raises(ValueError, match="prices differently"):
-            refresh_after_answer(previous, UncertainGraph(running_graph.records, edges=repriced),
-                                 running_clustering)
+            refresh_after_answer(previous, round_changes(previous, repriced, running_clustering))
         wider = UncertainGraph(running_graph.records + ("I",), edges=running_graph.edges)
         with pytest.raises(ValueError, match="other records"):
-            refresh_after_answer(previous, wider,
-                                 Clustering(running_clustering.blocks + (("I",),)))
+            refresh_after_answer(previous, round_changes(
+                previous, wider, Clustering(running_clustering.blocks + (("I",),))))
 
     def test_allowed_filter_restricts_candidates(self, running_graph, running_clustering):
         allowed = frozenset({("B", "C"), ("F", "G")})
@@ -412,7 +413,7 @@ class TestSelectBatch:
             after = before.with_edge("A", "C", probability=1.0)
         c = Clustering([["A"], ["B"], ["C", "D"], ["E"], ["F"], ["G"]])
         state = build_state(before, c)
-        refresh_after_answer(state, after, c)
+        refresh_after_answer(state, round_changes(state, after, c))
         assert state._at_top == 1 and len(list(state._unstored())) >= 3
         assert select_batch(state, 3) == [("A", "B"), ("A", "D"), ("A", "E")]
         assert select_batch(state, 3) == [entry.pair for entry in state.entries()[:3]]
@@ -428,7 +429,7 @@ class TestSelectBatch:
         state = build_state(g, c)
         if priced_before_counting:
             select_batch(state, 3)  # prices the marked block
-        refresh_after_answer(state, after, c)
+        refresh_after_answer(state, round_changes(state, after, c))
         if not priced_before_counting:
             state.gain(("A", "C"))  # prices the marked block
         assert isinstance(state._intra[("A", "B", "C")], dict)
@@ -593,7 +594,7 @@ class TestRefreshAfterAnswer:
         state = build_state(running_graph, running_clustering)
         before = dict(state.inter)
         g2 = running_graph.with_edge("E", "H", probability=0.2)
-        refresh_after_answer(state, g2, running_clustering)
+        refresh_after_answer(state, round_changes(state, g2, running_clustering))
         assert states_equal(state, build_state(g2, running_clustering))
         # the C3 x C4 disconnectivity rose to 1 - 0.3*0.7*0.2, repricing it
         _, new_gain = inter_queue(state)[(("E", "F"), ("G", "H"))]
@@ -608,7 +609,7 @@ class TestRefreshAfterAnswer:
         c = Clustering([["A", "B", "C"], ["D", "E"]])
         state = build_state(g, c)
         g2 = g.with_edge("A", "C", probability=0.6)
-        refresh_after_answer(state, g2, c)
+        refresh_after_answer(state, round_changes(state, g2, c))
         assert states_equal(state, build_state(g2, c))
 
     def test_round_prices_each_touched_block_once(self, monkeypatch):
@@ -627,7 +628,7 @@ class TestRefreshAfterAnswer:
             priced.append(tuple(block))
             return pair_connectivity(graph, block, pairs, params, *intra)
         monkeypatch.setattr(perc.selection, "pair_connectivity", counted)
-        refresh_after_answer(state, grown, c)
+        refresh_after_answer(state, round_changes(state, grown, c))
         state.intra
         assert priced == [("A", "B", "C", "D", "E")]
         assert states_equal(state, build_state(grown, c))
@@ -642,14 +643,14 @@ class TestRefreshAfterAnswer:
         state = build_state(g, c)
         assert select_batch(state, 1) == [("A", "D")]
         grown = g.with_edge("A", "D", probability=0.5)
-        refresh_after_answer(state, grown, c)
+        refresh_after_answer(state, round_changes(state, grown, c))
         assert select_batch(state, 1) == [("A", "E")]
 
     def test_refresh_requires_edge_in_graph(self, running_graph, running_clustering):
         grown = running_graph.with_edge("E", "H", probability=0.2)
         state = build_state(grown, running_clustering)
         with pytest.raises(ValueError):
-            refresh_after_answer(state, running_graph, running_clustering)
+            refresh_after_answer(state, round_changes(state, running_graph, running_clustering))
 
     def test_incremental_equals_scratch_over_many_answers(self):
         # Drive a whole instance to exhaustion, alternating intra and inter
@@ -662,7 +663,7 @@ class TestRefreshAfterAnswer:
             state = build_state(g, c)
             while batch := select_batch(state, 1):
                 g = g.with_edge(*batch[0], probability=float(rng.random()))
-                refresh_after_answer(state, g, c)
+                refresh_after_answer(state, round_changes(state, g, c))
                 assert states_equal(state, build_state(g, c))
             assert list(g.absent_pairs()) == []
 
@@ -679,5 +680,5 @@ class TestRefreshAfterAnswer:
                 batch = select_batch(state, 3)
                 for pair in batch:
                     g = g.with_edge(*pair, probability=float(rng.random()))
-                refresh_after_answer(state, g, c)
+                refresh_after_answer(state, round_changes(state, g, c))
                 assert states_equal(state, build_state(g, c))

@@ -1,13 +1,13 @@
-"""How many lines of src/perc the benchmark's seed-1 passes, and a
-noisy-crowd pass, run per module: a measure of the program's work that
-does not depend on the host.
+"""How many bytecode instructions of src/perc the benchmark's seed-1
+passes, and a noisy-crowd pass, run per module: a measure of the
+program's work that does not depend on the host.
 
     python tests/work_count.py            # print the counts against the recorded ones
     python tests/work_count.py --write    # also regenerate tests/work_counts.json
 
 Each workload of perfbench/workloads.py is counted in a fresh Python process,
-with the stdlib's sys.settrace, as the number of "line" events in code
-compiled from src/perc:
+with the stdlib's sys.settrace, as the number of "opcode" events in code
+compiled from src/perc (each of its frames sets f_trace_opcodes):
 
 - many-blocks and baselines: every run_experiment call of one seed-1 pass,
   its worlds built as perfbench/worker.py's run_loop builds them;
@@ -19,10 +19,12 @@ compiled from src/perc:
   with a crowd that errs on 3 answers in 10 (NOISY_CROWD).  Its blocks grow
   past the default exact_edge_limit, so the PERC run samples about 20.
 
-Only those calls are traced, not the set-up around them.  A line event
-counts an interpreter line, not work done in C (sorts, dict copies,
-hashing, numpy), and line tables differ between Python minor versions, so
-tests/work_counts.json keeps one set of counts per version.  The counts do
+Only those calls are traced, not the set-up around them.  An opcode event
+counts one interpreter instruction, so a rewrite that packs a line's work
+into fewer, denser lines moves the count as the work moves; it does not
+count work done in C (sorts, dict copies, hashing, numpy), and bytecode
+differs between Python minor versions, so tests/work_counts.json keeps one
+set of counts per version.  The counts do
 not depend on PYTHONHASHSEED.  A change that moves the program's work
 regenerates the file and reports the change per module.
 """
@@ -42,16 +44,16 @@ from line_reach import PACKAGE, ROOT, SRC, in_temp_dir
 COUNTS = Path(__file__).resolve().parent / "work_counts.json"
 WORKLOADS = ("many-blocks", "baselines", "next-cold", "noisy-crowd")
 SEED = 1
-# the noisy-crowd pass as perfbench/workloads.py's Workload fields; about a
-# second under sys.settrace on a 2-vCPU Xeon VM
+# the noisy-crowd pass as perfbench/workloads.py's Workload fields; 16 to 23
+# s of opcode tracing on a 2-vCPU Xeon VM, most of the four passes' time
 NOISY_CROWD = dict(kind="loop", worlds=1, records=60, entities=5, runs=tuple(
     dict(strategy=strategy, initial_pairs=0, budget=450, batch_size=10, error_rate=0.3)
     for strategy in ("perc", "dense")))
 
 
-class LineCounter:
-    """A sys.settrace hook, active while entered, that counts the line events
-    of each module of src/perc into ``counts``."""
+class OpcodeCounter:
+    """A sys.settrace hook, active while entered, that counts the opcode
+    events of each module of src/perc into ``counts``."""
 
     def __init__(self):
         self.counts = {path.stem: 0 for path in sorted(PACKAGE.glob("*.py"))}
@@ -64,7 +66,7 @@ class LineCounter:
         counts, module = self.counts, path.stem
 
         def local(frame, event, arg):
-            if event == "line":
+            if event == "opcode":
                 counts[module] += 1
             return local
         return local
@@ -72,10 +74,12 @@ class LineCounter:
     def _call(self, frame, event, arg):
         filename = frame.f_code.co_filename
         try:
-            return self._tracers[filename]
+            local = self._tracers[filename]
         except KeyError:
             local = self._tracers[filename] = self._tracer(filename)
-            return local
+        if local is not None:
+            frame.f_trace_opcodes = True
+        return local
 
     def __enter__(self):
         self._outer = sys.gettrace()  # tests/line_reach.py's, in a traced child
@@ -87,7 +91,7 @@ class LineCounter:
 
 
 def count_workload(name: str) -> dict[str, int]:
-    """Line events per module of one seed-1 pass of the workload, in this
+    """Opcode events per module of one seed-1 pass of the workload, in this
     process."""
     sys.path[:0] = [str(SRC), str(ROOT / "perfbench")]
     import perc
@@ -98,7 +102,7 @@ def count_workload(name: str) -> dict[str, int]:
     if Path(perc.__file__).resolve().parent != PACKAGE:
         raise SystemExit(f"perc imported from {perc.__file__}, not from {PACKAGE}")
     workload = RECIPES[name] if name in RECIPES else Workload(name, "", **NOISY_CROWD)
-    counter = LineCounter()
+    counter = OpcodeCounter()
     for index in range(workload.worlds):
         seed = world_seed(SEED, index)
         records, entity_of = make_world(workload.records, workload.entities, seed)
@@ -178,7 +182,7 @@ def main(argv=None) -> int:
         return 0
     counts = measure()
     stored = recorded()
-    print(f"line events per module of src/perc, seed-1 passes, Python {version()}, "
+    print(f"opcode events per module of src/perc, seed-1 passes, Python {version()}, "
           f"against {COUNTS.name}")
     print(table(counts, stored.get(version(), {})))
     if args.write:
